@@ -1,10 +1,12 @@
 //! Criterion micro-benchmarks for the Seagull hot paths: the metric kernels
 //! (bucket ratio, LL-window search), model fitting, classification, the
-//! document store, and the parallel executor.
+//! featurization kernels on a generated Fig. 3 week, the document store, and
+//! the parallel executor.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use seagull_core::classify::{classify_series, ClassifyConfig};
 use seagull_core::docstore::DocStore;
+use seagull_core::features::extract_server_features;
 use seagull_core::metrics::{bucket_ratio, evaluate_low_load, AccuracyConfig, ErrorBound};
 use seagull_core::par::parallel_map;
 use seagull_forecast::additive::FitMethod;
@@ -12,8 +14,14 @@ use seagull_forecast::{
     AdditiveConfig, AdditiveForecaster, FeedForwardConfig, FeedForwardForecaster, Forecaster,
     PersistentForecast, SsaForecaster,
 };
-use seagull_telemetry::record::RecordBatch;
-use seagull_timeseries::{decompose, min_mean_window, TimeSeries, Timestamp};
+use seagull_telemetry::columnar::ColumnarBatch;
+use seagull_telemetry::extract::{ExtractedServer, LoadExtraction};
+use seagull_telemetry::fleet::{FleetGenerator, FleetSpec};
+use seagull_telemetry::record::{csv_quantized, RecordBatch};
+use seagull_timeseries::{
+    decompose, detect_anomalies, min_mean_window, AnomalyConfig, SummaryStats, TimeSeries,
+    Timestamp,
+};
 use std::hint::black_box;
 
 fn day_series(seed: u64) -> TimeSeries {
@@ -106,6 +114,74 @@ fn bench_decompose(c: &mut Criterion) {
     });
 }
 
+/// One region-week of the paper's Fig. 3 population mix (80 servers, mostly
+/// short-lived and stable), as the rows the extraction query emits.
+fn fig3_week_rows() -> RecordBatch {
+    let spec = FleetSpec::small_region(2020);
+    let week = spec.start_day;
+    let fleet = FleetGenerator::new(spec).generate_weeks(1);
+    LoadExtraction::columnar(5).extract_week(&fleet, "region-a", week)
+}
+
+/// The same week as the pipeline's featurizer sees it: gridded, quantized,
+/// gaps as NaN.
+fn fig3_week_servers() -> Vec<ExtractedServer> {
+    ColumnarBatch::from_records(&fig3_week_rows(), 5).extract()
+}
+
+// The four kernels `extract_server_features` spends its time in, then the
+// whole of it, each over every server of the week: a featurizer regression
+// shows here before it shows in the end-to-end benchmark.
+fn bench_detect_anomalies(c: &mut Criterion) {
+    let servers = fig3_week_servers();
+    let cfg = AnomalyConfig::default();
+    c.bench_function("detect_anomalies/fig3_week_80srv", |b| {
+        b.iter(|| {
+            servers
+                .iter()
+                .map(|s| detect_anomalies(black_box(&s.series), &cfg).len())
+                .sum::<usize>()
+        })
+    });
+}
+
+fn bench_summary_stats(c: &mut Criterion) {
+    let servers = fig3_week_servers();
+    c.bench_function("summary_stats/fig3_week_80srv", |b| {
+        b.iter(|| {
+            servers
+                .iter()
+                .map(|s| SummaryStats::compute(black_box(s.series.values())).p95)
+                .sum::<f64>()
+        })
+    });
+}
+
+fn bench_csv_quantized(c: &mut Criterion) {
+    let loads: Vec<f64> = fig3_week_rows().records.iter().map(|r| r.avg_cpu).collect();
+    c.bench_function("csv_quantized/fig3_week_rows", |b| {
+        b.iter(|| {
+            black_box(&loads)
+                .iter()
+                .map(|&v| csv_quantized(v))
+                .sum::<f64>()
+        })
+    });
+}
+
+fn bench_extract_server_features(c: &mut Criterion) {
+    let servers = fig3_week_servers();
+    let cfg = ClassifyConfig::default();
+    c.bench_function("extract_server_features/fig3_week_80srv", |b| {
+        b.iter(|| {
+            servers
+                .iter()
+                .map(|s| extract_server_features(black_box(s), &cfg).load_anomalies)
+                .sum::<usize>()
+        })
+    });
+}
+
 fn bench_classification(c: &mut Criterion) {
     let week = week_series(0);
     let cfg = ClassifyConfig::default();
@@ -161,6 +237,10 @@ criterion_group!(
     bench_classification,
     bench_codec,
     bench_decompose,
+    bench_detect_anomalies,
+    bench_summary_stats,
+    bench_csv_quantized,
+    bench_extract_server_features,
     bench_docstore,
     bench_executor
 );

@@ -61,7 +61,7 @@ use seagull_forecast::{CacheUpdate, FittedModel, ForecastError, Forecaster, Look
 use seagull_obs::{Obs, SpanId, Stability};
 use seagull_telemetry::blobstore::{BlobKey, BlobStore};
 use seagull_telemetry::chaos::InjectedCrash;
-use seagull_telemetry::columnar::checksum64;
+use seagull_telemetry::columnar::checksum64_words;
 use seagull_telemetry::csv_quantized;
 use seagull_telemetry::extract::{ExtractedServer, RegionWeekBatch};
 use seagull_timeseries::{GapFill, TimeSeries, Timestamp};
@@ -433,12 +433,9 @@ struct FusedServerOutcome {
 /// excluded so a weekly-periodic server hashes identically week over week;
 /// [`ModelCache`] checks grid shape and whole-week alignment separately.
 fn series_fingerprint(series: &TimeSeries) -> u64 {
-    let mut bytes = Vec::with_capacity(8 + series.len() * 8);
-    bytes.extend_from_slice(&u64::from(series.step_min()).to_le_bytes());
-    for &v in series.values() {
-        bytes.extend_from_slice(&csv_quantized(v).to_le_bytes());
-    }
-    checksum64(&bytes)
+    let step = std::iter::once(u64::from(series.step_min()));
+    let samples = series.values().iter().map(|&v| csv_quantized(v).to_bits());
+    checksum64_words(step.chain(samples))
 }
 
 /// One successful deployment, as announced to a [`DeploySink`].
@@ -2085,6 +2082,36 @@ mod tests {
             .run(&fleet, &["region-a".into()], &weeks_days, store.as_ref())
             .unwrap();
         (AmlPipeline::new(PipelineConfig::production(), store), start)
+    }
+
+    /// Cache keys must not move: the streamed fingerprint is the checksum of
+    /// the buffer it used to build (step word, then each quantized sample),
+    /// gaps, unquantized gap-filled values and signed zeros included.
+    #[test]
+    fn series_fingerprint_is_the_checksum_of_the_old_buffer() {
+        use seagull_telemetry::columnar::checksum64;
+        let samples = [
+            12.345,
+            0.0,
+            -0.0,
+            f64::NAN,
+            99.995,
+            33.333_333_333_333_336,
+            1e7,
+        ];
+        for len in [0, 1, 7, 2016] {
+            let values: Vec<f64> = (0..len).map(|i| samples[i % samples.len()]).collect();
+            for step in [5u32, 15] {
+                let series = TimeSeries::new(Timestamp::from_days(3), step, values.clone())
+                    .expect("grid-aligned start");
+                let mut bytes = Vec::with_capacity(8 + series.len() * 8);
+                bytes.extend_from_slice(&u64::from(series.step_min()).to_le_bytes());
+                for &v in series.values() {
+                    bytes.extend_from_slice(&csv_quantized(v).to_le_bytes());
+                }
+                assert_eq!(series_fingerprint(&series), checksum64(&bytes));
+            }
+        }
     }
 
     #[test]

@@ -376,26 +376,36 @@ impl ColumnarBatch {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv_fold(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
 /// FNV-1a folded over 8-byte little-endian words (with the tail length mixed
 /// into the last word). Order-sensitive and cheap — this is an integrity
 /// check against torn/corrupt reads, not an adversarial hash.
 pub fn checksum64(data: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        h ^= u64::from_le_bytes(c.try_into().unwrap());
-        h = h.wrapping_mul(PRIME);
-    }
+    let mut h = checksum64_words(
+        chunks
+            .by_ref()
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
+    );
     let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut last = [0u8; 8];
         last[..rem.len()].copy_from_slice(rem);
-        h ^= u64::from_le_bytes(last) ^ ((rem.len() as u64) << 56);
-        h = h.wrapping_mul(PRIME);
+        h = fnv_fold(h, u64::from_le_bytes(last) ^ ((rem.len() as u64) << 56));
     }
     h
+}
+
+/// [`checksum64`] of the little-endian bytes of `words`, for a caller that
+/// would otherwise serialize them only to hash the buffer.
+pub fn checksum64_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(FNV_OFFSET, fnv_fold)
 }
 
 #[cfg(test)]

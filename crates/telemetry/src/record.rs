@@ -166,7 +166,18 @@ where
 /// [`RecordBatch::to_csv`] / [`RecordBatch::from_csv`] (two-decimal fixed
 /// formatting). The columnar codec applies the same quantization at encode
 /// time so both blob formats hand the pipeline bit-identical series.
+///
+/// Loads take the arithmetic path: the rounded product `|v|·100` is within
+/// 1e-8 of the exact one below 1e6, so unless it sits within 1e-6 of a
+/// half it rounds to the hundredth the formatter picks, and dividing that
+/// integer by 100 is the same correctly rounded double the parser returns.
+/// Near-ties and large values take the round trip itself.
 pub fn csv_quantized(v: f64) -> f64 {
+    let scaled = v.abs() * 100.0;
+    let hundredths = scaled.round();
+    if scaled < 1e8 && (scaled - hundredths).abs() < 0.5 - 1e-6 {
+        return (hundredths / 100.0).copysign(v);
+    }
     if !v.is_finite() {
         return v;
     }
@@ -176,6 +187,7 @@ pub fn csv_quantized(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> RecordBatch {
         RecordBatch::new(vec![
@@ -244,5 +256,80 @@ mod tests {
     #[test]
     fn non_utf8_rejected() {
         assert!(RecordBatch::from_csv(&[0xff, 0xfe, 0x00]).is_err());
+    }
+
+    /// `csv_quantized` as it was: always through the formatter and the
+    /// parser, which is what a CSV blob does to a load.
+    fn csv_quantized_reference(v: f64) -> f64 {
+        if !v.is_finite() {
+            return v;
+        }
+        format!("{v:.2}").parse().expect("fixed-format float")
+    }
+
+    fn assert_quantizes_like_csv(v: f64) {
+        let (got, want) = (csv_quantized(v), csv_quantized_reference(v));
+        assert_eq!(got.to_bits(), want.to_bits(), "{v:e}: {got:e} vs {want:e}");
+    }
+
+    #[test]
+    fn quantization_edge_cases_match_the_csv_round_trip() {
+        for v in [
+            0.0,
+            -0.0,
+            -0.001,
+            0.005,
+            0.015,
+            0.125,
+            2.675,
+            99.995,
+            100.0,
+            999_999.994_999,
+            999_999.995,
+            1e6,
+            1e8,
+            1e15,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_quantizes_like_csv(v);
+            assert_quantizes_like_csv(-v);
+        }
+        assert!(csv_quantized(f64::NAN).is_nan());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The arithmetic path and its fallback return the bits of the
+        /// format-and-parse round trip on loads, on the x.xx5 ties the
+        /// formatter rounds by exact binary value, on every bit pattern, and
+        /// either side of the 1e6 cut-over.
+        #[test]
+        fn quantization_matches_the_csv_round_trip(
+            load in 0.0f64..100.0,
+            thousandths in 0u64..2_000_000_000,
+            nudge in -4i64..=4,
+            bits in any::<u64>(),
+            large in 1e5f64..1e9,
+        ) {
+            // k.xx5 as the nearest double, and its neighbours a few ulps off.
+            let tie = (thousandths / 10 * 10 + 5) as f64 / 1000.0;
+            let near_tie = f64::from_bits((tie.to_bits() as i64 + nudge) as u64);
+            let any_bits = f64::from_bits(bits);
+            for v in [load, tie, near_tie, large] {
+                assert_quantizes_like_csv(v);
+                assert_quantizes_like_csv(-v);
+            }
+            if any_bits.is_nan() {
+                prop_assert!(csv_quantized(any_bits).is_nan());
+            } else {
+                assert_quantizes_like_csv(any_bits);
+            }
+        }
     }
 }

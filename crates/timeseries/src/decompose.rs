@@ -9,6 +9,9 @@
 //! The method is the classical additive decomposition: trend by centered
 //! moving average over one period, seasonal component by per-phase means of
 //! the detrended series, residual as what remains.
+//!
+//! Cost: O(n) for `n` points whatever the period (the moving average is a
+//! difference of prefix sums); the strengths are O(n) with no temporaries.
 
 use crate::series::TimeSeries;
 use serde::{Deserialize, Serialize};
@@ -31,41 +34,30 @@ impl Decomposition {
     /// resid))` (Hyndman's definition). Near 1 for strongly periodic load,
     /// near 0 for pattern-free load.
     pub fn seasonal_strength(&self) -> f64 {
-        let var = |xs: &[f64]| {
-            let m = crate::stats::mean(xs);
-            xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len().max(1) as f64
-        };
-        let detrended: Vec<f64> = self
-            .seasonal
-            .iter()
-            .zip(&self.residual)
-            .map(|(s, r)| s + r)
-            .collect();
-        let denom = var(&detrended);
-        if denom <= 1e-12 {
-            return 0.0;
-        }
-        (1.0 - var(&self.residual) / denom).max(0.0)
+        self.strength_of(&self.seasonal)
     }
 
     /// Trend strength in `[0, 1]`, analogous to seasonal strength.
     pub fn trend_strength(&self) -> f64 {
-        let var = |xs: &[f64]| {
-            let m = crate::stats::mean(xs);
-            xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len().max(1) as f64
-        };
-        let deseasonalized: Vec<f64> = self
-            .trend
-            .iter()
-            .zip(&self.residual)
-            .map(|(t, r)| t + r)
-            .collect();
-        let denom = var(&deseasonalized);
+        self.strength_of(&self.trend)
+    }
+
+    /// `max(0, 1 - var(resid)/var(component + resid))`.
+    fn strength_of(&self, component: &[f64]) -> f64 {
+        let denom = variance(component.iter().zip(&self.residual).map(|(c, r)| c + r));
         if denom <= 1e-12 {
             return 0.0;
         }
-        (1.0 - var(&self.residual) / denom).max(0.0)
+        (1.0 - variance(self.residual.iter().copied()) / denom).max(0.0)
     }
+}
+
+/// Population variance in two passes over a replayable iterator, so a sum of
+/// two components needs no temporary. Zero for an empty one.
+fn variance(xs: impl ExactSizeIterator<Item = f64> + Clone) -> f64 {
+    let n = xs.len().max(1) as f64;
+    let mean = xs.clone().sum::<f64>() / n;
+    xs.map(|x| (x - mean) * (x - mean)).sum::<f64>() / n
 }
 
 /// Decomposes a series with the given period (in grid points).
@@ -79,15 +71,21 @@ pub fn decompose(series: &TimeSeries, period: usize) -> Option<Decomposition> {
     }
     let values = series.values();
 
-    // Trend: centered moving average of one period (even periods use the
-    // standard half-weight endpoints).
+    // Trend: centered moving average over `i ± period/2`, each window sum the
+    // difference of two prefix sums. Edge windows shrink to what exists.
     let half = period / 2;
+    let mut prefix = Vec::with_capacity(n + 1);
+    let mut running = 0.0;
+    prefix.push(running);
+    for &v in values {
+        running += v;
+        prefix.push(running);
+    }
     let trend: Vec<f64> = (0..n)
         .map(|i| {
             let lo = i.saturating_sub(half);
             let hi = (i + half).min(n - 1);
-            // Edge windows shrink; interior windows are exactly one period.
-            crate::stats::mean(&values[lo..=hi])
+            (prefix[hi + 1] - prefix[lo]) / (hi + 1 - lo) as f64
         })
         .collect();
 
@@ -123,6 +121,7 @@ pub fn decompose(series: &TimeSeries, period: usize) -> Option<Decomposition> {
 mod tests {
     use super::*;
     use crate::time::Timestamp;
+    use proptest::prelude::*;
 
     fn series(n: usize, f: impl Fn(usize) -> f64) -> TimeSeries {
         TimeSeries::new(Timestamp::from_days(10), 5, (0..n).map(f).collect()).unwrap()
@@ -184,6 +183,107 @@ mod tests {
         let d = decompose(&s, 40).unwrap();
         for i in 0..s.len() - 40 {
             assert!((d.seasonal[i] - d.seasonal[i + 40]).abs() < 1e-12);
+        }
+    }
+
+    /// The kernel `decompose` replaced: every trend point re-sums its whole
+    /// window, O(n·period). Kept as the oracle for the prefix-sum trend.
+    fn decompose_reference(series: &TimeSeries, period: usize) -> Option<Decomposition> {
+        let n = series.len();
+        if period < 2 || n < 2 * period || series.values().iter().any(|v| v.is_nan()) {
+            return None;
+        }
+        let values = series.values();
+        let half = period / 2;
+        let trend: Vec<f64> = (0..n)
+            .map(|i| {
+                let lo = i.saturating_sub(half);
+                let hi = (i + half).min(n - 1);
+                crate::stats::mean(&values[lo..=hi])
+            })
+            .collect();
+        let mut phase_sum = vec![0.0f64; period];
+        let mut phase_cnt = vec![0usize; period];
+        for i in 0..n {
+            let phase = i % period;
+            phase_sum[phase] += values[i] - trend[i];
+            phase_cnt[phase] += 1;
+        }
+        let mut phase_mean: Vec<f64> = phase_sum
+            .iter()
+            .zip(&phase_cnt)
+            .map(|(s, c)| s / (*c).max(1) as f64)
+            .collect();
+        let grand = crate::stats::mean(&phase_mean);
+        for p in &mut phase_mean {
+            *p -= grand;
+        }
+        let seasonal: Vec<f64> = (0..n).map(|i| phase_mean[i % period]).collect();
+        let residual: Vec<f64> = (0..n).map(|i| values[i] - trend[i] - seasonal[i]).collect();
+        Some(Decomposition {
+            period,
+            trend,
+            seasonal,
+            residual,
+        })
+    }
+
+    /// The strength formula as it was, with the summed component collected
+    /// into a temporary first.
+    fn strength_reference(component: &[f64], residual: &[f64]) -> f64 {
+        let var = |xs: &[f64]| {
+            let m = crate::stats::mean(xs);
+            xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len().max(1) as f64
+        };
+        let summed: Vec<f64> = component.iter().zip(residual).map(|(c, r)| c + r).collect();
+        let denom = var(&summed);
+        if denom <= 1e-12 {
+            return 0.0;
+        }
+        (1.0 - var(residual) / denom).max(0.0)
+    }
+
+    proptest! {
+        /// Prefix-sum trend against window re-summing: every component within
+        /// 1e-9 on load-sized values, `None` in the same cases (short series,
+        /// NaN, period < 2), and the strengths bit-identical on the same
+        /// components.
+        #[test]
+        fn prefix_sum_trend_matches_reference(
+            values in proptest::collection::vec(prop_oneof![40 => 0.0f64..100.0, 1 => Just(f64::NAN)], 0..700),
+            nan_free in any::<bool>(),
+            period in 0usize..320,
+        ) {
+            let values = if nan_free {
+                values.into_iter().map(|v| if v.is_nan() { 50.0 } else { v }).collect()
+            } else {
+                values
+            };
+            let s = TimeSeries::new(Timestamp::from_days(10), 5, values).unwrap();
+            let got = decompose(&s, period);
+            let want = decompose_reference(&s, period);
+            prop_assert_eq!(got.is_some(), want.is_some());
+            if let (Some(got), Some(want)) = (got, want) {
+                prop_assert_eq!(got.period, want.period);
+                for (g, w) in [
+                    (&got.trend, &want.trend),
+                    (&got.seasonal, &want.seasonal),
+                    (&got.residual, &want.residual),
+                ] {
+                    prop_assert_eq!(g.len(), w.len());
+                    for (a, b) in g.iter().zip(w) {
+                        prop_assert!((a - b).abs() <= 1e-9, "{} vs {}", a, b);
+                    }
+                }
+                prop_assert_eq!(
+                    got.seasonal_strength().to_bits(),
+                    strength_reference(&got.seasonal, &got.residual).to_bits()
+                );
+                prop_assert_eq!(
+                    got.trend_strength().to_bits(),
+                    strength_reference(&got.trend, &got.residual).to_bits()
+                );
+            }
         }
     }
 }
