@@ -12,13 +12,18 @@
 //! The caller always participates in its own map. That keeps the pool
 //! deadlock-free under nested parallelism (a region-level map whose closure
 //! runs an inner per-server map borrows no worker it must then wait for) and
-//! means `threads == 1` costs nothing but a serial loop.
+//! means `threads == 1` costs nothing but a serial loop. A caller that has
+//! nothing left to claim but whose helpers are still inside spends the wait
+//! helping other registered maps, the nested ones of those helpers first of
+//! all, so a nested map gets the same threads whoever claimed its parent item.
+//! (It follows that a map must not be called with a lock held that another
+//! map's closure takes: the helping caller would block on its own lock.)
 
 use seagull_obs::{ParallelProfile, WorkerProfile};
 use seagull_telemetry::chaos::InjectedCrash;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Upper bound on pool threads; requests beyond this share the existing
@@ -45,7 +50,8 @@ struct PoolShared {
     state: Mutex<PoolState>,
     /// Workers park here waiting for a job that wants helpers.
     work_cv: Condvar,
-    /// Callers park here waiting for their last helper to leave the job.
+    /// Callers park here waiting for their last helper to leave the job, or
+    /// for a job they can help with meanwhile.
     done_cv: Condvar,
 }
 
@@ -270,6 +276,7 @@ impl ExecPool {
             state.jobs.push(Arc::clone(&job));
         }
         self.shared.work_cv.notify_all();
+        self.shared.done_cv.notify_all();
 
         // The caller is always a participant: progress never depends on a
         // pool worker being free.
@@ -277,11 +284,21 @@ impl ExecPool {
 
         // Deregister, then wait for helpers still inside `run`. After this
         // block no worker holds a reference into `ctx` or `slots`.
+        //
+        // A helper still inside may itself be the caller of a nested map
+        // (a region's per-server fan-out under the region-level map). The
+        // wait is spent helping there, as an idle pool worker would: without
+        // it, whether the last and largest item ran on one thread or on all
+        // of them hung on which participant happened to claim it.
         {
             let mut state = self.shared.state.lock().unwrap();
             state.jobs.retain(|j| !Arc::ptr_eq(j, &job));
             while job.active.load(Ordering::Acquire) > 0 {
-                state = self.shared.done_cv.wait(state).unwrap();
+                let (relocked, helped) = help_one(&self.shared, state);
+                state = relocked;
+                if !helped {
+                    state = self.shared.done_cv.wait(state).unwrap();
+                }
             }
         }
 
@@ -324,33 +341,43 @@ impl Default for ExecPool {
     }
 }
 
+/// Joins the first registered job that still accepts a helper and runs it
+/// until nothing is left to claim. Takes and returns the state lock; `false`
+/// means no job wanted help and nothing ran.
+fn help_one<'a>(
+    shared: &'a PoolShared,
+    state: MutexGuard<'a, PoolState>,
+) -> (MutexGuard<'a, PoolState>, bool) {
+    let job = state
+        .jobs
+        .iter()
+        .find(|j| j.joined.load(Ordering::Relaxed) < j.helpers_wanted)
+        .map(Arc::clone);
+    let Some(job) = job else {
+        return (state, false);
+    };
+    // Both counters move under the state lock, synchronizing with
+    // deregistration in `map_with_chunk`.
+    job.joined.fetch_add(1, Ordering::Relaxed);
+    job.active.fetch_add(1, Ordering::Release);
+    drop(state);
+    // SAFETY: the job was found registered under the lock, so its caller is
+    // still pinned waiting for `active == 0`.
+    unsafe { (job.run)(job.ctx) };
+    let state = shared.state.lock().unwrap();
+    if job.active.fetch_sub(1, Ordering::Release) == 1 {
+        shared.done_cv.notify_all();
+    }
+    (state, true)
+}
+
 fn worker_loop(shared: Arc<PoolShared>) {
     let mut state = shared.state.lock().unwrap();
-    loop {
-        if state.shutdown {
-            return;
-        }
-        let job = state.jobs.iter().find_map(|j| {
-            (j.joined.load(Ordering::Relaxed) < j.helpers_wanted).then(|| Arc::clone(j))
-        });
-        match job {
-            Some(job) => {
-                // Both counters move under the state lock, synchronizing
-                // with deregistration in `map_profiled`.
-                job.joined.fetch_add(1, Ordering::Relaxed);
-                job.active.fetch_add(1, Ordering::Release);
-                drop(state);
-                // SAFETY: the job was found registered under the lock, so
-                // the caller is still pinned waiting for `active == 0`.
-                unsafe { (job.run)(job.ctx) };
-                state = shared.state.lock().unwrap();
-                if job.active.fetch_sub(1, Ordering::Release) == 1 {
-                    shared.done_cv.notify_all();
-                }
-            }
-            None => {
-                state = shared.work_cv.wait(state).unwrap();
-            }
+    while !state.shutdown {
+        let (relocked, helped) = help_one(&shared, state);
+        state = relocked;
+        if !helped {
+            state = shared.work_cv.wait(state).unwrap();
         }
     }
 }
@@ -690,6 +717,40 @@ mod tests {
             .map(|&o| (0..64).map(|i| (i + o) * 2).sum())
             .collect();
         assert_eq!(sums, expected);
+    }
+
+    #[test]
+    fn waiting_caller_helps_a_nested_map() {
+        // One pool worker. The caller's own item ends only once the worker
+        // has item 1, whose nested map sees two threads inside it together
+        // only if the caller, waiting for the worker to leave the outer map,
+        // comes to help.
+        let pool = ExecPool::new();
+        let worker_has_item = AtomicBool::new(false);
+        let inside = AtomicUsize::new(0);
+        let out = pool.map(&[0u32, 1], 2, |&item| {
+            if item == 0 {
+                while !worker_has_item.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                return true;
+            }
+            worker_has_item.store(true, Ordering::Release);
+            let met = pool.map(&[(); 2], 2, |()| {
+                inside.fetch_add(1, Ordering::AcqRel);
+                let began = Instant::now();
+                while inside.load(Ordering::Acquire) < 2 {
+                    if began.elapsed() > Duration::from_secs(5) {
+                        return false;
+                    }
+                    std::thread::yield_now();
+                }
+                true
+            });
+            met == [true, true]
+        });
+        assert_eq!(out, [true, true], "the nested map ran on one thread");
+        assert_eq!(pool.workers_spawned(), 1);
     }
 
     #[test]

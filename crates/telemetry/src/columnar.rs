@@ -141,6 +141,22 @@ impl ServerBlock {
     }
 }
 
+/// One server's consecutive samples, `grid_min` apart from `start_min` on
+/// (NaN where a bucket is missing): the input of [`ColumnarBatch::from_runs`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SampleRun<'a> {
+    /// Server the samples belong to.
+    pub server_id: ServerId,
+    /// Timestamp of `values[0]` (minutes since epoch).
+    pub start_min: i64,
+    /// The samples.
+    pub values: &'a [f64],
+    /// Default backup window start (minutes since epoch).
+    pub default_backup_start: i64,
+    /// Default backup window end (minutes since epoch).
+    pub default_backup_end: i64,
+}
+
 /// A decoded (or to-be-encoded) columnar region-week: the block table plus
 /// one shared value column every server's series views into.
 #[derive(Debug, Clone)]
@@ -210,6 +226,68 @@ impl ColumnarBatch {
                 default_backup_start: acc.backup_start,
                 default_backup_end: acc.backup_end,
                 series_start_min: acc.min_ts,
+                step_min: grid_min,
+                offset,
+                len: n,
+            });
+        }
+        ColumnarBatch {
+            blocks,
+            values: values.into(),
+        }
+    }
+
+    /// Builds the batch [`ColumnarBatch::from_records`] builds from the rows
+    /// of `runs` (one row per present sample, `grid_min` apart, in the order
+    /// given), without the rows: O(samples), one value column allocated.
+    ///
+    /// A run that starts off the grid has every row off it and vanishes; of
+    /// the others the rows span first to last present sample. Runs of one
+    /// server are laid over each other in the order given, so a later sample
+    /// overwrites an earlier one and the first run supplies the backup window.
+    pub(crate) fn from_runs<'a>(
+        runs: impl Iterator<Item = SampleRun<'a>>,
+        grid_min: u32,
+    ) -> ColumnarBatch {
+        let step = grid_min as i64;
+        let mut kept: Vec<SampleRun<'a>> = runs
+            .filter(|run| run.start_min.rem_euclid(step) == 0)
+            .filter_map(|mut run| {
+                let first = run.values.iter().position(|v| !v.is_nan())?;
+                let last = run.values.iter().rposition(|v| !v.is_nan())?;
+                run.start_min += first as i64 * step;
+                run.values = &run.values[first..=last];
+                Some(run)
+            })
+            .collect();
+        kept.sort_by_key(|run| run.server_id); // stable: the order given survives
+        let mut blocks = Vec::with_capacity(kept.len());
+        let mut values: Vec<f64> = Vec::with_capacity(kept.iter().map(|r| r.values.len()).sum());
+        for server in kept.chunk_by(|a, b| a.server_id == b.server_id) {
+            let last_min =
+                |run: &SampleRun<'_>| run.start_min + (run.values.len() as i64 - 1) * step;
+            let min_ts = server
+                .iter()
+                .map(|run| run.start_min)
+                .min()
+                .expect("non-empty");
+            let max_ts = server.iter().map(last_min).max().expect("non-empty");
+            let n = ((max_ts - min_ts) / step) as usize + 1;
+            let offset = values.len();
+            values.resize(offset + n, f64::NAN);
+            for run in server {
+                let at = offset + ((run.start_min - min_ts) / step) as usize;
+                for (slot, &v) in values[at..at + run.values.len()].iter_mut().zip(run.values) {
+                    if !v.is_nan() {
+                        *slot = csv_quantized(v);
+                    }
+                }
+            }
+            blocks.push(ServerBlock {
+                server_id: server[0].server_id,
+                default_backup_start: server[0].default_backup_start,
+                default_backup_end: server[0].default_backup_end,
+                series_start_min: min_ts,
                 step_min: grid_min,
                 offset,
                 len: n,
@@ -412,6 +490,7 @@ pub fn checksum64_words(words: impl IntoIterator<Item = u64>) -> u64 {
 mod tests {
     use super::*;
     use crate::record::LoadRecord;
+    use proptest::prelude::*;
 
     fn rec(server: u64, ts: i64, cpu: f64) -> LoadRecord {
         LoadRecord {
@@ -460,6 +539,109 @@ mod tests {
         assert_eq!(vals[0], csv_quantized(12.345));
         assert!(vals[1].is_nan());
         assert_eq!(vals[2], 20.0);
+    }
+
+    /// The rows `LoadExtraction::extract_week` spells `runs` as.
+    fn rows_of(runs: &[SampleRun<'_>], grid_min: u32) -> RecordBatch {
+        let mut records = Vec::new();
+        for run in runs {
+            for (i, &v) in run.values.iter().enumerate() {
+                if !v.is_nan() {
+                    records.push(LoadRecord {
+                        server_id: run.server_id,
+                        timestamp_min: run.start_min + i as i64 * grid_min as i64,
+                        avg_cpu: v,
+                        default_backup_start: run.default_backup_start,
+                        default_backup_end: run.default_backup_end,
+                    });
+                }
+            }
+        }
+        RecordBatch::new(records)
+    }
+
+    fn assert_runs_match_rows(runs: &[SampleRun<'_>], grid_min: u32) {
+        let direct = ColumnarBatch::from_runs(runs.iter().copied(), grid_min);
+        let by_rows = ColumnarBatch::from_records(&rows_of(runs, grid_min), grid_min);
+        assert_eq!(direct, by_rows);
+        assert_eq!(direct.encode(), by_rows.encode());
+    }
+
+    fn run(server: u64, start_min: i64, values: &[f64]) -> SampleRun<'_> {
+        SampleRun {
+            server_id: ServerId(server),
+            start_min,
+            values,
+            default_backup_start: 1440 + server as i64,
+            default_backup_end: 1500 + server as i64,
+        }
+    }
+
+    #[test]
+    fn runs_match_rows_on_edge_cases() {
+        const NAN: f64 = f64::NAN;
+        assert_runs_match_rows(&[], 5);
+        // Servers out of id order, gaps inside, NaN at both ends.
+        assert_runs_match_rows(
+            &[
+                run(9, 100, &[NAN, 1.234, NAN, 5.675, NAN, NAN]),
+                run(2, -15, &[0.005, -0.0, 99.995]),
+            ],
+            5,
+        );
+        // Nothing present, nothing at all, and a start off the grid.
+        assert_runs_match_rows(
+            &[
+                run(1, 0, &[NAN, NAN]),
+                run(2, 0, &[]),
+                run(3, 7, &[4.0, 5.0]),
+            ],
+            5,
+        );
+        let only = ColumnarBatch::from_runs([run(3, 7, &[4.0])].into_iter(), 5);
+        assert!(only.is_empty());
+        // One server twice: overlapping, apart, and the earlier run later;
+        // the first run's backup window is the block's.
+        let mut again = run(4, 20, &[7.0, NAN, 8.0]);
+        again.default_backup_start = -1;
+        assert_runs_match_rows(&[run(4, 10, &[1.0, 2.0, 3.0, NAN, 4.0]), again], 5);
+        assert_runs_match_rows(
+            &[run(4, 100, &[1.0]), run(5, 0, &[2.0]), run(4, 0, &[3.0])],
+            5,
+        );
+        let twice = ColumnarBatch::from_runs([run(4, 100, &[1.0]), again].into_iter(), 5);
+        assert_eq!(twice.blocks()[0].default_backup_start, 1444);
+        assert_eq!(twice.blocks()[0].series_start_min, 20);
+        assert_eq!(twice.blocks()[0].len, 17);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Built from runs or from the rows of the same runs, the batch and
+        /// its bytes are the same: ids repeat and arrive in any order, runs
+        /// start on and off the grid, samples are missing anywhere.
+        #[test]
+        fn runs_match_rows(
+            runs in proptest::collection::vec(
+                (
+                    0u64..6,
+                    -50i64..50,
+                    proptest::collection::vec(
+                        prop_oneof![Just(f64::NAN), 0.0f64..100.0, Just(33.335), Just(-0.0)],
+                        0..40,
+                    ),
+                ),
+                0..8,
+            ),
+            grid_min in prop_oneof![Just(1u32), Just(5), Just(15)],
+        ) {
+            let runs: Vec<SampleRun<'_>> = runs
+                .iter()
+                .map(|(server, start, values)| run(*server, *start, values))
+                .collect();
+            assert_runs_match_rows(&runs, grid_min);
+        }
     }
 
     #[test]

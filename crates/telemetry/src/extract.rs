@@ -12,7 +12,7 @@
 //! per-server series for the pipeline.
 
 use crate::blobstore::{BlobKey, BlobStore};
-use crate::columnar::{self, ColumnarBatch, ColumnarError};
+use crate::columnar::{self, ColumnarBatch, ColumnarError, SampleRun};
 use crate::fleet::ServerTelemetry;
 use crate::record::{CsvError, LoadRecord, RecordBatch};
 use crate::server::ServerId;
@@ -81,21 +81,19 @@ pub struct ExtractedServer {
     pub default_backup_end: Timestamp,
 }
 
-impl LoadExtraction {
-    /// Builds the record batch for one region-week from fleet telemetry.
-    ///
-    /// `week_start_day` is the first day of the week (any day index). Only
-    /// servers in `region` with data inside the week are emitted.
-    pub fn extract_week(
-        &self,
-        fleet: &[ServerTelemetry],
-        region: &str,
-        week_start_day: i64,
-    ) -> RecordBatch {
-        let from = Timestamp::from_days(week_start_day);
-        let to = Timestamp::from_days(week_start_day + 7);
-        let mut records = Vec::new();
-        for server in fleet.iter().filter(|s| s.meta.region == region) {
+/// The samples each server of `region` has inside the week starting on
+/// `week_start_day`, in fleet order: what both blob encodings are built from.
+fn week_runs<'a>(
+    fleet: &'a [ServerTelemetry],
+    region: &'a str,
+    week_start_day: i64,
+) -> impl Iterator<Item = SampleRun<'a>> {
+    let from = Timestamp::from_days(week_start_day);
+    let to = Timestamp::from_days(week_start_day + 7);
+    fleet
+        .iter()
+        .filter(move |s| s.meta.region == region)
+        .filter_map(move |server| {
             // Default backup window on the server's next backup day in/after
             // this week.
             let backup_day = (0..7)
@@ -110,22 +108,44 @@ impl LoadExtraction {
             let lo = server.series.start().max(from);
             let hi = server.series.end().min(to);
             if lo >= hi {
-                continue;
+                return None;
             }
-            let slice = server
-                .series
-                .slice_values(lo, hi)
-                .expect("range intersected with coverage");
-            for (i, &v) in slice.iter().enumerate() {
+            Some(SampleRun {
+                server_id: server.meta.id,
+                start_min: lo.minutes(),
+                values: server
+                    .series
+                    .slice_values(lo, hi)
+                    .expect("range intersected with coverage"),
+                default_backup_start: bstart.minutes(),
+                default_backup_end: bend.minutes(),
+            })
+        })
+}
+
+impl LoadExtraction {
+    /// Builds the record batch for one region-week from fleet telemetry.
+    ///
+    /// `week_start_day` is the first day of the week (any day index). Only
+    /// servers in `region` with data inside the week are emitted.
+    pub fn extract_week(
+        &self,
+        fleet: &[ServerTelemetry],
+        region: &str,
+        week_start_day: i64,
+    ) -> RecordBatch {
+        let mut records = Vec::new();
+        for run in week_runs(fleet, region, week_start_day) {
+            for (i, &v) in run.values.iter().enumerate() {
                 if v.is_nan() {
                     continue; // Missing raw buckets simply produce no row.
                 }
                 records.push(LoadRecord {
-                    server_id: server.meta.id,
-                    timestamp_min: (lo + i as i64 * self.grid_min as i64).minutes(),
+                    server_id: run.server_id,
+                    timestamp_min: run.start_min + i as i64 * self.grid_min as i64,
                     avg_cpu: v,
-                    default_backup_start: bstart.minutes(),
-                    default_backup_end: bend.minutes(),
+                    default_backup_start: run.default_backup_start,
+                    default_backup_end: run.default_backup_end,
                 });
             }
         }
@@ -135,6 +155,11 @@ impl LoadExtraction {
     /// Runs the recurring query: one blob per region per week, written to the
     /// store under [`BlobKey::extracted`] with `week` set to the week's first
     /// day index. Returns the keys written.
+    ///
+    /// A columnar blob is built from the fleet's series directly
+    /// ([`ColumnarBatch::from_runs`]): the same bytes as
+    /// `ColumnarBatch::from_records(&self.extract_week(..))`, without a
+    /// 40-byte row per sample in between.
     pub fn run(
         &self,
         fleet: &[ServerTelemetry],
@@ -145,12 +170,12 @@ impl LoadExtraction {
         let mut keys = Vec::new();
         for region in regions {
             for &week in week_start_days {
-                let batch = self.extract_week(fleet, region, week);
                 let key = BlobKey::extracted(region, week);
                 let blob = match self.format {
-                    BlobFormat::Csv => batch.to_csv(),
+                    BlobFormat::Csv => self.extract_week(fleet, region, week).to_csv(),
                     BlobFormat::Columnar => {
-                        ColumnarBatch::from_records(&batch, self.grid_min).encode()
+                        ColumnarBatch::from_runs(week_runs(fleet, region, week), self.grid_min)
+                            .encode()
                     }
                 };
                 store.put(&key, blob)?;
@@ -465,6 +490,28 @@ mod tests {
         let from_csv = parse_region_week(&csv_blob, 5).unwrap();
         let from_col = parse_region_week(&col_blob, 5).unwrap();
         assert_eq!(from_csv, from_col);
+    }
+
+    #[test]
+    fn columnar_run_writes_the_blob_of_the_rows() {
+        // Three weeks of a fleet with short-lived servers, the last week past
+        // the end of every series.
+        let mut spec = FleetSpec::small_region(78);
+        spec.regions[0].servers = 40;
+        let start = spec.start_day;
+        let fleet = FleetGenerator::new(spec).generate_weeks(2);
+        let ex = LoadExtraction::columnar(5);
+        let store = MemoryBlobStore::new();
+        let weeks = [start, start + 7, start + 14];
+        let keys = ex
+            .run(&fleet, &["region-a".to_string()], &weeks, &store)
+            .unwrap();
+        for (key, week) in keys.iter().zip(weeks) {
+            let rows = ex.extract_week(&fleet, "region-a", week);
+            assert_eq!(rows.is_empty(), week == start + 14);
+            let by_rows = ColumnarBatch::from_records(&rows, 5).encode();
+            assert_eq!(store.get(key).unwrap(), by_rows, "week {week}");
+        }
     }
 
     #[test]
