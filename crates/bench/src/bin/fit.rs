@@ -6,12 +6,12 @@
 //! the old hot path, on the same fleet `BENCH_fleet_scale.json` uses. Emits
 //! `BENCH_fit.json` with both rows, the measured speedup, forecast parity
 //! against the dense path, the warm-cache hit breakdown (exact vs
-//! similarity-keyed reuses, reported separately), and a four-way
-//! determinism cross-check.
+//! similarity-keyed reuses, reported separately), and a determinism
+//! cross-check over thread counts.
 //!
 //! Always asserted, machine-independent (all seed-deterministic):
 //!   * determinism: canonical outputs byte-identical across
-//!     `{Barrier, Dataflow} × {1, 8 threads}`;
+//!     `{1, 8 threads}`;
 //!   * parity: every pipeline prediction of the fast path within
 //!     [`RANDOMIZED_PARITY_TOL`] of the dense path's, same document set;
 //!   * warm cache: hit rate above the exact-bytes 50% plateau, with
@@ -24,7 +24,7 @@
 
 use seagull_bench::{emit_json, scale, Scale, Table};
 use seagull_core::pipeline::{
-    collections, AmlPipeline, ExecMode, PipelineConfig, PipelineRunReport, PredictionDoc,
+    collections, AmlPipeline, PipelineConfig, PipelineRunReport, PredictionDoc,
 };
 use seagull_core::FleetRunner;
 use seagull_forecast::ssa::RANDOMIZED_PARITY_TOL;
@@ -49,7 +49,6 @@ const SPEEDUP_GATE: f64 = 5.0;
 fn pipeline(
     store: &Arc<MemoryBlobStore>,
     kernel: SsaKernel,
-    exec: ExecMode,
     threads: usize,
     fit_batch: usize,
     warm_cache: bool,
@@ -57,7 +56,6 @@ fn pipeline(
     let config = PipelineConfig {
         threads,
         warm_cache,
-        exec,
         fit_batch,
         forecaster: Arc::new(SsaForecaster::new(SsaConfig {
             kernel,
@@ -170,22 +168,16 @@ fn main() -> std::io::Result<()> {
     );
 
     // ---- Determinism matrix ----------------------------------------------
-    // The fast path (auto kernel + batching), warm cache on, across both
-    // execution modes and two thread counts: canonical outputs must be
-    // byte-identical in all four cells.
+    // The fast path (auto kernel + batching), warm cache on, at two thread
+    // counts: canonical outputs must be byte-identical in both cells.
     let mut cells: Vec<(String, Value)> = Vec::new();
-    for exec in [ExecMode::Barrier, ExecMode::Dataflow] {
-        for threads in [1usize, 8] {
-            let runner = FleetRunner::new(
-                pipeline(&store, SsaKernel::Auto, exec, threads, 16, true),
-                regions.clone(),
-            );
-            let reports = runner.run_schedule(&week_days);
-            cells.push((
-                format!("{exec:?} x{threads}"),
-                canonical_outputs(&runner, &reports),
-            ));
-        }
+    for threads in [1usize, 8] {
+        let runner = FleetRunner::new(
+            pipeline(&store, SsaKernel::Auto, threads, 16, true),
+            regions.clone(),
+        );
+        let reports = runner.run_schedule(&week_days);
+        cells.push((format!("x{threads}"), canonical_outputs(&runner, &reports)));
     }
     for (label, outputs) in &cells[1..] {
         assert_eq!(
@@ -210,7 +202,7 @@ fn main() -> std::io::Result<()> {
     // run threads=1 so the comparison is single-core, like the recorded
     // baseline.
     let dense_runner = FleetRunner::new(
-        pipeline(&store, SsaKernel::Dense, ExecMode::Dataflow, 1, 1, false),
+        pipeline(&store, SsaKernel::Dense, 1, 1, false),
         regions.clone(),
     );
     let t0 = Instant::now();
@@ -218,7 +210,7 @@ fn main() -> std::io::Result<()> {
     let dense_s = t0.elapsed().as_secs_f64();
 
     let fast_runner = FleetRunner::new(
-        pipeline(&store, SsaKernel::Auto, ExecMode::Dataflow, 1, 16, false),
+        pipeline(&store, SsaKernel::Auto, 1, 16, false),
         regions.clone(),
     );
     let t0 = Instant::now();
@@ -278,7 +270,7 @@ fn main() -> std::io::Result<()> {
 
     // ---- Warm cache: exact + similarity-keyed reuse ----------------------
     let warm_runner = FleetRunner::new(
-        pipeline(&store, SsaKernel::Auto, ExecMode::Dataflow, 1, 16, true),
+        pipeline(&store, SsaKernel::Auto, 1, 16, true),
         regions.clone(),
     );
     let t0 = Instant::now();

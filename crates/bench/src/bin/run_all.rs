@@ -29,7 +29,6 @@ const EXPERIMENTS: &[&str] = &[
     "fleet_scale",
     "serving",
     "recovery",
-    "dataflow",
     "fit",
     "watch_dump",
     "loadtest",

@@ -24,10 +24,12 @@
 //! simply re-run — pipeline runs are idempotent per `(region, week)`, so a
 //! re-run after a crash converges on the same predictions and deployments
 //! as an uninterrupted run.
+use crate::incident::IncidentManager;
+use crate::par::parallel_map;
 use crate::pipeline::{AmlPipeline, PipelineRunReport};
 use bytes::Bytes;
 use seagull_forecast::CacheStats;
-use seagull_obs::Obs;
+use seagull_obs::{Obs, Stability};
 use seagull_telemetry::blobstore::{BlobKey, BlobStore};
 use seagull_telemetry::journal::{replay, Journal};
 use std::sync::Arc;
@@ -194,6 +196,138 @@ impl FleetRunner {
     /// The pipeline's (merged) observability handle.
     pub fn obs(&self) -> &Obs {
         &self.pipeline.obs
+    }
+}
+
+/// The fleet fan-out: one week over every region, the weekly schedule, and
+/// the cache-metrics mirror that runs at the fleet barrier.
+impl AmlPipeline {
+    /// Runs one week for every region, fanning the regions out across the
+    /// worker pool (each region's per-server stages then share the same
+    /// pool via nested parallel maps).
+    ///
+    /// Every region executes against a scratch [`Obs`] handle and a
+    /// recording [`IncidentManager`]; the other services (doc store, model
+    /// registry, breaker, warm cache) are shared, and every cross-region
+    /// touch point is region-keyed, so concurrent runs cannot observe each
+    /// other. After the join the scratch handles are absorbed in region
+    /// *input* order, which makes metrics, span ids, and the incident log —
+    /// and therefore [`Obs::stable_export`] — byte-identical regardless of
+    /// thread count or completion order. Reports come back in region input
+    /// order.
+    pub fn run_fleet_week(
+        &self,
+        regions: &[String],
+        week_start_day: i64,
+    ) -> Vec<PipelineRunReport> {
+        self.run_fleet_week_with(regions, week_start_day, |_, _| {})
+    }
+
+    /// [`AmlPipeline::run_fleet_week`] with a per-region completion callback.
+    ///
+    /// `on_region_done(i, report)` fires on the worker thread immediately
+    /// after region `regions[i]` finishes its run, before the fleet-wide
+    /// join. [`FleetRunner`] uses it to persist
+    /// per-region checkpoint markers the moment a region completes, so a
+    /// crash mid-fleet loses only the regions still in flight. The callback
+    /// may run concurrently for different regions and must be cheap; it is
+    /// not called for regions whose worker panicked.
+    pub fn run_fleet_week_with(
+        &self,
+        regions: &[String],
+        week_start_day: i64,
+        on_region_done: impl Fn(usize, &PipelineRunReport) + Sync,
+    ) -> Vec<PipelineRunReport> {
+        let scratch: Vec<AmlPipeline> = regions
+            .iter()
+            .map(|_| AmlPipeline {
+                obs: Obs::new(),
+                incidents: IncidentManager::recording(),
+                ..self.clone()
+            })
+            .collect();
+        let indices: Vec<usize> = (0..regions.len()).collect();
+        let reports = parallel_map(&indices, self.config.threads, |&i| {
+            let report = scratch[i].run_region_week(&regions[i], week_start_day);
+            on_region_done(i, &report);
+            report
+        });
+        for view in &scratch {
+            self.obs.absorb(&view.obs);
+            self.incidents.absorb(&view.incidents);
+        }
+        // Orchestrator barrier: evictions and the metrics mirror run once,
+        // after every region committed, so they see the same cache state no
+        // matter how the week was scheduled.
+        if self.config.warm_cache {
+            self.cache.evict_to_capacity();
+            self.export_cache_metrics();
+        }
+        reports
+    }
+
+    /// Mirrors the warm cache's counters into the metrics registry.
+    ///
+    /// Uses idempotent stores (not increments) because the cache is shared
+    /// across every pipeline clone: exporting at the orchestrator barrier
+    /// keeps the registry consistent even though per-region scratch
+    /// registries are absorbed additively.
+    pub fn export_cache_metrics(&self) {
+        let stats = self.cache.stats();
+        let registry = self.obs.registry();
+        registry
+            .counter("seagull_model_cache_hits_total", &[])
+            .store(stats.hits);
+        // Similarity-keyed reuses are counted apart from exact-bytes hits so
+        // the accuracy monitor can veto the similarity path independently.
+        registry
+            .counter("seagull_model_cache_similarity_hits_total", &[])
+            .store(stats.hits_similarity);
+        for (reason, n) in [
+            ("cold", stats.misses_cold),
+            ("fingerprint", stats.invalidated_fingerprint),
+            ("class", stats.invalidated_class),
+            ("drift", stats.invalidated_drift),
+        ] {
+            registry
+                .counter("seagull_model_cache_misses_total", &[("reason", reason)])
+                .store(n);
+        }
+        registry
+            .counter("seagull_model_cache_evictions_total", &[])
+            .store(stats.evictions);
+        registry
+            .gauge("seagull_model_cache_entries", &[])
+            .set(self.cache.len() as f64);
+        registry
+            .gauge("seagull_model_cache_hit_rate", &[])
+            .set(stats.hit_rate());
+        // Wall-clock derived, hence volatile (excluded from stable exports).
+        registry
+            .gauge_with(
+                "seagull_model_cache_saved_wall_seconds",
+                &[],
+                Stability::Volatile,
+            )
+            .set(stats.saved_wall.as_secs_f64());
+    }
+
+    /// The weekly scheduler: runs every region for each week in order,
+    /// returning all run reports (Section 2.2's Pipeline Scheduler on a
+    /// simulated clock). Weeks are sequential barriers; the regions within
+    /// a week run through [`AmlPipeline::run_fleet_week`], whose
+    /// deterministic merge keeps the outputs identical to a fully
+    /// sequential schedule.
+    pub fn run_schedule(
+        &self,
+        regions: &[String],
+        week_start_days: &[i64],
+    ) -> Vec<PipelineRunReport> {
+        let mut reports = Vec::with_capacity(regions.len() * week_start_days.len());
+        for &week in week_start_days {
+            reports.extend(self.run_fleet_week(regions, week));
+        }
+        reports
     }
 }
 

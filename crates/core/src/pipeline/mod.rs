@@ -1,0 +1,784 @@
+//! The AML pipeline substitute: the core orchestration of Seagull.
+//!
+//! "This pipeline consumes the load, validates it, extracts features, trains
+//! a model, deploys the model, and makes it accessible through a REST
+//! endpoint. The pipeline tracks the versions of deployed models, performs
+//! inference, and evaluates the accuracy of predictions. Results are stored
+//! in Cosmos DB. ... A run of the AML pipeline is scheduled once a week per
+//! region" (Section 2.2).
+//!
+//! [`AmlPipeline::run_region_week`] is one such run. Every stage is timed
+//! (the Figure 12(a) measurement); predictions and accuracy rows land in the
+//! [`DocStore`]; validation anomalies and deployment regressions raise
+//! incidents; each run deploys a fresh model version whose accuracy, once
+//! measured a week later, feeds the last-known-good fallback rule.
+//!
+//! Every stage runs under the pipeline's [`ResiliencePolicy`]: transient
+//! faults (storage timeouts, torn reads, outages) are retried with seeded
+//! backoff, and exhausted retries degrade the run instead of aborting it —
+//! poison server batches are quarantined to a dead-letter list, a failed
+//! deploy keeps the registry's last-known-good model serving, and the
+//! run report carries a [`DegradedRun`] summary instead of an `Err`. A
+//! per-region [`CircuitBreaker`] guards run entry so a region whose blob
+//! slice is hard-down stops burning retries until a cooldown elapses.
+//!
+//! Every run is observed through the pipeline's [`Obs`] handle: each stage
+//! runs inside a span (virtual tick = the scheduler's day index; wall time
+//! captured by the tracer — the only raw `Instant` timing is the per-fit
+//! cost the warm cache credits to its saved-wall counter), retries
+//! and backoff feed `(region, stage)`-labelled counters and histograms, the
+//! circuit breaker publishes a per-region state gauge, and the parallel
+//! stages record per-worker profiles. `StageTiming`/`stage_duration` are
+//! derived from the finished spans, so existing reports keep working.
+//!
+//! The middle of the run — validation, feature extraction, training and
+//! inference — is one fused operator chain per server — validate →
+//! gap-fill → featurize → fit → predict — scheduled task-granularly on the
+//! worker pool, so a straggler server delays only itself while its
+//! siblings flow to completion. Results are absorbed serially in server
+//! input order at the train-deploy barrier, which is why a run produces
+//! byte-identical reports, documents, incidents, and stable exports at any
+//! thread count. Deployment and accuracy evaluation stay serial barriers:
+//! they mutate region-wide state (the model registry, the serving snapshot)
+//! that must observe one consistent fleet.
+//!
+//! The module is split along those seams: this file holds the
+//! configuration, [`AmlPipeline`] and [`AmlPipeline::run_region_week`];
+//! `report` the run report and the stored document types; `sinks` the
+//! deploy and accuracy hooks; `operator` the fused per-server operator, its
+//! fit path and its absorb. The fleet fan-out over regions
+//! ([`AmlPipeline::run_fleet_week`], [`AmlPipeline::run_schedule`]) lives
+//! next to [`FleetRunner`](crate::fleet::FleetRunner) in [`crate::fleet`].
+
+mod operator;
+mod report;
+mod sinks;
+
+pub use report::{
+    collections, AccuracyDoc, DeadLetterDoc, DegradedRun, PipelineRunReport, PredictionDoc,
+    StageTiming,
+};
+pub use sinks::{AccuracySink, DeployEvent, DeploySink, ScoredPrediction};
+
+use crate::classify::ClassifyConfig;
+use crate::docstore::DocStore;
+use crate::evaluate::{AccuracySummary, EvaluationConfig};
+use crate::incident::{IncidentManager, Severity};
+use crate::metrics::evaluate_low_load;
+use crate::par::{configured_threads, parallel_map_profiled};
+use crate::registry::{EndpointSet, ModelAccuracy, ModelRegistry};
+use crate::resilience::{stage_seed, CircuitBreaker, ResiliencePolicy, RetryResult, StageError};
+use crate::validation::DataProfile;
+use operator::MidStages;
+use seagull_forecast::{Forecaster, ModelCache};
+use seagull_obs::{Obs, SpanId, Stability};
+use seagull_telemetry::blobstore::{BlobKey, BlobStore};
+use seagull_telemetry::extract::{ExtractedServer, RegionWeekBatch};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Pipeline configuration (the use-case-specific parameters of Section 2.4).
+#[derive(Clone)]
+pub struct PipelineConfig {
+    /// Telemetry grid in minutes.
+    pub grid_min: u32,
+    /// Expert-verified data profile for validation.
+    pub profile: DataProfile,
+    /// Classification thresholds for feature extraction.
+    pub classify: ClassifyConfig,
+    /// Accuracy-evaluation parameters.
+    pub evaluation: EvaluationConfig,
+    /// The model trained/deployed each run.
+    pub forecaster: Arc<dyn Forecaster>,
+    /// Worker threads for the per-server stages and cross-region fan-out
+    /// (1 = single-threaded).
+    pub threads: usize,
+    /// Reuse cached fitted models for servers whose series did not
+    /// materially change since the last run (see [`ModelCache`]).
+    pub warm_cache: bool,
+    /// Accuracy drop (percentage points) that triggers model fallback.
+    pub fallback_tolerance: f64,
+    /// Cap on anomaly reports per kind per run.
+    pub max_anomaly_reports: usize,
+    /// Maximum servers per same-shape fit batch (1 = fit every server
+    /// individually). Same-shape servers are grouped
+    /// in input order and their cold fits go through one
+    /// [`Forecaster::fit_batch`] invocation, which shares the fitting
+    /// workspace (and, for the randomized SSA kernel, the sketch) across
+    /// the batch; the per-fit results are bitwise identical to solo fits.
+    pub fit_batch: usize,
+}
+
+impl PipelineConfig {
+    /// The production configuration: persistent forecast (previous day),
+    /// 5-minute grid, threads from [`configured_threads`] (the machine's
+    /// available parallelism, overridable via `SEAGULL_THREADS`), warm
+    /// model cache on.
+    pub fn production() -> PipelineConfig {
+        PipelineConfig {
+            grid_min: 5,
+            profile: DataProfile::standard(5),
+            classify: ClassifyConfig::default(),
+            evaluation: EvaluationConfig::default(),
+            forecaster: Arc::new(seagull_forecast::PersistentForecast::previous_day()),
+            threads: configured_threads(),
+            warm_cache: true,
+            fallback_tolerance: 10.0,
+            max_anomaly_reports: 20,
+            fit_batch: 16,
+        }
+    }
+}
+
+/// The pipeline with its shared service handles.
+#[derive(Clone)]
+pub struct AmlPipeline {
+    /// Knobs the run was configured with.
+    pub config: PipelineConfig,
+    /// Blob store the runs ingest from.
+    pub blobs: Arc<dyn BlobStore>,
+    /// Document store results land in.
+    pub docs: DocStore,
+    /// Shared incident log.
+    pub incidents: IncidentManager,
+    /// Model version registry fed by the deployment stage.
+    pub registry: ModelRegistry,
+    /// Deployment endpoints (the AML endpoint substitute).
+    pub endpoints: EndpointSet,
+    /// Retry/backoff/chaos policy threaded through every stage.
+    pub resilience: ResiliencePolicy,
+    /// Per-region breaker guarding run entry; ticks are day indices.
+    pub breaker: CircuitBreaker,
+    /// Observability handle: metrics registry + span tracer for every run.
+    pub obs: Obs,
+    /// Warm-model cache shared across runs and regions (see [`ModelCache`]).
+    /// Keys are region-prefixed, so concurrent region runs touch disjoint
+    /// entries; bypassed when [`PipelineConfig::warm_cache`] is off.
+    pub cache: Arc<ModelCache>,
+    /// Optional serving-layer hook, announced to on every deployment (see
+    /// [`DeploySink`]). Shared across fleet scratch clones.
+    pub deploy_sink: Option<Arc<dyn DeploySink>>,
+    /// Optional accuracy-monitor hook, announced to whenever the
+    /// accuracy-evaluation stage scores previously-served predictions (see
+    /// [`AccuracySink`]). Shared across fleet scratch clones.
+    pub accuracy_sink: Option<Arc<dyn AccuracySink>>,
+}
+
+impl AmlPipeline {
+    /// Assembles a pipeline over the given blob store with the default
+    /// resilience policy.
+    pub fn new(config: PipelineConfig, blobs: Arc<dyn BlobStore>) -> AmlPipeline {
+        AmlPipeline::with_resilience(config, blobs, ResiliencePolicy::default())
+    }
+
+    /// Assembles a pipeline with an explicit resilience policy (retry
+    /// tuning, breaker thresholds, jitter seed, stage-fault hook).
+    pub fn with_resilience(
+        config: PipelineConfig,
+        blobs: Arc<dyn BlobStore>,
+        resilience: ResiliencePolicy,
+    ) -> AmlPipeline {
+        let breaker = CircuitBreaker::new(resilience.breaker);
+        AmlPipeline {
+            config,
+            blobs,
+            docs: DocStore::new(),
+            incidents: IncidentManager::new(),
+            registry: ModelRegistry::new(),
+            endpoints: EndpointSet::new(),
+            resilience,
+            breaker,
+            obs: Obs::new(),
+            cache: Arc::new(ModelCache::new()),
+            deploy_sink: None,
+            accuracy_sink: None,
+        }
+    }
+
+    /// Shares an external observability handle (e.g. with a dashboard or a
+    /// runner) instead of the pipeline-private one.
+    pub fn with_obs(mut self, obs: Obs) -> AmlPipeline {
+        self.obs = obs;
+        self
+    }
+
+    /// Registers a serving-layer deploy hook: every successful deployment
+    /// (and every fallback) is announced to `sink` so it can swap in the
+    /// region's new model snapshot.
+    pub fn with_deploy_sink(mut self, sink: Arc<dyn DeploySink>) -> AmlPipeline {
+        self.deploy_sink = Some(sink);
+        self
+    }
+
+    /// Registers an accuracy-monitor hook: every accuracy-evaluation stage
+    /// that scores previously-served predictions announces the per-server
+    /// scores (with classification labels) to `sink`.
+    pub fn with_accuracy_sink(mut self, sink: Arc<dyn AccuracySink>) -> AmlPipeline {
+        self.accuracy_sink = Some(sink);
+        self
+    }
+
+    /// Virtual scheduler tick for a day index (clamped at zero).
+    fn vtick(day: i64) -> u64 {
+        day.max(0) as u64
+    }
+
+    /// Starts a stage span under the run span.
+    fn stage_span(&self, run: SpanId, stage: &str, region: &str, tick: u64) -> SpanId {
+        self.obs
+            .tracer()
+            .child(run, stage, &[("region", region)], tick)
+    }
+
+    /// Ends a stage span and folds its wall duration into the report and
+    /// the per-stage metrics.
+    fn finish_stage(
+        &self,
+        report: &mut PipelineRunReport,
+        span: SpanId,
+        stage: &str,
+        region: &str,
+        tick: u64,
+    ) {
+        self.obs.tracer().end(span, tick);
+        let wall = self.obs.tracer().wall_duration(span).unwrap_or_default();
+        self.note_stage(report, stage, region, wall);
+    }
+
+    /// [`AmlPipeline::finish_stage`] with an externally measured wall
+    /// duration: the features stage is priced at the summed per-server
+    /// featurize walls measured inside the fused operators, since no open
+    /// span covers that interleaved work.
+    fn finish_stage_with_wall(
+        &self,
+        report: &mut PipelineRunReport,
+        span: SpanId,
+        stage: &str,
+        region: &str,
+        tick: u64,
+        wall: Duration,
+    ) {
+        self.obs.tracer().end_with_wall(span, tick, wall);
+        self.note_stage(report, stage, region, wall);
+    }
+
+    /// Folds a finished stage's wall duration into the report (so
+    /// [`PipelineRunReport::stage_duration`] keeps working) and the
+    /// per-stage metrics.
+    fn note_stage(
+        &self,
+        report: &mut PipelineRunReport,
+        stage: &str,
+        region: &str,
+        wall: Duration,
+    ) {
+        let labels = [("region", region), ("stage", stage)];
+        let registry = self.obs.registry();
+        registry.counter("seagull_stage_runs_total", &labels).inc();
+        registry
+            .histogram_with("seagull_stage_wall_seconds", &labels, Stability::Volatile)
+            .observe(wall.as_secs_f64());
+        report.stages.push(StageTiming {
+            stage: stage.into(),
+            duration: wall,
+        });
+    }
+
+    /// Runs a stage closure under the retry policy, with the policy's
+    /// stage-fault hook injected ahead of the real work.
+    fn retry_stage<T>(
+        &self,
+        stage: &str,
+        region: &str,
+        tick: i64,
+        mut op: impl FnMut() -> Result<T, StageError>,
+    ) -> RetryResult<T> {
+        let seed = stage_seed(self.resilience.seed, stage, region, tick);
+        self.resilience
+            .retry
+            .run_observed(seed, self.obs.registry(), stage, region, |attempt| {
+                if self
+                    .resilience
+                    .chaos
+                    .should_fail(stage, region, tick, attempt)
+                {
+                    return Err(StageError::transient(format!(
+                        "injected {stage} fault (attempt {attempt})"
+                    )));
+                }
+                op()
+            })
+    }
+
+    /// Runs the weekly pipeline for one region: ingestion → validation →
+    /// feature extraction → training & inference → deployment → accuracy
+    /// evaluation (of the previous run's predictions) → result storage.
+    ///
+    /// Never returns an error: transient faults are retried, and exhausted
+    /// retries degrade the run (quarantine, fallback, skip) with the
+    /// details summarized in [`PipelineRunReport::degraded`].
+    pub fn run_region_week(&self, region: &str, week_start_day: i64) -> PipelineRunReport {
+        let mut report = PipelineRunReport {
+            region: region.to_string(),
+            week_start_day,
+            input_bytes: 0,
+            stages: Vec::new(),
+            servers: 0,
+            anomalies: 0,
+            blocked: false,
+            predictions_written: 0,
+            evaluations: 0,
+            accuracy: None,
+            deployed_version: None,
+            degraded: None,
+        };
+        let mut degraded = DegradedRun::default();
+        let tick = week_start_day;
+        let vt = Self::vtick(week_start_day);
+        let run_span = self
+            .obs
+            .tracer()
+            .start("run-week", &[("region", region)], vt);
+        self.obs
+            .registry()
+            .counter("seagull_pipeline_runs_total", &[("region", region)])
+            .inc();
+
+        // ---- Circuit-breaker gate --------------------------------------------
+        // A region whose blob slice is hard-down stops burning retries: the
+        // open breaker rejects runs until the cooldown admits a probe.
+        if !self.breaker.allow(region, tick) {
+            self.breaker.publish_region(self.obs.registry(), region);
+            self.obs
+                .registry()
+                .counter("seagull_pipeline_blocked_total", &[("region", region)])
+                .inc();
+            degraded.skipped_by_breaker = true;
+            report.blocked = true;
+            report.degraded = degraded.into_option();
+            self.obs.tracer().end(run_span, vt);
+            self.store_run(&report);
+            return report;
+        }
+        self.breaker.publish_region(self.obs.registry(), region);
+
+        // ---- Data Ingestion -------------------------------------------------
+        // Each stage entry is a kill-point: the chaos policy's kill hook can
+        // terminate the process here, modelling a crash at a stage boundary.
+        self.resilience.chaos.kill_point("ingestion", region, tick);
+        let span = self.stage_span(run_span, "ingestion", region, vt);
+        let key = BlobKey::extracted(region, week_start_day);
+        let fetched = self.retry_stage("ingestion", region, tick, || {
+            let blob = self.blobs.get(&key).map_err(|e| StageError::from_io(&e))?;
+            // A decode failure is treated as transient: torn reads return a
+            // truncated prefix — a CSV parse error or a columnar checksum
+            // mismatch — and a re-read yields the full blob.
+            let batch = RegionWeekBatch::decode(&blob)
+                .map_err(|e| StageError::transient(format!("unreadable blob {key}: {e}")))?;
+            Ok((blob.len() as u64, batch))
+        });
+        degraded.note("ingestion", &fetched);
+        let batch = match fetched.outcome {
+            Ok((bytes, batch)) => {
+                report.input_bytes = bytes;
+                // The breaker tracks the health of the region's blob slice.
+                self.breaker.record_success(region, tick, &self.incidents);
+                batch
+            }
+            Err(e) => {
+                self.incidents.raise_keyed(
+                    Severity::Critical,
+                    "ingestion",
+                    region,
+                    format!("missing or unreadable input blob {key}"),
+                    format!(
+                        "missing or unreadable input blob {key} after {} attempt(s): {}",
+                        fetched.attempts, e.message
+                    ),
+                );
+                if e.transient {
+                    // Infrastructure failure (outage, flakiness) — feed the
+                    // breaker so a sustained outage trips it. Absent data
+                    // (NotFound) is not an infrastructure signal.
+                    self.breaker.record_failure(region, tick, &self.incidents);
+                    degraded.exhausted_stages.push("ingestion".into());
+                }
+                self.breaker.publish_region(self.obs.registry(), region);
+                self.obs
+                    .registry()
+                    .counter("seagull_pipeline_blocked_total", &[("region", region)])
+                    .inc();
+                report.blocked = true;
+                self.finish_stage(&mut report, span, "ingestion", region, vt);
+                report.degraded = degraded.into_option();
+                self.obs.tracer().end(run_span, vt);
+                self.store_run(&report);
+                return report;
+            }
+        };
+        self.breaker.publish_region(self.obs.registry(), region);
+        // Columnar blobs yield zero-copy views into the shared decode buffer;
+        // CSV rows are re-gridded into fresh series.
+        let mut servers: Vec<ExtractedServer> = batch.extract(self.config.grid_min);
+        report.servers = servers.len();
+        self.finish_stage(&mut report, span, "ingestion", region, vt);
+
+        // ---- Validation → features → train & infer ---------------------------
+        // One fused operator chain per server, scheduled task-granularly
+        // and absorbed in server input order (see `operator`); the run
+        // resumes here, at the train-deploy barrier.
+        let mid = self.mid_dataflow(
+            region,
+            week_start_day,
+            tick,
+            vt,
+            run_span,
+            &mut report,
+            &mut degraded,
+            &batch,
+            &mut servers,
+        );
+        let Some(MidStages {
+            features,
+            predictions,
+        }) = mid
+        else {
+            // Validation blocked the run: nothing downstream executes.
+            self.obs
+                .registry()
+                .counter("seagull_pipeline_blocked_total", &[("region", region)])
+                .inc();
+            report.blocked = true;
+            report.degraded = degraded.into_option();
+            self.obs.tracer().end(run_span, vt);
+            self.store_run(&report);
+            return report;
+        };
+
+        // ---- Model Deployment --------------------------------------------------
+        self.resilience.chaos.kill_point("deployment", region, tick);
+        let span = self.stage_span(run_span, "deployment", region, vt);
+        // The registry/endpoint mutation itself is infallible; the retried
+        // gate models the external AML deployment call, which the
+        // stage-fault hook can fail. Mutation happens only after the gate
+        // passes so retries never double-deploy.
+        let deploy_gate = self.retry_stage("deployment", region, tick, || Ok(()));
+        degraded.note("deployment", &deploy_gate);
+        if deploy_gate.outcome.is_err() {
+            // Keep serving the registry's last-known-good model: neither a
+            // new version nor a new endpoint is published.
+            degraded.exhausted_stages.push("deployment".into());
+            degraded.fallback_deployed = true;
+            let serving = self
+                .registry
+                .deployed(region)
+                .map(|v| format!("v{} ({})", v.version, v.model_name))
+                .unwrap_or_else(|| "no prior version".into());
+            self.incidents.raise_keyed(
+                Severity::Critical,
+                "deployment",
+                region,
+                "deploy-failed",
+                format!(
+                    "model deployment failed in week starting day {week_start_day}; \
+                     serving last-known-good: {serving}"
+                ),
+            );
+            // The serving layer keeps its last published (known-good)
+            // snapshot for this region: no swap happens.
+            if let Some(sink) = &self.deploy_sink {
+                sink.on_fallback(region, week_start_day);
+            }
+        } else {
+            let model_name = self.config.forecaster.name();
+            let version = self.registry.deploy(region, model_name, week_start_day);
+            self.endpoints
+                .publish(region, Arc::clone(&self.config.forecaster));
+            report.deployed_version = Some(version);
+            if let Some(sink) = &self.deploy_sink {
+                sink.on_deploy(&DeployEvent {
+                    region,
+                    version,
+                    week_start_day,
+                    model_name,
+                    predictions: &predictions,
+                    cache: self.config.warm_cache.then_some(&*self.cache),
+                });
+            }
+        }
+        self.finish_stage(&mut report, span, "deployment", region, vt);
+
+        // ---- Accuracy Evaluation ------------------------------------------------
+        // Score the predictions stored by previous runs against the true load
+        // that arrived in this week's data.
+        self.resilience
+            .chaos
+            .kill_point("accuracy-eval", region, tick);
+        let span = self.stage_span(run_span, "accuracy-eval", region, vt);
+        let (eval_rows, eval_profile): (Vec<Option<AccuracyDoc>>, _) =
+            parallel_map_profiled(&servers, self.config.threads, |s| {
+                let day = backup_day_for_extracted(s, week_start_day);
+                let id = PredictionDoc::doc_id(region, s.id.0, day);
+                let doc: PredictionDoc = self.docs.get(collections::PREDICTIONS, &id).ok()?;
+                let truth = s.series.day(day)?;
+                let duration_min = doc.duration_min.max(self.config.grid_min as i64) as u32;
+                let eval = evaluate_low_load(
+                    &truth,
+                    &doc.into_series(),
+                    duration_min,
+                    &self.config.evaluation.accuracy,
+                )?;
+                Some(AccuracyDoc {
+                    region: region.to_string(),
+                    server_id: s.id.0,
+                    day,
+                    window_correct: eval.window_correct,
+                    load_accurate: eval.load_accurate,
+                    window_bucket_ratio: eval.window_bucket_ratio,
+                })
+            });
+        eval_profile.record(self.obs.registry(), "accuracy-eval");
+        // Announce served-vs-actual scores to the online accuracy monitor
+        // before flattening: eval rows index-align with `servers` (and thus
+        // `features`), which is where the classification labels live. A
+        // server whose fused operator panicked has no features and is
+        // skipped (it has no fresh prediction either way).
+        if let Some(sink) = &self.accuracy_sink {
+            let scores: Vec<ScoredPrediction> = eval_rows
+                .iter()
+                .zip(&features)
+                .filter_map(|(row, f)| match (row, f) {
+                    (Some(e), Some(f)) => Some(ScoredPrediction {
+                        server_id: e.server_id,
+                        day: e.day,
+                        class: f.pattern.label(),
+                        window_correct: e.window_correct,
+                        load_accurate: e.load_accurate,
+                        window_bucket_ratio: e.window_bucket_ratio,
+                    }),
+                    _ => None,
+                })
+                .collect();
+            if !scores.is_empty() {
+                sink.on_scores(region, week_start_day, &scores);
+            }
+        }
+        let evals: Vec<AccuracyDoc> = eval_rows.into_iter().flatten().collect();
+        report.evaluations = evals.len();
+        if !evals.is_empty() {
+            let n = evals.len() as f64;
+            let wc = 100.0 * evals.iter().filter(|e| e.window_correct).count() as f64 / n;
+            let la = 100.0 * evals.iter().filter(|e| e.load_accurate).count() as f64 / n;
+            report.accuracy = Some(AccuracySummary {
+                servers: report.servers,
+                evaluated: evals.len(),
+                window_correct_pct: wc,
+                load_accurate_pct: la,
+            });
+            for e in &evals {
+                let id = format!("{region}/{}/{}", e.server_id, e.day);
+                let _ = self.docs.upsert(collections::ACCURACY, &id, e);
+            }
+            // Feed the registry; the fallback rule compares against the last
+            // known good version and raises an incident on regression. A run
+            // that kept the last-known-good model has no new version to score.
+            if let Some(version) = report.deployed_version {
+                self.registry.record_accuracy(
+                    region,
+                    version,
+                    ModelAccuracy {
+                        window_correct_pct: wc,
+                        load_accurate_pct: la,
+                        predictable_pct: 0.0,
+                    },
+                );
+                self.registry.maybe_fallback(
+                    region,
+                    self.config.fallback_tolerance,
+                    &self.incidents,
+                );
+            }
+        }
+        self.finish_stage(&mut report, span, "accuracy-eval", region, vt);
+
+        // Run-level outcome counters (all deterministic, hence stable).
+        let registry = self.obs.registry();
+        let region_label = [("region", region)];
+        registry
+            .counter("seagull_predictions_written_total", &region_label)
+            .add(report.predictions_written as u64);
+        registry
+            .counter("seagull_evaluations_total", &region_label)
+            .add(report.evaluations as u64);
+        registry
+            .counter("seagull_anomalies_total", &region_label)
+            .add(report.anomalies as u64);
+        self.obs.tracer().end(run_span, vt);
+
+        report.degraded = degraded.into_option();
+        self.store_run(&report);
+        report
+    }
+
+    fn store_run(&self, report: &PipelineRunReport) {
+        let id = format!("{}/{}", report.region, report.week_start_day);
+        let _ = self.docs.upsert(collections::RUNS, &id, report);
+    }
+}
+
+/// The backup day encoded in a server's extracted default window, normalized
+/// into the given week.
+fn backup_day_for_extracted(s: &ExtractedServer, week_start_day: i64) -> i64 {
+    let d = s.default_backup_start.day_index();
+    week_start_day + (d - week_start_day).rem_euclid(7)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::resilience::{BreakerState, StageChaos};
+    use seagull_telemetry::blobstore::MemoryBlobStore;
+    use seagull_telemetry::extract::LoadExtraction;
+    use seagull_telemetry::fleet::{FleetGenerator, FleetSpec};
+
+    fn setup(servers: usize, weeks: usize) -> (AmlPipeline, i64) {
+        let mut spec = FleetSpec::small_region(91);
+        spec.regions[0].servers = servers;
+        let start = spec.start_day;
+        let fleet = FleetGenerator::new(spec).generate_weeks(weeks);
+        let store = Arc::new(MemoryBlobStore::new());
+        let weeks_days: Vec<i64> = (0..weeks as i64).map(|w| start + 7 * w).collect();
+        LoadExtraction::default()
+            .run(&fleet, &["region-a".into()], &weeks_days, store.as_ref())
+            .unwrap();
+        (AmlPipeline::new(PipelineConfig::production(), store), start)
+    }
+
+    #[test]
+    fn single_run_produces_stages_and_predictions() {
+        let (pipeline, start) = setup(30, 1);
+        let report = pipeline.run_region_week("region-a", start);
+        assert!(!report.blocked);
+        assert!(report.servers > 0);
+        assert!(report.input_bytes > 0);
+        let stage_names: Vec<&str> = report.stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(
+            stage_names,
+            vec![
+                "ingestion",
+                "validation",
+                "features",
+                "train-infer",
+                "deployment",
+                "accuracy-eval"
+            ]
+        );
+        assert!(report.predictions_written > 0);
+        assert_eq!(report.deployed_version, Some(1));
+        // First run: no prior predictions, so nothing to evaluate.
+        assert_eq!(report.evaluations, 0);
+        assert!(pipeline.docs.count(collections::FEATURES) > 0);
+        assert_eq!(
+            pipeline.docs.count(collections::PREDICTIONS),
+            report.predictions_written
+        );
+        // A clean run carries no degradation summary and no retries.
+        assert!(!report.is_degraded());
+        assert_eq!(report.total_retries(), 0);
+    }
+
+    #[test]
+    fn second_week_evaluates_first_weeks_predictions() {
+        let (pipeline, start) = setup(40, 2);
+        let r1 = pipeline.run_region_week("region-a", start);
+        let r2 = pipeline.run_region_week("region-a", start + 7);
+        assert!(r1.predictions_written > 0);
+        assert!(
+            r2.evaluations > 0,
+            "week-2 run must score week-1 predictions"
+        );
+        let acc = r2.accuracy.expect("accuracy summary present");
+        // Persistent forecast on a mostly-stable fleet is highly accurate.
+        assert!(acc.window_correct_pct > 80.0, "{}", acc.window_correct_pct);
+        assert!(pipeline.docs.count(collections::ACCURACY) > 0);
+        assert_eq!(pipeline.registry.deployed("region-a").unwrap().version, 2);
+    }
+
+    #[test]
+    fn missing_blob_blocks_and_raises() {
+        let (pipeline, start) = setup(5, 1);
+        let report = pipeline.run_region_week("ghost-region", start);
+        assert!(report.blocked);
+        assert_eq!(pipeline.incidents.open_count(Severity::Critical), 1);
+        // Absent data is permanent: no retries are burned on it, and the
+        // breaker (which tracks infrastructure health) stays closed.
+        assert_eq!(report.total_retries(), 0);
+        assert_eq!(pipeline.breaker.state("ghost-region"), BreakerState::Closed);
+        // The blocked run is still recorded for the dashboard.
+        assert_eq!(pipeline.docs.count(collections::RUNS), 1);
+    }
+
+    #[test]
+    fn schedule_runs_all_cells() {
+        let (pipeline, start) = setup(10, 2);
+        let reports = pipeline.run_schedule(&["region-a".to_string()], &[start, start + 7]);
+        assert_eq!(reports.len(), 2);
+        assert_eq!(pipeline.docs.count(collections::RUNS), 2);
+    }
+
+    #[test]
+    fn endpoint_published_after_run() {
+        let (pipeline, start) = setup(10, 1);
+        pipeline.run_region_week("region-a", start);
+        assert!(pipeline.endpoints.resolve("region-a").is_some());
+    }
+
+    #[test]
+    fn injected_faults_are_retried_per_server() {
+        let (base, start) = setup(10, 1);
+        let policy = ResiliencePolicy {
+            chaos: StageChaos::from_fn(|stage, _, _, attempt| {
+                stage == "train-infer" && attempt <= 2
+            }),
+            ..ResiliencePolicy::default()
+        };
+        let pipeline = AmlPipeline::with_resilience(base.config, base.blobs, policy);
+        let report = pipeline.run_region_week("region-a", start);
+        assert!(!report.blocked);
+        assert!(report.predictions_written > 0);
+        let degraded = report.degraded.expect("retries recorded");
+        // Every server's fused operator burned two retries of its own
+        // budget; the fold sums them into the stage entry.
+        assert_eq!(
+            degraded.retries.get("train-infer"),
+            Some(&(2 * report.servers as u32))
+        );
+        assert!(degraded.backoff_ms > 0);
+        assert!(degraded.exhausted_stages.is_empty());
+        assert!(degraded.quarantined_servers.is_empty());
+    }
+
+    #[test]
+    fn exhausted_deploy_keeps_last_known_good() {
+        let (base, start) = setup(15, 2);
+        let policy = ResiliencePolicy {
+            // Deployment hard-fails, but only in week 2.
+            chaos: StageChaos::from_fn(move |stage, _, tick, _| {
+                stage == "deployment" && tick > start
+            }),
+            ..ResiliencePolicy::default()
+        };
+        let pipeline = AmlPipeline::with_resilience(base.config, base.blobs, policy);
+        let r1 = pipeline.run_region_week("region-a", start);
+        assert_eq!(r1.deployed_version, Some(1));
+        let r2 = pipeline.run_region_week("region-a", start + 7);
+        assert!(!r2.blocked, "deploy failure degrades, it does not block");
+        assert_eq!(r2.deployed_version, None);
+        let degraded = r2.degraded.expect("degradation recorded");
+        assert!(degraded.fallback_deployed);
+        assert!(degraded.exhausted_stages.contains(&"deployment".into()));
+        // Version 1 is still the serving model.
+        assert_eq!(pipeline.registry.deployed("region-a").unwrap().version, 1);
+        assert!(pipeline.incidents.open_count(Severity::Critical) >= 1);
+    }
+}

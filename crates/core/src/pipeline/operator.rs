@@ -1,0 +1,834 @@
+//! The middle of a run: one fused operator per server — validate →
+//! gap-fill → featurize → fit → predict — scheduled task-granularly on the
+//! worker pool in same-shape fit batches, then absorbed serially in server
+//! input order.
+//!
+//! Everything order-sensitive (incidents, stored documents, cache commits,
+//! span records, metric folds) happens in the absorb, so a run's outputs do
+//! not depend on the thread count or on which worker finished first.
+//! Faults are per-server: a transient fault burns only that server's retry
+//! budget, and a server whose fit fails permanently, exhausts its retries
+//! or panics is quarantined to the dead-letter list alone.
+
+use super::{
+    collections, AmlPipeline, DeadLetterDoc, DegradedRun, PipelineRunReport, PredictionDoc,
+};
+use crate::features::{extract_server_features, ServerFeatures};
+use crate::incident::Severity;
+use crate::par::parallel_map_tasks;
+use crate::resilience::{stage_seed, StageError};
+use crate::validation::{validate_region_week, validate_server, validate_servers, Anomaly};
+use seagull_forecast::{CacheUpdate, FittedModel, ForecastError, Lookup};
+use seagull_obs::SpanId;
+use seagull_telemetry::chaos::InjectedCrash;
+use seagull_telemetry::columnar::checksum64_words;
+use seagull_telemetry::csv_quantized;
+use seagull_telemetry::extract::{ExtractedServer, RegionWeekBatch};
+use seagull_timeseries::{GapFill, TimeSeries};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Per-server cache consequence of one train-infer item, applied serially
+/// after the parallel region joins so cache state never depends on worker
+/// interleaving.
+enum CacheOutcome {
+    /// Reused a cached fit; recency for this key is bumped at commit.
+    Hit(String),
+    /// A fresh fit to insert at commit.
+    Fresh(Box<CacheUpdate>),
+    /// No cache interaction (cache off, or insufficient history to fit).
+    Bypass,
+}
+
+/// How one server's train-infer item will be served, resolved once (one
+/// counted cache probe) before the fit so shape batches can be formed from
+/// the servers that actually need a cold fit.
+enum FitPath {
+    /// Warm cache off: fit cold, no cache writes.
+    Bypass,
+    /// Warm-cache hit: serve the cached model, re-anchored.
+    Hit(seagull_forecast::CachedFit, String),
+    /// Warm-cache miss: fit cold and package the entry for the serial
+    /// commit barrier.
+    Miss { key: String, fingerprint: u64 },
+}
+
+/// Result of one server's train-infer item: the prediction doc (`None` for
+/// young servers), the deferred cache write, and the fit-kernel label of any
+/// cold fit that ran — or the reason the server's input is poison.
+type FitOutcome = Result<(Option<PredictionDoc>, CacheOutcome, Option<&'static str>), String>;
+
+/// A pre-computed fit from a shape batch, consumed in place of a solo fit:
+/// the kernel result plus the wall time attributed to that slot.
+type Prefit = (Result<Box<dyn FittedModel>, ForecastError>, Duration);
+
+/// What the mid-run stages (validation → features → train-infer →
+/// docstore-write) hand to the tail of the run (deployment, accuracy-eval).
+pub(super) struct MidStages {
+    /// Per-server features, index-aligned with the extracted servers.
+    /// `None` marks a server whose fused operator panicked.
+    pub(super) features: Vec<Option<ServerFeatures>>,
+    /// Prediction documents materialized this run, in server input order.
+    pub(super) predictions: Vec<PredictionDoc>,
+}
+
+/// Everything one fused per-server operator produces, absorbed serially in
+/// server input order after the fan-out joins.
+struct FusedServerOutcome {
+    /// The gap-filled series, written back to the fleet slice so accuracy
+    /// evaluation scores against the repaired input the model trained on.
+    series: TimeSeries,
+    /// Per-server validation anomaly, if flagged (on the unfilled series).
+    anomaly: Option<Anomaly>,
+    /// Extracted features (extraction itself cannot fail).
+    features: ServerFeatures,
+    /// The backup-day prediction, when the model produced one.
+    prediction: Option<PredictionDoc>,
+    /// Cache consequence, committed serially at the absorb barrier.
+    cache: CacheOutcome,
+    /// Kernel label of the cold fit, when one ran (None on cache hits,
+    /// bypasses without a fit, and failures).
+    fit_kernel: Option<&'static str>,
+    /// Poison reason when the fit failed permanently or exhausted retries.
+    poison: Option<String>,
+    /// Retries burned by this server's fit.
+    retries: u32,
+    /// Virtual backoff accounted by those retries, milliseconds.
+    backoff_ms: u64,
+    /// True when the fit failed by exhausting transient-fault retries.
+    exhausted: bool,
+    /// Wall time of validate + gap-fill + featurize.
+    featurize_wall: Duration,
+    /// Wall time of fit + predict, including retries.
+    model_wall: Duration,
+}
+
+/// Content fingerprint of a training series: FNV-1a over the quantized
+/// sample bytes plus the grid step. The start timestamp is deliberately
+/// excluded so a weekly-periodic server hashes identically week over week;
+/// [`ModelCache`] checks grid shape and whole-week alignment separately.
+///
+/// [`ModelCache`]: seagull_forecast::ModelCache
+fn series_fingerprint(series: &TimeSeries) -> u64 {
+    let step = std::iter::once(u64::from(series.step_min()));
+    let samples = series.values().iter().map(|&v| csv_quantized(v).to_bits());
+    checksum64_words(step.chain(samples))
+}
+
+impl AmlPipeline {
+    /// Raises one validation anomaly as an incident: blocking anomalies are
+    /// critical, the rest warnings.
+    fn raise_validation_anomaly(&self, region: &str, a: &Anomaly) {
+        let severity = if a.is_blocking() {
+            Severity::Critical
+        } else {
+            Severity::Warning
+        };
+        self.incidents
+            .raise(severity, "validation", region, format!("{a:?}"));
+    }
+
+    /// Resolves how a server's fit will be served: a warm-cache probe (one
+    /// counted lookup) when the cache is on, else a plain cold fit. Safe to
+    /// call from inside a parallel region; the probe is read-only.
+    fn fit_path(&self, s: &ExtractedServer, class: &str, region: &str) -> FitPath {
+        if !self.config.warm_cache {
+            return FitPath::Bypass;
+        }
+        let key = format!("{region}/{}", s.id.0);
+        let fingerprint = series_fingerprint(&s.series);
+        match self.cache.lookup(&key, fingerprint, class, &s.series) {
+            Lookup::Hit(hit) => FitPath::Hit(hit, key),
+            Lookup::Miss(_) => FitPath::Miss { key, fingerprint },
+        }
+    }
+
+    /// Completes one server's train-infer item for an already-resolved
+    /// [`FitPath`]. On the cold paths a pre-computed fit (from a shape
+    /// batch) is consumed from `prefit` when present — its results are
+    /// bitwise identical to a solo fit by the `Forecaster::fit_batch`
+    /// contract — otherwise the forecaster fits here. Returns the
+    /// prediction doc, the cache consequence, and the fit-kernel label of
+    /// any cold fit that ran.
+    fn finish_fit(
+        &self,
+        s: &ExtractedServer,
+        class: &'static str,
+        region: &str,
+        next_week: i64,
+        path: &FitPath,
+        prefit: &mut Option<Prefit>,
+    ) -> FitOutcome {
+        let grid = self.config.grid_min;
+        let points_per_day = (seagull_timeseries::MINUTES_PER_DAY / grid as i64) as usize;
+        // The server's backup day next week.
+        let backup_day = s.default_backup_start.day_index() + 7;
+        let horizon_days = (backup_day + 1 - next_week).max(1) as usize;
+        let horizon = horizon_days * points_per_day;
+        let doc_of = |pred: TimeSeries| {
+            pred.day(backup_day).map(|day| PredictionDoc {
+                region: region.to_string(),
+                server_id: s.id.0,
+                day: backup_day,
+                step_min: grid,
+                values: day.into_values(),
+                duration_min: s.default_backup_end - s.default_backup_start,
+            })
+        };
+        if let FitPath::Hit(hit, key) = path {
+            let shifted = hit
+                .fitted
+                .predict(horizon)
+                .and_then(|p| p.shifted(hit.shift_min).map_err(ForecastError::Series));
+            return match shifted {
+                Ok(pred) => Ok((doc_of(pred), CacheOutcome::Hit(key.clone()), None)),
+                Err(e) => Err(e.to_string()),
+            };
+        }
+        // Cold fit (cache off or probe missed). Fit-then-predict rather
+        // than `fit_predict` so the resolved kernel label is observable;
+        // the bytes are identical.
+        let fit_start = Instant::now();
+        let (fit, fit_wall) = match prefit.take() {
+            Some((fit, wall)) => (fit, wall),
+            None => {
+                let fit = self.config.forecaster.fit(&s.series);
+                (fit, fit_start.elapsed())
+            }
+        };
+        match fit {
+            Ok(boxed) => {
+                let kernel = boxed.fit_kernel();
+                let fitted: Arc<dyn FittedModel> = Arc::from(boxed);
+                match fitted.predict(horizon) {
+                    Ok(pred) => {
+                        let outcome = match path {
+                            FitPath::Miss { key, fingerprint } => {
+                                CacheOutcome::Fresh(Box::new(CacheUpdate::new(
+                                    key.clone(),
+                                    *fingerprint,
+                                    class,
+                                    Arc::clone(&fitted),
+                                    &s.series,
+                                    fit_wall,
+                                )))
+                            }
+                            _ => CacheOutcome::Bypass,
+                        };
+                        Ok((doc_of(pred), outcome, Some(kernel)))
+                    }
+                    Err(ForecastError::InsufficientHistory { .. }) => {
+                        Ok((None, CacheOutcome::Bypass, Some(kernel)))
+                    }
+                    Err(e) => Err(e.to_string()),
+                }
+            }
+            // Too little history is the normal young-server case.
+            Err(ForecastError::InsufficientHistory { .. }) => {
+                Ok((None, CacheOutcome::Bypass, None))
+            }
+            // Anything else is poison input or a broken model.
+            Err(e) => Err(e.to_string()),
+        }
+    }
+
+    /// Runs one same-shape fit batch as a single pool task: per-server
+    /// prep (validate → gap-fill → featurize → cache probe), one shared
+    /// `Forecaster::fit_batch` kernel invocation for the members that
+    /// need a cold fit, then each server's retry loop and finish.
+    ///
+    /// Panic isolation stays per-server throughout: every phase that runs
+    /// model or validation code for one server runs under its own
+    /// [`isolate`], and a panic inside the *shared* fit invocation simply
+    /// discards the batch results so every member falls back to a solo fit
+    /// under its own isolation — a poison server quarantines alone even
+    /// mid-batch. Results are keyed by server index.
+    fn run_fit_batch(
+        &self,
+        batch: &[usize],
+        servers: &[ExtractedServer],
+        region: &str,
+        tick: i64,
+        next_week: i64,
+        server_validation: bool,
+    ) -> Vec<(usize, Result<FusedServerOutcome, String>)> {
+        let base_seed = stage_seed(self.resilience.seed, "train-infer", region, tick);
+        let chaos = &self.resilience.chaos;
+        let retry = &self.resilience.retry;
+
+        struct Prep {
+            filled: ExtractedServer,
+            anomaly: Option<Anomaly>,
+            features: ServerFeatures,
+            class: &'static str,
+            path: FitPath,
+            featurize_wall: Duration,
+        }
+
+        // Phase 1: per-server prep. The cache probe is counted here, once
+        // per server, so batch membership below reflects real cold fits.
+        let prepared: Vec<(usize, Result<Prep, String>)> = batch
+            .iter()
+            .map(|&i| {
+                let s = &servers[i];
+                let prep = isolate(|| {
+                    let feat_start = Instant::now();
+                    let anomaly = if server_validation {
+                        validate_server(s, &self.config.profile)
+                    } else {
+                        None
+                    };
+                    // Repair tolerated gaps locally; the filled series is
+                    // written back at the absorb so accuracy evaluation
+                    // scores against the input the model trained on.
+                    let mut series = s.series.clone();
+                    seagull_timeseries::fill_gaps(&mut series, GapFill::Linear);
+                    let filled = ExtractedServer {
+                        id: s.id,
+                        series,
+                        default_backup_start: s.default_backup_start,
+                        default_backup_end: s.default_backup_end,
+                    };
+                    let features = extract_server_features(&filled, &self.config.classify);
+                    let class = features.pattern.label();
+                    let path = self.fit_path(&filled, class, region);
+                    Prep {
+                        filled,
+                        anomaly,
+                        features,
+                        class,
+                        path,
+                        featurize_wall: feat_start.elapsed(),
+                    }
+                });
+                (i, prep)
+            })
+            .collect();
+
+        // Phase 2: one shared kernel invocation for the batch's cold fits.
+        let cold: Vec<usize> = prepared
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, (_, prep))| match prep {
+                Ok(p) if !matches!(p.path, FitPath::Hit(..)) => Some(slot),
+                _ => None,
+            })
+            .collect();
+        let mut prefits: Vec<Option<Prefit>> = prepared.iter().map(|_| None).collect();
+        if cold.len() > 1 {
+            let histories: Vec<&TimeSeries> = cold
+                .iter()
+                .map(|&slot| match &prepared[slot].1 {
+                    Ok(p) => &p.filled.series,
+                    Err(_) => unreachable!("cold slots come from prepared servers"),
+                })
+                .collect();
+            let batch_start = Instant::now();
+            if let Ok(fits) = isolate(|| self.config.forecaster.fit_batch(&histories)) {
+                // Even wall split: it only feeds volatile timing metrics
+                // and the cache's saved-wall credit.
+                let share = batch_start.elapsed() / cold.len() as u32;
+                for (&slot, fit) in cold.iter().zip(fits) {
+                    prefits[slot] = Some((fit, share));
+                }
+            }
+        }
+
+        // Phase 3: per-server retry loop and finish. The stage-level chaos
+        // hook and the server-granular hook both inject ahead of the real
+        // fit, and a transient fault burns only this server's retry
+        // budget; the pre-computed batch fit is consumed by the first
+        // non-injected attempt (later attempts refit solo — identical
+        // bytes). The seed mixes the server id so jitter schedules are
+        // independent.
+        prepared
+            .into_iter()
+            .zip(prefits)
+            .map(|((i, prep), mut prefit)| {
+                let s = &servers[i];
+                let out = match prep {
+                    Err(msg) => Err(msg),
+                    Ok(p) => isolate(move || {
+                        let model_start = Instant::now();
+                        let seed = base_seed ^ s.id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        let fitted = retry.run(seed, |attempt| {
+                            if chaos.should_fail("train-infer", region, tick, attempt)
+                                || chaos.should_fail_server(
+                                    "train-infer",
+                                    region,
+                                    s.id.0,
+                                    tick,
+                                    attempt,
+                                )
+                            {
+                                return Err(StageError::transient(format!(
+                                    "injected train-infer fault (attempt {attempt})"
+                                )));
+                            }
+                            self.finish_fit(
+                                &p.filled,
+                                p.class,
+                                region,
+                                next_week,
+                                &p.path,
+                                &mut prefit,
+                            )
+                            .map_err(StageError::permanent)
+                        });
+                        let model_wall = model_start.elapsed();
+                        let retries = fitted.attempts.saturating_sub(1);
+                        let (prediction, cache, fit_kernel, poison, exhausted) =
+                            match fitted.outcome {
+                                Ok((doc, cache, kernel)) => (doc, cache, kernel, None, false),
+                                Err(e) => {
+                                    let reason = if e.transient {
+                                        format!(
+                                            "train-infer retries exhausted after {} attempt(s): {}",
+                                            fitted.attempts, e.message
+                                        )
+                                    } else {
+                                        e.message
+                                    };
+                                    (None, CacheOutcome::Bypass, None, Some(reason), e.transient)
+                                }
+                            };
+                        FusedServerOutcome {
+                            series: p.filled.series,
+                            anomaly: p.anomaly,
+                            features: p.features,
+                            prediction,
+                            cache,
+                            fit_kernel,
+                            poison,
+                            retries,
+                            backoff_ms: fitted.backoff_ms,
+                            exhausted,
+                            featurize_wall: p.featurize_wall,
+                            model_wall,
+                        }
+                    }),
+                };
+                (i, out)
+            })
+            .collect()
+    }
+
+    /// Folds the run's cold-fit kernel labels into the stable metric
+    /// `seagull_fit_kernel_total{region, kernel}` at the serial absorb, so
+    /// the counts do not depend on worker interleaving.
+    fn record_fit_kernels(&self, region: &str, counts: &BTreeMap<&'static str, u64>) {
+        let registry = self.obs.registry();
+        for (&kernel, &n) in counts {
+            registry
+                .counter(
+                    "seagull_fit_kernel_total",
+                    &[("region", region), ("kernel", kernel)],
+                )
+                .add(n);
+        }
+    }
+
+    /// The middle of a run: batch-level validation, then one *fused*
+    /// operator chain per server — validate → gap-fill → featurize → fit →
+    /// predict — scheduled task-granularly on the worker pool and absorbed
+    /// serially in server input order at the train-deploy barrier.
+    ///
+    /// Reports, documents, incidents and the stable export of a run are
+    /// byte-identical at every thread count. Retries, exhaustion and panics
+    /// are per-server: a poison server dead-letters only itself and can
+    /// never fail the whole stage. Returns `None` when validation blocks
+    /// the run.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn mid_dataflow(
+        &self,
+        region: &str,
+        week_start_day: i64,
+        tick: i64,
+        vt: u64,
+        run_span: SpanId,
+        report: &mut PipelineRunReport,
+        degraded: &mut DegradedRun,
+        batch: &RegionWeekBatch,
+        servers: &mut [ExtractedServer],
+    ) -> Option<MidStages> {
+        // ---- Data Validation (batch-level) -------------------------------------
+        // Per-server missing-data checks run inside the fused operators; the
+        // blocking decision must precede the fan-out, and only batch-level
+        // anomalies (plus the empty-fleet guard) can block, so this part
+        // stays a whole-batch step.
+        self.resilience.chaos.kill_point("validation", region, tick);
+        let span = self.stage_span(run_span, "validation", region, vt);
+        let validated = self.retry_stage("validation", region, tick, || {
+            Ok(validate_region_week(
+                batch,
+                &self.config.profile,
+                self.config.max_anomaly_reports,
+            ))
+        });
+        degraded.note("validation", &validated);
+        let mut blocked = false;
+        let mut server_validation = false;
+        match validated.outcome {
+            Ok(batch_report) => {
+                server_validation = true;
+                report.anomalies = batch_report.anomalies.len();
+                for a in &batch_report.anomalies {
+                    self.raise_validation_anomaly(region, a);
+                }
+                blocked = batch_report.is_blocked();
+                if servers.is_empty() {
+                    // An empty fleet can never reach the fused operators;
+                    // the whole-fleet check raises its blocking EmptyInput.
+                    let server_report = validate_servers(servers, &self.config.profile);
+                    report.anomalies += server_report.anomalies.len();
+                    for a in &server_report.anomalies {
+                        self.raise_validation_anomaly(region, a);
+                    }
+                    blocked = blocked || server_report.is_blocked();
+                }
+            }
+            Err(e) => {
+                // Degraded mode: run unvalidated rather than drop the week
+                // (the fused operators skip per-server validation too).
+                degraded.exhausted_stages.push("validation".into());
+                self.incidents.raise_keyed(
+                    Severity::Warning,
+                    "validation",
+                    region,
+                    "validation-skipped",
+                    format!(
+                        "validation skipped after {} attempt(s): {}",
+                        validated.attempts, e.message
+                    ),
+                );
+            }
+        }
+        self.finish_stage(report, span, "validation", region, vt);
+        if blocked {
+            return None;
+        }
+
+        // ---- Fused per-server operators ----------------------------------------
+        // Both stage kill-points fire serially at the fan-out boundary, a
+        // crash point per stage name; the two stage spans open here in
+        // stage order (features before train-infer) and finish after the
+        // absorb, which fixes their stable span ids.
+        self.resilience.chaos.kill_point("features", region, tick);
+        let features_span = self.stage_span(run_span, "features", region, vt);
+        self.resilience
+            .chaos
+            .kill_point("train-infer", region, tick);
+        let fused_span = self.stage_span(run_span, "train-infer", region, vt);
+        let next_week = week_start_day + 7;
+
+        // Group same-shape servers (in input order) into fit batches: each
+        // batch is one pool task whose cold fits run through one shared
+        // `Forecaster::fit_batch` kernel invocation. `fit_batch = 1`
+        // degenerates to one server per task.
+        let cap = self.config.fit_batch.max(1);
+        let mut batches: Vec<Vec<usize>> = Vec::new();
+        let mut open: BTreeMap<(usize, u32), usize> = BTreeMap::new();
+        for (i, s) in servers.iter().enumerate() {
+            let shape = (s.series.len(), s.series.step_min());
+            match open.get(&shape) {
+                Some(&b) if batches[b].len() < cap => batches[b].push(i),
+                _ => {
+                    open.insert(shape, batches.len());
+                    batches.push(vec![i]);
+                }
+            }
+        }
+        let (batch_results, profile) = parallel_map_tasks(&batches, self.config.threads, |batch| {
+            self.run_fit_batch(batch, servers, region, tick, next_week, server_validation)
+        });
+
+        // Flatten back into server input order. A panic that escapes a
+        // whole batch task (outside the per-server isolation inside
+        // [`AmlPipeline::run_fit_batch`]) poisons every member.
+        let mut results: Vec<Option<Result<FusedServerOutcome, String>>> =
+            (0..servers.len()).map(|_| None).collect();
+        for (batch, outcome) in batches.iter().zip(batch_results) {
+            match outcome {
+                Ok(per_server) => {
+                    for (i, r) in per_server {
+                        results[i] = Some(r);
+                    }
+                }
+                Err(msg) => {
+                    for &i in batch {
+                        results[i] = Some(Err(msg.clone()));
+                    }
+                }
+            }
+        }
+
+        // ---- Deterministic absorb ----------------------------------------------
+        // Everything order-sensitive — incidents, docs, cache commits, span
+        // records, metric folds — happens here, serially, in server input
+        // order, so outputs are independent of worker interleaving.
+        profile.record(self.obs.registry(), "train-infer");
+        // The fan-out above is per *batch*, but the stable metric
+        // `seagull_parallel_items_total{stage="train-infer"}` counts
+        // servers: top it up by the difference.
+        self.obs
+            .registry()
+            .counter("seagull_parallel_items_total", &[("stage", "train-infer")])
+            .add((servers.len() - batches.len()) as u64);
+        let tracer = self.obs.tracer();
+        let mut features: Vec<Option<ServerFeatures>> = Vec::with_capacity(servers.len());
+        let mut predictions: Vec<PredictionDoc> = Vec::new();
+        let mut updates: Vec<CacheUpdate> = Vec::new();
+        let mut hit_keys: Vec<String> = Vec::new();
+        let mut poison: Vec<(u64, String)> = Vec::new();
+        let mut kernel_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
+        let mut total_retries = 0u32;
+        let mut total_backoff = 0u64;
+        let mut exhausted_servers = 0u64;
+        let mut featurize_wall = Duration::ZERO;
+        for (i, result) in results.into_iter().enumerate() {
+            let server_id = servers[i].id.0;
+            let result = result.expect("every server slot is filled by its batch");
+            match result {
+                Ok(out) => {
+                    servers[i].series = out.series;
+                    if let Some(a) = &out.anomaly {
+                        report.anomalies += 1;
+                        self.raise_validation_anomaly(region, a);
+                    }
+                    let id = format!("{region}/{server_id}/{week_start_day}");
+                    let _ = self.docs.upsert(collections::FEATURES, &id, &out.features);
+                    features.push(Some(out.features));
+                    let sid = server_id.to_string();
+                    tracer.child_complete(
+                        fused_span,
+                        "fused-op",
+                        &[("region", region), ("server", &sid)],
+                        vt,
+                        vt,
+                        out.featurize_wall + out.model_wall,
+                    );
+                    featurize_wall += out.featurize_wall;
+                    total_retries += out.retries;
+                    total_backoff += out.backoff_ms;
+                    if out.exhausted {
+                        exhausted_servers += 1;
+                    }
+                    if let Some(reason) = out.poison {
+                        poison.push((server_id, reason));
+                    } else if let Some(doc) = out.prediction {
+                        predictions.push(doc);
+                    }
+                    if let Some(kernel) = out.fit_kernel {
+                        *kernel_counts.entry(kernel).or_insert(0) += 1;
+                    }
+                    match out.cache {
+                        CacheOutcome::Hit(key) => hit_keys.push(key),
+                        CacheOutcome::Fresh(update) => updates.push(*update),
+                        CacheOutcome::Bypass => {}
+                    }
+                }
+                Err(panic_msg) => {
+                    // Per-server panic isolation: the panicking operator
+                    // quarantines only its own server — no features, no
+                    // prediction, unfilled series; siblings are untouched.
+                    features.push(None);
+                    poison.push((server_id, format!("fused operator panicked: {panic_msg}")));
+                }
+            }
+        }
+        if self.config.warm_cache {
+            // Serial, item-ordered commit: deterministic recency.
+            self.cache.commit(vt, updates, &hit_keys);
+        }
+        self.record_fit_kernels(region, &kernel_counts);
+
+        // Fold per-server retry accounting into the `(region, stage)`
+        // series the other stages record through `retry_stage`: one stage
+        // attempt plus every per-server retry, so a clean run reads one
+        // attempt and no retries for train-infer like for any other stage.
+        let labels = [("region", region), ("stage", "train-infer")];
+        let registry = self.obs.registry();
+        registry
+            .counter("seagull_retry_attempts_total", &labels)
+            .add(1 + u64::from(total_retries));
+        if total_retries > 0 {
+            registry
+                .counter("seagull_retries_total", &labels)
+                .add(u64::from(total_retries));
+            registry
+                .histogram("seagull_retry_backoff_ms", &labels)
+                .observe(total_backoff as f64);
+            *degraded
+                .retries
+                .entry("train-infer".to_string())
+                .or_insert(0) += total_retries;
+            degraded.backoff_ms += total_backoff;
+        }
+        if exhausted_servers > 0 {
+            // Counts exhausted retry units, which for this stage are
+            // individual servers — the stage itself never fails.
+            registry
+                .counter("seagull_retry_exhausted_total", &labels)
+                .add(exhausted_servers);
+        }
+        self.quarantine_poison(region, week_start_day, degraded, poison);
+
+        // The features stage is priced at the summed per-server featurize
+        // walls and finishes (retroactively) before train-infer, keeping
+        // the `report.stages` execution-order contract.
+        self.finish_stage_with_wall(
+            report,
+            features_span,
+            "features",
+            region,
+            vt,
+            featurize_wall,
+        );
+
+        report.predictions_written = self.write_predictions(region, tick, degraded, &predictions);
+        self.finish_stage(report, fused_span, "train-infer", region, vt);
+
+        Some(MidStages {
+            features,
+            predictions,
+        })
+    }
+
+    /// Quarantines poison servers to the dead-letter list and raises the
+    /// keyed incident. No-op on an empty list.
+    fn quarantine_poison(
+        &self,
+        region: &str,
+        week_start_day: i64,
+        degraded: &mut DegradedRun,
+        mut poison: Vec<(u64, String)>,
+    ) {
+        if poison.is_empty() {
+            return;
+        }
+        // Skip-and-quarantine: poison batches go to the dead-letter list;
+        // the rest of the region proceeds.
+        poison.sort_by_key(|(id, _)| *id);
+        for (server_id, reason) in &poison {
+            let id = DeadLetterDoc::doc_id(region, *server_id, week_start_day);
+            let _ = self.docs.upsert(
+                collections::DEAD_LETTER,
+                &id,
+                &DeadLetterDoc {
+                    region: region.to_string(),
+                    server_id: *server_id,
+                    week_start_day,
+                    stage: "train-infer".into(),
+                    reason: reason.clone(),
+                },
+            );
+        }
+        degraded.quarantined_servers = poison.into_iter().map(|(id, _)| id).collect();
+        self.incidents.raise_keyed(
+            Severity::Warning,
+            "train-infer",
+            region,
+            "poison-batch",
+            format!(
+                "{} poison server batch(es) quarantined to dead-letter in week \
+                 starting day {week_start_day}",
+                degraded.quarantined_servers.len()
+            ),
+        );
+    }
+
+    /// Persists predictions (the docstore-write sub-step), retried as a
+    /// unit: upserts are idempotent, so a mid-write fault just replays the
+    /// batch. Returns the number written (zero when retries exhausted).
+    fn write_predictions(
+        &self,
+        region: &str,
+        tick: i64,
+        degraded: &mut DegradedRun,
+        predictions: &[PredictionDoc],
+    ) -> usize {
+        let written = self.retry_stage("docstore-write", region, tick, || {
+            let mut n = 0usize;
+            for doc in predictions {
+                let id = PredictionDoc::doc_id(region, doc.server_id, doc.day);
+                self.docs
+                    .upsert(collections::PREDICTIONS, &id, doc)
+                    .map_err(|e| StageError::permanent(format!("docstore upsert {id}: {e}")))?;
+                n += 1;
+            }
+            Ok(n)
+        });
+        degraded.note("docstore-write", &written);
+        match written.outcome {
+            Ok(n) => n,
+            Err(e) => {
+                degraded.exhausted_stages.push("docstore-write".into());
+                self.incidents.raise_keyed(
+                    Severity::Warning,
+                    "docstore-write",
+                    region,
+                    "predictions-dropped",
+                    format!(
+                        "failed to persist predictions after {} attempt(s): {}",
+                        written.attempts, e.message
+                    ),
+                );
+                0
+            }
+        }
+    }
+}
+
+/// Runs `f` with per-call panic isolation: an ordinary panic becomes an
+/// `Err` carrying its message, while [`InjectedCrash`] payloads (chaos kill
+/// points simulating process death) are re-raised so crash-recovery tests
+/// still observe a dying process. Mirrors the isolation contract of
+/// [`parallel_map_tasks`] for code that runs *inside* a multi-server task.
+fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(r) => Ok(r),
+        Err(payload) => {
+            if payload.is::<InjectedCrash>() {
+                std::panic::resume_unwind(payload);
+            }
+            Err(crate::par::panic_message(payload.as_ref()))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seagull_timeseries::Timestamp;
+
+    /// Cache keys must not move: the streamed fingerprint is the checksum of
+    /// the buffer it used to build (step word, then each quantized sample),
+    /// gaps, unquantized gap-filled values and signed zeros included.
+    #[test]
+    fn series_fingerprint_is_the_checksum_of_the_old_buffer() {
+        use seagull_telemetry::columnar::checksum64;
+        let samples = [
+            12.345,
+            0.0,
+            -0.0,
+            f64::NAN,
+            99.995,
+            33.333_333_333_333_336,
+            1e7,
+        ];
+        for len in [0, 1, 7, 2016] {
+            let values: Vec<f64> = (0..len).map(|i| samples[i % samples.len()]).collect();
+            for step in [5u32, 15] {
+                let series = TimeSeries::new(Timestamp::from_days(3), step, values.clone())
+                    .expect("grid-aligned start");
+                let mut bytes = Vec::with_capacity(8 + series.len() * 8);
+                bytes.extend_from_slice(&u64::from(series.step_min()).to_le_bytes());
+                for &v in series.values() {
+                    bytes.extend_from_slice(&csv_quantized(v).to_le_bytes());
+                }
+                assert_eq!(series_fingerprint(&series), checksum64(&bytes));
+            }
+        }
+    }
+}

@@ -649,8 +649,8 @@ impl StageChaos {
         }
     }
 
-    /// Injects per-server faults per the hook (dataflow pipeline only; the
-    /// batch-barrier path has no per-server retry loop to consult it).
+    /// Injects per-server faults per the hook, consulted inside each
+    /// per-server operator's retry loop.
     pub fn from_server_fn(
         hook: impl Fn(&str, &str, u64, i64, u32) -> bool + Send + Sync + 'static,
     ) -> StageChaos {

@@ -26,7 +26,6 @@
 pub mod additive;
 pub mod arima;
 pub mod cache;
-pub mod competitive;
 pub mod diagnostics;
 pub mod feedforward;
 pub mod persistent;
@@ -41,9 +40,6 @@ pub use arima::{ArimaConfig, ArimaForecaster, ArimaOrder};
 pub use cache::{
     shape_sketch, sketches_similar, CacheStats, CacheUpdate, CachedFit, Lookup, MissReason,
     ModelCache,
-};
-pub use competitive::{
-    Candidate, CandidateScore, CompetitiveConfig, CompetitiveForecaster, RaceReport, StatsSnapshot,
 };
 pub use diagnostics::{acf, ljung_box, pacf, series_drift, suggest_orders, DriftVerdict, LjungBox};
 pub use feedforward::{FeedForwardConfig, FeedForwardForecaster};

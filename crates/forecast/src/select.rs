@@ -63,8 +63,7 @@ impl PatternThresholds {
     /// over/under tolerance of `truth` (NaN truths are skipped, NaN
     /// predictions count as misses); `None` when nothing is comparable.
     ///
-    /// This is the scoring primitive behind both pattern detection and the
-    /// competitive-execution race in [`crate::competitive`].
+    /// This is the scoring primitive behind pattern detection.
     pub fn in_bound_fraction(&self, predicted: &[f64], truth: &[f64]) -> Option<f64> {
         let mut hits = 0usize;
         let mut total = 0usize;

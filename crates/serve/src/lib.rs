@@ -39,8 +39,7 @@
 //! probes). Horizons inside the materialized day are zero-copy slices;
 //! longer horizons and other days run the cached fitted model. Batched
 //! queries resolve the snapshot once, so every response in a batch comes
-//! from the same epoch, and identical in-flight `(server, horizon)`
-//! queries can be coalesced so one computation fans out to all waiters.
+//! from the same epoch.
 //!
 //! Every request lands in a [`seagull_obs`] registry: stable
 //! request/outcome counters and staleness histograms (deterministic across
@@ -66,7 +65,6 @@
 // argument on every unsafe block (see its module docs and DESIGN.md §16).
 #![deny(unsafe_code)]
 
-mod coalesce;
 pub mod persist;
 pub mod service;
 mod shard;

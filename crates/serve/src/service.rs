@@ -28,7 +28,6 @@
 //! (which take the histogram's reservoir mutex) are sampled one-in-64 per
 //! thread; the histogram's buckets see every observation either way.
 
-use crate::coalesce::{CoalesceKey, Coalescer};
 use crate::shard::{PinGuard, ShardedMap};
 use crate::snapshot::ModelSnapshot;
 use crate::store::{RegionSlot, SnapshotStore};
@@ -38,7 +37,7 @@ use seagull_core::resilience::{BreakerConfig, BreakerProbe, CircuitBreaker};
 use seagull_obs::{Counter, Exemplar, Histogram, Obs, Stability};
 use seagull_timeseries::{TimeSeries, Timestamp};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -130,15 +129,11 @@ impl std::error::Error for ServeError {}
 /// cell, and the handles point at live registry entries, so nothing here
 /// ever needs invalidation.
 struct RegionCtx {
-    /// Interned region name; its address doubles as the coalescing key's
-    /// region identity.
-    name: Arc<str>,
     slot: Arc<RegionSlot>,
     probe: BreakerProbe,
     ok: Arc<Counter>,
     err: Arc<Counter>,
     rejected: Arc<Counter>,
-    coalesced: Arc<Counter>,
     latency: Arc<Histogram>,
     batch_size: Arc<Histogram>,
 }
@@ -158,8 +153,6 @@ struct ServeInner {
     breaker: CircuitBreaker,
     obs: Obs,
     ctxs: ShardedMap<Arc<RegionCtx>>,
-    coalescer: Coalescer,
-    coalesce: AtomicBool,
     clock_day: AtomicI64,
     /// Sequence number for sampled exemplar span ids. Monotonic across
     /// all clones of the handle.
@@ -211,8 +204,6 @@ impl ServeService {
                 breaker,
                 obs,
                 ctxs: ShardedMap::new(),
-                coalescer: Coalescer::new(),
-                coalesce: AtomicBool::new(false),
                 clock_day: AtomicI64::new(0),
                 query_seq: AtomicU64::new(0),
             }),
@@ -223,33 +214,6 @@ impl ServeService {
     /// (nothing ever trips it unless failures are recorded into it).
     pub fn with_defaults() -> ServeService {
         ServeService::new(Obs::new(), CircuitBreaker::new(BreakerConfig::default()))
-    }
-
-    /// Enables in-flight request coalescing and returns the handle —
-    /// builder-style sugar over [`ServeService::set_coalescing`].
-    pub fn with_coalescing(self) -> ServeService {
-        self.set_coalescing(true);
-        self
-    }
-
-    /// Turns coalescing of identical in-flight `(server, horizon)`
-    /// predictions on or off (off by default). Coalesced responses are
-    /// byte-identical to uncoalesced ones — the coalescing key pins the
-    /// snapshot epoch — so this only trades a map probe per query against
-    /// deduplicating expensive model-backed horizons under fan-in.
-    pub fn set_coalescing(&self, enabled: bool) {
-        self.inner.coalesce.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether in-flight coalescing is enabled.
-    pub fn coalescing(&self) -> bool {
-        self.inner.coalesce.load(Ordering::Relaxed)
-    }
-
-    /// Requests that were answered by another in-flight computation so
-    /// far. Timing-dependent by nature (volatile).
-    pub fn coalesced_total(&self) -> u64 {
-        self.inner.coalescer.hits()
     }
 
     /// The observability handle requests are recorded into.
@@ -354,7 +318,6 @@ impl ServeService {
             let reg = self.inner.obs.registry();
             let labels = [("region", region)];
             Arc::new(RegionCtx {
-                name: Arc::from(region),
                 slot: self.inner.store.slot_or_insert(region, pin),
                 probe: self.inner.breaker.probe(region),
                 ok: reg.counter(
@@ -368,11 +331,6 @@ impl ServeService {
                 rejected: reg.counter(
                     "seagull_serve_requests_total",
                     &[("region", region), ("outcome", "rejected")],
-                ),
-                coalesced: reg.counter_with(
-                    "seagull_serve_coalesced_total",
-                    &labels,
-                    Stability::Volatile,
                 ),
                 latency: reg.histogram_with(
                     "seagull_serve_latency_seconds",
@@ -458,23 +416,7 @@ impl ServeService {
         let snapshot = ctx.slot.read(&pin).ok_or_else(|| ServeError::NoSnapshot {
             region: region.to_string(),
         })?;
-        let result = if self.coalescing() {
-            let key = CoalesceKey {
-                region: Arc::as_ptr(&ctx.name) as *const u8 as usize,
-                epoch: snapshot.epoch(),
-                server: server_id,
-                horizon: horizon as u64,
-            };
-            let (result, coalesced) = self.inner.coalescer.run(key, || {
-                self.predict_on(snapshot, region, server_id, horizon)
-            });
-            if coalesced {
-                ctx.coalesced.inc();
-            }
-            result
-        } else {
-            self.predict_on(snapshot, region, server_id, horizon)
-        };
+        let result = self.predict_on(snapshot, region, server_id, horizon);
         self.finish(ctx, started, result)
     }
 
@@ -843,18 +785,6 @@ mod tests {
             serve.predict("west", 7, 4),
             Err(ServeError::Rejected { .. })
         ));
-    }
-
-    #[test]
-    fn coalesced_responses_match_uncoalesced() {
-        let serve = service_with_one_server();
-        let plain = serve.predict("west", 7, 6).unwrap();
-        serve.set_coalescing(true);
-        assert!(serve.coalescing());
-        let coalesced = serve.predict("west", 7, 6).unwrap();
-        assert_eq!(plain.values(), coalesced.values());
-        assert_eq!(plain.start(), coalesced.start());
-        assert_eq!(plain.step_min(), coalesced.step_min());
     }
 
     #[test]

@@ -83,7 +83,17 @@ proptest! {
 
         let from_csv = parse_region_week(&csv_blob, 5).unwrap();
         let from_col = parse_region_week(&col_blob, 5).unwrap();
-        prop_assert_eq!(from_csv, from_col);
+        // Gap buckets are NaN and NaN != NaN, so samples compare by bits.
+        prop_assert_eq!(from_csv.len(), from_col.len());
+        for (a, b) in from_csv.iter().zip(&from_col) {
+            prop_assert_eq!(a.id, b.id);
+            prop_assert_eq!(a.series.start(), b.series.start());
+            prop_assert_eq!(a.series.step_min(), b.series.step_min());
+            prop_assert_eq!(a.default_backup_start, b.default_backup_start);
+            prop_assert_eq!(a.default_backup_end, b.default_backup_end);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(a.series.values()), bits(b.series.values()));
+        }
 
         // Decode is the inverse of encode on the block level too.
         let decoded = ColumnarBatch::decode(&col_blob).unwrap();

@@ -1,22 +1,23 @@
 //! Fleet-parallelism integration tests: a same-seed fleet week must produce
-//! byte-identical outputs whether it runs on one worker thread or eight —
-//! and whether the middle of each run executes as batch barriers or as
-//! fused per-server dataflow operators. A regional outage must stay
-//! contained (the healthy region's outputs are unaffected by a sibling
-//! region failing mid-fleet-week), and a straggler server in dataflow mode
-//! must not stall its siblings.
+//! byte-identical outputs whether it runs on one worker thread or eight,
+//! and the features and predictions it stores must equal what the public
+//! batch functions produce when composed stage by stage. A regional outage
+//! must stay contained (the healthy region's outputs are unaffected by a
+//! sibling region failing mid-fleet-week), and a straggler server must not
+//! stall its siblings.
 
 use seagull::core::fleet::FleetRunner;
 use seagull::core::pipeline::{
-    collections, AmlPipeline, ExecMode, PipelineConfig, PipelineRunReport,
+    collections, AmlPipeline, PipelineConfig, PipelineRunReport, PredictionDoc,
 };
 use seagull::core::resilience::{ResiliencePolicy, StageChaos};
+use seagull::core::{extract_features, validate_servers};
 use seagull::forecast::{FittedModel, ForecastError, Forecaster, PersistentForecast};
-use seagull::telemetry::blobstore::MemoryBlobStore;
+use seagull::telemetry::blobstore::{BlobKey, BlobStore, MemoryBlobStore};
 use seagull::telemetry::chaos::{ChaosBlobStore, ChaosConfig};
-use seagull::telemetry::extract::LoadExtraction;
+use seagull::telemetry::extract::{LoadExtraction, RegionWeekBatch};
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec, RegionSpec, ServerTelemetry};
-use seagull::timeseries::TimeSeries;
+use seagull::timeseries::{fill_gaps, GapFill, TimeSeries, MINUTES_PER_DAY};
 use serde_json::{json, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -145,39 +146,115 @@ fn fleet_week_outputs_are_byte_identical_across_thread_counts() {
     );
 }
 
-/// The other axis of the determinism guarantee: the fused dataflow path
-/// and the batch barrier path produce byte-identical canonical outputs —
-/// reports, stored documents, incident log, stable export — at both one
-/// and eight threads, over a three-week two-region schedule with the warm
-/// cache on.
-#[test]
-fn dataflow_and_barrier_outputs_are_byte_identical() {
-    let (store, regions, week_days) = two_region_store(4242, 3);
-    let mut outputs = Vec::new();
-    for exec in [ExecMode::Barrier, ExecMode::Dataflow] {
-        for threads in [1usize, 8] {
-            let config = PipelineConfig {
-                threads,
-                exec,
-                ..PipelineConfig::production()
-            };
-            let pipeline = AmlPipeline::new(
-                config,
-                Arc::clone(&store) as Arc<dyn seagull::telemetry::blobstore::BlobStore>,
-            );
-            let runner = FleetRunner::new(pipeline, regions.to_vec());
-            let reports = runner.run_schedule(&week_days);
-            outputs.push((
-                format!("{exec:?} x{threads}"),
-                canonical_outputs(runner.pipeline(), &reports),
-            ));
+/// Documents as `(id, JSON value)` pairs, sorted by id.
+type Docs = Vec<(String, Value)>;
+
+/// All documents of one collection, sorted by id.
+fn canonical_collection(pipeline: &AmlPipeline, collection: &str) -> Docs {
+    let mut ids = pipeline.docs.ids(collection);
+    ids.sort();
+    ids.into_iter()
+        .map(|id| {
+            let v: Value = pipeline.docs.get(collection, &id).unwrap();
+            (id, v)
+        })
+        .collect()
+}
+
+/// What the fused per-server operators must write, recomputed by composing
+/// the public batch functions in stage order over each region-week's blob:
+/// `validate_servers` → `fill_gaps` → `extract_features` → `fit` →
+/// `predict` → backup-day slice. Returns the expected `FEATURES` and
+/// `PREDICTIONS` collections, sorted by id.
+fn staged_oracle(
+    store: &MemoryBlobStore,
+    config: &PipelineConfig,
+    regions: &[String],
+    week_days: &[i64],
+) -> (Docs, Docs) {
+    let points_per_day = (MINUTES_PER_DAY / config.grid_min as i64) as usize;
+    let mut features = Vec::new();
+    let mut predictions = Vec::new();
+    for &week in week_days {
+        for region in regions {
+            let blob = store.get(&BlobKey::extracted(region, week)).unwrap();
+            let mut servers = RegionWeekBatch::decode(&blob)
+                .unwrap()
+                .extract(config.grid_min);
+            assert!(!validate_servers(&servers, &config.profile).is_blocked());
+            for s in &mut servers {
+                fill_gaps(&mut s.series, GapFill::Linear);
+            }
+            for (s, f) in servers
+                .iter()
+                .zip(extract_features(&servers, &config.classify))
+            {
+                features.push((
+                    format!("{region}/{}/{week}", s.id.0),
+                    serde_json::to_value(&f).unwrap(),
+                ));
+                let fitted = match config.forecaster.fit(&s.series) {
+                    Ok(fitted) => fitted,
+                    // A server too young to fit gets no prediction.
+                    Err(ForecastError::InsufficientHistory { .. }) => continue,
+                    Err(e) => panic!("server {} failed to fit: {e}", s.id.0),
+                };
+                let backup_day = s.default_backup_start.day_index() + 7;
+                let horizon_days = (backup_day + 1 - (week + 7)).max(1) as usize;
+                let prediction = fitted.predict(horizon_days * points_per_day).unwrap();
+                let Some(day) = prediction.day(backup_day) else {
+                    continue;
+                };
+                let doc = PredictionDoc {
+                    region: region.clone(),
+                    server_id: s.id.0,
+                    day: backup_day,
+                    step_min: config.grid_min,
+                    values: day.into_values(),
+                    duration_min: s.default_backup_end - s.default_backup_start,
+                };
+                predictions.push((
+                    PredictionDoc::doc_id(region, s.id.0, backup_day),
+                    serde_json::to_value(&doc).unwrap(),
+                ));
+            }
         }
     }
-    for (label, output) in &outputs[1..] {
+    features.sort_by(|a, b| a.0.cmp(&b.0));
+    predictions.sort_by(|a, b| a.0.cmp(&b.0));
+    (features, predictions)
+}
+
+/// The fused operators are a schedule, not a different computation: over a
+/// three-week two-region schedule, the `FEATURES` and `PREDICTIONS`
+/// collections the pipeline wrote equal the staged oracle's at one and at
+/// eight threads. The warm cache is off: a similarity hit legitimately
+/// serves a re-anchored older fit (`warm_cache_changes_cost_not_schedule`
+/// covers the cache).
+#[test]
+fn pipeline_outputs_match_the_staged_batch_functions() {
+    let (store, regions, week_days) = two_region_store(4242, 3);
+    for threads in [1usize, 8] {
+        let config = PipelineConfig {
+            threads,
+            warm_cache: false,
+            ..PipelineConfig::production()
+        };
+        let (features, predictions) = staged_oracle(&store, &config, &regions, &week_days);
+        assert!(!features.is_empty() && !predictions.is_empty());
+        let pipeline = AmlPipeline::new(config, Arc::clone(&store) as Arc<dyn BlobStore>);
+        let runner = FleetRunner::new(pipeline, regions.to_vec());
+        let reports = runner.run_schedule(&week_days);
+        assert!(reports.iter().all(|r| !r.blocked && !r.is_degraded()));
         assert_eq!(
-            &outputs[0].1, output,
-            "{} diverged from {}",
-            label, outputs[0].0
+            canonical_collection(runner.pipeline(), collections::FEATURES),
+            features,
+            "features diverged from the staged oracle at {threads} thread(s)"
+        );
+        assert_eq!(
+            canonical_collection(runner.pipeline(), collections::PREDICTIONS),
+            predictions,
+            "predictions diverged from the staged oracle at {threads} thread(s)"
         );
     }
 }
@@ -206,11 +283,9 @@ impl Forecaster for SlowFirstFit {
     }
 }
 
-/// Task-granular dataflow scheduling: while one server's fused operator
-/// sleeps in its fit, every sibling's fused operator must run to completion
-/// on the remaining workers — no sibling may finish after the straggler.
-/// (The barrier path cannot make this guarantee: its chunked claims stall
-/// the straggler's chunk-mates behind it.)
+/// Task-granular scheduling: while one server's fused operator sleeps in
+/// its fit, every sibling's fused operator must run to completion on the
+/// remaining workers — no sibling may finish after the straggler.
 #[test]
 fn straggler_server_does_not_stall_siblings_in_dataflow() {
     let mut spec = FleetSpec::small_region(9001);
@@ -448,17 +523,10 @@ fn accuracy_flagged_server_is_refit_next_week() {
 
 /// All prediction documents, sorted by id.
 fn canonical_predictions(pipeline: &AmlPipeline) -> Vec<(String, Value)> {
-    let mut ids = pipeline.docs.ids(collections::PREDICTIONS);
-    ids.sort();
-    ids.into_iter()
-        .map(|id| {
-            let v: Value = pipeline.docs.get(collections::PREDICTIONS, &id).unwrap();
-            (id, v)
-        })
-        .collect()
+    canonical_collection(pipeline, collections::PREDICTIONS)
 }
 
-/// Same-shape fit batching is a pure scheduling optimization: dataflow runs
+/// Same-shape fit batching is a pure scheduling optimization: runs
 /// at batch widths 1 (solo), 3, and 16 produce byte-identical canonical
 /// outputs — including under per-server chaos, where one server's first
 /// train-infer attempt faults transiently and must recover by retry
@@ -471,7 +539,6 @@ fn fit_batch_width_never_changes_outputs() {
         .map(|&fit_batch| {
             let config = PipelineConfig {
                 threads: 4,
-                exec: ExecMode::Dataflow,
                 fit_batch,
                 ..PipelineConfig::production()
             };
@@ -545,7 +612,6 @@ fn poisoned_server_in_fit_batch_quarantines_alone() {
     // Clean baseline with the real forecaster.
     let clean_config = PipelineConfig {
         threads: 1,
-        exec: ExecMode::Dataflow,
         warm_cache: false,
         fit_batch: 16,
         forecaster: Arc::new(PersistentForecast::previous_day()),
@@ -565,7 +631,6 @@ fn poisoned_server_in_fit_batch_quarantines_alone() {
     });
     let config = PipelineConfig {
         threads: 1,
-        exec: ExecMode::Dataflow,
         warm_cache: false,
         fit_batch: 16,
         forecaster: Arc::clone(&poison) as Arc<dyn Forecaster>,

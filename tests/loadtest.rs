@@ -73,7 +73,7 @@ fn closed_loop_digest_is_identical_across_worker_counts_on_a_live_service() {
 
 #[test]
 fn open_loop_digest_is_identical_across_thread_counts_on_a_live_service() {
-    let serve = ServeService::with_defaults().with_coalescing();
+    let serve = ServeService::with_defaults();
     publish_uniform(&serve, "west", 16, 3.25);
     let query = |i: usize| digest(&serve, "west", (i % 20) as u64, 1 + i % 48);
 

@@ -223,44 +223,6 @@ fn snapshot_store_gc_frees_retired_snapshots_without_hurting_held_arcs() {
 }
 
 #[test]
-fn coalesced_responses_are_byte_identical_to_uncoalesced_under_concurrency() {
-    let plain = ServeService::with_defaults();
-    let coalesced = ServeService::with_defaults().with_coalescing();
-    assert!(coalesced.coalescing() && !plain.coalescing());
-    plain.publish(uniform_snapshot(3, 8, 42.0));
-    coalesced.publish(uniform_snapshot(3, 8, 42.0));
-
-    // A small key set fanned out over many threads maximizes in-flight
-    // overlap; every coalesced answer must match the uncoalesced reference
-    // bit for bit (values, grid start, and error classes alike).
-    let keys: Vec<(u64, usize)> = vec![(0, 4), (1, 24), (2, 48), (99, 4)];
-    let reference: Vec<_> = keys
-        .iter()
-        .map(|(s, h)| plain.predict("west", *s, *h))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..8 {
-            scope.spawn(|| {
-                for _ in 0..200 {
-                    for (k, (server, horizon)) in keys.iter().enumerate() {
-                        let got = coalesced.predict("west", *server, *horizon);
-                        let want = &reference[k];
-                        match (&got, want) {
-                            (Ok(a), Ok(b)) => {
-                                assert_eq!(a.start(), b.start());
-                                assert_eq!(a.values(), b.values());
-                            }
-                            (Err(a), Err(b)) => assert_eq!(a, b),
-                            _ => panic!("coalesced/uncoalesced outcomes diverged"),
-                        }
-                    }
-                }
-            });
-        }
-    });
-}
-
-#[test]
 fn pipeline_deploys_publish_snapshots_end_to_end() {
     let mut spec = FleetSpec::small_region(7);
     spec.regions[0].servers = 60;
