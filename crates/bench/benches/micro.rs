@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the Seagull hot paths: the metric kernels
 //! (bucket ratio, LL-window search), model fitting, classification, the
-//! featurization kernels on a generated Fig. 3 week, the document store, and
-//! the parallel executor.
+//! featurization kernels on a generated Fig. 3 week, the linalg kernels under
+//! an SSA fit at its shapes, the document store, and the parallel executor.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use seagull_core::classify::{classify_series, ClassifyConfig};
@@ -12,8 +12,9 @@ use seagull_core::par::parallel_map;
 use seagull_forecast::additive::FitMethod;
 use seagull_forecast::{
     AdditiveConfig, AdditiveForecaster, FeedForwardConfig, FeedForwardForecaster, Forecaster,
-    PersistentForecast, SsaForecaster,
+    PersistentForecast, SsaConfig, SsaForecaster, SsaKernel,
 };
+use seagull_linalg::{hankel_gram, kernel};
 use seagull_telemetry::columnar::ColumnarBatch;
 use seagull_telemetry::extract::{ExtractedServer, LoadExtraction};
 use seagull_telemetry::fleet::{FleetGenerator, FleetSpec};
@@ -66,6 +67,13 @@ fn bench_models(c: &mut Criterion) {
         let model = SsaForecaster::default();
         b.iter(|| model.fit(black_box(&week)).unwrap())
     });
+    c.bench_function("ssa/fit_week_dense", |b| {
+        let model = SsaForecaster::new(SsaConfig {
+            kernel: SsaKernel::Dense,
+            ..SsaConfig::default()
+        });
+        b.iter(|| model.fit(black_box(&week)).unwrap())
+    });
     c.bench_function("additive_exact/fit_week", |b| {
         let model = AdditiveForecaster::new(AdditiveConfig {
             fit: FitMethod::Exact,
@@ -81,6 +89,25 @@ fn bench_models(c: &mut Criterion) {
             ..FeedForwardConfig::default()
         });
         b.iter(|| model.fit(black_box(&week)).unwrap())
+    });
+}
+
+/// The two kernels every fit bottoms out in, and the Gram matrix built on
+/// them, at the shapes of a default SSA fit of one week (`n = 2,016`,
+/// `L = 72`, `K = 1,945`): one layer below `ssa/fit_week`, so a kernel that
+/// falls back to a libm call per element shows here first.
+fn bench_linalg(c: &mut Criterion) {
+    let week = week_series(0);
+    let (s, k) = (week.values(), 1945);
+    c.bench_function("linalg/dot_1945", |b| {
+        b.iter(|| kernel::dot(black_box(&s[..k]), black_box(&s[71..])))
+    });
+    c.bench_function("linalg/axpy_1945", |b| {
+        let mut y = vec![0.0; k];
+        b.iter(|| kernel::axpy(black_box(&mut y), 0.37, black_box(&s[..k])))
+    });
+    c.bench_function("linalg/hankel_gram_2016x72", |b| {
+        b.iter(|| hankel_gram(black_box(s), 72).recycle())
     });
 }
 
@@ -234,6 +261,7 @@ criterion_group!(
     benches,
     bench_metrics,
     bench_models,
+    bench_linalg,
     bench_classification,
     bench_codec,
     bench_decompose,

@@ -14,7 +14,7 @@
 //! [`FitMethod::Exact`] solves the same objective in closed form via ridge
 //! regression for callers that just want the model.
 
-use crate::{check_history, FittedModel, ForecastError, Forecaster};
+use crate::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
 use seagull_linalg::{ridge_regression, Matrix};
 use seagull_timeseries::{TimeSeries, Timestamp, MINUTES_PER_DAY, MINUTES_PER_WEEK};
 use serde::{Deserialize, Serialize};
@@ -161,7 +161,7 @@ impl Forecaster for AdditiveForecaster {
             mean,
             t0,
             span_min,
-            template: history.clone(),
+            grid: ForecastGrid::after(history),
         }))
     }
 }
@@ -230,23 +230,22 @@ struct FittedAdditive {
     mean: f64,
     t0: Timestamp,
     span_min: f64,
-    template: TimeSeries,
+    grid: ForecastGrid,
 }
 
 impl FittedModel for FittedAdditive {
     fn predict(&self, horizon: usize) -> Result<TimeSeries, ForecastError> {
-        let start = self.template.end();
-        let step = self.template.step_min();
+        let ForecastGrid { start, step_min } = self.grid;
         let mut scratch = Vec::with_capacity(self.coef.len());
         let mut values = Vec::with_capacity(horizon);
         for i in 0..horizon {
-            let at = start + i as i64 * step as i64;
+            let at = start + i as i64 * step_min as i64;
             self.forecaster
                 .features(at, self.t0, self.span_min, &mut scratch);
             let v: f64 = scratch.iter().zip(&self.coef).map(|(f, c)| f * c).sum();
             values.push((v + self.mean).clamp(0.0, 100.0));
         }
-        Ok(TimeSeries::new(start, step, values)?)
+        self.grid.series(values)
     }
 }
 

@@ -17,7 +17,7 @@
 //! simplification of the multiplicative Box–Jenkins polynomial; for load
 //! telemetry the difference is far below the noise floor).
 
-use crate::{check_history, FittedModel, ForecastError, Forecaster};
+use crate::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
 use seagull_linalg::{least_squares, Matrix};
 use seagull_timeseries::TimeSeries;
 use serde::{Deserialize, Serialize};
@@ -344,7 +344,7 @@ fn fit_order(
             resid,
             regular_tails,
             seasonal_tails,
-            template: history.clone(),
+            grid: ForecastGrid::after(history),
         },
     ))
 }
@@ -467,7 +467,7 @@ struct FittedArima {
     regular_tails: Vec<f64>,
     /// Last `period` values removed by each seasonal differencing pass.
     seasonal_tails: Vec<Vec<f64>>,
-    template: TimeSeries,
+    grid: ForecastGrid,
 }
 
 impl FittedModel for FittedArima {
@@ -518,11 +518,7 @@ impl FittedModel for FittedArima {
         for v in &mut fc {
             *v = v.clamp(0.0, 100.0);
         }
-        Ok(TimeSeries::new(
-            self.template.end(),
-            self.template.step_min(),
-            fc,
-        )?)
+        self.grid.series(fc)
     }
 }
 

@@ -9,7 +9,7 @@
 //! normalization, and multi-step rollout for horizons longer than the
 //! prediction window.
 
-use crate::{check_history, FittedModel, ForecastError, Forecaster};
+use crate::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -130,7 +130,7 @@ impl Forecaster for FeedForwardForecaster {
             mean,
             std,
             context: norm[norm.len() - c.context_len..].to_vec(),
-            template: history.clone(),
+            grid: ForecastGrid::after(history),
             prediction_len: c.prediction_len,
         }))
     }
@@ -142,7 +142,7 @@ struct FittedFeedForward {
     std: f64,
     /// Normalized trailing context at the end of history.
     context: Vec<f64>,
-    template: TimeSeries,
+    grid: ForecastGrid,
     prediction_len: usize,
 }
 
@@ -163,11 +163,7 @@ impl FittedModel for FittedFeedForward {
             .iter()
             .map(|v| (v * self.std + self.mean).clamp(0.0, 100.0))
             .collect();
-        Ok(TimeSeries::new(
-            self.template.end(),
-            self.template.step_min(),
-            values,
-        )?)
+        self.grid.series(values)
     }
 }
 

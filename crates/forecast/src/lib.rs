@@ -32,7 +32,7 @@ pub mod persistent;
 pub mod select;
 pub mod ssa;
 
-use seagull_timeseries::{TimeSeries, TimeSeriesError};
+use seagull_timeseries::{TimeSeries, TimeSeriesError, Timestamp};
 use std::fmt;
 
 pub use additive::{AdditiveConfig, AdditiveForecaster};
@@ -155,6 +155,34 @@ pub trait Forecaster: Send + Sync {
     }
 }
 
+/// Where a fitted model's forecast starts and on what grid: the end and the
+/// step of its history.
+///
+/// Fitted models keep this instead of a clone of the history. A gap-free
+/// [`TimeSeries`] is a view over its region-week's shared decode buffer, so a
+/// model that held one would keep that whole buffer alive for as long as the
+/// model cache or a serve snapshot keeps the model.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ForecastGrid {
+    pub(crate) start: Timestamp,
+    pub(crate) step_min: u32,
+}
+
+impl ForecastGrid {
+    /// The grid of the forecast that follows `history`.
+    pub(crate) fn after(history: &TimeSeries) -> ForecastGrid {
+        ForecastGrid {
+            start: history.end(),
+            step_min: history.step_min(),
+        }
+    }
+
+    /// The forecast holding `values`.
+    pub(crate) fn series(&self, values: Vec<f64>) -> Result<TimeSeries, ForecastError> {
+        Ok(TimeSeries::new(self.start, self.step_min, values)?)
+    }
+}
+
 /// Validates history for models that need clean, sufficiently long input.
 pub(crate) fn check_history(history: &TimeSeries, min_points: usize) -> Result<(), ForecastError> {
     if history.len() < min_points {
@@ -193,5 +221,72 @@ pub(crate) mod testutil {
             .map(|(x, y)| (x - y) * (x - y))
             .sum();
         (s / a.len() as f64).sqrt()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arima::ArimaConfig;
+    use crate::feedforward::FeedForwardConfig;
+    use std::sync::Arc;
+
+    /// A fitted model of any family holds no reference to the buffer its
+    /// history was a view of, so the model cache and serve snapshots do not
+    /// keep a region-week's decode buffer alive.
+    #[test]
+    fn fitted_models_do_not_share_storage_with_their_history() {
+        // Three days at 15 minutes, viewed inside a larger shared buffer the
+        // way the columnar decoder hands out servers.
+        let day = testutil::daily_sine(3, 15);
+        let mut buffer = vec![0.0; 100];
+        buffer.extend_from_slice(day.values());
+        buffer.extend_from_slice(&[0.0; 100]);
+        let storage: Arc<[f64]> = buffer.into();
+        let history =
+            TimeSeries::from_shared(day.start(), 15, Arc::clone(&storage), 100, day.len()).unwrap();
+        assert!(history.shares_storage(&history.clone()));
+
+        let families: Vec<Box<dyn Forecaster>> = vec![
+            Box::new(PersistentForecast::new(PersistentVariant::PreviousDay)),
+            Box::new(PersistentForecast::new(
+                PersistentVariant::PreviousWeekAverage,
+            )),
+            Box::new(SsaForecaster::new(SsaConfig {
+                window: 48,
+                kernel: SsaKernel::Randomized,
+                ..SsaConfig::default()
+            })),
+            Box::new(SsaForecaster::new(SsaConfig {
+                window: 48,
+                kernel: SsaKernel::Dense,
+                ..SsaConfig::default()
+            })),
+            Box::new(AdditiveForecaster::default()),
+            Box::new(ArimaForecaster::new(ArimaConfig::fixed(
+                ArimaOrder::simple(1, 0, 1),
+            ))),
+            Box::new(FeedForwardForecaster::new(FeedForwardConfig {
+                context_len: 24,
+                prediction_len: 24,
+                hidden: vec![8],
+                epochs: 1,
+                ..FeedForwardConfig::default()
+            })),
+        ];
+        let holders = Arc::strong_count(&storage);
+        for family in &families {
+            let fitted = family.fit(&history).unwrap();
+            assert_eq!(
+                Arc::strong_count(&storage),
+                holders,
+                "{} keeps its history's buffer alive",
+                family.name()
+            );
+            let forecast = fitted.predict(4).unwrap();
+            assert!(!forecast.shares_storage(&history));
+            assert_eq!(forecast.start(), history.end());
+            assert_eq!(forecast.step_min(), 15);
+        }
     }
 }

@@ -10,8 +10,8 @@
 //! * **Previous day** — replicates yesterday's load. Captures daily patterns
 //!   (Definition 5) and is the variant deployed to production (Section 5.4).
 
-use crate::{FittedModel, ForecastError, Forecaster};
-use seagull_timeseries::{TimeSeries, MINUTES_PER_DAY, MINUTES_PER_WEEK};
+use crate::{FittedModel, ForecastError, ForecastGrid, Forecaster};
+use seagull_timeseries::TimeSeries;
 use serde::{Deserialize, Serialize};
 
 /// Which persistent-forecast heuristic to use.
@@ -99,84 +99,48 @@ impl Forecaster for PersistentForecast {
                 got: history.len(),
             });
         }
-        let fitted: Fitted = match self.variant {
+        let grid = ForecastGrid::after(history);
+        let fitted = match self.variant {
             PersistentVariant::PreviousWeekAverage => {
                 let week_points = (7 * points_per_day).min(history.len());
                 let tail = &history.values()[history.len() - week_points..];
                 let present: Vec<f64> = tail.iter().copied().filter(|v| !v.is_nan()).collect();
                 Fitted::Constant {
                     value: seagull_timeseries::mean(&present),
-                    template: history.slice(history.end() - MINUTES_PER_DAY, history.end())?,
+                    grid,
                 }
             }
-            PersistentVariant::PreviousEquivalentDay => Fitted::Replicate {
-                lookback_min: MINUTES_PER_WEEK,
-                history: history.clone(),
-            },
-            PersistentVariant::PreviousDay => Fitted::Replicate {
-                lookback_min: MINUTES_PER_DAY,
-                history: history.clone(),
-            },
+            // `needed` above is one lookback period, so the copy is whole.
+            PersistentVariant::PreviousEquivalentDay | PersistentVariant::PreviousDay => {
+                Fitted::Replicate {
+                    period: history.values()[history.len() - needed..].to_vec(),
+                    grid,
+                }
+            }
         };
         Ok(Box::new(fitted))
     }
 }
 
 enum Fitted {
-    /// Constant prediction (previous-week average). `template` only carries
-    /// the grid/start information.
-    Constant { value: f64, template: TimeSeries },
-    /// Replicate the value observed `lookback_min` minutes earlier; if the
-    /// horizon extends beyond history + lookback, the lookback repeats
-    /// (predicting day d+2 from one stored day replays the same day).
+    /// Constant prediction (previous-week average).
+    Constant { value: f64, grid: ForecastGrid },
+    /// Replay the last lookback period (a day or a week) of the history,
+    /// over and over when the horizon is longer than it. The period is a
+    /// copy: a view would keep the region-week's decode buffer alive (see
+    /// [`ForecastGrid`]).
     Replicate {
-        lookback_min: i64,
-        history: TimeSeries,
+        period: Vec<f64>,
+        grid: ForecastGrid,
     },
 }
 
 impl FittedModel for Fitted {
     fn predict(&self, horizon: usize) -> Result<TimeSeries, ForecastError> {
         match self {
-            Fitted::Constant { value, template } => {
-                let start = template.end();
-                Ok(TimeSeries::from_fn(
-                    start,
-                    template.step_min(),
-                    horizon,
-                    |_| *value,
-                )?)
-            }
-            Fitted::Replicate {
-                lookback_min,
-                history,
-            } => {
-                let start = history.end();
-                let step = history.step_min();
-                let mut values = Vec::with_capacity(horizon);
-                for i in 0..horizon {
-                    let mut t = start + i as i64 * step as i64 - *lookback_min;
-                    // Wrap further back in whole lookback periods until the
-                    // timestamp falls inside history.
-                    while t >= history.end() {
-                        t -= *lookback_min;
-                    }
-                    while t < history.start() {
-                        // Horizon reaches before history: repeat the earliest
-                        // period instead of failing.
-                        t += *lookback_min;
-                        if t >= history.end() {
-                            return Err(ForecastError::InsufficientHistory {
-                                needed: (*lookback_min / step as i64) as usize,
-                                got: history.len(),
-                            });
-                        }
-                    }
-                    values.push(history.value_at(t).ok_or(ForecastError::Series(
-                        seagull_timeseries::TimeSeriesError::OutOfRange { requested: t },
-                    ))?);
-                }
-                Ok(TimeSeries::new(start, step, values)?)
+            Fitted::Constant { value, grid } => grid.series(vec![*value; horizon]),
+            Fitted::Replicate { period, grid } => {
+                grid.series(period.iter().copied().cycle().take(horizon).collect())
             }
         }
     }

@@ -14,10 +14,9 @@
 //! 4. derive the linear recurrence relation (LRR) from the signal subspace
 //!    and iterate it to produce the forecast.
 
-use crate::{check_history, FittedModel, ForecastError, Forecaster};
+use crate::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
 use seagull_linalg::{
-    hankel_gram, hankel_matrix, hankelize, kernel, scratch, thin_svd, truncated_eigh_with_sketch,
-    Matrix,
+    hankel_gram, hankel_matrix, kernel, thin_svd, truncated_eigh_with_sketch, Matrix,
 };
 use seagull_timeseries::TimeSeries;
 use serde::{Deserialize, Serialize};
@@ -204,28 +203,37 @@ impl SsaForecaster {
 
         // Reconstruct the smoothed signal (rank-r approximation of the
         // trajectory matrix, diagonally averaged) to seed the recurrence with
-        // denoised values.
-        let approx: Matrix = {
-            // U_r diag(sigma_r) V_rᵀ done column block at a time.
-            let mut m = Matrix::zeros_pooled(l, traj_cols);
-            for c in 0..rank {
-                let s = svd.sigma[c];
-                let vc = svd.v.col(c);
-                for i in 0..l {
-                    kernel::axpy(m.row_mut(i), svd.u[(i, c)] * s, &vc);
-                }
+        // denoised values. The recurrence reads only the last L−1 points,
+        // which the last L−1 columns of the approximation determine, so only
+        // those are built: U_r diag(sigma_r) V_rᵀ one component at a time,
+        // each kept cell through the same fma chain as in the full matrix.
+        let first_col = traj_cols - (l - 1);
+        let mut approx = Matrix::zeros_pooled(l, l - 1);
+        for c in 0..rank {
+            let s = svd.sigma[c];
+            let vc: Vec<f64> = (first_col..traj_cols).map(|j| svd.v[(j, c)]).collect();
+            for i in 0..l {
+                kernel::axpy(approx.row_mut(i), svd.u[(i, c)] * s, &vc);
             }
-            m
-        };
-        let signal = hankelize(&approx);
+        }
+        // Anti-diagonal sums of the tail, rows in ascending order as
+        // `hankelize` takes them: row i reaches tail points 0..i.
+        let mut tail = vec![0.0f64; l - 1];
+        for i in 1..l {
+            let row = approx.row(i);
+            for (t, cell) in tail[..i].iter_mut().zip(&row[l - 1 - i..]) {
+                *t += cell;
+            }
+        }
+        average_tail(&mut tail);
         approx.recycle();
         svd.u.recycle();
         svd.v.recycle();
 
         Ok(Box::new(FittedSsa {
-            signal,
+            tail,
             lrr,
-            template: history.clone(),
+            grid: ForecastGrid::after(history),
             kernel: "ssa-dense",
         }))
     }
@@ -293,42 +301,52 @@ impl SsaForecaster {
 
         // Signal reconstruction without V: the rank-r trajectory
         // approximation is U_r (U_rᵀ A); both products run as contiguous
-        // axpys over series windows. First P = U_rᵀ A (rank × K)…
-        let mut p = Matrix::zeros_pooled(rank, k);
+        // axpys over series windows. The recurrence reads only the last L−1
+        // points of the signal, and those depend only on the last L−1
+        // columns of P = U_rᵀ A, so only that much is computed — every kept
+        // element through the same `c → i` fma sequence as in the full
+        // product. First the tail columns K−L+1..K of P (rank × (L−1))…
+        let first_col = k - (l - 1);
+        let mut p = Matrix::zeros_pooled(rank, l - 1);
         for c in 0..rank {
             let urow = eig.vectors_t.row(c);
             let prow = p.row_mut(c);
             for (i, &u) in urow.iter().enumerate() {
-                kernel::axpy(prow, u, &s[i..i + k]);
+                kernel::axpy(prow, u, &s[first_col + i..k + i]);
             }
         }
-        // …then the anti-diagonal sums of U_r P, accumulated directly into
-        // the signal buffer (fused hankelization — the L × K approximation
-        // is never materialized either).
-        let mut sums = scratch::take(n);
-        sums.resize(n, 0.0);
+        // …then the anti-diagonal sums of U_r P for the points t ∈ [K, n)
+        // (fused hankelization — the L × K approximation is never
+        // materialized either): row i of the approximation reaches tail
+        // points 0..i, through the last i columns of P.
+        let mut tail = vec![0.0f64; l - 1];
         for c in 0..rank {
             let urow = eig.vectors_t.row(c);
             let prow = p.row(c);
             for (i, &u) in urow.iter().enumerate() {
-                kernel::axpy(&mut sums[i..i + k], u, prow);
+                kernel::axpy(&mut tail[..i], u, &prow[l - 1 - i..]);
             }
         }
         p.recycle();
         eig.recycle();
-        // Divide each anti-diagonal sum by its cell count to finish the
-        // diagonal averaging.
-        for (t, v) in sums.iter_mut().enumerate() {
-            let count = (t + 1).min(l).min(k).min(n - t);
-            *v /= count as f64;
-        }
+        average_tail(&mut tail);
 
         Ok(Box::new(FittedSsa {
-            signal: sums,
+            tail,
             lrr,
-            template: history.clone(),
+            grid: ForecastGrid::after(history),
             kernel: "ssa-randomized",
         }))
+    }
+}
+
+/// Finishes the diagonal averaging of the last `L − 1` signal points:
+/// anti-diagonal `t = K + i` of an `L × K` matrix with `K ≥ L` has
+/// `L − 1 − i` cells.
+fn average_tail(tail: &mut [f64]) {
+    let len = tail.len();
+    for (i, v) in tail.iter_mut().enumerate() {
+        *v /= (len - i) as f64;
     }
 }
 
@@ -387,11 +405,12 @@ impl Forecaster for SsaForecaster {
 }
 
 struct FittedSsa {
-    /// Denoised history (same length as the input).
-    signal: Vec<f64>,
+    /// The last `L − 1` points of the denoised history: all of the
+    /// reconstructed signal the recurrence reads.
+    tail: Vec<f64>,
     /// Linear recurrence coefficients, length `L-1`.
     lrr: Vec<f64>,
-    template: TimeSeries,
+    grid: ForecastGrid,
     /// Which factorization produced this fit.
     kernel: &'static str,
 }
@@ -399,8 +418,8 @@ struct FittedSsa {
 impl FittedModel for FittedSsa {
     fn predict(&self, horizon: usize) -> Result<TimeSeries, ForecastError> {
         let l1 = self.lrr.len();
-        let mut buf = self.signal.clone();
-        buf.reserve(horizon);
+        let mut buf = Vec::with_capacity(self.tail.len() + horizon);
+        buf.extend_from_slice(&self.tail);
         for _ in 0..horizon {
             let n = buf.len();
             let next: f64 = self
@@ -413,11 +432,8 @@ impl FittedModel for FittedSsa {
             // so a marginally unstable LRR cannot run away over long horizons.
             buf.push(next.clamp(0.0, 100.0));
         }
-        Ok(TimeSeries::new(
-            self.template.end(),
-            self.template.step_min(),
-            buf[self.signal.len()..].to_vec(),
-        )?)
+        buf.drain(..self.tail.len());
+        self.grid.series(buf)
     }
 
     fn fit_kernel(&self) -> &'static str {

@@ -12,10 +12,15 @@
 //!
 //! Matrices here are small (SSA windows are ≤ a few hundred columns), so
 //! blocking is unnecessary — but the inner loops matter. Every hot path
-//! bottoms out in the chunked FMA kernels of [`kernel`] (multi-accumulator
-//! dot/axpy over contiguous rows, no per-element bounds checks) and borrows
-//! its buffers from the thread-local [`scratch`] pool so steady-state fitting
-//! is allocation-free.
+//! bottoms out in the two kernels of [`kernel`] (multi-accumulator dot and
+//! axpy over contiguous rows, one `mul_add` per element, no per-element
+//! bounds checks) and borrows its buffers from the thread-local [`scratch`]
+//! pool so steady-state fitting is allocation-free. On baseline x86-64 a
+//! `mul_add` is a libm call, so [`kernel`] compiles the same two loop bodies
+//! a second time with AVX2+FMA enabled and picks that copy at run time when
+//! the CPU has both; the results are the same bits either way (see the
+//! module's docs), and the two `unsafe` calls this needs are the only ones
+//! in the crate.
 
 pub mod eigen;
 pub mod hankel;

@@ -110,7 +110,7 @@ mod tests {
     fn take_recycle_roundtrip_reuses_capacity() {
         let before = stats();
         let mut a = take(1024);
-        a.extend(std::iter::repeat(1.0).take(1024));
+        a.extend(std::iter::repeat_n(1.0, 1024));
         let ptr = a.as_ptr();
         recycle(a);
         let b = take(512);

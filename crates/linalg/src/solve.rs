@@ -1,7 +1,9 @@
 //! Linear solvers: Cholesky, Householder QR least squares, ridge regression.
 //!
-//! All three route their inner loops through the chunked FMA kernels in
-//! [`crate::kernel`] and borrow workspace from the thread-local
+//! All three route their inner loops through `dot`/`axpy`/`axmy` of
+//! [`crate::kernel`] — which run as `vfmadd` vectors where the CPU has
+//! AVX2+FMA and as one libm `fma` call per element where it does not, with
+//! the same bits out — and borrow workspace from the thread-local
 //! [`crate::scratch`] pool, so repeated fits are allocation-free.
 
 use crate::kernel;
