@@ -1,26 +1,23 @@
 //! Fit-path benchmark: the fast-fit kernel layer end to end.
 //!
-//! Measures cold-fit throughput (server-weeks/s) of the fast path —
-//! randomized SSA subspace kernel + same-shape fit batching + scratch-pooled
-//! linalg — against a dense-forced solo-fit configuration that reproduces
-//! the old hot path, on the same fleet `BENCH_fleet_scale.json` uses. Emits
-//! `BENCH_fit.json` with both rows, the measured speedup, forecast parity
-//! against the dense path, the warm-cache hit breakdown (exact vs
-//! similarity-keyed reuses, reported separately), and a determinism
-//! cross-check over thread counts.
+//! Measures cold-fit throughput (server-weeks/s) of the pipeline with the
+//! SSA kernel left on `Auto` (randomized subspace kernel, scratch-pooled
+//! linalg) against the same pipeline forced to `Dense` — the two rows
+//! differ in [`SsaKernel`] only — on the same fleet
+//! `BENCH_fleet_scale.json` uses. Emits `BENCH_fit.json` with both rows,
+//! their ratio (a recorded number, not a gate: a slow `Auto` kernel is
+//! caught by `fleet_patterned` in the e2e ledger), forecast parity against
+//! the dense path, the warm-cache hit breakdown (exact vs similarity-keyed
+//! reuses, reported separately), and a determinism cross-check over thread
+//! counts.
 //!
-//! Always asserted, machine-independent (all seed-deterministic):
+//! Asserted, machine-independent (all seed-deterministic):
 //!   * determinism: canonical outputs byte-identical across
 //!     `{1, 8 threads}`;
-//!   * parity: every pipeline prediction of the fast path within
-//!     [`RANDOMIZED_PARITY_TOL`] of the dense path's, same document set;
-//!   * warm cache: hit rate above the exact-bytes 50% plateau, with
-//!     similarity reuses > 0 and counted separately.
-//!
-//! Asserted only under `SEAGULL_FIT_ASSERT=1` (wall-clock, machine-
-//! dependent — the `fit-smoke` CI job sets it):
-//!   * the fast path is ≥ [`SPEEDUP_GATE`]x the dense-forced path measured
-//!     on the same machine.
+//!   * parity: every pipeline prediction of the `Auto` row within
+//!     [`RANDOMIZED_PARITY_TOL`] of the dense row's, same document set;
+//!   * warm cache: hit rate above the exact-bytes 50% plateau;
+//!   * similarity reuses > 0, counted separately from exact hits.
 
 use seagull_bench::{emit_json, scale, Scale, Table};
 use seagull_core::pipeline::{
@@ -36,27 +33,16 @@ use serde_json::{json, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Cold-fit throughput recorded by the seed `BENCH_fleet_scale.json` run
-/// (threads=1, dense Jacobi, solo fits) — the baseline ROADMAP item 4
-/// targets. The hard gate compares against the dense path *measured on the
-/// same machine*; this constant only contextualizes the JSON record.
-const BASELINE_SERVER_WEEKS_PER_S: f64 = 51.6;
-
-/// Required measured speedup of the fast path over the dense-forced path.
-const SPEEDUP_GATE: f64 = 5.0;
-
 /// One pipeline with the SSA forecaster pinned to `kernel`.
 fn pipeline(
     store: &Arc<MemoryBlobStore>,
     kernel: SsaKernel,
     threads: usize,
-    fit_batch: usize,
     warm_cache: bool,
 ) -> AmlPipeline {
     let config = PipelineConfig {
         threads,
         warm_cache,
-        fit_batch,
         forecaster: Arc::new(SsaForecaster::new(SsaConfig {
             kernel,
             ..SsaConfig::default()
@@ -168,12 +154,12 @@ fn main() -> std::io::Result<()> {
     );
 
     // ---- Determinism matrix ----------------------------------------------
-    // The fast path (auto kernel + batching), warm cache on, at two thread
-    // counts: canonical outputs must be byte-identical in both cells.
+    // The auto kernel, warm cache on, at two thread counts: canonical
+    // outputs must be byte-identical in both cells.
     let mut cells: Vec<(String, Value)> = Vec::new();
     for threads in [1usize, 8] {
         let runner = FleetRunner::new(
-            pipeline(&store, SsaKernel::Auto, threads, 16, true),
+            pipeline(&store, SsaKernel::Auto, threads, true),
             regions.clone(),
         );
         let reports = runner.run_schedule(&week_days);
@@ -196,23 +182,20 @@ fn main() -> std::io::Result<()> {
             .join(", ")
     );
 
-    // ---- Cold-fit throughput: dense-forced solo vs fast path -------------
-    // The dense row reproduces the pre-optimization hot path: full cyclic
-    // Jacobi on the Gram matrix, one fit per server, no batching. Both rows
-    // run threads=1 so the comparison is single-core, like the recorded
-    // baseline.
+    // ---- Cold-fit throughput: dense-forced vs auto kernel ----------------
+    // The dense row runs the reference path: full cyclic Jacobi on the
+    // trajectory SVD. Both rows run threads=1, warm cache off, so the
+    // comparison is single-core and every server-week is a cold fit.
     let dense_runner = FleetRunner::new(
-        pipeline(&store, SsaKernel::Dense, 1, 1, false),
+        pipeline(&store, SsaKernel::Dense, 1, false),
         regions.clone(),
     );
     let t0 = Instant::now();
     dense_runner.run_schedule(&week_days);
     let dense_s = t0.elapsed().as_secs_f64();
 
-    let fast_runner = FleetRunner::new(
-        pipeline(&store, SsaKernel::Auto, 1, 16, false),
-        regions.clone(),
-    );
+    let fast_runner =
+        FleetRunner::new(pipeline(&store, SsaKernel::Auto, 1, false), regions.clone());
     let t0 = Instant::now();
     fast_runner.run_schedule(&week_days);
     let fast_s = t0.elapsed().as_secs_f64();
@@ -223,22 +206,19 @@ fn main() -> std::io::Result<()> {
 
     let mut table = Table::new(["path", "wall s", "server-weeks/s", "speedup"]);
     table.row([
-        "dense solo (old)".to_string(),
+        "dense".to_string(),
         format!("{dense_s:.3}"),
         format!("{dense_tput:.1}"),
         "1.00x".to_string(),
     ]);
     table.row([
-        "fast (randomized + batched)".to_string(),
+        "auto".to_string(),
         format!("{fast_s:.3}"),
         format!("{fast_tput:.1}"),
         format!("{speedup:.2}x"),
     ]);
     table.print();
-    println!(
-        "\nrecorded seed baseline: {BASELINE_SERVER_WEEKS_PER_S} server-weeks/s \
-         (BENCH_fleet_scale.json, threads=1)\n"
-    );
+    println!();
 
     // ---- Forecast parity vs the dense path -------------------------------
     // Same document ids, every predicted value within the published
@@ -269,10 +249,7 @@ fn main() -> std::io::Result<()> {
     );
 
     // ---- Warm cache: exact + similarity-keyed reuse ----------------------
-    let warm_runner = FleetRunner::new(
-        pipeline(&store, SsaKernel::Auto, 1, 16, true),
-        regions.clone(),
-    );
+    let warm_runner = FleetRunner::new(pipeline(&store, SsaKernel::Auto, 1, true), regions.clone());
     let t0 = Instant::now();
     warm_runner.run_schedule(&week_days);
     let warm_s = t0.elapsed().as_secs_f64();
@@ -294,16 +271,6 @@ fn main() -> std::io::Result<()> {
         "the similarity key must account for reuses beyond exact-bytes hits: {stats:?}"
     );
 
-    // ---- Machine-dependent gate ------------------------------------------
-    let assert_mode = std::env::var("SEAGULL_FIT_ASSERT").is_ok_and(|v| v == "1");
-    if assert_mode {
-        assert!(
-            speedup >= SPEEDUP_GATE,
-            "fast path is {speedup:.2}x the dense path, gate is {SPEEDUP_GATE}x"
-        );
-        println!("\nassert mode: speedup {speedup:.2}x >= {SPEEDUP_GATE}x gate");
-    }
-
     emit_json(
         "BENCH_fit",
         &json!({
@@ -317,7 +284,6 @@ fn main() -> std::io::Result<()> {
                               15% weekly, 10% unstable) — not the paper's production mix",
             },
             "determinism": "ok",
-            "baseline_recorded_server_weeks_per_s": BASELINE_SERVER_WEEKS_PER_S,
             "dense": {
                 "wall_s": dense_s,
                 "server_weeks_per_s": dense_tput,
@@ -327,7 +293,6 @@ fn main() -> std::io::Result<()> {
                 "server_weeks_per_s": fast_tput,
             },
             "speedup_vs_dense": speedup,
-            "speedup_vs_recorded_baseline": fast_tput / BASELINE_SERVER_WEEKS_PER_S,
             "parity": {
                 "predictions": fast_preds.len(),
                 "max_abs_diff": parity_max,
@@ -340,8 +305,6 @@ fn main() -> std::io::Result<()> {
                 "hits_similarity": stats.hits_similarity,
                 "misses": stats.misses(),
             },
-            "assert_mode": assert_mode,
-            "speedup_gate": SPEEDUP_GATE,
         }),
     )?;
 

@@ -433,7 +433,7 @@ fn chunk_size(len: usize, participants: usize) -> usize {
 }
 
 /// Renders a caught panic payload for the `Err` side of [`ExecPool::map_tasks`].
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -100,13 +100,6 @@ pub struct PipelineConfig {
     pub fallback_tolerance: f64,
     /// Cap on anomaly reports per kind per run.
     pub max_anomaly_reports: usize,
-    /// Maximum servers per same-shape fit batch (1 = fit every server
-    /// individually). Same-shape servers are grouped
-    /// in input order and their cold fits go through one
-    /// [`Forecaster::fit_batch`] invocation, which shares the fitting
-    /// workspace (and, for the randomized SSA kernel, the sketch) across
-    /// the batch; the per-fit results are bitwise identical to solo fits.
-    pub fit_batch: usize,
 }
 
 impl PipelineConfig {
@@ -125,7 +118,6 @@ impl PipelineConfig {
             warm_cache: true,
             fallback_tolerance: 10.0,
             max_anomaly_reports: 20,
-            fit_batch: 16,
         }
     }
 }

@@ -1,14 +1,14 @@
 //! The middle of a run: one fused operator per server — validate →
-//! gap-fill → featurize → fit → predict — scheduled task-granularly on the
-//! worker pool in same-shape fit batches, then absorbed serially in server
-//! input order.
+//! gap-fill → featurize → fit → predict — one pool task per server, then
+//! absorbed serially in server input order.
 //!
 //! Everything order-sensitive (incidents, stored documents, cache commits,
 //! span records, metric folds) happens in the absorb, so a run's outputs do
 //! not depend on the thread count or on which worker finished first.
 //! Faults are per-server: a transient fault burns only that server's retry
 //! budget, and a server whose fit fails permanently, exhausts its retries
-//! or panics is quarantined to the dead-letter list alone.
+//! or panics is quarantined to the dead-letter list alone. There is one
+//! panic-isolation boundary, the per-item one of [`parallel_map_tasks`].
 
 use super::{
     collections, AmlPipeline, DeadLetterDoc, DegradedRun, PipelineRunReport, PredictionDoc,
@@ -20,7 +20,6 @@ use crate::resilience::{stage_seed, StageError};
 use crate::validation::{validate_region_week, validate_server, validate_servers, Anomaly};
 use seagull_forecast::{CacheUpdate, FittedModel, ForecastError, Lookup};
 use seagull_obs::SpanId;
-use seagull_telemetry::chaos::InjectedCrash;
 use seagull_telemetry::columnar::checksum64_words;
 use seagull_telemetry::csv_quantized;
 use seagull_telemetry::extract::{ExtractedServer, RegionWeekBatch};
@@ -42,8 +41,7 @@ enum CacheOutcome {
 }
 
 /// How one server's train-infer item will be served, resolved once (one
-/// counted cache probe) before the fit so shape batches can be formed from
-/// the servers that actually need a cold fit.
+/// counted cache probe) ahead of the retry loop.
 enum FitPath {
     /// Warm cache off: fit cold, no cache writes.
     Bypass,
@@ -58,10 +56,6 @@ enum FitPath {
 /// young servers), the deferred cache write, and the fit-kernel label of any
 /// cold fit that ran — or the reason the server's input is poison.
 type FitOutcome = Result<(Option<PredictionDoc>, CacheOutcome, Option<&'static str>), String>;
-
-/// A pre-computed fit from a shape batch, consumed in place of a solo fit:
-/// the kernel result plus the wall time attributed to that slot.
-type Prefit = (Result<Box<dyn FittedModel>, ForecastError>, Duration);
 
 /// What the mid-run stages (validation → features → train-infer →
 /// docstore-write) hand to the tail of the run (deployment, accuracy-eval).
@@ -145,12 +139,9 @@ impl AmlPipeline {
     }
 
     /// Completes one server's train-infer item for an already-resolved
-    /// [`FitPath`]. On the cold paths a pre-computed fit (from a shape
-    /// batch) is consumed from `prefit` when present — its results are
-    /// bitwise identical to a solo fit by the `Forecaster::fit_batch`
-    /// contract — otherwise the forecaster fits here. Returns the
-    /// prediction doc, the cache consequence, and the fit-kernel label of
-    /// any cold fit that ran.
+    /// [`FitPath`]: serves the cached model on a hit, fits cold otherwise.
+    /// Returns the prediction doc, the cache consequence, and the
+    /// fit-kernel label of any cold fit that ran.
     fn finish_fit(
         &self,
         s: &ExtractedServer,
@@ -158,7 +149,6 @@ impl AmlPipeline {
         region: &str,
         next_week: i64,
         path: &FitPath,
-        prefit: &mut Option<Prefit>,
     ) -> FitOutcome {
         let grid = self.config.grid_min;
         let points_per_day = (seagull_timeseries::MINUTES_PER_DAY / grid as i64) as usize;
@@ -190,13 +180,8 @@ impl AmlPipeline {
         // than `fit_predict` so the resolved kernel label is observable;
         // the bytes are identical.
         let fit_start = Instant::now();
-        let (fit, fit_wall) = match prefit.take() {
-            Some((fit, wall)) => (fit, wall),
-            None => {
-                let fit = self.config.forecaster.fit(&s.series);
-                (fit, fit_start.elapsed())
-            }
-        };
+        let fit = self.config.forecaster.fit(&s.series);
+        let fit_wall = fit_start.elapsed();
         match fit {
             Ok(boxed) => {
                 let kernel = boxed.fit_kernel();
@@ -233,185 +218,91 @@ impl AmlPipeline {
         }
     }
 
-    /// Runs one same-shape fit batch as a single pool task: per-server
-    /// prep (validate → gap-fill → featurize → cache probe), one shared
-    /// `Forecaster::fit_batch` kernel invocation for the members that
-    /// need a cold fit, then each server's retry loop and finish.
-    ///
-    /// Panic isolation stays per-server throughout: every phase that runs
-    /// model or validation code for one server runs under its own
-    /// [`isolate`], and a panic inside the *shared* fit invocation simply
-    /// discards the batch results so every member falls back to a solo fit
-    /// under its own isolation — a poison server quarantines alone even
-    /// mid-batch. Results are keyed by server index.
-    fn run_fit_batch(
+    /// One server's fused operator, run as one pool task: validate →
+    /// gap-fill → featurize → cache probe, then the retry loop around
+    /// fit → predict. A panic anywhere in it is caught by the per-item
+    /// isolation of [`parallel_map_tasks`] and quarantines this server
+    /// alone.
+    fn run_server(
         &self,
-        batch: &[usize],
-        servers: &[ExtractedServer],
+        s: &ExtractedServer,
         region: &str,
         tick: i64,
         next_week: i64,
         server_validation: bool,
-    ) -> Vec<(usize, Result<FusedServerOutcome, String>)> {
-        let base_seed = stage_seed(self.resilience.seed, "train-infer", region, tick);
+    ) -> FusedServerOutcome {
+        let feat_start = Instant::now();
+        let anomaly = if server_validation {
+            validate_server(s, &self.config.profile)
+        } else {
+            None
+        };
+        // Repair tolerated gaps locally; the filled series is written back
+        // at the absorb so accuracy evaluation scores against the input the
+        // model trained on.
+        let mut series = s.series.clone();
+        seagull_timeseries::fill_gaps(&mut series, GapFill::Linear);
+        let filled = ExtractedServer {
+            id: s.id,
+            series,
+            default_backup_start: s.default_backup_start,
+            default_backup_end: s.default_backup_end,
+        };
+        let features = extract_server_features(&filled, &self.config.classify);
+        let class = features.pattern.label();
+        // The cache probe is counted here, once per server, not per attempt.
+        let path = self.fit_path(&filled, class, region);
+        let featurize_wall = feat_start.elapsed();
+
+        // The stage-level chaos hook and the server-granular hook both
+        // inject ahead of the real fit, and a transient fault burns only
+        // this server's retry budget. The seed mixes the server id so
+        // jitter schedules are independent.
+        let model_start = Instant::now();
         let chaos = &self.resilience.chaos;
-        let retry = &self.resilience.retry;
-
-        struct Prep {
-            filled: ExtractedServer,
-            anomaly: Option<Anomaly>,
-            features: ServerFeatures,
-            class: &'static str,
-            path: FitPath,
-            featurize_wall: Duration,
-        }
-
-        // Phase 1: per-server prep. The cache probe is counted here, once
-        // per server, so batch membership below reflects real cold fits.
-        let prepared: Vec<(usize, Result<Prep, String>)> = batch
-            .iter()
-            .map(|&i| {
-                let s = &servers[i];
-                let prep = isolate(|| {
-                    let feat_start = Instant::now();
-                    let anomaly = if server_validation {
-                        validate_server(s, &self.config.profile)
-                    } else {
-                        None
-                    };
-                    // Repair tolerated gaps locally; the filled series is
-                    // written back at the absorb so accuracy evaluation
-                    // scores against the input the model trained on.
-                    let mut series = s.series.clone();
-                    seagull_timeseries::fill_gaps(&mut series, GapFill::Linear);
-                    let filled = ExtractedServer {
-                        id: s.id,
-                        series,
-                        default_backup_start: s.default_backup_start,
-                        default_backup_end: s.default_backup_end,
-                    };
-                    let features = extract_server_features(&filled, &self.config.classify);
-                    let class = features.pattern.label();
-                    let path = self.fit_path(&filled, class, region);
-                    Prep {
-                        filled,
-                        anomaly,
-                        features,
-                        class,
-                        path,
-                        featurize_wall: feat_start.elapsed(),
-                    }
-                });
-                (i, prep)
-            })
-            .collect();
-
-        // Phase 2: one shared kernel invocation for the batch's cold fits.
-        let cold: Vec<usize> = prepared
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, (_, prep))| match prep {
-                Ok(p) if !matches!(p.path, FitPath::Hit(..)) => Some(slot),
-                _ => None,
-            })
-            .collect();
-        let mut prefits: Vec<Option<Prefit>> = prepared.iter().map(|_| None).collect();
-        if cold.len() > 1 {
-            let histories: Vec<&TimeSeries> = cold
-                .iter()
-                .map(|&slot| match &prepared[slot].1 {
-                    Ok(p) => &p.filled.series,
-                    Err(_) => unreachable!("cold slots come from prepared servers"),
-                })
-                .collect();
-            let batch_start = Instant::now();
-            if let Ok(fits) = isolate(|| self.config.forecaster.fit_batch(&histories)) {
-                // Even wall split: it only feeds volatile timing metrics
-                // and the cache's saved-wall credit.
-                let share = batch_start.elapsed() / cold.len() as u32;
-                for (&slot, fit) in cold.iter().zip(fits) {
-                    prefits[slot] = Some((fit, share));
-                }
+        let seed = stage_seed(self.resilience.seed, "train-infer", region, tick)
+            ^ s.id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let fitted = self.resilience.retry.run(seed, |attempt| {
+            if chaos.should_fail("train-infer", region, tick, attempt)
+                || chaos.should_fail_server("train-infer", region, s.id.0, tick, attempt)
+            {
+                return Err(StageError::transient(format!(
+                    "injected train-infer fault (attempt {attempt})"
+                )));
             }
-        }
-
-        // Phase 3: per-server retry loop and finish. The stage-level chaos
-        // hook and the server-granular hook both inject ahead of the real
-        // fit, and a transient fault burns only this server's retry
-        // budget; the pre-computed batch fit is consumed by the first
-        // non-injected attempt (later attempts refit solo — identical
-        // bytes). The seed mixes the server id so jitter schedules are
-        // independent.
-        prepared
-            .into_iter()
-            .zip(prefits)
-            .map(|((i, prep), mut prefit)| {
-                let s = &servers[i];
-                let out = match prep {
-                    Err(msg) => Err(msg),
-                    Ok(p) => isolate(move || {
-                        let model_start = Instant::now();
-                        let seed = base_seed ^ s.id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                        let fitted = retry.run(seed, |attempt| {
-                            if chaos.should_fail("train-infer", region, tick, attempt)
-                                || chaos.should_fail_server(
-                                    "train-infer",
-                                    region,
-                                    s.id.0,
-                                    tick,
-                                    attempt,
-                                )
-                            {
-                                return Err(StageError::transient(format!(
-                                    "injected train-infer fault (attempt {attempt})"
-                                )));
-                            }
-                            self.finish_fit(
-                                &p.filled,
-                                p.class,
-                                region,
-                                next_week,
-                                &p.path,
-                                &mut prefit,
-                            )
-                            .map_err(StageError::permanent)
-                        });
-                        let model_wall = model_start.elapsed();
-                        let retries = fitted.attempts.saturating_sub(1);
-                        let (prediction, cache, fit_kernel, poison, exhausted) =
-                            match fitted.outcome {
-                                Ok((doc, cache, kernel)) => (doc, cache, kernel, None, false),
-                                Err(e) => {
-                                    let reason = if e.transient {
-                                        format!(
-                                            "train-infer retries exhausted after {} attempt(s): {}",
-                                            fitted.attempts, e.message
-                                        )
-                                    } else {
-                                        e.message
-                                    };
-                                    (None, CacheOutcome::Bypass, None, Some(reason), e.transient)
-                                }
-                            };
-                        FusedServerOutcome {
-                            series: p.filled.series,
-                            anomaly: p.anomaly,
-                            features: p.features,
-                            prediction,
-                            cache,
-                            fit_kernel,
-                            poison,
-                            retries,
-                            backoff_ms: fitted.backoff_ms,
-                            exhausted,
-                            featurize_wall: p.featurize_wall,
-                            model_wall,
-                        }
-                    }),
+            self.finish_fit(&filled, class, region, next_week, &path)
+                .map_err(StageError::permanent)
+        });
+        let model_wall = model_start.elapsed();
+        let retries = fitted.attempts.saturating_sub(1);
+        let (prediction, cache, fit_kernel, poison, exhausted) = match fitted.outcome {
+            Ok((doc, cache, kernel)) => (doc, cache, kernel, None, false),
+            Err(e) => {
+                let reason = if e.transient {
+                    format!(
+                        "train-infer retries exhausted after {} attempt(s): {}",
+                        fitted.attempts, e.message
+                    )
+                } else {
+                    e.message
                 };
-                (i, out)
-            })
-            .collect()
+                (None, CacheOutcome::Bypass, None, Some(reason), e.transient)
+            }
+        };
+        FusedServerOutcome {
+            series: filled.series,
+            anomaly,
+            features,
+            prediction,
+            cache,
+            fit_kernel,
+            poison,
+            retries,
+            backoff_ms: fitted.backoff_ms,
+            exhausted,
+            featurize_wall,
+            model_wall,
+        }
     }
 
     /// Folds the run's cold-fit kernel labels into the stable metric
@@ -522,59 +413,15 @@ impl AmlPipeline {
         let fused_span = self.stage_span(run_span, "train-infer", region, vt);
         let next_week = week_start_day + 7;
 
-        // Group same-shape servers (in input order) into fit batches: each
-        // batch is one pool task whose cold fits run through one shared
-        // `Forecaster::fit_batch` kernel invocation. `fit_batch = 1`
-        // degenerates to one server per task.
-        let cap = self.config.fit_batch.max(1);
-        let mut batches: Vec<Vec<usize>> = Vec::new();
-        let mut open: BTreeMap<(usize, u32), usize> = BTreeMap::new();
-        for (i, s) in servers.iter().enumerate() {
-            let shape = (s.series.len(), s.series.step_min());
-            match open.get(&shape) {
-                Some(&b) if batches[b].len() < cap => batches[b].push(i),
-                _ => {
-                    open.insert(shape, batches.len());
-                    batches.push(vec![i]);
-                }
-            }
-        }
-        let (batch_results, profile) = parallel_map_tasks(&batches, self.config.threads, |batch| {
-            self.run_fit_batch(batch, servers, region, tick, next_week, server_validation)
+        let (results, profile) = parallel_map_tasks(servers, self.config.threads, |s| {
+            self.run_server(s, region, tick, next_week, server_validation)
         });
-
-        // Flatten back into server input order. A panic that escapes a
-        // whole batch task (outside the per-server isolation inside
-        // [`AmlPipeline::run_fit_batch`]) poisons every member.
-        let mut results: Vec<Option<Result<FusedServerOutcome, String>>> =
-            (0..servers.len()).map(|_| None).collect();
-        for (batch, outcome) in batches.iter().zip(batch_results) {
-            match outcome {
-                Ok(per_server) => {
-                    for (i, r) in per_server {
-                        results[i] = Some(r);
-                    }
-                }
-                Err(msg) => {
-                    for &i in batch {
-                        results[i] = Some(Err(msg.clone()));
-                    }
-                }
-            }
-        }
 
         // ---- Deterministic absorb ----------------------------------------------
         // Everything order-sensitive — incidents, docs, cache commits, span
         // records, metric folds — happens here, serially, in server input
         // order, so outputs are independent of worker interleaving.
         profile.record(self.obs.registry(), "train-infer");
-        // The fan-out above is per *batch*, but the stable metric
-        // `seagull_parallel_items_total{stage="train-infer"}` counts
-        // servers: top it up by the difference.
-        self.obs
-            .registry()
-            .counter("seagull_parallel_items_total", &[("stage", "train-infer")])
-            .add((servers.len() - batches.len()) as u64);
         let tracer = self.obs.tracer();
         let mut features: Vec<Option<ServerFeatures>> = Vec::with_capacity(servers.len());
         let mut predictions: Vec<PredictionDoc> = Vec::new();
@@ -588,7 +435,6 @@ impl AmlPipeline {
         let mut featurize_wall = Duration::ZERO;
         for (i, result) in results.into_iter().enumerate() {
             let server_id = servers[i].id.0;
-            let result = result.expect("every server slot is filled by its batch");
             match result {
                 Ok(out) => {
                     servers[i].series = out.series;
@@ -776,23 +622,6 @@ impl AmlPipeline {
                 );
                 0
             }
-        }
-    }
-}
-
-/// Runs `f` with per-call panic isolation: an ordinary panic becomes an
-/// `Err` carrying its message, while [`InjectedCrash`] payloads (chaos kill
-/// points simulating process death) are re-raised so crash-recovery tests
-/// still observe a dying process. Mirrors the isolation contract of
-/// [`parallel_map_tasks`] for code that runs *inside* a multi-server task.
-fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => Ok(r),
-        Err(payload) => {
-            if payload.is::<InjectedCrash>() {
-                std::panic::resume_unwind(payload);
-            }
-            Err(crate::par::panic_message(payload.as_ref()))
         }
     }
 }

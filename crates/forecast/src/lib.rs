@@ -131,28 +131,6 @@ pub trait Forecaster: Send + Sync {
     ) -> Result<TimeSeries, ForecastError> {
         self.fit(history)?.predict(horizon)
     }
-
-    /// Fits a batch of histories in one kernel invocation.
-    ///
-    /// The pipeline groups same-shape (same length / step) servers and hands
-    /// each group here so implementations can hoist shape-dependent setup —
-    /// sketches, factorization workspace — across the batch. Two contracts
-    /// hold for every implementation:
-    ///
-    /// 1. **Parity**: result `i` is bitwise identical to `self.fit(&histories[i])`
-    ///    run in isolation (batching is a pure performance optimization);
-    /// 2. **Isolation**: one history failing to fit yields an `Err` in its
-    ///    slot only — the rest of the batch still fits.
-    ///
-    /// The default implementation fits sequentially, which already satisfies
-    /// both (and reuses factorization buffers through the thread-local
-    /// scratch pool).
-    fn fit_batch(
-        &self,
-        histories: &[&TimeSeries],
-    ) -> Vec<Result<Box<dyn FittedModel>, ForecastError>> {
-        histories.iter().map(|h| self.fit(h)).collect()
-    }
 }
 
 /// Where a fitted model's forecast starts and on what grid: the end and the

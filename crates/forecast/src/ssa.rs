@@ -16,10 +16,11 @@
 
 use crate::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
 use seagull_linalg::{
-    hankel_gram, hankel_matrix, kernel, thin_svd, truncated_eigh_with_sketch, Matrix,
+    gaussian_sketch, hankel_gram, hankel_matrix, kernel, thin_svd, truncated_eigh, Matrix,
 };
 use seagull_timeseries::TimeSeries;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which factorization backs the SSA fit.
 ///
@@ -85,9 +86,9 @@ const OVERSAMPLE: usize = 8;
 const POWER_ITERS: usize = 2;
 
 /// Base seed for the Gaussian sketch. The effective seed mixes in the
-/// problem shape only — never the server or batch position — so a given
-/// `(window, rank)` always draws the same sketch and batched fits are
-/// bitwise identical to solo fits.
+/// problem shape only — never the server or the history — so a given
+/// `(window, rank)` always draws the same sketch: it is a constant of the
+/// configuration, drawn once in [`SsaForecaster::new`].
 const SKETCH_SEED: u64 = 0x5ea9_0111_7af1_75eb;
 
 fn sketch_seed(l: usize, q: usize) -> u64 {
@@ -95,15 +96,28 @@ fn sketch_seed(l: usize, q: usize) -> u64 {
 }
 
 /// The SSA forecaster.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsaForecaster {
     config: SsaConfig,
+    /// The randomized kernel's Gaussian sketch (`q × L`), read-only and
+    /// shared by every fit and every clone; `None` when the configuration
+    /// resolves to the dense kernel.
+    sketch: Option<Arc<Matrix>>,
 }
 
 impl SsaForecaster {
-    /// Creates a forecaster with the given configuration.
+    /// Creates a forecaster with the given configuration, drawing the
+    /// randomized kernel's sketch if the configuration resolves to it.
     pub fn new(config: SsaConfig) -> SsaForecaster {
-        SsaForecaster { config }
+        let mut model = SsaForecaster {
+            config,
+            sketch: None,
+        };
+        if model.resolved_kernel() == SsaKernel::Randomized {
+            let (l, q) = (config.window, model.sketch_width());
+            model.sketch = Some(Arc::new(gaussian_sketch(q, l, sketch_seed(l, q))));
+        }
+        model
     }
 
     /// The configuration.
@@ -256,7 +270,7 @@ impl SsaForecaster {
         // sees the tail of the spectrum, but the trace carries its sum
         // exactly, so energy-based rank selection matches the dense rule.
         let total: f64 = (0..l).map(|i| g[(i, i)]).sum();
-        let eig_result = truncated_eigh_with_sketch(&g, sketch.rows(), sketch, POWER_ITERS);
+        let eig_result = truncated_eigh(&g, sketch, POWER_ITERS);
         g.recycle();
         let eig = eig_result?;
 
@@ -363,44 +377,10 @@ impl Forecaster for SsaForecaster {
 
     fn fit(&self, history: &TimeSeries) -> Result<Box<dyn FittedModel>, ForecastError> {
         self.validate(history)?;
-        match self.resolved_kernel() {
-            SsaKernel::Randomized => {
-                let l = self.config.window;
-                let q = self.sketch_width();
-                let sketch = seagull_linalg::gaussian_sketch(q, l, sketch_seed(l, q));
-                let out = self.fit_randomized(history, &sketch);
-                sketch.recycle();
-                out
-            }
-            _ => self.fit_dense(history),
+        match &self.sketch {
+            Some(sketch) => self.fit_randomized(history, sketch),
+            None => self.fit_dense(history),
         }
-    }
-
-    /// One kernel invocation for a same-shape batch: the Gaussian sketch is
-    /// drawn once per group and shared across every member, and the pooled
-    /// Gram/projection workspace recycles exact-size between consecutive
-    /// fits. Results are bitwise identical to solo fits (the sketch depends
-    /// only on shape and seed), and a failing member yields an `Err` in its
-    /// slot without disturbing the rest.
-    fn fit_batch(
-        &self,
-        histories: &[&TimeSeries],
-    ) -> Vec<Result<Box<dyn FittedModel>, ForecastError>> {
-        if self.resolved_kernel() != SsaKernel::Randomized {
-            return histories.iter().map(|h| self.fit(h)).collect();
-        }
-        let l = self.config.window;
-        let q = self.sketch_width();
-        let sketch = seagull_linalg::gaussian_sketch(q, l, sketch_seed(l, q));
-        let out = histories
-            .iter()
-            .map(|h| {
-                self.validate(h)?;
-                self.fit_randomized(h, &sketch)
-            })
-            .collect();
-        sketch.recycle();
-        out
     }
 }
 
@@ -642,39 +622,45 @@ mod tests {
     }
 
     #[test]
-    fn batched_fit_is_bitwise_identical_to_solo() {
-        let histories: Vec<TimeSeries> = (0..4)
-            .map(|i| {
-                TimeSeries::from_fn(Timestamp::from_days(3), 5, 400, |t| {
-                    let m = t.minutes() as f64;
-                    40.0 + (5 + i) as f64 * (m / (100.0 + i as f64)).sin()
-                })
-                .unwrap()
-            })
-            .collect();
+    fn held_sketch_is_the_seeded_constant_and_fit_uses_it() {
         let model = SsaForecaster::default();
-        assert_eq!(model.resolved_kernel(), SsaKernel::Randomized);
-        let refs: Vec<&TimeSeries> = histories.iter().collect();
-        let batched = model.fit_batch(&refs);
-        for (h, b) in histories.iter().zip(batched) {
-            let solo = model.fit(h).unwrap().predict(96).unwrap();
-            let batch_pred = b.unwrap().predict(96).unwrap();
-            for (x, y) in solo.values().iter().zip(batch_pred.values()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "batched fit diverged from solo");
-            }
+        let (l, q) = (model.config().window, model.sketch_width());
+        let held = model.sketch.as_ref().expect("default config is randomized");
+        let fresh = gaussian_sketch(q, l, sketch_seed(l, q));
+        assert_eq!(held.shape(), (q, l));
+        for (a, b) in held.data().iter().zip(fresh.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+
+        let hist = daily_sine(3, 5);
+        let via_fit = model.fit(&hist).unwrap().predict(288).unwrap();
+        let direct = model.fit_randomized(&hist, &fresh).unwrap();
+        let direct = direct.predict(288).unwrap();
+        for (x, y) in via_fit.values().iter().zip(direct.values()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "fit diverged from a fresh sketch");
         }
     }
 
     #[test]
-    fn batched_fit_isolates_failures() {
-        let good = daily_sine(3, 5);
-        let mut bad = daily_sine(3, 5);
-        bad.values_mut()[7] = f64::NAN;
+    fn clones_share_the_sketch() {
         let model = SsaForecaster::default();
-        let results = model.fit_batch(&[&good, &bad, &good]);
-        assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(ForecastError::NonFiniteHistory)));
-        assert!(results[2].is_ok());
+        let clone = model.clone();
+        assert!(Arc::ptr_eq(
+            model.sketch.as_ref().unwrap(),
+            clone.sketch.as_ref().unwrap()
+        ));
+    }
+
+    #[test]
+    fn dense_configs_hold_no_sketch() {
+        assert!(with_kernel(SsaKernel::Dense).sketch.is_none());
+        // Auto on a window too small for the sketch to pay resolves dense.
+        let small = SsaForecaster::new(SsaConfig {
+            window: 24,
+            ..SsaConfig::default()
+        });
+        assert_eq!(small.resolved_kernel(), SsaKernel::Dense);
+        assert!(small.sketch.is_none());
     }
 
     #[test]

@@ -186,7 +186,7 @@ pub fn scale(y: &mut [f64], alpha: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hankel_gram, hankel_matrix, thin_svd, truncated_eigh, SubspaceConfig};
+    use crate::{gaussian_sketch, hankel_gram, hankel_matrix, thin_svd, truncated_eigh};
     use proptest::prelude::*;
 
     thread_local! {
@@ -393,9 +393,9 @@ mod tests {
         let gram_p = with_portable(|| hankel_gram(&week, 72));
         assert_same_bits("hankel_gram", gram.data(), gram_p.data());
 
-        let eig = truncated_eigh(&gram, 12, &SubspaceConfig::default()).unwrap();
-        let eig_p =
-            with_portable(|| truncated_eigh(&gram_p, 12, &SubspaceConfig::default())).unwrap();
+        let sketch = gaussian_sketch(12, 72, 0x5ea9_0111_7af1_75eb);
+        let eig = truncated_eigh(&gram, &sketch, 2).unwrap();
+        let eig_p = with_portable(|| truncated_eigh(&gram_p, &sketch, 2)).unwrap();
         assert_same_bits("truncated_eigh values", &eig.values, &eig_p.values);
         assert_same_bits(
             "truncated_eigh vectors",

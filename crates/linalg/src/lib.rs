@@ -34,10 +34,7 @@ pub mod svd;
 pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use hankel::{hankel_gram, hankel_matrix, hankelize};
 pub use matrix::{LinalgError, Matrix};
-pub use randomized::{
-    gaussian_sketch, truncated_eigh, truncated_eigh_with_sketch, SubspaceConfig, SubspaceRng,
-    TruncatedEigh,
-};
+pub use randomized::{gaussian_sketch, truncated_eigh, SubspaceRng, TruncatedEigh};
 pub use scratch::ScratchStats;
 pub use solve::{cholesky_solve, least_squares, ridge_regression};
 pub use svd::{thin_svd, ThinSvd};

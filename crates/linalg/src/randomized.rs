@@ -12,7 +12,7 @@
 //!
 //! Everything is deterministic: the Gaussian sketch comes from a seeded
 //! [`SubspaceRng`] (the same SplitMix64 stream as `seagull-telemetry`'s
-//! `DetRng`), so a given `(matrix, rank, config)` always yields the same
+//! `DetRng`), so a given `(matrix, sketch shape, seed)` always yields the same
 //! decomposition, independent of threads or call ordering.
 
 use crate::eigen::symmetric_eigen;
@@ -58,30 +58,6 @@ impl SubspaceRng {
     }
 }
 
-/// Knobs for the randomized range finder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubspaceConfig {
-    /// Extra sketch columns beyond the requested rank. More oversampling
-    /// buys accuracy on slowly-decaying spectra; 8 is ample for SSA.
-    pub oversample: usize,
-    /// Power iterations sharpening the sketch (each one multiplies the
-    /// spectral gap's effect). Two suffice for working-precision leading
-    /// eigenpairs on PSD Gram matrices.
-    pub power_iters: usize,
-    /// Seed for the Gaussian test matrix.
-    pub seed: u64,
-}
-
-impl Default for SubspaceConfig {
-    fn default() -> Self {
-        SubspaceConfig {
-            oversample: 8,
-            power_iters: 2,
-            seed: 0x5ea9_0111_7af1_75eb,
-        }
-    }
-}
-
 /// Truncated eigendecomposition of a symmetric PSD matrix: the leading
 /// `rank` eigenpairs, eigenvalues descending.
 ///
@@ -104,18 +80,32 @@ impl TruncatedEigh {
     }
 }
 
-/// Computes the leading `rank` eigenpairs of symmetric PSD `g` by the
-/// randomized subspace method; falls back to dense Jacobi (truncated
-/// afterwards) when the sketch would not be meaningfully smaller than the
-/// matrix.
+/// The transposed Gaussian test matrix `Ωᵀ` (`rows × cols`, pool-backed)
+/// drawn from a seeded [`SubspaceRng`]. It depends only on shape and seed,
+/// never on the data, so one sketch serves every [`truncated_eigh`] call on
+/// problems of that shape.
+pub fn gaussian_sketch(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut rng = SubspaceRng::new(seed);
+    let mut m = Matrix::zeros_pooled(rows, cols);
+    for v in m.data_mut() {
+        *v = rng.next_gaussian();
+    }
+    m
+}
+
+/// Computes the leading eigenpairs of symmetric PSD `g` (`n × n`) by the
+/// randomized subspace method, one per row of the caller's sketch `omega_t`
+/// (`Ωᵀ`, `rank × n`, from [`gaussian_sketch`]); falls back to dense Jacobi
+/// (truncated afterwards, sketch unused) when the sketch would not be
+/// meaningfully smaller than the matrix.
 ///
-/// Deterministic for fixed `(g, rank, cfg)`. Rank-deficient input is fine:
-/// directions the range finder cannot resolve are deflated to zero vectors
-/// with zero eigenvalues and sort to the tail.
+/// Deterministic for fixed `(g, omega_t, power_iters)`. Rank-deficient input
+/// is fine: directions the range finder cannot resolve are deflated to zero
+/// vectors with zero eigenvalues and sort to the tail.
 pub fn truncated_eigh(
     g: &Matrix,
-    rank: usize,
-    cfg: &SubspaceConfig,
+    omega_t: &Matrix,
+    power_iters: usize,
 ) -> Result<TruncatedEigh, LinalgError> {
     let n = g.rows();
     if g.cols() != n {
@@ -124,7 +114,13 @@ pub fn truncated_eigh(
             rhs: g.shape(),
         });
     }
-    let q = rank.min(n);
+    if omega_t.cols() != n {
+        return Err(LinalgError::ShapeMismatch {
+            lhs: omega_t.shape(),
+            rhs: g.shape(),
+        });
+    }
+    let q = omega_t.rows().min(n);
     if q == 0 {
         return Ok(TruncatedEigh {
             values: Vec::new(),
@@ -140,70 +136,11 @@ pub fn truncated_eigh(
             vectors_t,
         });
     }
-
-    let omega_t = gaussian_sketch(q, n, cfg.seed);
-    let out = project_with_sketch(g, &omega_t, cfg.power_iters);
-    omega_t.recycle();
-    out
-}
-
-/// The transposed Gaussian test matrix `Ωᵀ` (`rows × cols`, pool-backed)
-/// drawn from a seeded [`SubspaceRng`]. Batched fitting draws one sketch per
-/// same-shape group and shares it across every [`truncated_eigh_with_sketch`]
-/// call — the sketch depends only on shape and seed, never on the data.
-pub fn gaussian_sketch(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = SubspaceRng::new(seed);
-    let mut m = Matrix::zeros_pooled(rows, cols);
-    for v in m.data_mut() {
-        *v = rng.next_gaussian();
-    }
-    m
-}
-
-/// Like [`truncated_eigh`] but with a caller-supplied sketch (`Ωᵀ`, shaped
-/// `min(rank, n) × n`), so batches of same-shape problems can share one.
-/// Bitwise identical to `truncated_eigh` with a sketch drawn from the same
-/// seed.
-pub fn truncated_eigh_with_sketch(
-    g: &Matrix,
-    rank: usize,
-    omega_t: &Matrix,
-    power_iters: usize,
-) -> Result<TruncatedEigh, LinalgError> {
-    let n = g.rows();
-    if g.cols() != n {
-        return Err(LinalgError::ShapeMismatch {
-            lhs: g.shape(),
-            rhs: g.shape(),
-        });
-    }
-    let q = rank.min(n);
-    if q == 0 {
-        return Ok(TruncatedEigh {
-            values: Vec::new(),
-            vectors_t: Matrix::zeros(0, n),
-        });
-    }
-    if 2 * q >= n {
-        // Dense fallback, same rule as truncated_eigh; the sketch is unused.
-        let eig = symmetric_eigen(g, 100)?;
-        let vectors_t = Matrix::from_fn(q, n, |c, i| eig.vectors[(i, c)]);
-        return Ok(TruncatedEigh {
-            values: eig.values[..q].to_vec(),
-            vectors_t,
-        });
-    }
-    if omega_t.shape() != (q, n) {
-        return Err(LinalgError::ShapeMismatch {
-            lhs: omega_t.shape(),
-            rhs: (q, n),
-        });
-    }
     project_with_sketch(g, omega_t, power_iters)
 }
 
-/// Shared core: range-find with the given sketch, power-iterate, project,
-/// solve the small problem, lift back.
+/// Range-find with the given sketch, power-iterate, project, solve the
+/// small problem, lift back.
 fn project_with_sketch(
     g: &Matrix,
     omega_t: &Matrix,
@@ -274,6 +211,14 @@ fn orthonormalize_rows(m: &mut Matrix) {
 mod tests {
     use super::*;
 
+    const SEED: u64 = 0x5ea9_0111_7af1_75eb;
+
+    /// Leading `rank` eigenpairs of `g` from a freshly drawn sketch, two
+    /// power iterations.
+    fn eigh(g: &Matrix, rank: usize) -> Result<TruncatedEigh, LinalgError> {
+        truncated_eigh(g, &gaussian_sketch(rank, g.rows(), SEED), 2)
+    }
+
     fn psd(n: usize, decay: f64) -> Matrix {
         // Σ λ_c u_c u_cᵀ with geometric eigenvalues and a fixed orthogonal
         // basis built from shifted cosines.
@@ -303,7 +248,7 @@ mod tests {
     fn leading_eigenpairs_match_dense_jacobi() {
         let g = psd(40, 0.6);
         let dense = symmetric_eigen(&g, 100).unwrap();
-        let trunc = truncated_eigh(&g, 14, &SubspaceConfig::default()).unwrap();
+        let trunc = eigh(&g, 14).unwrap();
         assert_eq!(trunc.values.len(), 14);
         for c in 0..6 {
             let rel = (trunc.values[c] - dense.values[c]).abs() / dense.values[0];
@@ -323,8 +268,8 @@ mod tests {
     #[test]
     fn deterministic_across_calls() {
         let g = psd(32, 0.7);
-        let a = truncated_eigh(&g, 10, &SubspaceConfig::default()).unwrap();
-        let b = truncated_eigh(&g, 10, &SubspaceConfig::default()).unwrap();
+        let a = eigh(&g, 10).unwrap();
+        let b = eigh(&g, 10).unwrap();
         assert_eq!(a.values, b.values);
         assert_eq!(a.vectors_t.data(), b.vectors_t.data());
     }
@@ -334,7 +279,7 @@ mod tests {
         // Rank-1 PSD matrix: one real eigenpair, the rest ~0.
         let n = 24;
         let g = Matrix::from_fn(n, n, |i, j| ((i + 1) * (j + 1)) as f64);
-        let trunc = truncated_eigh(&g, 6, &SubspaceConfig::default()).unwrap();
+        let trunc = eigh(&g, 6).unwrap();
         assert!(trunc.values[0] > 0.0);
         for c in 1..6 {
             assert!(
@@ -351,7 +296,7 @@ mod tests {
     #[test]
     fn small_matrix_falls_back_to_dense() {
         let g = Matrix::from_rows(2, 2, vec![2.0, 1.0, 1.0, 2.0]);
-        let trunc = truncated_eigh(&g, 2, &SubspaceConfig::default()).unwrap();
+        let trunc = eigh(&g, 2).unwrap();
         assert!((trunc.values[0] - 3.0).abs() < 1e-10);
         assert!((trunc.values[1] - 1.0).abs() < 1e-10);
     }
@@ -359,7 +304,7 @@ mod tests {
     #[test]
     fn orthonormal_output_rows() {
         let g = psd(36, 0.5);
-        let trunc = truncated_eigh(&g, 12, &SubspaceConfig::default()).unwrap();
+        let trunc = eigh(&g, 12).unwrap();
         for i in 0..12 {
             for j in 0..=i {
                 let d = kernel::dot(trunc.vectors_t.row(i), trunc.vectors_t.row(j));
@@ -372,29 +317,14 @@ mod tests {
     #[test]
     fn non_square_rejected() {
         let g = Matrix::zeros(3, 4);
-        assert!(truncated_eigh(&g, 2, &SubspaceConfig::default()).is_err());
-    }
-
-    #[test]
-    fn shared_sketch_is_bitwise_identical() {
-        let cfg = SubspaceConfig::default();
-        let g1 = psd(36, 0.6);
-        let g2 = psd(36, 0.8);
-        let sketch = gaussian_sketch(12, 36, cfg.seed);
-        for g in [&g1, &g2] {
-            let solo = truncated_eigh(g, 12, &cfg).unwrap();
-            let batched = truncated_eigh_with_sketch(g, 12, &sketch, cfg.power_iters).unwrap();
-            assert_eq!(solo.values, batched.values);
-            assert_eq!(solo.vectors_t.data(), batched.vectors_t.data());
-        }
-        sketch.recycle();
+        assert!(eigh(&g, 2).is_err());
     }
 
     #[test]
     fn wrong_sketch_shape_rejected() {
         let g = psd(30, 0.5);
-        let sketch = gaussian_sketch(5, 30, 1);
-        assert!(truncated_eigh_with_sketch(&g, 10, &sketch, 2).is_err());
+        let sketch = gaussian_sketch(5, 29, 1);
+        assert!(truncated_eigh(&g, &sketch, 2).is_err());
     }
 
     #[test]

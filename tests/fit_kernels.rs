@@ -1,14 +1,13 @@
 //! Fit-kernel parity tests: the randomized SSA subspace kernel against the
 //! dense Jacobi path at the *forecast* level (not just factorization-level),
-//! across window sizes, ranks, and signal seeds — and batched fitting
-//! against sequential fitting, bitwise, including error isolation.
+//! across window sizes, ranks, and signal seeds.
 //!
-//! The properties run under proptest; each also has a fixed deterministic
-//! twin so the invariants stay exercised where proptest is unavailable.
+//! The property runs under proptest; it also has a fixed deterministic
+//! twin so the invariant stays exercised where proptest is unavailable.
 
 use proptest::prelude::*;
 use seagull::forecast::ssa::RANDOMIZED_PARITY_TOL;
-use seagull::forecast::{ForecastError, Forecaster, SsaConfig, SsaForecaster, SsaKernel};
+use seagull::forecast::{Forecaster, SsaConfig, SsaForecaster, SsaKernel};
 use seagull::timeseries::{TimeSeries, Timestamp};
 
 /// A mixed daily + fast-cycle signal with deterministic phase/amplitude
@@ -63,25 +62,6 @@ fn assert_kernel_parity(window: usize, max_rank: usize, seed: u64) {
     );
 }
 
-/// Batched fits must be bitwise identical to solo fits of the same
-/// histories, position-independently.
-fn assert_batch_parity(windows: usize, seeds: &[u64]) {
-    let model = ssa(windows, 12, SsaKernel::Auto);
-    let histories: Vec<TimeSeries> = seeds.iter().map(|&s| signal(s, 2016)).collect();
-    let refs: Vec<&TimeSeries> = histories.iter().collect();
-    let batched = model.fit_batch(&refs);
-    assert_eq!(batched.len(), refs.len());
-    for (i, (h, b)) in histories.iter().zip(&batched).enumerate() {
-        let solo = model.fit(h).expect("solo fit").predict(288).unwrap();
-        let from_batch = b.as_ref().expect("batched fit").predict(288).unwrap();
-        assert_eq!(
-            solo.values(),
-            from_batch.values(),
-            "batch slot {i} diverged from its solo fit"
-        );
-    }
-}
-
 #[test]
 fn randomized_matches_dense_across_fixed_grid() {
     // A deterministic sweep over the (window, rank) corners the pipeline
@@ -90,40 +70,6 @@ fn randomized_matches_dense_across_fixed_grid() {
         for seed in [1u64, 17, 90] {
             assert_kernel_parity(window, rank, seed);
         }
-    }
-}
-
-#[test]
-fn batched_fit_is_bitwise_identical_to_sequential() {
-    assert_batch_parity(72, &[3, 14, 15, 92, 65]);
-    // Single-element and pair batches hit the degenerate grouping paths.
-    assert_batch_parity(72, &[42]);
-    assert_batch_parity(144, &[7, 7]);
-}
-
-#[test]
-fn batched_fit_isolates_a_failing_history() {
-    let model = ssa(72, 12, SsaKernel::Auto);
-    let good_a = signal(5, 2016);
-    let good_b = signal(6, 2016);
-    // Same shape, poisoned contents: NaN is rejected by every model.
-    let mut vals = good_a.values().to_vec();
-    vals[100] = f64::NAN;
-    let bad = TimeSeries::new(Timestamp::from_days(30), 5, vals).unwrap();
-    let refs: Vec<&TimeSeries> = vec![&good_a, &bad, &good_b];
-    let results = model.fit_batch(&refs);
-    assert_eq!(results.len(), 3);
-    assert!(results[0].is_ok(), "healthy slot 0 must fit");
-    assert!(
-        matches!(results[1], Err(ForecastError::NonFiniteHistory)),
-        "poisoned slot errs in place"
-    );
-    assert!(results[2].is_ok(), "healthy slot 2 must fit");
-    // The survivors are bitwise identical to solo fits.
-    for (h, r) in [(&good_a, &results[0]), (&good_b, &results[2])] {
-        let solo = model.fit(h).unwrap().predict(288).unwrap();
-        let batched = r.as_ref().unwrap().predict(288).unwrap();
-        assert_eq!(solo.values(), batched.values());
     }
 }
 
@@ -139,15 +85,5 @@ proptest! {
         seed in any::<u64>(),
     ) {
         assert_kernel_parity(window, max_rank, seed);
-    }
-
-    /// Batched fitting is bitwise identical to sequential fitting for any
-    /// batch of same-shape histories, in any order.
-    #[test]
-    fn batched_fit_parity_everywhere(
-        seeds in proptest::collection::vec(any::<u64>(), 1..6),
-        window in 48usize..160,
-    ) {
-        assert_batch_parity(window, &seeds);
     }
 }
