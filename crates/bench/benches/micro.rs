@@ -15,13 +15,13 @@ use seagull_forecast::{
     PersistentForecast, SsaConfig, SsaForecaster, SsaKernel,
 };
 use seagull_linalg::{hankel_gram, kernel};
-use seagull_telemetry::columnar::ColumnarBatch;
+use seagull_telemetry::columnar::{checksum64_words, ColumnarBatch};
 use seagull_telemetry::extract::{ExtractedServer, LoadExtraction};
 use seagull_telemetry::fleet::{FleetGenerator, FleetSpec};
 use seagull_telemetry::record::{csv_quantized, RecordBatch};
 use seagull_timeseries::{
-    decompose, detect_anomalies, min_mean_window, AnomalyConfig, SummaryStats, TimeSeries,
-    Timestamp,
+    decompose, detect_anomalies, fill_gaps, min_mean_window, AnomalyConfig, GapFill, SummaryStats,
+    TimeSeries, Timestamp,
 };
 use std::hint::black_box;
 
@@ -134,13 +134,6 @@ fn bench_codec(c: &mut Criterion) {
     });
 }
 
-fn bench_decompose(c: &mut Criterion) {
-    let week = week_series(0);
-    c.bench_function("decompose/week_daily_period", |b| {
-        b.iter(|| decompose(black_box(&week), 288).unwrap())
-    });
-}
-
 /// One region-week of the paper's Fig. 3 population mix (80 servers, mostly
 /// short-lived and stable), as the rows the extraction query emits.
 fn fig3_week_rows() -> RecordBatch {
@@ -156,9 +149,36 @@ fn fig3_week_servers() -> Vec<ExtractedServer> {
     ColumnarBatch::from_records(&fig3_week_rows(), 5).extract()
 }
 
-// The four kernels `extract_server_features` spends its time in, then the
-// whole of it, each over every server of the week: a featurizer regression
+/// That week after the pipeline's gap repair, which is what it featurizes.
+fn fig3_week_filled() -> Vec<ExtractedServer> {
+    let mut servers = fig3_week_servers();
+    for s in &mut servers {
+        fill_gaps(&mut s.series, GapFill::Linear);
+    }
+    servers
+}
+
+// The kernels `extract_server_features` spends its time in, then the whole
+// of it, then the data-plane part of the pipeline's per-server operator
+// around it, each over every server of the week: a featurizer regression
 // shows here before it shows in the end-to-end benchmark.
+fn bench_decompose(c: &mut Criterion) {
+    let week = week_series(0);
+    c.bench_function("decompose/week_daily_period", |b| {
+        b.iter(|| decompose(black_box(&week), 288).unwrap())
+    });
+    let servers = fig3_week_filled();
+    c.bench_function("decompose_strengths/fig3_week_80srv", |b| {
+        b.iter(|| {
+            servers
+                .iter()
+                .filter_map(|s| decompose(black_box(&s.series), s.series.points_per_day()))
+                .map(|d| d.seasonal_strength() + d.trend_strength())
+                .sum::<f64>()
+        })
+    });
+}
+
 fn bench_detect_anomalies(c: &mut Criterion) {
     let servers = fig3_week_servers();
     let cfg = AnomalyConfig::default();
@@ -205,6 +225,30 @@ fn bench_extract_server_features(c: &mut Criterion) {
                 .iter()
                 .map(|s| extract_server_features(black_box(s), &cfg).load_anomalies)
                 .sum::<usize>()
+        })
+    });
+}
+
+/// What `AmlPipeline::run_server` does to a server before its fit: copy and
+/// gap-fill the series, featurize it, fingerprint it for the model cache.
+fn bench_run_server_shape(c: &mut Criterion) {
+    let servers = fig3_week_servers();
+    let cfg = ClassifyConfig::default();
+    c.bench_function("run_server_shape/fig3_week_80srv", |b| {
+        b.iter(|| {
+            servers
+                .iter()
+                .map(|s| {
+                    let mut filled = black_box(s).clone();
+                    fill_gaps(&mut filled.series, GapFill::Linear);
+                    let features = extract_server_features(&filled, &cfg);
+                    let step = std::iter::once(u64::from(filled.series.step_min()));
+                    let samples = filled.series.values().iter();
+                    let fingerprint =
+                        checksum64_words(step.chain(samples.map(|&v| csv_quantized(v).to_bits())));
+                    fingerprint ^ features.load_anomalies as u64
+                })
+                .fold(0, |acc, x| acc ^ x)
         })
     });
 }
@@ -269,6 +313,7 @@ criterion_group!(
     bench_summary_stats,
     bench_csv_quantized,
     bench_extract_server_features,
+    bench_run_server_shape,
     bench_docstore,
     bench_executor
 );

@@ -40,22 +40,23 @@ pub struct ServerFeatures {
 /// operators so featurization flows server-by-server instead of waiting on
 /// a whole-batch barrier.
 pub fn extract_server_features(s: &ExtractedServer, config: &ClassifyConfig) -> ServerFeatures {
+    let anomaly_config = AnomalyConfig::default();
     let len = s.series.len();
-    let missing = s.series.missing_count();
+    let stats = SummaryStats::compute(s.series.values());
     let decomposition = decompose(&s.series, s.series.points_per_day());
     let (daily_seasonal_strength, trend_strength) = decomposition
         .as_ref()
         .map(|d| (d.seasonal_strength(), d.trend_strength()))
         .unwrap_or((0.0, 0.0));
-    let load_anomalies = detect_anomalies(&s.series, &AnomalyConfig::default()).len();
+    let load_anomalies = detect_anomalies(&s.series, &anomaly_config).len();
     ServerFeatures {
         server_id: s.id.0,
         observed_days: len as f64 / s.series.points_per_day() as f64,
-        stats: SummaryStats::compute(s.series.values()),
+        stats,
         missing_fraction: if len == 0 {
             1.0
         } else {
-            missing as f64 / len as f64
+            stats.missing as f64 / len as f64
         },
         pattern: classify_series(&s.series, config),
         daily_seasonal_strength,

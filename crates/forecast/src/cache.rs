@@ -67,10 +67,15 @@ const SKETCH_QUANTUM: f64 = 0.25;
 /// sketch is deliberately much coarser than the byte fingerprint, which is
 /// why the cache only consults it behind the drift gate.
 pub fn shape_sketch(values: &[f64]) -> u128 {
+    let (mean, std) = mean_std(values);
+    sketch_about(values, mean, std)
+}
+
+/// [`shape_sketch`] of a series whose [`mean_std`] the caller already has.
+fn sketch_about(values: &[f64], mean: f64, std: f64) -> u128 {
     if values.is_empty() {
         return 0;
     }
-    let (mean, std) = mean_std(values);
     let scale = std.max(1e-9);
     let n = values.len();
     let mut packed = 0u128;
@@ -195,7 +200,7 @@ impl CacheUpdate {
             len: history.len(),
             mean,
             std,
-            sketch: shape_sketch(history.values()),
+            sketch: sketch_about(history.values(), mean, std),
             fit_wall,
         }
     }
@@ -638,6 +643,19 @@ mod tests {
         ));
         assert_eq!(cache.stats().invalidated_drift, 1);
         assert_eq!(cache.stats().hits_similarity, 0);
+    }
+
+    /// A cold fit's update walks its history for the level once and hands it
+    /// to the sketch: entry and sketch are what the two walks gave.
+    #[test]
+    fn update_sketch_and_level_equal_the_standalone_ones() {
+        for history in [ramp(0, 10.0, 40.0), series(3, 20.0), ramp(1, -5.0, 1e-12)] {
+            let u = update("r/1", 1, "daily", &history);
+            let (mean, std) = mean_std(history.values());
+            assert_eq!(u.mean.to_bits(), mean.to_bits());
+            assert_eq!(u.std.to_bits(), std.to_bits());
+            assert_eq!(u.sketch, shape_sketch(history.values()));
+        }
     }
 
     #[test]

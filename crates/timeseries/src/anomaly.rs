@@ -52,11 +52,12 @@ pub struct LoadAnomaly {
 /// Scans a series for anomalous points. NaN points are skipped (they are
 /// data anomalies, handled by validation).
 ///
-/// O(n·w) for `w = half_window` (one shift of part of the window per point,
-/// two O(log w) searches), with one buffer allocated up front and none per
-/// point: the window's present values are kept sorted as it slides, the
-/// median is read off the middle, and the MAD is searched for among the runs
-/// of that sorted window around the median.
+/// O(n·w) for `w = half_window` (one branch-free count over the window and
+/// one shift of part of it per point), with one buffer allocated up front and
+/// none per point: the window's present values are kept sorted as it slides
+/// and the median is read off the middle. The MAD is searched for among the
+/// runs of that sorted window around the median, but only for the few points
+/// an O(1) lower bound on it, read off the same window, cannot already clear.
 pub fn detect_anomalies(series: &TimeSeries, config: &AnomalyConfig) -> Vec<LoadAnomaly> {
     let values = series.values();
     let n = values.len();
@@ -84,9 +85,17 @@ pub fn detect_anomalies(series: &TimeSeries, config: &AnomalyConfig) -> Vec<Load
             continue;
         }
         let median = window.median();
+        let deviation = (v - median).abs();
+        // `floor <= mad` (a NaN bound floors at 1e-6, as a NaN MAD does) and
+        // division is monotone, so this quotient is no less than the score.
+        // A NaN quotient compares false and the point takes the exact path.
+        let floor = window.mad_lower_bound(median).max(1e-6) * 1.4826;
+        if deviation / floor <= config.threshold {
+            continue;
+        }
         // MAD with the Gaussian consistency constant 1.4826.
         let mad = window.median_abs_deviation(median).max(1e-6) * 1.4826;
-        let score = (v - median).abs() / mad;
+        let score = deviation / mad;
         if score > config.threshold {
             out.push(LoadAnomaly {
                 index: i,
@@ -113,27 +122,32 @@ impl SortedWindow {
     /// the capacity `detect_anomalies` reserved, so this never allocates.
     fn slide(&mut self, leaving: Option<f64>, entering: Option<f64>) {
         let s = &mut self.sorted;
+        let leaving = leaving.filter(|x| !x.is_nan());
+        let entering = entering.filter(|x| !x.is_nan());
         // The oldest point is the first of its equals; a new one goes last.
-        let out = leaving
-            .filter(|x| !x.is_nan())
-            .map(|x| s.partition_point(|&y| y < x));
-        let into = entering
-            .filter(|x| !x.is_nan())
-            .map(|x| (x, s.partition_point(|&y| y <= x)));
-        match (out, into) {
+        // The window is short and its order unpredictable, so both positions
+        // are counted in one pass without a branch rather than searched for.
+        // An absent side counts against NaN, which compares false throughout.
+        let (old, new) = (leaving.unwrap_or(f64::NAN), entering.unwrap_or(f64::NAN));
+        let (mut out, mut into) = (0, 0);
+        for &y in s.iter() {
+            out += usize::from(y < old);
+            into += usize::from(y <= new);
+        }
+        match (leaving, entering) {
             // Both: shift only the values between the two positions.
-            (Some(out), Some((x, into))) if into > out => {
+            (Some(_), Some(x)) if into > out => {
                 s.copy_within(out + 1..into, out);
                 s[into - 1] = x;
             }
-            (Some(out), Some((x, into))) => {
+            (Some(_), Some(x)) => {
                 s.copy_within(into..out, into + 1);
                 s[into] = x;
             }
-            (Some(out), None) => {
+            (Some(_), None) => {
                 s.remove(out);
             }
-            (None, Some((x, into))) => s.insert(into, x),
+            (None, Some(x)) => s.insert(into, x),
             (None, None) => {}
         }
     }
@@ -146,6 +160,26 @@ impl SortedWindow {
         } else {
             0.5 * (s[mid - 1] + s[mid])
         }
+    }
+
+    /// A lower bound on [`Self::median_abs_deviation`] from two reads. The
+    /// MAD is no less than the `run`-th smallest deviation, `run` being
+    /// `k + 1` values for an odd window and `k` for an even one. Deviations
+    /// fall towards the middle of the sorted window and rise after it, so
+    /// only the values strictly between `h = (run - 1) / 2` places left of
+    /// the middle and `h` places right of it can deviate by less than both of
+    /// those two do, and there are fewer than `run` of them.
+    fn mad_lower_bound(&self, median: f64) -> f64 {
+        let s = &self.sorted;
+        let k = s.len() / 2;
+        let (lo_mid, run) = if s.len() % 2 == 1 {
+            (k, k + 1)
+        } else {
+            (k - 1, k)
+        };
+        let h = (run - 1) / 2;
+        let dev = |i: usize| (s[i] - median).abs();
+        dev(lo_mid - h).min(dev(k + h))
     }
 
     /// Median of `|x - median|` over the window, by search instead of sort.
@@ -344,12 +378,20 @@ mod tests {
     proptest! {
         /// The sliding window reports the same anomalies as the per-point
         /// sort, to the bit, for windows shorter and longer than the series.
-        /// Threshold -1 reports every point that has a score at all.
+        /// Threshold -1 reports every point that has a score at all and skips
+        /// none; 0 and infinity skip all but the scoreless; NaN reports none.
         #[test]
         fn sliding_window_matches_reference(
             values in gappy_values(),
             half_window in 1usize..=60,
-            threshold in prop_oneof![Just(-1.0), Just(3.0), Just(6.0)],
+            threshold in prop_oneof![
+                Just(-1.0),
+                Just(0.0),
+                Just(3.0),
+                Just(6.0),
+                Just(f64::INFINITY),
+                Just(f64::NAN),
+            ],
         ) {
             let s = series(values);
             let config = AnomalyConfig { half_window, threshold };
@@ -361,6 +403,31 @@ mod tests {
                 prop_assert_eq!(g.value.to_bits(), w.value.to_bits());
                 prop_assert_eq!(g.local_median.to_bits(), w.local_median.to_bits());
                 prop_assert_eq!(g.score.to_bits(), w.score.to_bits());
+            }
+        }
+
+        /// The skip in `detect_anomalies` is sound: wherever the detector
+        /// scores a point, the O(1) bound is no more than the MAD it stands
+        /// in for, ties, signed zeros and overflowing sums included.
+        #[test]
+        fn mad_lower_bound_never_exceeds_the_mad(
+            values in gappy_values(),
+            half_window in 1usize..=60,
+        ) {
+            let mut window = SortedWindow { sorted: Vec::new() };
+            for &x in &values[..half_window.min(values.len())] {
+                window.slide(None, Some(x));
+            }
+            for i in 0..values.len() {
+                let leaving = i.checked_sub(half_window + 1).map(|j| values[j]);
+                window.slide(leaving, values.get(i + half_window).copied());
+                if window.sorted.len() < 3 {
+                    continue;
+                }
+                let median = window.median();
+                let lower = window.mad_lower_bound(median);
+                let mad = window.median_abs_deviation(median);
+                prop_assert!(lower <= mad, "{} > {} in {:?}", lower, mad, window.sorted);
             }
         }
     }

@@ -72,7 +72,8 @@ pub fn decompose(series: &TimeSeries, period: usize) -> Option<Decomposition> {
     let values = series.values();
 
     // Trend: centered moving average over `i ± period/2`, each window sum the
-    // difference of two prefix sums. Edge windows shrink to what exists.
+    // difference of two prefix sums. Edge windows shrink to what exists; the
+    // full ones in between (`n >= 2 * period` leaves some) share one width.
     let half = period / 2;
     let mut prefix = Vec::with_capacity(n + 1);
     let mut running = 0.0;
@@ -81,34 +82,49 @@ pub fn decompose(series: &TimeSeries, period: usize) -> Option<Decomposition> {
         running += v;
         prefix.push(running);
     }
-    let trend: Vec<f64> = (0..n)
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half).min(n - 1);
-            (prefix[hi + 1] - prefix[lo]) / (hi + 1 - lo) as f64
-        })
-        .collect();
+    let edge = |i: usize| {
+        let lo = i.saturating_sub(half);
+        let hi = (i + half).min(n - 1);
+        (prefix[hi + 1] - prefix[lo]) / (hi + 1 - lo) as f64
+    };
+    let width = (2 * half + 1) as f64;
+    let mut trend = Vec::with_capacity(n);
+    trend.extend((0..half).map(edge));
+    trend.extend(
+        prefix[2 * half + 1..]
+            .iter()
+            .zip(&prefix)
+            .map(|(above, below)| (above - below) / width),
+    );
+    trend.extend((n - half..n).map(edge));
 
     // Seasonal: per-phase mean of the detrended series, centered to zero.
-    let mut phase_sum = vec![0.0f64; period];
-    let mut phase_cnt = vec![0usize; period];
-    for i in 0..n {
-        let phase = i % period;
-        phase_sum[phase] += values[i] - trend[i];
-        phase_cnt[phase] += 1;
+    // One period at a time, so the phase is the position in the chunk.
+    let mut phase_mean = vec![0.0f64; period];
+    for (vs, ts) in values.chunks(period).zip(trend.chunks(period)) {
+        for ((sum, v), t) in phase_mean.iter_mut().zip(vs).zip(ts) {
+            *sum += v - t;
+        }
     }
-    let mut phase_mean: Vec<f64> = phase_sum
-        .iter()
-        .zip(&phase_cnt)
-        .map(|(s, c)| s / (*c).max(1) as f64)
-        .collect();
+    // Phases the last, partial period reaches were seen once more.
+    for (phase, sum) in phase_mean.iter_mut().enumerate() {
+        *sum /= (n / period + usize::from(phase < n % period)) as f64;
+    }
     let grand = crate::stats::mean(&phase_mean);
     for p in &mut phase_mean {
         *p -= grand;
     }
 
-    let seasonal: Vec<f64> = (0..n).map(|i| phase_mean[i % period]).collect();
-    let residual: Vec<f64> = (0..n).map(|i| values[i] - trend[i] - seasonal[i]).collect();
+    let mut seasonal = Vec::with_capacity(n);
+    while seasonal.len() < n {
+        seasonal.extend_from_slice(&phase_mean[..period.min(n - seasonal.len())]);
+    }
+    let residual: Vec<f64> = values
+        .iter()
+        .zip(&trend)
+        .zip(&seasonal)
+        .map(|((v, t), s)| v - t - s)
+        .collect();
     Some(Decomposition {
         period,
         trend,
