@@ -19,7 +19,7 @@
 //! thread steps and the best QPS are checked against the pinned
 //! [`SLO_GATES`] thresholds, each gate's pass/fail lands in
 //! `BENCH_serving.json`, and any failing gate exits non-zero — the
-//! `watch-smoke` CI job relies on that.
+//! `serve-smoke` CI job relies on that too.
 
 use seagull_bench::loadtest::{fnv1a_fold, fnv1a_fold_f64s, fnv1a_fold_u64, FNV_OFFSET};
 use seagull_bench::{emit_json, scale, Scale, Table};
@@ -41,13 +41,15 @@ const BATCH_SIZE: usize = 8;
 /// Serving SLOs the bench must meet on any supported machine. Latency
 /// bounds apply to the *worst* quantile across all thread steps, the
 /// throughput bound to the *best* step, so the gate catches order-of-
-/// magnitude regressions (a lock on the read path, an accidental clone of
-/// the snapshot) without flaking on a loaded CI box.
+/// magnitude regressions without flaking on a loaded CI box.
 ///
-/// Thresholds are pinned to the sharded lock-free read path's floor
-/// (measured ~390k QPS, p50 0.7µs, p99 3.7µs on a 1-core reference box) —
-/// generous headroom for slow CI hardware, but a reintroduced read lock
-/// (the old path's ~65k QPS) fails the throughput gate outright.
+/// Thresholds sit well under the read path's floor (measured ~390k QPS,
+/// p50 0.7µs, p99 3.7µs on a 1-core reference box) — generous headroom
+/// for slow CI hardware. An uncontended read lock does not trip them (the
+/// store serves ~1M QPS through two); what fails the throughput gate
+/// outright is per-query work of the first serving path's kind (~65k QPS):
+/// a registry lookup for each metric handle, the breaker's `RwLock` for
+/// admission, or a deep clone of the snapshot.
 const SLO_GATES: &[SloGate] = &[
     SloGate {
         name: "p50_latency_us",

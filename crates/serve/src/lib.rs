@@ -16,22 +16,21 @@
 //!    implements that trait: it builds a [`ModelSnapshot`] from the
 //!    deployed [`PredictionDoc`](seagull_core::pipeline::PredictionDoc)s,
 //!    attaching fitted models from the warm cache when available.
-//! 2. The snapshot is published into the [`SnapshotStore`] via an atomic
-//!    **pointer swap**: the store installs the new snapshot in one atomic
-//!    store and retires the old one to an epoch GC that frees it only
-//!    after every in-flight reader pin has drained. Readers never lock
-//!    against a deploy — or against anything else.
+//! 2. The snapshot is published into the [`SnapshotStore`] by swapping
+//!    one `Arc`: the store builds and stamps the new snapshot off to the
+//!    side, replaces the region's `Arc` under a write lock held for that
+//!    one assignment, and drops the old `Arc` after releasing it. A reader
+//!    that cloned the old `Arc` keeps it alive; the last owner frees it.
 //! 3. When deployment *fails*, the sink's fallback hook leaves the store
 //!    untouched: the **last-known-good** snapshot keeps serving, mirroring
 //!    the model registry's fallback rule.
 //!
 //! ## Read path
 //!
-//! The hot path is **lock-free end to end**: a query pins the store's GC
-//! epoch (two thread-private atomic stores), resolves its region through
-//! a 16-way sharded copy-on-write map, borrows the snapshot straight off
-//! an atomic pointer — no `RwLock`, no `Arc` refcount traffic — and
-//! checks admission against a lock-free
+//! A query takes two uncontended read locks — the service's region
+//! contexts, then the region's snapshot cell — clones the context and the
+//! snapshot `Arc` out of them, and releases both before it answers; no
+//! guard is held across a query. Admission is one atomic load on a
 //! [`BreakerProbe`](seagull_core::resilience::BreakerProbe) mirror of the
 //! shared per-region
 //! [`CircuitBreaker`](seagull_core::resilience::CircuitBreaker)
@@ -56,18 +55,14 @@
 //! journaled epoch when the newest snapshot blob is torn. See `DESIGN.md`
 //! §12.
 //!
-//! See `DESIGN.md` §11 for the staleness model and §16 for the lock-free
-//! read path's memory-ordering argument.
+//! See `DESIGN.md` §11 for the staleness model, the read path's
+//! measurements and its one untested hypothesis.
 
 #![warn(missing_docs)]
-// `unsafe` is denied crate-wide; the one exception is the `shard` module,
-// whose epoch-GC read path needs raw-pointer derefs and carries a safety
-// argument on every unsafe block (see its module docs and DESIGN.md §16).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod persist;
 pub mod service;
-mod shard;
 pub mod snapshot;
 pub mod store;
 
@@ -77,4 +72,4 @@ pub use persist::{
 };
 pub use service::{ServeError, ServeService};
 pub use snapshot::{ModelSnapshot, ServedServer};
-pub use store::{GcStats, SnapshotStore, StoreStats};
+pub use store::{SnapshotStore, StoreStats};

@@ -1,66 +1,45 @@
-//! Sharded, lock-free snapshot storage: epoch-GC reads, serialized
-//! publishes.
+//! Snapshot storage: one `RwLock<Option<Arc<ModelSnapshot>>>` per region
+//! behind a `RwLock<BTreeMap>` of regions.
 //!
-//! Regions hash across `crate::shard`'s 16-way `ShardedMap`; each
-//! region owns a `RegionSlot` whose snapshot is a single atomic pointer
-//! (`Swap`). A read is: pin the GC epoch, load the shard's frozen map
-//! node, binary-search the region, load the snapshot pointer — four
-//! uncontended atomic operations and **no lock of any kind**, which is
-//! what lets throughput scale linearly with reader threads. A publish
-//! builds the new snapshot off to the side, swaps the pointer in one
-//! atomic store, and *retires* the old snapshot to the epoch GC, which
-//! frees it only after every in-flight pin has drained. Readers never
-//! wait on a deploy; deploys never wait on readers.
+//! A read takes two uncontended read locks — the region map's, then the
+//! region's — clones one `Arc` and releases both before it answers. No
+//! guard is ever held across a query: answering can run a fitted model,
+//! and a publisher waiting for the write lock would queue every later
+//! reader behind that one. A publish builds and stamps the new snapshot
+//! outside the lock, swaps the `Arc` under the region's write lock and
+//! drops the superseded `Arc` after releasing it; a per-region mutex
+//! serializes deploys so epochs are dense. The map is write-locked only
+//! the first time a region is seen.
 //!
-//! The asymmetry is deliberate and matches the serving workload (queries
-//! outnumber deploys by orders of magnitude): publishers pay the epoch
-//! bump, the reader-slot scan, and a per-region mutex that serializes
-//! deploys; readers pay two thread-private atomic stores (pin/unpin) that
-//! no other thread contends.
-//!
-//! Coherence comes from swapping the whole snapshot pointer: a reader
-//! either sees the entire old snapshot or the entire new one, never a
-//! mixture, and a reader that clones the `Arc` before the swap keeps a
-//! fully consistent prediction set until it drops the handle — the GC
-//! never frees a snapshot whose `Arc` is still held. The full
-//! memory-ordering argument lives in `crate::shard`'s module docs and
-//! `DESIGN.md` §16.
+//! Coherence comes from swapping the whole snapshot `Arc`: a reader sees
+//! the entire old snapshot or the entire new one, never a mixture, and a
+//! reader that cloned the `Arc` before the swap keeps a consistent
+//! prediction set until it drops the handle. Ownership frees: the last
+//! `Arc` to go — the store's at the swap, or a reader's afterwards —
+//! drops the snapshot. `DESIGN.md` §11 has the measurements and the one
+//! hypothesis this box cannot test (many-core reader–reader contention).
 
-use crate::shard::{EpochGc, PinGuard, ShardedMap, Swap, SHARDS};
 use crate::snapshot::ModelSnapshot;
-use parking_lot::Mutex;
-use std::collections::BTreeSet;
+use parking_lot::{Mutex, RwLock};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Per-region state: one epoch-GC-protected snapshot pointer plus the
-/// publish-side serialization.
+/// Per-region state: the current snapshot plus the publish-side
+/// serialization.
+#[derive(Default)]
 pub(crate) struct RegionSlot {
-    snap: Swap<ModelSnapshot>,
+    snap: RwLock<Option<Arc<ModelSnapshot>>>,
     /// 0 before the first publish, then one increment per deploy.
     epoch: AtomicU64,
     publish_lock: Mutex<()>,
 }
 
 impl RegionSlot {
-    fn new() -> RegionSlot {
-        RegionSlot {
-            snap: Swap::empty(),
-            epoch: AtomicU64::new(0),
-            publish_lock: Mutex::new(()),
-        }
-    }
-
-    /// Borrows the current snapshot under `pin` — the zero-refcount hot
-    /// path.
-    pub(crate) fn read<'p>(&self, pin: &'p PinGuard) -> Option<&'p ModelSnapshot> {
-        self.snap.read(pin)
-    }
-
-    /// Clones the current snapshot `Arc` under `pin`, for callers that
-    /// outlive the pin.
-    pub(crate) fn load(&self, pin: &PinGuard) -> Option<Arc<ModelSnapshot>> {
-        self.snap.load(pin)
+    /// Clones the current snapshot `Arc`; the read lock is released before
+    /// this returns.
+    pub(crate) fn load(&self) -> Option<Arc<ModelSnapshot>> {
+        self.snap.read().clone()
     }
 
     /// The region's deploy epoch (0 = nothing published).
@@ -68,108 +47,82 @@ impl RegionSlot {
         self.epoch.load(Ordering::Acquire)
     }
 
-    fn publish(&self, mut snapshot: ModelSnapshot, gc: &EpochGc) -> u64 {
-        let _serialize = self.publish_lock.lock();
-        let next = self.epoch.load(Ordering::Relaxed) + 1;
-        snapshot.stamp_epoch(next);
-        self.snap.store(Arc::new(snapshot), gc);
-        self.epoch.store(next, Ordering::Release);
+    fn publish(&self, mut snapshot: ModelSnapshot) -> u64 {
+        let (next, superseded) = {
+            let _serialize = self.publish_lock.lock();
+            let next = self.epoch.load(Ordering::Relaxed) + 1;
+            snapshot.stamp_epoch(next);
+            let fresh = Some(Arc::new(snapshot));
+            let superseded = std::mem::replace(&mut *self.snap.write(), fresh);
+            // Release pairs with `epoch`'s Acquire: a reader that sees
+            // epoch `n` then loads a snapshot stamped `n` or later.
+            self.epoch.store(next, Ordering::Release);
+            (next, superseded)
+        };
+        // Outside both locks: freeing a region's tables is the slow part
+        // of a deploy and nothing else should wait on it.
+        drop(superseded);
         next
     }
 }
 
 /// Deterministic store statistics: stable across thread counts for a
-/// fixed publish schedule (exported as `Stability::Stable` metrics).
+/// fixed publish schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Publishes accepted per shard (regions hash to a fixed shard).
-    pub publishes_per_shard: Vec<u64>,
-    /// Regions registered per shard.
-    pub regions_per_shard: Vec<usize>,
-    /// Snapshots handed to the GC so far (= publishes − live regions).
+    /// Publishes accepted.
+    pub publishes: u64,
+    /// Regions with at least one publish.
+    pub regions: usize,
+    /// Snapshots superseded by a later publish (= publishes − regions).
     pub snapshots_retired: u64,
 }
 
-/// Timing-dependent store statistics (exported as `Stability::Volatile`
-/// metrics): reclamation progress depends on reader scheduling.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GcStats {
-    /// Retired values (snapshots and map nodes) actually freed so far.
-    pub freed_total: u64,
-    /// Retired values (snapshots and map nodes) handed to the GC so far.
-    pub retired_total: u64,
-    /// Reader slots registered (one per thread that ever read).
-    pub reader_slots: usize,
-}
-
-/// The serving layer's snapshot registry: regions sharded 16 ways, each
-/// holding one epoch-GC-swapped snapshot pointer.
-///
-/// `SnapshotStore` is `Clone`-free by design — share it through `Arc` (as
-/// [`crate::ServeService`] does). Reads take no lock at any level; the
-/// per-shard write mutex is touched only the first time a region is seen,
-/// and the per-region publish mutex only by deploys.
+/// The serving layer's snapshot registry: one swappable snapshot `Arc`
+/// per region. `Clone`-free by design — share it through `Arc` (as
+/// [`crate::ServeService`] does).
+#[derive(Default)]
 pub struct SnapshotStore {
-    gc: Arc<EpochGc>,
-    regions: ShardedMap<Arc<RegionSlot>>,
-    /// Regions that have seen a publish — kept separately because slots
-    /// may also be registered by first queries (the service's region
-    /// contexts) before anything is published.
-    published: Mutex<BTreeSet<String>>,
-    publishes: [AtomicU64; SHARDS],
+    /// Slots may be registered by first queries (the service's region
+    /// contexts) before anything is published; such a slot's epoch is 0.
+    regions: RwLock<BTreeMap<String, Arc<RegionSlot>>>,
+    publishes: AtomicU64,
     snapshots_retired: AtomicU64,
 }
 
 impl SnapshotStore {
     /// Creates an empty store with no regions.
     pub fn new() -> SnapshotStore {
-        SnapshotStore {
-            gc: EpochGc::new(),
-            regions: ShardedMap::new(),
-            published: Mutex::new(BTreeSet::new()),
-            publishes: std::array::from_fn(|_| AtomicU64::new(0)),
-            snapshots_retired: AtomicU64::new(0),
-        }
+        SnapshotStore::default()
     }
 
-    /// The store's epoch GC — shared with anything layered on the same
-    /// read path (e.g. the service's region-context map) so one pin
-    /// covers both.
-    pub(crate) fn gc(&self) -> &Arc<EpochGc> {
-        &self.gc
-    }
-
-    /// Lock-free region-slot lookup under a pin.
-    pub(crate) fn slot<'p>(&self, region: &str, pin: &'p PinGuard) -> Option<&'p Arc<RegionSlot>> {
-        self.regions.get(region, pin)
+    fn slot(&self, region: &str) -> Option<Arc<RegionSlot>> {
+        self.regions.read().get(region).cloned()
     }
 
     /// The region's slot, registering an empty one if absent — used by
-    /// publishes and by the service's region-context map (a context may
-    /// exist before the first publish; its slot simply reads `None`).
-    pub(crate) fn slot_or_insert(&self, region: &str, pin: &PinGuard) -> Arc<RegionSlot> {
-        if let Some(slot) = self.regions.get(region, pin) {
-            return Arc::clone(slot);
+    /// publishes and by the service's region contexts (a context may exist
+    /// before the first publish; its slot simply loads `None`).
+    pub(crate) fn slot_or_insert(&self, region: &str) -> Arc<RegionSlot> {
+        if let Some(slot) = self.slot(region) {
+            return slot;
         }
-        self.regions
-            .get_or_insert(region, &self.gc, pin, || Arc::new(RegionSlot::new()))
+        // `entry` re-checks under the write lock: a racing inserter may
+        // have won, and every caller must end up with the same slot.
+        Arc::clone(self.regions.write().entry(region.to_string()).or_default())
     }
 
     /// Publishes a snapshot for its region, stamping and returning the new
-    /// epoch. Publishes for the same region are serialized; readers are
-    /// never blocked by a publish.
+    /// epoch. Publishes for the same region are serialized; a reader waits
+    /// at most for the pointer swap.
     pub fn publish(&self, snapshot: ModelSnapshot) -> u64 {
-        let pin = self.gc.pin();
-        let region = snapshot.region().to_string();
-        let slot = self.slot_or_insert(&region, &pin);
-        let prior = slot.epoch();
-        let epoch = slot.publish(snapshot, &self.gc);
-        self.publishes[ShardedMap::<Arc<RegionSlot>>::shard_index(&region)]
-            .fetch_add(1, Ordering::Relaxed);
-        if prior > 0 {
+        let slot = self.slot_or_insert(snapshot.region());
+        let epoch = slot.publish(snapshot);
+        self.publishes.fetch_add(1, Ordering::Relaxed);
+        // Every publish but a region's first supersedes exactly one
+        // snapshot; the epoch the slot hands back says which this was.
+        if epoch > 1 {
             self.snapshots_retired.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.published.lock().insert(region);
         }
         epoch
     }
@@ -178,56 +131,30 @@ impl SnapshotStore {
     /// published yet. The returned `Arc` stays coherent even if a deploy
     /// swaps the region while the caller holds it.
     pub fn load(&self, region: &str) -> Option<Arc<ModelSnapshot>> {
-        let pin = self.gc.pin();
-        self.slot(region, &pin).and_then(|slot| slot.load(&pin))
+        self.slot(region).and_then(|slot| slot.load())
     }
 
     /// The region's current epoch: 0 before the first publish, then one
     /// increment per successful deploy.
     pub fn epoch(&self, region: &str) -> u64 {
-        let pin = self.gc.pin();
-        self.slot(region, &pin).map_or(0, |slot| slot.epoch())
+        self.slot(region).map_or(0, |slot| slot.epoch())
     }
 
     /// Regions that have seen at least one publish, ascending.
     pub fn regions(&self) -> Vec<String> {
-        self.published.lock().iter().cloned().collect()
+        let regions = self.regions.read();
+        let published = regions.iter().filter(|(_, slot)| slot.epoch() > 0);
+        published.map(|(region, _)| region.clone()).collect()
     }
 
-    /// Deterministic per-shard statistics (see [`StoreStats`]).
+    /// Deterministic store statistics (see [`StoreStats`]).
     pub fn stats(&self) -> StoreStats {
-        let pin = self.gc.pin();
+        let regions = self.regions.read();
         StoreStats {
-            publishes_per_shard: self
-                .publishes
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            regions_per_shard: self.regions.shard_sizes(&pin),
+            publishes: self.publishes.load(Ordering::Relaxed),
+            regions: regions.values().filter(|slot| slot.epoch() > 0).count(),
             snapshots_retired: self.snapshots_retired.load(Ordering::Relaxed),
         }
-    }
-
-    /// Timing-dependent reclamation statistics (see [`GcStats`]).
-    pub fn gc_stats(&self) -> GcStats {
-        GcStats {
-            freed_total: self.gc.freed_total(),
-            retired_total: self.gc.retired_total(),
-            reader_slots: self.gc.reader_slots(),
-        }
-    }
-
-    /// Runs a GC collection cycle, freeing anything no pin still guards.
-    /// Publishes collect automatically; this is for quiescent callers
-    /// (tests, shutdown paths) that want reclamation to converge.
-    pub fn collect(&self) {
-        self.gc.collect();
-    }
-}
-
-impl Default for SnapshotStore {
-    fn default() -> SnapshotStore {
-        SnapshotStore::new()
     }
 }
 
@@ -293,15 +220,89 @@ mod tests {
         store.publish(snap("west", 1));
         store.publish(snap("west", 2));
         store.publish(snap("east", 1));
-        let stats = store.stats();
-        assert_eq!(stats.publishes_per_shard.iter().sum::<u64>(), 3);
-        assert_eq!(stats.regions_per_shard.iter().sum::<usize>(), 2);
-        assert_eq!(stats.snapshots_retired, 1, "west's first snapshot retired");
-        // Nothing pinned: retirement converges once a collection runs.
-        store.collect();
-        let gc = store.gc_stats();
-        assert!(gc.retired_total >= 1);
-        assert_eq!(gc.freed_total, gc.retired_total);
+        assert_eq!(
+            store.stats(),
+            StoreStats {
+                publishes: 3,
+                regions: 2,
+                snapshots_retired: 1, // west's first snapshot
+            }
+        );
+    }
+
+    #[test]
+    fn first_publishes_racing_on_one_region_count_every_retirement() {
+        // Whichever publish wins the region's first epoch, the other seven
+        // each supersede one snapshot. The test holds the region's publish
+        // lock while the eight line up behind it: whatever a publish
+        // decides before taking that lock, it decides at epoch 0.
+        const THREADS: u64 = 8;
+        let store = SnapshotStore::new();
+        let slot = store.slot_or_insert("fresh");
+        assert!(store.regions().is_empty(), "registered, not published");
+        let gate = slot.publish_lock.lock();
+        let barrier = std::sync::Barrier::new(THREADS as usize + 1);
+        std::thread::scope(|scope| {
+            for v in 1..=THREADS {
+                let (store, barrier) = (&store, &barrier);
+                scope.spawn(move || {
+                    let snapshot = snap("fresh", v);
+                    barrier.wait();
+                    store.publish(snapshot);
+                });
+            }
+            barrier.wait();
+            // Time for the publishers to reach the lock. Only the test's
+            // power depends on it: the assertions hold in any interleaving.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            drop(gate);
+        });
+        assert_eq!(slot.epoch(), THREADS, "every publish found this slot");
+        assert_eq!(store.regions(), vec!["fresh".to_string()]);
+        assert_eq!(
+            store.stats(),
+            StoreStats {
+                publishes: THREADS,
+                regions: 1,
+                snapshots_retired: THREADS - 1,
+            }
+        );
+    }
+
+    #[test]
+    fn concurrent_readers_vs_swap_storm() {
+        // `snap` stamps its version into every value, so a load that mixed
+        // two publishes would show a version and a value that disagree.
+        const SWAPS: u64 = 2_000;
+        let store = SnapshotStore::new();
+        store.publish(snap("west", 1));
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for v in 2..=SWAPS {
+                    store.publish(snap("west", v));
+                }
+                stop.store(true, Ordering::Release);
+            });
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let mut last = 0;
+                    while !stop.load(Ordering::Acquire) {
+                        let seen = store.load("west").expect("published");
+                        let values = seen.server(1).unwrap().prediction().values();
+                        assert!(
+                            values.iter().all(|v| *v == seen.version() as f64),
+                            "torn value observed"
+                        );
+                        assert_eq!(seen.epoch(), seen.version(), "stamped before the swap");
+                        assert!(seen.epoch() >= last, "a later load saw an older snapshot");
+                        last = seen.epoch();
+                    }
+                });
+            }
+        });
+        assert_eq!(store.load("west").unwrap().version(), SWAPS);
+        assert_eq!(store.stats().snapshots_retired, SWAPS - 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use seagull::telemetry::blobstore::MemoryBlobStore;
 use seagull::telemetry::extract::LoadExtraction;
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec, ServerTelemetry};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// A snapshot whose every server carries the same constant value — torn
 /// reads (mixing servers from two snapshots) become detectable.
@@ -110,10 +110,10 @@ fn reader_holding_old_epoch_keeps_coherent_prediction_set() {
 }
 
 #[test]
-fn multi_region_deploy_storms_stay_isolated_across_shards() {
-    // Enough regions to land on several store shards; each region's values
-    // encode (region index, version) so any cross-region or cross-epoch
-    // leak through the sharded map is detectable.
+fn multi_region_deploy_storms_stay_isolated() {
+    // Each region's values encode (region index, version) so any
+    // cross-region or cross-epoch leak through the region map is
+    // detectable.
     let serve = ServeService::with_defaults();
     const REGIONS: usize = 12;
     const DEPLOYS: u64 = 60;
@@ -125,7 +125,7 @@ fn multi_region_deploy_storms_stay_isolated_across_shards() {
 
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        // Writers: a deploy storm per region, interleaved across shards.
+        // Writer: a deploy storm interleaved across the regions.
         scope.spawn(|| {
             for v in 2..=DEPLOYS {
                 for (i, name) in names.iter().enumerate() {
@@ -135,7 +135,7 @@ fn multi_region_deploy_storms_stay_isolated_across_shards() {
             stop.store(true, Ordering::Release);
         });
         // Readers: responses must be internally uniform and belong to the
-        // queried region's value space, never a neighbor shard's.
+        // queried region's value space, never a neighbor's.
         for t in 0..3 {
             let (serve, names, stop) = (&serve, &names, &stop);
             scope.spawn(move || {
@@ -168,19 +168,16 @@ fn multi_region_deploy_storms_stay_isolated_across_shards() {
     expected.sort();
     assert_eq!(published, expected);
 
-    // Publish-time store metrics cover every publish across all shards.
+    // Publish-time metrics count every publish against its own region.
     let reg = serve.obs().registry();
-    let shard_publishes: f64 = (0..16)
-        .map(|s| {
-            let shard = s.to_string();
-            reg.gauge(
-                "seagull_serve_shard_publishes",
-                &[("shard", shard.as_str())],
-            )
-            .get()
-        })
-        .sum();
-    assert_eq!(shard_publishes as u64, REGIONS as u64 * DEPLOYS);
+    for name in &names {
+        assert_eq!(
+            reg.counter("seagull_serve_publishes_total", &[("region", name)])
+                .get(),
+            DEPLOYS,
+            "{name}"
+        );
+    }
     assert_eq!(
         reg.gauge("seagull_serve_snapshots_retired", &[]).get() as u64,
         REGIONS as u64 * (DEPLOYS - 1),
@@ -189,37 +186,95 @@ fn multi_region_deploy_storms_stay_isolated_across_shards() {
 }
 
 #[test]
-fn snapshot_store_gc_frees_retired_snapshots_without_hurting_held_arcs() {
-    use seagull::serve::SnapshotStore;
-
-    let store = SnapshotStore::new();
-    store.publish(uniform_snapshot(1, 8, 1.0));
-    let held = store.load("west").expect("published");
-
-    for v in 2..=40 {
-        store.publish(uniform_snapshot(v, 8, v as f64));
+fn superseded_snapshots_are_freed_at_the_swap_and_the_live_one_with_the_service() {
+    let serve = ServeService::with_defaults();
+    serve.publish(uniform_snapshot(1, 8, 1.0));
+    let held = serve.snapshot("west").expect("published");
+    let mut published = vec![Arc::downgrade(&held)];
+    for v in 2..=41 {
+        serve.publish(uniform_snapshot(v, 8, v as f64));
+        // A query in between: an answer must not keep its snapshot alive.
+        assert_eq!(serve.predict("west", 0, 1).unwrap().values()[0], v as f64);
+        published.push(Arc::downgrade(&serve.snapshot("west").expect("published")));
     }
-    let stats = store.stats();
-    assert_eq!(stats.snapshots_retired, 39);
-    assert_eq!(stats.publishes_per_shard.iter().sum::<u64>(), 40);
 
-    // No reader pins are active on this thread between store calls, so a
-    // collection pass may free every retired snapshot entry. The held Arc
-    // is refcounted independently — freeing the store's reference must not
-    // disturb it.
-    store.collect();
-    let gc = store.gc_stats();
-    assert_eq!(gc.retired_total, 39);
-    assert_eq!(
-        gc.freed_total, gc.retired_total,
-        "with no active pins, collection frees everything retired"
-    );
+    // The held snapshot is intact; every other superseded one is already
+    // gone — nothing waits for a collection pass.
+    let live = published.pop().expect("41 publishes");
     assert_eq!(held.version(), 1);
     for id in held.server_ids() {
         let series = held.server(id).unwrap().prediction();
         assert!(series.values().iter().all(|v| *v == 1.0));
     }
-    assert_eq!(store.load("west").unwrap().version(), 40);
+    assert!(published[0].upgrade().is_some(), "the reader's Arc owns it");
+    for (i, superseded) in published.iter().enumerate().skip(1) {
+        assert!(superseded.upgrade().is_none(), "publish {} leaked", i + 1);
+    }
+    let retired = serve
+        .obs()
+        .registry()
+        .gauge("seagull_serve_snapshots_retired", &[]);
+    assert_eq!(retired.get(), 40.0);
+
+    // The live snapshot goes with the service (store, slots and the region
+    // context the queries built), the held one with its last reader.
+    assert_eq!(live.upgrade().expect("still serving").version(), 41);
+    drop(serve);
+    assert!(live.upgrade().is_none(), "the service leaked its snapshot");
+    drop(held);
+    assert!(published[0].upgrade().is_none());
+}
+
+#[test]
+fn first_queries_racing_on_one_region_share_one_context() {
+    // Eight threads send a region's first query at once, before anything
+    // is published. Whichever builds the region's context, all of them —
+    // and the publish that follows — must end up on one snapshot slot and
+    // one set of counters: a loser left holding a private slot would
+    // answer `NoSnapshot` forever.
+    const THREADS: u64 = 8;
+    let serve = ServeService::with_defaults();
+    let barrier = Barrier::new(THREADS as usize);
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                barrier.wait();
+                let first = serve.predict("fresh", 99, 4);
+                if barrier.wait().is_leader() {
+                    serve.publish(region_snapshot("fresh", 1, 4, 5.0));
+                }
+                barrier.wait();
+                assert!(matches!(first, Err(ServeError::NoSnapshot { .. })));
+                // The same query now reaches the snapshot, which has no
+                // server 99, and a good one reads the published values.
+                assert!(matches!(
+                    serve.predict("fresh", 99, 4),
+                    Err(ServeError::UnknownServer { server_id: 99, .. })
+                ));
+                let series = serve.predict("fresh", 2, 4).expect("published");
+                assert_eq!(series.values(), &[5.0; 4]);
+            });
+        }
+    });
+
+    // A query that finds no snapshot returns before outcome accounting, so
+    // the counted errors are the ones sent after the publish: all of them,
+    // on one counter.
+    let requests = |outcome| {
+        serve
+            .obs()
+            .registry()
+            .counter(
+                "seagull_serve_requests_total",
+                &[("region", "fresh"), ("outcome", outcome)],
+            )
+            .get()
+    };
+    assert_eq!(requests("error"), THREADS);
+    assert_eq!(requests("ok"), THREADS);
+    assert_eq!(requests("rejected"), 0);
+    assert_eq!(serve.epoch("fresh"), 1);
+    assert_eq!(serve.regions(), vec!["fresh".to_string()]);
 }
 
 #[test]
