@@ -222,15 +222,15 @@ impl BackupScheduler {
         fabric: &FabricPropertyStore,
     ) -> Vec<ScheduledBackup> {
         let weekday = DayOfWeek::from_day_index(backup_day).index();
-        let due: Vec<&ServerTelemetry> = fleet
+        // On the calling thread: each item is a microsecond read of an
+        // immutable snapshot, less than handing it to the pool costs.
+        let scheduled: Vec<ScheduledBackup> = fleet
             .iter()
             .filter(|s| {
                 s.meta.backup.backup_weekday as usize == weekday && s.meta.alive_on(backup_day)
             })
+            .map(|server| self.schedule_server_served(serve, region, server, backup_day))
             .collect();
-        let scheduled = parallel_map(&due, self.config.threads, |server| {
-            self.schedule_server_served(serve, region, server, backup_day)
-        });
         for b in &scheduled {
             let _ = fabric.try_set_backup_window_start(ServerId(b.server_id), b.start);
         }

@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the Seagull hot paths: the metric kernels
-//! (bucket ratio, LL-window search), model fitting, classification, the
-//! featurization kernels on a generated Fig. 3 week, the linalg kernels under
-//! an SSA fit at its shapes, the document store, and the parallel executor.
+//! (bucket ratio, LL-window search), the served LL-window query, model
+//! fitting, classification, the featurization kernels on a generated Fig. 3
+//! week, the linalg kernels under an SSA fit at its shapes, the document
+//! store, and the parallel executor.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use seagull_core::classify::{classify_series, ClassifyConfig};
@@ -9,12 +10,14 @@ use seagull_core::docstore::DocStore;
 use seagull_core::features::extract_server_features;
 use seagull_core::metrics::{bucket_ratio, evaluate_low_load, AccuracyConfig, ErrorBound};
 use seagull_core::par::parallel_map;
+use seagull_core::pipeline::PredictionDoc;
 use seagull_forecast::additive::FitMethod;
 use seagull_forecast::{
     AdditiveConfig, AdditiveForecaster, FeedForwardConfig, FeedForwardForecaster, Forecaster,
     PersistentForecast, SsaConfig, SsaForecaster, SsaKernel,
 };
 use seagull_linalg::{hankel_gram, kernel};
+use seagull_serve::{ModelSnapshot, ServeService};
 use seagull_telemetry::columnar::{checksum64_words, ColumnarBatch};
 use seagull_telemetry::extract::{ExtractedServer, LoadExtraction};
 use seagull_telemetry::fleet::{FleetGenerator, FleetSpec};
@@ -54,6 +57,33 @@ fn bench_metrics(c: &mut Criterion) {
     let cfg = AccuracyConfig::default();
     c.bench_function("evaluate_low_load/288pts", |b| {
         b.iter(|| evaluate_low_load(black_box(&truth), black_box(&pred), 120, &cfg))
+    });
+}
+
+/// The scheduler's query, `ServeService::ll_window`, over 64 servers with a
+/// 288-point day and a two-hour backup each: the row times one sweep of the
+/// 64, so divide by 64 for a query and set it against
+/// `min_mean_window/288pts` for the share that is the search.
+fn bench_serve_ll_window(c: &mut Criterion) {
+    const SERVERS: u64 = 64;
+    let docs: Vec<PredictionDoc> = (0..SERVERS)
+        .map(|id| PredictionDoc {
+            region: "west".into(),
+            server_id: id,
+            day: 100,
+            step_min: 5,
+            values: day_series(id * 20).values().to_vec(),
+            duration_min: 120,
+        })
+        .collect();
+    let serve = ServeService::with_defaults();
+    serve.publish(ModelSnapshot::from_predictions("west", 1, 93, "m", &docs));
+    c.bench_function("serve/ll_window/64servers", |b| {
+        b.iter(|| {
+            (0..SERVERS)
+                .map(|id| serve.ll_window("west", id, 100).unwrap().start.minutes())
+                .sum::<i64>()
+        })
     });
 }
 
@@ -304,6 +334,7 @@ fn bench_executor(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_metrics,
+    bench_serve_ll_window,
     bench_models,
     bench_linalg,
     bench_classification,

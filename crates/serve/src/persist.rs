@@ -274,13 +274,18 @@ pub fn decode_snapshot(blob: &[u8]) -> Result<ModelSnapshot, PersistError> {
             "trailing bytes after servers".into(),
         ));
     }
-    Ok(ModelSnapshot::from_predictions(
-        &region,
-        model_version,
-        week_start_day,
-        &model_name,
-        &docs,
-    ))
+    let snapshot =
+        ModelSnapshot::from_predictions(&region, model_version, week_start_day, &model_name, &docs);
+    // `from_predictions` skips a document that forms no day-aligned series
+    // and keeps one of two with the same id; a snapshot short of a server
+    // its journal record counts is not what was deployed.
+    if snapshot.len() != servers {
+        return Err(PersistError::Malformed(format!(
+            "{} of {servers} servers form a snapshot",
+            snapshot.len()
+        )));
+    }
+    Ok(snapshot)
 }
 
 // ---------------------------------------------------------------------------
@@ -780,6 +785,64 @@ mod tests {
             snapshot.server(7).unwrap().prediction().values(),
             &[1.0; 48][..]
         );
+    }
+
+    /// A blob no torn write leaves: every checksum holds, but `bytes`
+    /// overwrite the first server's record `at` bytes in (its id is at 0,
+    /// day at 8, duration at 16, step at 24).
+    fn forged_blob(snapshot: &ModelSnapshot, at: usize, bytes: &[u8]) -> Bytes {
+        let mut blob = encode_snapshot(snapshot).to_vec();
+        let strings = 4 + snapshot.region().len() + 4 + snapshot.model_name().len();
+        // Header, then the server count.
+        let first = 4 + 2 + 2 + 8 + 8 + strings + 4;
+        let id = snapshot.server_ids().next().unwrap();
+        assert_eq!(blob[first..first + 8], id.to_le_bytes());
+        blob[first + at..first + at + bytes.len()].copy_from_slice(bytes);
+        let body = blob.len() - 8;
+        let checksum = checksum64(&blob[..body]);
+        blob[body..].copy_from_slice(&checksum.to_le_bytes());
+        Bytes::from(blob)
+    }
+
+    #[test]
+    fn snapshot_off_the_day_grid_is_malformed_and_recovery_falls_back() {
+        let forged = forged_blob(&snap(2), 24, &0u32.to_le_bytes());
+        // A day whose first minute is past `i64`, and one whose last is.
+        let starts_late = forged_blob(&snap(2), 8, &(i64::MAX / 1440 + 1).to_le_bytes());
+        let ends_late = forged_blob(&snap(2), 8, &(i64::MAX / 1440).to_le_bytes());
+        for blob in [&forged, &starts_late, &ends_late] {
+            let err = decode_snapshot(blob).unwrap_err();
+            assert!(matches!(err, PersistError::Malformed(_)), "{err}");
+        }
+
+        // Journaled under its own checksum, as a faulty encoder would have
+        // left it: recovery reaches the decoder and must come back with the
+        // previous epoch, not a panic and not a snapshot short of a server.
+        let store: Arc<dyn BlobStore> = Arc::new(MemoryBlobStore::new());
+        let sink = DurableServeSink::new(ServeService::with_defaults(), Arc::clone(&store));
+        deploy(&sink, 1, &[doc(7, 14, vec![1.0; 48])]);
+        let record = DeployRecord {
+            region: "west".into(),
+            seq: 2,
+            version: 2,
+            week_start_day: 7,
+            model_name: "persistent-prev-day".into(),
+            snapshot_checksum: checksum64(&forged),
+            servers: 2,
+        };
+        let mut segment = Journal::new();
+        segment.append(&record.encode());
+        store.put(&snapshot_key("west", 2), forged).unwrap();
+        store
+            .put(&journal_segment_key(1), segment.encoded())
+            .unwrap();
+
+        let (recovered, report) =
+            DurableServeSink::recover(ServeService::with_defaults(), store).unwrap();
+        assert_eq!(report.journal_records, 2);
+        assert_eq!(report.snapshot_fallbacks, 1);
+        assert_eq!(report.snapshots_restored, 1);
+        assert_eq!(recovered.serve().snapshot("west").unwrap().version(), 1);
     }
 
     #[test]

@@ -78,9 +78,11 @@ pub enum ServeError {
         day: i64,
     },
     /// The day prediction exists but no low-load window of the requested
-    /// duration fits it (duration not a multiple of the step, or zero).
+    /// duration fits it (duration not a multiple of the step, longer than
+    /// the day, or zero).
     NoWindow {
-        /// Requested window duration, minutes.
+        /// Requested window duration, minutes; 0 also stands for a stored
+        /// duration that is negative or past `u32`.
         duration_min: u32,
     },
     /// The request was malformed (zero horizon, empty batch, ...).
@@ -510,13 +512,14 @@ impl ServeService {
         let (ctx, snapshot) = self.admit(region)?;
         let result = (|| {
             let series = self.predict_day_on(&snapshot, region, server_id, day)?;
-            let duration = snapshot
+            // An inverted default backup window (validation reports it but
+            // does not block) arrives as a negative duration: that, and one
+            // past `u32`, is 0, the duration no window fits.
+            let duration_min = snapshot
                 .server(server_id)
-                .map(|s| s.duration_min() as u32)
+                .and_then(|s| u32::try_from(s.duration_min()).ok())
                 .unwrap_or(0);
-            lowest_load_window(&series, duration).ok_or(ServeError::NoWindow {
-                duration_min: duration,
-            })
+            lowest_load_window(&series, duration_min).ok_or(ServeError::NoWindow { duration_min })
         })();
         self.finish(&ctx, started, result)
     }
@@ -592,6 +595,7 @@ mod tests {
     use super::*;
     use seagull_core::pipeline::PredictionDoc;
     use seagull_core::resilience::BreakerState;
+    use seagull_forecast::{Forecaster, PersistentForecast};
 
     fn doc(server_id: u64, day: i64, values: Vec<f64>) -> PredictionDoc {
         PredictionDoc {
@@ -675,6 +679,32 @@ mod tests {
         assert_eq!(w.duration_min, 60);
         assert_eq!(w.start.day_index(), 14);
         assert!((w.mean_load - 0.5).abs() < 1e-12);
+    }
+
+    /// An inverted default backup window reaches the snapshot as a negative
+    /// duration; cast with `as u32` it asked for a 4,294,967,236-minute
+    /// window, and one past `u32` wrapped into a plausible hour.
+    #[test]
+    fn ll_window_answers_an_unrepresentable_duration_as_no_window() {
+        let serve = ServeService::with_defaults();
+        let mut inverted = doc(7, 14, (0..48).map(f64::from).collect());
+        inverted.duration_min = -60;
+        let mut wrapping = doc(8, 14, vec![1.0; 48]);
+        wrapping.duration_min = i64::from(u32::MAX) + 61;
+        let mut snap = ModelSnapshot::from_predictions("west", 1, 7, "m", &[inverted, wrapping]);
+        // A model that reaches day 15, the day no document materializes.
+        let history = TimeSeries::new(Timestamp::from_days(13), 30, vec![2.0; 48]).unwrap();
+        let model = PersistentForecast::previous_day().fit(&history).unwrap();
+        snap.attach_model(7, Arc::from(model));
+        serve.publish(snap);
+        assert!(serve.predict_day("west", 7, 15).is_ok());
+        for (server, day) in [(7, 14), (7, 15), (8, 14)] {
+            assert_eq!(
+                serve.ll_window("west", server, day),
+                Err(ServeError::NoWindow { duration_min: 0 }),
+                "server {server}, day {day}"
+            );
+        }
     }
 
     #[test]

@@ -137,10 +137,13 @@ impl ModelSnapshot {
     ) -> ModelSnapshot {
         let mut servers = BTreeMap::new();
         for doc in predictions {
+            let Some(prediction) = doc.series() else {
+                continue;
+            };
             servers.insert(
                 doc.server_id,
                 ServedServer {
-                    prediction: doc.series(),
+                    prediction,
                     duration_min: doc.duration_min,
                     model: None,
                 },
@@ -291,6 +294,32 @@ mod tests {
         assert_eq!(s.duration_min(), 60);
         assert!(!s.has_model());
         assert!(snap.server(999).is_none());
+    }
+
+    #[test]
+    fn documents_off_the_day_grid_are_skipped() {
+        let mut zero_step = doc(4, 14, 1.0);
+        zero_step.step_min = 0;
+        let mut uneven_step = doc(5, 14, 1.0);
+        uneven_step.step_min = 7;
+        // The last minute of one and the first minute of the other are
+        // past `i64`.
+        let ends_late = doc(6, i64::MAX / 1440, 1.0);
+        let starts_late = doc(7, i64::MAX / 1440 + 1, 1.0);
+        let snap = ModelSnapshot::from_predictions(
+            "west",
+            1,
+            7,
+            "m",
+            &[
+                zero_step,
+                doc(9, 14, 2.0),
+                uneven_step,
+                ends_late,
+                starts_late,
+            ],
+        );
+        assert_eq!(snap.server_ids().collect::<Vec<_>>(), vec![9]);
     }
 
     #[test]

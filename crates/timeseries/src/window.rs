@@ -16,6 +16,11 @@ pub struct WindowStat {
     pub mean: f64,
 }
 
+/// Points whose prefix sums [`min_mean_window`] keeps on the stack (3 KB):
+/// a day on the five-minute grid is 288 plus the leading zero, so the search
+/// the scheduler asks for never touches the heap. Longer inputs use a `Vec`.
+const STACK_PREFIX: usize = 384;
+
 /// Finds the contiguous window of `len` points with the minimal mean.
 ///
 /// Ties are broken in favor of the earliest window, which makes the search
@@ -26,38 +31,54 @@ pub fn min_mean_window(values: &[f64], len: usize) -> Option<WindowStat> {
     if len == 0 || len > values.len() {
         return None;
     }
-    // Prefix sums give O(n) scanning. NaNs (missing samples) are tracked in a
-    // separate count prefix so a single gap does not poison every window that
-    // follows it; windows containing any NaN are skipped.
-    let mut prefix = Vec::with_capacity(values.len() + 1);
-    let mut nan_prefix = Vec::with_capacity(values.len() + 1);
-    prefix.push(0.0);
-    nan_prefix.push(0usize);
+    let mut stack = [0.0; STACK_PREFIX];
+    let mut heap = Vec::new();
+    let prefix: &mut [f64] = if values.len() < STACK_PREFIX {
+        &mut stack[..=values.len()]
+    } else {
+        heap.resize(values.len() + 1, 0.0);
+        &mut heap
+    };
+    // One pass: `prefix[i]` is the sum of the non-NaN values before `i`, and
+    // `clean_from` is one past the newest NaN (missing sample) seen, so a
+    // single gap does not poison every window that follows it; windows
+    // starting before `clean_from` contain a NaN and are skipped.
+    let width = len as f64;
     let mut acc = 0.0;
-    let mut nans = 0usize;
-    for &v in values {
+    let mut clean_from = 0usize;
+    let mut best: Option<WindowStat> = None;
+    // Sum of the incumbent's window. NaN until there is one, and again when
+    // an overflowed sum made the incumbent's mean NaN: both compare false
+    // below and send the candidate through the exact test.
+    let mut best_sum = f64::NAN;
+    for (i, &v) in values.iter().enumerate() {
         if v.is_nan() {
-            nans += 1;
+            clean_from = i + 1;
         } else {
             acc += v;
         }
-        prefix.push(acc);
-        nan_prefix.push(nans);
-    }
-    let mut best: Option<WindowStat> = None;
-    for start in 0..=(values.len() - len) {
-        if nan_prefix[start + len] - nan_prefix[start] > 0 {
+        let end = i + 1;
+        prefix[end] = acc;
+        if end < clean_from + len {
             continue;
         }
-        let sum = prefix[start + len] - prefix[start];
-        let mean = sum / len as f64;
+        let start = end - len;
+        let sum = acc - prefix[start];
+        // Dividing by the one positive width is monotone, so a sum no
+        // smaller has a mean no smaller and the incumbent (earlier) stays;
+        // only a smaller sum pays for the division.
+        if sum >= best_sum {
+            continue;
+        }
+        let mean = sum / width;
         match best {
             Some(b) if b.mean <= mean => {}
             _ => {
                 best = Some(WindowStat {
                     start_index: start,
                     mean,
-                })
+                });
+                best_sum = sum;
             }
         }
     }
@@ -84,6 +105,52 @@ pub fn rolling_mean(values: &[f64], len: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The search as it was first written, the definition the one-pass
+    /// [`min_mean_window`] is held to: two prefix arrays on the heap and a
+    /// division per candidate start.
+    fn min_mean_window_reference(values: &[f64], len: usize) -> Option<WindowStat> {
+        if len == 0 || len > values.len() {
+            return None;
+        }
+        // Prefix sums give O(n) scanning. NaNs (missing samples) are tracked in a
+        // separate count prefix so a single gap does not poison every window that
+        // follows it; windows containing any NaN are skipped.
+        let mut prefix = Vec::with_capacity(values.len() + 1);
+        let mut nan_prefix = Vec::with_capacity(values.len() + 1);
+        prefix.push(0.0);
+        nan_prefix.push(0usize);
+        let mut acc = 0.0;
+        let mut nans = 0usize;
+        for &v in values {
+            if v.is_nan() {
+                nans += 1;
+            } else {
+                acc += v;
+            }
+            prefix.push(acc);
+            nan_prefix.push(nans);
+        }
+        let mut best: Option<WindowStat> = None;
+        for start in 0..=(values.len() - len) {
+            if nan_prefix[start + len] - nan_prefix[start] > 0 {
+                continue;
+            }
+            let sum = prefix[start + len] - prefix[start];
+            let mean = sum / len as f64;
+            match best {
+                Some(b) if b.mean <= mean => {}
+                _ => {
+                    best = Some(WindowStat {
+                        start_index: start,
+                        mean,
+                    })
+                }
+            }
+        }
+        best
+    }
 
     #[test]
     fn finds_minimum_mean() {
@@ -150,6 +217,77 @@ mod tests {
                 .unwrap();
             assert_eq!(w.start_index, bi);
             assert!((w.mean - bv).abs() < 1e-9);
+        }
+    }
+
+    fn load() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            6 => 0.0f64..100.0,
+            // Few distinct levels, so windows tie on sum and on mean.
+            4 => (0u32..4).prop_map(|k| f64::from(k) * 0.5),
+            1 => prop_oneof![Just(0.0), Just(-0.0)],
+            // Sums of these overflow to infinity, and their differences (or
+            // the two infinities in one window) to NaN.
+            1 => prop_oneof![
+                Just(1e308),
+                Just(-1e308),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+            ],
+        ]
+    }
+
+    /// Runs of loads broken by runs of NaN; about one input in five holds
+    /// a run longer than [`STACK_PREFIX`], so the heap branch runs too.
+    fn gappy_values() -> impl Strategy<Value = Vec<f64>> {
+        let run = prop_oneof![
+            12 => proptest::collection::vec(load(), 0..40),
+            4 => (1usize..30).prop_map(|n| vec![f64::NAN; n]),
+            1 => proptest::collection::vec(load(), STACK_PREFIX..STACK_PREFIX + 40),
+        ];
+        proptest::collection::vec(run, 0..8).prop_map(|runs| runs.concat())
+    }
+
+    proptest! {
+        /// Same window and the same mean, to the bit, as the reference:
+        /// NaN runs, ties, signed zeros, overflowing sums, every degenerate
+        /// `len`, inputs on either side of the stack buffer.
+        #[test]
+        fn one_pass_search_matches_reference(
+            values in gappy_values(),
+            pick in 0usize..6,
+            fraction in 0.0f64..1.0,
+        ) {
+            let n = values.len();
+            let len = match pick {
+                0 => 0,
+                1 => 1,
+                2 => n,
+                3 => n + 1,
+                _ => 1 + (fraction * n as f64) as usize,
+            };
+            let got = min_mean_window(&values, len);
+            let want = min_mean_window_reference(&values, len);
+            prop_assert_eq!(got.map(|w| w.start_index), want.map(|w| w.start_index));
+            prop_assert_eq!(
+                got.map(|w| w.mean.to_bits()),
+                want.map(|w| w.mean.to_bits())
+            );
+        }
+    }
+
+    #[test]
+    fn heap_branch_starts_at_the_stack_buffer_size() {
+        // 383 points fill the stack buffer exactly; 384 is the first `Vec`.
+        for n in [STACK_PREFIX - 1, STACK_PREFIX, 3 * STACK_PREFIX] {
+            let v: Vec<f64> = (0..n).map(|i| ((i * 37) % 101) as f64).collect();
+            for len in [1, 24, n] {
+                assert_eq!(
+                    min_mean_window(&v, len),
+                    min_mean_window_reference(&v, len),
+                    "n = {n}, len = {len}"
+                );
+            }
         }
     }
 }
