@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for the Seagull hot paths: the metric kernels
 //! (bucket ratio, LL-window search), the served LL-window query, model
 //! fitting, classification, the featurization kernels on a generated Fig. 3
-//! week, the linalg kernels under an SSA fit at its shapes, the document
-//! store, and the parallel executor.
+//! week, the `SGCB` data plane on that week (write, decode, validate), the
+//! linalg kernels under an SSA fit at its shapes, the document store, and the
+//! parallel executor.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use seagull_core::classify::{classify_series, ClassifyConfig};
@@ -11,6 +12,7 @@ use seagull_core::features::extract_server_features;
 use seagull_core::metrics::{bucket_ratio, evaluate_low_load, AccuracyConfig, ErrorBound};
 use seagull_core::par::parallel_map;
 use seagull_core::pipeline::PredictionDoc;
+use seagull_core::validation::{validate_columnar, DataProfile};
 use seagull_forecast::additive::FitMethod;
 use seagull_forecast::{
     AdditiveConfig, AdditiveForecaster, FeedForwardConfig, FeedForwardForecaster, Forecaster,
@@ -18,9 +20,10 @@ use seagull_forecast::{
 };
 use seagull_linalg::{hankel_gram, kernel};
 use seagull_serve::{ModelSnapshot, ServeService};
+use seagull_telemetry::blobstore::{BlobStore, MemoryBlobStore};
 use seagull_telemetry::columnar::{checksum64_words, ColumnarBatch};
-use seagull_telemetry::extract::{ExtractedServer, LoadExtraction};
-use seagull_telemetry::fleet::{FleetGenerator, FleetSpec};
+use seagull_telemetry::extract::{ExtractedServer, LoadExtraction, RegionWeekBatch};
+use seagull_telemetry::fleet::{FleetGenerator, FleetSpec, ServerTelemetry};
 use seagull_telemetry::record::{csv_quantized, RecordBatch};
 use seagull_timeseries::{
     decompose, detect_anomalies, fill_gaps, min_mean_window, AnomalyConfig, GapFill, SummaryStats,
@@ -165,11 +168,16 @@ fn bench_codec(c: &mut Criterion) {
 }
 
 /// One region-week of the paper's Fig. 3 population mix (80 servers, mostly
-/// short-lived and stable), as the rows the extraction query emits.
-fn fig3_week_rows() -> RecordBatch {
+/// short-lived and stable), as the fleet telemetry and the week's first day.
+fn fig3_week_fleet() -> (Vec<ServerTelemetry>, i64) {
     let spec = FleetSpec::small_region(2020);
     let week = spec.start_day;
-    let fleet = FleetGenerator::new(spec).generate_weeks(1);
+    (FleetGenerator::new(spec).generate_weeks(1), week)
+}
+
+/// That week as the rows the extraction query emits.
+fn fig3_week_rows() -> RecordBatch {
+    let (fleet, week) = fig3_week_fleet();
     LoadExtraction::columnar(5).extract_week(&fleet, "region-a", week)
 }
 
@@ -243,6 +251,37 @@ fn bench_csv_quantized(c: &mut Criterion) {
                 .map(|&v| csv_quantized(v))
                 .sum::<f64>()
         })
+    });
+}
+
+/// The `SGCB` data plane around the featurizer, a stage per row: the
+/// extraction query writing the week's blob into a fresh store, the pipeline
+/// decoding it into per-server views, validation's scan of the decoded batch.
+/// With `csv_quantized/fig3_week_rows` and `run_server_shape/fig3_week_80srv`
+/// they read a data-plane change apart without the end-to-end harness.
+fn bench_sgcb(c: &mut Criterion) {
+    let (fleet, week) = fig3_week_fleet();
+    let regions = ["region-a".to_string()];
+    let extraction = LoadExtraction::columnar(5);
+    let write = || {
+        let store = MemoryBlobStore::new();
+        let keys = extraction.run(black_box(&fleet), &regions, &[week], &store);
+        (store, keys.unwrap())
+    };
+    c.bench_function("sgcb/encode_region_week", |b| b.iter(write));
+    let (store, keys) = write();
+    let blob = store.get(&keys[0]).unwrap();
+    c.bench_function("sgcb/decode_region_week", |b| {
+        b.iter(|| {
+            RegionWeekBatch::decode(black_box(&blob))
+                .unwrap()
+                .extract(5)
+        })
+    });
+    let batch = ColumnarBatch::decode(&blob).unwrap();
+    let profile = DataProfile::standard(5);
+    c.bench_function("validate_columnar/fig3_week", |b| {
+        b.iter(|| validate_columnar(black_box(&batch), &profile, 20))
     });
 }
 
@@ -343,6 +382,7 @@ criterion_group!(
     bench_detect_anomalies,
     bench_summary_stats,
     bench_csv_quantized,
+    bench_sgcb,
     bench_extract_server_features,
     bench_run_server_shape,
     bench_docstore,

@@ -275,11 +275,23 @@ pub fn validate_columnar(
                 });
             }
         }
-        for (i, &v) in batch.block_values(block).iter().enumerate() {
+        // One scan without a per-sample branch (NaN, a missing bucket, fails
+        // every comparison); only a block with something to report is walked
+        // sample by sample, so a clean fleet never is.
+        let values = batch.block_values(block);
+        let (mut present, mut dirty) = (0usize, false);
+        for &v in values {
+            present += usize::from(!v.is_nan());
+            dirty |= (v.abs() == f64::INFINITY) | (v < lo) | (v > hi);
+        }
+        report.rows += present;
+        if !dirty {
+            continue;
+        }
+        for (i, &v) in values.iter().enumerate() {
             if v.is_nan() {
                 continue;
             }
-            report.rows += 1;
             if !v.is_finite() {
                 nonfinite_hits += 1;
                 if nonfinite_hits <= max_reports {
@@ -353,6 +365,7 @@ pub fn validate_servers(servers: &[ExtractedServer], profile: &DataProfile) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use seagull_telemetry::record::LoadRecord;
     use seagull_telemetry::server::ServerId;
     use seagull_timeseries::{TimeSeries, Timestamp};
@@ -522,6 +535,135 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    /// `validate_columnar` as it was: every sample through every branch.
+    fn validate_columnar_reference(
+        batch: &ColumnarBatch,
+        profile: &DataProfile,
+        max_reports: usize,
+    ) -> ValidationReport {
+        let mut report = ValidationReport::default();
+        if batch.blocks().is_empty() {
+            report.anomalies.push(Anomaly::EmptyInput);
+            return report;
+        }
+        let mut bound_hits = 0usize;
+        let mut window_hits = 0usize;
+        let mut nonfinite_hits = 0usize;
+        let mut servers: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let (lo, hi) = (profile.lower(), profile.upper());
+        for block in batch.blocks() {
+            servers.insert(block.server_id.0);
+            if block.default_backup_end <= block.default_backup_start {
+                window_hits += 1;
+                if window_hits <= max_reports {
+                    report.anomalies.push(Anomaly::InvalidBackupWindow {
+                        server_id: block.server_id.0,
+                    });
+                }
+            }
+            for (i, &v) in batch.block_values(block).iter().enumerate() {
+                if v.is_nan() {
+                    continue;
+                }
+                report.rows += 1;
+                if !v.is_finite() {
+                    nonfinite_hits += 1;
+                    if nonfinite_hits <= max_reports {
+                        report.anomalies.push(Anomaly::NonFiniteValue {
+                            server_id: block.server_id.0,
+                            timestamp_min: block.timestamp_at(i),
+                        });
+                    }
+                } else if v < lo || v > hi {
+                    bound_hits += 1;
+                    if bound_hits <= max_reports {
+                        report.anomalies.push(Anomaly::BoundViolation {
+                            server_id: block.server_id.0,
+                            timestamp_min: block.timestamp_at(i),
+                            value: v,
+                        });
+                    }
+                }
+            }
+        }
+        report.servers = servers.len();
+        report
+    }
+
+    /// A decoded batch holding exactly `blocks` (backup window, then values):
+    /// the wire format written by hand, because `from_records` quantizes and
+    /// the values here must arrive to the bit.
+    fn forged_batch(blocks: &[((i64, i64), Vec<f64>)]) -> ColumnarBatch {
+        use seagull_telemetry::columnar::{checksum64, COLUMNAR_MAGIC, COLUMNAR_VERSION};
+        let mut blob = COLUMNAR_MAGIC.to_vec();
+        blob.extend_from_slice(&COLUMNAR_VERSION.to_le_bytes());
+        blob.extend_from_slice(&0u16.to_le_bytes());
+        blob.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+        for (i, ((backup_start, backup_end), values)) in blocks.iter().enumerate() {
+            blob.extend_from_slice(&(i as u64 + 1).to_le_bytes());
+            blob.extend_from_slice(&backup_start.to_le_bytes());
+            blob.extend_from_slice(&backup_end.to_le_bytes());
+            blob.extend_from_slice(&(1440 * i as i64).to_le_bytes());
+            blob.extend_from_slice(&5u32.to_le_bytes());
+            blob.extend_from_slice(&(values.len() as u32).to_le_bytes());
+        }
+        for v in blocks.iter().flat_map(|(_, values)| values) {
+            blob.extend_from_slice(&v.to_le_bytes());
+        }
+        let sum = checksum64(&blob);
+        blob.extend_from_slice(&sum.to_le_bytes());
+        ColumnarBatch::decode(&blob).expect("well-formed blob")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The branch-free scan reports what the per-sample loop reported —
+        /// same rows, same servers, same anomalies in the same order — on
+        /// blocks mixing missing buckets, ±∞, −0.0, values at and one ulp
+        /// outside both bounds, clean blocks between dirty ones, inverted
+        /// backup windows and every cap.
+        #[test]
+        fn columnar_scan_matches_the_per_sample_loop(
+            blocks in proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    any::<bool>(),
+                    proptest::collection::vec((0u8..14, 0.0f64..100.0), 0..40),
+                ),
+                1..6,
+            ),
+            slack in prop_oneof![Just(0.0), Just(0.05)],
+            max_reports in prop_oneof![Just(0usize), Just(1), Just(20)],
+        ) {
+            let profile = DataProfile { bound_slack: slack, ..DataProfile::standard(5) };
+            let (lo, hi) = (profile.lower(), profile.upper());
+            let blocks: Vec<((i64, i64), Vec<f64>)> = blocks
+                .into_iter()
+                .map(|(clean, inverted, samples)| {
+                    let values = samples.into_iter().map(|(kind, load)| match kind {
+                        0 => f64::NAN,
+                        1 => -0.0,
+                        2 => lo,
+                        3 => hi,
+                        4 if !clean => f64::INFINITY,
+                        5 if !clean => f64::NEG_INFINITY,
+                        6 if !clean => lo.next_down(),
+                        7 if !clean => hi.next_up(),
+                        8 if !clean => load * 3.0 - 100.0,
+                        _ => load,
+                    });
+                    (if inverted { (60, 60) } else { (0, 60) }, values.collect())
+                })
+                .collect();
+            let batch = forged_batch(&blocks);
+            prop_assert_eq!(
+                validate_columnar(&batch, &profile, max_reports),
+                validate_columnar_reference(&batch, &profile, max_reports)
+            );
+        }
     }
 
     #[test]

@@ -197,7 +197,12 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 /// answer from their materialized prediction only, exactly like a deploy
 /// run with the warm cache off.
 pub fn encode_snapshot(snapshot: &ModelSnapshot) -> Bytes {
-    let mut out = Vec::with_capacity(64 + snapshot.len() * 64);
+    // The exact size (44 fixed bytes with the footer, 32 per server besides
+    // its values), so a deploy never regrows and recopies the buffer.
+    let points: usize = snapshot.servers().map(|(_, s)| s.prediction().len()).sum();
+    let strings = snapshot.region().len() + snapshot.model_name().len();
+    let wire_len = 44 + strings + 32 * snapshot.len() + 8 * points;
+    let mut out = Vec::with_capacity(wire_len);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes()); // reserved
@@ -206,8 +211,7 @@ pub fn encode_snapshot(snapshot: &ModelSnapshot) -> Bytes {
     put_string(&mut out, snapshot.region());
     put_string(&mut out, snapshot.model_name());
     out.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
-    for id in snapshot.server_ids() {
-        let server = snapshot.server(id).expect("id came from the snapshot");
+    for (id, server) in snapshot.servers() {
         let prediction = server.prediction();
         out.extend_from_slice(&id.to_le_bytes());
         out.extend_from_slice(&server.materialized_day().to_le_bytes());
@@ -220,6 +224,7 @@ pub fn encode_snapshot(snapshot: &ModelSnapshot) -> Bytes {
     }
     let checksum = checksum64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
+    debug_assert_eq!(out.len(), wire_len, "the reservation is the blob's size");
     Bytes::from(out)
 }
 

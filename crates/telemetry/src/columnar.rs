@@ -32,7 +32,7 @@
 //! ```
 
 use crate::extract::ExtractedServer;
-use crate::record::{csv_quantized, RecordBatch};
+use crate::record::{csv_quantized, csv_quantized_arith, RecordBatch};
 use crate::server::ServerId;
 use bytes::Bytes;
 use seagull_timeseries::{TimeSeries, Timestamp, MINUTES_PER_DAY};
@@ -142,7 +142,7 @@ impl ServerBlock {
 }
 
 /// One server's consecutive samples, `grid_min` apart from `start_min` on
-/// (NaN where a bucket is missing): the input of [`ColumnarBatch::from_runs`].
+/// (NaN where a bucket is missing): the input of [`encode_runs`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SampleRun<'a> {
     /// Server the samples belong to.
@@ -237,68 +237,6 @@ impl ColumnarBatch {
         }
     }
 
-    /// Builds the batch [`ColumnarBatch::from_records`] builds from the rows
-    /// of `runs` (one row per present sample, `grid_min` apart, in the order
-    /// given), without the rows: O(samples), one value column allocated.
-    ///
-    /// A run that starts off the grid has every row off it and vanishes; of
-    /// the others the rows span first to last present sample. Runs of one
-    /// server are laid over each other in the order given, so a later sample
-    /// overwrites an earlier one and the first run supplies the backup window.
-    pub(crate) fn from_runs<'a>(
-        runs: impl Iterator<Item = SampleRun<'a>>,
-        grid_min: u32,
-    ) -> ColumnarBatch {
-        let step = grid_min as i64;
-        let mut kept: Vec<SampleRun<'a>> = runs
-            .filter(|run| run.start_min.rem_euclid(step) == 0)
-            .filter_map(|mut run| {
-                let first = run.values.iter().position(|v| !v.is_nan())?;
-                let last = run.values.iter().rposition(|v| !v.is_nan())?;
-                run.start_min += first as i64 * step;
-                run.values = &run.values[first..=last];
-                Some(run)
-            })
-            .collect();
-        kept.sort_by_key(|run| run.server_id); // stable: the order given survives
-        let mut blocks = Vec::with_capacity(kept.len());
-        let mut values: Vec<f64> = Vec::with_capacity(kept.iter().map(|r| r.values.len()).sum());
-        for server in kept.chunk_by(|a, b| a.server_id == b.server_id) {
-            let last_min =
-                |run: &SampleRun<'_>| run.start_min + (run.values.len() as i64 - 1) * step;
-            let min_ts = server
-                .iter()
-                .map(|run| run.start_min)
-                .min()
-                .expect("non-empty");
-            let max_ts = server.iter().map(last_min).max().expect("non-empty");
-            let n = ((max_ts - min_ts) / step) as usize + 1;
-            let offset = values.len();
-            values.resize(offset + n, f64::NAN);
-            for run in server {
-                let at = offset + ((run.start_min - min_ts) / step) as usize;
-                for (slot, &v) in values[at..at + run.values.len()].iter_mut().zip(run.values) {
-                    if !v.is_nan() {
-                        *slot = csv_quantized(v);
-                    }
-                }
-            }
-            blocks.push(ServerBlock {
-                server_id: server[0].server_id,
-                default_backup_start: server[0].default_backup_start,
-                default_backup_end: server[0].default_backup_end,
-                series_start_min: min_ts,
-                step_min: grid_min,
-                offset,
-                len: n,
-            });
-        }
-        ColumnarBatch {
-            blocks,
-            values: values.into(),
-        }
-    }
-
     /// The block table, sorted by server id.
     pub fn blocks(&self) -> &[ServerBlock] {
         &self.blocks
@@ -331,27 +269,9 @@ impl ColumnarBatch {
 
     /// Encodes to the versioned wire layout with a trailing checksum.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(
-            HEADER_LEN + self.blocks.len() * BLOCK_LEN + self.values.len() * 8 + FOOTER_LEN,
-        );
-        out.extend_from_slice(&COLUMNAR_MAGIC);
-        out.extend_from_slice(&COLUMNAR_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&(self.blocks.len() as u32).to_le_bytes());
-        for b in &self.blocks {
-            out.extend_from_slice(&b.server_id.0.to_le_bytes());
-            out.extend_from_slice(&b.default_backup_start.to_le_bytes());
-            out.extend_from_slice(&b.default_backup_end.to_le_bytes());
-            out.extend_from_slice(&b.series_start_min.to_le_bytes());
-            out.extend_from_slice(&b.step_min.to_le_bytes());
-            out.extend_from_slice(&(b.len as u32).to_le_bytes());
-        }
-        for v in self.values.iter() {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let sum = checksum64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        Bytes::from(out)
+        let mut writer = BlobWriter::new(&self.blocks, self.values.len());
+        writer.put(&self.values);
+        writer.finish()
     }
 
     /// Decodes a blob, verifying the checksum *before* trusting any of the
@@ -400,10 +320,16 @@ impl ColumnarBatch {
                 offset,
                 len: u32::from_le_bytes(f[36..40].try_into().unwrap()) as usize,
             };
+            // A step that divides the day is at most 1,440, so the span of
+            // `len: u32` points cannot overflow; where the grid ends can.
             let step = block.step_min;
             if step == 0
                 || MINUTES_PER_DAY % step as i64 != 0
                 || block.series_start_min.rem_euclid(step as i64) != 0
+                || block
+                    .series_start_min
+                    .checked_add(block.len as i64 * step as i64)
+                    .is_none()
             {
                 return Err(ColumnarError::InvalidBlock {
                     server_id: block.server_id.0,
@@ -419,16 +345,12 @@ impl ColumnarBatch {
                 got: blob.len(),
             });
         }
-        let mut values = Vec::with_capacity(offset);
-        for chunk in body[table_end..].chunks_exact(8) {
-            values.push(f64::from_bits(u64::from_le_bytes(
-                chunk.try_into().unwrap(),
-            )));
-        }
-        Ok(ColumnarBatch {
-            blocks,
-            values: values.into(),
-        })
+        // An exact-size iterator collects into the `Arc` with one allocation.
+        let values = body[table_end..]
+            .chunks_exact(8)
+            .map(|chunk| f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8 bytes"))))
+            .collect();
+        Ok(ColumnarBatch { blocks, values })
     }
 
     /// Reassembles per-server series as zero-copy views into the shared
@@ -452,6 +374,166 @@ impl ColumnarBatch {
             })
             .collect()
     }
+}
+
+/// A blob being written: header and block table done, the value column
+/// filled in order by [`BlobWriter::put`] with the checksum folded along, so
+/// no finished byte is read back; the buffer is reserved for the whole blob.
+/// The column starts four bytes into a checksum word (`12 + 40·N ≡ 4 mod 8`):
+/// each word is the upper half of one value under the lower half of the
+/// next, and the last half is the tail [`checksum64`] mixes its length into.
+struct BlobWriter {
+    out: Vec<u8>,
+    at: usize,
+    sum: u64,
+    half: u64,
+}
+
+impl BlobWriter {
+    fn new(blocks: &[ServerBlock], points: usize) -> BlobWriter {
+        let at = HEADER_LEN + blocks.len() * BLOCK_LEN; // where the column starts
+        let mut out = Vec::with_capacity(at + points * 8 + FOOTER_LEN);
+        out.extend_from_slice(&COLUMNAR_MAGIC);
+        out.extend_from_slice(&COLUMNAR_VERSION.to_le_bytes());
+        out.extend_from_slice(&0u16.to_le_bytes());
+        out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+        for b in blocks {
+            out.extend_from_slice(&b.server_id.0.to_le_bytes());
+            out.extend_from_slice(&b.default_backup_start.to_le_bytes());
+            out.extend_from_slice(&b.default_backup_end.to_le_bytes());
+            out.extend_from_slice(&b.series_start_min.to_le_bytes());
+            out.extend_from_slice(&b.step_min.to_le_bytes());
+            out.extend_from_slice(&(b.len as u32).to_le_bytes());
+        }
+        let (words, half) = out.split_at(at - 4);
+        let sum = checksum64(words);
+        let half = u32::from_le_bytes(half.try_into().expect("four bytes")) as u64;
+        out.resize(at + points * 8, 0);
+        BlobWriter { out, at, sum, half }
+    }
+
+    /// Appends `values` to the column as they are.
+    #[inline]
+    fn put(&mut self, values: &[f64]) {
+        let slots = &mut self.out[self.at..][..values.len() * 8];
+        for (slot, v) in slots.chunks_exact_mut(8).zip(values) {
+            let bits = v.to_bits();
+            slot.copy_from_slice(&bits.to_le_bytes());
+            self.sum = fnv_fold(self.sum, self.half | bits << 32);
+            self.half = bits >> 32;
+        }
+        self.at += slots.len();
+    }
+
+    /// Appends what the wire holds for `samples`: each load quantized, the
+    /// canonical NaN where a bucket is missing. Eight at a time down
+    /// [`csv_quantized`]'s arithmetic path under one branch, which vectorizes;
+    /// a missing bucket or a near-tie among them sends the eight one by one.
+    fn put_quantized(&mut self, samples: &[f64]) {
+        let one = |v: f64| {
+            if v.is_nan() {
+                f64::NAN
+            } else {
+                csv_quantized(v)
+            }
+        };
+        let mut eights = samples.chunks_exact(8);
+        for eight in eights.by_ref() {
+            let mut wire = [0.0; 8];
+            let mut settled = true;
+            for (slot, &v) in wire.iter_mut().zip(eight) {
+                let (hundredth, ok) = csv_quantized_arith(v);
+                *slot = hundredth;
+                settled &= ok;
+            }
+            if !settled {
+                for (slot, &v) in wire.iter_mut().zip(eight) {
+                    *slot = one(v);
+                }
+            }
+            self.put(&wire);
+        }
+        for &v in eights.remainder() {
+            self.put(&[one(v)]);
+        }
+    }
+
+    /// Closes the blob with its checksum footer.
+    fn finish(mut self) -> Bytes {
+        assert_eq!(self.at, self.out.len(), "a column short of its points");
+        let sum = fnv_fold(self.sum, self.half ^ (4 << 56));
+        self.out.extend_from_slice(&sum.to_le_bytes());
+        Bytes::from(self.out)
+    }
+}
+
+/// Writes the blob `ColumnarBatch::from_records(rows, grid_min).encode()`
+/// writes for the rows of `runs` (one row per present sample, `grid_min`
+/// apart, in the order given) without the rows or a batch in between.
+/// `from_records` stays the definition; the `runs_match_rows` tests hold the
+/// two together byte for byte.
+///
+/// A run that starts off the grid has every row off it and vanishes; of the
+/// others the rows span first to last present sample. Runs of one server are
+/// laid over each other in the order given, so a later sample overwrites an
+/// earlier one and the first run supplies the backup window.
+pub(crate) fn encode_runs<'a>(runs: impl Iterator<Item = SampleRun<'a>>, grid_min: u32) -> Bytes {
+    let step = grid_min as i64;
+    let mut kept: Vec<SampleRun<'a>> = runs
+        .filter(|run| run.start_min.rem_euclid(step) == 0)
+        .filter_map(|mut run| {
+            let first = run.values.iter().position(|v| !v.is_nan())?;
+            let last = run.values.iter().rposition(|v| !v.is_nan())?;
+            run.start_min += first as i64 * step;
+            run.values = &run.values[first..=last];
+            Some(run)
+        })
+        .collect();
+    kept.sort_by_key(|run| run.server_id); // stable: the order given survives
+    let same_server = |a: &SampleRun<'_>, b: &SampleRun<'_>| a.server_id == b.server_id;
+    let mut blocks = Vec::with_capacity(kept.len());
+    let mut points = 0;
+    for server in kept.chunk_by(same_server) {
+        let first_min = |run: &SampleRun<'_>| run.start_min;
+        let last_min = |run: &SampleRun<'_>| run.start_min + (run.values.len() as i64 - 1) * step;
+        let min_ts = server.iter().map(first_min).min().expect("non-empty");
+        let max_ts = server.iter().map(last_min).max().expect("non-empty");
+        let len = ((max_ts - min_ts) / step) as usize + 1;
+        blocks.push(ServerBlock {
+            server_id: server[0].server_id,
+            default_backup_start: server[0].default_backup_start,
+            default_backup_end: server[0].default_backup_end,
+            series_start_min: min_ts,
+            step_min: grid_min,
+            offset: points,
+            len,
+        });
+        points += len;
+    }
+    let mut writer = BlobWriter::new(&blocks, points);
+    let mut laid = Vec::new();
+    for (block, server) in blocks.iter().zip(kept.chunk_by(same_server)) {
+        // A lone run (all `week_runs` yields) is its block as it stands;
+        // several are laid over each other first, unquantized.
+        let samples = match server {
+            [run] => run.values,
+            _ => {
+                laid.clear();
+                laid.resize(block.len, f64::NAN);
+                for run in server {
+                    let at = ((run.start_min - block.series_start_min) / step) as usize;
+                    for (slot, &v) in laid[at..].iter_mut().zip(run.values) {
+                        if !v.is_nan() {
+                            *slot = v;
+                        }
+                    }
+                }
+                &laid
+            }
+        };
+        writer.put_quantized(samples);
+    }
+    writer.finish()
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -560,11 +642,14 @@ mod tests {
         RecordBatch::new(records)
     }
 
-    fn assert_runs_match_rows(runs: &[SampleRun<'_>], grid_min: u32) {
-        let direct = ColumnarBatch::from_runs(runs.iter().copied(), grid_min);
+    /// The writer's blob is the row path's, and decodes to the row path's
+    /// batch (returned for a closer look).
+    fn assert_runs_match_rows(runs: &[SampleRun<'_>], grid_min: u32) -> ColumnarBatch {
+        let direct = encode_runs(runs.iter().copied(), grid_min);
         let by_rows = ColumnarBatch::from_records(&rows_of(runs, grid_min), grid_min);
-        assert_eq!(direct, by_rows);
-        assert_eq!(direct.encode(), by_rows.encode());
+        assert_eq!(direct, by_rows.encode());
+        assert_eq!(ColumnarBatch::decode(&direct).unwrap(), by_rows);
+        by_rows
     }
 
     fn run(server: u64, start_min: i64, values: &[f64]) -> SampleRun<'_> {
@@ -598,8 +683,13 @@ mod tests {
             ],
             5,
         );
-        let only = ColumnarBatch::from_runs([run(3, 7, &[4.0])].into_iter(), 5);
-        assert!(only.is_empty());
+        assert!(assert_runs_match_rows(&[run(3, 7, &[4.0])], 5).is_empty());
+        // Past the writer's eight-at-a-time step: two clean eights and a
+        // tail, then a near-tie in the first eight and a gap in the second.
+        let mut long: Vec<f64> = (0..19).map(|i| 1.2345 * i as f64).collect();
+        assert_runs_match_rows(&[run(6, 0, &long)], 5);
+        (long[3], long[12]) = (33.335, NAN);
+        assert_runs_match_rows(&[run(6, 0, &long), run(7, 5, &long[..8])], 5);
         // One server twice: overlapping, apart, and the earlier run later;
         // the first run's backup window is the block's.
         let mut again = run(4, 20, &[7.0, NAN, 8.0]);
@@ -609,7 +699,7 @@ mod tests {
             &[run(4, 100, &[1.0]), run(5, 0, &[2.0]), run(4, 0, &[3.0])],
             5,
         );
-        let twice = ColumnarBatch::from_runs([run(4, 100, &[1.0]), again].into_iter(), 5);
+        let twice = assert_runs_match_rows(&[run(4, 100, &[1.0]), again], 5);
         assert_eq!(twice.blocks()[0].default_backup_start, 1444);
         assert_eq!(twice.blocks()[0].series_start_min, 20);
         assert_eq!(twice.blocks()[0].len, 17);
@@ -618,8 +708,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Built from runs or from the rows of the same runs, the batch and
-        /// its bytes are the same: ids repeat and arrive in any order, runs
+        /// Written from runs or encoded from the rows of the same runs, the
+        /// bytes are the same: ids repeat and arrive in any order, runs
         /// start on and off the grid, samples are missing anywhere.
         #[test]
         fn runs_match_rows(
@@ -664,19 +754,34 @@ mod tests {
         }
     }
 
+    /// Every single-bit flip of a three-server blob is caught: inside the
+    /// magic the blob no longer sniffs as columnar, anywhere after it FNV-1a's
+    /// odd multiplier carries the changed word into a different checksum.
     #[test]
     fn corrupt_byte_fails_checksum() {
-        let blob = sample().encode().to_vec();
-        for i in [4, HEADER_LEN + 1, blob.len() / 2, blob.len() - 9] {
+        let rows = vec![
+            rec(2, 10, 30.0),
+            rec(1, 0, 12.345),
+            rec(3, 5, 7.5),
+            rec(1, 10, 20.0),
+            rec(3, 20, 99.99),
+        ];
+        let blob = ColumnarBatch::from_records(&RecordBatch::new(rows), 5)
+            .encode()
+            .to_vec();
+        assert_eq!(ColumnarBatch::decode(&blob).unwrap().len(), 3);
+        for bit in 0..blob.len() * 8 {
             let mut bad = blob.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                matches!(
-                    ColumnarBatch::decode(&bad),
-                    Err(ColumnarError::ChecksumMismatch { .. })
-                ),
-                "flip at {i} must fail the checksum"
-            );
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let got = ColumnarBatch::decode(&bad);
+            if bit / 8 < COLUMNAR_MAGIC.len() {
+                assert_eq!(got, Err(ColumnarError::NotColumnar), "flip of bit {bit}");
+            } else {
+                assert!(
+                    matches!(got, Err(ColumnarError::ChecksumMismatch { .. })),
+                    "flip of bit {bit} must fail the checksum, got {got:?}"
+                );
+            }
         }
     }
 
@@ -687,16 +792,45 @@ mod tests {
         assert_eq!(ColumnarBatch::decode(&csv), Err(ColumnarError::NotColumnar));
     }
 
+    /// Gives a tampered blob a valid checksum, so only the structure checks
+    /// behind it can object.
+    fn reseal(blob: &mut [u8]) {
+        let at = blob.len() - FOOTER_LEN;
+        let sum = checksum64(&blob[..at]);
+        blob[at..].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn unsupported_version_rejected() {
         let mut blob = sample().encode().to_vec();
         blob[4] = 9; // bump version…
-        let sum = checksum64(&blob[..blob.len() - FOOTER_LEN]);
-        let at = blob.len() - FOOTER_LEN;
-        blob[at..].copy_from_slice(&sum.to_le_bytes()); // …with a valid checksum
+        reseal(&mut blob); // …with a valid checksum
         assert_eq!(
             ColumnarBatch::decode(&blob),
             Err(ColumnarError::UnsupportedVersion { version: 9 })
+        );
+    }
+
+    /// A block whose grid runs past `i64::MAX` is refused at decode, not
+    /// handed out as a series whose `end()` overflows.
+    #[test]
+    fn grid_end_past_i64_rejected() {
+        let start_at = HEADER_LEN + 24; // block 0 (server 1, three points): series_start_min
+        let forge = |start: i64| {
+            let mut blob = sample().encode().to_vec();
+            blob[start_at..start_at + 8].copy_from_slice(&start.to_le_bytes());
+            reseal(&mut blob);
+            ColumnarBatch::decode(&blob)
+        };
+        // Both starts are on the 5-minute grid; the first ends at i64::MAX - 2.
+        let fits = forge(i64::MAX - 17).expect("the grid end fits");
+        assert_eq!(
+            fits.extract()[0].series.end(),
+            Timestamp::from_minutes(i64::MAX - 2)
+        );
+        assert_eq!(
+            forge(i64::MAX - 2),
+            Err(ColumnarError::InvalidBlock { server_id: 1 })
         );
     }
 

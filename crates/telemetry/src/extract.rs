@@ -156,10 +156,10 @@ impl LoadExtraction {
     /// store under [`BlobKey::extracted`] with `week` set to the week's first
     /// day index. Returns the keys written.
     ///
-    /// A columnar blob is built from the fleet's series directly
-    /// ([`ColumnarBatch::from_runs`]): the same bytes as
-    /// `ColumnarBatch::from_records(&self.extract_week(..))`, without a
-    /// 40-byte row per sample in between.
+    /// A columnar blob is written from the fleet's series directly
+    /// (`columnar::encode_runs`): the same bytes as
+    /// `ColumnarBatch::from_records(&self.extract_week(..)).encode()`, without
+    /// a 40-byte row per sample or a batch in between.
     pub fn run(
         &self,
         fleet: &[ServerTelemetry],
@@ -174,8 +174,7 @@ impl LoadExtraction {
                 let blob = match self.format {
                     BlobFormat::Csv => self.extract_week(fleet, region, week).to_csv(),
                     BlobFormat::Columnar => {
-                        ColumnarBatch::from_runs(week_runs(fleet, region, week), self.grid_min)
-                            .encode()
+                        columnar::encode_runs(week_runs(fleet, region, week), self.grid_min)
                     }
                 };
                 store.put(&key, blob)?;

@@ -172,12 +172,34 @@ where
 /// half it rounds to the hundredth the formatter picks, and dividing that
 /// integer by 100 is the same correctly rounded double the parser returns.
 /// Near-ties and large values take the round trip itself.
+#[inline]
 pub fn csv_quantized(v: f64) -> f64 {
-    let scaled = v.abs() * 100.0;
-    let hundredths = scaled.round();
-    if scaled < 1e8 && (scaled - hundredths).abs() < 0.5 - 1e-6 {
-        return (hundredths / 100.0).copysign(v);
+    match csv_quantized_arith(v) {
+        (hundredth, true) => hundredth,
+        _ => csv_round_trip(v),
     }
+}
+
+/// [`csv_quantized`]'s arithmetic path without its branch: the candidate and
+/// whether `v` may take it (never for NaN), for a caller that decides for
+/// several loads at once.
+///
+/// The nearest integer comes from adding and subtracting 2⁵² (exact below
+/// it, ties to even) because baseline x86-64 has no rounding instruction and
+/// `f64::round` is a libm call per sample; an exact tie is 0.5 away whichever
+/// way it went, so the guard hands it to the formatter as it would `round`'s.
+#[inline]
+pub(crate) fn csv_quantized_arith(v: f64) -> (f64, bool) {
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+    let scaled = v.abs() * 100.0;
+    let hundredths = (scaled + TWO_POW_52) - TWO_POW_52;
+    let settled = (scaled < 1e8) & ((scaled - hundredths).abs() < 0.5 - 1e-6);
+    ((hundredths / 100.0).copysign(v), settled)
+}
+
+/// [`csv_quantized`] off its arithmetic path: the format-and-parse round trip.
+#[cold]
+fn csv_round_trip(v: f64) -> f64 {
     if !v.is_finite() {
         return v;
     }
@@ -281,6 +303,11 @@ mod tests {
             0.005,
             0.015,
             0.125,
+            // Exact ties where ties-to-even and `round` pick different
+            // integers (62.5 → 62 against 63): the guard must refuse both.
+            0.625,
+            1.125,
+            2.125,
             2.675,
             99.995,
             100.0,
