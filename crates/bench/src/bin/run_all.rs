@@ -25,13 +25,7 @@ const EXPERIMENTS: &[&str] = &[
     "ablate_model_params",
     "ablate_pf_variant",
     "obs_dump",
-    "dataplane",
-    "fleet_scale",
-    "serving",
-    "recovery",
-    "fit",
     "watch_dump",
-    "loadtest",
 ];
 
 fn main() {

@@ -13,9 +13,7 @@
 //! deterministic at either scale.
 
 pub mod fleets;
-pub mod loadtest;
 pub mod output;
 
 pub use fleets::{scale, Scale};
-pub use loadtest::{ClosedLoop, LoadRun, OpenLoop, OverloadStats, SweepPoint};
-pub use output::{emit_json, emit_text, Table};
+pub use output::{emit_json, Table};

@@ -82,19 +82,6 @@ pub fn emit_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf
     Ok(path)
 }
 
-/// Writes a small text artifact to `experiments/<name>` under the workspace
-/// root, returning the path written. CI jobs diff these across runs (e.g.
-/// the load-test digest across thread counts), so the content must be
-/// byte-deterministic.
-pub fn emit_text(name: &str, content: &str) -> std::io::Result<PathBuf> {
-    let dir = workspace_dir().join("experiments");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(name);
-    std::fs::write(&path, content)?;
-    eprintln!("[artifact written to {}]", path.display());
-    Ok(path)
-}
-
 fn workspace_dir() -> PathBuf {
     // crates/bench -> workspace root.
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

@@ -174,8 +174,12 @@ impl<'a> Reader<'a> {
             .map_err(|_| PersistError::Malformed("string not utf-8".into()))
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn done(&self) -> bool {
-        self.pos == self.buf.len()
+        self.remaining() == 0
     }
 }
 
@@ -253,7 +257,17 @@ pub fn decode_snapshot(blob: &[u8]) -> Result<ModelSnapshot, PersistError> {
     let week_start_day = r.i64()?;
     let region = r.string()?;
     let model_name = r.string()?;
+    // The checksum is no MAC, so both counts below are outside input and
+    // must not size an allocation on their own word: a server is at least
+    // 32 bytes, and a server's values are taken from the blob before any
+    // are stored.
     let servers = r.u32()? as usize;
+    if servers > r.remaining() / 32 {
+        return Err(PersistError::Malformed(format!(
+            "{servers} servers cannot fit in {} bytes",
+            r.remaining()
+        )));
+    }
     let mut docs = Vec::with_capacity(servers);
     for _ in 0..servers {
         let server_id = r.u64()?;
@@ -261,10 +275,11 @@ pub fn decode_snapshot(blob: &[u8]) -> Result<ModelSnapshot, PersistError> {
         let duration_min = r.i64()?;
         let step_min = r.u32()?;
         let len = r.u32()? as usize;
-        let mut values = Vec::with_capacity(len);
-        for _ in 0..len {
-            values.push(f64::from_le_bytes(r.take(8)?.try_into().unwrap()));
-        }
+        let values = r
+            .take(len.saturating_mul(8))?
+            .chunks_exact(8)
+            .map(|v| f64::from_le_bytes(v.try_into().unwrap()))
+            .collect();
         docs.push(PredictionDoc {
             region: region.clone(),
             server_id,
@@ -377,13 +392,6 @@ pub struct RecoveryReport {
     /// Total bytes read during recovery (journal + every snapshot blob
     /// examined) — the numerator of a replay-throughput measurement.
     pub bytes_replayed: u64,
-}
-
-impl RecoveryReport {
-    /// Whether the journal had a torn tail that was truncated.
-    pub fn torn_tail(&self) -> bool {
-        self.truncated_bytes > 0
-    }
 }
 
 struct SinkState {
@@ -545,7 +553,7 @@ impl DurableServeSink {
             .add(report.snapshot_fallbacks as u64);
         registry
             .counter("seagull_recovery_torn_tails_truncated_total", &[])
-            .add(u64::from(report.torn_tail()));
+            .add(u64::from(report.truncated_bytes > 0));
 
         let records = payloads.len();
         let sink = DurableServeSink {
@@ -756,7 +764,7 @@ mod tests {
         assert_eq!(report.journal_records, 2);
         assert_eq!(report.snapshots_restored, 1);
         assert_eq!(report.snapshot_fallbacks, 0);
-        assert!(!report.torn_tail());
+        assert_eq!(report.truncated_bytes, 0);
         assert!(report.regions_unrecovered.is_empty());
         let snapshot = recovered.serve().snapshot("west").unwrap();
         assert_eq!(snapshot.version(), 2);
@@ -794,15 +802,17 @@ mod tests {
 
     /// A blob no torn write leaves: every checksum holds, but `bytes`
     /// overwrite the first server's record `at` bytes in (its id is at 0,
-    /// day at 8, duration at 16, step at 24).
-    fn forged_blob(snapshot: &ModelSnapshot, at: usize, bytes: &[u8]) -> Bytes {
+    /// day at 8, duration at 16, step at 24, value count at 28; the server
+    /// count sits just before it, at -4).
+    fn forged_blob(snapshot: &ModelSnapshot, at: isize, bytes: &[u8]) -> Bytes {
         let mut blob = encode_snapshot(snapshot).to_vec();
         let strings = 4 + snapshot.region().len() + 4 + snapshot.model_name().len();
         // Header, then the server count.
         let first = 4 + 2 + 2 + 8 + 8 + strings + 4;
         let id = snapshot.server_ids().next().unwrap();
         assert_eq!(blob[first..first + 8], id.to_le_bytes());
-        blob[first + at..first + at + bytes.len()].copy_from_slice(bytes);
+        let at = first.checked_add_signed(at).unwrap();
+        blob[at..at + bytes.len()].copy_from_slice(bytes);
         let body = blob.len() - 8;
         let checksum = checksum64(&blob[..body]);
         blob[body..].copy_from_slice(&checksum.to_le_bytes());
@@ -851,6 +861,25 @@ mod tests {
     }
 
     #[test]
+    fn server_count_past_the_blob_is_malformed_not_allocated() {
+        for count in [u32::MAX, 3] {
+            let forged = forged_blob(&snap(2), -4, &count.to_le_bytes());
+            let err = decode_snapshot(&forged).unwrap_err();
+            assert!(matches!(err, PersistError::Malformed(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn value_count_past_the_blob_is_malformed_not_allocated() {
+        let whole = encode_snapshot(&snap(2)).len();
+        for count in [u32::MAX, (whole / 8) as u32] {
+            let forged = forged_blob(&snap(2), 28, &count.to_le_bytes());
+            let err = decode_snapshot(&forged).unwrap_err();
+            assert!(matches!(err, PersistError::Malformed(_)), "{err}");
+        }
+    }
+
+    #[test]
     fn torn_journal_tail_truncates_to_last_good_record() {
         let store: Arc<dyn BlobStore> = Arc::new(MemoryBlobStore::new());
         let sink = DurableServeSink::new(ServeService::with_defaults(), Arc::clone(&store));
@@ -864,7 +893,7 @@ mod tests {
         let (recovered, report) =
             DurableServeSink::recover(ServeService::with_defaults(), Arc::clone(&store)).unwrap();
         assert_eq!(report.journal_records, 1);
-        assert!(report.torn_tail());
+        assert!(report.truncated_bytes > 0);
         // Only the journaled epoch is recovered, even though the seq-2 blob
         // is intact: the journal is the authority.
         assert_eq!(recovered.serve().snapshot("west").unwrap().version(), 1);
@@ -876,7 +905,7 @@ mod tests {
         let (again, report2) =
             DurableServeSink::recover(ServeService::with_defaults(), store).unwrap();
         assert_eq!(report2.journal_records, 2);
-        assert!(!report2.torn_tail());
+        assert_eq!(report2.truncated_bytes, 0);
         assert_eq!(again.serve().snapshot("west").unwrap().version(), 5);
     }
 

@@ -7,9 +7,9 @@
 //!
 //! Here the "raw production telemetry" is the simulated fleet; the recurring
 //! query reduces one week of one region to a blob in the [`BlobStore`] — CSV
-//! or columnar, per [`LoadExtraction::format`] — and [`parse_region_week`]
-//! sniffs a blob's format by its magic bytes and turns it back into
-//! per-server series for the pipeline.
+//! or columnar, per [`LoadExtraction::format`] — and [`RegionWeekBatch::decode`]
+//! sniffs a blob's format by its magic bytes; [`RegionWeekBatch::extract`]
+//! turns it back into per-server series for the pipeline.
 
 use crate::blobstore::{BlobKey, BlobStore};
 use crate::columnar::{self, ColumnarBatch, ColumnarError, SampleRun};
@@ -277,18 +277,6 @@ impl RegionWeekBatch {
     }
 }
 
-/// Decodes a region-week blob (CSV or columnar, sniffed by magic bytes) and
-/// reassembles per-server series.
-///
-/// For columnar blobs the returned series are zero-copy views into one shared
-/// decode buffer; for CSV they are re-gridded copies.
-pub fn parse_region_week(
-    blob: &[u8],
-    grid_min: u32,
-) -> Result<Vec<ExtractedServer>, RegionWeekError> {
-    Ok(RegionWeekBatch::decode(blob)?.extract(grid_min))
-}
-
 /// Reassembles per-server series from decoded CSV rows.
 ///
 /// Rows may arrive in any order; buckets absent from the batch become NaN
@@ -486,8 +474,8 @@ mod tests {
         assert!(!columnar::is_columnar(&csv_blob));
         assert!(col_blob.len() < csv_blob.len(), "columnar should be denser");
 
-        let from_csv = parse_region_week(&csv_blob, 5).unwrap();
-        let from_col = parse_region_week(&col_blob, 5).unwrap();
+        let from_csv = RegionWeekBatch::decode(&csv_blob).unwrap().extract(5);
+        let from_col = RegionWeekBatch::decode(&col_blob).unwrap().extract(5);
         assert_eq!(from_csv, from_col);
     }
 

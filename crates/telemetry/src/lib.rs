@@ -49,8 +49,7 @@ pub use chaos::{
 };
 pub use columnar::{ColumnarBatch, ColumnarError, ServerBlock};
 pub use extract::{
-    parse_record_rows, parse_region_week, BlobFormat, LoadExtraction, RegionWeekBatch,
-    RegionWeekError,
+    parse_record_rows, BlobFormat, LoadExtraction, RegionWeekBatch, RegionWeekError,
 };
 pub use fleet::{FleetGenerator, FleetSpec, RegionSpec, ServerTelemetry};
 pub use journal::{replay, Journal, JournalError, JournalReplay};

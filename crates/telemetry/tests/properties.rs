@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use seagull_telemetry::blobstore::{BlobKey, BlobStore, MemoryBlobStore};
 use seagull_telemetry::columnar::ColumnarBatch;
-use seagull_telemetry::extract::{parse_record_rows, parse_region_week};
+use seagull_telemetry::extract::{parse_record_rows, RegionWeekBatch};
 use seagull_telemetry::record::{LoadRecord, RecordBatch};
 use seagull_telemetry::server::ServerId;
 
@@ -81,8 +81,8 @@ proptest! {
         let col_blob = columnar.encode();
         prop_assert_eq!(&col_blob, &ColumnarBatch::from_records(&batch, 5).encode());
 
-        let from_csv = parse_region_week(&csv_blob, 5).unwrap();
-        let from_col = parse_region_week(&col_blob, 5).unwrap();
+        let from_csv = RegionWeekBatch::decode(&csv_blob).unwrap().extract(5);
+        let from_col = RegionWeekBatch::decode(&col_blob).unwrap().extract(5);
         // Gap buckets are NaN and NaN != NaN, so samples compare by bits.
         prop_assert_eq!(from_csv.len(), from_col.len());
         for (a, b) in from_csv.iter().zip(&from_col) {

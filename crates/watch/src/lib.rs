@@ -16,9 +16,6 @@
 //!   accuracy), keeps rolling error/drift series per region and model
 //!   class, raises `ModelRegression` incidents, and pulls the warm-cache
 //!   drift gate so regressed servers are refit.
-//! * [`gate`] — the [`gate::SloGate`]: latency-percentile bounds compiled
-//!   into `SloSpec` objectives, giving benches and CI one pass/fail
-//!   verdict per threshold (`p99 ≤ X` ⇔ a 0.99 latency objective).
 //! * [`report`] — the [`report::WatchReport`]: one JSON artifact
 //!   summarizing SLO attainment, open alerts, and accuracy trends.
 //!
@@ -38,12 +35,10 @@
 
 pub mod accuracy;
 pub mod engine;
-pub mod gate;
 pub mod report;
 pub mod slo;
 
 pub use accuracy::{AccuracyMonitor, AccuracyMonitorConfig};
 pub use engine::{AlertTransition, WatchEngine};
-pub use gate::{GateReport, GateVerdict, PercentileGate, SloGate};
 pub use report::WatchReport;
 pub use slo::{default_pairs, BurnRatePair, SloKind, SloSpec};

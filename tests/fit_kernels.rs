@@ -8,7 +8,10 @@
 use proptest::prelude::*;
 use seagull::forecast::ssa::RANDOMIZED_PARITY_TOL;
 use seagull::forecast::{Forecaster, SsaConfig, SsaForecaster, SsaKernel};
-use seagull::timeseries::{TimeSeries, Timestamp};
+use seagull::telemetry::blobstore::{BlobStore, MemoryBlobStore};
+use seagull::telemetry::extract::{LoadExtraction, RegionWeekBatch};
+use seagull::telemetry::fleet::{ClassMix, FleetGenerator, FleetSpec};
+use seagull::timeseries::{fill_gaps, GapFill, TimeSeries, Timestamp};
 
 /// A mixed daily + fast-cycle signal with deterministic phase/amplitude
 /// drawn from `seed`, long enough for any window in the tested range.
@@ -44,22 +47,60 @@ fn max_abs_diff(a: &TimeSeries, b: &TimeSeries) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Forecast-level parity between the two kernels on one configuration.
-fn assert_kernel_parity(window: usize, max_rank: usize, seed: u64) {
-    let hist = signal(seed, 2016);
+/// Forecast-level parity between `fast` and the dense kernel on one history.
+fn assert_parity_with_dense(fast: &SsaForecaster, hist: &TimeSeries, what: &str) {
+    let (window, max_rank) = (fast.config().window, fast.config().max_rank);
     let horizon = 288;
-    let fast = ssa(window, max_rank, SsaKernel::Randomized)
-        .fit_predict(&hist, horizon)
-        .expect("randomized fit");
+    let fast = fast.fit_predict(hist, horizon).expect("fast fit");
     let dense = ssa(window, max_rank, SsaKernel::Dense)
-        .fit_predict(&hist, horizon)
+        .fit_predict(hist, horizon)
         .expect("dense fit");
     let diff = max_abs_diff(&fast, &dense);
     assert!(
         diff <= RANDOMIZED_PARITY_TOL,
-        "window={window} rank={max_rank} seed={seed}: kernel divergence \
+        "window={window} rank={max_rank} {what}: kernel divergence \
          {diff} exceeds tolerance {RANDOMIZED_PARITY_TOL}"
     );
+}
+
+/// Forecast-level parity between the two kernels on one configuration.
+fn assert_kernel_parity(window: usize, max_rank: usize, seed: u64) {
+    assert_parity_with_dense(
+        &ssa(window, max_rank, SsaKernel::Randomized),
+        &signal(seed, 2016),
+        &format!("seed={seed}"),
+    );
+}
+
+/// The series the pipeline hands its forecaster: one week of a four-region
+/// fleet on a pattern-heavy class mix (10 / 30 / 35 / 15 / 10, the
+/// population where an SSA fit has structure to find), through the
+/// extraction blob and the pipeline's gap repair.
+fn fleet_server_weeks() -> Vec<(String, TimeSeries)> {
+    let mut spec = FleetSpec::four_regions(90, 2);
+    spec.mix = ClassMix {
+        short_lived: 0.10,
+        stable: 0.30,
+        daily: 0.35,
+        weekly: 0.15,
+        unstable: 0.10,
+    };
+    let week = spec.start_day;
+    let regions: Vec<String> = spec.regions.iter().map(|r| r.name.clone()).collect();
+    let fleet = FleetGenerator::new(spec).generate_weeks(1);
+    let store = MemoryBlobStore::new();
+    let keys = LoadExtraction::default()
+        .run(&fleet, &regions, &[week], &store)
+        .unwrap();
+    let mut out = Vec::new();
+    for (region, key) in regions.iter().zip(&keys) {
+        let blob = store.get(key).unwrap();
+        for mut s in RegionWeekBatch::decode(&blob).unwrap().extract(5) {
+            fill_gaps(&mut s.series, GapFill::Linear);
+            out.push((format!("{region}/{}", s.id.0), s.series));
+        }
+    }
+    out
 }
 
 #[test]
@@ -70,6 +111,16 @@ fn randomized_matches_dense_across_fixed_grid() {
         for seed in [1u64, 17, 90] {
             assert_kernel_parity(window, rank, seed);
         }
+    }
+
+    // The pipeline's configuration on the pipeline's inputs: `Auto` against
+    // dense on every server-week of the fleet.
+    let auto = SsaForecaster::new(SsaConfig::default());
+    assert_eq!(auto.config().kernel, SsaKernel::Auto);
+    let server_weeks = fleet_server_weeks();
+    assert_eq!(server_weeks.len(), 114, "2 + 8 + 24 + 80 servers");
+    for (server, hist) in &server_weeks {
+        assert_parity_with_dense(&auto, hist, server);
     }
 }
 

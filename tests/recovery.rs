@@ -14,7 +14,7 @@ use seagull::core::pipeline::{AmlPipeline, DeploySink, PipelineConfig};
 use seagull::core::resilience::{ResiliencePolicy, StageChaos};
 use seagull::serve::{snapshot_key, DurableServeSink, RecoveryReport, ServeService};
 use seagull::telemetry::blobstore::{BlobStore, MemoryBlobStore};
-use seagull::telemetry::chaos::{ChaosBlobStore, ChaosConfig, CrashPoint, InjectedCrash};
+use seagull::telemetry::chaos::{ChaosBlobStore, ChaosConfig, CrashPoint, DetRng, InjectedCrash};
 use seagull::telemetry::columnar::checksum64;
 use seagull::telemetry::extract::LoadExtraction;
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec, ServerTelemetry};
@@ -200,31 +200,49 @@ fn run(env: &Env, crash: Crash) -> RunOutcome {
     }
 }
 
+const STAGES: [&str; 6] = [
+    "ingestion",
+    "validation",
+    "features",
+    "train-infer",
+    "deployment",
+    "accuracy-eval",
+];
+
+/// The recovered (or, for a kill point past the op stream, uninterrupted)
+/// run serves what the baseline serves, and no journaled region was lost.
+fn assert_recovers_to(baseline: &RunOutcome, out: &RunOutcome, what: &str) {
+    assert_eq!(
+        out.digest, baseline.digest,
+        "recovered run diverged from the uninterrupted baseline after {what}"
+    );
+    if let Some(report) = &out.recovery {
+        assert!(
+            report.regions_unrecovered.is_empty(),
+            "journaled regions must recover after {what}: {report:?}"
+        );
+    }
+}
+
 #[test]
 fn stage_crashes_recover_byte_identical_serving_and_schedules() {
     let env = build_env();
     let baseline = run(&env, Crash::None);
     assert!(!baseline.crashed);
 
-    // Earliest possible death (before any deploy is journaled) and a death
-    // mid-deployment in the final week (after some regions completed it).
-    let cases = [
-        ("ingestion", env.regions[0].clone(), env.weeks[0]),
-        ("deployment", env.regions[2].clone(), env.weeks[1]),
-        ("accuracy-eval", env.regions[3].clone(), env.weeks[1]),
-    ];
-    for (stage, region, week) in cases {
-        let out = run(&env, Crash::Stage(stage, region.clone(), week));
-        assert!(out.crashed, "kill point at {stage}/{region} must fire");
-        assert_eq!(
-            out.digest, baseline.digest,
-            "recovered run diverged after dying at {stage}/{region}@{week}"
-        );
-        let report = out.recovery.unwrap();
-        assert!(
-            report.regions_unrecovered.is_empty(),
-            "journaled regions must recover: {report:?}"
-        );
+    // The earliest possible death (before any deploy is journaled), then a
+    // death at every stage of every region in the final week, when the
+    // journal holds the first week's deploys and part of the second's.
+    let earliest = ("ingestion", env.regions[0].clone(), env.weeks[0]);
+    let final_week = STAGES.iter().flat_map(|&stage| {
+        let week = env.weeks[1];
+        env.regions.iter().map(move |r| (stage, r.clone(), week))
+    });
+    for (stage, region, week) in std::iter::once(earliest).chain(final_week) {
+        let what = format!("dying at {stage}/{region}@{week}");
+        let out = run(&env, Crash::Stage(stage, region, week));
+        assert!(out.crashed, "kill point must fire: {what}");
+        assert_recovers_to(&baseline, &out, &what);
     }
 }
 
@@ -233,25 +251,45 @@ fn deploy_boundary_blob_crashes_recover_byte_identical() {
     let env = build_env();
     let baseline = run(&env, Crash::None);
 
-    // Torn journal write, torn snapshot write, completed-then-died journal
-    // write, and a death on a checkpoint-marker write.
+    // The nth journal / snapshot / checkpoint write, torn at 0, mid-write
+    // and just after completion.
     let points = [
-        CrashPoint::on_key("journal", 2, 0.5),
-        CrashPoint::on_key("snapshot", 3, 0.25),
-        CrashPoint::on_key("journal", 4, 1.0),
-        // Checkpoint ops 1-4 are the week's existence probes (gets); nth 6
-        // is the second completed region's marker *write*, torn mid-record.
-        CrashPoint::on_key("checkpoint", 6, 0.6),
+        ("journal", 1, 0.0),
+        ("journal", 2, 0.5),
+        ("journal", 4, 1.0),
+        ("snapshot", 1, 0.0),
+        ("snapshot", 3, 0.33),
+        ("snapshot", 5, 1.0),
+        // Checkpoint ops 1-4 are the week's existence probes (gets); the
+        // marker writes follow. nth 5 tears the first week-one marker,
+        // nth 14 tears a week-two marker mid-write.
+        ("checkpoint", 5, 0.5),
+        ("checkpoint", 14, 0.9),
     ];
-    for point in points {
-        let ctx = format!("{:?}", point.spec);
-        let out = run(&env, Crash::Blob(point));
-        assert!(out.crashed, "blob crash {ctx} must fire");
-        assert_eq!(
-            out.digest, baseline.digest,
-            "recovered run diverged after blob crash {ctx}"
+    for (fragment, nth, torn) in points {
+        let what = format!("blob crash {fragment}#{nth} torn at {torn}");
+        let out = run(&env, Crash::Blob(CrashPoint::on_key(fragment, nth, torn)));
+        assert!(out.crashed, "kill point must fire: {what}");
+        assert_recovers_to(&baseline, &out, &what);
+    }
+
+    // Seeded kills: blob-store op index and torn fraction drawn from the
+    // seed. A seed whose op index lands past the run's op stream finishes
+    // clean and must still equal the baseline.
+    let mut crashed = 0;
+    for seed in 0..20u64 {
+        let mut rng = DetRng::new(0xC0FFEE ^ seed);
+        let at = rng.next_u64() % 64;
+        let torn = rng.next_f64();
+        let out = run(&env, Crash::Blob(CrashPoint::at_op(at, torn)));
+        crashed += usize::from(out.crashed);
+        assert_recovers_to(
+            &baseline,
+            &out,
+            &format!("seed {seed}: op {at} torn at {torn}"),
         );
     }
+    assert!(crashed >= 10, "only {crashed} of 20 seeded kills fired");
 }
 
 #[test]

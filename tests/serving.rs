@@ -369,7 +369,18 @@ fn pipeline_deploys_publish_snapshots_end_to_end() {
 fn open_breaker_sheds_serving_traffic_until_cooldown() {
     let serve = ServeService::with_defaults();
     serve.publish(uniform_snapshot(1, 4, 1.0));
+    // A healthy sibling: only the tripped region may shed.
+    serve.publish(region_snapshot("east", 1, 4, 2.0));
+    let east_serves = || {
+        (0..4).all(|id| {
+            serve
+                .predict("east", id, 4)
+                .is_ok_and(|p| p.values()[0] == 2.0)
+                && serve.ll_window("east", id, 14).is_ok()
+        })
+    };
     assert!(serve.predict("west", 0, 4).is_ok());
+    assert!(east_serves());
 
     // Trip the shared breaker the way the pipeline would.
     let incidents = IncidentManager::new();
@@ -377,25 +388,30 @@ fn open_breaker_sheds_serving_traffic_until_cooldown() {
         serve.breaker().record_failure("west", 0, &incidents);
     }
     assert_eq!(serve.breaker().state("west"), BreakerState::Open);
-    assert!(matches!(
-        serve.predict("west", 0, 4),
-        Err(ServeError::Rejected { .. })
-    ));
-    assert!(matches!(
-        serve.ll_window("west", 0, 14),
-        Err(ServeError::Rejected { .. })
-    ));
+    for id in 0..4 {
+        assert!(matches!(
+            serve.predict("west", id, 4),
+            Err(ServeError::Rejected { .. })
+        ));
+        assert!(matches!(
+            serve.ll_window("west", id, 14),
+            Err(ServeError::Rejected { .. })
+        ));
+        assert!(east_serves(), "east answers while west sheds");
+    }
 
     // Serving's admission check is read-only: it must not consume the
     // breaker's half-open probe budget while the region is open.
     assert_eq!(serve.breaker().state("west"), BreakerState::Open);
+    assert_eq!(serve.breaker().state("east"), BreakerState::Closed);
 
     // After the cooldown the pipeline's probe succeeds and serving resumes.
     let cooldown = serve.breaker().config().cooldown_ticks;
     assert!(serve.breaker().allow("west", cooldown));
     serve.breaker().record_success("west", cooldown, &incidents);
     assert_eq!(serve.breaker().state("west"), BreakerState::Closed);
-    assert!(serve.predict("west", 0, 4).is_ok());
+    assert_eq!(serve.predict("west", 0, 4).unwrap().values()[0], 1.0);
+    assert!(east_serves(), "east answers after west closes");
 }
 
 #[test]
