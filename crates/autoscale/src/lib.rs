@@ -16,6 +16,7 @@
 //!   24-hour-ahead forecast per database.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod classify;
 pub mod evaluate;

@@ -19,6 +19,8 @@
 //!   incorrect windows per server class, busy-server collision avoidance,
 //!   hours of improved customer experience, and the capacity histogram.
 
+#![forbid(unsafe_code)]
+
 pub mod advisor;
 pub mod duration;
 pub mod fabric;

@@ -223,7 +223,7 @@ impl BackupScheduler {
     ) -> Vec<ScheduledBackup> {
         let weekday = DayOfWeek::from_day_index(backup_day).index();
         // On the calling thread: each item is a microsecond read of an
-        // immutable snapshot, less than handing it to the pool costs.
+        // immutable snapshot, less than forking a helper for it costs.
         let scheduled: Vec<ScheduledBackup> = fleet
             .iter()
             .filter(|s| {

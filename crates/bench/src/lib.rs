@@ -12,6 +12,8 @@
 //! closer to the paper's; minutes). All experiments are seeded and
 //! deterministic at either scale.
 
+#![forbid(unsafe_code)]
+
 pub mod fleets;
 pub mod output;
 

@@ -2,9 +2,9 @@
 //!
 //! [`FleetRunner`] pairs an [`AmlPipeline`] with the fixed set of regions it
 //! is responsible for and drives whole fleet-weeks through
-//! [`AmlPipeline::run_fleet_week`]: regions fan out across the persistent
-//! worker pool, per-region observability is merged deterministically, and
-//! the shared warm-model cache is evicted and exported once per week at the
+//! [`AmlPipeline::run_fleet_week`]: regions fan out over a parallel map,
+//! per-region observability is merged deterministically, and the shared
+//! warm-model cache is evicted and exported once per week at the
 //! orchestrator barrier.
 //!
 //! The runner is a thin veneer — everything it does can be done against the
@@ -202,9 +202,9 @@ impl FleetRunner {
 /// The fleet fan-out: one week over every region, the weekly schedule, and
 /// the cache-metrics mirror that runs at the fleet barrier.
 impl AmlPipeline {
-    /// Runs one week for every region, fanning the regions out across the
-    /// worker pool (each region's per-server stages then share the same
-    /// pool via nested parallel maps).
+    /// Runs one week for every region, fanning the regions out over a
+    /// parallel map (each region's per-server stages are maps nested inside
+    /// it and share its `threads` running threads, see [`crate::par`]).
     ///
     /// Every region executes against a scratch [`Obs`] handle and a
     /// recording [`IncidentManager`]; the other services (doc store, model

@@ -25,12 +25,13 @@
 //! * [`resilience`] — retry-with-backoff and per-region circuit breaking,
 //!   threaded through every pipeline stage so transient faults degrade runs
 //!   instead of aborting them.
-//! * [`par`] — the Dask substitute: a persistent work-stealing pool behind
-//!   the parallel maps used by the per-server stages (Figure 12(b)).
+//! * [`par`] — the Dask substitute: the fork-join parallel maps used by the
+//!   per-server stages (Figure 12(b)), scoped threads over one atomic cursor.
 //! * [`fleet`] — the cross-region orchestrator: concurrent region runs with
 //!   deterministic observability merging and a warm-model cache.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod classify;
 pub mod clock;

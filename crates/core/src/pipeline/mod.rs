@@ -33,9 +33,9 @@
 //!
 //! The middle of the run — validation, feature extraction, training and
 //! inference — is one fused operator chain per server — validate →
-//! gap-fill → featurize → fit → predict — scheduled task-granularly on the
-//! worker pool, so a straggler server delays only itself while its
-//! siblings flow to completion. Results are absorbed serially in server
+//! gap-fill → featurize → fit → predict — scheduled task-granularly by
+//! [`parallel_map_tasks`](crate::par::parallel_map_tasks), so a straggler
+//! server delays only itself while its siblings flow to completion. Results are absorbed serially in server
 //! input order at the train-deploy barrier, which is why a run produces
 //! byte-identical reports, documents, incidents, and stable exports at any
 //! thread count. Deployment and accuracy evaluation stay serial barriers:

@@ -322,7 +322,7 @@ impl AmlPipeline {
 
     /// The middle of a run: batch-level validation, then one *fused*
     /// operator chain per server — validate → gap-fill → featurize → fit →
-    /// predict — scheduled task-granularly on the worker pool and absorbed
+    /// predict — scheduled task-granularly by `parallel_map_tasks` and absorbed
     /// serially in server input order at the train-deploy barrier.
     ///
     /// Reports, documents, incidents and the stable export of a run are

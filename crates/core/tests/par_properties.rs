@@ -1,4 +1,4 @@
-//! Property-based tests for the persistent work-stealing pool: the parallel
+//! Property-based tests for the fork-join parallel maps: the parallel
 //! map must be an order-preserving, exactly-once map for *any* item count
 //! (including 0 and 1) and *any* thread count, and the profiled variant's
 //! accounting must cover every item.

@@ -22,6 +22,7 @@
 //! (paper Figure 11(a)).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod additive;
 pub mod arima;

@@ -53,7 +53,9 @@
 //! Calling a `#[target_feature]` function from one without those features
 //! is `unsafe`: executing `vfmadd` on a CPU that lacks it is undefined.
 //! There is exactly one such call per dispatched kernel, each directly
-//! under the `is_x86_feature_detected!` check that justifies it.
+//! under the `is_x86_feature_detected!` check that justifies it. The crate
+//! is `#![deny(unsafe_code)]` and [`dot`] and [`axpy`] alone carry an
+//! `#[allow(unsafe_code)]`; every other crate of the workspace forbids it.
 //!
 //! Accumulation order is fixed by the chunk layout, so results are
 //! deterministic for a given input (they differ from a serial left-to-right
@@ -138,6 +140,7 @@ fn has_avx2_fma() -> bool {
 /// Debug builds assert equal lengths; release builds silently use the
 /// shorter slice, matching `Iterator::zip`.
 #[inline]
+#[allow(unsafe_code)]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dot operands must be equal length");
     #[cfg(target_arch = "x86_64")]
@@ -151,6 +154,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// `y[i] += alpha * x[i]` over the common prefix, in 4-wide chunks.
 #[inline]
+#[allow(unsafe_code)]
 pub fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
     debug_assert_eq!(y.len(), x.len(), "axpy operands must be equal length");
     #[cfg(target_arch = "x86_64")]

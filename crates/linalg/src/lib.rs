@@ -22,6 +22,8 @@
 //! module's docs), and the two `unsafe` calls this needs are the only ones
 //! in the crate.
 
+#![deny(unsafe_code)]
+
 pub mod eigen;
 pub mod hankel;
 pub mod kernel;

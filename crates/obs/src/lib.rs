@@ -23,6 +23,7 @@
 //! the stable export excludes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod export;
 pub mod metrics;

@@ -12,14 +12,15 @@ use std::time::Duration;
 /// What one worker did during a `parallel_map` region.
 #[derive(Clone, Debug)]
 pub struct WorkerProfile {
-    /// Worker index within the pool.
+    /// Participant index within the map (0 is the caller).
     pub worker: usize,
-    /// Items this worker pulled from the shared queue.
+    /// Items this worker claimed from the map's input.
     pub items: u64,
     /// Wall time spent inside the mapped closure.
     pub busy: Duration,
     /// Wall time the worker spent without work while the region was still
-    /// running (steal-idle: the queue was drained but siblings were busy).
+    /// running (the input was drained but siblings were busy, or the helper
+    /// was never forked).
     pub idle: Duration,
 }
 

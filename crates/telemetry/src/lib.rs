@@ -30,6 +30,7 @@
 //!   and recovers the longest valid prefix.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod blobstore;
 pub mod chaos;

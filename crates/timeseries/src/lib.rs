@@ -14,6 +14,8 @@
 //! experiments operate at minute granularity, so this representation is exact
 //! and cheap (a single `i64`).
 
+#![forbid(unsafe_code)]
+
 pub mod anomaly;
 pub mod calendar;
 pub mod decompose;

@@ -32,6 +32,7 @@
 //! orchestrator barriers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod accuracy;
 pub mod engine;

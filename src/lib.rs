@@ -43,6 +43,8 @@
 //! assert!(report.total() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use seagull_autoscale as autoscale;
 pub use seagull_backup as backup;
 pub use seagull_core as core;
