@@ -21,9 +21,10 @@ use seagull_forecast::{
 use seagull_linalg::{hankel_gram, kernel};
 use seagull_serve::{ModelSnapshot, ServeService};
 use seagull_telemetry::blobstore::{BlobStore, MemoryBlobStore};
-use seagull_telemetry::columnar::{checksum64_words, ColumnarBatch};
+use seagull_telemetry::columnar::ColumnarBatch;
 use seagull_telemetry::extract::{ExtractedServer, LoadExtraction, RegionWeekBatch};
 use seagull_telemetry::fleet::{FleetGenerator, FleetSpec, ServerTelemetry};
+use seagull_telemetry::frame::checksum64_words;
 use seagull_telemetry::record::{csv_quantized, RecordBatch};
 use seagull_timeseries::{
     decompose, detect_anomalies, fill_gaps, min_mean_window, AnomalyConfig, GapFill, SummaryStats,

@@ -19,8 +19,8 @@
 //! [`AmlPipeline::run_fleet_week_with`]), and consults those markers before
 //! fanning out: a restarted run skips regions whose marker is present and
 //! intact, re-running only the regions that were still in flight when the
-//! process died. Markers are single-record [`Journal`] blobs, so a marker
-//! torn mid-write fails checksum verification on replay and the region is
+//! process died. A marker is one sealed `SGJL` [`frame`], so a marker
+//! torn mid-write does not open and the region is
 //! simply re-run — pipeline runs are idempotent per `(region, week)`, so a
 //! re-run after a crash converges on the same predictions and deployments
 //! as an uninterrupted run.
@@ -31,7 +31,7 @@ use bytes::Bytes;
 use seagull_forecast::CacheStats;
 use seagull_obs::{Obs, Stability};
 use seagull_telemetry::blobstore::{BlobKey, BlobStore};
-use seagull_telemetry::journal::{replay, Journal};
+use seagull_telemetry::frame::{self, JOURNAL_MAGIC, JOURNAL_VERSION};
 use std::sync::Arc;
 
 /// Blob kind under which per-region completion markers are stored.
@@ -46,31 +46,32 @@ pub fn checkpoint_key(region: &str, week_start_day: i64) -> BlobKey {
     }
 }
 
-/// Encodes a completion marker for a finished region run: a single-record
-/// journal whose payload names the region, week, deployed version (`-1`
-/// when the run kept last-known-good), and server count.
+/// Encodes a completion marker for a finished region run: a sealed frame
+/// whose body names the region, week, deployed version (`-1` when the run
+/// kept last-known-good), and server count.
 fn encode_marker(report: &PipelineRunReport) -> Bytes {
-    let mut journal = Journal::new();
-    let payload = format!(
-        "{}\n{}\n{}\n{}",
-        report.region,
-        report.week_start_day,
-        report.deployed_version.map_or(-1, |v| v as i64),
-        report.servers,
+    let mut marker = frame::header(JOURNAL_MAGIC, JOURNAL_VERSION).to_vec();
+    marker.extend_from_slice(
+        format!(
+            "{}\n{}\n{}\n{}",
+            report.region,
+            report.week_start_day,
+            report.deployed_version.map_or(-1, |v| v as i64),
+            report.servers,
+        )
+        .as_bytes(),
     );
-    journal.append(payload.as_bytes());
-    journal.encoded()
+    frame::seal(marker)
 }
 
 /// Whether a marker blob is an intact completion marker for this region and
 /// week. Torn, truncated, or mismatched markers are not trusted: the region
 /// is treated as incomplete and re-run.
 fn marker_valid(blob: &[u8], region: &str, week_start_day: i64) -> bool {
-    let Ok(r) = replay(blob) else { return false };
-    if r.torn() || r.records.len() != 1 {
+    let Ok(body) = frame::open(blob, JOURNAL_MAGIC, JOURNAL_VERSION) else {
         return false;
-    }
-    let Ok(text) = std::str::from_utf8(&r.records[0]) else {
+    };
+    let Ok(text) = std::str::from_utf8(body) else {
         return false;
     };
     let mut lines = text.lines();

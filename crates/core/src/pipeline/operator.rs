@@ -20,9 +20,9 @@ use crate::resilience::{stage_seed, StageError};
 use crate::validation::{validate_region_week, validate_server, validate_servers, Anomaly};
 use seagull_forecast::{CacheUpdate, FittedModel, ForecastError, Lookup};
 use seagull_obs::SpanId;
-use seagull_telemetry::columnar::checksum64_words;
 use seagull_telemetry::csv_quantized;
 use seagull_telemetry::extract::{ExtractedServer, RegionWeekBatch};
+use seagull_telemetry::frame::checksum64_words;
 use seagull_timeseries::{GapFill, TimeSeries};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -636,7 +636,7 @@ mod tests {
     /// gaps, unquantized gap-filled values and signed zeros included.
     #[test]
     fn series_fingerprint_is_the_checksum_of_the_old_buffer() {
-        use seagull_telemetry::columnar::checksum64;
+        use seagull_telemetry::frame::checksum64;
         let samples = [
             12.345,
             0.0,

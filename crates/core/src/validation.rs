@@ -596,10 +596,9 @@ mod tests {
     /// the wire format written by hand, because `from_records` quantizes and
     /// the values here must arrive to the bit.
     fn forged_batch(blocks: &[((i64, i64), Vec<f64>)]) -> ColumnarBatch {
-        use seagull_telemetry::columnar::{checksum64, COLUMNAR_MAGIC, COLUMNAR_VERSION};
-        let mut blob = COLUMNAR_MAGIC.to_vec();
-        blob.extend_from_slice(&COLUMNAR_VERSION.to_le_bytes());
-        blob.extend_from_slice(&0u16.to_le_bytes());
+        use seagull_telemetry::columnar::{COLUMNAR_MAGIC, COLUMNAR_VERSION};
+        use seagull_telemetry::frame;
+        let mut blob = frame::header(COLUMNAR_MAGIC, COLUMNAR_VERSION).to_vec();
         blob.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
         for (i, ((backup_start, backup_end), values)) in blocks.iter().enumerate() {
             blob.extend_from_slice(&(i as u64 + 1).to_le_bytes());
@@ -612,9 +611,7 @@ mod tests {
         for v in blocks.iter().flat_map(|(_, values)| values) {
             blob.extend_from_slice(&v.to_le_bytes());
         }
-        let sum = checksum64(&blob);
-        blob.extend_from_slice(&sum.to_le_bytes());
-        ColumnarBatch::decode(&blob).expect("well-formed blob")
+        ColumnarBatch::decode(&frame::seal(blob)).expect("well-formed blob")
     }
 
     proptest! {

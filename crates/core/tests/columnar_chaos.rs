@@ -10,6 +10,7 @@ use seagull_telemetry::chaos::{ChaosBlobStore, ChaosConfig};
 use seagull_telemetry::columnar::ColumnarError;
 use seagull_telemetry::extract::{LoadExtraction, RegionWeekBatch, RegionWeekError};
 use seagull_telemetry::fleet::{FleetGenerator, FleetSpec, ServerTelemetry};
+use seagull_telemetry::frame::FrameError;
 use std::sync::Arc;
 
 fn columnar_store(servers: usize, seed: u64) -> (Arc<MemoryBlobStore>, i64, Vec<ServerTelemetry>) {
@@ -54,7 +55,9 @@ fn torn_columnar_read_fails_checksum_never_truncates() {
                 clean_reads += 1;
             }
             Ok(RegionWeekBatch::Csv(_)) => panic!("torn columnar blob sniffed as CSV rows"),
-            Err(RegionWeekError::Columnar(ColumnarError::ChecksumMismatch { .. })) => {
+            Err(RegionWeekError::Columnar(ColumnarError::Frame(
+                FrameError::ChecksumMismatch { .. },
+            ))) => {
                 checksum_failures += 1;
             }
             // Cuts inside the header/footer or before the magic fail with

@@ -48,12 +48,12 @@
 //!
 //! Snapshots live in memory; a process restart would lose them. The
 //! [`persist`] module adds the crash-safe path: [`DurableServeSink`] writes
-//! every deployed snapshot to a blob store and appends a checksummed record
-//! to an append-only deploy journal *before* the in-memory publish, and
-//! [`DurableServeSink::recover`] replays that journal on startup to
-//! republish each region's last-known-good snapshot — falling back one
-//! journaled epoch when the newest snapshot blob is torn. See `DESIGN.md`
-//! §12.
+//! every deployed snapshot to a blob store and appends one sealed record
+//! (`seagull_telemetry::frame`) to the deploy journal *before* the
+//! in-memory publish, and [`DurableServeSink::recover`] reads that journal
+//! on startup to republish each region's last-known-good snapshot — falling
+//! back one journaled epoch when the newest snapshot blob is torn. See
+//! `DESIGN.md` §12.
 //!
 //! See `DESIGN.md` §11 for the staleness model, the read path's
 //! measurements and its one untested hypothesis.

@@ -4,20 +4,20 @@
 //! when the process dies. This module makes deployments crash-safe:
 //!
 //! 1. **Persisted snapshots** — at publish time every [`ModelSnapshot`] is
-//!    serialized (the `SGSS` codec: checksummed, versioned, length-prefixed)
-//!    and written to a [`BlobStore`] under a per-region sequence number.
+//!    serialized (an `SGSS` [`frame`]) and written to a [`BlobStore`] under a
+//!    per-region sequence number.
 //! 2. **Deploy journal** — after the snapshot blob lands, a [`DeployRecord`]
-//!    is appended to the deploy journal (`SGJL` framing, one checksummed
-//!    record per successful deploy). Only then is the snapshot published in
-//!    memory, so the durable state never runs ahead of what a restart could
-//!    recover and the in-memory state never runs ahead of the journal by
-//!    more than the in-flight deploy.
-//! 3. **Recovery** — [`DurableServeSink::recover`] replays the journal
-//!    (truncating a torn tail to the longest valid prefix), walks each
-//!    region's records newest-first, and republishes the first snapshot
-//!    blob that passes both the journal's recorded checksum and the codec's
-//!    own checksum. A torn or missing newest snapshot therefore falls back
-//!    to the previous journaled epoch — never a torn read.
+//!    is appended to the deploy journal (one `SGJL` [`frame`] per successful
+//!    deploy). Only then is the snapshot published in memory, so the durable
+//!    state never runs ahead of what a restart could recover and the
+//!    in-memory state never runs ahead of the journal by more than the
+//!    in-flight deploy.
+//! 3. **Recovery** — [`DurableServeSink::recover`] walks the journal's
+//!    segments up to the first that is missing, torn or no deploy record,
+//!    then each region's records newest-first, and republishes the first
+//!    snapshot blob that passes both the journal's recorded checksum and the
+//!    codec's own checksum. A torn or missing newest snapshot therefore
+//!    falls back to the previous journaled epoch — never a torn read.
 //!
 //! Write ordering is the crux: snapshot blob → journal record → in-memory
 //! publish. A crash between any two steps leaves at most one orphaned blob
@@ -47,9 +47,10 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use seagull_core::pipeline::{DeployEvent, DeploySink, PredictionDoc};
 use seagull_telemetry::blobstore::{BlobKey, BlobStore};
-use seagull_telemetry::columnar::checksum64;
-use seagull_telemetry::journal::{replay, Journal};
-use std::collections::BTreeMap;
+use seagull_telemetry::frame::{
+    self, checksum64, Cursor, FrameError, Overrun, JOURNAL_MAGIC, JOURNAL_VERSION,
+};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io;
 use std::sync::Arc;
@@ -90,18 +91,9 @@ pub fn journal_segment_key(seg: u64) -> BlobKey {
 /// Why a persisted blob could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistError {
-    /// The blob is shorter than its fixed framing requires.
-    Truncated,
-    /// The blob does not start with [`SNAPSHOT_MAGIC`].
-    BadMagic,
-    /// The blob's format version is newer than this build understands.
-    UnsupportedVersion(
-        /// The version the blob claims.
-        u16,
-    ),
-    /// The blob's checksum footer does not match its contents (torn or
-    /// corrupted write).
-    ChecksumMismatch,
+    /// The frame did not open: torn, not this format, or a version this
+    /// build does not read.
+    Frame(FrameError),
     /// The checksum passed but the structure is inconsistent (an encoder
     /// bug or a deliberate forgery, not a torn write).
     Malformed(
@@ -113,12 +105,7 @@ pub enum PersistError {
 impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PersistError::Truncated => write!(f, "blob truncated below minimum framing"),
-            PersistError::BadMagic => write!(f, "not a snapshot blob (bad magic)"),
-            PersistError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot format version {v}")
-            }
-            PersistError::ChecksumMismatch => write!(f, "checksum mismatch (torn or corrupt)"),
+            PersistError::Frame(e) => write!(f, "persisted blob: {e}"),
             PersistError::Malformed(why) => write!(f, "malformed blob: {why}"),
         }
     }
@@ -126,61 +113,22 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-// ---------------------------------------------------------------------------
-// Little-endian cursor helpers
-// ---------------------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+impl From<FrameError> for PersistError {
+    fn from(e: FrameError) -> PersistError {
+        PersistError::Frame(e)
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
+impl From<Overrun> for PersistError {
+    fn from(_: Overrun) -> PersistError {
+        PersistError::Malformed("field overruns blob".into())
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| PersistError::Malformed("field overruns blob".into()))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u16(&mut self) -> Result<u16, PersistError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, PersistError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, PersistError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| PersistError::Malformed("string not utf-8".into()))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn done(&self) -> bool {
-        self.remaining() == 0
-    }
+fn take_string(r: &mut Cursor<'_>) -> Result<String, PersistError> {
+    let len = r.u32()? as usize;
+    String::from_utf8(r.take(len)?.to_vec())
+        .map_err(|_| PersistError::Malformed("string not utf-8".into()))
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -192,10 +140,10 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 // Snapshot codec (SGSS)
 // ---------------------------------------------------------------------------
 
-/// Serializes a snapshot's durable half: header (magic, format version,
-/// registry version, week, region, model name), one block per server
-/// (id, materialized day, backup duration, grid step, values), and a
-/// [`checksum64`] footer over everything before it.
+/// Serializes a snapshot's durable half as the body of an `SGSS` [`frame`]:
+/// registry version, week, region, model name, the server count, then one
+/// block per server (id, materialized day, backup duration, grid step, value
+/// count, values).
 ///
 /// Attached fitted models are *not* serialized — after recovery, servers
 /// answer from their materialized prediction only, exactly like a deploy
@@ -207,9 +155,7 @@ pub fn encode_snapshot(snapshot: &ModelSnapshot) -> Bytes {
     let strings = snapshot.region().len() + snapshot.model_name().len();
     let wire_len = 44 + strings + 32 * snapshot.len() + 8 * points;
     let mut out = Vec::with_capacity(wire_len);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // reserved
+    out.extend_from_slice(&frame::header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION));
     out.extend_from_slice(&snapshot.version().to_le_bytes());
     out.extend_from_slice(&snapshot.week_start_day().to_le_bytes());
     put_string(&mut out, snapshot.region());
@@ -226,46 +172,29 @@ pub fn encode_snapshot(snapshot: &ModelSnapshot) -> Bytes {
             out.extend_from_slice(&v.to_le_bytes());
         }
     }
-    let checksum = checksum64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    debug_assert_eq!(out.len(), wire_len, "the reservation is the blob's size");
-    Bytes::from(out)
+    let blob = frame::seal(out);
+    debug_assert_eq!(blob.len(), wire_len, "the reservation is the blob's size");
+    blob
 }
 
-/// Decodes a blob written by [`encode_snapshot`], verifying the checksum
-/// footer *before* trusting any structure — a torn write fails here with
-/// [`PersistError::ChecksumMismatch`], never a partially-built snapshot.
+/// Decodes a blob written by [`encode_snapshot`]. [`frame::open`] verifies
+/// the checksum *before* any structure is trusted — a torn write fails there
+/// as a torn frame, never a partially-built snapshot.
 pub fn decode_snapshot(blob: &[u8]) -> Result<ModelSnapshot, PersistError> {
-    if blob.len() < SNAPSHOT_MAGIC.len() + 4 + 8 {
-        return Err(PersistError::Truncated);
-    }
-    let (body, footer) = blob.split_at(blob.len() - 8);
-    let recorded = u64::from_le_bytes(footer.try_into().unwrap());
-    if checksum64(body) != recorded {
-        return Err(PersistError::ChecksumMismatch);
-    }
-    let mut r = Reader::new(body);
-    if r.take(4)? != SNAPSHOT_MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    let _reserved = r.u16()?;
+    let mut r = Cursor::new(frame::open(blob, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?);
     let model_version = r.u64()?;
     let week_start_day = r.i64()?;
-    let region = r.string()?;
-    let model_name = r.string()?;
+    let region = take_string(&mut r)?;
+    let model_name = take_string(&mut r)?;
     // The checksum is no MAC, so both counts below are outside input and
     // must not size an allocation on their own word: a server is at least
     // 32 bytes, and a server's values are taken from the blob before any
     // are stored.
     let servers = r.u32()? as usize;
-    if servers > r.remaining() / 32 {
+    if servers > r.rest().len() / 32 {
         return Err(PersistError::Malformed(format!(
             "{servers} servers cannot fit in {} bytes",
-            r.remaining()
+            r.rest().len()
         )));
     }
     let mut docs = Vec::with_capacity(servers);
@@ -289,7 +218,7 @@ pub fn decode_snapshot(blob: &[u8]) -> Result<ModelSnapshot, PersistError> {
             duration_min,
         });
     }
-    if !r.done() {
+    if !r.rest().is_empty() {
         return Err(PersistError::Malformed(
             "trailing bytes after servers".into(),
         ));
@@ -312,10 +241,10 @@ pub fn decode_snapshot(blob: &[u8]) -> Result<ModelSnapshot, PersistError> {
 // Deploy journal records
 // ---------------------------------------------------------------------------
 
-/// One successful deployment, as journaled. The journal's `SGJL` framing
-/// already checksums every record, so the payload needs no checksum of its
-/// own — but it does carry the checksum of the snapshot blob it references,
-/// so recovery can detect a snapshot that was overwritten or torn after the
+/// One successful deployment, as journaled: the body of one `SGJL`
+/// [`frame`], which is one journal segment. The frame checksums the record;
+/// the record carries the checksum of the snapshot blob it references, so
+/// recovery can detect a snapshot that was overwritten or torn after the
 /// journal record landed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeployRecord {
@@ -336,9 +265,11 @@ pub struct DeployRecord {
 }
 
 impl DeployRecord {
-    /// Serializes the record as a journal payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48 + self.region.len() + self.model_name.len());
+    /// Serializes the record as one sealed journal segment.
+    pub fn encode(&self) -> Bytes {
+        let wire_len = 60 + self.region.len() + self.model_name.len();
+        let mut out = Vec::with_capacity(wire_len);
+        out.extend_from_slice(&frame::header(JOURNAL_MAGIC, JOURNAL_VERSION));
         put_string(&mut out, &self.region);
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.version.to_le_bytes());
@@ -346,25 +277,41 @@ impl DeployRecord {
         put_string(&mut out, &self.model_name);
         out.extend_from_slice(&self.snapshot_checksum.to_le_bytes());
         out.extend_from_slice(&self.servers.to_le_bytes());
-        out
+        let segment = frame::seal(out);
+        debug_assert_eq!(
+            segment.len(),
+            wire_len,
+            "the reservation is the segment's size"
+        );
+        segment
     }
 
-    /// Deserializes a journal payload written by [`DeployRecord::encode`].
-    pub fn decode(payload: &[u8]) -> Result<DeployRecord, PersistError> {
-        let mut r = Reader::new(payload);
+    /// Reads back a segment written by [`DeployRecord::encode`]:
+    /// [`PersistError::Frame`] when the frame does not open,
+    /// [`PersistError::Malformed`] when it does and holds something else.
+    pub fn decode(segment: &[u8]) -> Result<DeployRecord, PersistError> {
+        let mut r = Cursor::new(frame::open(segment, JOURNAL_MAGIC, JOURNAL_VERSION)?);
         let record = DeployRecord {
-            region: r.string()?,
+            region: take_string(&mut r)?,
             seq: r.u64()?,
             version: r.u64()?,
             week_start_day: r.i64()?,
-            model_name: r.string()?,
+            model_name: take_string(&mut r)?,
             snapshot_checksum: r.u64()?,
             servers: r.u32()?,
         };
-        if !r.done() {
+        if !r.rest().is_empty() {
             return Err(PersistError::Malformed(
                 "trailing bytes after record".into(),
             ));
+        }
+        // The sequence number is the snapshot key's `i64` slot, and the
+        // region's next deploy takes the one after it.
+        if record.seq >= i64::MAX as u64 {
+            return Err(PersistError::Malformed(format!(
+                "sequence number {} is past the key space",
+                record.seq
+            )));
         }
         Ok(record)
     }
@@ -377,9 +324,10 @@ impl DeployRecord {
 /// What a [`DurableServeSink::recover`] pass found and restored.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Journal records that replayed cleanly.
+    /// Journal segments that opened and decoded, in order from the first.
     pub journal_records: usize,
-    /// Bytes discarded from the journal's torn tail (0 for a clean tail).
+    /// Size of the segment the journal ended at because it was torn or held
+    /// no deploy record (0 when it ended at a missing segment).
     pub truncated_bytes: usize,
     /// Regions whose snapshot was restored and republished.
     pub snapshots_restored: usize,
@@ -394,17 +342,14 @@ pub struct RecoveryReport {
     pub bytes_replayed: u64,
 }
 
+#[derive(Default)]
 struct SinkState {
-    /// Encoded journal segments, in append order. Each is a complete
-    /// single-record `SGJL` blob (recovery of a legacy multi-record segment
-    /// keeps it whole, so a segment may hold more).
-    segments: Vec<Bytes>,
-    /// Total records across all segments.
-    records: usize,
-    /// How many leading segments are known durable. Segments at or past
-    /// this index failed their `put` (or were torn on disk at recovery) and
-    /// are rewritten, oldest first, on the next deploy.
-    durable_upto: usize,
+    /// Leading journal segments known durable.
+    durable: usize,
+    /// Segments whose `put` has not succeeded yet, oldest first: segment
+    /// `durable + i` of the journal. Written ahead of anything newer on the
+    /// next deploy; empty on a healthy store.
+    unflushed: VecDeque<Bytes>,
     /// Next deploy sequence number per region (starts at 1).
     next_seq: BTreeMap<String, u64>,
 }
@@ -421,9 +366,9 @@ struct SinkState {
 ///
 /// Durability failures never block serving: if the snapshot or journal put
 /// returns an error, the deploy still publishes in memory and a counter
-/// records the miss (availability over durability). The in-memory journal
-/// keeps the record, so the next successful put self-heals the durable
-/// copy.
+/// records the miss (availability over durability). A journal segment
+/// whose put failed is kept in memory and written ahead of the next
+/// deploy's, so the next successful put self-heals the durable copy.
 pub struct DurableServeSink {
     serve: ServeService,
     store: Arc<dyn BlobStore>,
@@ -438,16 +383,11 @@ impl DurableServeSink {
         DurableServeSink {
             serve,
             store,
-            state: Mutex::new(SinkState {
-                segments: Vec::new(),
-                records: 0,
-                durable_upto: 0,
-                next_seq: BTreeMap::new(),
-            }),
+            state: Mutex::new(SinkState::default()),
         }
     }
 
-    /// Replays the deploy journal from `store` and republishes each
+    /// Reads the deploy journal from `store` and republishes each
     /// region's newest recoverable snapshot into `serve`, returning the
     /// sink (primed to continue the journal where it left off) and a
     /// [`RecoveryReport`].
@@ -455,8 +395,8 @@ impl DurableServeSink {
     /// Per region, records are walked newest-first and the first snapshot
     /// blob that matches both the journaled checksum and its own internal
     /// checksum is published — so a torn newest snapshot falls back to the
-    /// previous journaled epoch. A missing journal blob is a fresh start,
-    /// not an error; a journal blob that is not ours (wrong magic) is.
+    /// previous journaled epoch. A missing journal is a fresh start, not an
+    /// error; a segment that is not ours (wrong magic or version) is.
     ///
     /// Recovery progress lands in `serve`'s metrics registry as stable
     /// counters (`seagull_recovery_*`), so `stable_export()` stays
@@ -466,47 +406,31 @@ impl DurableServeSink {
         store: Arc<dyn BlobStore>,
     ) -> io::Result<(DurableServeSink, RecoveryReport)> {
         let mut report = RecoveryReport::default();
-        // Walk journal segments in order. The first missing segment is the
-        // clean end of the journal; a torn segment is the in-flight append
-        // the crash interrupted and likewise ends the walk (appends are
-        // sequential, so nothing valid can exist past it — the next deploy
-        // overwrites it).
-        let mut segments: Vec<Bytes> = Vec::new();
-        let mut payloads: Vec<Vec<u8>> = Vec::new();
-        let mut durable_upto = 0usize;
+        // Walk journal segments in order, grouping records per region in
+        // append (= sequence) order. A segment is one of three things: a
+        // deploy record; foreign, which recovery must not guess at; or the
+        // end of the journal — torn (the append a crash interrupted) or
+        // intact around something that is no deploy record. Appends are
+        // sequential, so nothing valid lies past the end, and the segment is
+        // not durable: the next deploy overwrites it.
+        let mut by_region: BTreeMap<String, Vec<DeployRecord>> = BTreeMap::new();
+        let mut next_seq: BTreeMap<String, u64> = BTreeMap::new();
         loop {
-            let blob = match store.get(&journal_segment_key(segments.len() as u64)) {
-                Ok(blob) => blob,
+            let segment = match store.get(&journal_segment_key(report.journal_records as u64)) {
+                Ok(segment) => segment,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => break,
                 Err(e) => return Err(e),
             };
-            report.bytes_replayed += blob.len() as u64;
-            let replayed = replay(&blob)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            report.truncated_bytes += replayed.truncated_bytes;
-            let intact = !replayed.torn() && !replayed.records.is_empty();
-            if intact {
-                durable_upto = segments.len() + 1;
-            }
-            if !replayed.records.is_empty() {
-                // A torn segment's valid prefix is kept in memory but not
-                // counted durable, so the next deploy rewrites (heals) it.
-                payloads.extend(replayed.records);
-                segments.push(replayed.journal.encoded());
-            }
-            if !intact {
-                break;
-            }
-        }
-
-        // Group records per region, preserving append (= sequence) order.
-        // A record that fails to decode despite its frame checksum ends the
-        // usable journal, like a torn tail would.
-        let mut by_region: BTreeMap<String, Vec<DeployRecord>> = BTreeMap::new();
-        let mut next_seq: BTreeMap<String, u64> = BTreeMap::new();
-        for payload in &payloads {
-            let Ok(record) = DeployRecord::decode(payload) else {
-                break;
+            report.bytes_replayed += segment.len() as u64;
+            let record = match DeployRecord::decode(&segment) {
+                Ok(record) => record,
+                Err(PersistError::Frame(e)) if !e.is_torn() => {
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
+                }
+                Err(_) => {
+                    report.truncated_bytes = segment.len();
+                    break;
+                }
             };
             report.journal_records += 1;
             let next = next_seq.entry(record.region.clone()).or_insert(1);
@@ -555,15 +479,13 @@ impl DurableServeSink {
             .counter("seagull_recovery_torn_tails_truncated_total", &[])
             .add(u64::from(report.truncated_bytes > 0));
 
-        let records = payloads.len();
         let sink = DurableServeSink {
             serve,
             store,
             state: Mutex::new(SinkState {
-                segments,
-                records,
-                durable_upto,
+                durable: report.journal_records,
                 next_seq,
+                ..SinkState::default()
             }),
         };
         Ok((sink, report))
@@ -574,9 +496,10 @@ impl DurableServeSink {
         &self.serve
     }
 
-    /// Records currently held by the in-memory journal.
+    /// Records journaled so far, durable or still waiting for their `put`.
     pub fn journal_records(&self) -> usize {
-        self.state.lock().records
+        let st = self.state.lock();
+        st.durable + st.unflushed.len()
     }
 
     /// The next deploy sequence number for a region (1 before any deploy).
@@ -610,22 +533,18 @@ impl DeploySink for DurableServeSink {
                         snapshot_checksum,
                         servers: snapshot.len() as u32,
                     };
-                    let mut segment = Journal::new();
-                    segment.append(&record.encode());
-                    st.segments.push(segment.encoded());
-                    st.records += 1;
+                    st.unflushed.push_back(record.encode());
                     st.next_seq.insert(event.region.to_string(), seq + 1);
-                    // Flush unpersisted segments oldest-first: appending
-                    // never rewrites committed segments, so a torn put can
-                    // only lose the record it carries. The in-memory copy
-                    // is the source of truth — a segment whose put failed
-                    // is retried here ahead of the new one, healing the
-                    // gap before anything newer lands.
-                    while st.durable_upto < st.segments.len() {
-                        let i = st.durable_upto;
-                        let blob = st.segments[i].clone();
-                        if self.store.put(&journal_segment_key(i as u64), blob).is_ok() {
-                            st.durable_upto = i + 1;
+                    // Flush oldest-first: appending never rewrites committed
+                    // segments, so a torn put can only lose the record it
+                    // carries, and a segment whose put failed is retried
+                    // here ahead of the new one, healing the gap before
+                    // anything newer lands.
+                    while let Some(segment) = st.unflushed.front() {
+                        let key = journal_segment_key(st.durable as u64);
+                        if self.store.put(&key, segment.clone()).is_ok() {
+                            st.unflushed.pop_front();
+                            st.durable += 1;
                         } else {
                             registry
                                 .counter("seagull_durable_journal_put_failures_total", &[])
@@ -695,6 +614,8 @@ mod tests {
     fn snapshot_codec_round_trips() {
         let original = snap(3);
         let blob = encode_snapshot(&original);
+        // The bytes every build since ISSUE 20 has written for it.
+        assert_eq!(checksum64(&blob), 0x1dd6_87b0_8cb0_ce5d, "wire bytes moved");
         let decoded = decode_snapshot(&blob).unwrap();
         assert_eq!(decoded.region(), "west");
         assert_eq!(decoded.version(), 3);
@@ -717,20 +638,17 @@ mod tests {
             let torn = &blob[..cut];
             let err = decode_snapshot(torn).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    PersistError::ChecksumMismatch | PersistError::Truncated
-                ),
+                matches!(err, PersistError::Frame(e) if e.is_torn()),
                 "cut {cut}: {err}"
             );
         }
         // Bit-flip anywhere in the body is also caught by the footer.
         let mut flipped = blob.to_vec();
         flipped[10] ^= 0x40;
-        assert_eq!(
+        assert!(matches!(
             decode_snapshot(&flipped).unwrap_err(),
-            PersistError::ChecksumMismatch
-        );
+            PersistError::Frame(FrameError::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]
@@ -813,10 +731,8 @@ mod tests {
         assert_eq!(blob[first..first + 8], id.to_le_bytes());
         let at = first.checked_add_signed(at).unwrap();
         blob[at..at + bytes.len()].copy_from_slice(bytes);
-        let body = blob.len() - 8;
-        let checksum = checksum64(&blob[..body]);
-        blob[body..].copy_from_slice(&checksum.to_le_bytes());
-        Bytes::from(blob)
+        blob.truncate(blob.len() - frame::FOOTER_LEN);
+        frame::seal(blob)
     }
 
     #[test]
@@ -845,12 +761,8 @@ mod tests {
             snapshot_checksum: checksum64(&forged),
             servers: 2,
         };
-        let mut segment = Journal::new();
-        segment.append(&record.encode());
         store.put(&snapshot_key("west", 2), forged).unwrap();
-        store
-            .put(&journal_segment_key(1), segment.encoded())
-            .unwrap();
+        store.put(&journal_segment_key(1), record.encode()).unwrap();
 
         let (recovered, report) =
             DurableServeSink::recover(ServeService::with_defaults(), store).unwrap();
@@ -937,6 +849,118 @@ mod tests {
                 "cut at {cut}: both committed deploys must survive"
             );
         }
+    }
+
+    /// FNV-1a is no MAC and the segment comes from a store: one that opens
+    /// but holds no deploy record ends the journal like a torn one — counted,
+    /// not durable, overwritten by the next deploy — instead of hiding every
+    /// later deploy behind it.
+    #[test]
+    fn undecodable_record_ends_the_journal_and_is_overwritten() {
+        let store: Arc<dyn BlobStore> = Arc::new(MemoryBlobStore::new());
+        let sink = DurableServeSink::new(ServeService::with_defaults(), Arc::clone(&store));
+        deploy(&sink, 1, &[doc(7, 14, vec![1.0; 48])]);
+        let mut forged = frame::header(JOURNAL_MAGIC, JOURNAL_VERSION).to_vec();
+        forged.extend_from_slice(b"not a deploy record");
+        let forged = frame::seal(forged);
+        store.put(&journal_segment_key(1), forged.clone()).unwrap();
+
+        let (recovered, report) =
+            DurableServeSink::recover(ServeService::with_defaults(), Arc::clone(&store)).unwrap();
+        assert_eq!(report.journal_records, 1);
+        assert_eq!(report.truncated_bytes, forged.len());
+        assert_eq!(recovered.journal_records(), 1);
+        let torn_tails = |sink: &DurableServeSink| {
+            let registry = sink.serve().obs().registry();
+            registry
+                .counter("seagull_recovery_torn_tails_truncated_total", &[])
+                .get()
+        };
+        assert_eq!(torn_tails(&recovered), 1);
+
+        deploy(&recovered, 5, &[doc(7, 14, vec![5.0; 48])]);
+        let (again, report) =
+            DurableServeSink::recover(ServeService::with_defaults(), store).unwrap();
+        assert_eq!(report.journal_records, 2);
+        assert_eq!(report.truncated_bytes, 0);
+        assert_eq!(torn_tails(&again), 0);
+        assert_eq!(again.serve().snapshot("west").unwrap().version(), 5);
+    }
+
+    /// A store whose journal is down while the flag is set (a whole-store
+    /// outage fails the snapshot put first and journals nothing).
+    struct JournalOutage {
+        inner: MemoryBlobStore,
+        down: std::sync::atomic::AtomicBool,
+    }
+
+    impl BlobStore for JournalOutage {
+        fn put(&self, key: &BlobKey, data: Bytes) -> io::Result<()> {
+            if key.kind == JOURNAL_KIND && self.down.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(io::Error::other("journal unreachable"));
+            }
+            self.inner.put(key, data)
+        }
+        fn get(&self, key: &BlobKey) -> io::Result<Bytes> {
+            self.inner.get(key)
+        }
+        fn list(&self, kind: &str) -> io::Result<Vec<BlobKey>> {
+            self.inner.list(kind)
+        }
+        fn size(&self, key: &BlobKey) -> io::Result<u64> {
+            self.inner.size(key)
+        }
+        fn delete(&self, key: &BlobKey) -> io::Result<bool> {
+            self.inner.delete(key)
+        }
+    }
+
+    #[test]
+    fn failed_journal_puts_are_held_and_flushed_oldest_first() {
+        use std::sync::atomic::Ordering;
+        let store = Arc::new(JournalOutage {
+            inner: MemoryBlobStore::new(),
+            down: false.into(),
+        });
+        let sink = DurableServeSink::new(
+            ServeService::with_defaults(),
+            Arc::clone(&store) as Arc<dyn BlobStore>,
+        );
+        let held = |sink: &DurableServeSink| sink.state.lock().unflushed.len();
+        let put_failures = |sink: &DurableServeSink| {
+            let registry = sink.serve().obs().registry();
+            registry
+                .counter("seagull_durable_journal_put_failures_total", &[])
+                .get()
+        };
+        const N: u64 = 5;
+        for version in 1..=N {
+            deploy(&sink, version, &[doc(7, 14, vec![version as f64; 48])]);
+        }
+        assert_eq!(held(&sink), 0, "a healthy store leaves nothing in memory");
+
+        store.down.store(true, Ordering::SeqCst);
+        deploy(&sink, N + 1, &[doc(7, 14, vec![0.5; 48])]);
+        deploy(&sink, N + 2, &[doc(7, 14, vec![0.5; 48])]);
+        assert_eq!(held(&sink), 2);
+        assert_eq!(put_failures(&sink), 2);
+        assert_eq!(sink.journal_records(), (N + 2) as usize);
+        assert_eq!(store.list(JOURNAL_KIND).unwrap().len(), N as usize);
+
+        store.down.store(false, Ordering::SeqCst);
+        deploy(&sink, N + 3, &[doc(7, 14, vec![0.5; 48])]);
+        assert_eq!(held(&sink), 0);
+        assert_eq!(put_failures(&sink), 2);
+        // Oldest first: segment i holds the i-th deploy.
+        for seg in 0..N + 3 {
+            let segment = store.get(&journal_segment_key(seg)).unwrap();
+            assert_eq!(DeployRecord::decode(&segment).unwrap().version, seg + 1);
+        }
+        let (recovered, report) =
+            DurableServeSink::recover(ServeService::with_defaults(), store).unwrap();
+        assert_eq!(report.journal_records, (N + 3) as usize);
+        assert_eq!(report.truncated_bytes, 0);
+        assert_eq!(recovered.serve().snapshot("west").unwrap().version(), N + 3);
     }
 
     #[test]

@@ -16,22 +16,19 @@
 //! checksum and the pipeline retries the read instead of training on
 //! truncated series.
 //!
-//! ## Wire layout (version 1, all little-endian)
+//! ## Body layout (version 1, all little-endian, inside a [`crate::frame`])
 //!
 //! ```text
-//! [0..4)    magic  b"SGCB"
-//! [4..6)    version u16 (= 1)
-//! [6..8)    reserved u16 (= 0)
-//! [8..12)   server block count u32
+//! [0..4)    server block count u32
 //! ...       block table, 40 bytes per server:
 //!             server_id u64, default_backup_start i64,
 //!             default_backup_end i64, series_start_min i64,
 //!             step_min u32, point count u32
 //! ...       value column: every server's points, concatenated, f64 bits
-//! [-8..)    checksum u64 over all preceding bytes
 //! ```
 
 use crate::extract::ExtractedServer;
+use crate::frame::{self, checksum64, fnv_step, Cursor, FrameError, Overrun};
 use crate::record::{csv_quantized, csv_quantized_arith, RecordBatch};
 use crate::server::ServerId;
 use bytes::Bytes;
@@ -45,42 +42,21 @@ pub const COLUMNAR_MAGIC: [u8; 4] = *b"SGCB";
 /// Current wire version.
 pub const COLUMNAR_VERSION: u16 = 1;
 
-const HEADER_LEN: usize = 12;
+/// Where the block table starts: after the frame header and the block count.
+const TABLE_AT: usize = frame::HEADER_LEN + 4;
 const BLOCK_LEN: usize = 40;
-const FOOTER_LEN: usize = 8;
-
-/// True if `blob` carries the columnar magic (format sniffing; a CSV blob
-/// starts with its text header and can never match).
-pub fn is_columnar(blob: &[u8]) -> bool {
-    blob.len() >= COLUMNAR_MAGIC.len() && blob[..COLUMNAR_MAGIC.len()] == COLUMNAR_MAGIC
-}
 
 /// A decode failure. Every variant means "the blob is not usable as read":
 /// the pipeline treats them all as transient (a re-read of a torn blob
 /// yields the full bytes), never as silently shorter data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ColumnarError {
-    /// The magic bytes are absent — this is not a columnar blob.
-    NotColumnar,
-    /// The blob is shorter than its declared structure.
-    Truncated {
-        /// Bytes the header/table said should be present.
-        expected: usize,
-        /// Bytes actually available.
-        got: usize,
-    },
-    /// The footer checksum does not match the bytes (torn or corrupt read).
-    ChecksumMismatch {
-        /// Checksum recorded in the footer.
-        stored: u64,
-        /// Checksum recomputed over the payload.
-        computed: u64,
-    },
-    /// A version this build does not read.
-    UnsupportedVersion {
-        /// The version found in the header.
-        version: u16,
-    },
+    /// The frame did not open: not a columnar blob, torn, or a version this
+    /// build does not read.
+    Frame(FrameError),
+    /// The checksum holds, but the block table and the value column are not
+    /// the size the counts declare (a forgery or an encoder bug).
+    Malformed(&'static str),
     /// A block table entry describing an impossible grid.
     InvalidBlock {
         /// Server whose block entry is invalid.
@@ -91,24 +67,24 @@ pub enum ColumnarError {
 impl fmt::Display for ColumnarError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ColumnarError::NotColumnar => write!(f, "blob lacks the columnar magic"),
-            ColumnarError::Truncated { expected, got } => {
-                write!(
-                    f,
-                    "columnar blob truncated: expected {expected} bytes, got {got}"
-                )
-            }
-            ColumnarError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "columnar checksum mismatch: footer {stored:#018x}, computed {computed:#018x}"
-            ),
-            ColumnarError::UnsupportedVersion { version } => {
-                write!(f, "unsupported columnar version {version}")
-            }
+            ColumnarError::Frame(e) => write!(f, "columnar blob: {e}"),
+            ColumnarError::Malformed(why) => write!(f, "malformed columnar blob: {why}"),
             ColumnarError::InvalidBlock { server_id } => {
                 write!(f, "invalid block table entry for server {server_id}")
             }
         }
+    }
+}
+
+impl From<FrameError> for ColumnarError {
+    fn from(e: FrameError) -> ColumnarError {
+        ColumnarError::Frame(e)
+    }
+}
+
+impl From<Overrun> for ColumnarError {
+    fn from(_: Overrun) -> ColumnarError {
+        ColumnarError::Malformed("block table overruns the body")
     }
 }
 
@@ -274,51 +250,27 @@ impl ColumnarBatch {
         writer.finish()
     }
 
-    /// Decodes a blob, verifying the checksum *before* trusting any of the
-    /// structure so a torn read (a strict byte prefix) is reported as
-    /// [`ColumnarError::ChecksumMismatch`] rather than parsed as shorter
-    /// data.
+    /// Decodes a blob. [`frame::open`] verifies the checksum *before* any of
+    /// the structure is trusted, so a torn read (a strict byte prefix) is
+    /// reported as a torn frame rather than parsed as shorter data.
     pub fn decode(blob: &[u8]) -> Result<ColumnarBatch, ColumnarError> {
-        if !is_columnar(blob) {
-            return Err(ColumnarError::NotColumnar);
-        }
-        if blob.len() < HEADER_LEN + FOOTER_LEN {
-            return Err(ColumnarError::Truncated {
-                expected: HEADER_LEN + FOOTER_LEN,
-                got: blob.len(),
-            });
-        }
-        let body = &blob[..blob.len() - FOOTER_LEN];
-        let stored = u64::from_le_bytes(blob[blob.len() - FOOTER_LEN..].try_into().unwrap());
-        let computed = checksum64(body);
-        if stored != computed {
-            return Err(ColumnarError::ChecksumMismatch { stored, computed });
-        }
-        let version = u16::from_le_bytes(blob[4..6].try_into().unwrap());
-        if version != COLUMNAR_VERSION {
-            return Err(ColumnarError::UnsupportedVersion { version });
-        }
-        let count = u32::from_le_bytes(blob[8..12].try_into().unwrap()) as usize;
-        let table_end = HEADER_LEN + count * BLOCK_LEN;
-        if body.len() < table_end {
-            return Err(ColumnarError::Truncated {
-                expected: table_end + FOOTER_LEN,
-                got: blob.len(),
-            });
-        }
+        let mut body = Cursor::new(frame::open(blob, COLUMNAR_MAGIC, COLUMNAR_VERSION)?);
+        // The count is outside input (the checksum is no MAC): the table is
+        // taken from the body before anything is sized by it.
+        let count = body.u32()? as usize;
+        let table = body.take(count.saturating_mul(BLOCK_LEN))?;
         let mut blocks = Vec::with_capacity(count);
         let mut offset = 0usize;
-        for i in 0..count {
-            let at = HEADER_LEN + i * BLOCK_LEN;
-            let f = &blob[at..at + BLOCK_LEN];
+        for entry in table.chunks_exact(BLOCK_LEN) {
+            let mut entry = Cursor::new(entry);
             let block = ServerBlock {
-                server_id: ServerId(u64::from_le_bytes(f[0..8].try_into().unwrap())),
-                default_backup_start: i64::from_le_bytes(f[8..16].try_into().unwrap()),
-                default_backup_end: i64::from_le_bytes(f[16..24].try_into().unwrap()),
-                series_start_min: i64::from_le_bytes(f[24..32].try_into().unwrap()),
-                step_min: u32::from_le_bytes(f[32..36].try_into().unwrap()),
+                server_id: ServerId(entry.u64()?),
+                default_backup_start: entry.i64()?,
+                default_backup_end: entry.i64()?,
+                series_start_min: entry.i64()?,
+                step_min: entry.u32()?,
                 offset,
-                len: u32::from_le_bytes(f[36..40].try_into().unwrap()) as usize,
+                len: entry.u32()? as usize,
             };
             // A step that divides the day is at most 1,440, so the span of
             // `len: u32` points cannot overflow; where the grid ends can.
@@ -338,15 +290,14 @@ impl ColumnarBatch {
             offset += block.len;
             blocks.push(block);
         }
-        let expected = table_end + offset * 8 + FOOTER_LEN;
-        if blob.len() != expected {
-            return Err(ColumnarError::Truncated {
-                expected,
-                got: blob.len(),
-            });
+        let column = body.rest();
+        if column.len() != offset * 8 {
+            return Err(ColumnarError::Malformed(
+                "value column is not the size the block table declares",
+            ));
         }
         // An exact-size iterator collects into the `Arc` with one allocation.
-        let values = body[table_end..]
+        let values = column
             .chunks_exact(8)
             .map(|chunk| f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8 bytes"))))
             .collect();
@@ -391,11 +342,9 @@ struct BlobWriter {
 
 impl BlobWriter {
     fn new(blocks: &[ServerBlock], points: usize) -> BlobWriter {
-        let at = HEADER_LEN + blocks.len() * BLOCK_LEN; // where the column starts
-        let mut out = Vec::with_capacity(at + points * 8 + FOOTER_LEN);
-        out.extend_from_slice(&COLUMNAR_MAGIC);
-        out.extend_from_slice(&COLUMNAR_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
+        let at = TABLE_AT + blocks.len() * BLOCK_LEN; // where the column starts
+        let mut out = Vec::with_capacity(at + points * 8 + frame::FOOTER_LEN);
+        out.extend_from_slice(&frame::header(COLUMNAR_MAGIC, COLUMNAR_VERSION));
         out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
         for b in blocks {
             out.extend_from_slice(&b.server_id.0.to_le_bytes());
@@ -419,7 +368,7 @@ impl BlobWriter {
         for (slot, v) in slots.chunks_exact_mut(8).zip(values) {
             let bits = v.to_bits();
             slot.copy_from_slice(&bits.to_le_bytes());
-            self.sum = fnv_fold(self.sum, self.half | bits << 32);
+            self.sum = fnv_step(self.sum, self.half | bits << 32);
             self.half = bits >> 32;
         }
         self.at += slots.len();
@@ -459,11 +408,10 @@ impl BlobWriter {
     }
 
     /// Closes the blob with its checksum footer.
-    fn finish(mut self) -> Bytes {
+    fn finish(self) -> Bytes {
         assert_eq!(self.at, self.out.len(), "a column short of its points");
-        let sum = fnv_fold(self.sum, self.half ^ (4 << 56));
-        self.out.extend_from_slice(&sum.to_le_bytes());
-        Bytes::from(self.out)
+        let sum = fnv_step(self.sum, self.half ^ (4 << 56));
+        frame::seal_with(self.out, sum)
     }
 }
 
@@ -536,38 +484,6 @@ pub(crate) fn encode_runs<'a>(runs: impl Iterator<Item = SampleRun<'a>>, grid_mi
     writer.finish()
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(h: u64, word: u64) -> u64 {
-    (h ^ word).wrapping_mul(FNV_PRIME)
-}
-
-/// FNV-1a folded over 8-byte little-endian words (with the tail length mixed
-/// into the last word). Order-sensitive and cheap — this is an integrity
-/// check against torn/corrupt reads, not an adversarial hash.
-pub fn checksum64(data: &[u8]) -> u64 {
-    let mut chunks = data.chunks_exact(8);
-    let mut h = checksum64_words(
-        chunks
-            .by_ref()
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
-    );
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut last = [0u8; 8];
-        last[..rem.len()].copy_from_slice(rem);
-        h = fnv_fold(h, u64::from_le_bytes(last) ^ ((rem.len() as u64) << 56));
-    }
-    h
-}
-
-/// [`checksum64`] of the little-endian bytes of `words`, for a caller that
-/// would otherwise serialize them only to hash the buffer.
-pub fn checksum64_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    words.into_iter().fold(FNV_OFFSET, fnv_fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,7 +516,7 @@ mod tests {
     fn encode_decode_round_trips() {
         let batch = sample();
         let blob = batch.encode();
-        assert!(is_columnar(&blob));
+        assert!(frame::has_magic(&blob, COLUMNAR_MAGIC));
         let back = ColumnarBatch::decode(&blob).unwrap();
         assert_eq!(back, batch);
     }
@@ -747,8 +663,7 @@ mod tests {
         for cut in 5..blob.len() {
             let torn = &blob[..cut];
             match ColumnarBatch::decode(torn) {
-                Err(ColumnarError::ChecksumMismatch { .. })
-                | Err(ColumnarError::Truncated { .. }) => {}
+                Err(ColumnarError::Frame(e)) if e.is_torn() => {}
                 other => panic!("torn read at {cut} must fail decode, got {other:?}"),
             }
         }
@@ -757,6 +672,7 @@ mod tests {
     /// Every single-bit flip of a three-server blob is caught: inside the
     /// magic the blob no longer sniffs as columnar, anywhere after it FNV-1a's
     /// odd multiplier carries the changed word into a different checksum.
+    /// The blob itself is the one every build since ISSUE 19 has written.
     #[test]
     fn corrupt_byte_fails_checksum() {
         let rows = vec![
@@ -769,16 +685,20 @@ mod tests {
         let blob = ColumnarBatch::from_records(&RecordBatch::new(rows), 5)
             .encode()
             .to_vec();
+        assert_eq!(checksum64(&blob), 0x1cfd_8221_8a45_8b51, "wire bytes moved");
         assert_eq!(ColumnarBatch::decode(&blob).unwrap().len(), 3);
         for bit in 0..blob.len() * 8 {
             let mut bad = blob.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
             let got = ColumnarBatch::decode(&bad);
             if bit / 8 < COLUMNAR_MAGIC.len() {
-                assert_eq!(got, Err(ColumnarError::NotColumnar), "flip of bit {bit}");
+                assert_eq!(got, Err(FrameError::BadMagic.into()), "flip of bit {bit}");
             } else {
                 assert!(
-                    matches!(got, Err(ColumnarError::ChecksumMismatch { .. })),
+                    matches!(
+                        got,
+                        Err(ColumnarError::Frame(FrameError::ChecksumMismatch { .. }))
+                    ),
                     "flip of bit {bit} must fail the checksum, got {got:?}"
                 );
             }
@@ -788,14 +708,17 @@ mod tests {
     #[test]
     fn csv_blob_is_not_columnar() {
         let csv = RecordBatch::new(vec![rec(1, 0, 1.0)]).to_csv();
-        assert!(!is_columnar(&csv));
-        assert_eq!(ColumnarBatch::decode(&csv), Err(ColumnarError::NotColumnar));
+        assert!(!frame::has_magic(&csv, COLUMNAR_MAGIC));
+        assert_eq!(
+            ColumnarBatch::decode(&csv),
+            Err(FrameError::BadMagic.into())
+        );
     }
 
     /// Gives a tampered blob a valid checksum, so only the structure checks
     /// behind it can object.
     fn reseal(blob: &mut [u8]) {
-        let at = blob.len() - FOOTER_LEN;
+        let at = blob.len() - frame::FOOTER_LEN;
         let sum = checksum64(&blob[..at]);
         blob[at..].copy_from_slice(&sum.to_le_bytes());
     }
@@ -807,7 +730,7 @@ mod tests {
         reseal(&mut blob); // …with a valid checksum
         assert_eq!(
             ColumnarBatch::decode(&blob),
-            Err(ColumnarError::UnsupportedVersion { version: 9 })
+            Err(FrameError::UnsupportedVersion { version: 9 }.into())
         );
     }
 
@@ -815,7 +738,7 @@ mod tests {
     /// handed out as a series whose `end()` overflows.
     #[test]
     fn grid_end_past_i64_rejected() {
-        let start_at = HEADER_LEN + 24; // block 0 (server 1, three points): series_start_min
+        let start_at = TABLE_AT + 24; // block 0 (server 1, three points): series_start_min
         let forge = |start: i64| {
             let mut blob = sample().encode().to_vec();
             blob[start_at..start_at + 8].copy_from_slice(&start.to_le_bytes());

@@ -12,8 +12,9 @@
 //! turns it back into per-server series for the pipeline.
 
 use crate::blobstore::{BlobKey, BlobStore};
-use crate::columnar::{self, ColumnarBatch, ColumnarError, SampleRun};
+use crate::columnar::{self, ColumnarBatch, ColumnarError, SampleRun, COLUMNAR_MAGIC};
 use crate::fleet::ServerTelemetry;
+use crate::frame;
 use crate::record::{CsvError, LoadRecord, RecordBatch};
 use crate::server::ServerId;
 use seagull_timeseries::{DayOfWeek, TimeSeries, Timestamp};
@@ -242,7 +243,7 @@ impl RegionWeekBatch {
     /// Decodes a blob, sniffing the format by its magic bytes. Anything that
     /// does not start with the columnar magic is treated as CSV.
     pub fn decode(blob: &[u8]) -> Result<RegionWeekBatch, RegionWeekError> {
-        if columnar::is_columnar(blob) {
+        if frame::has_magic(blob, COLUMNAR_MAGIC) {
             Ok(RegionWeekBatch::Columnar(ColumnarBatch::decode(blob)?))
         } else {
             Ok(RegionWeekBatch::Csv(RecordBatch::from_csv(blob)?))
@@ -470,8 +471,8 @@ mod tests {
             .unwrap();
         let col_blob = col_store.get(&col_keys[0]).unwrap();
 
-        assert!(columnar::is_columnar(&col_blob));
-        assert!(!columnar::is_columnar(&csv_blob));
+        assert!(frame::has_magic(&col_blob, COLUMNAR_MAGIC));
+        assert!(!frame::has_magic(&csv_blob, COLUMNAR_MAGIC));
         assert!(col_blob.len() < csv_blob.len(), "columnar should be denser");
 
         let from_csv = RegionWeekBatch::decode(&csv_blob).unwrap().extract(5);

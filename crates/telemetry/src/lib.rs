@@ -16,8 +16,11 @@
 //!   CPU load percentage per five minutes, default backup start and end`).
 //! * [`blobstore`] — the Azure Data Lake Store substitute: partitioned blobs
 //!   keyed by `(region, week)` with in-memory and on-disk backends.
-//! * [`columnar`] — the versioned, checksummed binary region-week codec;
-//!   decodes into zero-copy series views over one shared buffer.
+//! * [`frame`] — the one frame every stored blob wears (`magic | version | 0 |
+//!   body | checksum`), its one `open`, the one FNV-1a checksum and the
+//!   bounds-checked cursor the three body decoders read with.
+//! * [`columnar`] — the binary region-week codec (`SGCB`); decodes into
+//!   zero-copy series views over one shared buffer.
 //! * [`extract`] — the Load Extraction module: the recurring query that
 //!   reduces raw telemetry to per-region weekly input files (CSV or
 //!   columnar).
@@ -25,9 +28,6 @@
 //!   that replays seeded, reproducible fault schedules (transient errors,
 //!   torn reads, latency spikes, sliced sustained outages, and seeded
 //!   crash kill-points).
-//! * [`journal`] — the append-only checksummed journal codec (`SGJL`) the
-//!   durability layer uses to record deploys; replay truncates torn tails
-//!   and recovers the longest valid prefix.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +37,7 @@ pub mod chaos;
 pub mod columnar;
 pub mod extract;
 pub mod fleet;
-pub mod journal;
+pub mod frame;
 pub mod record;
 pub mod server;
 pub mod shape;
@@ -53,7 +53,7 @@ pub use extract::{
     parse_record_rows, BlobFormat, LoadExtraction, RegionWeekBatch, RegionWeekError,
 };
 pub use fleet::{FleetGenerator, FleetSpec, RegionSpec, ServerTelemetry};
-pub use journal::{replay, Journal, JournalError, JournalReplay};
+pub use frame::FrameError;
 pub use record::{csv_quantized, CsvError, LoadRecord, RecordBatch};
 pub use server::{BackupConfig, GeneratedClass, ServerId, ServerMeta};
 pub use shape::{LoadShape, ShapeParams};

@@ -15,9 +15,9 @@ use seagull::core::resilience::{ResiliencePolicy, StageChaos};
 use seagull::serve::{snapshot_key, DurableServeSink, RecoveryReport, ServeService};
 use seagull::telemetry::blobstore::{BlobStore, MemoryBlobStore};
 use seagull::telemetry::chaos::{ChaosBlobStore, ChaosConfig, CrashPoint, DetRng, InjectedCrash};
-use seagull::telemetry::columnar::checksum64;
 use seagull::telemetry::extract::LoadExtraction;
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec, ServerTelemetry};
+use seagull::telemetry::frame::checksum64;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
