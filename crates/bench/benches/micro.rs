@@ -212,7 +212,8 @@ fn bench_decompose(c: &mut Criterion) {
             servers
                 .iter()
                 .filter_map(|s| decompose(black_box(&s.series), s.series.points_per_day()))
-                .map(|d| d.seasonal_strength() + d.trend_strength())
+                .map(|d| d.strengths())
+                .map(|(seasonal, trend)| seasonal + trend)
                 .sum::<f64>()
         })
     });
@@ -220,15 +221,25 @@ fn bench_decompose(c: &mut Criterion) {
 
 fn bench_detect_anomalies(c: &mut Criterion) {
     let servers = fig3_week_servers();
-    let cfg = AnomalyConfig::default();
-    c.bench_function("detect_anomalies/fig3_week_80srv", |b| {
-        b.iter(|| {
-            servers
-                .iter()
-                .map(|s| detect_anomalies(black_box(&s.series), &cfg).len())
-                .sum::<usize>()
-        })
-    });
+    // The production ±1 h window, whose two positions per step lie within one
+    // block move, and a ±40-point one, where they are up to three apart.
+    let wide = AnomalyConfig {
+        half_window: 40,
+        ..AnomalyConfig::default()
+    };
+    for (name, cfg) in [
+        ("detect_anomalies/fig3_week_80srv", AnomalyConfig::default()),
+        ("detect_anomalies/fig3_week_80srv_w40", wide),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                servers
+                    .iter()
+                    .map(|s| detect_anomalies(black_box(&s.series), &cfg).len())
+                    .sum::<usize>()
+            })
+        });
+    }
 }
 
 fn bench_summary_stats(c: &mut Criterion) {

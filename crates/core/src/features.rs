@@ -43,11 +43,8 @@ pub fn extract_server_features(s: &ExtractedServer, config: &ClassifyConfig) -> 
     let anomaly_config = AnomalyConfig::default();
     let len = s.series.len();
     let stats = SummaryStats::compute(s.series.values());
-    let decomposition = decompose(&s.series, s.series.points_per_day());
-    let (daily_seasonal_strength, trend_strength) = decomposition
-        .as_ref()
-        .map(|d| (d.seasonal_strength(), d.trend_strength()))
-        .unwrap_or((0.0, 0.0));
+    let (daily_seasonal_strength, trend_strength) =
+        decompose(&s.series, s.series.points_per_day()).map_or((0.0, 0.0), |d| d.strengths());
     let load_anomalies = detect_anomalies(&s.series, &anomaly_config).len();
     ServerFeatures {
         server_id: s.id.0,

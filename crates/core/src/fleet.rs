@@ -32,6 +32,7 @@ use seagull_forecast::CacheStats;
 use seagull_obs::{Obs, Stability};
 use seagull_telemetry::blobstore::{BlobKey, BlobStore};
 use seagull_telemetry::frame::{self, JOURNAL_MAGIC, JOURNAL_VERSION};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Blob kind under which per-region completion markers are stored.
@@ -134,7 +135,10 @@ impl FleetRunner {
     /// this week are skipped (no report is produced for them), and each
     /// region that does run writes its marker the moment it finishes — so a
     /// crash mid-fleet loses only the in-flight regions, and the restarted
-    /// week re-runs exactly those.
+    /// week re-runs exactly those. A marker the store refuses is counted
+    /// (`seagull_checkpoint_marker_put_failures_total`, beside
+    /// `seagull_checkpoint_markers_written_total` for those that landed) and
+    /// leaves its region to be run again.
     pub fn run_week(&self, week_start_day: i64) -> Vec<PipelineRunReport> {
         let Some(store) = self.checkpoints.clone() else {
             return self.pipeline.run_fleet_week(&self.regions, week_start_day);
@@ -156,23 +160,34 @@ impl FleetRunner {
         if pending.is_empty() {
             return Vec::new();
         }
+        // Counted on the workers, folded into the registry after the join, so
+        // the export does not depend on how the regions interleaved.
+        let (written, refused) = (AtomicU64::new(0), AtomicU64::new(0));
         let reports = self
             .pipeline
             .run_fleet_week_with(&pending, week_start_day, |_, report| {
                 // A marker is written only after the region's run fully
                 // completed (deployments announced, documents stored); a
-                // crash between completion and the marker write just re-runs
-                // the region, which is idempotent.
-                let _ = store.put(
+                // crash between completion and the marker write, or a store
+                // that refuses the write, just re-runs the region next time,
+                // which is idempotent.
+                let put = store.put(
                     &checkpoint_key(&report.region, week_start_day),
                     encode_marker(report),
                 );
+                let tally = if put.is_ok() { &written } else { &refused };
+                tally.fetch_add(1, Ordering::Relaxed);
             });
-        self.pipeline
-            .obs
-            .registry()
+        let registry = self.pipeline.obs.registry();
+        registry
             .counter("seagull_checkpoint_markers_written_total", &[])
-            .add(reports.len() as u64);
+            .add(written.into_inner());
+        let refused = refused.into_inner();
+        if refused > 0 {
+            registry
+                .counter("seagull_checkpoint_marker_put_failures_total", &[])
+                .add(refused);
+        }
         reports
     }
 
@@ -338,17 +353,28 @@ mod tests {
     use crate::pipeline::PipelineConfig;
     use seagull_telemetry::blobstore::MemoryBlobStore;
     use seagull_telemetry::extract::LoadExtraction;
-    use seagull_telemetry::fleet::{FleetGenerator, FleetSpec};
-    use std::sync::Arc;
+    use seagull_telemetry::fleet::{FleetGenerator, FleetSpec, RegionSpec};
+    use std::io;
+    use std::sync::atomic::AtomicBool;
 
     fn runner(threads: usize, weeks: usize) -> (FleetRunner, Vec<i64>) {
+        runner_over(&["region-a"], threads, weeks)
+    }
+
+    fn runner_over(regions: &[&str], threads: usize, weeks: usize) -> (FleetRunner, Vec<i64>) {
         let mut spec = FleetSpec::small_region(417);
-        spec.regions[0].servers = 12;
+        spec.regions = regions
+            .iter()
+            .map(|name| RegionSpec {
+                name: name.to_string(),
+                servers: 12,
+            })
+            .collect();
         let start = spec.start_day;
         let fleet = FleetGenerator::new(spec).generate_weeks(weeks);
         let store = Arc::new(MemoryBlobStore::new());
         let week_days: Vec<i64> = (0..weeks as i64).map(|w| start + 7 * w).collect();
-        let regions = vec!["region-a".to_string()];
+        let regions: Vec<String> = regions.iter().map(|name| name.to_string()).collect();
         LoadExtraction::default()
             .run(&fleet, &regions, &week_days, store.as_ref())
             .unwrap();
@@ -430,5 +456,87 @@ mod tests {
         // Markers for the wrong week are also not trusted.
         marks.put(&checkpoint_key("region-a", 9999), whole).unwrap();
         assert!(!runner.completed("region-a", 9999));
+    }
+
+    /// A marker store that refuses checkpoint writes while `down` is set.
+    #[derive(Default)]
+    struct OutageStore {
+        inner: MemoryBlobStore,
+        down: AtomicBool,
+    }
+
+    impl BlobStore for OutageStore {
+        fn put(&self, key: &BlobKey, data: Bytes) -> io::Result<()> {
+            if key.kind == CHECKPOINT_KIND && self.down.load(Ordering::Relaxed) {
+                return Err(io::Error::other("checkpoint store is down"));
+            }
+            self.inner.put(key, data)
+        }
+        fn get(&self, key: &BlobKey) -> io::Result<Bytes> {
+            self.inner.get(key)
+        }
+        fn size(&self, key: &BlobKey) -> io::Result<u64> {
+            self.inner.size(key)
+        }
+        fn list(&self, kind: &str) -> io::Result<Vec<BlobKey>> {
+            self.inner.list(kind)
+        }
+        fn delete(&self, key: &BlobKey) -> io::Result<bool> {
+            self.inner.delete(key)
+        }
+    }
+
+    /// Every document but the run reports, whose stage timings are wall clock.
+    fn documents(runner: &FleetRunner) -> Vec<(String, String, serde_json::Value)> {
+        let docs = &runner.pipeline().docs;
+        let mut out = Vec::new();
+        for collection in docs.collections() {
+            if collection == crate::pipeline::collections::RUNS {
+                continue;
+            }
+            for id in docs.ids(&collection) {
+                let doc = docs.get(&collection, &id).expect("listed doc exists");
+                out.push((collection.clone(), id, doc));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn refused_marker_puts_are_counted_as_failures_not_as_written() {
+        let regions = ["region-a", "region-b"];
+        let (base, weeks) = runner_over(&regions, 2, 1);
+        let marks = Arc::new(OutageStore::default());
+        let runner = FleetRunner::new(base.pipeline.clone(), base.regions.clone())
+            .with_checkpoints(Arc::clone(&marks) as Arc<dyn BlobStore>);
+        let counter = |name: &str| runner.obs().registry().counter(name, &[]).get();
+
+        marks.down.store(true, Ordering::Relaxed);
+        assert_eq!(runner.run_week(weeks[0]).len(), regions.len());
+        assert_eq!(counter("seagull_checkpoint_markers_written_total"), 0);
+        assert_eq!(
+            counter("seagull_checkpoint_marker_put_failures_total"),
+            regions.len() as u64
+        );
+        assert!(regions.iter().all(|r| !runner.completed(r, weeks[0])));
+
+        // With the store back, no region is skipped and every marker lands.
+        marks.down.store(false, Ordering::Relaxed);
+        assert_eq!(runner.run_week(weeks[0]).len(), regions.len());
+        assert_eq!(
+            counter("seagull_checkpoint_markers_written_total"),
+            regions.len() as u64
+        );
+        assert_eq!(
+            counter("seagull_checkpoint_marker_put_failures_total"),
+            regions.len() as u64
+        );
+        assert_eq!(counter("seagull_checkpoint_regions_skipped_total"), 0);
+        assert!(regions.iter().all(|r| runner.completed(r, weeks[0])));
+
+        // Running the week twice left what running it once leaves.
+        let (once, _) = runner_over(&regions, 2, 1);
+        once.run_week(weeks[0]);
+        assert_eq!(documents(&runner), documents(&once));
     }
 }

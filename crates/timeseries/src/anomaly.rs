@@ -12,8 +12,11 @@
 //! `threshold` robust standard deviations. Medians make it immune to the
 //! spikes it is hunting.
 //!
-//! Cost: O(n·w) for `n` points and half-window `w`, with no allocation after
-//! the window buffer is set up (see [`detect_anomalies`]).
+//! Cost: O(n·w) for `n` points and half-window `w`. The window is never
+//! sorted and no sorted copy of it is kept: its values stay where they
+//! arrived and an index order beside them is corrected by one constant-size
+//! move per point, with no allocation after the two buffers are set up (see
+//! [`detect_anomalies`]).
 
 use crate::series::TimeSeries;
 use serde::{Deserialize, Serialize};
@@ -52,36 +55,35 @@ pub struct LoadAnomaly {
 /// Scans a series for anomalous points. NaN points are skipped (they are
 /// data anomalies, handled by validation).
 ///
-/// O(n·w) for `w = half_window` (one branch-free count over the window and
-/// one shift of part of it per point), with one buffer allocated up front and
-/// none per point: the window's present values are kept sorted as it slides
-/// and the median is read off the middle. The MAD is searched for among the
-/// runs of that sorted window around the median, but only for the few points
-/// an O(1) lower bound on it, read off the same window, cannot already clear.
+/// O(n·w) for `w = half_window`: per point one branch-free count over the
+/// `2w + 1` input values of the window and one constant-size move in the
+/// window's order. Two buffers are allocated up front and nothing per point:
+/// the window keeps its values where they arrived and, beside them, the order
+/// a stable sort would give them, and the median is read through the middle
+/// of that order. The MAD is searched for among the runs of the order around
+/// the median, but only for the few points an O(1) lower bound on it, read
+/// through the same order, cannot already clear.
+///
+/// # Panics
+/// If the window would span more than `u32::MAX` points, which takes a series
+/// of over two billion samples.
 pub fn detect_anomalies(series: &TimeSeries, config: &AnomalyConfig) -> Vec<LoadAnomaly> {
     let values = series.values();
     let n = values.len();
-    let w = config.half_window;
-    if n == 0 || w == 0 {
+    // A wider window than the series holds nothing more than one as wide.
+    let w = config.half_window.min(n);
+    if w == 0 {
         return Vec::new();
     }
     let mut out = Vec::new();
-    // All the window ever holds: `2w + 1` points, or the whole series.
-    let mut window = SortedWindow {
-        sorted: Vec::with_capacity(w.saturating_mul(2).saturating_add(1).min(n)),
-    };
-    for &x in &values[..w.min(n)] {
-        window.slide(None, Some(x));
+    let mut window = OrderedWindow::new(w);
+    for e in 0..w {
+        window.step(values, e);
     }
     for (i, &v) in values.iter().enumerate() {
         // Point `i + w` enters the window, point `i - w - 1` leaves it.
-        let entering = i.checked_add(w).and_then(|j| values.get(j)).copied();
-        let leaving = i
-            .checked_sub(w)
-            .and_then(|j| j.checked_sub(1))
-            .map(|j| values[j]);
-        window.slide(leaving, entering);
-        if v.is_nan() || window.sorted.len() < 3 {
+        window.step(values, i + w);
+        if v.is_nan() || window.len < 3 {
             continue;
         }
         let median = window.median();
@@ -108,91 +110,142 @@ pub fn detect_anomalies(series: &TimeSeries, config: &AnomalyConfig) -> Vec<Load
     out
 }
 
-/// The present (non-NaN) values of the sliding window, kept sorted. Values
-/// that compare equal stay in series order, oldest first, which is the order
-/// a stable sort of the window would give them.
-struct SortedWindow {
-    sorted: Vec<f64>,
+/// A position in [`OrderedWindow::ring`]. Every step moves a block of these,
+/// so they are kept as narrow as any window a series in memory can fill.
+type Slot = u32;
+
+/// Slots one block move carries. The two positions of a step are less than
+/// the window apart, so a ±1 h window (25 slots) never needs a second block.
+const BLOCK: usize = 32;
+
+/// The `2w + 1` points around the current one, each where it arrived, and
+/// the order of their values. A point that is NaN or lies outside the series
+/// is a NaN slot, so the window is full from the first step to the last and
+/// every step is the same one: the oldest point out, a new one in its slot.
+struct OrderedWindow {
+    /// Point `j` of the series sits in slot `j % cap` while the window covers
+    /// it.
+    ring: Vec<f64>,
+    /// The slots as a stable sort of the window would leave them: the `len`
+    /// present values ascending, equal ones (`-0.0` and `0.0` are) oldest
+    /// first, then the NaN slots, oldest first. `cap` entries, and a block of
+    /// slack behind them for the moves to run into.
+    order: Vec<Slot>,
+    /// Present (non-NaN) values in the window.
+    len: usize,
 }
 
-impl SortedWindow {
-    /// Moves the window one step: `leaving` (the oldest point, if the window
-    /// is full on the left) goes out and `entering` (if the series reaches
-    /// that far) comes in. NaN points were never in the window. Stays within
-    /// the capacity `detect_anomalies` reserved, so this never allocates.
-    fn slide(&mut self, leaving: Option<f64>, entering: Option<f64>) {
-        let s = &mut self.sorted;
-        let leaving = leaving.filter(|x| !x.is_nan());
-        let entering = entering.filter(|x| !x.is_nan());
-        // The oldest point is the first of its equals; a new one goes last.
-        // The window is short and its order unpredictable, so both positions
-        // are counted in one pass without a branch rather than searched for.
-        // An absent side counts against NaN, which compares false throughout.
-        let (old, new) = (leaving.unwrap_or(f64::NAN), entering.unwrap_or(f64::NAN));
-        let (mut out, mut into) = (0, 0);
-        for &y in s.iter() {
-            out += usize::from(y < old);
-            into += usize::from(y <= new);
-        }
-        match (leaving, entering) {
-            // Both: shift only the values between the two positions.
-            (Some(_), Some(x)) if into > out => {
-                s.copy_within(out + 1..into, out);
-                s[into - 1] = x;
-            }
-            (Some(_), Some(x)) => {
-                s.copy_within(into..out, into + 1);
-                s[into] = x;
-            }
-            (Some(_), None) => {
-                s.remove(out);
-            }
-            (None, Some(x)) => s.insert(into, x),
-            (None, None) => {}
+impl OrderedWindow {
+    /// The window of half-width `w` before any point has entered it.
+    fn new(w: usize) -> Self {
+        let cap = 2 * w + 1;
+        let slots = Slot::try_from(cap).expect("a window of more than u32::MAX points");
+        OrderedWindow {
+            ring: vec![f64::NAN; cap],
+            order: (0..slots).chain([0; BLOCK]).collect(),
+            len: 0,
         }
     }
 
-    fn median(&self) -> f64 {
-        let s = &self.sorted;
-        let mid = s.len() / 2;
-        if s.len() % 2 == 1 {
-            s[mid]
+    /// Moves the window one step: point `e` of `values` comes in (a NaN slot
+    /// once the series has ended) and point `e - cap`, the oldest, goes out.
+    fn step(&mut self, values: &[f64], e: usize) {
+        let cap = self.ring.len();
+        let first = e.saturating_sub(cap);
+        let entering = values.get(e).copied().unwrap_or(f64::NAN);
+        let leaving = if e >= cap { values[first] } else { f64::NAN };
+        // The window as it stands is `values[e - cap..e]`, cut to the series.
+        // Its oldest point is the first of its equals in the order and the
+        // new one goes last among its, so counting smaller (and equal) values
+        // gives both positions, in one pass without a branch over the input
+        // itself: the order is unpredictable, and nothing here waits for what
+        // the last step stored. NaN compares false on either side.
+        let (mut below, mut upto) = (0, 0);
+        for &z in &values[first..e.min(values.len())] {
+            below += usize::from(z < leaving);
+            upto += usize::from(z <= entering);
+        }
+        // The oldest NaN slot is the first of them, a new one the last.
+        let out = if leaving.is_nan() { self.len } else { below };
+        let into = if entering.is_nan() { cap } else { upto };
+        self.len = self.len + usize::from(!entering.is_nan()) - usize::from(!leaving.is_nan());
+
+        // `upto` counted the leaving point if it sorts before the new one.
+        let left = into > out;
+        let at = into - usize::from(left);
+        // The slots between the two positions move one place towards `out`:
+        // a whole block is moved whatever the distance, and what it overran
+        // behind the further position is put back from a copy.
+        let (src, dst, restore) = if left {
+            (out + 1, out, at + 1)
         } else {
-            0.5 * (s[mid - 1] + s[mid])
+            (at, at + 1, out + 1)
+        };
+        let order = &mut self.order[..];
+        let slot = order[out];
+        let mut saved = [0; BLOCK];
+        saved.copy_from_slice(&order[restore..restore + BLOCK]);
+        let blocks = out.abs_diff(at).div_ceil(BLOCK).max(1);
+        // Towards the front the blocks go front to back, towards the back
+        // back to front, so none reads what an earlier one wrote.
+        let (mut off, stride) = if left {
+            (0, BLOCK)
+        } else {
+            ((blocks - 1) * BLOCK, BLOCK.wrapping_neg())
+        };
+        for _ in 0..blocks {
+            order.copy_within(src + off..src + off + BLOCK, dst + off);
+            off = off.wrapping_add(stride);
+        }
+        order[restore..restore + BLOCK].copy_from_slice(&saved);
+        order[at] = slot;
+        self.ring[slot as usize] = entering;
+    }
+
+    /// The value `rank` places up the order; `rank < len`.
+    fn at(&self, rank: usize) -> f64 {
+        self.ring[self.order[rank] as usize]
+    }
+
+    fn median(&self) -> f64 {
+        let mid = self.len / 2;
+        if self.len % 2 == 1 {
+            self.at(mid)
+        } else {
+            0.5 * (self.at(mid - 1) + self.at(mid))
         }
     }
 
     /// A lower bound on [`Self::median_abs_deviation`] from two reads. The
     /// MAD is no less than the `run`-th smallest deviation, `run` being
     /// `k + 1` values for an odd window and `k` for an even one. Deviations
-    /// fall towards the middle of the sorted window and rise after it, so
+    /// fall towards the middle of the ordered window and rise after it, so
     /// only the values strictly between `h = (run - 1) / 2` places left of
     /// the middle and `h` places right of it can deviate by less than both of
     /// those two do, and there are fewer than `run` of them.
     fn mad_lower_bound(&self, median: f64) -> f64 {
-        let s = &self.sorted;
-        let k = s.len() / 2;
-        let (lo_mid, run) = if s.len() % 2 == 1 {
+        let k = self.len / 2;
+        let (lo_mid, run) = if self.len % 2 == 1 {
             (k, k + 1)
         } else {
             (k - 1, k)
         };
         let h = (run - 1) / 2;
-        let dev = |i: usize| (s[i] - median).abs();
+        let dev = |i: usize| (self.at(i) - median).abs();
         dev(lo_mid - h).min(dev(k + h))
     }
 
     /// Median of `|x - median|` over the window, by search instead of sort.
     /// The deviations fall as the values rise to the median and rise after
-    /// it, so the `k + 1` smallest are those of one run `sorted[lo..=lo + k]`
-    /// with the largest at an end of the run. Moving the run right lowers its
-    /// left end's deviation and raises its right end's, so the best run is at
-    /// or just before the first whose right end deviates no less than its left.
+    /// it, so the `k + 1` smallest are those of one run `lo..=lo + k` of the
+    /// order with the largest at an end of the run. Moving the run right
+    /// lowers its left end's deviation and raises its right end's, so the
+    /// best run is at or just before the first whose right end deviates no
+    /// less than its left.
     fn median_abs_deviation(&self, median: f64) -> f64 {
-        let s = &self.sorted;
-        let k = s.len() / 2;
-        let dev = |i: usize| (s[i] - median).abs();
-        let runs = s.len() - k;
+        let k = self.len / 2;
+        let dev = |i: usize| (self.at(i) - median).abs();
+        let runs = self.len - k;
         let (mut first, mut end) = (0, runs);
         while first < end {
             let lo = (first + end) / 2;
@@ -214,7 +267,7 @@ impl SortedWindow {
         } else {
             (right, left.max(dev(lo + k - 1)))
         };
-        if s.len() % 2 == 1 {
+        if self.len % 2 == 1 {
             upper
         } else {
             0.5 * (lower + upper)
@@ -375,15 +428,33 @@ mod tests {
         ]
     }
 
+    /// Half-windows up to past the longest generated series, with the ones
+    /// whose `2w + 1` slots straddle one block and two, and one no series
+    /// reaches.
+    fn half_windows() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            6 => 1usize..=140,
+            2 => prop_oneof![
+                Just(BLOCK / 2 - 1),
+                Just(BLOCK / 2),
+                Just(BLOCK - 1),
+                Just(BLOCK),
+            ],
+            1 => Just(usize::MAX),
+        ]
+    }
+
     proptest! {
         /// The sliding window reports the same anomalies as the per-point
-        /// sort, to the bit, for windows shorter and longer than the series.
-        /// Threshold -1 reports every point that has a score at all and skips
-        /// none; 0 and infinity skip all but the scoreless; NaN reports none.
+        /// sort, to the bit, for windows shorter and longer than the series
+        /// (the oracle's arithmetic stops at the series' length, past which a
+        /// window holds nothing more). Threshold -1 reports every point that
+        /// has a score at all and skips none; 0 and infinity skip all but the
+        /// scoreless; NaN reports none.
         #[test]
         fn sliding_window_matches_reference(
             values in gappy_values(),
-            half_window in 1usize..=60,
+            half_window in half_windows(),
             threshold in prop_oneof![
                 Just(-1.0),
                 Just(0.0),
@@ -396,13 +467,48 @@ mod tests {
             let s = series(values);
             let config = AnomalyConfig { half_window, threshold };
             let got = detect_anomalies(&s, &config);
-            let want = detect_anomalies_reference(&s, &config);
+            let reachable = AnomalyConfig { half_window: half_window.min(s.len()), threshold };
+            let want = detect_anomalies_reference(&s, &reachable);
             prop_assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 prop_assert_eq!(g.index, w.index);
                 prop_assert_eq!(g.value.to_bits(), w.value.to_bits());
                 prop_assert_eq!(g.local_median.to_bits(), w.local_median.to_bits());
                 prop_assert_eq!(g.score.to_bits(), w.score.to_bits());
+            }
+        }
+
+        /// After every step the order is the stable sort of the window: the
+        /// present values ascending with equal ones (`-0.0` and `0.0` too) by
+        /// age, then the NaN slots by age, each slot holding its point.
+        #[test]
+        fn order_is_the_stable_sort_of_the_window(
+            values in gappy_values(),
+            half_window in 1usize..=140,
+        ) {
+            let w = half_window.min(values.len());
+            let cap = 2 * w + 1;
+            let mut window = OrderedWindow::new(w);
+            for e in 0..values.len() + w {
+                window.step(&values, e);
+                // The window now covers points `e - cap + 1..=e`, oldest first.
+                let mut want: Vec<(usize, f64)> = (0..cap)
+                    .map(|age| {
+                        let point = (e + 1 + age).checked_sub(cap);
+                        let value = point.and_then(|j| values.get(j)).copied();
+                        ((e + 1 + age) % cap, value.unwrap_or(f64::NAN))
+                    })
+                    .collect();
+                want.sort_by(|(_, a), (_, b)| match (a.is_nan(), b.is_nan()) {
+                    (false, false) => a.partial_cmp(b).expect("neither is NaN"),
+                    (a_nan, b_nan) => a_nan.cmp(&b_nan),
+                });
+                let present = want.iter().filter(|(_, x)| !x.is_nan()).count();
+                prop_assert_eq!(window.len, present);
+                for (rank, &(slot, value)) in want.iter().enumerate() {
+                    prop_assert_eq!(window.order[rank] as usize, slot, "rank {} at step {}", rank, e);
+                    prop_assert_eq!(window.ring[slot].to_bits(), value.to_bits());
+                }
             }
         }
 
@@ -414,20 +520,18 @@ mod tests {
             values in gappy_values(),
             half_window in 1usize..=60,
         ) {
-            let mut window = SortedWindow { sorted: Vec::new() };
-            for &x in &values[..half_window.min(values.len())] {
-                window.slide(None, Some(x));
-            }
-            for i in 0..values.len() {
-                let leaving = i.checked_sub(half_window + 1).map(|j| values[j]);
-                window.slide(leaving, values.get(i + half_window).copied());
-                if window.sorted.len() < 3 {
+            let w = half_window.min(values.len());
+            let mut window = OrderedWindow::new(w);
+            for e in 0..values.len() + w {
+                window.step(&values, e);
+                if e < w || window.len < 3 {
                     continue;
                 }
                 let median = window.median();
                 let lower = window.mad_lower_bound(median);
                 let mad = window.median_abs_deviation(median);
-                prop_assert!(lower <= mad, "{} > {} in {:?}", lower, mad, window.sorted);
+                let present: Vec<f64> = (0..window.len).map(|rank| window.at(rank)).collect();
+                prop_assert!(lower <= mad, "{} > {} in {:?}", lower, mad, present);
             }
         }
     }

@@ -34,30 +34,52 @@ impl Decomposition {
     /// resid))` (Hyndman's definition). Near 1 for strongly periodic load,
     /// near 0 for pattern-free load.
     pub fn seasonal_strength(&self) -> f64 {
-        self.strength_of(&self.seasonal)
+        self.strengths().0
     }
 
     /// Trend strength in `[0, 1]`, analogous to seasonal strength.
     pub fn trend_strength(&self) -> f64 {
-        self.strength_of(&self.trend)
+        self.strengths().1
     }
 
-    /// `max(0, 1 - var(resid)/var(component + resid))`.
-    fn strength_of(&self, component: &[f64]) -> f64 {
-        let denom = variance(component.iter().zip(&self.residual).map(|(c, r)| c + r));
-        if denom <= 1e-12 {
-            return 0.0;
+    /// Both strengths, `(seasonal, trend)`, each `max(0, 1 - var(resid) /
+    /// var(component + resid))` with population variances taken in two
+    /// passes. The three variances (of the residual, and of each component
+    /// plus the residual) share the two loops, one sum chain each, so a
+    /// chain sees the additions it would see alone and the loops wait on
+    /// three adds at a time instead of one.
+    pub fn strengths(&self) -> (f64, f64) {
+        let n = self.residual.len().max(1) as f64;
+        // Per point: the residual, and each component plus the residual.
+        let rows = || {
+            let components = self.seasonal.iter().zip(&self.trend);
+            let lanes = |(r, (s, t)): (&f64, (&f64, &f64))| [*r, s + r, t + r];
+            self.residual.iter().zip(components).map(lanes)
+        };
+        // `-0.0` is what `Iterator::sum` starts from.
+        let mut sums = [-0.0f64; 3];
+        for row in rows() {
+            for (sum, x) in sums.iter_mut().zip(row) {
+                *sum += x;
+            }
         }
-        (1.0 - variance(self.residual.iter().copied()) / denom).max(0.0)
+        let means = sums.map(|sum| sum / n);
+        let mut squares = [-0.0f64; 3];
+        for row in rows() {
+            for ((sum, x), mean) in squares.iter_mut().zip(row).zip(means) {
+                *sum += (x - mean) * (x - mean);
+            }
+        }
+        let [residual, seasonal, trend] = squares.map(|sum| sum / n);
+        let strength = |denom: f64| {
+            if denom <= 1e-12 {
+                0.0
+            } else {
+                (1.0 - residual / denom).max(0.0)
+            }
+        };
+        (strength(seasonal), strength(trend))
     }
-}
-
-/// Population variance in two passes over a replayable iterator, so a sum of
-/// two components needs no temporary. Zero for an empty one.
-fn variance(xs: impl ExactSizeIterator<Item = f64> + Clone) -> f64 {
-    let n = xs.len().max(1) as f64;
-    let mean = xs.clone().sum::<f64>() / n;
-    xs.map(|x| (x - mean) * (x - mean)).sum::<f64>() / n
 }
 
 /// Decomposes a series with the given period (in grid points).
@@ -244,19 +266,52 @@ mod tests {
         })
     }
 
-    /// The strength formula as it was, with the summed component collected
-    /// into a temporary first.
+    /// The variance `strengths` fused: one replayable iterator, a mean pass
+    /// and a squares pass.
+    fn variance(xs: impl ExactSizeIterator<Item = f64> + Clone) -> f64 {
+        let n = xs.len().max(1) as f64;
+        let mean = xs.clone().sum::<f64>() / n;
+        xs.map(|x| (x - mean) * (x - mean)).sum::<f64>() / n
+    }
+
+    /// The strength formula as it was: one component at a time, two
+    /// variances each.
     fn strength_reference(component: &[f64], residual: &[f64]) -> f64 {
-        let var = |xs: &[f64]| {
-            let m = crate::stats::mean(xs);
-            xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len().max(1) as f64
-        };
-        let summed: Vec<f64> = component.iter().zip(residual).map(|(c, r)| c + r).collect();
-        let denom = var(&summed);
+        let denom = variance(component.iter().zip(residual).map(|(c, r)| c + r));
         if denom <= 1e-12 {
             return 0.0;
         }
-        (1.0 - var(residual) / denom).max(0.0)
+        (1.0 - variance(residual.iter().copied()) / denom).max(0.0)
+    }
+
+    fn assert_strengths_match_reference(d: &Decomposition) -> (f64, f64) {
+        let (seasonal, trend) = d.strengths();
+        let want = (
+            strength_reference(&d.seasonal, &d.residual),
+            strength_reference(&d.trend, &d.residual),
+        );
+        assert_eq!(seasonal.to_bits(), want.0.to_bits());
+        assert_eq!(trend.to_bits(), want.1.to_bits());
+        assert_eq!(d.seasonal_strength().to_bits(), seasonal.to_bits());
+        assert_eq!(d.trend_strength().to_bits(), trend.to_bits());
+        (seasonal, trend)
+    }
+
+    #[test]
+    fn fused_strengths_match_on_degenerate_components() {
+        // A constant series: both denominators are under the `1e-12` floor.
+        let flat = decompose(&series(600, |_| 42.0), 288).unwrap();
+        assert_eq!(assert_strengths_match_reference(&flat), (0.0, 0.0));
+        // Nothing at all, and nothing but negative zeros.
+        for residual in [vec![], vec![-0.0; 4]] {
+            let empty = Decomposition {
+                period: 2,
+                trend: residual.clone(),
+                seasonal: residual.clone(),
+                residual,
+            };
+            assert_eq!(assert_strengths_match_reference(&empty), (0.0, 0.0));
+        }
     }
 
     proptest! {
@@ -291,14 +346,7 @@ mod tests {
                         prop_assert!((a - b).abs() <= 1e-9, "{} vs {}", a, b);
                     }
                 }
-                prop_assert_eq!(
-                    got.seasonal_strength().to_bits(),
-                    strength_reference(&got.seasonal, &got.residual).to_bits()
-                );
-                prop_assert_eq!(
-                    got.trend_strength().to_bits(),
-                    strength_reference(&got.trend, &got.residual).to_bits()
-                );
+                assert_strengths_match_reference(&got);
             }
         }
     }
