@@ -1,8 +1,9 @@
 //! Micro-benchmarks for the Seagull hot paths: the metric kernels (bucket
 //! ratio, LL-window search), the served LL-window query, model fitting,
 //! classification, the featurization kernels on a generated Fig. 3 week, the
-//! `SGCB` data plane on that week (write, decode, checksum, validate), the
-//! `SGSS` codec on one region's deploy, the linalg kernels under an SSA fit
+//! `SGCB` data plane on that week (write, decode, checksum, validate), one
+//! region's durable deploy a step at a time (snapshot build, `SGSS` encode
+//! and decode, publish), the linalg kernels under an SSA fit
 //! at its shapes, the document store, and the parallel executor.
 //!
 //! `cargo bench -p seagull-bench --bench micro -- <filter>` times every row
@@ -15,7 +16,7 @@ use seagull_core::docstore::DocStore;
 use seagull_core::features::extract_server_features;
 use seagull_core::metrics::{bucket_ratio, evaluate_low_load, AccuracyConfig, ErrorBound};
 use seagull_core::par::parallel_map;
-use seagull_core::pipeline::PredictionDoc;
+use seagull_core::pipeline::{DeployEvent, PredictionDoc};
 use seagull_core::validation::{validate_columnar, DataProfile};
 use seagull_forecast::additive::FitMethod;
 use seagull_forecast::{
@@ -399,10 +400,13 @@ fn bench_sgcb(c: &mut Criterion) {
     });
 }
 
-/// One region's deploy through the durable sink's codec, both ways: the
-/// `SGSS` snapshot of 80 servers' 288-point predictions encoded and sealed
-/// (as `on_deploy` writes it), then opened and decoded (as `recover` reads
-/// it).
+/// One region's deploy of 80 servers' 288-point predictions through the
+/// durable sink, a step per row: the snapshot built from the deploy event,
+/// its `SGSS` blob encoded and sealed (as `on_deploy` writes it), the blob
+/// opened and decoded (as `recover` reads it), and a snapshot published
+/// into a service already serving the region (the superseded one dropped
+/// inside the timing, as a deploy drops it). The publish row's snapshots
+/// hold 48-point days: a sample builds every snapshot it publishes up front.
 fn bench_persist(c: &mut Criterion) {
     let docs: Vec<PredictionDoc> = (0..80)
         .map(|id| PredictionDoc {
@@ -414,9 +418,44 @@ fn bench_persist(c: &mut Criterion) {
             duration_min: 120,
         })
         .collect();
-    let snapshot = ModelSnapshot::from_predictions("region-a", 1, 93, "persistent-prev-day", &docs);
-    c.bench_function("persist/deploy_region", |b| {
-        b.iter(|| decode_snapshot(&encode_snapshot(black_box(&snapshot))).unwrap())
+    let event = DeployEvent {
+        region: "region-a",
+        version: 1,
+        week_start_day: 93,
+        model_name: "persistent-prev-day",
+        predictions: &docs,
+        cache: None,
+    };
+    c.bench_function("persist/from_deploy_region", |b| {
+        b.iter(|| ModelSnapshot::from_deploy(black_box(&event)))
+    });
+    let snapshot = ModelSnapshot::from_deploy(&event);
+    c.bench_function("persist/encode_region", |b| {
+        b.iter(|| encode_snapshot(black_box(&snapshot)))
+    });
+    let blob = encode_snapshot(&snapshot);
+    c.bench_function("persist/decode_region", |b| {
+        b.iter(|| decode_snapshot(black_box(&blob)).unwrap())
+    });
+    let half_hourly: Vec<PredictionDoc> = docs
+        .iter()
+        .map(|doc| PredictionDoc {
+            step_min: 30,
+            values: doc.values.iter().step_by(6).copied().collect(),
+            ..doc.clone()
+        })
+        .collect();
+    let event = DeployEvent {
+        predictions: &half_hourly,
+        ..event
+    };
+    let serve = ServeService::with_defaults();
+    serve.publish(ModelSnapshot::from_deploy(&event));
+    c.bench_function("serve/publish_region", |b| {
+        b.iter_batched(
+            || ModelSnapshot::from_deploy(&event),
+            |snapshot| serve.publish(snapshot),
+        )
     });
 }
 

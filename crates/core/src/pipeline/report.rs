@@ -5,7 +5,7 @@
 
 use crate::evaluate::AccuracySummary;
 use crate::resilience::RetryResult;
-use seagull_timeseries::{TimeSeries, Timestamp, MINUTES_PER_DAY};
+use seagull_timeseries::{TimeSeries, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -154,23 +154,6 @@ impl PredictionDoc {
     /// Document id.
     pub fn doc_id(region: &str, server_id: u64, day: i64) -> String {
         format!("{region}/{server_id}/{day}")
-    }
-
-    /// The prediction as a series, or `None` when the document does not form
-    /// a day-aligned one: `step_min` does not divide a day, or `day` is so
-    /// far out that the day's or the values' end is no `i64` minute. The
-    /// pipeline stores only documents that do; one decoded from a blob or
-    /// built by hand need not.
-    pub fn series(&self) -> Option<TimeSeries> {
-        let start = self.day.checked_mul(MINUTES_PER_DAY)?;
-        let span = (self.values.len() as i64).checked_mul(i64::from(self.step_min))?;
-        start.checked_add(span.max(MINUTES_PER_DAY))?;
-        TimeSeries::new(
-            Timestamp::from_minutes(start),
-            self.step_min,
-            self.values.clone(),
-        )
-        .ok()
     }
 
     /// The prediction as a series, consuming the document — moves the values

@@ -476,11 +476,18 @@ impl ModelCache {
     /// do not cover. Staleness checking is the caller's concern (the model
     /// is whatever the last pipeline run committed).
     pub fn fitted(&self, key: &str) -> Option<Arc<dyn FittedModel>> {
-        self.entries
-            .read()
-            .unwrap()
-            .get(key)
-            .map(|e| Arc::clone(&e.fitted))
+        self.with_fitted(|fitted| fitted(key))
+    }
+
+    /// [`ModelCache::fitted`] for many keys under one read lock: `f` is
+    /// handed the lookup and runs while the lock is held, so it must not
+    /// call back into the cache's writers.
+    pub fn with_fitted<R>(
+        &self,
+        f: impl FnOnce(&dyn Fn(&str) -> Option<Arc<dyn FittedModel>>) -> R,
+    ) -> R {
+        let entries = self.entries.read().unwrap();
+        f(&|key| entries.get(key).map(|e| Arc::clone(&e.fitted)))
     }
 
     /// Point-in-time counter snapshot.

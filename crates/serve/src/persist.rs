@@ -43,8 +43,8 @@
 //! append writes O(record) bytes, not O(journal).
 
 use crate::service::ServeService;
-use crate::snapshot::ModelSnapshot;
-use seagull_core::pipeline::{DeployEvent, DeploySink, PredictionDoc};
+use crate::snapshot::{ModelSnapshot, ServedServer};
+use seagull_core::pipeline::{DeployEvent, DeploySink};
 use seagull_telemetry::blobstore::{Blob, BlobKey, BlobStore};
 use seagull_telemetry::frame::{self, Cursor, FrameError, Overrun, JOURNAL_MAGIC, JOURNAL_VERSION};
 use std::collections::{BTreeMap, VecDeque};
@@ -140,8 +140,8 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 
 /// Serializes a snapshot's durable half as the body of an `SGSS` [`frame`]:
 /// registry version, week, region, model name, the server count, then one
-/// block per server (id, materialized day, backup duration, grid step, value
-/// count, values).
+/// block per server in ascending id order (id, materialized day, backup
+/// duration, grid step, value count, values).
 ///
 /// Attached fitted models are *not* serialized — after recovery, servers
 /// answer from their materialized prediction only, exactly like a deploy
@@ -166,8 +166,11 @@ pub fn encode_snapshot(snapshot: &ModelSnapshot) -> Blob {
         out.extend_from_slice(&server.duration_min().to_le_bytes());
         out.extend_from_slice(&prediction.step_min().to_le_bytes());
         out.extend_from_slice(&(prediction.len() as u32).to_le_bytes());
-        for &v in prediction.values() {
-            out.extend_from_slice(&v.to_le_bytes());
+        // Inside the reservation: grows the length, never the buffer.
+        let at = out.len();
+        out.resize(at + 8 * prediction.len(), 0);
+        for (word, v) in out[at..].chunks_exact_mut(8).zip(prediction.values()) {
+            word.copy_from_slice(&v.to_le_bytes());
         }
     }
     let blob = frame::seal(out);
@@ -177,7 +180,11 @@ pub fn encode_snapshot(snapshot: &ModelSnapshot) -> Blob {
 
 /// Decodes a blob written by [`encode_snapshot`]. [`frame::open`] verifies
 /// the checksum *before* any structure is trusted — a torn write fails there
-/// as a torn frame, never a partially-built snapshot.
+/// as a torn frame, never a partially-built snapshot. Behind a checksum that
+/// holds, the body must be what the encoder writes and nothing else: server
+/// ids strictly ascending, every server a day-aligned series, no byte left
+/// over; anything else is [`PersistError::Malformed`]. Each value is copied
+/// once, from the blob into the series that serves it.
 pub fn decode_snapshot(blob: &[u8]) -> Result<ModelSnapshot, PersistError> {
     let mut r = Cursor::new(frame::open(blob, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?);
     let model_version = r.u64()?;
@@ -195,44 +202,46 @@ pub fn decode_snapshot(blob: &[u8]) -> Result<ModelSnapshot, PersistError> {
             r.rest().len()
         )));
     }
-    let mut docs = Vec::with_capacity(servers);
+    let mut table = Vec::with_capacity(servers);
+    let mut previous = None;
     for _ in 0..servers {
         let server_id = r.u64()?;
+        // Out of order, a blob would decode to a snapshot that re-encodes
+        // to other bytes; a repeated id would lose a server its journal
+        // record counts.
+        if let Some(previous) = previous.filter(|&p| server_id <= p) {
+            return Err(PersistError::Malformed(format!(
+                "server {server_id} follows server {previous}"
+            )));
+        }
+        previous = Some(server_id);
         let day = r.i64()?;
         let duration_min = r.i64()?;
         let step_min = r.u32()?;
         let len = r.u32()? as usize;
-        let values = r
+        let values: Arc<[f64]> = r
             .take(len.saturating_mul(8))?
             .chunks_exact(8)
-            .map(|v| f64::from_le_bytes(v.try_into().unwrap()))
+            .map(|v| f64::from_le_bytes(v.try_into().expect("8 bytes")))
             .collect();
-        docs.push(PredictionDoc {
-            region: region.clone(),
-            server_id,
-            day,
-            step_min,
-            values,
-            duration_min,
-        });
+        let server =
+            ServedServer::materialized(day, step_min, values, duration_min).ok_or_else(|| {
+                PersistError::Malformed(format!("server {server_id} forms no day-aligned series"))
+            })?;
+        table.push((server_id, server));
     }
     if !r.rest().is_empty() {
         return Err(PersistError::Malformed(
             "trailing bytes after servers".into(),
         ));
     }
-    let snapshot =
-        ModelSnapshot::from_predictions(&region, model_version, week_start_day, &model_name, &docs);
-    // `from_predictions` skips a document that forms no day-aligned series
-    // and keeps one of two with the same id; a snapshot short of a server
-    // its journal record counts is not what was deployed.
-    if snapshot.len() != servers {
-        return Err(PersistError::Malformed(format!(
-            "{} of {servers} servers form a snapshot",
-            snapshot.len()
-        )));
-    }
-    Ok(snapshot)
+    Ok(ModelSnapshot::from_servers(
+        region,
+        model_version,
+        week_start_day,
+        model_name,
+        table,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -588,6 +597,7 @@ impl DeploySink for DurableServeSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seagull_core::pipeline::PredictionDoc;
     use seagull_telemetry::blobstore::MemoryBlobStore;
 
     fn doc(server_id: u64, day: i64, values: Vec<f64>) -> PredictionDoc {
@@ -895,6 +905,32 @@ mod tests {
         assert_eq!(report.snapshot_fallbacks, 1);
         assert_eq!(report.snapshots_restored, 1);
         assert_eq!(recovered.serve().snapshot("west").unwrap().version(), 1);
+    }
+
+    /// Every block whole and the checksum good, but the ids not in the order
+    /// the encoder writes them. Accepted, server 7 would carry server 9's
+    /// day 15 and the snapshot would re-encode to other bytes; with both ids
+    /// 7, one server would vanish.
+    #[test]
+    fn server_ids_out_of_order_are_malformed() {
+        let blob = encode_snapshot(&snap(2)).to_vec();
+        let block = 32 + 8 * 48;
+        let first = blob.len() - frame::FOOTER_LEN - 2 * block;
+        let second = first + block;
+        assert_eq!(blob[first..first + 8], 7u64.to_le_bytes());
+        assert_eq!(blob[second..second + 8], 9u64.to_le_bytes());
+        let resealed = |ids: [u64; 2]| {
+            let mut body = blob[..blob.len() - frame::FOOTER_LEN].to_vec();
+            body[first..first + 8].copy_from_slice(&ids[0].to_le_bytes());
+            body[second..second + 8].copy_from_slice(&ids[1].to_le_bytes());
+            frame::seal(body)
+        };
+        assert!(decode_snapshot(&resealed([7, 9])).is_ok());
+        assert!(decode_snapshot(&resealed([7, 8])).is_ok());
+        for ids in [[9, 7], [7, 7], [9, 9]] {
+            let err = decode_snapshot(&resealed(ids)).unwrap_err();
+            assert!(matches!(err, PersistError::Malformed(_)), "{ids:?}: {err}");
+        }
     }
 
     #[test]

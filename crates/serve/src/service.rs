@@ -26,13 +26,16 @@
 //! Wall-clock latency histograms stay per-query, but exemplar *offers*
 //! (which take the histogram's reservoir mutex) are sampled one-in-64 per
 //! thread; the histogram's buckets see every observation either way.
+//!
+//! A publish resolves its six series once per region too, on the region's
+//! first publish, into a `PublishCtx` kept apart from the `RegionCtx`.
 
 use crate::snapshot::ModelSnapshot;
 use crate::store::{RegionSlot, SnapshotStore};
 use seagull_core::metrics::{lowest_load_window, LowLoadWindow};
 use seagull_core::pipeline::{DeployEvent, DeploySink};
 use seagull_core::resilience::{BreakerConfig, BreakerProbe, CircuitBreaker};
-use seagull_obs::{Counter, Exemplar, Histogram, Obs, Stability};
+use seagull_obs::{Counter, Exemplar, Gauge, Histogram, Obs, Stability};
 use seagull_timeseries::{TimeSeries, Timestamp};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -139,6 +142,42 @@ struct RegionCtx {
     batch_size: Arc<Histogram>,
 }
 
+/// One region's publish-side metric handles, resolved on its first publish.
+/// Kept apart from the `RegionCtx` so that neither creates the other's
+/// series: a region published and never queried exports no request
+/// counters. The last two are store-wide, the same handles in every
+/// region's context.
+struct PublishCtx {
+    publishes: Arc<Counter>,
+    epoch: Arc<Gauge>,
+    servers: Arc<Gauge>,
+    staleness: Arc<Histogram>,
+    retired: Arc<Gauge>,
+    freed: Arc<Gauge>,
+}
+
+/// The value under `region` in `map`, built and inserted if absent. `entry`
+/// re-checks under the write lock: racing first callers build one value
+/// between them.
+fn region_entry<T>(
+    map: &RwLock<BTreeMap<String, Arc<T>>>,
+    region: &str,
+    build: impl FnOnce() -> T,
+) -> Arc<T> {
+    if let Some(value) = map
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(region)
+    {
+        return Arc::clone(value);
+    }
+    let mut map = map.write().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(
+        map.entry(region.to_string())
+            .or_insert_with(|| Arc::new(build())),
+    )
+}
+
 /// Exemplar offers are sampled one-in-N per thread: offers take the
 /// histogram's reservoir mutex, which every reader thread would otherwise
 /// contend on once per query. Bucket counts still see every observation.
@@ -153,6 +192,7 @@ struct ServeInner {
     breaker: CircuitBreaker,
     obs: Obs,
     ctxs: RwLock<BTreeMap<String, Arc<RegionCtx>>>,
+    publishers: RwLock<BTreeMap<String, Arc<PublishCtx>>>,
     clock_day: AtomicI64,
     /// Sequence number for sampled exemplar span ids. Monotonic across
     /// all clones of the handle.
@@ -204,6 +244,7 @@ impl ServeService {
                 breaker,
                 obs,
                 ctxs: RwLock::new(BTreeMap::new()),
+                publishers: RwLock::new(BTreeMap::new()),
                 clock_day: AtomicI64::new(0),
                 query_seq: AtomicU64::new(0),
             }),
@@ -242,26 +283,37 @@ impl ServeService {
     /// swapping one `Arc`. Returns the new epoch. In-flight readers keep
     /// whatever snapshot they already hold.
     pub fn publish(&self, snapshot: ModelSnapshot) -> u64 {
-        let region = snapshot.region().to_string();
+        let metrics = self.publisher(snapshot.region());
         let servers = snapshot.len() as f64;
         let staleness = (self.clock_day() - snapshot.week_start_day()).max(0) as f64;
         let epoch = self.inner.store.publish(snapshot);
-        let reg = self.inner.obs.registry();
-        let labels = [("region", region.as_str())];
-        reg.counter("seagull_serve_publishes_total", &labels).inc();
-        reg.gauge("seagull_serve_epoch", &labels).set(epoch as f64);
-        reg.gauge("seagull_serve_snapshot_servers", &labels)
-            .set(servers);
-        reg.histogram("seagull_serve_staleness_days", &labels)
-            .observe(staleness);
+        metrics.publishes.inc();
+        metrics.epoch.set(epoch as f64);
+        metrics.servers.set(servers);
+        metrics.staleness.observe(staleness);
         let retired = self.inner.store.stats().snapshots_retired as f64;
-        reg.gauge("seagull_serve_snapshots_retired", &[])
-            .set(retired);
+        metrics.retired.set(retired);
         // Freed = retired by construction (the swap drops the store's
         // `Arc`); sole reader: `e2e/src/layers.rs`, leaving with it.
-        reg.gauge_with("seagull_serve_gc_freed", &[], Stability::Volatile)
-            .set(retired);
+        metrics.freed.set(retired);
         epoch
+    }
+
+    /// The region's publish-side handles, resolving them on its first
+    /// publish.
+    fn publisher(&self, region: &str) -> Arc<PublishCtx> {
+        region_entry(&self.inner.publishers, region, || {
+            let reg = self.inner.obs.registry();
+            let labels = [("region", region)];
+            PublishCtx {
+                publishes: reg.counter("seagull_serve_publishes_total", &labels),
+                epoch: reg.gauge("seagull_serve_epoch", &labels),
+                servers: reg.gauge("seagull_serve_snapshot_servers", &labels),
+                staleness: reg.histogram("seagull_serve_staleness_days", &labels),
+                retired: reg.gauge("seagull_serve_snapshots_retired", &[]),
+                freed: reg.gauge_with("seagull_serve_gc_freed", &[], Stability::Volatile),
+            }
+        })
     }
 
     /// The region's current snapshot, or `None` before the first publish.
@@ -290,23 +342,7 @@ impl ServeService {
 
     /// The region's cached hot-path context, building it on first query.
     fn ctx(&self, region: &str) -> Arc<RegionCtx> {
-        if let Some(ctx) = self
-            .inner
-            .ctxs
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(region)
-        {
-            return Arc::clone(ctx);
-        }
-        let mut ctxs = self
-            .inner
-            .ctxs
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        // `entry` re-checks under the write lock: racing first queries
-        // build one context between them.
-        let ctx = ctxs.entry(region.to_string()).or_insert_with(|| {
+        region_entry(&self.inner.ctxs, region, || {
             let reg = self.inner.obs.registry();
             let labels = [("region", region)];
             let outcome = |label| {
@@ -315,7 +351,7 @@ impl ServeService {
                     &[("region", region), ("outcome", label)],
                 )
             };
-            Arc::new(RegionCtx {
+            RegionCtx {
                 slot: self.inner.store.slot_or_insert(region),
                 probe: self.inner.breaker.probe(region),
                 ok: outcome("ok"),
@@ -327,9 +363,8 @@ impl ServeService {
                     Stability::Volatile,
                 ),
                 batch_size: reg.histogram("seagull_serve_batch_size", &labels),
-            })
-        });
-        Arc::clone(ctx)
+            }
+        })
     }
 
     /// Admission plus snapshot resolve, the opening of every query: sheds
@@ -809,6 +844,32 @@ mod tests {
         serve.set_clock_day(21);
         assert_eq!(serve.staleness_days("west"), Some(14));
         assert_eq!(serve.staleness_days("east"), None);
+    }
+
+    /// Publish handles live apart from the query context: publishing
+    /// registers no request series, and every publish lands in one counter.
+    #[test]
+    fn publishes_resolve_their_own_series_once() {
+        let serve = service_with_one_server();
+        serve.publish(ModelSnapshot::from_predictions(
+            "west",
+            2,
+            7,
+            "m",
+            &[doc(7, 14, vec![0.0; 48])],
+        ));
+        let reg = serve.obs().registry();
+        let publishes = reg.counter("seagull_serve_publishes_total", &[("region", "west")]);
+        assert_eq!(publishes.get(), 2);
+        assert!(!serve
+            .obs()
+            .stable_export()
+            .contains("seagull_serve_requests_total"));
+        serve.predict("west", 7, 1).unwrap();
+        assert!(serve
+            .obs()
+            .stable_export()
+            .contains("seagull_serve_requests_total"));
     }
 
     #[test]

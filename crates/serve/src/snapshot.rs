@@ -11,9 +11,9 @@
 
 use seagull_core::pipeline::{DeployEvent, PredictionDoc};
 use seagull_forecast::{FittedModel, ModelCache};
-use seagull_timeseries::TimeSeries;
+use seagull_timeseries::{TimeSeries, Timestamp, MINUTES_PER_DAY};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// Cache-dense server index: ids sorted ascending in one contiguous array,
@@ -27,12 +27,21 @@ struct ServerTable {
 }
 
 impl ServerTable {
-    fn from_sorted(sorted: BTreeMap<u64, ServedServer>) -> ServerTable {
-        let mut ids = Vec::with_capacity(sorted.len());
-        let mut servers = Vec::with_capacity(sorted.len());
-        for (id, server) in sorted {
-            ids.push(id);
-            servers.push(server);
+    /// Sorts `(id, server)` pairs by id and keeps one per id: of several,
+    /// the last given, as a map insert would. The sort is stable and finds
+    /// already-ascending input in one pass.
+    fn from_pairs(mut pairs: Vec<(u64, ServedServer)>) -> ServerTable {
+        pairs.sort_by_key(|&(id, _)| id);
+        let mut ids: Vec<u64> = Vec::with_capacity(pairs.len());
+        let mut servers: Vec<ServedServer> = Vec::with_capacity(pairs.len());
+        for (id, server) in pairs {
+            match servers.last_mut() {
+                Some(last) if ids.last() == Some(&id) => *last = server,
+                _ => {
+                    ids.push(id);
+                    servers.push(server);
+                }
+            }
         }
         ServerTable { ids, servers }
     }
@@ -62,6 +71,32 @@ impl fmt::Debug for ServedServer {
 }
 
 impl ServedServer {
+    /// A server serving `values` as its prediction for `day`, with no model
+    /// attached; `None` when they form no day-aligned series: `step_min`
+    /// does not divide a day, or `day` is so far out that the day's or the
+    /// values' end is no `i64` minute. The one check a deploy and
+    /// `decode_snapshot` share (the pipeline only writes predictions that
+    /// pass it). The series views `values` without copying them.
+    pub(crate) fn materialized(
+        day: i64,
+        step_min: u32,
+        values: Arc<[f64]>,
+        duration_min: i64,
+    ) -> Option<ServedServer> {
+        let start = day.checked_mul(MINUTES_PER_DAY)?;
+        let span = (values.len() as i64).checked_mul(i64::from(step_min))?;
+        start.checked_add(span.max(MINUTES_PER_DAY))?;
+        let len = values.len();
+        let prediction =
+            TimeSeries::from_shared(Timestamp::from_minutes(start), step_min, values, 0, len)
+                .ok()?;
+        Some(ServedServer {
+            prediction,
+            duration_min,
+            model: None,
+        })
+    }
+
     /// The materialized prediction: one full day, anchored at the server's
     /// next backup day.
     pub fn prediction(&self) -> &TimeSeries {
@@ -127,7 +162,9 @@ impl fmt::Debug for ModelSnapshot {
 impl ModelSnapshot {
     /// Builds a snapshot from the prediction documents one pipeline run
     /// materialized. Documents whose values do not form a day-aligned
-    /// series are skipped (the pipeline only writes day-aligned docs).
+    /// series are skipped (the pipeline only writes day-aligned docs); of
+    /// two documents for one server, the later is served. Each document's
+    /// values are copied once, into the series that serves them.
     pub fn from_predictions(
         region: &str,
         version: u64,
@@ -135,27 +172,40 @@ impl ModelSnapshot {
         model_name: &str,
         predictions: &[PredictionDoc],
     ) -> ModelSnapshot {
-        let mut servers = BTreeMap::new();
-        for doc in predictions {
-            let Some(prediction) = doc.series() else {
-                continue;
-            };
-            servers.insert(
-                doc.server_id,
-                ServedServer {
-                    prediction,
-                    duration_min: doc.duration_min,
-                    model: None,
-                },
-            );
-        }
-        ModelSnapshot {
-            region: region.to_string(),
+        let servers = predictions
+            .iter()
+            .filter_map(|doc| {
+                let values = Arc::from(doc.values.as_slice());
+                let server =
+                    ServedServer::materialized(doc.day, doc.step_min, values, doc.duration_min)?;
+                Some((doc.server_id, server))
+            })
+            .collect();
+        ModelSnapshot::from_servers(
+            region.to_string(),
             version,
             week_start_day,
-            model_name: model_name.to_string(),
+            model_name.to_string(),
+            servers,
+        )
+    }
+
+    /// A snapshot of `(id, server)` pairs in any order; of two with one id,
+    /// the later is kept.
+    pub(crate) fn from_servers(
+        region: String,
+        version: u64,
+        week_start_day: i64,
+        model_name: String,
+        servers: Vec<(u64, ServedServer)>,
+    ) -> ModelSnapshot {
+        ModelSnapshot {
+            region,
+            version,
+            week_start_day,
+            model_name,
             epoch: 0,
-            table: ServerTable::from_sorted(servers),
+            table: ServerTable::from_pairs(servers),
         }
     }
 
@@ -179,11 +229,19 @@ impl ModelSnapshot {
     /// Extracts each server's fitted model from the warm cache (keys are
     /// `region/server_id`, the pipeline's cache-key scheme) and attaches it
     /// for extended-horizon queries. Servers without a cached fit simply
-    /// stay materialized-only.
+    /// stay materialized-only. One read lock of the cache and one key
+    /// buffer serve every server.
     pub fn attach_cached_models(&mut self, cache: &ModelCache) {
-        for (id, server) in self.table.ids.iter().zip(self.table.servers.iter_mut()) {
-            server.model = cache.fitted(&format!("{}/{id}", self.region));
-        }
+        let mut key = format!("{}/", self.region);
+        let prefix = key.len();
+        let table = &mut self.table;
+        cache.with_fitted(|fitted| {
+            for (id, server) in table.ids.iter().zip(table.servers.iter_mut()) {
+                key.truncate(prefix);
+                write!(key, "{id}").expect("writing to a String cannot fail");
+                server.model = fitted(&key);
+            }
+        });
     }
 
     /// Attaches (or replaces) one server's extended-horizon model.
@@ -283,7 +341,8 @@ mod tests {
             3,
             7,
             "persistent-prev-day",
-            &[doc(9, 14, 1.0), doc(4, 15, 2.0)],
+            // Of two documents for one server, the later is served.
+            &[doc(9, 13, 0.0), doc(4, 15, 2.0), doc(9, 14, 1.0)],
         );
         assert_eq!(snap.len(), 2);
         assert_eq!(snap.server_ids().collect::<Vec<_>>(), vec![4, 9]);
@@ -291,6 +350,7 @@ mod tests {
         assert_eq!(snap.week_start_day(), 7);
         let s = snap.server(9).unwrap();
         assert_eq!(s.materialized_day(), 14);
+        assert_eq!(s.prediction().values()[0], 1.0);
         assert_eq!(s.duration_min(), 60);
         assert!(!s.has_model());
         assert!(snap.server(999).is_none());

@@ -6,7 +6,8 @@
 //! three-server `SGCB`, a two-server `SGSS`, an `SGJL` deploy segment and a
 //! checkpoint marker — every truncation, every single-bit flip of header and
 //! footer, a seeded sample of body bits, every count / length / grid field
-//! forged to 0, 1, `MAX`, `MAX − 1` behind a valid checksum, and every blob
+//! and every `SGSS` server id forged to 0, 1, `MAX`, `MAX − 1` behind a valid
+//! checksum, and every blob
 //! handed to the other formats' readers. A reader may refuse with a typed
 //! error or accept a value that re-encodes to the bytes it was given; it may
 //! not panic, hand out part of a record, or ask the allocator for more than
@@ -187,7 +188,7 @@ fn sgss() -> Format {
     ];
     for server in 0..2 {
         let at = servers + 4 + server * (32 + 48 * 8);
-        fields.extend([Field::I64(at + 8), Field::I64(at + 16)]);
+        fields.extend([Field::U64(at), Field::I64(at + 8), Field::I64(at + 16)]);
         fields.extend([Field::U32(at + 24), Field::U32(at + 28)]);
     }
     Format {
@@ -445,9 +446,11 @@ fn forged_fields_land_where_the_layouts_say() {
     };
     let later = decode_snapshot(&forged(&sgss.blob, week, &14i64.to_le_bytes())).unwrap();
     assert_eq!(later.week_start_day(), 14);
-    let Field::I64(duration) = sgss.fields[5] else {
-        panic!("day, then duration");
+    let [Field::U64(id), _, Field::I64(duration)] = sgss.fields[4..7] else {
+        panic!("id, day, then duration");
     };
+    let renamed = decode_snapshot(&forged(&sgss.blob, id, &8u64.to_le_bytes())).unwrap();
+    assert_eq!(renamed.server_ids().collect::<Vec<_>>(), [8, 9]);
     let longer = decode_snapshot(&forged(&sgss.blob, duration, &90i64.to_le_bytes())).unwrap();
     assert_eq!(longer.server(7).unwrap().duration_min(), 90);
 
