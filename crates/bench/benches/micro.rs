@@ -50,12 +50,15 @@ struct Criterion {
 }
 
 impl Criterion {
-    fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) {
-        if self
-            .filter
+    /// Whether the filter lets rows named `name` run.
+    fn runs(&self, name: &str) -> bool {
+        self.filter
             .as_deref()
-            .is_some_and(|filter| !name.contains(filter))
-        {
+            .is_none_or(|filter| name.contains(filter))
+    }
+
+    fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) {
+        if !self.runs(name) {
             return;
         }
         let mut b = Bencher {
@@ -382,12 +385,18 @@ fn bench_sgcb(c: &mut Criterion) {
         let keys = extraction.run(black_box(&fleet), &regions, &[week], &store);
         (store, keys.unwrap())
     };
-    c.bench_function("sgcb/encode_region_week", |b| b.iter(write));
     let (store, keys) = write();
     let blob = store.get(&keys[0]).unwrap();
-    c.bench_function("sgcb/decode_region_week", |b| {
+    let rows = ["sgcb/encode_region_week", "sgcb/decode_region_week"];
+    c.bench_function(rows[0], |b| b.iter(write));
+    c.bench_function(rows[1], |b| {
         b.iter(|| ColumnarBatch::decode(black_box(&blob)).unwrap().extract(5))
     });
+    // The stored size the two rows write and read, next to them.
+    if rows.iter().any(|row| c.runs(row)) {
+        let samples = ColumnarBatch::decode(&blob).unwrap().total_points();
+        println!("  (one blob: {} bytes, {samples} samples)", blob.len());
+    }
     // The checksum alone, over the same blob: the share of a decode (and of
     // every `seal`) that is hashing.
     c.bench_function("frame/checksum64_region_week", |b| {

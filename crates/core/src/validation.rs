@@ -502,10 +502,27 @@ mod tests {
 
     /// A decoded batch holding exactly `blocks` (backup window, then values):
     /// the wire format written by hand, because `from_records` quantizes and
-    /// the values here must arrive to the bit.
+    /// the values here must arrive to the bit. A block whose every value is
+    /// a positive `k / 100` (`k` up to 65,534) or the canonical NaN is written
+    /// narrow, as the `k`s (`0xFFFF` for NaN); any other wide, as `f64` bits.
     fn forged_batch(blocks: &[((i64, i64), Vec<f64>)]) -> ColumnarBatch {
         use seagull_telemetry::columnar::{COLUMNAR_MAGIC, COLUMNAR_VERSION};
         use seagull_telemetry::frame;
+        let hundredths = |v: f64| {
+            let k = (v * 100.0).round();
+            if v.to_bits() == f64::NAN.to_bits() {
+                Some(u16::MAX)
+            } else {
+                (v.is_sign_positive()
+                    && (0.0..=65_534.0).contains(&k)
+                    && (f64::from(k as u16) / 100.0).to_bits() == v.to_bits())
+                .then_some(k as u16)
+            }
+        };
+        let narrow: Vec<Option<Vec<u16>>> = blocks
+            .iter()
+            .map(|(_, values)| values.iter().map(|&v| hundredths(v)).collect())
+            .collect();
         let mut blob = frame::header(COLUMNAR_MAGIC, COLUMNAR_VERSION).to_vec();
         blob.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
         for (i, ((backup_start, backup_end), values)) in blocks.iter().enumerate() {
@@ -515,9 +532,17 @@ mod tests {
             blob.extend_from_slice(&(1440 * i as i64).to_le_bytes());
             blob.extend_from_slice(&5u32.to_le_bytes());
             blob.extend_from_slice(&(values.len() as u32).to_le_bytes());
+            blob.push(if narrow[i].is_some() { 2 } else { 8 });
         }
-        for v in blocks.iter().flat_map(|(_, values)| values) {
-            blob.extend_from_slice(&v.to_le_bytes());
+        for ((_, values), narrow) in blocks.iter().zip(&narrow) {
+            match narrow {
+                Some(ks) => ks
+                    .iter()
+                    .for_each(|k| blob.extend_from_slice(&k.to_le_bytes())),
+                None => values
+                    .iter()
+                    .for_each(|v| blob.extend_from_slice(&v.to_le_bytes())),
+            }
         }
         ColumnarBatch::decode(&frame::seal(blob)).expect("well-formed blob")
     }

@@ -3,11 +3,14 @@
 //! The paper's CSV rows ([`crate::record`]) spell every 5-minute sample as a
 //! text row; a 1k-server region-week is ~2M of them. [`ColumnarBatch`] stores
 //! the same region-week as a binary blob: a block table describing each
-//! server's grid, followed by one contiguous little-endian `f64` column
-//! holding every server's values back to back (missing buckets are NaN, as
-//! everywhere else), closed by a checksum footer. Decoding is a
-//! bounds-checked `memcpy` into **one** shared buffer, and each server's
-//! series becomes a zero-copy [`seagull_timeseries::TimeSeries`] view into it.
+//! server's grid, followed by one column holding every server's values back
+//! to back (missing buckets are NaN, as everywhere else), closed by a
+//! checksum footer. A block whose every value is a load of two decimals up
+//! to 655.34 or a missing bucket — every block a CPU percentage fills — is
+//! stored *narrow*, two bytes a value; any other block *wide*, as `f64` bits.
+//! Decoding widens the column into **one** shared `f64` buffer, and each
+//! server's series becomes a zero-copy [`seagull_timeseries::TimeSeries`]
+//! view into it.
 //!
 //! The checksum exists for the failure mode [`crate::chaos::ChaosBlobStore`]
 //! injects: a torn read returns a strict prefix of the blob, which a text
@@ -16,35 +19,90 @@
 //! instead of training on truncated series; a blob that is intact but not a
 //! region-week this build reads is refused without a retry.
 //!
-//! ## Body layout (version 2, all little-endian, inside a [`crate::frame`])
+//! ## Body layout (version 3, all little-endian, inside a [`crate::frame`])
 //!
 //! ```text
 //! [0..4)    server block count u32
-//! ...       block table, 40 bytes per server:
+//! ...       block table, 41 bytes per server, in ascending server id:
 //!             server_id u64, default_backup_start i64,
 //!             default_backup_end i64, series_start_min i64,
-//!             step_min u32, point count u32
-//! ...       value column: every server's points, concatenated, f64 bits
+//!             step_min u32, point count u32, value width u8 (2 or 8)
+//! ...       value column: every server's points, concatenated; a narrow
+//!             block (width 2) as u16 hundredths with 0xFFFF for NaN, a
+//!             wide block (width 8) as f64 bits
 //! ```
+//!
+//! A value *fits* narrow when it is the canonical NaN, or when it is
+//! `k / 100` for an integer `k` in `0..=65_534`, bit for bit (so not `-0.0`,
+//! no negative, no NaN payload). A block is narrow exactly when every value
+//! fits: decode refuses a wide block that could have been narrow, so every
+//! blob it accepts re-encodes to its own bytes.
 
 use crate::blobstore::Blob;
 use crate::extract::ExtractedServer;
 use crate::frame::{self, Cursor, FrameError, Overrun};
-use crate::record::{csv_quantized, csv_quantized_arith, RecordBatch};
+use crate::record::{csv_hundredths, csv_quantized, RecordBatch};
 use crate::server::ServerId;
 use seagull_timeseries::{TimeSeries, Timestamp, MINUTES_PER_DAY};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Leading magic bytes of a columnar region-week blob.
 pub const COLUMNAR_MAGIC: [u8; 4] = *b"SGCB";
-/// Current wire version (1 was sealed with the single-chain checksum).
-pub const COLUMNAR_VERSION: u16 = 2;
+/// Current wire version (1 was sealed with the single-chain checksum, 2
+/// stored every value as `f64` bits).
+pub const COLUMNAR_VERSION: u16 = 3;
 
 /// Where the block table starts: after the frame header and the block count.
 const TABLE_AT: usize = frame::HEADER_LEN + 4;
-const BLOCK_LEN: usize = 40;
+const BLOCK_LEN: usize = 41;
+/// Where the width byte sits in a block table entry.
+const WIDTH_AT: usize = 40;
+/// Width bytes: a block stored as u16 hundredths, and one stored as f64 bits.
+const NARROW: u8 = 2;
+const WIDE: u8 = 8;
+/// A missing bucket in a narrow block.
+const NARROW_NAN: u16 = u16::MAX;
+/// The largest value a narrow block holds, in hundredths.
+const NARROW_MAX: f64 = 65_534.0;
+
+/// The u16 a value is stored as in a narrow block, or `None` when it does not
+/// fit (module docs). `k` is taken the way [`csv_quantized`] rounds, so a
+/// load that came through it fits exactly when its hundredths are in range.
+#[inline]
+fn narrow(v: f64) -> Option<u16> {
+    if v.to_bits() == f64::NAN.to_bits() {
+        return Some(NARROW_NAN);
+    }
+    let (k, _) = csv_hundredths(v);
+    (k <= NARROW_MAX && (k / 100.0).to_bits() == v.to_bits()).then_some(k as u16)
+}
+
+/// A narrow column's values: each u16 looked up in a table of the 65,536
+/// values it can stand for (512 KiB, built on first use), not divided —
+/// baseline x86-64 divides at a few cycles per `f64`, which made a decode
+/// about twice as slow, and the quotient must be the correctly rounded
+/// `k / 100` the writer checked (the reciprocal's product is not, for one
+/// `k` in eight).
+fn widen(narrow: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    static WIDENED: OnceLock<Box<[f64; 1 << 16]>> = OnceLock::new();
+    let widened = WIDENED.get_or_init(|| {
+        let all: Vec<f64> = (0..=u16::MAX)
+            .map(|k| match k {
+                NARROW_NAN => f64::NAN,
+                k => f64::from(k) / 100.0,
+            })
+            .collect();
+        all.into_boxed_slice()
+            .try_into()
+            .expect("one value per u16")
+    });
+    let (pairs, _) = narrow.as_chunks();
+    pairs
+        .iter()
+        .map(|&pair| widened[usize::from(u16::from_le_bytes(pair))])
+}
 
 /// A decode failure: the blob is not usable as read, never silently shorter
 /// data. Only a torn frame ([`ColumnarError::is_torn`]) may read whole on a
@@ -252,8 +310,10 @@ impl ColumnarBatch {
 
     /// Encodes to the versioned wire layout with a trailing checksum.
     pub fn encode(&self) -> Blob {
-        let mut writer = BlobWriter::new(&self.blocks, self.values.len());
-        writer.put(&self.values);
+        let mut writer = BlobWriter::new(&self.blocks);
+        for block in &self.blocks {
+            writer.put(self.block_values(block));
+        }
         writer.finish()
     }
 
@@ -266,8 +326,10 @@ impl ColumnarBatch {
         // taken from the body before anything is sized by it.
         let count = body.u32()? as usize;
         let table = body.take(count.saturating_mul(BLOCK_LEN))?;
-        let mut blocks = Vec::with_capacity(count);
+        let mut blocks: Vec<ServerBlock> = Vec::with_capacity(count);
+        let mut widths = Vec::with_capacity(count);
         let mut offset = 0usize;
+        let mut column_len = 0usize;
         for entry in table.chunks_exact(BLOCK_LEN) {
             let mut entry = Cursor::new(entry);
             let block = ServerBlock {
@@ -294,20 +356,60 @@ impl ColumnarBatch {
                     server_id: block.server_id.0,
                 });
             }
+            if blocks
+                .last()
+                .is_some_and(|last| last.server_id >= block.server_id)
+            {
+                return Err(ColumnarError::Malformed("server ids out of order"));
+            }
+            let width = entry.take(1)?[0];
+            if width != NARROW && width != WIDE {
+                return Err(ColumnarError::Malformed("unknown value width"));
+            }
+            // `len` is a u32 and each entry takes 41 bytes of the body, so
+            // neither sum can overflow.
             offset += block.len;
+            column_len += block.len * width as usize;
             blocks.push(block);
+            widths.push(width);
         }
-        let column = body.rest();
-        if column.len() != offset * 8 {
+        let mut column = body.rest();
+        if column.len() != column_len {
             return Err(ColumnarError::Malformed(
                 "value column is not the size the block table declares",
             ));
         }
-        // An exact-size iterator collects into the `Arc` with one allocation.
-        let values = column
-            .chunks_exact(8)
-            .map(|chunk| f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8 bytes"))))
-            .collect();
+        // One allocation, sized by a column whose bytes are there. When every
+        // block is narrow (every blob of a CPU fleet) the column is widened
+        // straight into it: the exact-size iterator collects with one write
+        // per value. Otherwise the buffer is zero-filled first and written
+        // block by block, which costs a second write of every page.
+        if widths.iter().all(|&width| width == NARROW) {
+            let values = widen(column).collect();
+            return Ok(ColumnarBatch { blocks, values });
+        }
+        let mut values: Arc<[f64]> = std::iter::repeat_n(0.0, offset).collect();
+        let out = Arc::get_mut(&mut values).expect("a fresh buffer has one owner");
+        for (block, width) in blocks.iter().zip(widths) {
+            let (bytes, rest) = column.split_at(block.len * width as usize);
+            column = rest;
+            let out = &mut out[block.offset..][..block.len];
+            if width == NARROW {
+                for (slot, v) in out.iter_mut().zip(widen(bytes)) {
+                    *slot = v;
+                }
+                continue;
+            }
+            let (words, _) = bytes.as_chunks();
+            for (slot, &word) in out.iter_mut().zip(words) {
+                *slot = f64::from_le_bytes(word);
+            }
+            if out.iter().all(|&v| narrow(v).is_some()) {
+                return Err(ColumnarError::Malformed(
+                    "a wide block whose values fit narrow",
+                ));
+            }
+        }
         Ok(ColumnarBatch { blocks, values })
     }
 
@@ -337,18 +439,27 @@ impl ColumnarBatch {
     }
 }
 
-/// A blob being written: header and block table done, the value column
-/// filled in order by [`BlobWriter::put`], and [`frame::seal`] hashing the
-/// finished buffer once; the buffer is reserved for the whole blob.
-struct BlobWriter {
+/// A blob being written: header and block table done, then one block after
+/// another by [`BlobWriter::put`] or [`BlobWriter::put_quantized`], each
+/// narrow until a value does not fit, and [`frame::seal`] hashing the
+/// finished buffer once. The buffer is reserved for a blob of narrow blocks
+/// and grows by exactly what a block going wide adds, so the sealed blob
+/// holds no spare capacity.
+struct BlobWriter<'a> {
     out: Vec<u8>,
-    at: usize,
+    blocks: &'a [ServerBlock],
+    /// Blocks written so far.
+    written: usize,
+    /// Where the block being written starts in `out`, and whether it went wide.
+    block_at: usize,
+    wide: bool,
 }
 
-impl BlobWriter {
-    fn new(blocks: &[ServerBlock], points: usize) -> BlobWriter {
+impl<'a> BlobWriter<'a> {
+    fn new(blocks: &'a [ServerBlock]) -> BlobWriter<'a> {
+        let points: usize = blocks.iter().map(|b| b.len).sum();
         let at = TABLE_AT + blocks.len() * BLOCK_LEN; // where the column starts
-        let mut out = Vec::with_capacity(at + points * 8 + frame::FOOTER_LEN);
+        let mut out = Vec::with_capacity(at + points * 2 + frame::FOOTER_LEN);
         out.extend_from_slice(&frame::header(COLUMNAR_MAGIC, COLUMNAR_VERSION));
         out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
         for b in blocks {
@@ -358,26 +469,73 @@ impl BlobWriter {
             out.extend_from_slice(&b.series_start_min.to_le_bytes());
             out.extend_from_slice(&b.step_min.to_le_bytes());
             out.extend_from_slice(&(b.len as u32).to_le_bytes());
+            out.push(NARROW);
         }
-        out.resize(at + points * 8, 0);
-        BlobWriter { out, at }
+        BlobWriter {
+            out,
+            blocks,
+            written: 0,
+            block_at: at,
+            wide: false,
+        }
     }
 
-    /// Appends `values` to the column as they are.
+    /// Starts the next block, narrow.
+    fn begin(&mut self, len: usize) {
+        assert_eq!(
+            len, self.blocks[self.written].len,
+            "a block short of its points"
+        );
+        self.block_at = self.out.len();
+        self.wide = false;
+    }
+
+    /// Appends one value of the block being written.
     #[inline]
-    fn put(&mut self, values: &[f64]) {
-        let slots = &mut self.out[self.at..][..values.len() * 8];
-        for (slot, v) in slots.chunks_exact_mut(8).zip(values) {
-            slot.copy_from_slice(&v.to_le_bytes());
+    fn push(&mut self, v: f64) {
+        if !self.wide {
+            if let Some(k) = narrow(v) {
+                self.out.extend_from_slice(&k.to_le_bytes());
+                return;
+            }
+            self.widen();
         }
-        self.at += slots.len();
+        self.out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    /// Appends what the wire holds for `samples`: each load quantized, the
-    /// canonical NaN where a bucket is missing. Eight at a time down
-    /// [`csv_quantized`]'s arithmetic path under one branch, which vectorizes;
-    /// a missing bucket or a near-tie among them sends the eight one by one.
+    /// Rewrites the block's values so far as f64 bits (each narrow value is
+    /// one exactly) and marks the block wide.
+    #[cold]
+    fn widen(&mut self) {
+        let narrow = self.out.split_off(self.block_at);
+        // The spare capacity holds the block at two bytes a value.
+        let len = self.blocks[self.written].len;
+        self.out
+            .reserve_exact(self.out.capacity() - self.out.len() + 6 * len);
+        for v in widen(&narrow) {
+            self.out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        self.wide = true;
+        self.out[TABLE_AT + self.written * BLOCK_LEN + WIDTH_AT] = WIDE;
+    }
+
+    /// Appends the next block's values as they are.
+    fn put(&mut self, values: &[f64]) {
+        self.begin(values.len());
+        for &v in values {
+            self.push(v);
+        }
+        self.written += 1;
+    }
+
+    /// Appends the next block as the wire holds `samples`: each load
+    /// quantized, the canonical NaN where a bucket is missing. Eight at a time
+    /// down [`csv_quantized`]'s arithmetic path under one branch, which
+    /// vectorizes and hands over each load's hundredths, so the eight are
+    /// written narrow as they are; a missing bucket or a near-tie among them
+    /// sends the eight one by one.
     fn put_quantized(&mut self, samples: &[f64]) {
+        self.begin(samples.len());
         let one = |v: f64| {
             if v.is_nan() {
                 f64::NAN
@@ -387,28 +545,44 @@ impl BlobWriter {
         };
         let mut eights = samples.chunks_exact(8);
         for eight in eights.by_ref() {
-            let mut wire = [0.0; 8];
-            let mut settled = true;
-            for (slot, &v) in wire.iter_mut().zip(eight) {
-                let (hundredth, ok) = csv_quantized_arith(v);
-                *slot = hundredth;
+            let mut hundredths = [0.0; 8];
+            let (mut settled, mut fits) = (true, true);
+            for (slot, &v) in hundredths.iter_mut().zip(eight) {
+                let (k, ok) = csv_hundredths(v);
+                *slot = k;
                 settled &= ok;
+                fits &= v.is_sign_positive() & (k <= NARROW_MAX);
             }
             if !settled {
-                for (slot, &v) in wire.iter_mut().zip(eight) {
-                    *slot = one(v);
+                for &v in eight {
+                    self.push(one(v));
+                }
+            } else if fits && !self.wide {
+                let mut narrow = [0u8; 16];
+                for (pair, k) in narrow.chunks_exact_mut(2).zip(hundredths) {
+                    pair.copy_from_slice(&(k as u16).to_le_bytes());
+                }
+                self.out.extend_from_slice(&narrow);
+            } else {
+                for (k, &v) in hundredths.into_iter().zip(eight) {
+                    self.push((k / 100.0).copysign(v));
                 }
             }
-            self.put(&wire);
         }
         for &v in eights.remainder() {
-            self.put(&[one(v)]);
+            self.push(one(v));
         }
+        self.written += 1;
     }
 
     /// Closes the blob with its checksum footer.
     fn finish(self) -> Blob {
-        assert_eq!(self.at, self.out.len(), "a column short of its points");
+        assert_eq!(self.written, self.blocks.len(), "a block left unwritten");
+        debug_assert_eq!(
+            self.out.capacity(),
+            self.out.len() + frame::FOOTER_LEN,
+            "the blob's buffer is reserved to its size"
+        );
         frame::seal(self.out)
     }
 }
@@ -456,7 +630,7 @@ pub(crate) fn encode_runs<'a>(runs: impl Iterator<Item = SampleRun<'a>>, grid_mi
         });
         points += len;
     }
-    let mut writer = BlobWriter::new(&blocks, points);
+    let mut writer = BlobWriter::new(&blocks);
     let mut laid = Vec::new();
     for (block, server) in blocks.iter().zip(kept.chunk_by(same_server)) {
         // A lone run (all `week_runs` yields) is its block as it stands;
@@ -487,6 +661,8 @@ mod tests {
     use super::*;
     use crate::record::LoadRecord;
     use proptest::prelude::*;
+
+    const FITS_NARROW: &str = "a wide block whose values fit narrow";
 
     fn rec(server: u64, ts: i64, cpu: f64) -> LoadRecord {
         LoadRecord {
@@ -648,6 +824,185 @@ mod tests {
         }
     }
 
+    /// The column writer of version 2, every value as its `f64` bits, under
+    /// the version 3 block table with every block marked wide: the oracle the
+    /// narrowing writer is held to.
+    fn encode_all_wide(batch: &ColumnarBatch) -> Vec<u8> {
+        let mut out = frame::header(COLUMNAR_MAGIC, COLUMNAR_VERSION).to_vec();
+        out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+        for b in batch.blocks() {
+            out.extend_from_slice(&b.server_id.0.to_le_bytes());
+            out.extend_from_slice(&b.default_backup_start.to_le_bytes());
+            out.extend_from_slice(&b.default_backup_end.to_le_bytes());
+            out.extend_from_slice(&b.series_start_min.to_le_bytes());
+            out.extend_from_slice(&b.step_min.to_le_bytes());
+            out.extend_from_slice(&(b.len as u32).to_le_bytes());
+            out.push(WIDE);
+        }
+        for v in batch.values().iter() {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        frame::seal(out).to_vec()
+    }
+
+    /// The narrowing rule as the format states it, rounding with `round`.
+    fn fits(v: f64) -> bool {
+        let k = (v * 100.0).round();
+        v.to_bits() == f64::NAN.to_bits()
+            || (v.is_sign_positive()
+                && (0.0..=65_534.0).contains(&k)
+                && (f64::from(k as u16) / 100.0).to_bits() == v.to_bits())
+    }
+
+    /// Each block of `blob` is narrow exactly when every value of the
+    /// matching block of `batch` fits.
+    fn assert_widths(blob: &[u8], batch: &ColumnarBatch) {
+        for (i, block) in batch.blocks().iter().enumerate() {
+            let all_fit = batch.block_values(block).iter().all(|&v| fits(v));
+            let width = blob[TABLE_AT + i * BLOCK_LEN + WIDTH_AT];
+            assert_eq!(width, if all_fit { NARROW } else { WIDE }, "block {i}");
+        }
+    }
+
+    /// A batch holding `blocks` to the bit, ids 1, 2, …
+    fn batch_of(blocks: &[Vec<f64>]) -> ColumnarBatch {
+        let mut offset = 0;
+        let table = blocks
+            .iter()
+            .zip(1..)
+            .map(|(values, id)| {
+                let block = ServerBlock {
+                    server_id: ServerId(id),
+                    default_backup_start: 1440,
+                    default_backup_end: 1500,
+                    series_start_min: 0,
+                    step_min: 5,
+                    offset,
+                    len: values.len(),
+                };
+                offset += values.len();
+                block
+            })
+            .collect();
+        ColumnarBatch {
+            blocks: table,
+            values: blocks.concat().into(),
+        }
+    }
+
+    /// A wire value of every kind the narrowing rule tells apart, most of
+    /// them loads of two decimals and missing buckets, as a CPU week is.
+    fn wire_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            30 => (0u32..=10_000).prop_map(|k| f64::from(k) / 100.0),
+            8 => Just(f64::NAN),
+            4 => 0.0f64..100.0,
+            2 => prop_oneof![Just(0.0), Just(-0.0)],
+            2 => prop_oneof![Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
+            2 => (1u64..1 << 52).prop_map(f64::from_bits),
+            2 => prop_oneof![Just(655.34), Just(655.35), Just(655.335), Just(655.345)],
+            2 => prop_oneof![Just(33.335), Just(2.675), Just(0.125), Just(99.995), Just(0.005)],
+            2 => 1e6f64..1e12,
+            1 => -100.0f64..0.0,
+            1 => any::<u64>().prop_map(|b| f64::from_bits(0x7ff0_0000_0000_0001 | b >> 12)),
+            1 => Just(-f64::NAN),
+        ]
+    }
+
+    proptest! {
+        /// Both writers narrow a block exactly when every value fits, and the
+        /// blob decodes to the values the all-wide oracle wrote, bit for bit:
+        /// `encode` on the values as they are, `encode_runs` on the same
+        /// values quantized (its blob is the rows', `runs_match_rows`). The
+        /// oracle's blob is this blob when every block is wide, and refused
+        /// when one could have been narrow.
+        #[test]
+        fn narrow_exactly_when_every_value_fits(
+            blocks in proptest::collection::vec(
+                proptest::collection::vec(wire_value(), 0..24),
+                0..6,
+            ),
+        ) {
+            let batch = batch_of(&blocks);
+            let blob = batch.encode();
+            assert_widths(&blob, &batch);
+            let oracle = encode_all_wide(&batch);
+            let end = oracle.len() - frame::FOOTER_LEN;
+            let decoded = ColumnarBatch::decode(&blob).unwrap();
+            let widened: Vec<u8> = decoded.values().iter().flat_map(|v| v.to_le_bytes()).collect();
+            assert_eq!(decoded, batch);
+            assert_eq!(&oracle[end - widened.len()..end], &widened[..]);
+            assert_eq!(decoded.encode(), blob);
+            match ColumnarBatch::decode(&oracle) {
+                Ok(all_wide) => {
+                    assert_eq!(all_wide, batch);
+                    assert_eq!(&oracle[..], &blob[..]);
+                }
+                Err(refused) => {
+                    assert_eq!(refused, ColumnarError::Malformed(FITS_NARROW));
+                    let mut widths = (0..batch.len()).map(|i| blob[TABLE_AT + i * BLOCK_LEN + WIDTH_AT]);
+                    assert!(widths.any(|width| width == NARROW));
+                }
+            }
+
+            let runs: Vec<SampleRun<'_>> = blocks
+                .iter()
+                .zip(1..)
+                .map(|(values, id)| run(id, 0, values))
+                .collect();
+            let by_rows = assert_runs_match_rows(&runs, 5);
+            assert_widths(&encode_runs(runs.iter().copied(), 5), &by_rows);
+        }
+    }
+
+    /// Every wide block of an accepted blob holds a value that does not fit,
+    /// so the all-wide layout of loads that all do is refused, and the same
+    /// bytes with one load that does not fit are accepted.
+    #[test]
+    fn wide_block_whose_values_fit_narrow_is_refused() {
+        let narrow = sample();
+        assert_eq!(
+            ColumnarBatch::decode(&encode_all_wide(&narrow)),
+            Err(ColumnarError::Malformed(FITS_NARROW))
+        );
+        let wide = batch_of(&[vec![12.34, f64::NAN, 700.0], vec![0.5]]);
+        let blob = encode_all_wide(&wide);
+        assert_eq!(
+            ColumnarBatch::decode(&blob),
+            Err(ColumnarError::Malformed(FITS_NARROW)),
+            "the second block fits"
+        );
+        let wide = batch_of(&[vec![12.34, f64::NAN, 700.0], vec![-0.5]]);
+        let blob = encode_all_wide(&wide);
+        assert_eq!(ColumnarBatch::decode(&blob), Ok(wide.clone()));
+        assert_eq!(wide.encode().to_vec(), blob);
+    }
+
+    /// A NaN with a payload is no missing bucket: it keeps its block wide,
+    /// its bits survive the wire, and the blob re-encodes to its own bytes.
+    /// A missing bucket beside it is the canonical NaN, as everywhere.
+    #[test]
+    fn nan_payload_keeps_its_block_wide() {
+        let payload = f64::from_bits(f64::NAN.to_bits() | 1);
+        let rows = vec![rec(1, 0, 12.5), rec(1, 10, payload), rec(2, 0, 7.0)];
+        let batch = ColumnarBatch::from_records(&RecordBatch::new(rows), 5);
+        let blob = batch.encode();
+        assert_eq!(blob[TABLE_AT + WIDTH_AT], WIDE);
+        assert_eq!(blob[TABLE_AT + BLOCK_LEN + WIDTH_AT], NARROW);
+        let back = ColumnarBatch::decode(&blob).unwrap();
+        let bits: Vec<u64> = back.values().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                12.5f64.to_bits(),
+                f64::NAN.to_bits(),
+                payload.to_bits(),
+                7.0f64.to_bits()
+            ]
+        );
+        assert_eq!(back.encode(), blob);
+    }
+
     #[test]
     fn off_grid_rows_dropped() {
         let batch =
@@ -667,10 +1022,10 @@ mod tests {
         }
     }
 
-    /// Every single-bit flip of a three-server blob is caught: inside the
-    /// magic the blob is refused as foreign, anywhere after it FNV-1a's
-    /// odd multiplier carries the changed word into a different checksum.
-    /// The body is the one earlier builds wrote, pinned through the
+    /// Every single-bit flip of a three-server blob (two narrow blocks, one
+    /// wide) is caught: inside the magic the blob is refused as foreign,
+    /// anywhere after it FNV-1a's odd multiplier carries the changed word
+    /// into a different checksum. The body is pinned through the
     /// single-chain reference so that only a moved body byte fails it.
     #[test]
     fn corrupt_byte_fails_checksum() {
@@ -680,6 +1035,7 @@ mod tests {
             rec(3, 5, 7.5),
             rec(1, 10, 20.0),
             rec(3, 20, 99.99),
+            rec(2, 15, 700.0),
         ];
         let blob = ColumnarBatch::from_records(&RecordBatch::new(rows), 5)
             .encode()
@@ -687,7 +1043,7 @@ mod tests {
         let body = &blob[frame::HEADER_LEN..blob.len() - frame::FOOTER_LEN];
         assert_eq!(
             frame::checksum64_single_lane(body),
-            0x47e2_e8ed_819a_fb01,
+            0x772e_f841_4886_b93e,
             "wire bytes moved"
         );
         assert_eq!(ColumnarBatch::decode(&blob).unwrap().len(), 3);
@@ -797,13 +1153,5 @@ mod tests {
         let back = ColumnarBatch::decode(&empty.encode()).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.total_points(), 0);
-    }
-
-    #[test]
-    fn nan_payloads_survive_the_wire() {
-        let batch = sample();
-        let back = ColumnarBatch::decode(&batch.encode()).unwrap();
-        let b1 = &back.blocks()[0];
-        assert!(back.block_values(b1)[1].is_nan());
     }
 }

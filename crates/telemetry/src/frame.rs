@@ -14,13 +14,14 @@
 //!
 //! | magic  | version | body                                  | written by                                   |
 //! |--------|---------|---------------------------------------|----------------------------------------------|
-//! | `SGCB` | 2       | block table, value column             | [`crate::columnar`] (`LoadExtraction`)       |
+//! | `SGCB` | 3       | block table, value column             | [`crate::columnar`] (`LoadExtraction`)       |
 //! | `SGSS` | 2       | snapshot header, one block per server | `seagull_serve::persist::encode_snapshot`    |
 //! | `SGJL` | 3       | one record                            | `DeployRecord::encode`, the fleet checkpoint |
 //!
-//! Each version above is the first sealed with the four-lane [`checksum64`];
-//! a blob an earlier build sealed with the single-chain sum fails the
-//! checksum, which [`open`] checks before the version, and reads as torn.
+//! Every version above is sealed with the four-lane [`checksum64`] (`SGCB` 2
+//! was the first, 3 added narrow blocks); a blob an earlier build sealed with
+//! the single-chain sum fails the checksum, which [`open`] checks before the
+//! version, and reads as torn.
 //!
 //! A failure to open is one of two kinds ([`FrameError::is_torn`]): the blob
 //! is *torn* — a write or read that stopped early, or bytes that rotted; a

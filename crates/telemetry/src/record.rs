@@ -179,27 +179,28 @@ where
 /// Near-ties and large values take the round trip itself.
 #[inline]
 pub fn csv_quantized(v: f64) -> f64 {
-    match csv_quantized_arith(v) {
-        (hundredth, true) => hundredth,
+    match csv_hundredths(v) {
+        (hundredths, true) => (hundredths / 100.0).copysign(v),
         _ => csv_round_trip(v),
     }
 }
 
-/// [`csv_quantized`]'s arithmetic path without its branch: the candidate and
-/// whether `v` may take it (never for NaN), for a caller that decides for
-/// several loads at once.
+/// [`csv_quantized`]'s arithmetic path without its branch: `|v|·100` rounded
+/// to an integer, and whether `v` may take the path (never for NaN), for a
+/// caller that decides for several loads at once. On the path the load is
+/// `(hundredths / 100).copysign(v)`.
 ///
 /// The nearest integer comes from adding and subtracting 2⁵² (exact below
 /// it, ties to even) because baseline x86-64 has no rounding instruction and
 /// `f64::round` is a libm call per sample; an exact tie is 0.5 away whichever
 /// way it went, so the guard hands it to the formatter as it would `round`'s.
 #[inline]
-pub(crate) fn csv_quantized_arith(v: f64) -> (f64, bool) {
+pub(crate) fn csv_hundredths(v: f64) -> (f64, bool) {
     const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
     let scaled = v.abs() * 100.0;
     let hundredths = (scaled + TWO_POW_52) - TWO_POW_52;
     let settled = (scaled < 1e8) & ((scaled - hundredths).abs() < 0.5 - 1e-6);
-    ((hundredths / 100.0).copysign(v), settled)
+    (hundredths, settled)
 }
 
 /// [`csv_quantized`] off its arithmetic path: the format-and-parse round trip.

@@ -58,18 +58,29 @@ fn poison_week(
 }
 
 /// One region-week blob holding every block of `a`, then every block of `b`.
-/// Extraction writes one grid per blob; a blob with two is assembled here.
+/// Extraction writes one grid per blob; a blob with two is spliced here from
+/// what every body is — a block count, one table entry of a fixed size per
+/// block, then the value column in block order. The sizes are measured off
+/// blobs the codec writes, and the header and count are copied from one, so
+/// the splice knows no field of the layout.
 fn merged(a: &[u8], b: &[u8]) -> Blob {
-    // Body: block count, 40-byte blocks, value column.
-    let split = |blob| {
-        let body = frame::open(blob, COLUMNAR_MAGIC, COLUMNAR_VERSION).unwrap();
-        let mut body = frame::Cursor::new(body);
-        let count = body.u32().unwrap();
-        (count, body.take(40 * count as usize).unwrap(), body.rest())
+    let blob_of = |servers: u64, points: i64| {
+        let rows = (1..=servers).flat_map(|id| server_rows(id, 0, 5, points, (0, 60)).records);
+        ColumnarBatch::from_records(&RecordBatch::new(rows.collect()), 5).encode()
     };
-    let ((count_a, table_a, column_a), (count_b, table_b, column_b)) = (split(a), split(b));
-    let mut framed = frame::header(COLUMNAR_MAGIC, COLUMNAR_VERSION).to_vec();
-    framed.extend_from_slice(&(count_a + count_b).to_le_bytes());
+    let size = |servers, points| blob_of(servers, points).len();
+    // A block more costs an entry and its point, a point more only a point.
+    let entry = (size(2, 1) - size(1, 1)) - (size(1, 2) - size(1, 1));
+    // An empty blob is the frame's header, the count and its footer.
+    let table_at = size(0, 0) - FOOTER_LEN;
+    let split = |blob| {
+        let blocks = ColumnarBatch::decode(blob).unwrap().len();
+        let body = &blob[table_at..blob.len() - FOOTER_LEN];
+        (blocks, body.split_at(entry * blocks))
+    };
+    let ((count_a, (table_a, column_a)), (count_b, (table_b, column_b))) = (split(a), split(b));
+    let counted = blob_of((count_a + count_b) as u64, 1);
+    let mut framed = counted[..table_at].to_vec();
     for part in [table_a, table_b, column_a, column_b] {
         framed.extend_from_slice(part);
     }

@@ -5,9 +5,9 @@
 //! so the hunt is written once: over a valid blob of each format — a
 //! three-server `SGCB`, a two-server `SGSS`, an `SGJL` deploy segment and a
 //! checkpoint marker — every truncation, every single-bit flip of header and
-//! footer, a seeded sample of body bits, every count / length / grid field
-//! and every `SGSS` server id forged to 0, 1, `MAX`, `MAX − 1` behind a valid
-//! checksum, and every blob
+//! footer, a seeded sample of body bits, every count / length / grid field,
+//! every server id and every `SGCB` value width forged to 0, 1, `MAX`,
+//! `MAX − 1` behind a valid checksum, and every blob
 //! handed to the other formats' readers. A reader may refuse with a typed
 //! error or accept a value that re-encodes to the bytes it was given; it may
 //! not panic, hand out part of a record, or ask the allocator for more than
@@ -97,6 +97,7 @@ enum Read {
 
 #[derive(Clone, Copy)]
 enum Field {
+    U8(usize),
     U32(usize),
     I64(usize),
     U64(usize),
@@ -109,6 +110,11 @@ struct Format {
     blob: Vec<u8>,
     read: Reader,
     fields: Vec<Field>,
+}
+
+/// Where block `block` of an `SGCB` table starts.
+fn sgcb_block_at(block: usize) -> usize {
+    HEADER_LEN + 4 + 41 * block
 }
 
 fn sgcb() -> Format {
@@ -125,17 +131,21 @@ fn sgcb() -> Format {
         rec(3, 5, 7.5),
         rec(1, 10, 20.0),
         rec(3, 20, 99.99),
+        rec(2, 15, 700.0), // a load a narrow block cannot hold
     ];
     let blob = ColumnarBatch::from_records(&RecordBatch::new(rows), 5)
         .encode()
         .to_vec();
-    // Block count, then per 40-byte block: backup start, backup end, series
-    // start (i64 at 8, 16, 24), step and point count (u32 at 32, 36).
+    // Block count, then per 41-byte block: server id (u64 at 0), backup
+    // start, backup end, series start (i64 at 8, 16, 24), step and point
+    // count (u32 at 32, 36), value width (u8 at 40; block 1 is wide).
     let mut fields = vec![Field::U32(HEADER_LEN)];
     for block in 0..3 {
-        let at = HEADER_LEN + 4 + 40 * block;
+        let at = sgcb_block_at(block);
+        fields.push(Field::U64(at));
         fields.extend([8, 16, 24].map(|o| Field::I64(at + o)));
         fields.extend([32, 36].map(|o| Field::U32(at + o)));
+        fields.push(Field::U8(at + 40));
     }
     Format {
         name: "SGCB",
@@ -375,6 +385,7 @@ fn sweep(format: &Format, rng: &mut DetRng) {
     // Every count, length and grid field forged behind a valid checksum.
     for &field in &format.fields {
         let (at, values) = match field {
+            Field::U8(at) => (at, [0, 1, u8::MAX, u8::MAX - 1].map(|v| vec![v])),
             Field::U32(at) => (
                 at,
                 [0, 1, u32::MAX, u32::MAX - 1].map(|v| v.to_le_bytes().to_vec()),
@@ -431,12 +442,12 @@ fn checkpoint_marker_survives_the_sweep() {
 #[test]
 fn forged_fields_land_where_the_layouts_say() {
     let sgcb = sgcb();
-    let more_points = forged(&sgcb.blob, HEADER_LEN + 4 + 36, &4u32.to_le_bytes());
+    let more_points = forged(&sgcb.blob, sgcb_block_at(0) + 36, &4u32.to_le_bytes());
     let Read::Refused(why) = read_checked(&sgcb, &more_points, "a fourth point") else {
         panic!("a block one point longer than its column was accepted");
     };
     assert!(why.contains("value column"), "{why}");
-    let on_grid = forged(&sgcb.blob, HEADER_LEN + 4 + 24, &1440i64.to_le_bytes());
+    let on_grid = forged(&sgcb.blob, sgcb_block_at(0) + 24, &1440i64.to_le_bytes());
     let batch = ColumnarBatch::decode(&on_grid).unwrap();
     assert_eq!(batch.blocks()[0].series_start_min, 1440);
 
@@ -460,6 +471,29 @@ fn forged_fields_land_where_the_layouts_say() {
     };
     let fewer = DeployRecord::decode(&forged(&sgjl.blob, servers, &3u32.to_le_bytes())).unwrap();
     assert_eq!((fewer.servers, fewer.seq, fewer.week_start_day), (3, 4, 21));
+}
+
+/// `SGCB` blocks come in strictly ascending server id, as every writer
+/// emits them: ids out of order or repeated are refused, not handed to the
+/// pipeline as one server twice.
+#[test]
+fn sgcb_server_ids_must_ascend() {
+    let sgcb = sgcb();
+    let with_ids = |ids: [u64; 3]| {
+        (0..3).fold(sgcb.blob.clone(), |blob, block| {
+            forged(&blob, sgcb_block_at(block), &ids[block].to_le_bytes())
+        })
+    };
+    for ids in [[1, 9, 1], [1, 1, 3], [1, 3, 3], [3, 2, 1]] {
+        let what = format!("ids {ids:?}");
+        let Read::Refused(why) = read_checked(&sgcb, &with_ids(ids), &what) else {
+            panic!("{what} were accepted");
+        };
+        assert!(why.contains("out of order"), "{what}: {why}");
+    }
+    let apart = ColumnarBatch::decode(&with_ids([1, 9, 10])).unwrap();
+    let ids: Vec<u64> = apart.blocks().iter().map(|b| b.server_id.0).collect();
+    assert_eq!(ids, [1, 9, 10]);
 }
 
 /// Every blob handed to every other format's reader; the region-week reader
