@@ -17,10 +17,10 @@
 
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_timeseries::{TimeSeries, Timestamp};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Definition 10 parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct StableDbConfig {
     /// Days of trailing history the rule inspects (paper: 3).
     pub window_days: i64,
@@ -58,7 +58,7 @@ pub fn is_stable_database(series: &TimeSeries, config: &StableDbConfig) -> bool 
 }
 
 /// Fleet-level classification result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SqlClassification {
     /// Databases classified.
     pub databases: usize,

@@ -11,7 +11,7 @@ use seagull_core::par::parallel_map;
 use seagull_forecast::Forecaster;
 use seagull_telemetry::fleet::{ClassMix, FleetSpec, RegionSpec, ServerTelemetry};
 use seagull_timeseries::Timestamp;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// The synthetic Azure SQL population: 15-minute grid, no short-lived churn
@@ -38,7 +38,7 @@ pub fn sql_fleet_spec(seed: u64, databases: usize) -> FleetSpec {
 }
 
 /// One Figure 16/17 row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModelEvalRow {
     /// Model name as reported by its [`seagull_forecast::Forecaster`].
     pub model: String,

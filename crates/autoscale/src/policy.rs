@@ -12,11 +12,11 @@ use seagull_core::par::parallel_map;
 use seagull_forecast::Forecaster;
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_timeseries::{TimeSeries, Timestamp};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The discrete capacity steps databases can be resized between, in the same
 /// CPU-percentage units as the telemetry (100 = the largest SKU).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SkuLadder {
     /// Capacity steps in ascending order.
     pub steps: Vec<f64>,
@@ -42,7 +42,7 @@ impl SkuLadder {
 }
 
 /// Sizing policy applied to a predicted (or observed) day of load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AutoscalePolicy {
     /// The sizing statistic: quantile of the day's load (1.0 = max).
     pub sizing_quantile: f64,
@@ -80,7 +80,7 @@ impl AutoscalePolicy {
 }
 
 /// Outcome of running one database for one day at a fixed capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct DayOutcome {
     /// Allocated capacity.
     pub capacity: f64,
@@ -114,7 +114,7 @@ pub fn simulate_day(truth: &TimeSeries, capacity: f64) -> DayOutcome {
 }
 
 /// Which signal sizes the allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SizingMode {
     /// Preemptive: size on the model's 24 h-ahead prediction (the Seagull
     /// use case).
@@ -127,7 +127,7 @@ pub enum SizingMode {
 }
 
 /// Fleet-level aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct PolicySummary {
     /// Databases simulated.
     pub databases: usize,

@@ -19,10 +19,10 @@ use seagull_core::par::parallel_map;
 use seagull_forecast::Forecaster;
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_timeseries::Timestamp;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A customer's chosen backup window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CustomerWindow {
     pub server_id: u64,
     /// Minute of day the customer picked (0..1440).
@@ -30,7 +30,7 @@ pub struct CustomerWindow {
 }
 
 /// The advisor's verdict for one customer window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Advice {
     /// The customer's window already sits within the acceptable bound of the
     /// predicted lowest-load window — leave them alone.
@@ -48,7 +48,7 @@ pub enum Advice {
 }
 
 /// One advisory record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WindowAdvice {
     pub server_id: u64,
     pub day: i64,

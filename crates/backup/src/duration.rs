@@ -6,10 +6,10 @@
 //! fixed setup overhead, rounded up to the telemetry grid so the window
 //! search operates on whole buckets.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Size-to-duration estimator for full backups.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BackupDurationModel {
     /// Sustained backup throughput, MB per minute.
     pub throughput_mb_per_min: f64,

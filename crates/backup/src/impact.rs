@@ -16,11 +16,11 @@ use seagull_core::metrics::{lowest_load_window, ErrorBound};
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_telemetry::server::GeneratedClass;
 use seagull_timeseries::Timestamp;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Outcome counts for a set of backups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct ImpactCounts {
     /// Backups evaluated (truth available).
     pub total: usize,
@@ -66,7 +66,7 @@ impl ImpactCounts {
 }
 
 /// The Figure 13(a) report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ImpactReport {
     pub overall: ImpactCounts,
     /// Per ground-truth class.
@@ -200,7 +200,7 @@ pub fn analyze_impact(
 }
 
 /// Figure 13(b): percentage of servers per maximal-CPU bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CapacityHistogram {
     /// Bucket width, CPU percentage points.
     pub bucket_width: f64,

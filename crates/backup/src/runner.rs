@@ -21,11 +21,11 @@ use seagull_obs::Obs;
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_telemetry::server::ServerId;
 use seagull_timeseries::DayOfWeek;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Health of one cluster's daily scheduling run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterReport {
     pub cluster: usize,
     pub due_servers: usize,
@@ -36,16 +36,14 @@ pub struct ClusterReport {
     pub probe_availability: f64,
     /// Retry work spent on this cluster: repair writes for dropped fabric
     /// properties plus failed scheduling passes.
-    #[serde(default)]
     pub retries: u32,
     /// True when the cluster's scheduling run failed even after the re-run
     /// pass; its due servers count as unavailable.
-    #[serde(default)]
     pub errored: bool,
 }
 
 /// One day's runner output for a region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunnerReport {
     pub day: i64,
     pub clusters: Vec<ClusterReport>,

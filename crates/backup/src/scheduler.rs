@@ -18,10 +18,10 @@ use seagull_serve::{ServeError, ServeService};
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_telemetry::server::ServerId;
 use seagull_timeseries::{DayOfWeek, Timestamp};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Why a server kept its default backup window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DefaultReason {
     /// The server has existed fewer than the required weeks ("servers that
     /// did not exist ... for the last three weeks").
@@ -33,7 +33,7 @@ pub enum DefaultReason {
 }
 
 /// The outcome for one server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ScheduleDecision {
     /// Backup moved into the predicted lowest-load window.
     Rescheduled { window: LowLoadWindow },
@@ -42,7 +42,7 @@ pub enum ScheduleDecision {
 }
 
 /// One scheduled backup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ScheduledBackup {
     pub server_id: u64,
     pub backup_day: i64,
@@ -53,7 +53,7 @@ pub struct ScheduledBackup {
 }
 
 /// Scheduler parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SchedulerConfig {
     /// The shared evaluation parameters (three-week gate, error bound, ...).
     pub evaluation: EvaluationConfig,

@@ -20,10 +20,10 @@ use seagull_core::par::parallel_map;
 use seagull_forecast::Forecaster;
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_timeseries::Timestamp;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Weekday-optimizer parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WeekdayConfig {
     /// A candidate day must undercut the due day's predicted window load by
     /// this many CPU percentage points to justify moving the backup.
@@ -43,7 +43,7 @@ impl Default for WeekdayConfig {
 }
 
 /// Outcome of weekday optimization for one server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WeekdayPlan {
     pub server_id: u64,
     /// The server's originally due day this week.

@@ -8,10 +8,10 @@ use crate::metrics::{bucket_ratio, AccuracyConfig};
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_telemetry::server::ServerId;
 use seagull_timeseries::TimeSeries;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The class Seagull assigns to a server from its load alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ServerClass {
     /// Existed three weeks or less (Definition 3); excluded from prediction.
     ShortLived,
@@ -41,7 +41,7 @@ impl ServerClass {
 }
 
 /// Classification parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ClassifyConfig {
     /// Accuracy thresholds shared with the low-load metrics.
     pub accuracy: AccuracyConfig,
@@ -154,7 +154,7 @@ pub fn classify_server(
 }
 
 /// The Figure 3 breakdown of a fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClassificationReport {
     /// Servers per class, in [`ServerClass`] declaration order.
     pub counts: Vec<(ServerClass, usize)>,

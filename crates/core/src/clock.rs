@@ -7,10 +7,10 @@
 //! weekly pipeline runs and daily runner passes in deterministic order, so
 //! whole months of operations can be simulated in tests and experiments.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A recurring job definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RecurringJob {
     /// Job name, echoed into every [`JobRun`].
     pub name: String,
@@ -47,7 +47,7 @@ impl RecurringJob {
 }
 
 /// A record of one job firing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct JobRun {
     /// Name of the job that fired.
     pub name: String,

@@ -19,7 +19,7 @@
 use crate::incident::{IncidentManager, Severity};
 use crate::pipeline::PipelineRunReport;
 use seagull_obs::{Obs, SampleValue, Stability};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -44,7 +44,7 @@ fn stage_rank(stage: &str) -> usize {
 }
 
 /// Aggregated view over recorded runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DashboardSummary {
     /// Pipeline runs recorded.
     pub runs: usize,

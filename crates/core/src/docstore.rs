@@ -2,22 +2,22 @@
 //!
 //! "Results are stored in Cosmos DB, globally distributed and highly
 //! available database service" (Section 2.2). The pipeline writes prediction
-//! and accuracy documents here; the backup scheduler queries them. This
-//! substitute keeps the same shape — named collections of JSON documents with
-//! string ids, upsert semantics, and filtered scans — in-process.
+//! and accuracy documents here. In the paper the backup scheduler queries
+//! them; here it reads the serving snapshot, and durable predictions live in
+//! `seagull-serve`'s `SGSS` snapshots and `SGJL` journal. This substitute
+//! keeps the store's shape — named collections of documents with string ids,
+//! upsert semantics, and id-ordered scans — in-process.
 //!
 //! A document is kept as the typed value it was written as, not as a JSON
-//! tree: reading it back as that type is a clone. JSON is rendered only at
-//! the store's edge — a read as any other type (`Value` included) decodes
-//! `serde_json::to_value` of the document, a [`DocStore::query`] filter sees
-//! that tree, and [`DocStore::snapshot_json`] prints it. A store restored
-//! from a snapshot holds the parsed `Value`s, which typed reads decode.
+//! tree: reading it back as that type is a clone. JSON is written, never
+//! read: a read as `Value` renders `serde_json::to_value` of the document,
+//! [`DocStore::snapshot_json`] prints it, and a read as any other type is
+//! [`DocStoreError::WrongType`]. Nothing restores a store from its JSON.
 
-use serde::de::DeserializeOwned;
 use serde::ser::Error as _;
 use serde::{Serialize, Serializer};
 use serde_json::Value;
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, PoisonError, RwLock};
@@ -25,13 +25,21 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// Errors from the document store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DocStoreError {
-    /// Serialization or deserialization failed.
+    /// Rendering a document as JSON failed.
     Codec(String),
     /// Document not found.
     NotFound {
         /// Collection that was queried.
         collection: String,
         /// Missing document id.
+        id: String,
+    },
+    /// The document was written as another type than the one asked for
+    /// (and the one asked for is not `Value`).
+    WrongType {
+        /// Collection that was queried.
+        collection: String,
+        /// Id of the document.
         id: String,
     },
 }
@@ -42,6 +50,9 @@ impl fmt::Display for DocStoreError {
             DocStoreError::Codec(m) => write!(f, "codec error: {m}"),
             DocStoreError::NotFound { collection, id } => {
                 write!(f, "document {collection}/{id} not found")
+            }
+            DocStoreError::WrongType { collection, id } => {
+                write!(f, "document {collection}/{id} was written as another type")
             }
         }
     }
@@ -79,21 +90,21 @@ impl Serialize for dyn Doc {
     }
 }
 
-/// Reads `doc` as a `T`: a clone when `T` is the type it was written as,
-/// otherwise a decode of its JSON (`rendered`, when the caller already has
-/// it) — the same result the document's JSON round trip gives.
-fn read<T: DeserializeOwned + Clone + 'static>(
-    doc: &dyn Doc,
-    rendered: Option<Value>,
-) -> Result<T, DocStoreError> {
+/// Reads the document `collection/id` as a `T`: a clone when `T` is the
+/// type it was written as, its JSON when `T` is `Value`, and
+/// [`DocStoreError::WrongType`] otherwise.
+fn read<T: Clone + 'static>(doc: &dyn Doc, collection: &str, id: &str) -> Result<T, DocStoreError> {
     if let Some(typed) = doc.as_any().downcast_ref::<T>() {
         return Ok(typed.clone());
     }
-    let value = match rendered {
-        Some(value) => value,
-        None => doc.to_value()?,
-    };
-    serde_json::from_value(value).map_err(codec)
+    if TypeId::of::<T>() != TypeId::of::<Value>() {
+        return Err(DocStoreError::WrongType {
+            collection: collection.to_string(),
+            id: id.to_string(),
+        });
+    }
+    let rendered: Box<dyn Any> = Box::new(doc.to_value()?);
+    Ok(*rendered.downcast::<T>().expect("T is Value"))
 }
 
 #[derive(Default)]
@@ -140,12 +151,8 @@ impl DocStore {
     }
 
     /// Fetches a document as a `T`: a clone when it was written as a `T`,
-    /// otherwise a decode of its JSON.
-    pub fn get<T: DeserializeOwned + Clone + 'static>(
-        &self,
-        collection: &str,
-        id: &str,
-    ) -> Result<T, DocStoreError> {
+    /// its JSON when `T` is `Value`, otherwise [`DocStoreError::WrongType`].
+    pub fn get<T: Clone + 'static>(&self, collection: &str, id: &str) -> Result<T, DocStoreError> {
         let guard = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         let doc = guard
             .collections
@@ -155,7 +162,7 @@ impl DocStore {
                 collection: collection.to_string(),
                 id: id.to_string(),
             })?;
-        read(&**doc, None)
+        read(&**doc, collection, id)
     }
 
     /// True if the document exists.
@@ -178,36 +185,16 @@ impl DocStore {
             .is_some_and(|c| c.remove(id).is_some())
     }
 
-    /// Every document in a collection as a `T` (id-sorted).
-    pub fn scan<T: DeserializeOwned + Clone + 'static>(
-        &self,
-        collection: &str,
-    ) -> Result<Vec<T>, DocStoreError> {
+    /// Every document in a collection as a `T` (id-sorted), read as
+    /// [`DocStore::get`] reads one.
+    pub fn scan<T: Clone + 'static>(&self, collection: &str) -> Result<Vec<T>, DocStoreError> {
         let guard = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         let Some(coll) = guard.collections.get(collection) else {
             return Ok(Vec::new());
         };
-        coll.values().map(|doc| read(&**doc, None)).collect()
-    }
-
-    /// The documents whose JSON passes `filter`, as `T`s (id-sorted).
-    pub fn query<T: DeserializeOwned + Clone + 'static>(
-        &self,
-        collection: &str,
-        filter: impl Fn(&Value) -> bool,
-    ) -> Result<Vec<T>, DocStoreError> {
-        let guard = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        let Some(coll) = guard.collections.get(collection) else {
-            return Ok(Vec::new());
-        };
-        let mut out = Vec::new();
-        for doc in coll.values() {
-            let value = doc.to_value()?;
-            if filter(&value) {
-                out.push(read(&**doc, Some(value))?);
-            }
-        }
-        Ok(out)
+        coll.iter()
+            .map(|(id, doc)| read(&**doc, collection, id))
+            .collect()
     }
 
     /// Ids in a collection (sorted).
@@ -242,8 +229,9 @@ impl DocStore {
             .collect()
     }
 
-    /// Serializes the entire store to pretty JSON (the durability primitive:
-    /// Cosmos DB persists; this substitute snapshots).
+    /// Serializes the entire store to pretty JSON, every collection and
+    /// document in id order: the store's one way out, written and never
+    /// read back.
     pub fn snapshot_json(&self) -> Result<String, DocStoreError> {
         let guard = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         let view: BTreeMap<&str, BTreeMap<&str, &dyn Doc>> = guard
@@ -255,37 +243,6 @@ impl DocStore {
             })
             .collect();
         serde_json::to_string_pretty(&view).map_err(codec)
-    }
-
-    /// Restores a store from a [`DocStore::snapshot_json`] payload.
-    pub fn from_snapshot_json(json: &str) -> Result<DocStore, DocStoreError> {
-        let parsed: BTreeMap<String, BTreeMap<String, Value>> =
-            serde_json::from_str(json).map_err(codec)?;
-        let collections = parsed
-            .into_iter()
-            .map(|(name, docs)| {
-                let docs = docs
-                    .into_iter()
-                    .map(|(id, value)| (id, Arc::new(value) as Arc<dyn Doc>))
-                    .collect();
-                (name, docs)
-            })
-            .collect();
-        Ok(DocStore {
-            inner: Arc::new(RwLock::new(Inner { collections })),
-        })
-    }
-
-    /// Writes a snapshot to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), DocStoreError> {
-        let json = self.snapshot_json()?;
-        std::fs::write(path, json).map_err(codec)
-    }
-
-    /// Loads a store from a snapshot file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<DocStore, DocStoreError> {
-        let json = std::fs::read_to_string(path).map_err(codec)?;
-        Self::from_snapshot_json(&json)
     }
 }
 
@@ -301,9 +258,8 @@ impl fmt::Debug for DocStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
 
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize)]
     struct Doc {
         region: String,
         score: f64,
@@ -352,16 +308,17 @@ mod tests {
     }
 
     #[test]
-    fn scan_and_query() {
+    fn scan_typed_and_as_json() {
         let store = DocStore::new();
         store.upsert("r", "a", &doc("west", 1.0));
         store.upsert("r", "b", &doc("east", 2.0));
         store.upsert("r", "c", &doc("west", 3.0));
         let all: Vec<Doc> = store.scan("r").unwrap();
-        assert_eq!(all.len(), 3);
-        let west: Vec<Doc> = store.query("r", |v| v["region"] == "west").unwrap();
+        assert_eq!(all, [doc("west", 1.0), doc("east", 2.0), doc("west", 3.0)]);
+        let json: Vec<Value> = store.scan("r").unwrap();
+        let west: Vec<&Value> = json.iter().filter(|v| v["region"] == "west").collect();
         assert_eq!(west.len(), 2);
-        assert!(west.iter().all(|d| d.region == "west"));
+        assert_eq!(west[1]["score"], Value::F64(3.0));
         let none: Vec<Doc> = store.scan("empty").unwrap();
         assert!(none.is_empty());
     }
@@ -392,43 +349,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips() {
-        let store = DocStore::new();
-        store.upsert("r", "a", &doc("west", 1.0));
-        store.upsert("s", "b", &doc("east", 2.0));
-        let json = store.snapshot_json().unwrap();
-        let restored = DocStore::from_snapshot_json(&json).unwrap();
-        let got: Doc = restored.get("r", "a").unwrap();
-        assert_eq!(got, doc("west", 1.0));
-        assert_eq!(restored.count("s"), 1);
-        assert_eq!(restored.collections(), store.collections());
-    }
-
-    #[test]
-    fn save_load_round_trips() {
-        let dir = std::env::temp_dir().join(format!(
-            "seagull-docstore-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snapshot.json");
-        let store = DocStore::new();
-        store.upsert("r", "a", &doc("w", 7.0));
-        store.save(&path).unwrap();
-        let restored = DocStore::load(&path).unwrap();
-        let got: Doc = restored.get("r", "a").unwrap();
-        assert_eq!(got.score, 7.0);
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert!(DocStore::load("/nonexistent/snapshot.json").is_err());
-        assert!(DocStore::from_snapshot_json("not json").is_err());
-    }
-
-    #[test]
-    fn wrong_shape_decodes_to_codec_error() {
+    fn wrong_type_read_is_a_typed_error() {
         let store = DocStore::new();
         store.upsert("r", "a", &"just a string");
-        let err = store.get::<Doc>("r", "a").unwrap_err();
-        assert!(matches!(err, DocStoreError::Codec(_)));
+        let wrong = DocStoreError::WrongType {
+            collection: "r".into(),
+            id: "a".into(),
+        };
+        assert_eq!(store.get::<Doc>("r", "a"), Err(wrong.clone()));
+        assert_eq!(store.scan::<Doc>("r"), Err(wrong));
+        assert_eq!(store.get::<&str>("r", "a"), Ok("just a string"));
+        assert_eq!(
+            store.get::<Value>("r", "a"),
+            Ok(Value::from("just a string"))
+        );
     }
 }

@@ -15,10 +15,10 @@ use crate::par::parallel_map;
 use seagull_forecast::Forecaster;
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_timeseries::{DayOfWeek, Timestamp};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Evaluation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EvaluationConfig {
     /// Error bound and bucket-ratio threshold (Definitions 1–2).
     pub accuracy: AccuracyConfig,
@@ -56,7 +56,7 @@ pub fn backup_day_in_week(server: &ServerTelemetry, week_start_day: i64) -> i64 
 }
 
 /// One server-day evaluation outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BackupDayEvaluation {
     /// Server the evaluation covers.
     pub server_id: u64,
@@ -142,7 +142,7 @@ pub fn evaluate_fleet_week_all_days(
 }
 
 /// Definition 9 verdict for one server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServerPredictability {
     /// Server the verdict covers.
     pub server_id: u64,
@@ -199,7 +199,7 @@ pub fn predictability_fleet(
 }
 
 /// Aggregate accuracy over a set of evaluations (the Figure 11(b)–(d) rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AccuracySummary {
     /// Servers submitted.
     pub servers: usize,

@@ -8,10 +8,10 @@
 use crate::classify::{classify_series, ClassifyConfig, ServerClass};
 use seagull_telemetry::extract::ExtractedServer;
 use seagull_timeseries::{decompose, detect_anomalies, AnomalyConfig, SummaryStats};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The features extracted for one server in one pipeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServerFeatures {
     /// Server the features were extracted for.
     pub server_id: u64,

@@ -12,11 +12,11 @@
 //! ([`IncidentManager::raise`]); components with varying detail text pass a
 //! stable key via [`IncidentManager::raise_keyed`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::{Arc, PoisonError, RwLock};
 
 /// Incident severity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Severity {
     /// Informational; no operator action expected.
     Info,
@@ -27,7 +27,7 @@ pub enum Severity {
 }
 
 /// Incident lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum IncidentState {
     /// Raised and not yet resolved.
     Open,
@@ -35,12 +35,8 @@ pub enum IncidentState {
     Resolved,
 }
 
-fn default_count() -> u32 {
-    1
-}
-
 /// One incident.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Incident {
     /// Monotonically increasing id within one manager.
     pub id: u64,
@@ -54,10 +50,8 @@ pub struct Incident {
     pub message: String,
     /// Dedup fingerprint within `(severity, source, region)`; defaults to
     /// the message.
-    #[serde(default)]
     pub message_key: String,
     /// How many times this incident was raised while open.
-    #[serde(default = "default_count")]
     pub count: u32,
     /// Current lifecycle state.
     pub state: IncidentState,

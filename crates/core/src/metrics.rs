@@ -9,14 +9,14 @@
 //! *lowest-load window* correctness check.
 
 use seagull_timeseries::{min_mean_window, TimeSeries, Timestamp};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Definition 1's acceptable error bound.
 ///
 /// Asymmetric by design: "+10/−5 ... because a slight overestimation of low
 /// load periods is less critical for our use case than a slight
 /// underestimation that may result in interference with high customer load."
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ErrorBound {
     /// Tolerated over-prediction, in CPU percentage points (paper: 10).
     pub over: f64,
@@ -51,7 +51,7 @@ impl ErrorBound {
 }
 
 /// Accuracy thresholds (Definitions 1–2 constants).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AccuracyConfig {
     /// The asymmetric error bound (Definition 1).
     pub bound: ErrorBound,
@@ -110,7 +110,7 @@ pub fn is_accurate(predicted: &[f64], truth: &[f64], config: &AccuracyConfig) ->
 
 /// Definition 7: a lowest-load window — the contiguous interval of the
 /// backup's length with minimal average load on a day.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LowLoadWindow {
     /// Window start time.
     pub start: Timestamp,
@@ -157,7 +157,7 @@ pub fn lowest_load_window(day: &TimeSeries, duration_min: u32) -> Option<LowLoad
 }
 
 /// The combined Definition 8 + Definition 2 evaluation of one server-day.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LowLoadEvaluation {
     /// True LL window (computed on the true load).
     pub true_window: LowLoadWindow,

@@ -515,9 +515,10 @@ impl AmlPipeline {
         let span = self.stage_span(run_span, "accuracy-eval", region, vt);
         // A server with no stored prediction is skipped (`Ok(None)`); one
         // whose prediction cannot be scored — a value that is not finite, or
-        // a restored document that does not decode — is skipped and counted
-        // (`Err`). On the calling thread: an item is a microsecond or two of
-        // document read and window search, less than forking a helper costs.
+        // a document under its id that was written as another type — is
+        // skipped and counted (`Err`). On the calling thread: an item is a
+        // microsecond or two of document read and window search, less than
+        // forking a helper costs.
         let (eval_rows, eval_profile): (Vec<Result<Option<AccuracyDoc>, ()>>, _) =
             parallel_map_profiled(&servers, 1, |s| {
                 let day = backup_day_for_extracted(s, week_start_day);
@@ -527,8 +528,12 @@ impl AmlPipeline {
                     .get::<PredictionDoc>(collections::PREDICTIONS, &id)
                 {
                     Ok(doc) if doc.values.iter().all(|v| v.is_finite()) => doc,
+                    Ok(_non_finite) => return Err(()),
                     Err(DocStoreError::NotFound { .. }) => return Ok(None),
-                    _ => return Err(()),
+                    // `Codec` comes only from rendering a `Value` read.
+                    Err(DocStoreError::WrongType { .. } | DocStoreError::Codec(_)) => {
+                        return Err(())
+                    }
                 };
                 let Some(truth) = s.series.day(day) else {
                     return Ok(None);

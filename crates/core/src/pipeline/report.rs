@@ -6,12 +6,12 @@
 use crate::evaluate::AccuracySummary;
 use crate::resilience::RetryResult;
 use seagull_timeseries::{TimeSeries, Timestamp};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Wall-clock timing of one pipeline stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageTiming {
     /// Stage name (see the `STAGE_ORDER` the dashboard renders).
     pub stage: String,
@@ -21,26 +21,20 @@ pub struct StageTiming {
 
 /// Degradation summary of one run: what was retried, quarantined, skipped,
 /// or fallen back on while still producing a report instead of an error.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct DegradedRun {
     /// Retries spent per stage (only stages that retried appear).
-    #[serde(default)]
     pub retries: BTreeMap<String, u32>,
     /// Virtual backoff accounted across all retries, milliseconds.
-    #[serde(default)]
     pub backoff_ms: u64,
     /// Servers quarantined to the dead-letter list this run.
-    #[serde(default)]
     pub quarantined_servers: Vec<u64>,
     /// True when train/deploy failed and the registry's last-known-good
     /// model was kept serving instead of a new version.
-    #[serde(default)]
     pub fallback_deployed: bool,
     /// True when the region's circuit breaker rejected the run outright.
-    #[serde(default)]
     pub skipped_by_breaker: bool,
     /// Stages whose retries were exhausted (the run degraded around them).
-    #[serde(default)]
     pub exhausted_stages: Vec<String>,
 }
 
@@ -77,7 +71,7 @@ impl DegradedRun {
 }
 
 /// The report of one pipeline run (one region, one week).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PipelineRunReport {
     /// Region the run covered.
     pub region: String,
@@ -103,7 +97,6 @@ pub struct PipelineRunReport {
     pub deployed_version: Option<u64>,
     /// Present when the run retried, quarantined, fell back, or was skipped
     /// by the circuit breaker; `None` for a clean run.
-    #[serde(default)]
     pub degraded: Option<DegradedRun>,
 }
 
@@ -134,7 +127,7 @@ impl PipelineRunReport {
 
 /// A stored prediction document (the Cosmos DB row the backup scheduler
 /// reads).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PredictionDoc {
     /// Region the server belongs to.
     pub region: String,
@@ -165,7 +158,7 @@ impl PredictionDoc {
 }
 
 /// A stored accuracy document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AccuracyDoc {
     /// Region the server belongs to.
     pub region: String,
@@ -184,7 +177,7 @@ pub struct AccuracyDoc {
 /// A quarantined poison batch: a server whose training input caused a
 /// non-benign model failure, recorded for offline triage instead of
 /// aborting the region's run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeadLetterDoc {
     /// Region the server belongs to.
     pub region: String,

@@ -14,13 +14,13 @@
 use crate::incident::{IncidentManager, Severity};
 use seagull_forecast::{ForecastError, Forecaster};
 use seagull_timeseries::TimeSeries;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
 /// Use-case accuracy of one model version, as recorded by the Accuracy
 /// Evaluation module (all percentages, 0–100).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ModelAccuracy {
     /// Correctly chosen LL windows (Definition 8).
     pub window_correct_pct: f64,
@@ -39,7 +39,7 @@ impl ModelAccuracy {
 }
 
 /// Deployment state of a version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum VersionState {
     /// Currently serving its region.
     Deployed,
@@ -50,7 +50,7 @@ pub enum VersionState {
 }
 
 /// One tracked model version.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModelVersion {
     /// Region the version serves.
     pub region: String,

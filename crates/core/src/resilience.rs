@@ -22,7 +22,7 @@
 
 use crate::incident::{IncidentManager, Severity};
 use seagull_obs::Registry;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -98,7 +98,7 @@ impl fmt::Display for StageError {
 impl std::error::Error for StageError {}
 
 /// Exponential-backoff retry policy with deterministic seeded jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RetryPolicy {
     /// Total attempts (first try included); at least 1.
     pub max_attempts: u32,
@@ -264,7 +264,7 @@ impl<T> RetryResult<T> {
 }
 
 /// Circuit-breaker states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum BreakerState {
     /// Normal operation.
     Closed,
@@ -338,7 +338,7 @@ impl fmt::Debug for BreakerProbe {
 }
 
 /// Circuit-breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BreakerConfig {
     /// Consecutive failures that trip a closed breaker.
     pub trip_threshold: u32,

@@ -14,10 +14,10 @@
 
 use seagull_telemetry::columnar::ColumnarBatch;
 use seagull_telemetry::extract::ExtractedServer;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Deduced (and expert-verified) data properties.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DataProfile {
     /// Inclusive load bounds; CPU percentages are `[0, 100]` but the profile
     /// is deduced, not assumed.
@@ -82,7 +82,7 @@ impl DataProfile {
 }
 
 /// One detected anomaly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Anomaly {
     /// The region-week holds no server at all.
     EmptyInput,
@@ -133,7 +133,7 @@ impl Anomaly {
 }
 
 /// Validation output.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct ValidationReport {
     /// Every anomaly detected in the batch.
     pub anomalies: Vec<Anomaly>,

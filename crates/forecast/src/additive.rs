@@ -17,10 +17,10 @@
 use crate::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
 use seagull_linalg::{ridge_regression, Matrix};
 use seagull_timeseries::{TimeSeries, Timestamp, MINUTES_PER_DAY, MINUTES_PER_WEEK};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How to optimize the additive objective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum FitMethod {
     /// Closed-form ridge solution.
     Exact,
@@ -33,7 +33,7 @@ pub enum FitMethod {
 }
 
 /// Additive-model hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AdditiveConfig {
     /// Fourier harmonics for the daily period.
     pub daily_harmonics: usize,

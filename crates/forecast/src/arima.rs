@@ -20,10 +20,10 @@
 use crate::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
 use seagull_linalg::{least_squares, Matrix};
 use seagull_timeseries::TimeSeries;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A full ARIMA order: `(p, d, q) × (P, D, Q)` with seasonal period `s`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ArimaOrder {
     /// Non-seasonal autoregressive order.
     pub p: usize,
@@ -86,7 +86,7 @@ impl std::fmt::Display for ArimaOrder {
 }
 
 /// ARIMA search configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ArimaConfig {
     /// Maximum regular AR order searched.
     pub max_p: usize,

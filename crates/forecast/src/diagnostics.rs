@@ -8,10 +8,10 @@
 //! (`ArimaConfig::prescreen`), which is also how pmdarima keeps its search
 //! tractable.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Verdict of [`series_drift`]: how far a series moved from a baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DriftVerdict {
     /// Level shift in baseline standard deviations (|Δmean| / σ₀).
     pub level_shift: f64,
@@ -128,7 +128,7 @@ pub fn pacf(series: &[f64], max_lag: usize) -> Vec<f64> {
 /// The Ljung–Box portmanteau statistic over the first `lags` residual
 /// autocorrelations. Large values (vs. a χ²(lags) reference) indicate the
 /// residuals are not white noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LjungBox {
     /// The portmanteau statistic value.
     pub statistic: f64,

@@ -13,10 +13,10 @@ use crate::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster}
 use seagull_linalg::kernel;
 use seagull_timeseries::rng::ChaCha8;
 use seagull_timeseries::TimeSeries;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Feed-forward network hyperparameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FeedForwardConfig {
     /// Number of lagged observations fed to the network.
     pub context_len: usize,

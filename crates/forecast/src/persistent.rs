@@ -12,10 +12,10 @@
 
 use crate::{FittedModel, ForecastError, ForecastGrid, Forecaster};
 use seagull_timeseries::TimeSeries;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which persistent-forecast heuristic to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PersistentVariant {
     /// Average of the same grid slot over the previous week.
     PreviousWeekAverage,

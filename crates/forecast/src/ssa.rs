@@ -26,7 +26,7 @@ use seagull_linalg::{
     gaussian_sketch, hankel_gram, hankel_matrix, kernel, thin_svd, truncated_eigh, Matrix,
 };
 use seagull_timeseries::TimeSeries;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Maximum absolute forecast divergence between the randomized kernel and
@@ -39,7 +39,7 @@ use std::sync::Arc;
 pub const RANDOMIZED_PARITY_TOL: f64 = 5e-3;
 
 /// SSA hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SsaConfig {
     /// Embedding window length `L`. The classical guidance is `n/2 ≥ L ≥
     /// period`; for 5-minute telemetry a few hours works well and keeps the

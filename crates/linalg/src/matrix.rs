@@ -1,6 +1,6 @@
 //! Row-major dense matrix.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -42,7 +42,7 @@ impl fmt::Display for LinalgError {
 impl std::error::Error for LinalgError {}
 
 /// A dense row-major matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -12,12 +12,12 @@ use crate::server::{BackupConfig, GeneratedClass, ServerId, ServerMeta};
 use crate::shape::{LoadShape, ShapeParams};
 use seagull_timeseries::rng::ChaCha8;
 use seagull_timeseries::{TimeSeries, Timestamp};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One region and its server count. Regions differ in size by orders of
 /// magnitude in production ("the size of input files ranges from hundreds of
 /// kilobytes to a few gigabytes").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RegionSpec {
     /// Region name (blob keys and pipeline runs are per region).
     pub name: String,
@@ -26,7 +26,7 @@ pub struct RegionSpec {
 }
 
 /// Population mix of generated server classes. Fractions must sum to 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ClassMix {
     /// Servers that exist fewer than three weeks (paper: 42.1 %).
     pub short_lived: f64,
@@ -75,7 +75,7 @@ impl ClassMix {
 }
 
 /// Full specification of a synthetic fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FleetSpec {
     /// Master seed; everything downstream derives from it.
     pub seed: u64,
@@ -148,7 +148,7 @@ impl FleetSpec {
 }
 
 /// One server's generated metadata and telemetry over the window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServerTelemetry {
     /// Static metadata (identity, lifecycle, backup configuration).
     pub meta: ServerMeta,

@@ -12,11 +12,11 @@
 
 use crate::blobstore::Blob;
 use crate::server::ServerId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt::Write as _;
 
 /// One telemetry row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LoadRecord {
     /// Server the sample belongs to.
     pub server_id: ServerId,

@@ -1,11 +1,11 @@
 //! Server identity, lifecycle, and backup configuration.
 
 use seagull_timeseries::Timestamp;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A fleet-unique server identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct ServerId(pub u64);
 
@@ -21,7 +21,7 @@ impl fmt::Display for ServerId {
 /// (Definitions 3–6 of the paper, implemented in `seagull-core::classify`)
 /// must *recover* this structure from the load alone; experiments compare the
 /// recovered classes against these labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum GeneratedClass {
     /// Near-constant load.
     Stable,
@@ -50,7 +50,7 @@ impl GeneratedClass {
 /// The paper's motivation: backups are scheduled "by an automated workflow
 /// that does not take typical customer activity patterns into account", so
 /// the default start time is arbitrary relative to load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BackupConfig {
     /// Minute-of-day when the default full backup begins (0..1440).
     pub default_start_minute: u32,
@@ -70,7 +70,7 @@ impl BackupConfig {
 }
 
 /// Static metadata for one server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServerMeta {
     /// Fleet-unique identifier.
     pub id: ServerId,

@@ -21,10 +21,10 @@
 
 use crate::server::GeneratedClass;
 use seagull_timeseries::{Timestamp, MINUTES_PER_DAY};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of a server's load shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ShapeParams {
     /// Baseline load level (CPU %).
     pub base_load: f64,
@@ -55,7 +55,7 @@ impl Default for ShapeParams {
 }
 
 /// A deterministic load generator for one server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LoadShape {
     kind: GeneratedClass,
     seed: u64,

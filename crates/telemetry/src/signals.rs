@@ -16,10 +16,10 @@
 
 use crate::shape::LoadShape;
 use seagull_timeseries::{TimeSeries, Timestamp};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The telemetry signals Seagull can consume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SignalKind {
     /// Average customer CPU load percentage (the paper's deployed signal).
     Cpu,

@@ -19,10 +19,10 @@
 //! [`detect_anomalies`]).
 
 use crate::series::TimeSeries;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Detector parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AnomalyConfig {
     /// Rolling window half-width in grid points (window = 2w+1 points).
     pub half_window: usize,
@@ -40,7 +40,7 @@ impl Default for AnomalyConfig {
 }
 
 /// One detected anomaly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LoadAnomaly {
     /// Index into the series.
     pub index: usize,

@@ -4,7 +4,7 @@
 //! load patterns (paper Definitions 5 and 6), so whole-day and whole-week
 //! arithmetic shows up throughout the system.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Minutes in an hour.
@@ -15,7 +15,7 @@ pub const MINUTES_PER_DAY: i64 = 24 * MINUTES_PER_HOUR;
 pub const MINUTES_PER_WEEK: i64 = 7 * MINUTES_PER_DAY;
 
 /// Day of the week. The Unix epoch (1970-01-01) is a Thursday.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum DayOfWeek {
     Monday,
     Tuesday,

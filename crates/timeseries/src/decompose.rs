@@ -14,10 +14,10 @@
 //! difference of prefix sums); the strengths are O(n) with no temporaries.
 
 use crate::series::TimeSeries;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An additive decomposition `value = trend + seasonal + residual`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Decomposition {
     /// Period in grid points.
     pub period: usize,

@@ -7,7 +7,7 @@
 
 use crate::calendar::MINUTES_PER_DAY;
 use crate::time::Timestamp;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
 
@@ -108,7 +108,7 @@ pub struct TimeSeries {
 /// The serde-facing shape of a [`TimeSeries`]. Kept identical to the
 /// pre-view representation (`start`, `step_min`, `values`) so documents and
 /// exports are unchanged by the shared-storage refactor.
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct SeriesRepr {
     start: Timestamp,
     step_min: u32,
@@ -126,16 +126,6 @@ impl Serialize for TimeSeries {
             values: self.values().to_vec(),
         }
         .serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for TimeSeries {
-    fn deserialize<D>(deserializer: D) -> Result<TimeSeries, D::Error>
-    where
-        D: serde::Deserializer<'de>,
-    {
-        let repr = SeriesRepr::deserialize(deserializer)?;
-        TimeSeries::new(repr.start, repr.step_min, repr.values).map_err(serde::de::Error::custom)
     }
 }
 

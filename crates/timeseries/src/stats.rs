@@ -5,7 +5,7 @@
 //! selects its order statistics from it, and [`SummaryStats::compute`] one
 //! NaN-free copy for its sums besides.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Arithmetic mean. Returns NaN for an empty slice.
 pub fn mean(values: &[f64]) -> f64 {
@@ -138,7 +138,7 @@ fn stable_rank(values: &[f64], picked: f64, k: usize) -> f64 {
 }
 
 /// A bundle of summary statistics. Used by the feature-extraction module.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SummaryStats {
     pub count: usize,
     pub missing: usize,

@@ -1,7 +1,7 @@
 //! Minute-resolution timestamps.
 
 use crate::calendar::{DayOfWeek, MINUTES_PER_DAY, MINUTES_PER_WEEK};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -11,9 +11,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// All Seagull telemetry is gridded at five- or fifteen-minute resolution
 /// (paper Sections 2.2 and A.1), so minutes are exact. Negative values are
 /// permitted (times before the epoch) although they never occur in practice.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct Timestamp(pub i64);
 

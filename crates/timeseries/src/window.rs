@@ -4,11 +4,11 @@
 //! fixed-length window over a day of load samples; [`min_mean_window`] is the
 //! O(n) prefix-sum implementation used by `seagull-core::metrics`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Result of a window scan: the starting index of the chosen window and the
 /// mean of the values inside it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WindowStat {
     /// Index of the first point in the window.
     pub start_index: usize,

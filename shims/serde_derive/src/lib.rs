@@ -1,13 +1,12 @@
-//! In-tree stand-in for `serde_derive`: `#[derive(Serialize, Deserialize)]`
-//! for the item shapes the seagull crates use, written against the bare
-//! `proc_macro` API (no `syn` / `quote`), re-exported by the `serde`
-//! stand-in. The generated impls name `::serde`, the name every crate here
-//! imports that stand-in under.
+//! In-tree stand-in for `serde_derive`: `#[derive(Serialize)]` for the item
+//! shapes the seagull crates use, written against the bare `proc_macro` API
+//! (no `syn` / `quote`), re-exported by the `serde` stand-in. The generated
+//! impls name `::serde`, the name every crate here imports that stand-in
+//! under.
 //!
 //! Supported: structs with named fields, tuple and unit structs, and enums
-//! with unit, tuple and struct variants; no generics. Attributes honoured:
-//! `#[serde(transparent)]` on a struct, and `#[serde(default)]` /
-//! `#[serde(default = "path")]` on a named field; any other `#[serde(..)]`
+//! with unit, tuple and struct variants; no generics. The one attribute
+//! honoured is `#[serde(transparent)]` on a struct; any other `#[serde(..)]`
 //! is ignored. The emitted JSON shapes are serde's defaults (see the `serde`
 //! stand-in).
 
@@ -15,15 +14,9 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// A named field and how a missing value is filled in.
-struct Field {
-    name: String,
-    /// `None`: required; `Some("")`: `Default::default`; `Some(path)`: `path()`.
-    default: Option<String>,
-}
-
 enum Shape {
-    Named(Vec<Field>),
+    /// The field names.
+    Named(Vec<String>),
     Tuple(usize),
     Unit,
 }
@@ -103,34 +96,16 @@ fn split_commas(tokens: Vec<TokenTree>) -> Vec<Vec<TokenTree>> {
     parts
 }
 
-fn parse_default(args: &[String]) -> Option<String> {
-    for arg in args {
-        let arg = arg.trim();
-        if arg == "default" {
-            return Some(String::new());
-        }
-        if let Some(rest) = arg.strip_prefix("default") {
-            let path = rest.trim().trim_start_matches('=').trim().trim_matches('"');
-            return Some(path.to_string());
-        }
-    }
-    None
-}
-
-fn parse_named(group: TokenStream) -> Vec<Field> {
+fn parse_named(group: TokenStream) -> Vec<String> {
     split_commas(group.into_iter().collect())
         .into_iter()
         .map(|tokens| {
             let mut i = 0;
-            let args = take_attrs(&tokens, &mut i);
+            take_attrs(&tokens, &mut i);
             skip_visibility(&tokens, &mut i);
-            let name = match tokens.get(i) {
+            match tokens.get(i) {
                 Some(TokenTree::Ident(id)) => id.to_string(),
                 other => panic!("serde stand-in: expected a field name, found {other:?}"),
-            };
-            Field {
-                name,
-                default: parse_default(&args),
             }
         })
         .collect()
@@ -188,12 +163,12 @@ fn parse_item(input: TokenStream) -> Item {
 }
 
 /// `Value` expression serializing named fields reachable as `{prefix}{name}`.
-fn ser_named(fields: &[Field], prefix: &str) -> String {
+fn ser_named(fields: &[String], prefix: &str) -> String {
     let mut out = String::from("{ let mut __m = ::serde::Map::new();");
     for f in fields {
         out += &format!(
             "__m.insert(\"{0}\".to_string(), ::serde::__private::ser::<_, __S::Error>(&{1}{0})?);",
-            f.name, prefix
+            f, prefix
         );
     }
     out + "::serde::Value::Object(__m) }"
@@ -209,47 +184,6 @@ fn ser_tuple(names: &[String]) -> String {
         .map(|n| format!("::serde::__private::ser::<_, __S::Error>({n})?"))
         .collect();
     format!("::serde::Value::Array(vec![{}])", items.join(","))
-}
-
-/// Struct-literal body `{ a: .., b: .. }` read out of the object `__v`.
-fn de_named(fields: &[Field], ty: &str) -> String {
-    let mut out =
-        format!("{{ let mut __m = ::serde::__private::object::<__D::Error>(__v, \"{ty}\")?; ");
-    out += &format!("{ty} {{");
-    for f in fields {
-        out += &match f.default.as_deref() {
-            None => format!(
-                "{0}: ::serde::__private::field::<_, __D::Error>(&mut __m, \"{0}\")?,",
-                f.name
-            ),
-            Some("") => format!(
-                "{0}: ::serde::__private::field_or::<_, __D::Error>(&mut __m, \"{0}\", ::core::default::Default::default)?,",
-                f.name
-            ),
-            Some(path) => format!(
-                "{0}: ::serde::__private::field_or::<_, __D::Error>(&mut __m, \"{0}\", {path})?,",
-                f.name
-            ),
-        };
-    }
-    out + "} }"
-}
-
-/// Tuple-constructor call `Ty(.., ..)` read out of the value `__v`.
-fn de_tuple(len: usize, ty: &str) -> String {
-    if len == 1 {
-        return format!("{ty}(::serde::__private::de::<_, __D::Error>(__v)?)");
-    }
-    let items: Vec<String> = (0..len)
-        .map(|_| {
-            "::serde::__private::de::<_, __D::Error>(__it.next().expect(\"length checked\"))?"
-                .to_string()
-        })
-        .collect();
-    format!(
-        "{{ let mut __it = ::serde::__private::array::<__D::Error>(__v, {len}, \"{ty}\")?.into_iter(); {ty}({}) }}",
-        items.join(",")
-    )
 }
 
 fn bindings(len: usize) -> Vec<String> {
@@ -269,7 +203,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                 Shape::Named(fields) if transparent => {
                     format!(
                         "::serde::__private::ser::<_, __S::Error>(&self.{})?",
-                        fields[0].name
+                        fields[0]
                     )
                 }
                 Shape::Named(fields) => ser_named(fields, "self."),
@@ -298,10 +232,9 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         )
                     }
                     Shape::Named(fields) => {
-                        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
                         format!(
                             "{name}::{vn} {{ {} }} => ::serde::__private::tagged(\"{vn}\", {}),",
-                            names.join(","),
+                            fields.join(","),
                             ser_named(fields, "")
                         )
                     }
@@ -320,62 +253,4 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     )
     .parse()
     .expect("serde stand-in: generated Serialize impl parses")
-}
-
-/// Derives `serde::Deserialize`.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let (name, body) = match parse_item(input) {
-        Item::Struct {
-            name,
-            shape,
-            transparent,
-        } => {
-            let body = match &shape {
-                Shape::Named(fields) if transparent => format!(
-                    "{name} {{ {}: ::serde::__private::de::<_, __D::Error>(__v)? }}",
-                    fields[0].name
-                ),
-                Shape::Named(fields) => de_named(fields, &name),
-                Shape::Tuple(len) => de_tuple(*len, &name),
-                Shape::Unit => name.clone(),
-            };
-            (name, format!("Ok({body})"))
-        }
-        Item::Enum { name, variants } => {
-            let mut arms = String::new();
-            for v in &variants {
-                let vn = &v.name;
-                let path = format!("{name}::{vn}");
-                let build = match &v.shape {
-                    Shape::Unit => path.clone(),
-                    Shape::Tuple(len) => de_tuple(*len, &path),
-                    Shape::Named(fields) => de_named(fields, &path),
-                };
-                arms += &format!("\"{vn}\" => Ok({build}),");
-            }
-            (
-                name.clone(),
-                format!(
-                    "let (__name, __v) = ::serde::__private::variant::<__D::Error>(__v, \"{name}\")?;
-                     let _ = &__v;
-                     match __name.as_str() {{
-                         {arms}
-                         __other => Err(::serde::__private::unknown_variant::<__D::Error>(__other, \"{name}\")),
-                     }}"
-                ),
-            )
-        }
-    };
-    format!(
-        "impl<'de> ::serde::Deserialize<'de> for {name} {{
-            fn deserialize<__D: ::serde::Deserializer<'de>>(__d: __D) -> ::core::result::Result<Self, __D::Error> {{
-                let __v = ::serde::Deserializer::into_value(__d)?;
-                let _ = &__v;
-                {body}
-            }}
-        }}"
-    )
-    .parse()
-    .expect("serde stand-in: generated Deserialize impl parses")
 }

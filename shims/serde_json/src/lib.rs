@@ -1,16 +1,15 @@
 //! In-tree stand-in for the part of `serde_json` 1.x that the seagull crates
 //! use, imported under the name `serde_json`: the [`Value`] tree (defined by
 //! the `serde` stand-in, whose `Display` is the JSON writer), conversion to
-//! and from it, a JSON reader, and [`json!`]. Objects keep their keys sorted,
-//! as serde_json does without `preserve_order`; floats print with Rust's
-//! shortest round-trip form.
+//! it, a JSON reader that yields a [`Value`], and [`json!`]. Objects keep
+//! their keys sorted, as serde_json does without `preserve_order`; floats
+//! print with Rust's shortest round-trip form.
 
 #![forbid(unsafe_code)]
 
-use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-pub use serde::{from_value, to_value, Error, Map, Value};
+pub use serde::{to_value, Error, Map, Value};
 
 /// Result alias, as in serde_json.
 pub type Result<T> = std::result::Result<T, Error>;
@@ -187,18 +186,44 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Value> {
+    /// Skips a run of digits; at least one must be there.
+    fn digits(&mut self) -> Result<()> {
         let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
+        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        if text.is_empty() {
-            return Err(self.error("unexpected character"));
+        if self.pos == start {
+            return Err(self.error("invalid number"));
         }
+        Ok(())
+    }
+
+    /// A number as JSON's grammar has it: an optional `-`; `0`, or a digit
+    /// run not led by `0`; optionally `.` and digits; optionally `e` or `E`,
+    /// an optional sign and digits. Checked before Rust's `parse`, which
+    /// also takes `+1`, `01`, `.5` and `1.`.
+    fn number(&mut self) -> Result<Value> {
+        let start = self.pos;
+        if self.bytes.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
+        }
+        match self.bytes.get(self.pos) {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits()?,
+            _ => return Err(self.error("invalid number")),
+        }
+        if self.bytes.get(self.pos) == Some(&b'.') {
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.bytes.get(self.pos), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.bytes.get(self.pos), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         if let Ok(n) = text.parse::<u64>() {
             return Ok(Value::U64(n));
         }
@@ -215,6 +240,7 @@ impl Parser<'_> {
         let digits = self
             .bytes
             .get(self.pos..self.pos + 4)
+            .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
             .and_then(|d| std::str::from_utf8(d).ok())
             .and_then(|d| u32::from_str_radix(d, 16).ok())
             .ok_or_else(|| self.error("invalid \\u escape"))?;
@@ -257,17 +283,22 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let mut code = self.hex4()?;
-                            if (0xd800..0xdc00).contains(&code)
-                                && self.bytes[self.pos..].starts_with(b"\\u")
-                            {
-                                self.pos += 2;
-                                let low = self.hex4()?;
-                                code = 0x10000
-                                    + ((code - 0xd800) << 10)
-                                    + (low.wrapping_sub(0xdc00) & 0x3ff);
-                            }
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let code = match self.hex4()? {
+                                high @ 0xd800..=0xdbff => {
+                                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                                        return Err(self.error("unpaired surrogate"));
+                                    }
+                                    self.pos += 2;
+                                    let low = self.hex4()?;
+                                    if !(0xdc00..=0xdfff).contains(&low) {
+                                        return Err(self.error("unpaired surrogate"));
+                                    }
+                                    0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00)
+                                }
+                                0xdc00..=0xdfff => return Err(self.error("unpaired surrogate")),
+                                code => code,
+                            };
+                            out.push(char::from_u32(code).expect("a scalar value"));
                         }
                         _ => return Err(self.error("invalid escape")),
                     }
@@ -277,20 +308,20 @@ impl Parser<'_> {
     }
 }
 
-/// Parses JSON text into a `T`.
-pub fn from_str<T: DeserializeOwned>(text: &str) -> Result<T> {
+/// Parses JSON text into a [`Value`].
+pub fn from_str(text: &str) -> Result<Value> {
     from_slice(text.as_bytes())
 }
 
-/// Parses JSON bytes into a `T`.
-pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
+/// Parses JSON bytes into a [`Value`].
+pub fn from_slice(bytes: &[u8]) -> Result<Value> {
     let mut parser = Parser { bytes, pos: 0 };
     let value = parser.value()?;
     parser.skip_ws();
     if parser.pos != bytes.len() {
         return Err(parser.error("trailing characters"));
     }
-    from_value(value)
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -343,8 +374,30 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(from_str::<Value>("{\"a\":}").is_err());
-        assert!(from_str::<Value>("[1,2").is_err());
-        assert!(from_str::<Value>("1 2").is_err());
+        for text in [
+            "{\"a\":}", "[1,2", "1 2", "+1", "01", ".5", "1.", "1e", "-", "[1.e3]",
+        ] {
+            assert!(from_str(text).is_err(), "{text} parsed");
+        }
+        // A `\u` escape is four hex digits, not a number `from_str_radix` takes.
+        assert!(from_str(r#""\u+041""#).is_err());
+        for (text, value) in [("0", Value::U64(0)), ("-12", Value::I64(-12))] {
+            assert_eq!(from_str(text), Ok(value));
+        }
+        assert_eq!(from_str("-0.5E+1"), Ok(Value::F64(-5.0)));
+    }
+
+    #[test]
+    fn surrogates_pair_or_the_string_is_refused() {
+        let pair = from_str(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(pair.as_str(), Some("\u{1f600}"));
+        for text in [
+            r#""\ud800A""#,
+            r#""\ud800\u0041""#,
+            r#""\udc00""#,
+            r#""\ud800""#,
+        ] {
+            assert!(from_str(text).is_err(), "{text} parsed");
+        }
     }
 }
