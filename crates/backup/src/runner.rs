@@ -116,13 +116,6 @@ impl RunnerService {
         }
     }
 
-    /// Overrides the retry policy and its jitter seed.
-    pub fn with_retry(mut self, retry: RetryPolicy, seed: u64) -> RunnerService {
-        self.retry = retry;
-        self.retry_seed = seed;
-        self
-    }
-
     /// Shares an external observability handle (e.g. the pipeline's).
     pub fn with_obs(mut self, obs: Obs) -> RunnerService {
         self.obs = obs;

@@ -175,12 +175,16 @@ impl BackupScheduler {
     /// of fitting a model inline.
     ///
     /// This is the production split the serving layer exists for: the
-    /// pipeline applies the existence/predictability gates when it
-    /// materializes predictions, so a server *absent* from the snapshot was
-    /// gated out (mapped to [`DefaultReason::NotPredictable`]), while a
-    /// shed request, missing snapshot, or uncovered day keeps the default
-    /// window as [`DefaultReason::PredictionFailed`]. Either way the
-    /// scheduler never trains a model on the request path.
+    /// scheduler never trains a model on the request path. It applies
+    /// neither gate of [`BackupScheduler::schedule_server`]: the pipeline
+    /// predicts every server it has any history for, without the existence
+    /// or Definition 9 predictability check, so a server the snapshot covers
+    /// is rescheduled even where the inline path would keep the default as
+    /// [`DefaultReason::TooYoung`] or [`DefaultReason::NotPredictable`]. A
+    /// server *absent* from the snapshot maps to
+    /// [`DefaultReason::NotPredictable`]; a shed request, missing snapshot,
+    /// or uncovered day keeps the default window as
+    /// [`DefaultReason::PredictionFailed`].
     pub fn schedule_server_served(
         &self,
         serve: &ServeService,

@@ -11,6 +11,10 @@
 //! per iteration: the median and quartiles of 50 samples of about 10 ms
 //! each. Run without `--bench` (`cargo test --benches`), each row runs once.
 
+use seagull_bench::zoo::additive::FitMethod;
+use seagull_bench::zoo::{
+    AdditiveConfig, AdditiveForecaster, FeedForwardConfig, FeedForwardForecaster,
+};
 use seagull_core::classify::{classify_series, ClassifyConfig};
 use seagull_core::docstore::DocStore;
 use seagull_core::features::extract_server_features;
@@ -18,11 +22,7 @@ use seagull_core::metrics::{bucket_ratio, evaluate_low_load, AccuracyConfig, Err
 use seagull_core::par::parallel_map;
 use seagull_core::pipeline::{DeployEvent, PredictionDoc};
 use seagull_core::validation::{validate_columnar, DataProfile};
-use seagull_forecast::additive::FitMethod;
-use seagull_forecast::{
-    AdditiveConfig, AdditiveForecaster, FeedForwardConfig, FeedForwardForecaster, Forecaster,
-    PersistentForecast, SsaForecaster,
-};
+use seagull_forecast::{Forecaster, PersistentForecast, SsaForecaster};
 use seagull_linalg::{hankel_gram, kernel};
 use seagull_serve::{decode_snapshot, encode_snapshot, ModelSnapshot, ServeService};
 use seagull_telemetry::blobstore::{BlobStore, MemoryBlobStore};

@@ -13,7 +13,7 @@
 //! so *no* database would ever classify as stable regardless of how flat it
 //! is. With the default budget the paper's measured 19.36 % stable share is
 //! reproduced by the synthetic SQL population
-//! ([`crate::evaluate::sql_fleet_spec`]).
+//! ([`super::evaluate::sql_fleet_spec`]).
 
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_timeseries::{TimeSeries, Timestamp};
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn fleet_percentage_matches_paper_ballpark() {
         use seagull_telemetry::fleet::FleetGenerator;
-        let spec = crate::evaluate::sql_fleet_spec(9, 600);
+        let spec = crate::autoscale::evaluate::sql_fleet_spec(9, 600);
         let fleet = FleetGenerator::new(spec).generate_weeks(1);
         let report = classify_sql_fleet(&fleet, &StableDbConfig::default());
         assert_eq!(report.databases, 600);

@@ -115,9 +115,8 @@ pub fn evaluate_models(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seagull_forecast::{
-        ArimaConfig, ArimaForecaster, FeedForwardConfig, FeedForwardForecaster, PersistentForecast,
-    };
+    use crate::zoo::{ArimaConfig, ArimaForecaster, FeedForwardConfig, FeedForwardForecaster};
+    use seagull_forecast::PersistentForecast;
     use seagull_telemetry::fleet::FleetGenerator;
 
     fn small_sql_fleet() -> (Vec<ServerTelemetry>, i64) {

@@ -1,5 +1,3 @@
-//! # seagull-autoscale
-//!
 //! The second Seagull use case: preemptive auto-scale of Azure SQL databases
 //! (Appendix A of the paper).
 //!
@@ -14,9 +12,10 @@
 //! * [`evaluate`] — the Figure 16/17 harness: per-model accuracy (Mean
 //!   NRMSE, MASE) and training/inference/accuracy-evaluation runtime for a
 //!   24-hour-ahead forecast per database.
+//! * [`policy`] — predicted load → allocation on a SKU ladder → simulated
+//!   outcome, against a reactive baseline.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod classify;
 pub mod evaluate;

@@ -197,7 +197,7 @@ pub fn evaluate_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::sql_fleet_spec;
+    use crate::autoscale::evaluate::sql_fleet_spec;
     use seagull_forecast::PersistentForecast;
     use seagull_telemetry::fleet::FleetGenerator;
 

@@ -4,7 +4,7 @@
 //! standard and premium SQL databases during one month in 2019 and concluded
 //! that 19.36 % of them are stable" (Definition 10).
 
-use seagull_autoscale::{classify_sql_fleet, sql_fleet_spec, StableDbConfig};
+use seagull_bench::autoscale::{classify_sql_fleet, sql_fleet_spec, StableDbConfig};
 use seagull_bench::{emit_json, scale, Scale, Table};
 use seagull_telemetry::fleet::FleetGenerator;
 use serde_json::json;

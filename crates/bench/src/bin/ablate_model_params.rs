@@ -6,13 +6,13 @@
 //! configuration: the two low-load metrics plus total fit time — the
 //! accuracy/scalability trade-off Section 2.1 says governs model choice.
 
+use seagull_bench::zoo::additive::FitMethod;
+use seagull_bench::zoo::{
+    AdditiveConfig, AdditiveForecaster, FeedForwardConfig, FeedForwardForecaster,
+};
 use seagull_bench::{emit_json, fleets, Table};
 use seagull_core::evaluate::{evaluate_fleet_week, AccuracySummary, EvaluationConfig};
-use seagull_forecast::additive::FitMethod;
-use seagull_forecast::{
-    AdditiveConfig, AdditiveForecaster, FeedForwardConfig, FeedForwardForecaster, Forecaster,
-    SsaConfig, SsaForecaster,
-};
+use seagull_forecast::{Forecaster, SsaConfig, SsaForecaster};
 use serde_json::json;
 use std::time::Instant;
 

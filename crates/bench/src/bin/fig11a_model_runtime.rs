@@ -8,11 +8,9 @@
 //! from the paper's testbed; the *ordering* and the linear scaling are the
 //! reproduction targets.
 
+use seagull_bench::zoo::{AdditiveForecaster, ArimaConfig, ArimaForecaster, FeedForwardForecaster};
 use seagull_bench::{emit_json, fleets, scale, Scale, Table};
-use seagull_forecast::{
-    AdditiveForecaster, ArimaConfig, ArimaForecaster, FeedForwardForecaster, Forecaster,
-    PersistentForecast, SsaForecaster,
-};
+use seagull_forecast::{Forecaster, PersistentForecast, SsaForecaster};
 use seagull_timeseries::Timestamp;
 use serde_json::json;
 use std::time::{Duration, Instant};

@@ -7,16 +7,14 @@
 //! deploys on: "the accuracy of ML models is not significantly higher than
 //! the accuracy of persistent forecast."
 
+use seagull_bench::zoo::additive::FitMethod;
+use seagull_bench::zoo::{AdditiveConfig, AdditiveForecaster, FeedForwardForecaster};
 use seagull_bench::{emit_json, fleets, scale, Scale, Table};
 use seagull_core::evaluate::{
     evaluate_fleet_week, predictability_fleet, predictable_pct, AccuracySummary, EvaluationConfig,
 };
 use seagull_core::par::default_threads;
-use seagull_forecast::additive::FitMethod;
-use seagull_forecast::{
-    AdditiveConfig, AdditiveForecaster, FeedForwardForecaster, Forecaster, PersistentForecast,
-    SsaForecaster,
-};
+use seagull_forecast::{Forecaster, PersistentForecast, SsaForecaster};
 use serde_json::json;
 
 fn main() -> std::io::Result<()> {

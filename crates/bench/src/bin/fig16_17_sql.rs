@@ -8,13 +8,11 @@
 //! also finds the middle ground between accuracy and computational
 //! overhead."
 
-use seagull_autoscale::{evaluate_models, sql_fleet_spec};
+use seagull_bench::autoscale::{evaluate_models, sql_fleet_spec};
+use seagull_bench::zoo::{ArimaConfig, ArimaForecaster, FeedForwardConfig, FeedForwardForecaster};
 use seagull_bench::{emit_json, scale, Scale, Table};
 use seagull_core::par::default_threads;
-use seagull_forecast::{
-    ArimaConfig, ArimaForecaster, FeedForwardConfig, FeedForwardForecaster, Forecaster,
-    PersistentForecast,
-};
+use seagull_forecast::{Forecaster, PersistentForecast};
 use seagull_telemetry::fleet::FleetGenerator;
 use serde_json::json;
 

@@ -6,6 +6,7 @@
 //! both text exports and verifies the stable export is byte-identical
 //! across two identical runs before exiting.
 
+use seagull_bench::spans::parse_span_json_lines;
 use seagull_bench::{emit_json, fleets};
 use seagull_core::dashboard::Dashboard;
 use seagull_core::pipeline::{AmlPipeline, PipelineConfig};
@@ -82,7 +83,7 @@ fn main() -> std::io::Result<()> {
             .any(|s| s.name == "seagull_retry_attempts_total"),
         "retry counters exported"
     );
-    let reparsed = export::parse_span_json_lines(&span_lines).expect("spans re-parse");
+    let reparsed = parse_span_json_lines(&span_lines).expect("spans re-parse");
     assert_eq!(reparsed.len(), spans.len(), "every span round-trips");
     assert!(
         spans.iter().any(|s| s.name == "run-week"),

@@ -14,7 +14,7 @@
 //! [`FitMethod::Exact`] solves the same objective in closed form via ridge
 //! regression for callers that just want the model.
 
-use crate::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
+use seagull_forecast::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
 use seagull_linalg::{ridge_regression, Matrix};
 use seagull_timeseries::{TimeSeries, Timestamp, MINUTES_PER_DAY, MINUTES_PER_WEEK};
 use serde::Serialize;
@@ -247,7 +247,7 @@ impl FittedModel for FittedAdditive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{daily_sine, rmse};
+    use crate::zoo::testutil::{daily_sine, rmse};
 
     fn exact() -> AdditiveForecaster {
         AdditiveForecaster::new(AdditiveConfig {

@@ -17,7 +17,7 @@
 //! simplification of the multiplicative Box–Jenkins polynomial; for load
 //! telemetry the difference is far below the noise floor).
 
-use crate::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
+use seagull_forecast::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
 use seagull_linalg::{least_squares, Matrix};
 use seagull_timeseries::TimeSeries;
 use serde::Serialize;
@@ -213,8 +213,7 @@ impl Forecaster for ArimaForecaster {
         check_history(history, min_needed)?;
 
         let effective = if c.prescreen {
-            let (p_cap, q_cap) =
-                crate::diagnostics::suggest_orders(history.values(), c.max_p.max(c.max_q));
+            let (p_cap, q_cap) = suggest_orders(history.values(), c.max_p.max(c.max_q));
             ArimaConfig {
                 max_p: c.max_p.min(p_cap.max(1)),
                 max_q: c.max_q.min(q_cap),
@@ -516,11 +515,103 @@ impl FittedModel for FittedArima {
     }
 }
 
+// Box–Jenkins order identification: the PACF cutoff suggests the AR order,
+// the ACF cutoff the MA order. `ArimaConfig::prescreen` caps the order grid
+// with them, which is also how pmdarima keeps its search tractable.
+
+/// Sample autocorrelation for lags `0..=max_lag` (index 0 is always 1).
+///
+/// Returns an empty vector for series shorter than 2 points or with zero
+/// variance.
+fn acf(series: &[f64], max_lag: usize) -> Vec<f64> {
+    let n = series.len();
+    if n < 2 {
+        return Vec::new();
+    }
+    let mean = seagull_timeseries::mean(series);
+    let denom: f64 = series.iter().map(|v| (v - mean) * (v - mean)).sum();
+    if denom <= 1e-12 {
+        return Vec::new();
+    }
+    let max_lag = max_lag.min(n - 1);
+    let mut out = Vec::with_capacity(max_lag + 1);
+    for lag in 0..=max_lag {
+        let num: f64 = series[lag..]
+            .iter()
+            .zip(series)
+            .map(|(a, b)| (a - mean) * (b - mean))
+            .sum();
+        out.push(num / denom);
+    }
+    out
+}
+
+/// Partial autocorrelation for lags `1..=max_lag` via the Durbin–Levinson
+/// recursion. `pacf(x, k)[0]` is the lag-1 partial autocorrelation.
+fn pacf(series: &[f64], max_lag: usize) -> Vec<f64> {
+    let rho = acf(series, max_lag);
+    if rho.len() < 2 {
+        return Vec::new();
+    }
+    let max_lag = rho.len() - 1;
+    let mut phi_prev = vec![0.0f64; max_lag + 1];
+    let mut phi = vec![0.0f64; max_lag + 1];
+    let mut out = Vec::with_capacity(max_lag);
+    // k = 1.
+    phi_prev[1] = rho[1];
+    out.push(rho[1]);
+    let mut v = 1.0 - rho[1] * rho[1];
+    for k in 2..=max_lag {
+        let mut num = rho[k];
+        for j in 1..k {
+            num -= phi_prev[j] * rho[k - j];
+        }
+        if v.abs() <= 1e-12 {
+            out.push(0.0);
+            continue;
+        }
+        let phi_kk = num / v;
+        for j in 1..k {
+            phi[j] = phi_prev[j] - phi_kk * phi_prev[k - j];
+        }
+        phi[k] = phi_kk;
+        v *= 1.0 - phi_kk * phi_kk;
+        phi_prev[..=k].copy_from_slice(&phi[..=k]);
+        out.push(phi_kk);
+    }
+    out
+}
+
+/// Suggests `(max_p, max_q)` for an ARIMA grid from the significant PACF and
+/// ACF lags (cutoff at the usual ±1.96/√n band), capped at `cap`.
+fn suggest_orders(series: &[f64], cap: usize) -> (usize, usize) {
+    let n = series.len();
+    if n < 10 {
+        return (cap, cap);
+    }
+    let band = 1.96 / (n as f64).sqrt();
+    let last_significant = |vals: &[f64]| {
+        vals.iter()
+            .rposition(|v| v.abs() > band)
+            .map(|i| i + 1)
+            .unwrap_or(0)
+    };
+    let rho = acf(series, cap);
+    if rho.len() <= 1 {
+        // Degenerate series (constant / too short): no information, keep the
+        // full grid.
+        return (cap, cap);
+    }
+    let p = last_significant(&pacf(series, cap));
+    let q = last_significant(&rho[1..]);
+    (p.min(cap), q.min(cap))
+}
+
 #[cfg(test)]
 mod tests {
     // (prescreen coverage lives in `prescreen_caps_grid` below)
     use super::*;
-    use crate::testutil::{daily_sine, rmse};
+    use crate::zoo::testutil::{daily_sine, rmse};
     use seagull_timeseries::{TimeSeries, Timestamp};
 
     fn nonseasonal() -> ArimaForecaster {
@@ -700,5 +791,74 @@ mod tests {
         for v in pred.values() {
             assert!((0.0..=100.0).contains(v));
         }
+    }
+
+    fn ar1(phi: f64, n: usize) -> Vec<f64> {
+        // Deterministic AR(1) sequence driven by well-mixed hash noise.
+        let mut x = 0.0f64;
+        (0..n)
+            .map(|i| {
+                let mut h = (i as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+                h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                h ^= h >> 31;
+                let e = ((h >> 11) as f64 / (1u64 << 53) as f64) - 0.5;
+                x = phi * x + e;
+                x
+            })
+            .collect()
+    }
+
+    #[test]
+    fn acf_lag_zero_is_one() {
+        let x = ar1(0.7, 500);
+        let r = acf(&x, 10);
+        assert!((r[0] - 1.0).abs() < 1e-12);
+        assert_eq!(r.len(), 11);
+    }
+
+    #[test]
+    fn acf_of_ar1_decays_geometrically() {
+        let x = ar1(0.8, 4000);
+        let r = acf(&x, 3);
+        assert!(r[1] > 0.6, "lag1 {}", r[1]);
+        // rho(2) ≈ rho(1)^2 for AR(1).
+        assert!(
+            (r[2] - r[1] * r[1]).abs() < 0.1,
+            "{} vs {}",
+            r[2],
+            r[1] * r[1]
+        );
+    }
+
+    #[test]
+    fn pacf_of_ar1_cuts_off_after_lag_one() {
+        let x = ar1(0.8, 4000);
+        let p = pacf(&x, 6);
+        assert!(p[0] > 0.6, "lag1 pacf {}", p[0]);
+        for (i, v) in p.iter().enumerate().skip(1) {
+            assert!(v.abs() < 0.1, "pacf lag {} = {v}", i + 1);
+        }
+    }
+
+    #[test]
+    fn degenerate_inputs() {
+        assert!(acf(&[1.0], 3).is_empty());
+        assert!(acf(&[2.0; 50], 3).is_empty(), "zero variance");
+        assert!(pacf(&[1.0, 2.0], 0).is_empty());
+    }
+
+    #[test]
+    fn suggest_orders_for_ar_process() {
+        let x = ar1(0.8, 3000);
+        let (p, q) = suggest_orders(&x, 5);
+        assert!(p >= 1, "AR structure detected: p={p}");
+        assert!(q <= 5);
+        let flat = vec![0.0; 3000];
+        assert_eq!(
+            suggest_orders(&flat, 5),
+            (5, 5),
+            "degenerate falls back to cap"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! normalization, and multi-step rollout for horizons longer than the
 //! prediction window.
 
-use crate::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
+use seagull_forecast::{check_history, FittedModel, ForecastError, ForecastGrid, Forecaster};
 use seagull_linalg::kernel;
 use seagull_timeseries::rng::ChaCha8;
 use seagull_timeseries::TimeSeries;
@@ -392,7 +392,7 @@ impl AdamState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{daily_sine, rmse};
+    use crate::zoo::testutil::{daily_sine, rmse};
     use seagull_timeseries::{TimeSeries, Timestamp};
 
     fn fast_config() -> FeedForwardConfig {

@@ -682,15 +682,6 @@ impl StageChaos {
         }
     }
 
-    /// Adds a kill hook to an existing configuration.
-    pub fn with_kill(
-        mut self,
-        hook: impl Fn(&str, &str, i64) -> bool + Send + Sync + 'static,
-    ) -> StageChaos {
-        self.kill = Some(Arc::new(hook));
-        self
-    }
-
     /// Whether this attempt of `stage` should fail.
     pub fn should_fail(&self, stage: &str, region: &str, tick: i64, attempt: u32) -> bool {
         self.hook

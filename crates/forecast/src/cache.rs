@@ -10,7 +10,7 @@
 //! * the fingerprint and classification are unchanged (byte-identical
 //!   input ⇒ identical fit), or
 //! * the server is classified *stable*, the new history has the same shape,
-//!   and [`crate::diagnostics::series_drift`] does not flag a level/scale
+//!   and [`series_drift`] does not flag a level/scale
 //!   shift against the statistics captured at fit time, or
 //! * the new history's quantized shape sketch ([`shape_sketch`]) matches
 //!   the one captured at fit time and the same drift gate passes — a
@@ -38,9 +38,9 @@
 //! function of the input data, independent of thread count and region
 //! completion order.
 
-use crate::diagnostics::series_drift;
 use crate::FittedModel;
 use seagull_timeseries::{TimeSeries, MINUTES_PER_WEEK};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -129,6 +129,58 @@ struct CacheEntry {
     stamp: u64,
 }
 
+/// Verdict of [`series_drift`]: how far a series moved from a baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct DriftVerdict {
+    /// Level shift in baseline standard deviations (|Δmean| / σ₀).
+    pub level_shift: f64,
+    /// Scale ratio σ₁/σ₀ (1.0 when both are degenerate).
+    pub scale_ratio: f64,
+    /// Whether either signal crossed its drift threshold.
+    pub drifted: bool,
+}
+
+/// Level shift beyond this many baseline sigmas flags drift.
+const DRIFT_LEVEL_SIGMAS: f64 = 3.0;
+/// Scale ratio outside `[1/x, x]` flags drift.
+const DRIFT_SCALE_FACTOR: f64 = 2.5;
+
+/// Compare a series against baseline `(mean, std)` statistics captured at an
+/// earlier fit, flagging level or scale shifts that should invalidate a
+/// cached model (see [`ModelCache::lookup`]).
+///
+/// Deterministic and cheap (two passes over `values`). A near-constant
+/// baseline (σ₀ ≈ 0) falls back to a relative-mean gate so flat series
+/// don't flag drift on numeric noise.
+pub fn series_drift(baseline_mean: f64, baseline_std: f64, values: &[f64]) -> DriftVerdict {
+    if values.is_empty() {
+        return DriftVerdict {
+            level_shift: 0.0,
+            scale_ratio: 1.0,
+            drifted: false,
+        };
+    }
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+    let std = var.sqrt();
+    // Floor the denominator so flat baselines use a 5%-of-level gate.
+    let denom = baseline_std.max(0.05 * baseline_mean.abs()).max(1e-9);
+    let level_shift = (mean - baseline_mean).abs() / denom;
+    let scale_ratio = if baseline_std <= 1e-9 && std <= 1e-9 {
+        1.0
+    } else {
+        std / baseline_std.max(1e-9)
+    };
+    let drifted = level_shift > DRIFT_LEVEL_SIGMAS
+        || !(1.0 / DRIFT_SCALE_FACTOR..=DRIFT_SCALE_FACTOR).contains(&scale_ratio);
+    DriftVerdict {
+        level_shift,
+        scale_ratio,
+        drifted,
+    }
+}
+
 /// Why a lookup missed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MissReason {
@@ -139,7 +191,7 @@ pub enum MissReason {
     Fingerprint,
     /// The server's classification label changed.
     Class,
-    /// Stable reuse was considered but diagnostics flagged drift.
+    /// Stable reuse was considered but [`series_drift`] flagged drift.
     Drift,
 }
 

@@ -1,7 +1,7 @@
 //! # seagull-forecast
 //!
-//! The forecasting-model zoo of the Seagull paper (Section 5.1), implemented
-//! from scratch:
+//! The forecasting models a Seagull pipeline run can deploy (Section 5.1),
+//! implemented from scratch:
 //!
 //! * [`persistent`] — the three persistent-forecast heuristics (previous day,
 //!   previous equivalent day, previous-week average). These ended up being
@@ -9,43 +9,30 @@
 //!   day to predict low load for all servers".
 //! * [`ssa`] — singular spectrum analysis with recurrent forecasting, the
 //!   algorithm behind NimbusML/ML.NET's `SsaForecaster`.
-//! * [`feedforward`] — a simple feed-forward neural network estimator, the
-//!   GluonTS model the paper trains ("we train a simple feed forward
-//!   estimator").
-//! * [`additive`] — a Prophet-style additive model: piecewise-linear trend
-//!   with changepoints plus Fourier daily/weekly seasonality.
-//! * [`arima`] — ARIMA(p,d,q) with an automatic order grid search, matching
-//!   pmdarima's auto-ARIMA behaviour (and, as in the paper, its cost).
+//! * [`cache`] — the warm-model cache that lets a weekly run reuse last
+//!   week's fit.
 //!
 //! Every model implements [`Forecaster`], whose two-phase `fit` → `predict`
 //! split lets the evaluation harness time training and inference separately
-//! (paper Figure 11(a)).
+//! (paper Figure 11(a)). The Figure 11 baselines (ARIMA, the feed-forward
+//! network, the additive model) and the Section 5.2 per-class router are
+//! experiment code and live in `seagull-bench`'s `zoo` module.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod additive;
-pub mod arima;
 pub mod cache;
-pub mod diagnostics;
-pub mod feedforward;
 pub mod persistent;
-pub mod select;
 pub mod ssa;
 
 use seagull_timeseries::{TimeSeries, TimeSeriesError, Timestamp};
 use std::fmt;
 
-pub use additive::{AdditiveConfig, AdditiveForecaster};
-pub use arima::{ArimaConfig, ArimaForecaster, ArimaOrder};
 pub use cache::{
-    shape_sketch, sketches_similar, CacheStats, CacheUpdate, CachedFit, Lookup, MissReason,
-    ModelCache,
+    series_drift, shape_sketch, sketches_similar, CacheStats, CacheUpdate, CachedFit, DriftVerdict,
+    Lookup, MissReason, ModelCache,
 };
-pub use diagnostics::{acf, ljung_box, pacf, series_drift, suggest_orders, DriftVerdict, LjungBox};
-pub use feedforward::{FeedForwardConfig, FeedForwardForecaster};
 pub use persistent::{PersistentForecast, PersistentVariant};
-pub use select::{detect_pattern, ClassAwareForecaster, HistoryPattern, PatternThresholds};
 pub use ssa::{SsaConfig, SsaForecaster};
 
 /// Errors produced by forecasting models.
@@ -142,14 +129,16 @@ pub trait Forecaster: Send + Sync {
 /// model that held one would keep that whole buffer alive for as long as the
 /// model cache or a serve snapshot keeps the model.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ForecastGrid {
-    pub(crate) start: Timestamp,
-    pub(crate) step_min: u32,
+pub struct ForecastGrid {
+    /// The first forecast point: the end of the history.
+    pub start: Timestamp,
+    /// The grid step, in minutes: the history's.
+    pub step_min: u32,
 }
 
 impl ForecastGrid {
     /// The grid of the forecast that follows `history`.
-    pub(crate) fn after(history: &TimeSeries) -> ForecastGrid {
+    pub fn after(history: &TimeSeries) -> ForecastGrid {
         ForecastGrid {
             start: history.end(),
             step_min: history.step_min(),
@@ -157,13 +146,14 @@ impl ForecastGrid {
     }
 
     /// The forecast holding `values`.
-    pub(crate) fn series(&self, values: Vec<f64>) -> Result<TimeSeries, ForecastError> {
+    pub fn series(&self, values: Vec<f64>) -> Result<TimeSeries, ForecastError> {
         Ok(TimeSeries::new(self.start, self.step_min, values)?)
     }
 }
 
-/// Validates history for models that need clean, sufficiently long input.
-pub(crate) fn check_history(history: &TimeSeries, min_points: usize) -> Result<(), ForecastError> {
+/// Validates history for models that need clean, sufficiently long input:
+/// at least `min_points` points, all finite.
+pub fn check_history(history: &TimeSeries, min_points: usize) -> Result<(), ForecastError> {
     if history.len() < min_points {
         return Err(ForecastError::InsufficientHistory {
             needed: min_points,
@@ -206,8 +196,6 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arima::ArimaConfig;
-    use crate::feedforward::FeedForwardConfig;
     use std::sync::Arc;
 
     /// A fitted model of any family holds no reference to the buffer its
@@ -240,17 +228,6 @@ mod tests {
             Box::new(SsaForecaster::new(SsaConfig {
                 window: 40,
                 ..SsaConfig::default()
-            })),
-            Box::new(AdditiveForecaster::default()),
-            Box::new(ArimaForecaster::new(ArimaConfig::fixed(
-                ArimaOrder::simple(1, 0, 1),
-            ))),
-            Box::new(FeedForwardForecaster::new(FeedForwardConfig {
-                context_len: 24,
-                prediction_len: 24,
-                hidden: vec![8],
-                epochs: 1,
-                ..FeedForwardConfig::default()
             })),
         ];
         let holders = Arc::strong_count(&storage);

@@ -1,9 +1,10 @@
-//! Export formats and their parsers.
+//! Export formats.
 //!
 //! Metrics render to Prometheus-style text exposition; spans render to
 //! JSON-lines and to the chrome://tracing `trace_event` array format.
-//! Each textual format ships with a parser so round-trips are testable
-//! and downstream tools can re-ingest a dump.
+//! The Prometheus text ships with a parser so round-trips are testable
+//! and downstream tools can re-ingest a dump; the span formats are plain
+//! JSON, read back by any JSON reader.
 //!
 //! Determinism: rendering iterates pre-sorted snapshots and formats
 //! numbers via shortest-roundtrip `Display`, so equal inputs produce
@@ -303,48 +304,6 @@ pub fn spans_to_json_lines(spans: &[SpanRecord], mode: TimeMode) -> String {
     out
 }
 
-/// Parse a JSON-lines span dump back into records (wall time, if present,
-/// is restored with microsecond precision).
-pub fn parse_span_json_lines(text: &str) -> Result<Vec<SpanRecord>, String> {
-    let mut spans = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let err = |msg: &str| format!("line {}: {msg}", lineno + 1);
-        let obj = v.as_object().ok_or_else(|| err("not an object"))?;
-        let get_u64 = |key: &str| -> Option<u64> { obj.get(key).and_then(|v| v.as_u64()) };
-        let labels = match obj.get("labels") {
-            Some(json::Value::Object(map)) => map
-                .iter()
-                .map(|(k, v)| {
-                    v.as_str()
-                        .map(|s| (k.clone(), s.to_string()))
-                        .ok_or_else(|| err("label value not a string"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => Vec::new(),
-        };
-        spans.push(SpanRecord {
-            id: get_u64("id").ok_or_else(|| err("missing id"))?,
-            parent: get_u64("parent"),
-            name: obj
-                .get("name")
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| err("missing name"))?
-                .to_string(),
-            labels,
-            seq: get_u64("seq").ok_or_else(|| err("missing seq"))?,
-            start_tick: get_u64("start_tick").ok_or_else(|| err("missing start_tick"))?,
-            end_tick: get_u64("end_tick"),
-            wall: get_u64("wall_us").map(std::time::Duration::from_micros),
-            volatile: matches!(obj.get("volatile"), Some(json::Value::Bool(true))),
-        });
-    }
-    Ok(spans)
-}
-
 /// Microseconds of chrome-trace time per virtual tick: ticks render as
 /// milliseconds so day-granular spans are visible in the viewer.
 const TICK_US: u64 = 1000;
@@ -383,265 +342,6 @@ pub fn spans_to_chrome_trace(spans: &[SpanRecord]) -> String {
     }
     out.push_str("\n]\n");
     out
-}
-
-/// Minimal JSON value tree + parser, local to the obs crate so it stays
-/// dependency-free. Only what the span/trace round-trip needs.
-pub mod json {
-    use std::collections::BTreeMap;
-
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// JSON `null`.
-        Null,
-        /// JSON `true`/`false`.
-        Bool(bool),
-        /// Any JSON number (held as `f64`).
-        Number(f64),
-        /// A JSON string.
-        String(String),
-        /// A JSON array.
-        Array(Vec<Value>),
-        /// A JSON object with sorted keys.
-        Object(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        /// The object's map, if this value is an object.
-        pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-            match self {
-                Value::Object(m) => Some(m),
-                _ => None,
-            }
-        }
-
-        /// The array's elements, if this value is an array.
-        pub fn as_array(&self) -> Option<&Vec<Value>> {
-            match self {
-                Value::Array(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        /// The string contents, if this value is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The number, if this value is numeric.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The number as a non-negative integer, if exactly representable.
-        pub fn as_u64(&self) -> Option<u64> {
-            self.as_f64()
-                .filter(|v| *v >= 0.0 && v.trunc() == *v)
-                .map(|v| v as u64)
-        }
-
-        /// Member lookup: `Some` only for objects containing `key`.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            self.as_object().and_then(|m| m.get(key))
-        }
-    }
-
-    /// Parses a JSON document into a [`Value`] tree.
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Parser<'a> {
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn eat(&mut self, kw: &str) -> bool {
-            if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-                self.pos += kw.len();
-                true
-            } else {
-                false
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'n') if self.eat("null") => Ok(Value::Null),
-                Some(b't') if self.eat("true") => Ok(Value::Bool(true)),
-                Some(b'f') if self.eat("false") => Ok(Value::Bool(false)),
-                Some(b'"') => self.string().map(Value::String),
-                Some(b'[') => self.array(),
-                Some(b'{') => self.object(),
-                Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-                other => Err(format!(
-                    "unexpected {:?} at byte {}",
-                    other.map(|b| b as char),
-                    self.pos
-                )),
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.pos += 1; // opening quote
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let esc = self.peek().ok_or("unterminated escape")?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                self.pos += 4;
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            }
-                            other => return Err(format!("bad escape \\{}", other as char)),
-                        }
-                    }
-                    Some(_) => {
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|e| e.to_string())?;
-                        let c = rest.chars().next().unwrap();
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            while matches!(
-                self.peek(),
-                Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            ) {
-                self.pos += 1;
-            }
-            let text =
-                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Value::Number)
-                .map_err(|e| format!("bad number `{text}`: {e}"))
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.pos += 1; // '['
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected , or ] got {:?}",
-                            other.map(|b| b as char)
-                        ))
-                    }
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.pos += 1; // '{'
-            let mut map = BTreeMap::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Object(map));
-            }
-            loop {
-                self.skip_ws();
-                if self.peek() != Some(b'"') {
-                    return Err("expected object key".to_string());
-                }
-                let key = self.string()?;
-                self.skip_ws();
-                if self.peek() != Some(b':') {
-                    return Err("expected :".to_string());
-                }
-                self.pos += 1;
-                let val = self.value()?;
-                map.insert(key, val);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Object(map));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected , or }} got {:?}",
-                            other.map(|b| b as char)
-                        ))
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -713,34 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn span_json_lines_round_trip() {
-        let t = Tracer::new();
-        let root = t.start("run-week", &[("region", "west")], 0);
-        let child = t.child(root, "train \"quoted\"", &[], 2);
-        t.end(child, 5);
-        t.end(root, 7);
-
-        for mode in [TimeMode::Stable, TimeMode::Full] {
-            let text = spans_to_json_lines(&t.spans(), mode);
-            let parsed = parse_span_json_lines(&text).expect("parse");
-            assert_eq!(parsed.len(), 2);
-            assert_eq!(parsed[0].name, "run-week");
-            assert_eq!(
-                parsed[0].labels,
-                vec![("region".to_string(), "west".to_string())]
-            );
-            assert_eq!(parsed[1].parent, Some(parsed[0].id));
-            assert_eq!(parsed[1].name, "train \"quoted\"");
-            assert_eq!(parsed[1].start_tick, 2);
-            assert_eq!(parsed[1].end_tick, Some(5));
-            match mode {
-                TimeMode::Stable => assert!(parsed.iter().all(|s| s.wall.is_none())),
-                TimeMode::Full => assert!(parsed.iter().all(|s| s.wall.is_some())),
-            }
-        }
-    }
-
-    #[test]
     fn stable_span_dump_drops_and_renumbers_volatile_spans() {
         use std::time::Duration;
         // A "fused" trace: stage span with per-item volatile children, then
@@ -779,8 +451,6 @@ mod tests {
         // The full dump keeps the operator spans, flagged volatile.
         let full = spans_to_json_lines(&fused.spans(), TimeMode::Full);
         assert_eq!(full.matches("\"volatile\":true").count(), 3);
-        let parsed = parse_span_json_lines(&full).expect("parse full dump");
-        assert_eq!(parsed.iter().filter(|s| s.volatile).count(), 3);
     }
 
     #[test]
@@ -794,31 +464,5 @@ mod tests {
             spans_to_json_lines(&t.spans(), TimeMode::Stable)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_expected_events() {
-        let t = Tracer::new();
-        let root = t.start("run-week", &[("region", "west")], 0);
-        let child = t.child(root, "ingestion", &[], 0);
-        t.end(child, 1);
-        t.end(root, 7);
-        let _unfinished = t.start("pending", &[], 3);
-
-        let text = spans_to_chrome_trace(&t.spans());
-        let v = json::parse(&text).expect("chrome trace must be valid JSON");
-        let events = v.as_array().expect("array");
-        assert_eq!(events.len(), 2, "unfinished spans are skipped");
-        let first = &events[0];
-        assert_eq!(first.get("name").and_then(|v| v.as_str()), Some("run-week"));
-        assert_eq!(first.get("ph").and_then(|v| v.as_str()), Some("X"));
-        assert_eq!(first.get("dur").and_then(|v| v.as_u64()), Some(7000));
-        assert_eq!(
-            first
-                .get("args")
-                .and_then(|a| a.get("region"))
-                .and_then(|v| v.as_str()),
-            Some("west")
-        );
     }
 }

@@ -7,9 +7,9 @@
 //!   `(region, stage)`-style label sets.
 //! * [`trace`] — span tracing with explicit start/end, parent links, and
 //!   dual clocks: virtual scheduler ticks (deterministic) and wall time.
-//! * [`export`] — Prometheus text exposition, JSON-lines spans, and
-//!   chrome://tracing `trace_event` output, each with a parser so
-//!   round-trips are testable.
+//! * [`export`] — Prometheus text exposition (with a parser, so
+//!   round-trips are testable), JSON-lines spans, and chrome://tracing
+//!   `trace_event` output.
 //! * [`profile`] — per-worker profiles for `parallel_map` regions
 //!   (items processed, steal-idle time, imbalance ratio).
 //!

@@ -281,14 +281,6 @@ impl ChaosBlobStore {
         st.crash_key_matches = 0;
     }
 
-    /// Disarms the kill-point, if one is armed.
-    pub fn disarm_crash(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .crash = None;
-    }
-
     /// True once a crash point has fired; the store is "dead" and every
     /// further op panics with [`InjectedCrash`].
     pub fn crashed(&self) -> bool {

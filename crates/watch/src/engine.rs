@@ -190,12 +190,6 @@ impl WatchEngine {
         }
     }
 
-    /// Records one request outcome for an [`SloKind::ErrorRate`] or
-    /// [`SloKind::Availability`] objective.
-    pub fn observe_outcome(&self, slo: &str, region: &str, tick: u64, ok: bool) {
-        self.record(slo, region, tick, ok as u64, !ok as u64);
-    }
-
     /// Records one latency observation against an
     /// [`SloKind::LatencyUnder`] objective's threshold.
     pub fn observe_latency(&self, slo: &str, region: &str, tick: u64, value: f64) {

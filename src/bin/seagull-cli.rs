@@ -9,8 +9,9 @@
 //!   dashboard.
 //! * `schedule`  — run the backup scheduler for one week and summarize
 //!   decisions.
-//! * `forecast`  — fit a chosen model on one synthetic server and print its
-//!   predicted lowest-load window.
+//! * `forecast`  — fit a deployable model (persistent or SSA) on one
+//!   synthetic server and print its predicted lowest-load window. The
+//!   Figure 11 bins of `seagull-bench` run the other three models.
 //!
 //! Run `seagull-cli help` (or any subcommand with `--help`) for flags.
 
@@ -19,11 +20,7 @@ use seagull::core::classify::{classify_fleet_with, ClassifyConfig, ServerClass};
 use seagull::core::metrics::lowest_load_window;
 use seagull::core::pipeline::{AmlPipeline, PipelineConfig};
 use seagull::core::Dashboard;
-use seagull::forecast::additive::FitMethod;
-use seagull::forecast::{
-    AdditiveConfig, AdditiveForecaster, ArimaConfig, ArimaForecaster, FeedForwardForecaster,
-    Forecaster, PersistentForecast, PersistentVariant, SsaForecaster,
-};
+use seagull::forecast::{Forecaster, PersistentForecast, PersistentVariant, SsaForecaster};
 use seagull::telemetry::blobstore::DiskBlobStore;
 use seagull::telemetry::extract::LoadExtraction;
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec};
@@ -91,7 +88,7 @@ fn usage() -> &'static str {
        classify   --servers N --weeks W --seed S\n\
        pipeline   --servers N --weeks W --seed S\n\
        schedule   --servers N --seed S\n\
-       forecast   --model persistent|ssa|feedforward|additive|arima\n\
+       forecast   --model persistent|ssa\n\
                   --class stable|daily|weekly|unstable --seed S\n\
        help\n"
 }
@@ -257,28 +254,9 @@ fn cmd_forecast(args: &Args) -> Result<(), String> {
     let model_name = args.get_str("model", "persistent");
     let persistent = PersistentForecast::new(PersistentVariant::PreviousDay);
     let ssa = SsaForecaster::default();
-    let ff = FeedForwardForecaster::default();
-    let additive = AdditiveForecaster::new(AdditiveConfig {
-        fit: FitMethod::Exact,
-        ..AdditiveConfig::default()
-    });
-    let arima = ArimaForecaster::new(ArimaConfig {
-        max_p: 1,
-        max_d: 1,
-        max_q: 1,
-        max_sp: 0,
-        max_sd: 1,
-        max_sq: 0,
-        period: 288,
-        refine_iterations: 10,
-        prescreen: true,
-    });
     let model: &dyn Forecaster = match model_name.as_str() {
         "persistent" => &persistent,
         "ssa" => &ssa,
-        "feedforward" => &ff,
-        "additive" => &additive,
-        "arima" => &arima,
         other => return Err(format!("unknown model {other:?}")),
     };
 

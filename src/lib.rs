@@ -13,15 +13,15 @@
 //! * [`timeseries`] — gridded series, calendar math, resampling.
 //! * [`linalg`] — dense matrices, eigen/SVD/least-squares kernels.
 //! * [`telemetry`] — synthetic fleet simulation, blob store, load extraction.
-//! * [`forecast`] — persistent forecast, SSA, feed-forward NN, additive
-//!   (Prophet-style), and ARIMA models.
+//! * [`forecast`] — the deployable models: persistent forecast and SSA,
+//!   with the warm-model cache. The Figure 11 baselines and the Appendix A
+//!   SQL auto-scale use case are experiment code in `seagull-bench`.
 //! * [`core`] — the paper's contribution: low-load accuracy metrics, server
 //!   classification, the AML-style pipeline, model registry, parallel
 //!   accuracy evaluation, document store, incidents and dashboard.
 //! * [`serve`] — the prediction-serving layer: epoch-swapped model
 //!   snapshots published at deploy time, low-latency per-server queries.
 //! * [`backup`] — the backup-scheduling use case (Sections 2.3, 4, 6).
-//! * [`autoscale`] — the SQL auto-scale use case (Appendix A).
 //! * [`obs`] — fleet-wide observability: metrics registry, span tracing,
 //!   profiling hooks, Prometheus/JSON-lines/chrome-trace exports.
 //! * [`watch`] — the watchtower: declarative SLOs with burn-rate alerting,
@@ -45,7 +45,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use seagull_autoscale as autoscale;
 pub use seagull_backup as backup;
 pub use seagull_core as core;
 pub use seagull_forecast as forecast;

@@ -3,19 +3,22 @@
 //! auto-scale policy, multi-signal telemetry, and the class-aware model
 //! router.
 
-use seagull::autoscale::{evaluate_policy, sql_fleet_spec, AutoscalePolicy, SizingMode, SkuLadder};
 use seagull::backup::{
     Advice, BackupScheduler, CustomerWindow, FabricPropertyStore, RunnerService, SchedulerConfig,
     WeekdayConfig, WeekdayOptimizer, WindowAdvisor,
 };
 use seagull::core::clock::{JobScheduler, RecurringJob};
 use seagull::core::pipeline::{AmlPipeline, PipelineConfig};
-use seagull::forecast::{ClassAwareForecaster, Forecaster, PersistentForecast, SsaForecaster};
+use seagull::forecast::{Forecaster, PersistentForecast, SsaForecaster};
 use seagull::telemetry::blobstore::MemoryBlobStore;
 use seagull::telemetry::extract::LoadExtraction;
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec};
 use seagull::telemetry::signals::{SignalGenerator, SignalKind};
 use seagull::timeseries::Timestamp;
+use seagull_bench::autoscale::{
+    evaluate_policy, sql_fleet_spec, AutoscalePolicy, SizingMode, SkuLadder,
+};
+use seagull_bench::zoo::ClassAwareForecaster;
 use std::cell::RefCell;
 use std::sync::Arc;
 

@@ -12,6 +12,7 @@ use seagull::telemetry::blobstore::MemoryBlobStore;
 use seagull::telemetry::chaos::{ChaosBlobStore, ChaosConfig};
 use seagull::telemetry::extract::LoadExtraction;
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec, RegionSpec};
+use seagull_bench::spans::parse_span_json_lines;
 use std::sync::Arc;
 
 /// Parse the current full Prometheus exposition and return the value of the
@@ -246,7 +247,7 @@ fn full_export_round_trips_through_parsers() {
     );
     let spans = obs.tracer().spans();
     let lines = export::spans_to_json_lines(&spans, export::TimeMode::Full);
-    let reparsed = export::parse_span_json_lines(&lines).expect("spans parse");
+    let reparsed = parse_span_json_lines(&lines).expect("spans parse");
     // Wall time serializes at microsecond precision; everything else is
     // lossless.
     let truncated: Vec<_> = spans
