@@ -7,8 +7,6 @@
 //!   "stores the start time of this window as a service fabric property of
 //!   respective PostgreSQL and MySQL database instances. This property is
 //!   used by the backup service to schedule backups."
-//! * [`duration`] — the backup-duration model mapping database size to the
-//!   expected full-backup length `b` of Definition 7.
 //! * [`scheduler`] — the backup-scheduling algorithm: verify three weeks of
 //!   predictability, pick the predicted lowest-load window, write the fabric
 //!   property; unpredictable or young servers keep the default time.
@@ -22,7 +20,6 @@
 #![forbid(unsafe_code)]
 
 pub mod advisor;
-pub mod duration;
 pub mod fabric;
 pub mod impact;
 pub mod runner;
@@ -30,7 +27,6 @@ pub mod scheduler;
 pub mod weekday;
 
 pub use advisor::{Advice, CustomerWindow, WindowAdvice, WindowAdvisor};
-pub use duration::BackupDurationModel;
 pub use fabric::{FabricPropertyStore, BACKUP_WINDOW_START_PROPERTY};
 pub use impact::{analyze_impact, capacity_histogram, CapacityHistogram, ImpactReport};
 pub use runner::{ClusterReport, RunnerReport, RunnerService};

@@ -8,14 +8,14 @@
 //!
 //! The fleet is hash-partitioned into clusters; each day the runner invokes
 //! the scheduler per cluster and probes that every due server ended up with a
-//! usable fabric property. Dropped fabric writes are repaired under the
-//! runner's [`RetryPolicy`], and a cluster whose scheduling pass fails gets
+//! usable fabric property. Dropped fabric writes are repaired under
+//! [`retry`], and a cluster whose scheduling pass fails gets
 //! one re-run before it is reported as errored — so one bad cluster degrades
 //! its own availability figure instead of poisoning the daily report.
 
 use crate::fabric::FabricPropertyStore;
 use crate::scheduler::{BackupScheduler, ScheduledBackup};
-use seagull_core::resilience::{stage_seed, RetryPolicy, StageError};
+use seagull_core::resilience::{retry, StageError};
 use seagull_forecast::Forecaster;
 use seagull_obs::Obs;
 use seagull_telemetry::fleet::ServerTelemetry;
@@ -94,10 +94,6 @@ pub struct RunnerService {
     pub scheduler: BackupScheduler,
     /// Number of clusters the region's fleet is partitioned into.
     pub clusters: usize,
-    /// Retry policy for fabric-property repair writes.
-    pub retry: RetryPolicy,
-    /// Seed for the retry policy's jitter.
-    pub retry_seed: u64,
     /// Observability: per-day/per-cluster span trees and runner metrics.
     pub obs: Obs,
     cluster_fault: Option<ClusterFaultHook>,
@@ -109,8 +105,6 @@ impl RunnerService {
         RunnerService {
             scheduler,
             clusters: clusters.max(1),
-            retry: RetryPolicy::default(),
-            retry_seed: 0,
             obs: Obs::new(),
             cluster_fault: None,
         }
@@ -173,24 +167,18 @@ impl RunnerService {
                 .scheduler
                 .schedule_day(members, day, forecaster, fabric);
             // Verify-and-repair: rewrite any due server whose fabric write
-            // was dropped, under the retry policy.
+            // was dropped, retrying a repair write that is dropped too.
             for b in &scheduled {
                 let id = ServerId(b.server_id);
                 if fabric.backup_window_start(id) == Some(b.start) {
                     continue;
                 }
-                let seed = stage_seed(
-                    self.retry_seed,
-                    "fabric-write",
-                    &format!("cluster-{cluster}/server-{}", b.server_id),
-                    day,
-                );
-                let repaired = self.retry.run(seed, |_| {
+                let repaired = retry(|_| {
                     fabric
                         .try_set_backup_window_start(id, b.start)
                         .map_err(|e| StageError::transient(e.to_string()))
                 });
-                // The repair write itself plus any backoff retries.
+                // The repair write itself plus any retries of it.
                 retries += repaired.attempts;
             }
             let due = scheduled.len();

@@ -10,7 +10,6 @@ use seagull_bench::spans::parse_span_json_lines;
 use seagull_bench::{emit_json, fleets};
 use seagull_core::dashboard::Dashboard;
 use seagull_core::pipeline::{AmlPipeline, PipelineConfig};
-use seagull_core::resilience::ResiliencePolicy;
 use seagull_obs::{export, Obs, TimeMode};
 use seagull_telemetry::blobstore::MemoryBlobStore;
 use seagull_telemetry::chaos::{ChaosBlobStore, ChaosConfig};
@@ -42,15 +41,8 @@ fn simulate(seed: u64) -> (Obs, AmlPipeline, Dashboard, String) {
         },
     ));
     let obs = Obs::new();
-    let pipeline = AmlPipeline::with_resilience(
-        PipelineConfig::production(),
-        Arc::clone(&chaos) as Arc<_>,
-        ResiliencePolicy {
-            seed,
-            ..ResiliencePolicy::default()
-        },
-    )
-    .with_obs(obs.clone());
+    let pipeline = AmlPipeline::new(PipelineConfig::production(), Arc::clone(&chaos) as Arc<_>)
+        .with_obs(obs.clone());
     let dashboard = Dashboard::with_obs(obs.clone());
     dashboard.record(pipeline.run_region_week(&region, start));
     dashboard.record(pipeline.run_region_week(&region, start + 7));

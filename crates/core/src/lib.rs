@@ -17,12 +17,12 @@
 //!   parallel.
 //! * [`pipeline`] — the AML-pipeline substitute orchestrating all stages,
 //!   with per-stage timing (Figure 12(a)).
-//! * [`registry`] — model version tracking, deployment endpoints, and the
-//!   last-known-good fallback rule.
+//! * [`registry`] — model version tracking and the last-known-good
+//!   fallback rule.
 //! * [`docstore`] — the Cosmos DB substitute where results land.
 //! * [`incident`] / [`dashboard`] — alerting and the Application Insights
 //!   substitute.
-//! * [`resilience`] — retry-with-backoff and per-region circuit breaking,
+//! * [`resilience`] — retry of transient faults and per-region circuit breaking,
 //!   threaded through every pipeline stage so transient faults degrade runs
 //!   instead of aborting them.
 //! * [`par`] — the Dask substitute: the fork-join parallel maps used by the
@@ -65,9 +65,6 @@ pub use metrics::{
 };
 pub use par::{configured_threads, default_threads, parallel_map};
 pub use pipeline::{AmlPipeline, DegradedRun, PipelineConfig, PipelineRunReport};
-pub use registry::{EndpointSet, ModelAccuracy, ModelRegistry};
-pub use resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, InjectedCrash, ResiliencePolicy, RetryPolicy,
-    StageChaos, StageError,
-};
+pub use registry::{ModelAccuracy, ModelRegistry};
+pub use resilience::{BreakerState, CircuitBreaker, InjectedCrash, StageChaos, StageError};
 pub use validation::{validate_columnar, validate_servers, Anomaly, DataProfile, ValidationReport};

@@ -13,9 +13,10 @@
 //! incidents; each run deploys a fresh model version whose accuracy, once
 //! measured a week later, feeds the last-known-good fallback rule.
 //!
-//! Every stage runs under the pipeline's [`ResiliencePolicy`]: transient
-//! faults (storage timeouts, torn reads, outages) are retried with seeded
-//! backoff, and exhausted retries degrade the run instead of aborting it —
+//! Every stage runs under [`retry`](crate::resilience::retry): transient
+//! faults (storage timeouts, torn reads, outages) are retried at once, up to
+//! a fixed attempt count, and exhausted retries degrade the run instead of
+//! aborting it —
 //! poison server batches are quarantined to a dead-letter list, a failed
 //! deploy keeps the registry's last-known-good model serving, and the
 //! run report carries a [`DegradedRun`] summary instead of an `Err`. A
@@ -25,8 +26,8 @@
 //! Every run is observed through the pipeline's [`Obs`] handle: each stage
 //! runs inside a span (virtual tick = the scheduler's day index; wall time
 //! captured by the tracer — the only raw `Instant` timing is the per-fit
-//! cost the warm cache credits to its saved-wall counter), retries
-//! and backoff feed `(region, stage)`-labelled counters and histograms, the
+//! cost the warm cache credits to its saved-wall counter), retries feed
+//! `(region, stage)`-labelled counters, stage walls feed histograms, the
 //! circuit breaker publishes a per-region state gauge, and the parallel
 //! stages record per-worker profiles. `StageTiming`/`stage_duration` are
 //! derived from the finished spans, so existing reports keep working.
@@ -66,8 +67,8 @@ use crate::evaluate::{AccuracySummary, EvaluationConfig};
 use crate::incident::{IncidentManager, Severity};
 use crate::metrics::evaluate_low_load;
 use crate::par::{configured_threads, parallel_map_profiled};
-use crate::registry::{EndpointSet, ModelAccuracy, ModelRegistry};
-use crate::resilience::{stage_seed, CircuitBreaker, ResiliencePolicy, RetryResult, StageError};
+use crate::registry::{ModelAccuracy, ModelRegistry};
+use crate::resilience::{retry_observed, CircuitBreaker, RetryResult, StageChaos, StageError};
 use crate::validation::DataProfile;
 use operator::MidStages;
 use seagull_forecast::{Forecaster, ModelCache};
@@ -77,6 +78,12 @@ use seagull_telemetry::columnar::ColumnarBatch;
 use seagull_telemetry::extract::ExtractedServer;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Accuracy drop (percentage points) that triggers model fallback.
+const FALLBACK_TOLERANCE: f64 = 10.0;
+
+/// Cap on anomaly reports per kind per run.
+const MAX_ANOMALY_REPORTS: usize = 20;
 
 /// Pipeline configuration (the use-case-specific parameters of Section 2.4).
 #[derive(Clone)]
@@ -96,10 +103,6 @@ pub struct PipelineConfig {
     /// Reuse cached fitted models for servers whose series did not
     /// materially change since the last run (see [`ModelCache`]).
     pub warm_cache: bool,
-    /// Accuracy drop (percentage points) that triggers model fallback.
-    pub fallback_tolerance: f64,
-    /// Cap on anomaly reports per kind per run.
-    pub max_anomaly_reports: usize,
 }
 
 impl PipelineConfig {
@@ -115,8 +118,6 @@ impl PipelineConfig {
             forecaster: Arc::new(seagull_forecast::PersistentForecast::previous_day()),
             threads: configured_threads(),
             warm_cache: true,
-            fallback_tolerance: 10.0,
-            max_anomaly_reports: 20,
         }
     }
 }
@@ -134,10 +135,9 @@ pub struct AmlPipeline {
     pub incidents: IncidentManager,
     /// Model version registry fed by the deployment stage.
     pub registry: ModelRegistry,
-    /// Deployment endpoints (the AML endpoint substitute).
-    pub endpoints: EndpointSet,
-    /// Retry/backoff/chaos policy threaded through every stage.
-    pub resilience: ResiliencePolicy,
+    /// Stage-fault and kill hooks (tests and chaos drills; none in
+    /// production).
+    pub chaos: StageChaos,
     /// Per-region breaker guarding run entry; ticks are day indices.
     pub breaker: CircuitBreaker,
     /// Observability handle: metrics registry + span tracer for every run.
@@ -156,34 +156,29 @@ pub struct AmlPipeline {
 }
 
 impl AmlPipeline {
-    /// Assembles a pipeline over the given blob store with the default
-    /// resilience policy.
+    /// Assembles a pipeline over the given blob store, with no injected
+    /// stage faults.
     pub fn new(config: PipelineConfig, blobs: Arc<dyn BlobStore>) -> AmlPipeline {
-        AmlPipeline::with_resilience(config, blobs, ResiliencePolicy::default())
-    }
-
-    /// Assembles a pipeline with an explicit resilience policy (retry
-    /// tuning, breaker thresholds, jitter seed, stage-fault hook).
-    pub fn with_resilience(
-        config: PipelineConfig,
-        blobs: Arc<dyn BlobStore>,
-        resilience: ResiliencePolicy,
-    ) -> AmlPipeline {
-        let breaker = CircuitBreaker::new(resilience.breaker);
         AmlPipeline {
             config,
             blobs,
             docs: DocStore::new(),
             incidents: IncidentManager::new(),
             registry: ModelRegistry::new(),
-            endpoints: EndpointSet::new(),
-            resilience,
-            breaker,
+            chaos: StageChaos::none(),
+            breaker: CircuitBreaker::new(),
             obs: Obs::new(),
             cache: Arc::new(ModelCache::new()),
             deploy_sink: None,
             accuracy_sink: None,
         }
+    }
+
+    /// Injects stage faults and kill-points per `chaos` (tests and chaos
+    /// drills).
+    pub fn with_chaos(mut self, chaos: StageChaos) -> AmlPipeline {
+        self.chaos = chaos;
+        self
     }
 
     /// Shares an external observability handle (e.g. with a dashboard or a
@@ -275,8 +270,8 @@ impl AmlPipeline {
         });
     }
 
-    /// Runs a stage closure under the retry policy, with the policy's
-    /// stage-fault hook injected ahead of the real work.
+    /// Runs a stage closure under [`retry_observed`], with the stage-fault
+    /// hook injected ahead of the real work.
     fn retry_stage<T>(
         &self,
         stage: &str,
@@ -284,21 +279,14 @@ impl AmlPipeline {
         tick: i64,
         mut op: impl FnMut() -> Result<T, StageError>,
     ) -> RetryResult<T> {
-        let seed = stage_seed(self.resilience.seed, stage, region, tick);
-        self.resilience
-            .retry
-            .run_observed(seed, self.obs.registry(), stage, region, |attempt| {
-                if self
-                    .resilience
-                    .chaos
-                    .should_fail(stage, region, tick, attempt)
-                {
-                    return Err(StageError::transient(format!(
-                        "injected {stage} fault (attempt {attempt})"
-                    )));
-                }
-                op()
-            })
+        retry_observed(self.obs.registry(), stage, region, |attempt| {
+            if self.chaos.should_fail(stage, region, tick, attempt) {
+                return Err(StageError::transient(format!(
+                    "injected {stage} fault (attempt {attempt})"
+                )));
+            }
+            op()
+        })
     }
 
     /// Runs the weekly pipeline for one region: ingestion → validation →
@@ -354,9 +342,9 @@ impl AmlPipeline {
         self.breaker.publish_region(self.obs.registry(), region);
 
         // ---- Data Ingestion -------------------------------------------------
-        // Each stage entry is a kill-point: the chaos policy's kill hook can
+        // Each stage entry is a kill-point: the chaos kill hook can
         // terminate the process here, modelling a crash at a stage boundary.
-        self.resilience.chaos.kill_point("ingestion", region, tick);
+        self.chaos.kill_point("ingestion", region, tick);
         let span = self.stage_span(run_span, "ingestion", region, vt);
         let key = BlobKey::extracted(region, week_start_day);
         let fetched = self.retry_stage("ingestion", region, tick, || {
@@ -454,17 +442,17 @@ impl AmlPipeline {
         };
 
         // ---- Model Deployment --------------------------------------------------
-        self.resilience.chaos.kill_point("deployment", region, tick);
+        self.chaos.kill_point("deployment", region, tick);
         let span = self.stage_span(run_span, "deployment", region, vt);
-        // The registry/endpoint mutation itself is infallible; the retried
+        // The registry mutation itself is infallible; the retried
         // gate models the external AML deployment call, which the
         // stage-fault hook can fail. Mutation happens only after the gate
         // passes so retries never double-deploy.
         let deploy_gate = self.retry_stage("deployment", region, tick, || Ok(()));
         degraded.note("deployment", &deploy_gate);
         if deploy_gate.outcome.is_err() {
-            // Keep serving the registry's last-known-good model: neither a
-            // new version nor a new endpoint is published.
+            // Keep serving the registry's last-known-good model: no new
+            // version is published.
             degraded.exhausted_stages.push("deployment".into());
             degraded.fallback_deployed = true;
             let serving = self
@@ -490,8 +478,6 @@ impl AmlPipeline {
         } else {
             let model_name = self.config.forecaster.name();
             let version = self.registry.deploy(region, model_name, week_start_day);
-            self.endpoints
-                .publish(region, Arc::clone(&self.config.forecaster));
             report.deployed_version = Some(version);
             if let Some(sink) = &self.deploy_sink {
                 sink.on_deploy(&DeployEvent {
@@ -509,9 +495,7 @@ impl AmlPipeline {
         // ---- Accuracy Evaluation ------------------------------------------------
         // Score the predictions stored by previous runs against the true load
         // that arrived in this week's data.
-        self.resilience
-            .chaos
-            .kill_point("accuracy-eval", region, tick);
+        self.chaos.kill_point("accuracy-eval", region, tick);
         let span = self.stage_span(run_span, "accuracy-eval", region, vt);
         // A server with no stored prediction is skipped (`Ok(None)`); one
         // whose prediction cannot be scored — a value that is not finite, or
@@ -620,11 +604,8 @@ impl AmlPipeline {
                         predictable_pct: 0.0,
                     },
                 );
-                self.registry.maybe_fallback(
-                    region,
-                    self.config.fallback_tolerance,
-                    &self.incidents,
-                );
+                self.registry
+                    .maybe_fallback(region, FALLBACK_TOLERANCE, &self.incidents);
             }
         }
         self.finish_stage(&mut report, span, "accuracy-eval", region, vt);
@@ -795,22 +776,11 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_published_after_run() {
-        let (pipeline, start) = setup(10, 1);
-        pipeline.run_region_week("region-a", start);
-        assert!(pipeline.endpoints.resolve("region-a").is_some());
-    }
-
-    #[test]
     fn injected_faults_are_retried_per_server() {
         let (base, start) = setup(10, 1);
-        let policy = ResiliencePolicy {
-            chaos: StageChaos::from_fn(|stage, _, _, attempt| {
-                stage == "train-infer" && attempt <= 2
-            }),
-            ..ResiliencePolicy::default()
-        };
-        let pipeline = AmlPipeline::with_resilience(base.config, base.blobs, policy);
+        let pipeline = AmlPipeline::new(base.config, base.blobs).with_chaos(StageChaos::from_fn(
+            |stage, _, _, attempt| stage == "train-infer" && attempt <= 2,
+        ));
         let report = pipeline.run_region_week("region-a", start);
         assert!(!report.blocked);
         assert!(report.predictions_written > 0);
@@ -821,7 +791,6 @@ mod tests {
             degraded.retries.get("train-infer"),
             Some(&(2 * report.servers as u32))
         );
-        assert!(degraded.backoff_ms > 0);
         assert!(degraded.exhausted_stages.is_empty());
         assert!(degraded.quarantined_servers.is_empty());
     }
@@ -829,14 +798,10 @@ mod tests {
     #[test]
     fn exhausted_deploy_keeps_last_known_good() {
         let (base, start) = setup(15, 2);
-        let policy = ResiliencePolicy {
-            // Deployment hard-fails, but only in week 2.
-            chaos: StageChaos::from_fn(move |stage, _, tick, _| {
-                stage == "deployment" && tick > start
-            }),
-            ..ResiliencePolicy::default()
-        };
-        let pipeline = AmlPipeline::with_resilience(base.config, base.blobs, policy);
+        // Deployment hard-fails, but only in week 2.
+        let pipeline = AmlPipeline::new(base.config, base.blobs).with_chaos(StageChaos::from_fn(
+            move |stage, _, tick, _| stage == "deployment" && tick > start,
+        ));
         let r1 = pipeline.run_region_week("region-a", start);
         assert_eq!(r1.deployed_version, Some(1));
         let r2 = pipeline.run_region_week("region-a", start + 7);

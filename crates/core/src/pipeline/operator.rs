@@ -12,11 +12,12 @@
 
 use super::{
     collections, AmlPipeline, DeadLetterDoc, DegradedRun, PipelineRunReport, PredictionDoc,
+    MAX_ANOMALY_REPORTS,
 };
 use crate::features::{extract_server_features, ServerFeatures};
 use crate::incident::Severity;
 use crate::par::parallel_map_tasks;
-use crate::resilience::{stage_seed, StageError};
+use crate::resilience::{retry, StageError};
 use crate::validation::{validate_columnar, validate_server, validate_servers, Anomaly};
 use seagull_forecast::{CacheUpdate, FittedModel, ForecastError, Lookup};
 use seagull_obs::SpanId;
@@ -89,8 +90,6 @@ struct FusedServerOutcome {
     poison: Option<String>,
     /// Retries burned by this server's fit.
     retries: u32,
-    /// Virtual backoff accounted by those retries, milliseconds.
-    backoff_ms: u64,
     /// True when the fit failed by exhausting transient-fault retries.
     exhausted: bool,
     /// Wall time of validate + gap-fill + featurize.
@@ -257,13 +256,10 @@ impl AmlPipeline {
 
         // The stage-level chaos hook and the server-granular hook both
         // inject ahead of the real fit, and a transient fault burns only
-        // this server's retry budget. The seed mixes the server id so
-        // jitter schedules are independent.
+        // this server's retry budget.
         let model_start = Instant::now();
-        let chaos = &self.resilience.chaos;
-        let seed = stage_seed(self.resilience.seed, "train-infer", region, tick)
-            ^ s.id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let fitted = self.resilience.retry.run(seed, |attempt| {
+        let chaos = &self.chaos;
+        let fitted = retry(|attempt| {
             if chaos.should_fail("train-infer", region, tick, attempt)
                 || chaos.should_fail_server("train-infer", region, s.id.0, tick, attempt)
             {
@@ -299,7 +295,6 @@ impl AmlPipeline {
             fit_kernel,
             poison,
             retries,
-            backoff_ms: fitted.backoff_ms,
             exhausted,
             featurize_wall,
             model_wall,
@@ -349,13 +344,13 @@ impl AmlPipeline {
         // blocking decision must precede the fan-out, and only batch-level
         // anomalies (plus the empty-fleet guard) can block, so this part
         // stays a whole-batch step.
-        self.resilience.chaos.kill_point("validation", region, tick);
+        self.chaos.kill_point("validation", region, tick);
         let span = self.stage_span(run_span, "validation", region, vt);
         let validated = self.retry_stage("validation", region, tick, || {
             Ok(validate_columnar(
                 batch,
                 &self.config.profile,
-                self.config.max_anomaly_reports,
+                MAX_ANOMALY_REPORTS,
             ))
         });
         degraded.note("validation", &validated);
@@ -406,11 +401,9 @@ impl AmlPipeline {
         // crash point per stage name; the two stage spans open here in
         // stage order (features before train-infer) and finish after the
         // absorb, which fixes their stable span ids.
-        self.resilience.chaos.kill_point("features", region, tick);
+        self.chaos.kill_point("features", region, tick);
         let features_span = self.stage_span(run_span, "features", region, vt);
-        self.resilience
-            .chaos
-            .kill_point("train-infer", region, tick);
+        self.chaos.kill_point("train-infer", region, tick);
         let fused_span = self.stage_span(run_span, "train-infer", region, vt);
         let next_week = week_start_day + 7;
 
@@ -431,7 +424,6 @@ impl AmlPipeline {
         let mut poison: Vec<(u64, String)> = Vec::new();
         let mut kernel_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
         let mut total_retries = 0u32;
-        let mut total_backoff = 0u64;
         let mut exhausted_servers = 0u64;
         let mut featurize_wall = Duration::ZERO;
         for (i, result) in results.into_iter().enumerate() {
@@ -457,7 +449,6 @@ impl AmlPipeline {
                     );
                     featurize_wall += out.featurize_wall;
                     total_retries += out.retries;
-                    total_backoff += out.backoff_ms;
                     if out.exhausted {
                         exhausted_servers += 1;
                     }
@@ -503,14 +494,10 @@ impl AmlPipeline {
             registry
                 .counter("seagull_retries_total", &labels)
                 .add(u64::from(total_retries));
-            registry
-                .histogram("seagull_retry_backoff_ms", &labels)
-                .observe(total_backoff as f64);
             *degraded
                 .retries
                 .entry("train-infer".to_string())
                 .or_insert(0) += total_retries;
-            degraded.backoff_ms += total_backoff;
         }
         if exhausted_servers > 0 {
             // Counts exhausted retry units, which for this stage are

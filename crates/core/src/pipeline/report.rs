@@ -25,8 +25,6 @@ pub struct StageTiming {
 pub struct DegradedRun {
     /// Retries spent per stage (only stages that retried appear).
     pub retries: BTreeMap<String, u32>,
-    /// Virtual backoff accounted across all retries, milliseconds.
-    pub backoff_ms: u64,
     /// Servers quarantined to the dead-letter list this run.
     pub quarantined_servers: Vec<u64>,
     /// True when train/deploy failed and the registry's last-known-good
@@ -43,7 +41,6 @@ impl DegradedRun {
     pub(super) fn note<T>(&mut self, stage: &str, result: &RetryResult<T>) {
         if result.attempts > 1 {
             *self.retries.entry(stage.to_string()).or_insert(0) += result.attempts - 1;
-            self.backoff_ms += result.backoff_ms;
         }
     }
 

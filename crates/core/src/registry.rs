@@ -6,14 +6,11 @@
 //! predictions, fallback to previously known good models and triggers alerts
 //! as appropriate" (Sections 1 and 2.2).
 //!
-//! [`ModelRegistry`] is the version/metadata tracker; [`EndpointSet`] is the
-//! REST-endpoint substitute: an in-process map from region to the deployed
-//! forecaster, invoked exactly like a scoring endpoint (history in,
-//! prediction out).
+//! [`ModelRegistry`] is the version/metadata tracker. The scoring endpoint
+//! itself is `seagull-serve`, which the pipeline publishes each deployed
+//! region snapshot to.
 
 use crate::incident::{IncidentManager, Severity};
-use seagull_forecast::{ForecastError, Forecaster};
-use seagull_timeseries::TimeSeries;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
@@ -188,55 +185,9 @@ impl ModelRegistry {
     }
 }
 
-/// The REST-endpoint substitute: deployed forecasters invocable per region.
-#[derive(Clone, Default)]
-pub struct EndpointSet {
-    endpoints: Arc<RwLock<HashMap<String, Arc<dyn Forecaster>>>>,
-}
-
-impl EndpointSet {
-    /// Creates an empty endpoint set.
-    pub fn new() -> EndpointSet {
-        EndpointSet::default()
-    }
-
-    /// Publishes (or replaces) the endpoint for a region.
-    pub fn publish(&self, region: &str, model: Arc<dyn Forecaster>) {
-        self.endpoints
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(region.to_string(), model);
-    }
-
-    /// The deployed model for a region.
-    pub fn resolve(&self, region: &str) -> Option<Arc<dyn Forecaster>> {
-        self.endpoints
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(region)
-            .cloned()
-    }
-
-    /// Scores a request against a region's endpoint, like a REST call:
-    /// history in, `horizon` predicted points out.
-    pub fn invoke(
-        &self,
-        region: &str,
-        history: &TimeSeries,
-        horizon: usize,
-    ) -> Result<TimeSeries, ForecastError> {
-        let model = self.resolve(region).ok_or_else(|| {
-            ForecastError::Numerical(format!("no endpoint deployed for region {region}"))
-        })?;
-        model.fit_predict(history, horizon)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seagull_forecast::PersistentForecast;
-    use seagull_timeseries::Timestamp;
 
     fn acc(w: f64, l: f64) -> ModelAccuracy {
         ModelAccuracy {
@@ -308,21 +259,5 @@ mod tests {
         reg.record_accuracy("west", v1, acc(10.0, 10.0));
         // Only one version: nothing to fall back to.
         assert_eq!(reg.maybe_fallback("west", 5.0, &incidents), None);
-    }
-
-    #[test]
-    fn endpoints_invoke_deployed_model() {
-        let eps = EndpointSet::new();
-        assert!(eps.resolve("west").is_none());
-        eps.publish("west", Arc::new(PersistentForecast::previous_day()));
-        let hist =
-            seagull_timeseries::TimeSeries::from_fn(Timestamp::from_days(10), 5, 2 * 288, |t| {
-                t.day_index() as f64
-            })
-            .unwrap();
-        let pred = eps.invoke("west", &hist, 288).unwrap();
-        assert_eq!(pred.len(), 288);
-        assert!(pred.values().iter().all(|&v| v == 11.0));
-        assert!(eps.invoke("ghost", &hist, 10).is_err());
     }
 }

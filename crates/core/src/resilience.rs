@@ -1,5 +1,5 @@
-//! Resilience primitives: retry with backoff, and a per-region circuit
-//! breaker.
+//! Resilience primitives: immediate retry of transient faults, and a
+//! per-region circuit breaker.
 //!
 //! The paper's robustness claim (Section 1) is that Seagull "continually
 //! re-evaluates accuracy of predictions, fallback to previously known good
@@ -7,18 +7,18 @@
 //! model-fallback half; this module supplies the infrastructure half that
 //! production incidents (Section 2.2) actually exercise:
 //!
-//! * [`RetryPolicy`] — exponential backoff with deterministic seeded jitter,
-//!   a max-attempt count, and a per-op backoff budget. Delays are *virtual*:
-//!   the pipeline runs on a simulated day-granular clock, so the policy
-//!   accounts the backoff it would have slept instead of sleeping.
+//! * [`retry`] — re-runs an op on transient errors, at most
+//!   [`MAX_ATTEMPTS`] times in all; a permanent error ends it at once. The
+//!   pipeline runs on a simulated day-granular clock, so nothing waits
+//!   between attempts.
 //! * [`CircuitBreaker`] — per-key (region) closed → open → half-open state
-//!   machine. A consecutive-failure threshold trips it (raising a `Critical`
-//!   incident); after a cooldown measured in pipeline clock ticks one probe
-//!   run is let through half-open, and success closes the circuit (resolving
-//!   the trip incident and raising an `Info`).
+//!   machine. [`TRIP_THRESHOLD`] consecutive failures trip it (raising a
+//!   `Critical` incident); after [`COOLDOWN_TICKS`] pipeline clock ticks one
+//!   probe run is let through half-open, and success closes the circuit
+//!   (resolving the trip incident and raising an `Info`).
 //!
-//! Both are deterministic: a fixed seed reproduces the exact backoff
-//! schedule, which is what makes chaos runs replayable.
+//! Both are deterministic: the same faults give the same attempts and the
+//! same transitions, which is what makes chaos runs replayable.
 
 use crate::incident::{IncidentManager, Severity};
 use seagull_obs::Registry;
@@ -28,21 +28,18 @@ use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-pub use seagull_telemetry::chaos::{DetRng, InjectedCrash};
-use seagull_telemetry::frame::{fnv_step, FNV_OFFSET};
+pub use seagull_telemetry::chaos::InjectedCrash;
 
-/// Mixes a stage identity into the policy seed so each (stage, region, tick)
-/// gets an independent but reproducible jitter stream. FNV-1a over the
-/// identifying bytes.
-pub fn stage_seed(base: u64, stage: &str, region: &str, tick: i64) -> u64 {
-    let tick_bytes = tick.to_le_bytes();
-    stage
-        .as_bytes()
-        .iter()
-        .chain(region.as_bytes())
-        .chain(&tick_bytes)
-        .fold(FNV_OFFSET ^ base, |h, &b| fnv_step(h, u64::from(b)))
-}
+/// Attempts [`retry`] makes at most, the first one included.
+pub const MAX_ATTEMPTS: u32 = 5;
+
+/// Consecutive failures that trip a closed [`CircuitBreaker`].
+pub const TRIP_THRESHOLD: u32 = 3;
+
+/// Pipeline clock ticks an open [`CircuitBreaker`] waits before it admits a
+/// half-open probe (the pipeline ticks in day indices, so 14 ≈ two weekly
+/// runs skipped).
+pub const COOLDOWN_TICKS: i64 = 14;
 
 /// An error from one stage attempt, classified for the retry loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,152 +94,55 @@ impl fmt::Display for StageError {
 
 impl std::error::Error for StageError {}
 
-/// Exponential-backoff retry policy with deterministic seeded jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included); at least 1.
-    pub max_attempts: u32,
-    /// Delay before the first retry, milliseconds.
-    pub base_delay_ms: u64,
-    /// Backoff growth factor per retry (clamped to ≥ 1).
-    pub multiplier: f64,
-    /// Upper bound on any single delay, milliseconds.
-    pub cap_ms: u64,
-    /// Fraction of the raw delay that jitter may subtract (0 – 1).
-    /// Subtractive jitter keeps every delay ≤ the cap.
-    pub jitter_frac: f64,
-    /// Total backoff budget per op, milliseconds; retries stop once the
-    /// next delay would exceed it. 0 disables the budget.
-    pub budget_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 5,
-            base_delay_ms: 10,
-            multiplier: 2.0,
-            cap_ms: 1_000,
-            jitter_frac: 0.2,
-            budget_ms: 30_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The un-jittered delay before retry `retry_index` (0-based).
-    /// Monotone non-decreasing and bounded by `cap_ms`.
-    pub fn raw_delay_ms(&self, retry_index: u32) -> u64 {
-        let mult = self.multiplier.max(1.0);
-        let cap = self.cap_ms as f64;
-        let mut d = (self.base_delay_ms.min(self.cap_ms)) as f64;
-        for _ in 0..retry_index {
-            d = (d * mult).min(cap);
-        }
-        d as u64
-    }
-
-    /// The jittered delay before retry `retry_index` for a given seed.
-    /// Deterministic: the same `(seed, retry_index)` always yields the same
-    /// delay, and jitter only subtracts, so the cap still holds.
-    pub fn delay_ms(&self, seed: u64, retry_index: u32) -> u64 {
-        let raw = self.raw_delay_ms(retry_index);
-        let frac = self.jitter_frac.clamp(0.0, 1.0);
-        if raw == 0 || frac == 0.0 {
-            return raw;
-        }
-        let mut rng =
-            DetRng::new(seed ^ u64::from(retry_index).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let cut = (raw as f64 * frac * rng.next_f64()) as u64;
-        raw - cut
-    }
-
-    /// The full backoff schedule for a seed (one delay per possible retry).
-    pub fn delays_ms(&self, seed: u64) -> Vec<u64> {
-        (0..self.max_attempts.saturating_sub(1))
-            .map(|i| self.delay_ms(seed, i))
-            .collect()
-    }
-
-    /// Runs `op` under the policy. The closure receives the 1-based attempt
-    /// number. Retries only transient errors, stops at `max_attempts` or
-    /// when the backoff budget would be exceeded, and accounts (does not
-    /// sleep) the virtual backoff.
-    pub fn run<T>(
-        &self,
-        seed: u64,
-        mut op: impl FnMut(u32) -> Result<T, StageError>,
-    ) -> RetryResult<T> {
-        let max = self.max_attempts.max(1);
-        let mut attempts = 0u32;
-        let mut backoff_ms = 0u64;
-        loop {
-            attempts += 1;
-            match op(attempts) {
-                Ok(value) => {
-                    return RetryResult {
-                        outcome: Ok(value),
-                        attempts,
-                        backoff_ms,
-                    }
-                }
-                Err(e) => {
-                    let next_delay = self.delay_ms(seed, attempts - 1);
-                    let over_budget =
-                        self.budget_ms > 0 && backoff_ms + next_delay > self.budget_ms;
-                    if !e.transient || attempts >= max || over_budget {
-                        return RetryResult {
-                            outcome: Err(e),
-                            attempts,
-                            backoff_ms,
-                        };
-                    }
-                    backoff_ms += next_delay;
+/// Runs `op`, retrying transient errors immediately, for at most
+/// [`MAX_ATTEMPTS`] attempts. The closure receives the 1-based attempt
+/// number. A permanent error or the last attempt's error is returned as is.
+pub fn retry<T>(mut op: impl FnMut(u32) -> Result<T, StageError>) -> RetryResult<T> {
+    let mut attempts = 0u32;
+    loop {
+        attempts += 1;
+        match op(attempts) {
+            Ok(value) => {
+                return RetryResult {
+                    outcome: Ok(value),
+                    attempts,
                 }
             }
+            Err(e) if !e.transient || attempts >= MAX_ATTEMPTS => {
+                return RetryResult {
+                    outcome: Err(e),
+                    attempts,
+                }
+            }
+            Err(_) => {}
         }
     }
+}
 
-    /// [`RetryPolicy::run`] plus metrics: records attempt/retry counters and
-    /// the virtual-backoff histogram into `registry`, labelled by
-    /// `(region, stage)`. All of it is deterministic for a fixed seed, so
-    /// the series are stable-exportable.
-    pub fn run_observed<T>(
-        &self,
-        seed: u64,
-        registry: &Registry,
-        stage: &str,
-        region: &str,
-        op: impl FnMut(u32) -> Result<T, StageError>,
-    ) -> RetryResult<T> {
-        let result = self.run(seed, op);
-        let labels = [("region", region), ("stage", stage)];
+/// [`retry`] plus metrics: records the attempt, retry and exhaustion
+/// counters into `registry`, labelled by `(region, stage)`.
+pub fn retry_observed<T>(
+    registry: &Registry,
+    stage: &str,
+    region: &str,
+    op: impl FnMut(u32) -> Result<T, StageError>,
+) -> RetryResult<T> {
+    let result = retry(op);
+    let labels = [("region", region), ("stage", stage)];
+    registry
+        .counter("seagull_retry_attempts_total", &labels)
+        .add(u64::from(result.attempts));
+    if result.retries() > 0 {
         registry
-            .counter("seagull_retry_attempts_total", &labels)
-            .add(u64::from(result.attempts));
-        if result.retries() > 0 {
-            registry
-                .counter("seagull_retries_total", &labels)
-                .add(u64::from(result.retries()));
-            registry
-                .histogram("seagull_retry_backoff_ms", &labels)
-                .observe(result.backoff_ms as f64);
-        }
-        if result.outcome.is_err() {
-            registry
-                .counter("seagull_retry_exhausted_total", &labels)
-                .inc();
-        }
-        result
+            .counter("seagull_retries_total", &labels)
+            .add(u64::from(result.retries()));
     }
+    if result.outcome.is_err() {
+        registry
+            .counter("seagull_retry_exhausted_total", &labels)
+            .inc();
+    }
+    result
 }
 
 /// Outcome of a retried operation, with attempt accounting.
@@ -252,8 +152,6 @@ pub struct RetryResult<T> {
     pub outcome: Result<T, StageError>,
     /// Attempts made (≥ 1).
     pub attempts: u32,
-    /// Virtual backoff accounted across retries, milliseconds.
-    pub backoff_ms: u64,
 }
 
 impl<T> RetryResult<T> {
@@ -337,25 +235,6 @@ impl fmt::Debug for BreakerProbe {
     }
 }
 
-/// Circuit-breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip a closed breaker.
-    pub trip_threshold: u32,
-    /// Cooldown before a probe is allowed, in pipeline clock ticks (the
-    /// pipeline ticks in day indices, so 14 ≈ two weekly runs skipped).
-    pub cooldown_ticks: i64,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig {
-            trip_threshold: 3,
-            cooldown_ticks: 14,
-        }
-    }
-}
-
 /// Observable per-key breaker status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerSnapshot {
@@ -392,9 +271,8 @@ impl KeyState {
 /// open → half-open (cooldown elapsed, checked in [`CircuitBreaker::allow`]),
 /// half-open → closed (probe succeeded) and half-open → open (probe failed);
 /// an open breaker can never close without passing half-open.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     inner: Arc<RwLock<HashMap<String, KeyState>>>,
     /// Per-key state mirrors for lock-free [`BreakerProbe`] reads. Written
     /// under the `inner` write lock at every transition, so a probe can
@@ -404,17 +282,8 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// Creates a breaker where every key starts closed.
-    pub fn new(config: BreakerConfig) -> CircuitBreaker {
-        CircuitBreaker {
-            config,
-            inner: Arc::new(RwLock::new(HashMap::new())),
-            cells: Arc::new(RwLock::new(HashMap::new())),
-        }
-    }
-
-    /// The configured thresholds.
-    pub fn config(&self) -> BreakerConfig {
-        self.config
+    pub fn new() -> CircuitBreaker {
+        CircuitBreaker::default()
     }
 
     /// A lock-free read-only probe for `key`'s state, for hot read paths
@@ -473,7 +342,7 @@ impl CircuitBreaker {
         match ks.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
-                if tick - ks.opened_at_tick >= self.config.cooldown_ticks {
+                if tick - ks.opened_at_tick >= COOLDOWN_TICKS {
                     ks.state = BreakerState::HalfOpen;
                     self.sync_cell(key, BreakerState::HalfOpen);
                     true
@@ -515,7 +384,7 @@ impl CircuitBreaker {
         match ks.state {
             BreakerState::Closed => {
                 ks.consecutive_failures += 1;
-                if ks.consecutive_failures >= self.config.trip_threshold {
+                if ks.consecutive_failures >= TRIP_THRESHOLD {
                     ks.state = BreakerState::Open;
                     ks.opened_at_tick = tick;
                     ks.trips += 1;
@@ -607,7 +476,6 @@ impl CircuitBreaker {
 impl fmt::Debug for CircuitBreaker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CircuitBreaker")
-            .field("config", &self.config)
             .field(
                 "keys",
                 &self
@@ -638,7 +506,8 @@ pub type StageKillHook = Arc<dyn Fn(&str, &str, i64) -> bool + Send + Sync>;
 /// quarantines only that server — siblings keep flowing.
 pub type ServerFaultHook = Arc<dyn Fn(&str, &str, u64, i64, u32) -> bool + Send + Sync>;
 
-/// Optional stage-fault injection carried by [`ResiliencePolicy`].
+/// Optional stage-fault injection, set on a pipeline with
+/// [`AmlPipeline::with_chaos`](crate::pipeline::AmlPipeline::with_chaos).
 #[derive(Clone, Default)]
 pub struct StageChaos {
     hook: Option<StageFaultHook>,
@@ -739,114 +608,40 @@ impl fmt::Debug for StageChaos {
     }
 }
 
-/// The pipeline's resilience configuration: retry policy, breaker tuning,
-/// jitter seed, and the optional stage-fault hook.
-#[derive(Debug, Clone)]
-pub struct ResiliencePolicy {
-    /// Retry-with-backoff policy for every stage.
-    pub retry: RetryPolicy,
-    /// Per-region circuit-breaker tuning.
-    pub breaker: BreakerConfig,
-    /// Base seed for backoff jitter (mixed per stage via [`stage_seed`]).
-    pub seed: u64,
-    /// Optional seeded fault-injection hook (tests and chaos drills).
-    pub chaos: StageChaos,
-}
-
-impl Default for ResiliencePolicy {
-    fn default() -> ResiliencePolicy {
-        ResiliencePolicy {
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
-            seed: 0,
-            chaos: StageChaos::none(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `k` transient failures before a success: the loop makes
+    /// min(k + 1, MAX_ATTEMPTS) attempts and succeeds iff k < MAX_ATTEMPTS.
+    /// A permanent error makes one attempt.
     #[test]
-    fn retry_recovers_from_transient_faults() {
-        let policy = RetryPolicy::default();
-        let result = policy.run(7, |attempt| {
-            if attempt < 3 {
-                Err(StageError::transient("flaky"))
-            } else {
-                Ok(attempt)
+    fn retry_counts_attempts_against_the_constant() {
+        for k in 0..=6u32 {
+            let mut calls = 0u32;
+            let result = retry(|attempt| {
+                calls += 1;
+                if attempt <= k {
+                    Err(StageError::transient("flaky"))
+                } else {
+                    Ok(attempt)
+                }
+            });
+            assert_eq!(result.attempts, (k + 1).min(MAX_ATTEMPTS), "k = {k}");
+            assert_eq!(calls, result.attempts, "k = {k}");
+            assert_eq!(result.retries(), result.attempts - 1, "k = {k}");
+            assert_eq!(result.outcome.is_ok(), k < MAX_ATTEMPTS, "k = {k}");
+            if let Ok(succeeded_at) = result.outcome {
+                assert_eq!(succeeded_at, k + 1, "stops at the first success");
             }
-        });
-        assert_eq!(result.outcome.as_ref().unwrap(), &3);
-        assert_eq!(result.attempts, 3);
-        assert_eq!(result.retries(), 2);
-        assert!(result.backoff_ms > 0, "two retries account backoff");
-    }
-
-    #[test]
-    fn permanent_errors_are_not_retried() {
-        let policy = RetryPolicy::default();
-        let mut calls = 0;
-        let result = policy.run(7, |_| {
+        }
+        let mut calls = 0u32;
+        let result = retry(|_| {
             calls += 1;
             Err::<(), _>(StageError::permanent("missing"))
         });
         assert!(result.outcome.is_err());
-        assert_eq!(calls, 1);
-        assert_eq!(result.backoff_ms, 0);
-    }
-
-    #[test]
-    fn retries_stop_at_max_attempts() {
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            ..RetryPolicy::default()
-        };
-        let mut calls = 0;
-        let result = policy.run(7, |_| {
-            calls += 1;
-            Err::<(), _>(StageError::transient("down"))
-        });
-        assert_eq!(calls, 4);
-        assert_eq!(result.attempts, 4);
-    }
-
-    #[test]
-    fn backoff_budget_stops_retries_early() {
-        let policy = RetryPolicy {
-            max_attempts: 100,
-            base_delay_ms: 400,
-            multiplier: 1.0,
-            jitter_frac: 0.0,
-            budget_ms: 1_000,
-            ..RetryPolicy::default()
-        };
-        let mut calls = 0;
-        let result = policy.run(7, |_| {
-            calls += 1;
-            Err::<(), _>(StageError::transient("down"))
-        });
-        // 400 + 400 fits the 1000ms budget; a third delay would exceed it.
-        assert_eq!(calls, 3);
-        assert_eq!(result.backoff_ms, 800);
-    }
-
-    #[test]
-    fn delays_are_deterministic_and_capped() {
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            base_delay_ms: 10,
-            multiplier: 3.0,
-            cap_ms: 500,
-            jitter_frac: 0.5,
-            budget_ms: 0,
-        };
-        let a = policy.delays_ms(42);
-        let b = policy.delays_ms(42);
-        assert_eq!(a, b);
-        assert_ne!(a, policy.delays_ms(43));
-        assert!(a.iter().all(|&d| d <= 500));
+        assert_eq!((calls, result.attempts), (1, 1));
     }
 
     #[test]
@@ -859,44 +654,49 @@ mod tests {
         assert!(StageError::from_io(&refused).transient);
     }
 
+    /// Records the [`TRIP_THRESHOLD`] failures that trip a closed breaker.
+    fn trip(breaker: &CircuitBreaker, key: &str, tick: i64, incidents: &IncidentManager) {
+        for _ in 0..TRIP_THRESHOLD {
+            breaker.record_failure(key, tick, incidents);
+        }
+    }
+
     #[test]
     fn breaker_trips_after_threshold_and_raises_critical() {
         let incidents = IncidentManager::new();
-        let breaker = CircuitBreaker::new(BreakerConfig {
-            trip_threshold: 3,
-            cooldown_ticks: 14,
-        });
-        for tick in 0..2 {
+        let breaker = CircuitBreaker::new();
+        for tick in 0..i64::from(TRIP_THRESHOLD) - 1 {
             assert!(breaker.allow("west", tick));
             breaker.record_failure("west", tick, &incidents);
             assert_eq!(breaker.state("west"), BreakerState::Closed);
         }
-        assert!(breaker.allow("west", 2));
-        breaker.record_failure("west", 2, &incidents);
+        let tick = i64::from(TRIP_THRESHOLD) - 1;
+        assert!(breaker.allow("west", tick));
+        breaker.record_failure("west", tick, &incidents);
         assert_eq!(breaker.state("west"), BreakerState::Open);
         assert_eq!(incidents.open_count(Severity::Critical), 1);
         assert_eq!(breaker.snapshot("west").trips, 1);
         // Other keys are independent.
         assert_eq!(breaker.state("east"), BreakerState::Closed);
-        assert!(breaker.allow("east", 2));
+        assert!(breaker.allow("east", tick));
     }
 
     #[test]
     fn breaker_recovers_through_half_open() {
         let incidents = IncidentManager::new();
-        let breaker = CircuitBreaker::new(BreakerConfig {
-            trip_threshold: 1,
-            cooldown_ticks: 10,
-        });
-        breaker.record_failure("west", 100, &incidents);
+        let breaker = CircuitBreaker::new();
+        trip(&breaker, "west", 100, &incidents);
         assert_eq!(breaker.state("west"), BreakerState::Open);
-        assert!(!breaker.allow("west", 105), "cooldown not elapsed");
         assert!(
-            breaker.allow("west", 110),
+            !breaker.allow("west", 100 + COOLDOWN_TICKS - 1),
+            "cooldown not elapsed"
+        );
+        assert!(
+            breaker.allow("west", 100 + COOLDOWN_TICKS),
             "cooldown elapsed: probe admitted"
         );
         assert_eq!(breaker.state("west"), BreakerState::HalfOpen);
-        breaker.record_success("west", 110, &incidents);
+        breaker.record_success("west", 100 + COOLDOWN_TICKS, &incidents);
         assert_eq!(breaker.state("west"), BreakerState::Closed);
         assert_eq!(
             incidents.open_count(Severity::Critical),
@@ -909,10 +709,7 @@ mod tests {
     #[test]
     fn lock_free_probe_tracks_every_transition() {
         let incidents = IncidentManager::new();
-        let breaker = CircuitBreaker::new(BreakerConfig {
-            trip_threshold: 1,
-            cooldown_ticks: 10,
-        });
+        let breaker = CircuitBreaker::new();
         // A probe taken before any state exists reads closed, and taking it
         // does not create breaker state for the key.
         let probe = breaker.probe("west");
@@ -920,35 +717,37 @@ mod tests {
         assert!(!probe.is_open());
         assert_eq!(breaker.snapshot("west").trips, 0);
 
-        breaker.record_failure("west", 0, &incidents);
+        trip(&breaker, "west", 0, &incidents);
         assert!(probe.is_open(), "trip visible through the probe");
-        assert!(breaker.allow("west", 10));
+        assert!(breaker.allow("west", COOLDOWN_TICKS));
         assert_eq!(probe.state(), BreakerState::HalfOpen);
-        breaker.record_success("west", 10, &incidents);
+        breaker.record_success("west", COOLDOWN_TICKS, &incidents);
         assert_eq!(probe.state(), BreakerState::Closed);
 
         // A probe taken after transitions is seeded from existing state.
-        breaker.record_failure("east", 0, &incidents);
+        trip(&breaker, "east", 0, &incidents);
         assert!(breaker.probe("east").is_open());
         // Probes observe transitions made through breaker clones too.
-        breaker.clone().allow("east", 10);
+        breaker.clone().allow("east", COOLDOWN_TICKS);
         assert_eq!(breaker.probe("east").state(), BreakerState::HalfOpen);
     }
 
     #[test]
     fn failed_probe_reopens_the_breaker() {
         let incidents = IncidentManager::new();
-        let breaker = CircuitBreaker::new(BreakerConfig {
-            trip_threshold: 1,
-            cooldown_ticks: 10,
-        });
-        breaker.record_failure("west", 0, &incidents);
-        assert!(breaker.allow("west", 10));
+        let breaker = CircuitBreaker::new();
+        trip(&breaker, "west", 0, &incidents);
+        let reopened = COOLDOWN_TICKS;
+        assert!(breaker.allow("west", reopened));
         assert_eq!(breaker.state("west"), BreakerState::HalfOpen);
-        breaker.record_failure("west", 10, &incidents);
+        // One failed probe re-opens; no threshold applies half-open.
+        breaker.record_failure("west", reopened, &incidents);
         assert_eq!(breaker.state("west"), BreakerState::Open);
-        assert!(!breaker.allow("west", 15), "cooldown restarts from re-open");
-        assert!(breaker.allow("west", 20));
+        assert!(
+            !breaker.allow("west", reopened + COOLDOWN_TICKS - 1),
+            "cooldown restarts from re-open"
+        );
+        assert!(breaker.allow("west", reopened + COOLDOWN_TICKS));
         assert_eq!(breaker.snapshot("west").trips, 2);
         assert_eq!(incidents.open_count(Severity::Warning), 1);
     }
@@ -956,13 +755,11 @@ mod tests {
     #[test]
     fn successes_reset_the_failure_streak() {
         let incidents = IncidentManager::new();
-        let breaker = CircuitBreaker::new(BreakerConfig {
-            trip_threshold: 3,
-            cooldown_ticks: 14,
-        });
+        let breaker = CircuitBreaker::new();
         for tick in 0..10 {
-            breaker.record_failure("west", tick, &incidents);
-            breaker.record_failure("west", tick, &incidents);
+            for _ in 1..TRIP_THRESHOLD {
+                breaker.record_failure("west", tick, &incidents);
+            }
             breaker.record_success("west", tick, &incidents);
         }
         assert_eq!(breaker.state("west"), BreakerState::Closed);
@@ -970,39 +767,10 @@ mod tests {
     }
 
     #[test]
-    fn stage_seed_separates_stages() {
-        let a = stage_seed(1, "ingestion", "west", 100);
-        assert_eq!(a, stage_seed(1, "ingestion", "west", 100));
-        assert_ne!(a, stage_seed(1, "validation", "west", 100));
-        assert_ne!(a, stage_seed(1, "ingestion", "east", 100));
-        assert_ne!(a, stage_seed(1, "ingestion", "west", 107));
-        assert_ne!(a, stage_seed(2, "ingestion", "west", 100));
-    }
-
-    /// Retry jitter, and with it the stable export under chaos, hangs on
-    /// these: the values every build so far has produced.
-    #[test]
-    fn stage_seed_values_are_pinned() {
-        assert_eq!(
-            stage_seed(0, "ingestion", "west", 100),
-            0x72e5_89f6_3644_32ba
-        );
-        assert_eq!(
-            stage_seed(0x5eed, "train_infer", "region-b", -7),
-            0x56ba_9d68_d84f_c634
-        );
-        assert_eq!(
-            stage_seed(u64::MAX, "", "", i64::MIN),
-            0x383d_c0c4_ccf7_559a
-        );
-    }
-
-    #[test]
-    fn run_observed_records_retry_metrics() {
+    fn retry_observed_records_retry_metrics() {
         let registry = Registry::new();
-        let policy = RetryPolicy::default();
         let labels = [("region", "west"), ("stage", "ingestion")];
-        let result = policy.run_observed(7, &registry, "ingestion", "west", |attempt| {
+        let result = retry_observed(&registry, "ingestion", "west", |attempt| {
             if attempt < 3 {
                 Err(StageError::transient("flaky"))
             } else {
@@ -1019,18 +787,12 @@ mod tests {
         assert_eq!(registry.counter("seagull_retries_total", &labels).get(), 2);
         assert_eq!(
             registry
-                .histogram("seagull_retry_backoff_ms", &labels)
-                .count(),
-            1
-        );
-        assert_eq!(
-            registry
                 .counter("seagull_retry_exhausted_total", &labels)
                 .get(),
             0
         );
 
-        let failed = policy.run_observed(7, &registry, "ingestion", "west", |_| {
+        let failed = retry_observed(&registry, "ingestion", "west", |_| {
             Err::<(), _>(StageError::permanent("missing"))
         });
         assert!(failed.outcome.is_err());
@@ -1046,11 +808,8 @@ mod tests {
     fn breaker_publishes_state_gauges() {
         let incidents = IncidentManager::new();
         let registry = Registry::new();
-        let breaker = CircuitBreaker::new(BreakerConfig {
-            trip_threshold: 1,
-            cooldown_ticks: 10,
-        });
-        breaker.record_failure("west", 0, &incidents);
+        let breaker = CircuitBreaker::new();
+        trip(&breaker, "west", 0, &incidents);
         breaker.record_success("east", 0, &incidents);
         breaker.publish_state(&registry);
         let gauge = |key: &str| {
@@ -1067,7 +826,7 @@ mod tests {
             1.0
         );
         // Half-open shows up after the cooldown probe is admitted.
-        assert!(breaker.allow("west", 10));
+        assert!(breaker.allow("west", COOLDOWN_TICKS));
         breaker.publish_state(&registry);
         assert_eq!(gauge("west"), BreakerState::HalfOpen.gauge_value());
     }

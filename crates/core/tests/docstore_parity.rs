@@ -91,7 +91,6 @@ fn run_report() -> PipelineRunReport {
         deployed_version: Some(4),
         degraded: Some(DegradedRun {
             retries: BTreeMap::from([("ingestion".to_string(), 2), ("train-infer".to_string(), 5)]),
-            backoff_ms: 1_250,
             quarantined_servers: vec![3, 41],
             fallback_deployed: false,
             skipped_by_breaker: false,

@@ -216,14 +216,6 @@ impl Tracer {
         inner.spans.iter().map(|a| a.record.clone()).collect()
     }
 
-    /// Spans that have finished, in start order.
-    pub fn finished_spans(&self) -> Vec<SpanRecord> {
-        self.spans()
-            .into_iter()
-            .filter(|s| s.end_tick.is_some())
-            .collect()
-    }
-
     /// Append every span of `other`, remapping ids (and parent links) past
     /// this tracer's current range and reassigning `seq` to the new start
     /// order. Wall durations and ticks are preserved.
@@ -268,7 +260,6 @@ mod tests {
         assert!(spans[1].volatile, "retroactive op spans are volatile");
         assert!(!spans[0].volatile);
         assert_eq!(t.wall_duration(op), Some(wall));
-        assert_eq!(t.finished_spans().len(), 2);
     }
 
     #[test]
@@ -339,16 +330,5 @@ mod tests {
         assert!(spans.iter().enumerate().all(|(i, s)| s.seq == i as u64));
         assert_eq!(spans[2].tick_duration(), Some(1));
         assert!(spans[2].wall.is_some());
-    }
-
-    #[test]
-    fn unfinished_spans_are_excluded_from_finished() {
-        let t = Tracer::new();
-        let a = t.start("done", &[], 0);
-        let _b = t.start("pending", &[], 0);
-        t.end(a, 1);
-        let finished = t.finished_spans();
-        assert_eq!(finished.len(), 1);
-        assert_eq!(finished[0].name, "done");
     }
 }

@@ -34,7 +34,7 @@ use crate::snapshot::ModelSnapshot;
 use crate::store::{RegionSlot, SnapshotStore};
 use seagull_core::metrics::{lowest_load_window, LowLoadWindow};
 use seagull_core::pipeline::{DeployEvent, DeploySink};
-use seagull_core::resilience::{BreakerConfig, BreakerProbe, CircuitBreaker};
+use seagull_core::resilience::{BreakerProbe, CircuitBreaker};
 use seagull_obs::{Counter, Exemplar, Gauge, Histogram, Obs, Stability};
 use seagull_timeseries::{TimeSeries, Timestamp};
 use std::collections::BTreeMap;
@@ -254,7 +254,7 @@ impl ServeService {
     /// Convenience constructor with a fresh registry and a default breaker
     /// (nothing ever trips it unless failures are recorded into it).
     pub fn with_defaults() -> ServeService {
-        ServeService::new(Obs::new(), CircuitBreaker::new(BreakerConfig::default()))
+        ServeService::new(Obs::new(), CircuitBreaker::new())
     }
 
     /// The observability handle requests are recorded into.

@@ -117,11 +117,6 @@ impl ServedServer {
     pub fn model(&self) -> Option<&Arc<dyn FittedModel>> {
         self.model.as_ref()
     }
-
-    /// Whether an extended-horizon model is available for this server.
-    pub fn has_model(&self) -> bool {
-        self.model.is_some()
-    }
 }
 
 /// An immutable, versioned prediction set for one region.
@@ -312,11 +307,6 @@ impl ModelSnapshot {
             .copied()
             .zip(self.table.servers.iter())
     }
-
-    /// How many servers carry an extended-horizon model.
-    pub fn models_attached(&self) -> usize {
-        self.table.servers.iter().filter(|s| s.has_model()).count()
-    }
 }
 
 #[cfg(test)]
@@ -352,7 +342,7 @@ mod tests {
         assert_eq!(s.materialized_day(), 14);
         assert_eq!(s.prediction().values()[0], 1.0);
         assert_eq!(s.duration_min(), 60);
-        assert!(!s.has_model());
+        assert!(s.model().is_none());
         assert!(snap.server(999).is_none());
     }
 
@@ -386,6 +376,5 @@ mod tests {
     fn empty_snapshot_is_empty() {
         let snap = ModelSnapshot::from_predictions("west", 1, 0, "m", &[]);
         assert!(snap.is_empty());
-        assert_eq!(snap.models_attached(), 0);
     }
 }

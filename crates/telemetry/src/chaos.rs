@@ -11,8 +11,6 @@
 //!   succeed (the retry-policy case),
 //! * **torn reads** — a `get` returns a truncated prefix of the blob (the
 //!   mid-write-crash case the pipeline must not parse as valid input),
-//! * **latency spikes** — an op is charged a simulated delay (and optionally
-//!   a real sleep),
 //! * **sustained outages** — every op against one `(kind, region)` key-space
 //!   slice fails until the slice is healed (the circuit-breaker case).
 //!
@@ -34,7 +32,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::io;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
 
 /// A minimal deterministic RNG (SplitMix64): the stream behind every fault
 /// schedule. Fleets draw from `seagull_timeseries::rng::ChaCha8`; a fault
@@ -67,7 +64,7 @@ impl DetRng {
 }
 
 /// Fault-injection parameters. All probabilities are per operation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChaosConfig {
     /// Seed of the fault schedule.
     pub seed: u64,
@@ -75,27 +72,6 @@ pub struct ChaosConfig {
     pub transient_fault_prob: f64,
     /// Probability a `get` returns a truncated prefix of the blob.
     pub torn_read_prob: f64,
-    /// Probability an op is charged a latency spike.
-    pub latency_spike_prob: f64,
-    /// Duration of one latency spike (always recorded in the stats; only
-    /// slept when `real_sleep` is set).
-    pub latency_spike: Duration,
-    /// Actually sleep on latency spikes (benchmarks); tests keep this off so
-    /// simulated months run in milliseconds.
-    pub real_sleep: bool,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> ChaosConfig {
-        ChaosConfig {
-            seed: 0,
-            transient_fault_prob: 0.0,
-            torn_read_prob: 0.0,
-            latency_spike_prob: 0.0,
-            latency_spike: Duration::from_millis(50),
-            real_sleep: false,
-        }
-    }
 }
 
 /// Operation and fault counters for assertions.
@@ -111,12 +87,8 @@ pub struct ChaosStats {
     pub torn_reads: u64,
     /// Ops rejected by a sustained outage.
     pub outage_rejections: u64,
-    /// Ops charged a latency spike.
-    pub latency_spikes: u64,
     /// Crash points fired (0 or 1 per store lifetime).
     pub crashes: u64,
-    /// Total simulated latency charged.
-    pub simulated_latency: Duration,
 }
 
 /// When an armed crash fires, relative to the store's op stream.
@@ -326,11 +298,7 @@ impl ChaosBlobStore {
             "seagull_chaos_outage_rejections_total",
             stats.outage_rejections,
         );
-        set("seagull_chaos_latency_spikes_total", stats.latency_spikes);
         set("seagull_chaos_crashes_total", stats.crashes);
-        registry
-            .gauge("seagull_chaos_simulated_latency_seconds", &[])
-            .set(stats.simulated_latency.as_secs_f64());
         registry.gauge("seagull_chaos_active_outages", &[]).set(
             self.state
                 .lock()
@@ -341,8 +309,8 @@ impl ChaosBlobStore {
     }
 
     /// Rolls the fault dice for one op. The roll order per op is fixed
-    /// (transient, then torn for reads, then latency) so schedules stay
-    /// aligned across runs.
+    /// (transient, then torn for reads) so schedules stay aligned across
+    /// runs.
     fn inject(&self, op: &str, kind: &str, region: &str, key: &str, read: bool) -> Injection {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let op_index = st.stats.ops;
@@ -405,19 +373,6 @@ impl ChaosBlobStore {
             st.log
                 .push(format!("#{op_index} {op} {key}: torn({frac:.6})"));
             torn_frac = Some(frac);
-        }
-        let mut spike = false;
-        if self.config.latency_spike_prob > 0.0
-            && st.rng.next_f64() < self.config.latency_spike_prob
-        {
-            st.stats.latency_spikes += 1;
-            st.stats.simulated_latency += self.config.latency_spike;
-            st.log.push(format!("#{op_index} {op} {key}: latency"));
-            spike = true;
-        }
-        drop(st);
-        if spike && self.config.real_sleep {
-            std::thread::sleep(self.config.latency_spike);
         }
         Injection::Proceed { torn_frac }
     }
@@ -528,8 +483,6 @@ mod tests {
                 seed: 42,
                 transient_fault_prob: 0.4,
                 torn_read_prob: 0.3,
-                latency_spike_prob: 0.2,
-                ..ChaosConfig::default()
             });
             let k = BlobKey::extracted("west", 100);
             let _ = store.put(&k, Blob::from(&b"0123456789"[..]));
@@ -601,22 +554,6 @@ mod tests {
             assert_eq!(&got[..], &b"full blob contents"[..got.len()]);
         }
         assert_eq!(store.stats().torn_reads, 10);
-    }
-
-    #[test]
-    fn latency_spikes_are_charged() {
-        let store = chaos(ChaosConfig {
-            seed: 3,
-            latency_spike_prob: 1.0,
-            latency_spike: Duration::from_millis(200),
-            ..ChaosConfig::default()
-        });
-        let k = BlobKey::extracted("west", 100);
-        store.put(&k, Blob::from(&b"x"[..])).unwrap();
-        let _ = store.get(&k);
-        let stats = store.stats();
-        assert_eq!(stats.latency_spikes, 2);
-        assert_eq!(stats.simulated_latency, Duration::from_millis(400));
     }
 
     #[test]

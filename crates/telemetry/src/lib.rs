@@ -28,8 +28,7 @@
 //!   reduces raw telemetry to one `SGCB` blob per region-week.
 //! * [`chaos`] — deterministic fault injection: a [`BlobStore`] decorator
 //!   that replays seeded, reproducible fault schedules (transient errors,
-//!   torn reads, latency spikes, sliced sustained outages, and seeded
-//!   crash kill-points).
+//!   torn reads, sliced sustained outages, and seeded crash kill-points).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

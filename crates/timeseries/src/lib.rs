@@ -6,9 +6,8 @@
 //! percentage per five minutes for PostgreSQL/MySQL servers (Section 2.2 of
 //! the paper) and per fifteen minutes for SQL databases (Appendix A). This
 //! crate provides the [`TimeSeries`] type used everywhere downstream, plus
-//! calendar math (backup *days*, days of week, week alignment), resampling of
-//! raw irregular telemetry onto the grid, gap filling, rolling windows, and
-//! summary statistics.
+//! calendar math (backup *days*, days of week, week alignment), gap filling,
+//! rolling windows, and summary statistics.
 //!
 //! Timestamps are minutes since the Unix epoch ([`Timestamp`]); all paper
 //! experiments operate at minute granularity, so this representation is exact
@@ -29,7 +28,7 @@ pub mod window;
 pub use anomaly::{detect_anomalies, AnomalyConfig, LoadAnomaly};
 pub use calendar::{DayOfWeek, MINUTES_PER_DAY, MINUTES_PER_HOUR, MINUTES_PER_WEEK};
 pub use decompose::{decompose, Decomposition};
-pub use resample::{fill_gaps, resample_mean, GapFill, RawPoint};
+pub use resample::{fill_gaps, GapFill};
 pub use series::{TimeSeries, TimeSeriesError};
 pub use stats::{max, mean, min, quantile, stddev, SummaryStats};
 pub use time::Timestamp;

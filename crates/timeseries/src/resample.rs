@@ -1,57 +1,11 @@
-//! Resampling raw telemetry onto a regular grid, and gap filling.
+//! Gap filling on the grid.
 //!
-//! Production telemetry arrives as irregular per-event samples; the Load
-//! Extraction module (paper Section 2.2) aggregates them to "average customer
-//! CPU load percentage per five minutes". [`resample_mean`] performs that
-//! aggregation; [`fill_gaps`] repairs the missing buckets that the Data
-//! Validation module tolerates below its alert threshold.
+//! Load Extraction (paper Section 2.2) delivers "average customer CPU load
+//! percentage per five minutes", with a missing bucket as NaN;
+//! [`fill_gaps`] repairs the missing buckets that the Data Validation module
+//! tolerates below its alert threshold.
 
-use crate::series::{TimeSeries, TimeSeriesError};
-use crate::time::Timestamp;
-
-/// One raw telemetry sample before gridding.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RawPoint {
-    pub at: Timestamp,
-    pub value: f64,
-}
-
-/// Buckets raw points onto a `step_min` grid spanning `[start, end)` and
-/// averages within each bucket. Buckets without samples become NaN (missing).
-///
-/// `start` must be aligned to the grid; points outside the range are ignored.
-pub fn resample_mean(
-    points: &[RawPoint],
-    start: Timestamp,
-    end: Timestamp,
-    step_min: u32,
-) -> Result<TimeSeries, TimeSeriesError> {
-    let span = end - start;
-    if span < 0 || span % step_min as i64 != 0 {
-        return Err(TimeSeriesError::MisalignedStart {
-            start: end,
-            step_min,
-        });
-    }
-    let n = (span / step_min as i64) as usize;
-    let mut sums = vec![0.0f64; n];
-    let mut counts = vec![0u32; n];
-    for p in points {
-        let delta = p.at - start;
-        if delta < 0 || delta >= span {
-            continue;
-        }
-        let idx = (delta / step_min as i64) as usize;
-        sums[idx] += p.value;
-        counts[idx] += 1;
-    }
-    let values = sums
-        .into_iter()
-        .zip(counts)
-        .map(|(s, c)| if c == 0 { f64::NAN } else { s / c as f64 })
-        .collect();
-    TimeSeries::new(start, step_min, values)
-}
+use crate::series::TimeSeries;
 
 /// Strategy for repairing missing (NaN) samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,44 +100,7 @@ pub fn fill_gaps(series: &mut TimeSeries, strategy: GapFill) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pt(min: i64, v: f64) -> RawPoint {
-        RawPoint {
-            at: Timestamp::from_minutes(min),
-            value: v,
-        }
-    }
-
-    #[test]
-    fn resample_averages_buckets() {
-        let pts = [pt(0, 2.0), pt(1, 4.0), pt(5, 10.0), pt(14, 20.0)];
-        let s = resample_mean(&pts, Timestamp::EPOCH, Timestamp::from_minutes(15), 5).unwrap();
-        assert_eq!(s.values()[0], 3.0);
-        assert_eq!(s.values()[1], 10.0);
-        assert_eq!(s.values()[2], 20.0);
-    }
-
-    #[test]
-    fn resample_marks_empty_buckets_missing() {
-        let pts = [pt(0, 1.0)];
-        let s = resample_mean(&pts, Timestamp::EPOCH, Timestamp::from_minutes(10), 5).unwrap();
-        assert_eq!(s.values()[0], 1.0);
-        assert!(s.values()[1].is_nan());
-    }
-
-    #[test]
-    fn resample_ignores_out_of_range() {
-        let pts = [pt(-1, 100.0), pt(10, 100.0), pt(5, 7.0)];
-        let s = resample_mean(&pts, Timestamp::EPOCH, Timestamp::from_minutes(10), 5).unwrap();
-        assert!(s.values()[0].is_nan());
-        assert_eq!(s.values()[1], 7.0);
-    }
-
-    #[test]
-    fn resample_rejects_bad_range() {
-        assert!(resample_mean(&[], Timestamp::EPOCH, Timestamp::from_minutes(-5), 5).is_err());
-        assert!(resample_mean(&[], Timestamp::EPOCH, Timestamp::from_minutes(7), 5).is_err());
-    }
+    use crate::time::Timestamp;
 
     fn series_with(vals: &[f64]) -> TimeSeries {
         TimeSeries::new(Timestamp::EPOCH, 5, vals.to_vec()).unwrap()

@@ -421,15 +421,6 @@ impl TimeSeries {
         self.day_values(d).map(|_| d)
     }
 
-    /// Iterates over the day indices fully covered by this series.
-    pub fn full_days(&self) -> impl Iterator<Item = i64> + '_ {
-        match (self.first_full_day(), self.last_full_day()) {
-            (Some(a), Some(b)) => a..=b,
-            #[allow(clippy::reversed_empty_ranges)]
-            _ => 1..=0, // canonical empty RangeInclusive
-        }
-    }
-
     /// Appends another series that starts exactly where this one ends.
     /// Rebuilds the backing buffer; appending detaches from any shared
     /// storage.
@@ -643,7 +634,6 @@ mod tests {
         assert!(s.day_values(12).is_none());
         assert_eq!(s.first_full_day(), Some(10));
         assert_eq!(s.last_full_day(), Some(11));
-        assert_eq!(s.full_days().collect::<Vec<_>>(), vec![10, 11]);
     }
 
     #[test]
@@ -661,7 +651,6 @@ mod tests {
         let s = TimeSeries::empty(Timestamp::EPOCH, 5).unwrap();
         assert_eq!(s.first_full_day(), None);
         assert_eq!(s.last_full_day(), None);
-        assert_eq!(s.full_days().count(), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! appropriate") exercised under adversarial input.
 
 use seagull::core::pipeline::{collections, AmlPipeline, DeadLetterDoc, PipelineConfig};
-use seagull::core::resilience::{BreakerState, ResiliencePolicy, StageChaos};
+use seagull::core::resilience::{BreakerState, StageChaos};
 use seagull::core::Severity;
 use seagull::forecast::{FittedModel, ForecastError, Forecaster, PersistentForecast};
 use seagull::telemetry::blobstore::{Blob, BlobKey, BlobStore, MemoryBlobStore};
@@ -374,7 +374,6 @@ fn same_seed_reproduces_schedule_and_incident_log() {
                 seed: 5,
                 transient_fault_prob: 0.3,
                 torn_read_prob: 0.3,
-                ..ChaosConfig::default()
             },
         ));
         let pipeline = AmlPipeline::new(PipelineConfig::production(), chaos.clone());
@@ -572,17 +571,13 @@ fn per_server_fault_quarantines_only_that_server() {
     assert!(clean_report.degraded.is_none(), "baseline must be clean");
 
     // Server 3's train-infer faults on every attempt.
-    let policy = ResiliencePolicy {
-        chaos: StageChaos::from_server_fn(|stage, _, server_id, _, _| {
-            stage == "train-infer" && server_id == 3
-        }),
-        ..ResiliencePolicy::default()
-    };
-    let pipeline = AmlPipeline::with_resilience(
+    let pipeline = AmlPipeline::new(
         PipelineConfig::production(),
         Arc::clone(&store) as Arc<dyn BlobStore>,
-        policy,
-    );
+    )
+    .with_chaos(StageChaos::from_server_fn(|stage, _, server_id, _, _| {
+        stage == "train-infer" && server_id == 3
+    }));
     let report = pipeline.run_region_week(&region, start);
 
     assert!(!report.blocked, "one poisoned server never blocks the run");
@@ -643,13 +638,9 @@ fn per_server_fault_quarantines_only_that_server() {
 fn deploy_failure_mid_schedule_keeps_serving_last_known_good() {
     let (_, store, region, start) = fleet_and_store(15, 3, 15);
     let bad_week = start + 7;
-    let policy = ResiliencePolicy {
-        chaos: StageChaos::from_fn(move |stage, _, tick, _| {
-            stage == "deployment" && tick == bad_week
-        }),
-        ..ResiliencePolicy::default()
-    };
-    let pipeline = AmlPipeline::with_resilience(PipelineConfig::production(), store, policy);
+    let pipeline = AmlPipeline::new(PipelineConfig::production(), store).with_chaos(
+        StageChaos::from_fn(move |stage, _, tick, _| stage == "deployment" && tick == bad_week),
+    );
     let reports = pipeline.run_schedule(
         std::slice::from_ref(&region),
         &[start, bad_week, start + 14],

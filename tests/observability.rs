@@ -5,7 +5,7 @@
 
 use seagull::core::dashboard::Dashboard;
 use seagull::core::pipeline::{AmlPipeline, PipelineConfig};
-use seagull::core::resilience::{BreakerState, ResiliencePolicy};
+use seagull::core::resilience::BreakerState;
 use seagull::core::Severity;
 use seagull::obs::{export, Obs};
 use seagull::telemetry::blobstore::MemoryBlobStore;
@@ -54,12 +54,8 @@ fn outage_metrics_match_incident_log() {
 
     let chaos = Arc::new(ChaosBlobStore::new(store, ChaosConfig::default()));
     let obs = Obs::new();
-    let pipeline = AmlPipeline::with_resilience(
-        PipelineConfig::production(),
-        chaos.clone(),
-        ResiliencePolicy::default(),
-    )
-    .with_obs(obs.clone());
+    let pipeline =
+        AmlPipeline::new(PipelineConfig::production(), chaos.clone()).with_obs(obs.clone());
     chaos.set_outage("extracted", "region-a");
 
     // Three weekly failures trip region-a's breaker; region-b stays healthy.
@@ -190,15 +186,8 @@ fn seeded_run(seed: u64) -> Obs {
         },
     ));
     let obs = Obs::new();
-    let pipeline = AmlPipeline::with_resilience(
-        PipelineConfig::production(),
-        chaos.clone(),
-        ResiliencePolicy {
-            seed,
-            ..ResiliencePolicy::default()
-        },
-    )
-    .with_obs(obs.clone());
+    let pipeline =
+        AmlPipeline::new(PipelineConfig::production(), chaos.clone()).with_obs(obs.clone());
     let dashboard = Dashboard::with_obs(obs.clone());
     dashboard.record(pipeline.run_region_week(&region, start));
     dashboard.record(pipeline.run_region_week(&region, start + 7));

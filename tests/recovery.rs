@@ -11,7 +11,7 @@
 use seagull::backup::{BackupScheduler, FabricPropertyStore, SchedulerConfig};
 use seagull::core::fleet::FleetRunner;
 use seagull::core::pipeline::{AmlPipeline, DeploySink, PipelineConfig};
-use seagull::core::resilience::{ResiliencePolicy, StageChaos};
+use seagull::core::resilience::StageChaos;
 use seagull::serve::{snapshot_key, DurableServeSink, RecoveryReport, ServeService};
 use seagull::telemetry::blobstore::{BlobStore, MemoryBlobStore};
 use seagull::telemetry::chaos::{ChaosBlobStore, ChaosConfig, CrashPoint, DetRng, InjectedCrash};
@@ -138,17 +138,12 @@ fn run(env: &Env, crash: Crash) -> RunOutcome {
         Arc::clone(&disk) as Arc<dyn BlobStore>,
         ChaosConfig::default(),
     ));
-    let policy = match &crash {
+    let stage_chaos = match &crash {
         Crash::Stage(stage, region, tick) => {
             let (s, r, t) = (*stage, region.clone(), *tick);
-            ResiliencePolicy {
-                chaos: StageChaos::kill_at(move |stage, region, tick| {
-                    stage == s && region == r && tick == t
-                }),
-                ..ResiliencePolicy::default()
-            }
+            StageChaos::kill_at(move |stage, region, tick| stage == s && region == r && tick == t)
         }
-        _ => ResiliencePolicy::default(),
+        _ => StageChaos::none(),
     };
     if let Crash::Blob(point) = crash {
         chaos.arm_crash(point);
@@ -159,9 +154,9 @@ fn run(env: &Env, crash: Crash) -> RunOutcome {
         serve.clone(),
         Arc::clone(&chaos) as Arc<dyn BlobStore>,
     ));
-    let pipeline =
-        AmlPipeline::with_resilience(config(), Arc::clone(&chaos) as Arc<dyn BlobStore>, policy)
-            .with_deploy_sink(Arc::clone(&sink) as Arc<dyn DeploySink>);
+    let pipeline = AmlPipeline::new(config(), Arc::clone(&chaos) as Arc<dyn BlobStore>)
+        .with_chaos(stage_chaos)
+        .with_deploy_sink(Arc::clone(&sink) as Arc<dyn DeploySink>);
     let runner = FleetRunner::new(pipeline, env.regions.clone())
         .with_checkpoints(Arc::clone(&chaos) as Arc<dyn BlobStore>);
 

@@ -5,7 +5,7 @@
 use seagull::backup::{BackupScheduler, FabricPropertyStore, ScheduleDecision, SchedulerConfig};
 use seagull::core::metrics::{lowest_load_window, LowLoadWindow};
 use seagull::core::pipeline::{AmlPipeline, DeploySink, PipelineConfig, PredictionDoc};
-use seagull::core::resilience::BreakerState;
+use seagull::core::resilience::{BreakerState, COOLDOWN_TICKS, TRIP_THRESHOLD};
 use seagull::core::IncidentManager;
 use seagull::forecast::{FittedModel, Forecaster, PersistentForecast};
 use seagull::serve::{ModelSnapshot, ServeError, ServeService};
@@ -384,7 +384,7 @@ fn open_breaker_sheds_serving_traffic_until_cooldown() {
 
     // Trip the shared breaker the way the pipeline would.
     let incidents = IncidentManager::new();
-    for _ in 0..3 {
+    for _ in 0..TRIP_THRESHOLD {
         serve.breaker().record_failure("west", 0, &incidents);
     }
     assert_eq!(serve.breaker().state("west"), BreakerState::Open);
@@ -406,9 +406,10 @@ fn open_breaker_sheds_serving_traffic_until_cooldown() {
     assert_eq!(serve.breaker().state("east"), BreakerState::Closed);
 
     // After the cooldown the pipeline's probe succeeds and serving resumes.
-    let cooldown = serve.breaker().config().cooldown_ticks;
-    assert!(serve.breaker().allow("west", cooldown));
-    serve.breaker().record_success("west", cooldown, &incidents);
+    assert!(serve.breaker().allow("west", COOLDOWN_TICKS));
+    serve
+        .breaker()
+        .record_success("west", COOLDOWN_TICKS, &incidents);
     assert_eq!(serve.breaker().state("west"), BreakerState::Closed);
     assert_eq!(serve.predict("west", 0, 4).unwrap().values()[0], 1.0);
     assert!(east_serves(), "east answers after west closes");
@@ -598,7 +599,7 @@ fn ll_window_matches_predict_day_then_search_on_every_path() {
 
     // An open breaker sheds before either side looks at the snapshot.
     let incidents = IncidentManager::new();
-    for _ in 0..3 {
+    for _ in 0..TRIP_THRESHOLD {
         serve.breaker().record_failure("west", 0, &incidents);
     }
     assert_eq!(

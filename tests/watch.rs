@@ -4,7 +4,7 @@
 //! deployment-accuracy series populated from served-vs-actual scoring.
 
 use seagull::core::pipeline::{AmlPipeline, PipelineConfig};
-use seagull::core::resilience::{ResiliencePolicy, StageChaos};
+use seagull::core::resilience::StageChaos;
 use seagull::core::{IncidentManager, Severity};
 use seagull::obs::Obs;
 use seagull::serve::ServeService;
@@ -207,18 +207,14 @@ fn staleness_under_delayed_deploys_raises_one_incident_then_clears() {
     // Chaos: the deployment stage hard-fails for weeks 2 and 3 (the hook's
     // tick is the week start day), so the week-1 snapshot keeps serving.
     let (bad1, bad2) = (week_days[1], week_days[2]);
-    let policy = ResiliencePolicy {
-        chaos: StageChaos::from_fn(move |stage, _, tick, _| {
-            stage == "deployment" && (tick == bad1 || tick == bad2)
-        }),
-        ..ResiliencePolicy::default()
-    };
     let serve = ServeService::with_defaults();
-    let pipeline = AmlPipeline::with_resilience(
+    let pipeline = AmlPipeline::new(
         PipelineConfig::production(),
         Arc::clone(&store) as Arc<dyn BlobStore>,
-        policy,
     )
+    .with_chaos(StageChaos::from_fn(move |stage, _, tick, _| {
+        stage == "deployment" && (tick == bad1 || tick == bad2)
+    }))
     .with_deploy_sink(Arc::new(serve.clone()));
 
     // Staleness SLO on a day-granular clock: snapshot at most 14 days old
