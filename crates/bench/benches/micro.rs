@@ -32,8 +32,7 @@ use seagull_telemetry::fleet::{FleetGenerator, FleetSpec, ServerTelemetry};
 use seagull_telemetry::frame::{checksum64, checksum64_words};
 use seagull_telemetry::record::{csv_quantized, RecordBatch};
 use seagull_timeseries::{
-    decompose, detect_anomalies, fill_gaps, min_mean_window, AnomalyConfig, GapFill, SummaryStats,
-    TimeSeries, Timestamp,
+    fill_gaps, min_mean_window, GapFill, SummaryStats, TimeSeries, Timestamp,
 };
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -302,51 +301,10 @@ fn fig3_week_filled() -> Vec<ExtractedServer> {
     servers
 }
 
-// The kernels `extract_server_features` spends its time in, then the whole
-// of it, then the data-plane part of the pipeline's per-server operator
-// around it, each over every server of the week: a featurizer regression
-// shows here before it shows in the end-to-end benchmark.
-fn bench_decompose(c: &mut Criterion) {
-    let week = week_series(0);
-    c.bench_function("decompose/week_daily_period", |b| {
-        b.iter(|| decompose(black_box(&week), 288).unwrap())
-    });
-    let servers = fig3_week_filled();
-    c.bench_function("decompose_strengths/fig3_week_80srv", |b| {
-        b.iter(|| {
-            servers
-                .iter()
-                .filter_map(|s| decompose(black_box(&s.series), s.series.points_per_day()))
-                .map(|d| d.strengths())
-                .map(|(seasonal, trend)| seasonal + trend)
-                .sum::<f64>()
-        })
-    });
-}
-
-fn bench_detect_anomalies(c: &mut Criterion) {
-    let servers = fig3_week_servers();
-    // The production ±1 h window, whose two positions per step lie within one
-    // block move, and a ±40-point one, where they are up to three apart.
-    let wide = AnomalyConfig {
-        half_window: 40,
-        ..AnomalyConfig::default()
-    };
-    for (name, cfg) in [
-        ("detect_anomalies/fig3_week_80srv", AnomalyConfig::default()),
-        ("detect_anomalies/fig3_week_80srv_w40", wide),
-    ] {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                servers
-                    .iter()
-                    .map(|s| detect_anomalies(black_box(&s.series), &cfg).len())
-                    .sum::<usize>()
-            })
-        });
-    }
-}
-
+// The load statistics `extract_server_features` computes, then the whole of
+// it, then the data-plane part of the pipeline's per-server operator around
+// it, each over every server of the week: a featurizer regression shows here
+// before it shows in the end-to-end benchmark.
 fn bench_summary_stats(c: &mut Criterion) {
     let servers = fig3_week_servers();
     c.bench_function("summary_stats/fig3_week_80srv", |b| {
@@ -470,13 +428,19 @@ fn bench_persist(c: &mut Criterion) {
 
 fn bench_extract_server_features(c: &mut Criterion) {
     let servers = fig3_week_servers();
+    let filled = fig3_week_filled();
     let cfg = ClassifyConfig::default();
     c.bench_function("extract_server_features/fig3_week_80srv", |b| {
         b.iter(|| {
             servers
                 .iter()
-                .map(|s| extract_server_features(black_box(s), &cfg).load_anomalies)
-                .sum::<usize>()
+                .zip(&filled)
+                .map(|(s, f)| {
+                    extract_server_features(black_box(s), &f.series, &cfg)
+                        .stats
+                        .p95
+                })
+                .sum::<f64>()
         })
     });
 }
@@ -491,14 +455,15 @@ fn bench_run_server_shape(c: &mut Criterion) {
             servers
                 .iter()
                 .map(|s| {
-                    let mut filled = black_box(s).clone();
-                    fill_gaps(&mut filled.series, GapFill::Linear);
-                    let features = extract_server_features(&filled, &cfg);
-                    let step = std::iter::once(u64::from(filled.series.step_min()));
-                    let samples = filled.series.values().iter();
+                    let s = black_box(s);
+                    let mut series = s.series.clone();
+                    fill_gaps(&mut series, GapFill::Linear);
+                    let features = extract_server_features(s, &series, &cfg);
+                    let step = std::iter::once(u64::from(series.step_min()));
+                    let samples = series.values().iter();
                     let fingerprint =
                         checksum64_words(step.chain(samples.map(|&v| csv_quantized(v).to_bits())));
-                    fingerprint ^ features.load_anomalies as u64
+                    fingerprint ^ features.stats.p95.to_bits()
                 })
                 .fold(0, |acc, x| acc ^ x)
         })
@@ -537,7 +502,12 @@ fn bench_docstore(c: &mut Criterion) {
             doc.values.len()
         })
     });
-    let features = extract_server_features(&fig3_week_filled()[0], &ClassifyConfig::default());
+    let server = &fig3_week_servers()[0];
+    let features = extract_server_features(
+        server,
+        &fig3_week_filled()[0].series,
+        &ClassifyConfig::default(),
+    );
     c.bench_function("docstore/upsert_features", |b| {
         let store = DocStore::new();
         let mut i = 0u64;
@@ -574,15 +544,13 @@ fn main() {
         filter: std::env::args().skip(1).find(|arg| !arg.starts_with('-')),
         measure: std::env::args().any(|arg| arg == "--bench"),
     };
-    let rows: [fn(&mut Criterion); 16] = [
+    let rows: [fn(&mut Criterion); 14] = [
         bench_metrics,
         bench_serve_ll_window,
         bench_models,
         bench_linalg,
         bench_classification,
         bench_codec,
-        bench_decompose,
-        bench_detect_anomalies,
         bench_summary_stats,
         bench_csv_quantized,
         bench_sgcb,

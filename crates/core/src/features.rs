@@ -4,10 +4,16 @@
 //! that are useful for load prediction. In particular, we differentiate
 //! between short-lived and long-lived servers, stable and unstable servers,
 //! servers that follow a daily or a weekly pattern ..." (Section 2.2).
+//!
+//! Lifespan is judged from fleet metadata, so the one feature recovered from
+//! the load itself is the pattern class. It is also the only field the
+//! pipeline reads back: it keys the model cache and labels the accuracy
+//! sink's records. The other fields are stored in the `FEATURES` document
+//! and read by nothing in the pipeline.
 
 use crate::classify::{classify_series, ClassifyConfig, ServerClass};
 use seagull_telemetry::extract::ExtractedServer;
-use seagull_timeseries::{decompose, detect_anomalies, AnomalyConfig, SummaryStats};
+use seagull_timeseries::{fill_gaps, GapFill, SummaryStats, TimeSeries};
 use serde::Serialize;
 
 /// The features extracted for one server in one pipeline run.
@@ -17,60 +23,58 @@ pub struct ServerFeatures {
     pub server_id: u64,
     /// Days of telemetry available in this input window.
     pub observed_days: f64,
-    /// Load summary statistics over the window.
+    /// Load summary statistics over the window, taken on the gap-repaired
+    /// series the model trains on (so `stats.missing` is 0 unless the week
+    /// had no sample at all).
     pub stats: SummaryStats,
-    /// Fraction of missing buckets.
+    /// Fraction of missing buckets in the series as ingested, before gap
+    /// repair (1 for an empty series).
     pub missing_fraction: f64,
-    /// The pattern class recovered from the load (lifespan is judged
-    /// separately, from fleet metadata, by the caller).
+    /// The pattern class recovered from the gap-repaired load (lifespan is
+    /// judged separately, from fleet metadata, by the caller).
     pub pattern: ServerClass,
-    /// Daily seasonal strength in [0, 1] (0 when undecomposable): the
-    /// continuous counterpart of the daily-pattern flag.
-    pub daily_seasonal_strength: f64,
-    /// Trend strength in [0, 1].
-    pub trend_strength: f64,
-    /// Number of robust load anomalies (spikes/level shifts) in the window.
-    pub load_anomalies: usize,
     /// Length of the server's default backup window in minutes.
     pub backup_duration_min: i64,
 }
 
-/// Extracts features for one server: the per-server body of
-/// [`extract_features`], called directly by the dataflow pipeline's fused
-/// operators so featurization flows server-by-server instead of waiting on
-/// a whole-batch barrier.
-pub fn extract_server_features(s: &ExtractedServer, config: &ClassifyConfig) -> ServerFeatures {
-    let anomaly_config = AnomalyConfig::default();
+/// Extracts features for one server from its week as ingested (`s`, whose
+/// missing buckets are NaN) and the same week with its gaps repaired
+/// (`repaired`): the per-server body of [`extract_features`], called
+/// directly by the dataflow pipeline's fused operators, which repair the
+/// series for the fit anyway.
+pub fn extract_server_features(
+    s: &ExtractedServer,
+    repaired: &TimeSeries,
+    config: &ClassifyConfig,
+) -> ServerFeatures {
     let len = s.series.len();
-    let stats = SummaryStats::compute(s.series.values());
-    let (daily_seasonal_strength, trend_strength) =
-        decompose(&s.series, s.series.points_per_day()).map_or((0.0, 0.0), |d| d.strengths());
-    let load_anomalies = detect_anomalies(&s.series, &anomaly_config).len();
     ServerFeatures {
         server_id: s.id.0,
         observed_days: len as f64 / s.series.points_per_day() as f64,
-        stats,
+        stats: SummaryStats::compute(repaired.values()),
         missing_fraction: if len == 0 {
             1.0
         } else {
-            stats.missing as f64 / len as f64
+            s.series.missing_count() as f64 / len as f64
         },
-        pattern: classify_series(&s.series, config),
-        daily_seasonal_strength,
-        trend_strength,
-        load_anomalies,
+        pattern: classify_series(repaired, config),
         backup_duration_min: s.default_backup_end - s.default_backup_start,
     }
 }
 
-/// Extracts features for every server in a region-week.
+/// Extracts features for every server in a region-week as ingested,
+/// repairing each series as the pipeline does (`GapFill::Linear`).
 pub fn extract_features(
     servers: &[ExtractedServer],
     config: &ClassifyConfig,
 ) -> Vec<ServerFeatures> {
     servers
         .iter()
-        .map(|s| extract_server_features(s, config))
+        .map(|s| {
+            let mut repaired = s.series.clone();
+            fill_gaps(&mut repaired, GapFill::Linear);
+            extract_server_features(s, &repaired, config)
+        })
         .collect()
 }
 
@@ -103,6 +107,8 @@ mod tests {
         assert_eq!(f.backup_duration_min, 90);
     }
 
+    /// The missing fraction is the ingested series'; the statistics are the
+    /// repaired series', so the gaps are counted once and not again there.
     #[test]
     fn missing_fraction_counted() {
         let mut values = vec![5.0; 288];
@@ -111,7 +117,29 @@ mod tests {
         }
         let feats = extract_features(&[server(2, values)], &ClassifyConfig::default());
         assert!((feats[0].missing_fraction - 0.25).abs() < 1e-9);
-        assert_eq!(feats[0].stats.missing, 72);
+        assert_eq!(feats[0].stats.missing, 0);
+        assert_eq!(feats[0].stats.count, 288);
+    }
+
+    /// What a `FEATURES` document holds: these six keys and no others.
+    #[test]
+    fn rendered_document_has_exactly_six_keys() {
+        let feats = extract_features(&[server(5, vec![10.0; 288])], &ClassifyConfig::default());
+        let serde_json::Value::Object(doc) = serde_json::to_value(&feats[0]).unwrap() else {
+            panic!("a features document renders as a JSON object");
+        };
+        let keys: Vec<&str> = doc.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            [
+                "backup_duration_min",
+                "missing_fraction",
+                "observed_days",
+                "pattern",
+                "server_id",
+                "stats"
+            ]
+        );
     }
 
     #[test]
@@ -119,29 +147,6 @@ mod tests {
         let feats = extract_features(&[server(3, vec![])], &ClassifyConfig::default());
         assert_eq!(feats[0].missing_fraction, 1.0);
         assert_eq!(feats[0].observed_days, 0.0);
-    }
-
-    #[test]
-    fn seasonal_strength_separates_patterned_from_flat() {
-        let flat = server(10, vec![20.0; 7 * 288]);
-        let wavy_vals: Vec<f64> = (0..7 * 288)
-            .map(|i| {
-                let m = (i % 288) as f64 * 5.0;
-                30.0 + 30.0 * (2.0 * std::f64::consts::PI * m / 1440.0).sin()
-            })
-            .collect();
-        let wavy = server(11, wavy_vals);
-        let feats = extract_features(&[flat, wavy], &ClassifyConfig::default());
-        assert!(feats[0].daily_seasonal_strength < 0.2);
-        assert!(feats[1].daily_seasonal_strength > 0.8);
-    }
-
-    #[test]
-    fn anomaly_count_flows_through() {
-        let mut vals = vec![20.0; 2 * 288];
-        vals[100] = 99.0;
-        let feats = extract_features(&[server(12, vals)], &ClassifyConfig::default());
-        assert_eq!(feats[0].load_anomalies, 1);
     }
 
     #[test]

@@ -645,10 +645,12 @@ fn backup_day_for_extracted(s: &ExtractedServer, week_start_day: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::ServerFeatures;
     use crate::resilience::{BreakerState, StageChaos};
     use seagull_telemetry::blobstore::MemoryBlobStore;
     use seagull_telemetry::extract::LoadExtraction;
     use seagull_telemetry::fleet::{FleetGenerator, FleetSpec};
+    use seagull_timeseries::Timestamp;
 
     fn setup(servers: usize, weeks: usize) -> (AmlPipeline, i64) {
         let mut spec = FleetSpec::small_region(91);
@@ -751,6 +753,39 @@ mod tests {
             .filter(|e| e.server_id != target.server_id)
             .collect();
         assert_eq!(scored, siblings);
+    }
+
+    /// A `FEATURES` document counts the gaps of the week as ingested, not
+    /// those left in the repaired series the model trains on (none: linear
+    /// repair fills every gap).
+    #[test]
+    fn features_doc_reports_an_interior_gap() {
+        let mut spec = FleetSpec::small_region(91);
+        spec.regions[0].servers = 10;
+        let start = spec.start_day;
+        let mut fleet = FleetGenerator::new(spec).generate_weeks(1);
+        let server = fleet
+            .iter_mut()
+            .find(|s| {
+                s.series.start() == Timestamp::from_days(start)
+                    && s.series.len() == 7 * 288
+                    && s.series.missing_count() == 0
+            })
+            .expect("a server with a complete week");
+        server.series.values_mut()[1_000..1_012].fill(f64::NAN);
+        let id = server.meta.id.0;
+        let store = Arc::new(MemoryBlobStore::new());
+        LoadExtraction::columnar(5)
+            .run(&fleet, &["region-a".into()], &[start], store.as_ref())
+            .unwrap();
+        let pipeline = AmlPipeline::new(PipelineConfig::production(), store);
+        assert!(!pipeline.run_region_week("region-a", start).blocked);
+        let doc: ServerFeatures = pipeline
+            .docs
+            .get(collections::FEATURES, &format!("region-a/{id}/{start}"))
+            .unwrap();
+        assert_eq!(doc.missing_fraction, 12.0 / (7.0 * 288.0));
+        assert_eq!(doc.stats.missing, 0);
     }
 
     #[test]

@@ -242,13 +242,15 @@ impl AmlPipeline {
         // model trained on.
         let mut series = s.series.clone();
         seagull_timeseries::fill_gaps(&mut series, GapFill::Linear);
+        // Featurized from both: the gaps are counted on the series as
+        // ingested, everything else on the repaired one.
+        let features = extract_server_features(s, &series, &self.config.classify);
         let filled = ExtractedServer {
             id: s.id,
             series,
             default_backup_start: s.default_backup_start,
             default_backup_end: s.default_backup_end,
         };
-        let features = extract_server_features(&filled, &self.config.classify);
         let class = features.pattern.label();
         // The cache probe is counted here, once per server, not per attempt.
         let path = self.fit_path(&filled, class, region);

@@ -59,7 +59,7 @@ fn empty_series_features() -> ServerFeatures {
         default_backup_start: Timestamp::from_days(19_001),
         default_backup_end: Timestamp::from_days(19_001),
     };
-    let features = extract_server_features(&server, &ClassifyConfig::default());
+    let features = extract_server_features(&server, &server.series, &ClassifyConfig::default());
     assert!(features.stats.mean.is_nan(), "{features:?}");
     features
 }

@@ -265,7 +265,7 @@ fn span_to_json(out: &mut String, s: &SpanRecord, mode: TimeMode) {
 /// In [`TimeMode::Stable`], volatile spans (per-item operator detail, see
 /// [`SpanRecord::volatile`]) are dropped and the surviving ids/seq are
 /// renumbered compactly — the stable dump is byte-identical to one from a
-/// run that never emitted them, so execution strategies that decompose a
+/// run that never emitted them, so execution strategies that split a
 /// stage differently still compare equal. Children of a dropped span are
 /// re-parented to their nearest retained ancestor.
 pub fn spans_to_json_lines(spans: &[SpanRecord], mode: TimeMode) -> String {

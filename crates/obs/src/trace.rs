@@ -43,7 +43,7 @@ pub struct SpanRecord {
     /// spans recorded by [`Tracer::child_complete`]): they appear in full
     /// exports but are dropped — and the remaining ids renumbered — in
     /// stable exports, so execution strategies that differ only in how
-    /// they decompose a stage stay byte-identical on the stable surface.
+    /// they split a stage stay byte-identical on the stable surface.
     pub volatile: bool,
 }
 

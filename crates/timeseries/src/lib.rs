@@ -9,15 +9,17 @@
 //! calendar math (backup *days*, days of week, week alignment), gap filling,
 //! rolling windows, and summary statistics.
 //!
+//! The per-server kernels are [`SummaryStats::compute`] (the featurizer's
+//! load statistics), [`min_mean_window`] (the lowest-load window search) and
+//! [`fill_gaps`] (the repair ahead of every fit).
+//!
 //! Timestamps are minutes since the Unix epoch ([`Timestamp`]); all paper
 //! experiments operate at minute granularity, so this representation is exact
 //! and cheap (a single `i64`).
 
 #![forbid(unsafe_code)]
 
-pub mod anomaly;
 pub mod calendar;
-pub mod decompose;
 pub mod resample;
 pub mod rng;
 pub mod series;
@@ -25,9 +27,7 @@ pub mod stats;
 pub mod time;
 pub mod window;
 
-pub use anomaly::{detect_anomalies, AnomalyConfig, LoadAnomaly};
 pub use calendar::{DayOfWeek, MINUTES_PER_DAY, MINUTES_PER_HOUR, MINUTES_PER_WEEK};
-pub use decompose::{decompose, Decomposition};
 pub use resample::{fill_gaps, GapFill};
 pub use series::{TimeSeries, TimeSeriesError};
 pub use stats::{max, mean, min, quantile, stddev, SummaryStats};
