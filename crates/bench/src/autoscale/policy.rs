@@ -65,18 +65,6 @@ impl AutoscalePolicy {
         let q = seagull_timeseries::quantile(day.values(), self.sizing_quantile);
         ladder.fit(q * self.headroom)
     }
-
-    /// The same policy with `headroom` scaled by `multiplier` — the hook
-    /// the watch layer's accuracy monitor feeds: a region whose deployment
-    /// accuracy regressed sizes with wider safety margins
-    /// (`AccuracyMonitor::headroom_multiplier` returns 1.0 when healthy)
-    /// until the refit restores accuracy.
-    pub fn with_headroom_multiplier(self, multiplier: f64) -> AutoscalePolicy {
-        AutoscalePolicy {
-            headroom: self.headroom * multiplier,
-            ..self
-        }
-    }
 }
 
 /// Outcome of running one database for one day at a fixed capacity.
@@ -208,24 +196,6 @@ mod tests {
         assert_eq!(ladder.fit(12.5), 12.5);
         assert_eq!(ladder.fit(26.0), 50.0);
         assert_eq!(ladder.fit(500.0), 100.0, "clamps to the largest SKU");
-    }
-
-    #[test]
-    fn regressed_headroom_widens_targets() {
-        let day =
-            TimeSeries::new(Timestamp::from_days(5), 15, vec![20.0, 22.0, 21.0, 23.0]).unwrap();
-        // A fine-grained ladder so the wider margin is visible in the fit.
-        let ladder = SkuLadder {
-            steps: (1..=100).map(|s| s as f64).collect(),
-        };
-        let policy = AutoscalePolicy::default();
-        let healthy = policy.with_headroom_multiplier(1.0);
-        let regressed = policy.with_headroom_multiplier(1.25);
-        assert_eq!(healthy.target(&day, &ladder), policy.target(&day, &ladder));
-        assert!(
-            regressed.target(&day, &ladder) > healthy.target(&day, &ladder),
-            "a regressed region must size with wider safety margins"
-        );
     }
 
     #[test]

@@ -25,7 +25,6 @@ const EXPERIMENTS: &[&str] = &[
     "ablate_model_params",
     "ablate_pf_variant",
     "obs_dump",
-    "watch_dump",
 ];
 
 fn main() {

@@ -294,10 +294,12 @@ impl AmlPipeline {
             .counter("seagull_model_cache_hits_total", &[])
             .store(stats.hits);
         // Similarity-keyed reuses are counted apart from exact-bytes hits so
-        // the accuracy monitor can veto the similarity path independently.
+        // the looser key's share of reuse reads on its own.
         registry
             .counter("seagull_model_cache_similarity_hits_total", &[])
             .store(stats.hits_similarity);
+        // `reason="drift"` counts stable or shape-similar servers whose
+        // history failed the `series_drift` level/scale gate and were refit.
         for (reason, n) in [
             ("cold", stats.misses_cold),
             ("fingerprint", stats.invalidated_fingerprint),

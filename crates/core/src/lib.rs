@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod classify;
-pub mod clock;
 pub mod dashboard;
 pub mod docstore;
 pub mod evaluate;
@@ -49,7 +48,6 @@ pub mod resilience;
 pub mod validation;
 
 pub use classify::{classify_fleet, classify_fleet_with, ClassificationReport, ServerClass};
-pub use clock::{JobRun, JobScheduler, RecurringJob};
 pub use dashboard::{Dashboard, DashboardSummary};
 pub use docstore::{DocStore, DocStoreError};
 pub use evaluate::{

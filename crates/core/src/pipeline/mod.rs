@@ -46,7 +46,7 @@
 //! The module is split along those seams: this file holds the
 //! configuration, [`AmlPipeline`] and [`AmlPipeline::run_region_week`];
 //! `report` the run report and the stored document types; `sinks` the
-//! deploy and accuracy hooks; `operator` the fused per-server operator, its
+//! deploy hook; `operator` the fused per-server operator, its
 //! fit path and its absorb. The fleet fan-out over regions
 //! ([`AmlPipeline::run_fleet_week`], [`AmlPipeline::run_schedule`]) lives
 //! next to [`FleetRunner`](crate::fleet::FleetRunner) in [`crate::fleet`].
@@ -59,7 +59,7 @@ pub use report::{
     collections, AccuracyDoc, DeadLetterDoc, DegradedRun, PipelineRunReport, PredictionDoc,
     StageTiming,
 };
-pub use sinks::{AccuracySink, DeployEvent, DeploySink, ScoredPrediction};
+pub use sinks::{DeployEvent, DeploySink};
 
 use crate::classify::ClassifyConfig;
 use crate::docstore::{DocStore, DocStoreError};
@@ -70,7 +70,6 @@ use crate::par::{configured_threads, parallel_map_profiled};
 use crate::registry::{ModelAccuracy, ModelRegistry};
 use crate::resilience::{retry_observed, CircuitBreaker, RetryResult, StageChaos, StageError};
 use crate::validation::DataProfile;
-use operator::MidStages;
 use seagull_forecast::{Forecaster, ModelCache};
 use seagull_obs::{Obs, SpanId, Stability};
 use seagull_telemetry::blobstore::{BlobKey, BlobStore};
@@ -149,10 +148,6 @@ pub struct AmlPipeline {
     /// Optional serving-layer hook, announced to on every deployment (see
     /// [`DeploySink`]). Shared across fleet scratch clones.
     pub deploy_sink: Option<Arc<dyn DeploySink>>,
-    /// Optional accuracy-monitor hook, announced to whenever the
-    /// accuracy-evaluation stage scores previously-served predictions (see
-    /// [`AccuracySink`]). Shared across fleet scratch clones.
-    pub accuracy_sink: Option<Arc<dyn AccuracySink>>,
 }
 
 impl AmlPipeline {
@@ -170,7 +165,6 @@ impl AmlPipeline {
             obs: Obs::new(),
             cache: Arc::new(ModelCache::new()),
             deploy_sink: None,
-            accuracy_sink: None,
         }
     }
 
@@ -193,14 +187,6 @@ impl AmlPipeline {
     /// region's new model snapshot.
     pub fn with_deploy_sink(mut self, sink: Arc<dyn DeploySink>) -> AmlPipeline {
         self.deploy_sink = Some(sink);
-        self
-    }
-
-    /// Registers an accuracy-monitor hook: every accuracy-evaluation stage
-    /// that scores previously-served predictions announces the per-server
-    /// scores (with classification labels) to `sink`.
-    pub fn with_accuracy_sink(mut self, sink: Arc<dyn AccuracySink>) -> AmlPipeline {
-        self.accuracy_sink = Some(sink);
         self
     }
 
@@ -424,11 +410,7 @@ impl AmlPipeline {
             &batch,
             &mut servers,
         );
-        let Some(MidStages {
-            features,
-            predictions,
-        }) = mid
-        else {
+        let Some(predictions) = mid else {
             // Validation blocked the run: nothing downstream executes.
             self.obs
                 .registry()
@@ -546,36 +528,10 @@ impl AmlPipeline {
                 .counter("seagull_accuracy_unscorable_total", &[("region", region)])
                 .add(unscorable);
         }
-        let eval_rows: Vec<Option<AccuracyDoc>> = eval_rows
+        let evals: Vec<AccuracyDoc> = eval_rows
             .into_iter()
-            .map(|row| row.ok().flatten())
+            .filter_map(|row| row.ok().flatten())
             .collect();
-        // Announce served-vs-actual scores to the online accuracy monitor
-        // before flattening: eval rows index-align with `servers` (and thus
-        // `features`), which is where the classification labels live. A
-        // server whose fused operator panicked has no features and is
-        // skipped (it has no fresh prediction either way).
-        if let Some(sink) = &self.accuracy_sink {
-            let scores: Vec<ScoredPrediction> = eval_rows
-                .iter()
-                .zip(&features)
-                .filter_map(|(row, f)| match (row, f) {
-                    (Some(e), Some(f)) => Some(ScoredPrediction {
-                        server_id: e.server_id,
-                        day: e.day,
-                        class: f.pattern.label(),
-                        window_correct: e.window_correct,
-                        load_accurate: e.load_accurate,
-                        window_bucket_ratio: e.window_bucket_ratio,
-                    }),
-                    _ => None,
-                })
-                .collect();
-            if !scores.is_empty() {
-                sink.on_scores(region, week_start_day, &scores);
-            }
-        }
-        let evals: Vec<AccuracyDoc> = eval_rows.into_iter().flatten().collect();
         report.evaluations = evals.len();
         if !evals.is_empty() {
             let n = evals.len() as f64;

@@ -59,16 +59,6 @@ enum FitPath {
 /// cold fit that ran — or the reason the server's input is poison.
 type FitOutcome = Result<(Option<PredictionDoc>, CacheOutcome, Option<&'static str>), String>;
 
-/// What the mid-run stages (validation → features → train-infer →
-/// docstore-write) hand to the tail of the run (deployment, accuracy-eval).
-pub(super) struct MidStages {
-    /// Per-server features, index-aligned with the extracted servers.
-    /// `None` marks a server whose fused operator panicked.
-    pub(super) features: Vec<Option<ServerFeatures>>,
-    /// Prediction documents materialized this run, in server input order.
-    pub(super) predictions: Vec<PredictionDoc>,
-}
-
 /// Everything one fused per-server operator produces, absorbed serially in
 /// server input order after the fan-out joins.
 struct FusedServerOutcome {
@@ -326,8 +316,9 @@ impl AmlPipeline {
     /// Reports, documents, incidents and the stable export of a run are
     /// byte-identical at every thread count. Retries, exhaustion and panics
     /// are per-server: a poison server dead-letters only itself and can
-    /// never fail the whole stage. Returns `None` when validation blocks
-    /// the run.
+    /// never fail the whole stage. Returns the prediction documents
+    /// materialized this run, in server input order, or `None` when
+    /// validation blocks the run.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn mid_dataflow(
         &self,
@@ -340,7 +331,7 @@ impl AmlPipeline {
         degraded: &mut DegradedRun,
         batch: &ColumnarBatch,
         servers: &mut [ExtractedServer],
-    ) -> Option<MidStages> {
+    ) -> Option<Vec<PredictionDoc>> {
         // ---- Data Validation (batch-level) -------------------------------------
         // Per-server missing-data checks run inside the fused operators; the
         // blocking decision must precede the fan-out, and only batch-level
@@ -419,7 +410,6 @@ impl AmlPipeline {
         // order, so outputs are independent of worker interleaving.
         profile.record(self.obs.registry(), "train-infer");
         let tracer = self.obs.tracer();
-        let mut features: Vec<Option<ServerFeatures>> = Vec::with_capacity(servers.len());
         let mut predictions: Vec<PredictionDoc> = Vec::new();
         let mut updates: Vec<CacheUpdate> = Vec::new();
         let mut hit_keys: Vec<String> = Vec::new();
@@ -439,7 +429,6 @@ impl AmlPipeline {
                     }
                     let id = format!("{region}/{server_id}/{week_start_day}");
                     self.docs.upsert(collections::FEATURES, &id, &out.features);
-                    features.push(Some(out.features));
                     let sid = server_id.to_string();
                     tracer.child_complete(
                         fused_span,
@@ -472,7 +461,6 @@ impl AmlPipeline {
                     // Per-server panic isolation: the panicking operator
                     // quarantines only its own server — no features, no
                     // prediction, unfilled series; siblings are untouched.
-                    features.push(None);
                     poison.push((server_id, format!("fused operator panicked: {panic_msg}")));
                 }
             }
@@ -525,10 +513,7 @@ impl AmlPipeline {
         report.predictions_written = self.write_predictions(region, tick, degraded, &predictions);
         self.finish_stage(report, fused_span, "train-infer", region, vt);
 
-        Some(MidStages {
-            features,
-            predictions,
-        })
+        Some(predictions)
     }
 
     /// Quarantines poison servers to the dead-letter list and raises the

@@ -1,7 +1,5 @@
-//! The two hooks a run announces to: [`DeploySink`] for the serving layer
-//! (a new model version, or a fallback to the last-known-good one) and
-//! [`AccuracySink`] for the online accuracy monitor (served-vs-actual
-//! scores once the next week's telemetry arrives).
+//! The hook a run announces to: [`DeploySink`] for the serving layer (a new
+//! model version, or a fallback to the last-known-good one).
 
 use super::PredictionDoc;
 use seagull_forecast::ModelCache;
@@ -53,44 +51,4 @@ pub trait DeploySink: Send + Sync {
     fn on_fallback(&self, region: &str, week_start_day: i64) {
         let _ = (region, week_start_day);
     }
-}
-
-/// One previously-served prediction scored against the actual load that
-/// arrived a week later (the paper's §5.4 deployment accuracy), as
-/// announced to an [`AccuracySink`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScoredPrediction {
-    /// Server the prediction was served for.
-    pub server_id: u64,
-    /// Day index the prediction covered.
-    pub day: i64,
-    /// Classification label the server trained under this week (the
-    /// cache-key class, e.g. `stable` / `unstable`).
-    pub class: &'static str,
-    /// Whether the predicted low-load window matched the true one.
-    pub window_correct: bool,
-    /// Whether predicted load in the window was accurate (Definition 9).
-    pub load_accurate: bool,
-    /// Bucket-ratio score of the predicted window, percent.
-    pub window_bucket_ratio: f64,
-}
-
-/// Observer of the accuracy-evaluation stage — the hook an online accuracy
-/// monitor registers to receive served-vs-actual scores as actuals arrive
-/// with the next region-week of telemetry.
-///
-/// Like [`DeploySink`], implementations are called from inside pipeline
-/// runs — possibly from several regions concurrently under
-/// [`AmlPipeline::run_fleet_week`] — and must be cheap and non-blocking.
-/// Region arguments are disjoint across concurrent calls, so an
-/// implementation that keys its state by region stays deterministic; any
-/// cross-region aggregation (and anything that raises incidents) must be
-/// deferred to a serial step after the fleet barrier.
-///
-/// [`AmlPipeline::run_fleet_week`]: super::AmlPipeline::run_fleet_week
-pub trait AccuracySink: Send + Sync {
-    /// Scores for `region`'s previously-served predictions, evaluated
-    /// against the telemetry of the week starting at `week_start_day`.
-    /// Rows arrive in server order.
-    fn on_scores(&self, region: &str, week_start_day: i64, scores: &[ScoredPrediction]);
 }

@@ -15,9 +15,12 @@
 //! * the new history's quantized shape sketch ([`shape_sketch`]) matches
 //!   the one captured at fit time and the same drift gate passes — a
 //!   *similarity* reuse, counted separately in
-//!   [`CacheStats::hits_similarity`] so the accuracy monitor can veto the
-//!   looser key (via [`ModelCache::flag_drift`]) without touching exact
-//!   reuse.
+//!   [`CacheStats::hits_similarity`] so the looser key's reuse can be read
+//!   apart from exact reuse.
+//!
+//! A stable or similar history that fails the drift gate misses with
+//! [`MissReason::Drift`] and is refit; that gate is the only source of
+//! [`CacheStats::invalidated_drift`].
 //!
 //! Reuse across weeks is sound because every forecaster here anchors its
 //! prediction at `history.end()` and is translation-equivariant under
@@ -41,7 +44,7 @@
 use crate::FittedModel;
 use seagull_timeseries::{TimeSeries, MINUTES_PER_WEEK};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
@@ -191,7 +194,8 @@ pub enum MissReason {
     Fingerprint,
     /// The server's classification label changed.
     Class,
-    /// Stable reuse was considered but [`series_drift`] flagged drift.
+    /// Stable or similarity reuse was considered but [`series_drift`]
+    /// flagged drift.
     Drift,
 }
 
@@ -266,8 +270,7 @@ pub struct CacheStats {
     /// reuse.
     pub hits: u64,
     /// Lookups served via the quantized-shape similarity key. Kept apart
-    /// from `hits` so the accuracy monitor can judge the looser key on its
-    /// own record.
+    /// from `hits` so the looser key's share of reuse reads on its own.
     pub hits_similarity: u64,
     /// Lookups that found no entry at all.
     pub misses_cold: u64,
@@ -275,7 +278,8 @@ pub struct CacheStats {
     pub invalidated_fingerprint: u64,
     /// Entries invalidated because the server changed class.
     pub invalidated_class: u64,
-    /// Entries invalidated by an accuracy drift flag.
+    /// Entries invalidated because a stable or shape-similar history failed
+    /// the [`series_drift`] gate (a level or scale shift since the fit).
     pub invalidated_drift: u64,
     /// Entries evicted by the capacity sweep.
     pub evictions: u64,
@@ -309,10 +313,6 @@ impl CacheStats {
 /// LRU cache of fitted models, shared across pipeline runs.
 pub struct ModelCache {
     entries: RwLock<BTreeMap<String, CacheEntry>>,
-    /// Keys flagged as regressed by an external monitor: the next lookup
-    /// misses with [`MissReason::Drift`] so the server is refit. Cleared
-    /// when the fresh fit commits.
-    flagged: RwLock<BTreeSet<String>>,
     capacity: usize,
     hits: AtomicU64,
     hits_similarity: AtomicU64,
@@ -340,7 +340,6 @@ impl ModelCache {
     pub fn with_capacity(capacity: usize) -> ModelCache {
         ModelCache {
             entries: RwLock::new(BTreeMap::new()),
-            flagged: RwLock::new(BTreeSet::new()),
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             hits_similarity: AtomicU64::new(0),
@@ -379,13 +378,6 @@ impl ModelCache {
             self.misses_cold.fetch_add(1, Ordering::Relaxed);
             return Lookup::Miss(MissReason::Cold);
         };
-        // An externally flagged regression forces a refit regardless of how
-        // well the cached entry matches: the accuracy monitor observed the
-        // served predictions go wrong, which the fingerprint cannot see.
-        if self.flagged.read().unwrap().contains(key) {
-            self.invalidated_drift.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Miss(MissReason::Drift);
-        }
         if entry.class != class {
             self.invalidated_class.fetch_add(1, Ordering::Relaxed);
             return Lookup::Miss(MissReason::Class);
@@ -412,8 +404,7 @@ impl ModelCache {
         // and any other server whose quantized shape sketch is still
         // similar to the one captured at fit time gets a *similarity*
         // reuse behind the same drift gate. The entry itself is never
-        // rewritten on a similarity hit — only recency moves (at commit),
-        // so a veto via `flag_drift` restores a clean cold fit.
+        // rewritten on a similarity hit — only recency moves (at commit).
         let stable = class == "stable";
         let similar = !stable && sketches_similar(entry.sketch, shape_sketch(history.values()));
         if stable || similar {
@@ -453,12 +444,6 @@ impl ModelCache {
         for key in hit_keys {
             if let Some(entry) = entries.get_mut(key) {
                 entry.stamp = entry.stamp.max(tick);
-            }
-        }
-        if !updates.is_empty() {
-            let mut flagged = self.flagged.write().unwrap();
-            for u in &updates {
-                flagged.remove(&u.key);
             }
         }
         for u in updates {
@@ -501,21 +486,6 @@ impl ModelCache {
     /// Whether an entry exists for `key` (any fingerprint/class).
     pub fn contains(&self, key: &str) -> bool {
         self.entries.read().unwrap().contains_key(key)
-    }
-
-    /// Flags `key` as regressed: its next lookup misses with
-    /// [`MissReason::Drift`], forcing a refit, and the flag clears when the
-    /// fresh fit commits. This is the warm-cache drift gate an online
-    /// accuracy monitor pulls when served predictions score badly against
-    /// the actuals. Call from a serial step (an orchestrator barrier), not
-    /// from inside a parallel region.
-    pub fn flag_drift(&self, key: &str) {
-        self.flagged.write().unwrap().insert(key.to_string());
-    }
-
-    /// Whether `key` is currently flagged for forced refit.
-    pub fn drift_flagged(&self, key: &str) -> bool {
-        self.flagged.read().unwrap().contains(key)
     }
 
     /// The cached fitted model for `key`, if any — a read-only extraction
@@ -678,14 +648,6 @@ mod tests {
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.hits_similarity, 1);
         assert!(stats.hit_rate() > 0.99, "similarity hits count in hit_rate");
-
-        // The accuracy monitor can veto the looser key: a drift flag forces
-        // the next lookup to refit even though the sketch still matches.
-        cache.flag_drift("a/s1");
-        assert!(matches!(
-            cache.lookup("a/s1", 99, "daily-pattern", &week1),
-            Lookup::Miss(MissReason::Drift)
-        ));
     }
 
     #[test]
@@ -769,30 +731,6 @@ mod tests {
             Lookup::Miss(MissReason::Drift)
         ));
         assert_eq!(cache.stats().invalidated_drift, 1);
-    }
-
-    #[test]
-    fn drift_flag_forces_refit_then_clears_on_commit() {
-        let cache = ModelCache::new();
-        let week0 = series(0, 10.0);
-        cache.commit(0, vec![update("a/s1", 42, "stable", &week0)], &[]);
-        cache.flag_drift("a/s1");
-        assert!(cache.drift_flagged("a/s1"));
-        // Even a byte-identical fingerprint must miss while flagged.
-        let week1 = series(1, 10.0);
-        assert!(matches!(
-            cache.lookup("a/s1", 42, "stable", &week1),
-            Lookup::Miss(MissReason::Drift)
-        ));
-        assert_eq!(cache.stats().invalidated_drift, 1);
-        // The fresh fit commits and consumes the flag: next week hits again.
-        cache.commit(1, vec![update("a/s1", 42, "stable", &week1)], &[]);
-        assert!(!cache.drift_flagged("a/s1"));
-        let week2 = series(2, 10.0);
-        assert!(matches!(
-            cache.lookup("a/s1", 42, "stable", &week2),
-            Lookup::Hit(_)
-        ));
     }
 
     #[test]

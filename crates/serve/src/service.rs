@@ -268,8 +268,7 @@ impl ServeService {
     }
 
     /// Sets the service's notion of "today" (a day index on the simulated
-    /// clock). Drives [`ServeService::staleness_days`] and the staleness
-    /// histogram stamped at publish time.
+    /// clock). Drives the staleness histogram stamped at publish time.
     pub fn set_clock_day(&self, day: i64) {
         self.inner.clock_day.store(day, Ordering::Relaxed);
     }
@@ -330,14 +329,6 @@ impl ServeService {
     /// Regions with at least one published snapshot, ascending.
     pub fn regions(&self) -> Vec<String> {
         self.inner.store.regions()
-    }
-
-    /// Days between the simulated clock and the serving snapshot's training
-    /// week, or `None` if nothing is published. Large values mean deploys
-    /// keep failing and the last-known-good snapshot is aging out.
-    pub fn staleness_days(&self, region: &str) -> Option<i64> {
-        self.snapshot(region)
-            .map(|s| (self.clock_day() - s.week_start_day()).max(0))
     }
 
     /// The region's cached hot-path context, building it on first query.
@@ -835,15 +826,6 @@ mod tests {
         let stable = serve.obs().stable_export();
         assert!(!stable.contains("seagull_serve_latency_seconds"));
         assert!(!stable.contains("EXEMPLAR"));
-    }
-
-    #[test]
-    fn staleness_tracks_clock() {
-        let serve = service_with_one_server();
-        assert_eq!(serve.staleness_days("west"), Some(0));
-        serve.set_clock_day(21);
-        assert_eq!(serve.staleness_days("west"), Some(14));
-        assert_eq!(serve.staleness_days("east"), None);
     }
 
     /// Publish handles live apart from the query context: publishing

@@ -24,9 +24,6 @@
 //! * [`backup`] — the backup-scheduling use case (Sections 2.3, 4, 6).
 //! * [`obs`] — fleet-wide observability: metrics registry, span tracing,
 //!   profiling hooks, Prometheus/JSON-lines/chrome-trace exports.
-//! * [`watch`] — the watchtower: declarative SLOs with burn-rate alerting,
-//!   per-query latency exemplars, and online deployment-accuracy
-//!   monitoring feeding the warm-cache drift gate.
 //!
 //! ## Quickstart
 //!
@@ -53,7 +50,6 @@ pub use seagull_obs as obs;
 pub use seagull_serve as serve;
 pub use seagull_telemetry as telemetry;
 pub use seagull_timeseries as timeseries;
-pub use seagull_watch as watch;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {

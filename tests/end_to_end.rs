@@ -46,6 +46,9 @@ fn telemetry_to_pipeline_to_scheduler() {
     assert_eq!(reports.len(), 5);
     assert!(reports.iter().all(|r| !r.blocked));
     assert!(reports[0].predictions_written > 0);
+    // Week 1 has no earlier predictions to score; week 2 scores week 1's.
+    assert_eq!(reports[0].evaluations, 0);
+    assert!(reports[0].accuracy.is_none());
     assert!(reports[1].evaluations > 0);
     let acc = reports[4].accuracy.expect("later runs have accuracy");
     assert!(acc.window_correct_pct > 80.0);

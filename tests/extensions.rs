@@ -1,4 +1,4 @@
-//! Integration tests for the paper's extension features: clock-driven
+//! Integration tests for the paper's extension features: a month of
 //! operations, the weekday optimizer, the customer-window advisor, the
 //! auto-scale policy, multi-signal telemetry, and the class-aware model
 //! router.
@@ -7,7 +7,6 @@ use seagull::backup::{
     Advice, BackupScheduler, CustomerWindow, FabricPropertyStore, RunnerService, SchedulerConfig,
     WeekdayConfig, WeekdayOptimizer, WindowAdvisor,
 };
-use seagull::core::clock::{JobScheduler, RecurringJob};
 use seagull::core::pipeline::{AmlPipeline, PipelineConfig};
 use seagull::forecast::{Forecaster, PersistentForecast, SsaForecaster};
 use seagull::telemetry::blobstore::MemoryBlobStore;
@@ -19,14 +18,13 @@ use seagull_bench::autoscale::{
     evaluate_policy, sql_fleet_spec, AutoscalePolicy, SizingMode, SkuLadder,
 };
 use seagull_bench::zoo::ClassAwareForecaster;
-use std::cell::RefCell;
 use std::sync::Arc;
 
 #[test]
 fn clock_driven_month_of_operations() {
-    // A month of operations on the simulated clock: the weekly pipeline and
-    // the daily backup runner interleave exactly as production sequences
-    // them.
+    // A month of operations on a day-granular clock: the weekly pipeline
+    // runs before the daily backup runner on its day, so fresh predictions
+    // exist when the runner consumes them, as production sequences them.
     let mut spec = FleetSpec::small_region(61);
     spec.regions[0].servers = 50;
     let region = spec.regions[0].name.clone();
@@ -49,24 +47,21 @@ fn clock_driven_month_of_operations() {
     let fabric = FabricPropertyStore::new();
     let model = PersistentForecast::previous_day();
 
-    let pipeline_runs = RefCell::new(0usize);
-    let backups = RefCell::new(0usize);
-    let mut sched = JobScheduler::new();
-    sched.register(RecurringJob::weekly("aml-pipeline", start), |day| {
-        pipeline.run_region_week(&region, day);
-        *pipeline_runs.borrow_mut() += 1;
-    });
-    sched.register(RecurringJob::daily("backup-runner"), |day| {
+    let (mut pipeline_runs, mut runner_days, mut backups) = (0, 0, 0);
+    for day in start..start + 35 {
+        if (day - start) % 7 == 0 {
+            pipeline.run_region_week(&region, day);
+            pipeline_runs += 1;
+        }
         let report = runner.run_day(&fleet, day, &model, &fabric);
-        *backups.borrow_mut() += report.backups.len();
+        runner_days += 1;
+        backups += report.backups.len();
         assert!((report.availability() - 1.0).abs() < 1e-9);
-    });
-    let log = sched.run(start, start + 35);
+    }
 
-    assert_eq!(*pipeline_runs.borrow(), 5);
-    assert_eq!(log.iter().filter(|r| r.name == "aml-pipeline").count(), 5);
-    assert_eq!(log.iter().filter(|r| r.name == "backup-runner").count(), 35);
-    assert!(*backups.borrow() > 0);
+    assert_eq!(pipeline_runs, 5);
+    assert_eq!(runner_days, 35);
+    assert!(backups > 0);
     assert_eq!(pipeline.docs.count("runs"), 5);
 }
 

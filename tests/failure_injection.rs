@@ -7,6 +7,7 @@ use seagull::core::pipeline::{collections, AmlPipeline, DeadLetterDoc, PipelineC
 use seagull::core::resilience::{BreakerState, StageChaos};
 use seagull::core::Severity;
 use seagull::forecast::{FittedModel, ForecastError, Forecaster, PersistentForecast};
+use seagull::serve::ServeService;
 use seagull::telemetry::blobstore::{Blob, BlobKey, BlobStore, MemoryBlobStore};
 use seagull::telemetry::chaos::{ChaosBlobStore, ChaosConfig};
 use seagull::telemetry::columnar::{ColumnarBatch, COLUMNAR_MAGIC, COLUMNAR_VERSION};
@@ -638,9 +639,12 @@ fn per_server_fault_quarantines_only_that_server() {
 fn deploy_failure_mid_schedule_keeps_serving_last_known_good() {
     let (_, store, region, start) = fleet_and_store(15, 3, 15);
     let bad_week = start + 7;
-    let pipeline = AmlPipeline::new(PipelineConfig::production(), store).with_chaos(
-        StageChaos::from_fn(move |stage, _, tick, _| stage == "deployment" && tick == bad_week),
-    );
+    let serve = ServeService::with_defaults();
+    let pipeline = AmlPipeline::new(PipelineConfig::production(), store)
+        .with_chaos(StageChaos::from_fn(move |stage, _, tick, _| {
+            stage == "deployment" && tick == bad_week
+        }))
+        .with_deploy_sink(Arc::new(serve.clone()));
     let reports = pipeline.run_schedule(
         std::slice::from_ref(&region),
         &[start, bad_week, start + 14],
@@ -673,6 +677,25 @@ fn deploy_failure_mid_schedule_keeps_serving_last_known_good() {
     assert!(reports[2].evaluations > 0);
     assert_eq!(reports[2].deployed_version, Some(2));
     assert_eq!(pipeline.registry.deployed(&region).unwrap().version, 2);
+
+    // The serving layer saw the same schedule: the failed deploy kept the
+    // week-1 snapshot (one fallback, no swap) and week 3's deploy
+    // refreshed it.
+    assert_eq!(
+        serve
+            .obs()
+            .registry()
+            .counter(
+                "seagull_serve_fallback_kept_total",
+                &[("region", region.as_str())]
+            )
+            .get(),
+        1
+    );
+    assert_eq!(serve.epoch(&region), 2, "one publish per successful deploy");
+    let snap = serve.snapshot(&region).expect("deploys published");
+    assert_eq!(snap.version(), 2);
+    assert_eq!(snap.week_start_day(), start + 14);
 }
 
 #[test]

@@ -554,48 +554,6 @@ fn warm_cache_changes_cost_not_schedule() {
     );
 }
 
-/// The accuracy-monitor drift gate: flagging a cached server (as the watch
-/// layer does when served-vs-actual accuracy regresses) forces a refit on
-/// the next week — the cache records a `Drift` miss and the fresh commit
-/// clears the flag.
-#[test]
-fn accuracy_flagged_server_is_refit_next_week() {
-    let (store, regions, week_days) = two_region_store(512, 3);
-    let config = PipelineConfig {
-        threads: 2,
-        warm_cache: true,
-        ..PipelineConfig::production()
-    };
-    let pipeline = AmlPipeline::new(
-        config,
-        Arc::clone(&store) as Arc<dyn seagull::telemetry::blobstore::BlobStore>,
-    );
-    let runner = FleetRunner::new(pipeline, regions.to_vec());
-    runner.run_week(week_days[0]);
-
-    let cache = Arc::clone(&runner.pipeline().cache);
-    let key = (0..200u64)
-        .map(|id| format!("region-a/{id}"))
-        .find(|k| cache.contains(k))
-        .expect("week 1 committed at least one region-a fit");
-    cache.flag_drift(&key);
-    assert!(cache.drift_flagged(&key));
-
-    let before = runner.cache_stats();
-    runner.run_week(week_days[1]);
-    let after = runner.cache_stats();
-
-    assert!(
-        after.invalidated_drift > before.invalidated_drift,
-        "flagged server must take a Drift miss: {before:?} -> {after:?}"
-    );
-    assert!(
-        !cache.drift_flagged(&key),
-        "the refit's commit clears the drift flag"
-    );
-    assert!(cache.contains(&key), "fresh fit re-committed");
-}
-
 /// All prediction documents, sorted by id.
 fn canonical_predictions(pipeline: &AmlPipeline) -> Vec<(String, Value)> {
     canonical_collection(pipeline, collections::PREDICTIONS)
