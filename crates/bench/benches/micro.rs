@@ -29,7 +29,7 @@ use seagull_telemetry::blobstore::{BlobStore, MemoryBlobStore};
 use seagull_telemetry::columnar::ColumnarBatch;
 use seagull_telemetry::extract::{ExtractedServer, LoadExtraction};
 use seagull_telemetry::fleet::{FleetGenerator, FleetSpec, ServerTelemetry};
-use seagull_telemetry::frame::{checksum64, checksum64_words};
+use seagull_telemetry::frame::checksum64;
 use seagull_telemetry::record::{csv_quantized, RecordBatch};
 use seagull_timeseries::{
     fill_gaps, min_mean_window, GapFill, SummaryStats, TimeSeries, Timestamp,
@@ -445,8 +445,9 @@ fn bench_extract_server_features(c: &mut Criterion) {
     });
 }
 
-/// What `AmlPipeline::run_server` does to a server before its fit: copy and
-/// gap-fill the series, featurize it, fingerprint it for the model cache.
+/// What `AmlPipeline::run_server` does to a server before its fit under the
+/// production forecast: copy and gap-fill the series, featurize it (no
+/// cache fingerprint: the persistent forecast never consults the cache).
 fn bench_run_server_shape(c: &mut Criterion) {
     let servers = fig3_week_servers();
     let cfg = ClassifyConfig::default();
@@ -458,12 +459,10 @@ fn bench_run_server_shape(c: &mut Criterion) {
                     let s = black_box(s);
                     let mut series = s.series.clone();
                     fill_gaps(&mut series, GapFill::Linear);
-                    let features = extract_server_features(s, &series, &cfg);
-                    let step = std::iter::once(u64::from(series.step_min()));
-                    let samples = series.values().iter();
-                    let fingerprint =
-                        checksum64_words(step.chain(samples.map(|&v| csv_quantized(v).to_bits())));
-                    fingerprint ^ features.stats.p95.to_bits()
+                    extract_server_features(s, &series, &cfg)
+                        .stats
+                        .p95
+                        .to_bits()
                 })
                 .fold(0, |acc, x| acc ^ x)
         })

@@ -4,8 +4,8 @@
 //! is responsible for and drives whole fleet-weeks through
 //! [`AmlPipeline::run_fleet_week`]: regions fan out over a parallel map,
 //! per-region observability is merged deterministically, and the shared
-//! warm-model cache is evicted and exported once per week at the
-//! orchestrator barrier.
+//! warm-model cache, when the forecaster uses it, is evicted and exported
+//! once per week at the orchestrator barrier.
 //!
 //! The runner is a thin veneer — everything it does can be done against the
 //! pipeline directly — but it gives experiments and benches one obvious
@@ -274,8 +274,8 @@ impl AmlPipeline {
         // Orchestrator barrier: evictions and the metrics mirror run once,
         // after every region committed, so they see the same cache state no
         // matter how the week was scheduled.
-        if self.config.warm_cache {
-            self.cache.evict_to_capacity();
+        if let Some(cache) = self.model_cache() {
+            cache.evict_to_capacity();
             self.export_cache_metrics();
         }
         reports
@@ -352,6 +352,7 @@ impl AmlPipeline {
 mod tests {
     use super::*;
     use crate::pipeline::PipelineConfig;
+    use seagull_forecast::SsaForecaster;
     use seagull_telemetry::blobstore::MemoryBlobStore;
     use seagull_telemetry::extract::LoadExtraction;
     use seagull_telemetry::fleet::{FleetGenerator, FleetSpec, RegionSpec};
@@ -397,9 +398,34 @@ mod tests {
         assert_eq!(reports[1].week_start_day, weeks[1]);
     }
 
+    /// The same fleet under SSA, the forecaster the warm cache is for.
+    fn under_ssa(production: &FleetRunner) -> FleetRunner {
+        let base = production.pipeline();
+        let config = PipelineConfig {
+            forecaster: Arc::new(SsaForecaster::default()),
+            ..base.config.clone()
+        };
+        let pipeline = AmlPipeline::new(config, Arc::clone(&base.blobs));
+        FleetRunner::new(pipeline, production.regions().to_vec())
+    }
+
+    /// The production forecast never consults the cache: after `weeks` it
+    /// holds no entry, counted nothing and exported no cache series.
+    fn assert_production_leaves_the_cache_empty(production: &FleetRunner, weeks: &[i64]) {
+        production.run_schedule(weeks);
+        assert_eq!(production.pipeline().cache.len(), 0);
+        assert_eq!(production.cache_stats(), CacheStats::default());
+        let export = production.obs().stable_export();
+        assert!(
+            !export.contains("seagull_model_cache_"),
+            "cache series in a production export:\n{export}"
+        );
+    }
+
     #[test]
-    fn second_week_hits_the_warm_cache() {
-        let (runner, weeks) = runner(1, 2);
+    fn second_ssa_week_hits_the_model_cache() {
+        let (production, weeks) = runner(1, 2);
+        let runner = under_ssa(&production);
         runner.run_week(weeks[0]);
         let cold = runner.cache_stats();
         assert_eq!(cold.hits, 0, "first week is all cold misses");
@@ -410,17 +436,20 @@ mod tests {
             warm.hits > 0,
             "a stable fleet's second week should reuse cached fits: {warm:?}"
         );
+        assert_production_leaves_the_cache_empty(&production, &weeks);
     }
 
     #[test]
     fn cache_metrics_are_exported_at_the_weekly_barrier() {
-        let (runner, weeks) = runner(1, 1);
+        let (production, weeks) = runner(1, 1);
+        let runner = under_ssa(&production);
         runner.run_week(weeks[0]);
         let export = runner.obs().stable_export();
         assert!(
             export.contains("seagull_model_cache_misses_total"),
             "cache counters missing from export:\n{export}"
         );
+        assert_production_leaves_the_cache_empty(&production, &weeks);
     }
 
     #[test]

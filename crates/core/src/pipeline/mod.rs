@@ -70,7 +70,7 @@ use crate::par::{configured_threads, parallel_map_profiled};
 use crate::registry::{ModelAccuracy, ModelRegistry};
 use crate::resilience::{retry_observed, CircuitBreaker, RetryResult, StageChaos, StageError};
 use crate::validation::DataProfile;
-use seagull_forecast::{Forecaster, ModelCache};
+use seagull_forecast::{Forecaster, ModelCache, PersistentVariant};
 use seagull_obs::{Obs, SpanId, Stability};
 use seagull_telemetry::blobstore::{BlobKey, BlobStore};
 use seagull_telemetry::columnar::ColumnarBatch;
@@ -99,16 +99,15 @@ pub struct PipelineConfig {
     /// Worker threads for the per-server stages and cross-region fan-out
     /// (1 = single-threaded).
     pub threads: usize,
-    /// Reuse cached fitted models for servers whose series did not
-    /// materially change since the last run (see [`ModelCache`]).
-    pub warm_cache: bool,
 }
 
 impl PipelineConfig {
     /// The production configuration: persistent forecast (previous day),
     /// 5-minute grid, threads from [`configured_threads`] (the machine's
-    /// available parallelism, overridable via `SEAGULL_THREADS`), warm
-    /// model cache on.
+    /// available parallelism, overridable via `SEAGULL_THREADS`). Every
+    /// server is predicted from yesterday's load, as Section 5.4 deploys
+    /// it; the warm-model cache stays out of the run (see
+    /// [`AmlPipeline::cache`]).
     pub fn production() -> PipelineConfig {
         PipelineConfig {
             profile: DataProfile::standard(5),
@@ -116,7 +115,6 @@ impl PipelineConfig {
             evaluation: EvaluationConfig::default(),
             forecaster: Arc::new(seagull_forecast::PersistentForecast::previous_day()),
             threads: configured_threads(),
-            warm_cache: true,
         }
     }
 }
@@ -143,7 +141,9 @@ pub struct AmlPipeline {
     pub obs: Obs,
     /// Warm-model cache shared across runs and regions (see [`ModelCache`]).
     /// Keys are region-prefixed, so concurrent region runs touch disjoint
-    /// entries; bypassed when [`PipelineConfig::warm_cache`] is off.
+    /// entries. Only a forecaster whose fit costs more than a probe reads
+    /// it: under the paper's persistent forecasts it stays empty (see
+    /// [`PersistentVariant::named`]).
     pub cache: Arc<ModelCache>,
     /// Optional serving-layer hook, announced to on every deployment (see
     /// [`DeploySink`]). Shared across fleet scratch clones.
@@ -188,6 +188,16 @@ impl AmlPipeline {
     pub fn with_deploy_sink(mut self, sink: Arc<dyn DeploySink>) -> AmlPipeline {
         self.deploy_sink = Some(sink);
         self
+    }
+
+    /// The warm-model cache, when the configured forecaster uses it: `None`
+    /// for the paper's persistent forecasts, whose "fit" reads at most a
+    /// week of load, less than the fingerprint and probe that would skip
+    /// it. Decided by the forecaster's name, the identity every decorating
+    /// forecaster forwards.
+    pub(crate) fn model_cache(&self) -> Option<&ModelCache> {
+        let persistent = PersistentVariant::named(self.config.forecaster.name()).is_some();
+        (!persistent).then_some(&*self.cache)
     }
 
     /// Virtual scheduler tick for a day index (clamped at zero).
@@ -468,7 +478,7 @@ impl AmlPipeline {
                     week_start_day,
                     model_name,
                     predictions: &predictions,
-                    cache: self.config.warm_cache.then_some(&*self.cache),
+                    cache: self.model_cache(),
                 });
             }
         }

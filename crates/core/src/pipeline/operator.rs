@@ -38,14 +38,15 @@ enum CacheOutcome {
     Hit(String),
     /// A fresh fit to insert at commit.
     Fresh(Box<CacheUpdate>),
-    /// No cache interaction (cache off, or insufficient history to fit).
+    /// No cache interaction (the forecaster does not use the cache, or
+    /// insufficient history to fit).
     Bypass,
 }
 
 /// How one server's train-infer item will be served, resolved once (one
 /// counted cache probe) ahead of the retry loop.
 enum FitPath {
-    /// Warm cache off: fit cold, no cache writes.
+    /// The forecaster does not use the cache: fit cold, no cache writes.
     Bypass,
     /// Warm-cache hit: serve the cached model, re-anchored.
     Hit(seagull_forecast::CachedFit, String),
@@ -84,7 +85,7 @@ struct FusedServerOutcome {
     exhausted: bool,
     /// Wall time of validate + gap-fill + featurize.
     featurize_wall: Duration,
-    /// Wall time of fit + predict, including retries.
+    /// Wall time of the cache probe, fit and predict, including retries.
     model_wall: Duration,
 }
 
@@ -114,15 +115,16 @@ impl AmlPipeline {
     }
 
     /// Resolves how a server's fit will be served: a warm-cache probe (one
-    /// counted lookup) when the cache is on, else a plain cold fit. Safe to
-    /// call from inside a parallel region; the probe is read-only.
+    /// counted lookup) when the forecaster uses the cache, else a plain
+    /// cold fit. Safe to call from inside a parallel region; the probe is
+    /// read-only.
     fn fit_path(&self, s: &ExtractedServer, class: &str, region: &str) -> FitPath {
-        if !self.config.warm_cache {
+        let Some(cache) = self.model_cache() else {
             return FitPath::Bypass;
-        }
+        };
         let key = format!("{region}/{}", s.id.0);
         let fingerprint = series_fingerprint(&s.series);
-        match self.cache.lookup(&key, fingerprint, class, &s.series) {
+        match cache.lookup(&key, fingerprint, class, &s.series) {
             Lookup::Hit(hit) => FitPath::Hit(hit, key),
             Lookup::Miss(_) => FitPath::Miss { key, fingerprint },
         }
@@ -166,7 +168,7 @@ impl AmlPipeline {
                 Err(e) => Err(e.to_string()),
             };
         }
-        // Cold fit (cache off or probe missed). Fit-then-predict rather
+        // Cold fit (no cache or probe missed). Fit-then-predict rather
         // than `fit_predict` so the resolved kernel label is observable;
         // the bytes are identical.
         let fit_start = Instant::now();
@@ -242,14 +244,15 @@ impl AmlPipeline {
             default_backup_end: s.default_backup_end,
         };
         let class = features.pattern.label();
-        // The cache probe is counted here, once per server, not per attempt.
-        let path = self.fit_path(&filled, class, region);
         let featurize_wall = feat_start.elapsed();
 
+        // The cache probe is part of the model's cost, and is counted here,
+        // once per server, not per attempt.
+        let model_start = Instant::now();
+        let path = self.fit_path(&filled, class, region);
         // The stage-level chaos hook and the server-granular hook both
         // inject ahead of the real fit, and a transient fault burns only
         // this server's retry budget.
-        let model_start = Instant::now();
         let chaos = &self.chaos;
         let fitted = retry(|attempt| {
             if chaos.should_fail("train-infer", region, tick, attempt)
@@ -465,9 +468,9 @@ impl AmlPipeline {
                 }
             }
         }
-        if self.config.warm_cache {
+        if let Some(cache) = self.model_cache() {
             // Serial, item-ordered commit: deterministic recency.
-            self.cache.commit(vt, updates, &hit_keys);
+            cache.commit(vt, updates, &hit_keys);
         }
         self.record_fit_kernels(region, &kernel_counts);
 

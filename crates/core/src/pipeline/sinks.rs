@@ -8,9 +8,9 @@ use seagull_forecast::ModelCache;
 ///
 /// Carries everything a serving layer needs to assemble an immutable
 /// region snapshot: the freshly deployed version, the predictions this run
-/// materialized, and (when the warm cache is on) a handle to the model
-/// cache so per-server fitted models can be extracted for horizons the
-/// materialized predictions do not cover.
+/// materialized, and (when the forecaster uses the warm cache) a handle to
+/// the model cache so per-server fitted models can be extracted for
+/// horizons the materialized predictions do not cover.
 pub struct DeployEvent<'a> {
     /// Region the deployment belongs to.
     pub region: &'a str,
@@ -22,7 +22,8 @@ pub struct DeployEvent<'a> {
     pub model_name: &'a str,
     /// Predictions written by this run, in server order.
     pub predictions: &'a [PredictionDoc],
-    /// The pipeline's warm-model cache, when enabled for this run.
+    /// The pipeline's warm-model cache, when the run's forecaster uses it
+    /// (`None` under the persistent forecasts).
     pub cache: Option<&'a ModelCache>,
 }
 

@@ -32,6 +32,24 @@ impl PersistentVariant {
         PersistentVariant::PreviousEquivalentDay,
         PersistentVariant::PreviousDay,
     ];
+
+    /// The variant's model name, as [`Forecaster::name`] reports it for a
+    /// [`PersistentForecast`] of this variant.
+    pub fn name(self) -> &'static str {
+        match self {
+            PersistentVariant::PreviousWeekAverage => "persistent-week-avg",
+            PersistentVariant::PreviousEquivalentDay => "persistent-prev-eq-day",
+            PersistentVariant::PreviousDay => "persistent-prev-day",
+        }
+    }
+
+    /// The variant a forecaster name belongs to, the inverse of
+    /// [`PersistentVariant::name`]: `None` for any other model. The name is
+    /// the identity every decorating forecaster forwards, so a wrapped
+    /// persistent forecast is still recognized.
+    pub fn named(name: &str) -> Option<PersistentVariant> {
+        Self::ALL.into_iter().find(|v| v.name() == name)
+    }
 }
 
 /// The persistent-forecast model.
@@ -73,11 +91,7 @@ impl PersistentForecast {
 
 impl Forecaster for PersistentForecast {
     fn name(&self) -> &'static str {
-        match self.variant {
-            PersistentVariant::PreviousWeekAverage => "persistent-week-avg",
-            PersistentVariant::PreviousEquivalentDay => "persistent-prev-eq-day",
-            PersistentVariant::PreviousDay => "persistent-prev-day",
-        }
+        self.variant.name()
     }
 
     fn fit(&self, history: &TimeSeries) -> Result<Box<dyn FittedModel>, ForecastError> {
@@ -242,6 +256,15 @@ mod tests {
             PersistentForecast::new(PersistentVariant::PreviousEquivalentDay).name(),
             "persistent-prev-eq-day"
         );
+    }
+
+    #[test]
+    fn named_inverts_name() {
+        for variant in PersistentVariant::ALL {
+            let name = PersistentForecast::new(variant).name();
+            assert_eq!(PersistentVariant::named(name), Some(variant));
+        }
+        assert_eq!(PersistentVariant::named("ssa"), None);
     }
 
     #[test]

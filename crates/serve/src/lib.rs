@@ -15,7 +15,9 @@
 //!    [`DeploySink`](seagull_core::pipeline::DeploySink). [`ServeService`]
 //!    implements that trait: it builds a [`ModelSnapshot`] from the
 //!    deployed [`PredictionDoc`](seagull_core::pipeline::PredictionDoc)s,
-//!    attaching fitted models from the warm cache when available.
+//!    attaching fitted models from the warm cache when the deploy carries
+//!    it (a forecaster that uses the cache, such as SSA; the production
+//!    persistent forecast carries none).
 //! 2. The snapshot is published into the [`SnapshotStore`] by swapping
 //!    one `Arc`: the store builds and stamps the new snapshot off to the
 //!    side, replaces the region's `Arc` under a write lock held for that
@@ -36,7 +38,8 @@
 //! [`CircuitBreaker`](seagull_core::resilience::CircuitBreaker)
 //! (read-only — the service never consumes the pipeline's half-open
 //! probes). Horizons inside the materialized day are zero-copy slices;
-//! longer horizons and other days run the cached fitted model. Batched
+//! longer horizons and other days run the cached fitted model where one is
+//! attached, and are unavailable where none is. Batched
 //! queries resolve the snapshot once, so every response in a batch comes
 //! from the same epoch.
 //!

@@ -145,7 +145,7 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 ///
 /// Attached fitted models are *not* serialized — after recovery, servers
 /// answer from their materialized prediction only, exactly like a deploy
-/// run with the warm cache off.
+/// of the production persistent forecast, which attaches none.
 pub fn encode_snapshot(snapshot: &ModelSnapshot) -> Blob {
     // The exact size (44 fixed bytes with the footer, 32 per server besides
     // its values), so a deploy never regrows and recopies the buffer.

@@ -607,8 +607,8 @@ impl ServeService {
 
 impl DeploySink for ServeService {
     /// Successful deployment: build a snapshot from the deployed
-    /// predictions (attaching warm-cache models when the pipeline runs with
-    /// `warm_cache`) and swap it in.
+    /// predictions (attaching warm-cache models when the pipeline's
+    /// forecaster uses the cache) and swap it in.
     fn on_deploy(&self, event: &DeployEvent<'_>) {
         self.publish(ModelSnapshot::from_deploy(event));
     }

@@ -43,13 +43,13 @@ fn build_env() -> Env {
 }
 
 /// Deterministic pipeline configuration: byte-identical recovery is defined
-/// against a single-threaded, cold-cache run (persisted snapshots do not
-/// carry fitted models, so the recovered process serves as if the cache
-/// were cold — see `seagull::serve::persist`).
+/// against a single-threaded production run. Persisted snapshots carry no
+/// fitted models, and the production forecast attaches none (it never
+/// consults the warm cache), so a recovered process serves what the
+/// uninterrupted one does — see `seagull::serve::persist`.
 fn config() -> PipelineConfig {
     PipelineConfig {
         threads: 1,
-        warm_cache: false,
         ..PipelineConfig::production()
     }
 }
