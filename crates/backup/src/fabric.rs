@@ -118,15 +118,6 @@ impl FabricPropertyStore {
             .is_some_and(|p| p.remove(key).is_some())
     }
 
-    /// Convenience: write the backup-window start timestamp (infallible).
-    pub fn set_backup_window_start(&self, server: ServerId, start: Timestamp) {
-        self.set(
-            server,
-            BACKUP_WINDOW_START_PROPERTY,
-            start.minutes().to_string(),
-        );
-    }
-
     /// Convenience: fault-aware write of the backup-window start timestamp.
     pub fn try_set_backup_window_start(
         &self,
@@ -180,7 +171,7 @@ mod tests {
         let store = FabricPropertyStore::new();
         let s = ServerId(1);
         let t = Timestamp::from_minutes(123_456);
-        store.set_backup_window_start(s, t);
+        store.try_set_backup_window_start(s, t).unwrap();
         assert_eq!(store.backup_window_start(s), Some(t));
         assert_eq!(store.server_count(), 1);
     }

@@ -19,18 +19,14 @@
 
 #![forbid(unsafe_code)]
 
-pub mod advisor;
 pub mod fabric;
 pub mod impact;
 pub mod runner;
 pub mod scheduler;
-pub mod weekday;
 
-pub use advisor::{Advice, CustomerWindow, WindowAdvice, WindowAdvisor};
 pub use fabric::{FabricPropertyStore, BACKUP_WINDOW_START_PROPERTY};
 pub use impact::{analyze_impact, capacity_histogram, CapacityHistogram, ImpactReport};
 pub use runner::{ClusterReport, RunnerReport, RunnerService};
 pub use scheduler::{
     BackupScheduler, DefaultReason, ScheduleDecision, ScheduledBackup, SchedulerConfig,
 };
-pub use weekday::{WeekdayConfig, WeekdayOptimizer, WeekdayPlan};

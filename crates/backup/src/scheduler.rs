@@ -10,7 +10,7 @@
 //! are scheduled for backup at default time."
 
 use crate::fabric::FabricPropertyStore;
-use seagull_core::evaluate::{backup_day_in_week, predictability, EvaluationConfig};
+use seagull_core::evaluate::{predictability, EvaluationConfig};
 use seagull_core::metrics::{lowest_load_window, LowLoadWindow};
 use seagull_core::par::parallel_map;
 use seagull_forecast::Forecaster;
@@ -255,12 +255,6 @@ impl BackupScheduler {
         }
         all
     }
-}
-
-/// The backup day a server is due within a given week (re-export for
-/// harnesses).
-pub fn due_day_in_week(server: &ServerTelemetry, week_start_day: i64) -> i64 {
-    backup_day_in_week(server, week_start_day)
 }
 
 #[cfg(test)]

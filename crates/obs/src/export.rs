@@ -110,18 +110,6 @@ pub fn to_prometheus(samples: &[MetricSample]) -> String {
                 let _ = write!(out, "{name}_count");
                 fmt_labels(&mut out, &s.id.labels, None);
                 let _ = writeln!(out, " {}", h.count);
-                // Exemplars render as comment lines (OpenMetrics-flavoured)
-                // so the plain-Prometheus parser above round-trips the
-                // numeric series untouched.
-                for (upper, ex) in &h.exemplars {
-                    let mut le = String::new();
-                    fmt_num(&mut le, *upper);
-                    let _ = write!(out, "# EXEMPLAR {name}_bucket");
-                    fmt_labels(&mut out, &s.id.labels, Some(("le", le)));
-                    out.push_str(" value=");
-                    fmt_num(&mut out, ex.value);
-                    let _ = writeln!(out, " span={} tick={}", ex.span_id, ex.tick);
-                }
             }
         }
     }

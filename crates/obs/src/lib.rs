@@ -32,8 +32,8 @@ pub mod trace;
 
 pub use export::TimeMode;
 pub use metrics::{
-    Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, MetricId, MetricSample, Registry,
-    SampleValue, Stability,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricId, MetricSample, Registry, SampleValue,
+    Stability,
 };
 pub use profile::{ParallelProfile, WorkerProfile};
 pub use trace::{SpanId, SpanRecord, Tracer};
@@ -87,17 +87,6 @@ impl Obs {
         self.registry.absorb(&other.registry);
         self.tracer.absorb(&other.tracer);
     }
-
-    /// Full export including volatile metrics and span wall times.
-    pub fn full_export(&self) -> String {
-        let mut out = export::to_prometheus(&self.registry.snapshot());
-        out.push('\n');
-        out.push_str(&export::spans_to_json_lines(
-            &self.tracer.spans(),
-            TimeMode::Full,
-        ));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -142,18 +131,5 @@ mod tests {
         assert!(!a.contains("seagull_wall_seconds"));
         assert!(!a.contains("wall_us"));
         assert!(a.contains("seagull_retry_attempts_total"));
-    }
-
-    #[test]
-    fn full_export_includes_volatile_and_wall() {
-        let obs = Obs::new();
-        obs.registry()
-            .gauge_with("seagull_wall_seconds", &[], Stability::Volatile)
-            .set(1.5);
-        let s = obs.tracer().start("stage", &[], 0);
-        obs.tracer().end(s, 1);
-        let full = obs.full_export();
-        assert!(full.contains("seagull_wall_seconds"));
-        assert!(full.contains("wall_us"));
     }
 }

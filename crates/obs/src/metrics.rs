@@ -145,36 +145,6 @@ pub fn bucket_lower(i: usize) -> f64 {
     bucket_upper(i - 1)
 }
 
-/// A sampled observation annotating one histogram bucket with a pointer to
-/// the trace that produced it, so a tail-latency bucket links back to the
-/// span tree of a concrete query.
-///
-/// Exemplars are reservoir-sampled per bucket and carry wall-clock-adjacent
-/// identity (span ids differ across thread interleavings), so they are
-/// stripped from [`Registry::stable_snapshot`] — they appear only in full
-/// exports. The stable/volatile split is therefore preserved: attaching
-/// exemplars to a [`Stability::Stable`] histogram does not perturb its
-/// stable export.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Exemplar {
-    /// The observed value this exemplar annotates.
-    pub value: f64,
-    /// Raw id of the span recording the sampled operation (resolve against
-    /// the same `Obs` handle's tracer).
-    pub span_id: u64,
-    /// Virtual tick at which the observation was recorded.
-    pub tick: u64,
-}
-
-/// SplitMix64 step — the deterministic hash behind per-bucket reservoir
-/// replacement.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// A log-bucketed histogram with p50/p95/p99/max estimation.
 ///
 /// Buckets grow geometrically (factor `sqrt(2)` per bucket), so the quantile
@@ -188,10 +158,6 @@ pub struct Histogram {
     sum_bits: AtomicU64,
     /// Max observation, f64 bits, CAS-updated.
     max_bits: AtomicU64,
-    /// Per-bucket exemplar reservoirs: bucket index → (observations offered
-    /// to that bucket's reservoir, kept exemplar). Off the hot path — the
-    /// mutex is only taken by `observe_exemplar`, merges, and snapshots.
-    exemplars: Mutex<BTreeMap<usize, (u64, Exemplar)>>,
 }
 
 impl Default for Histogram {
@@ -201,7 +167,6 @@ impl Default for Histogram {
             count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0f64.to_bits()),
             max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            exemplars: Mutex::new(BTreeMap::new()),
         }
     }
 }
@@ -298,42 +263,6 @@ impl Histogram {
         self.max()
     }
 
-    /// Records one observation and offers `exemplar` to the target bucket's
-    /// reservoir slot.
-    ///
-    /// Each bucket keeps exactly one exemplar, replaced via reservoir
-    /// sampling: the `k`-th offer to a bucket is kept with probability
-    /// `1/k`, decided by a deterministic hash of the exemplar identity and
-    /// the offer count — no hidden RNG state, so a single-threaded replay
-    /// of the same offers keeps the same exemplars.
-    pub fn observe_exemplar(&self, v: f64, exemplar: Exemplar) {
-        self.observe(v);
-        let i = bucket_index(v);
-        let mut slots = self.exemplars.lock().unwrap();
-        match slots.get_mut(&i) {
-            None => {
-                slots.insert(i, (1, exemplar));
-            }
-            Some((seen, kept)) => {
-                *seen += 1;
-                if splitmix64(exemplar.span_id ^ exemplar.value.to_bits()).is_multiple_of(*seen) {
-                    *kept = exemplar;
-                }
-            }
-        }
-    }
-
-    /// The kept exemplars as `(bucket_upper, exemplar)`, ascending by
-    /// bucket.
-    pub fn exemplars(&self) -> Vec<(f64, Exemplar)> {
-        self.exemplars
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(i, (_, ex))| (bucket_upper(*i), ex.clone()))
-            .collect()
-    }
-
     /// Non-empty buckets as `(bucket_upper, count)`, for export.
     pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
         self.buckets
@@ -382,27 +311,6 @@ impl Histogram {
                 ) {
                     Ok(_) => break,
                     Err(seen) => cur = seen,
-                }
-            }
-            let theirs = other.exemplars.lock().unwrap().clone();
-            let mut mine = self.exemplars.lock().unwrap();
-            for (i, (seen, ex)) in theirs {
-                match mine.get_mut(&i) {
-                    // A bucket only this histogram has seen keeps the
-                    // other's slot verbatim.
-                    None => {
-                        mine.insert(i, (seen, ex));
-                    }
-                    // Both sides hold a slot: combine the offer counts and
-                    // keep the side that sampled more offers (ties keep
-                    // ours) — exemplars are full-export-only, so this
-                    // heuristic never touches the stable export.
-                    Some((my_seen, my_ex)) => {
-                        if seen > *my_seen {
-                            *my_ex = ex;
-                        }
-                        *my_seen += seen;
-                    }
                 }
             }
         }
@@ -460,9 +368,6 @@ pub struct HistogramSnapshot {
     pub p99: f64,
     /// `(bucket_upper, count)` for non-empty buckets.
     pub buckets: Vec<(f64, u64)>,
-    /// `(bucket_upper, exemplar)` for buckets holding a sampled exemplar.
-    /// Always empty in stable snapshots (see [`Exemplar`]).
-    pub exemplars: Vec<(f64, Exemplar)>,
 }
 
 /// The fleet-wide metrics registry.
@@ -602,7 +507,6 @@ impl Registry {
                         p95: h.quantile(0.95),
                         p99: h.quantile(0.99),
                         buckets: h.nonzero_buckets(),
-                        exemplars: h.exemplars(),
                     }),
                 },
             })
@@ -610,19 +514,11 @@ impl Registry {
     }
 
     /// Snapshot restricted to [`Stability::Stable`] metrics: the set that
-    /// must be byte-identical across same-seed runs. Exemplars are stripped
-    /// even from stable histograms — reservoir slots depend on thread
-    /// interleaving (see [`Exemplar`]).
+    /// must be byte-identical across same-seed runs.
     pub fn stable_snapshot(&self) -> Vec<MetricSample> {
         self.snapshot()
             .into_iter()
             .filter(|s| s.stability == Stability::Stable)
-            .map(|mut s| {
-                if let SampleValue::Histogram(h) = &mut s.value {
-                    h.exemplars.clear();
-                }
-                s
-            })
             .collect()
     }
 
@@ -739,54 +635,6 @@ mod tests {
         let (p10, p90) = (h.quantile(0.10), h.quantile(0.90));
         assert!(p10 < p90, "interpolation collapsed: p10={p10} p90={p90}");
         assert!(h.quantile(1.0) <= h.max());
-    }
-
-    #[test]
-    fn exemplars_attach_to_buckets_and_stay_out_of_stable_snapshots() {
-        let reg = Registry::new();
-        let h = reg.histogram("lat", &[]);
-        h.observe_exemplar(
-            4.0,
-            Exemplar {
-                value: 4.0,
-                span_id: 7,
-                tick: 2,
-            },
-        );
-        h.observe(4.0);
-        assert_eq!(h.count(), 2);
-        let ex = h.exemplars();
-        assert_eq!(ex.len(), 1);
-        assert_eq!(ex[0].1.span_id, 7);
-        assert_eq!(ex[0].0, bucket_upper(bucket_index(4.0)));
-        // Full snapshot carries the exemplar; the stable snapshot strips it.
-        let full = reg.snapshot();
-        let SampleValue::Histogram(hs) = &full[0].value else {
-            panic!("expected histogram");
-        };
-        assert_eq!(hs.exemplars.len(), 1);
-        let stable = reg.stable_snapshot();
-        let SampleValue::Histogram(hs) = &stable[0].value else {
-            panic!("expected histogram");
-        };
-        assert!(hs.exemplars.is_empty());
-    }
-
-    #[test]
-    fn exemplar_merge_keeps_slots_from_both_sides() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        let ex = |id: u64, v: f64| Exemplar {
-            value: v,
-            span_id: id,
-            tick: 0,
-        };
-        a.observe_exemplar(2.0, ex(1, 2.0));
-        b.observe_exemplar(2000.0, ex(2, 2000.0));
-        a.merge(&b);
-        let slots = a.exemplars();
-        assert_eq!(slots.len(), 2);
-        assert_eq!(a.count(), 2);
     }
 
     #[test]

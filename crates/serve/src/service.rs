@@ -23,10 +23,6 @@
 //! two or three times a query, plus the breaker's own `RwLock`, held the
 //! first serving path at ~65k QPS — DESIGN.md §11).
 //!
-//! Wall-clock latency histograms stay per-query, but exemplar *offers*
-//! (which take the histogram's reservoir mutex) are sampled one-in-64 per
-//! thread; the histogram's buckets see every observation either way.
-//!
 //! A publish resolves its six series once per region too, on the region's
 //! first publish, into a `PublishCtx` kept apart from the `RegionCtx`.
 
@@ -35,11 +31,11 @@ use crate::store::{RegionSlot, SnapshotStore};
 use seagull_core::metrics::{lowest_load_window, LowLoadWindow};
 use seagull_core::pipeline::{DeployEvent, DeploySink};
 use seagull_core::resilience::{BreakerProbe, CircuitBreaker};
-use seagull_obs::{Counter, Exemplar, Gauge, Histogram, Obs, Stability};
+use seagull_obs::{Counter, Gauge, Histogram, Obs, Stability};
 use seagull_timeseries::{TimeSeries, Timestamp};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -178,15 +174,6 @@ fn region_entry<T>(
     )
 }
 
-/// Exemplar offers are sampled one-in-N per thread: offers take the
-/// histogram's reservoir mutex, which every reader thread would otherwise
-/// contend on once per query. Bucket counts still see every observation.
-const EXEMPLAR_SAMPLE_EVERY: u64 = 64;
-
-thread_local! {
-    static EXEMPLAR_TICK: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 struct ServeInner {
     store: SnapshotStore,
     breaker: CircuitBreaker,
@@ -194,9 +181,6 @@ struct ServeInner {
     ctxs: RwLock<BTreeMap<String, Arc<RegionCtx>>>,
     publishers: RwLock<BTreeMap<String, Arc<PublishCtx>>>,
     clock_day: AtomicI64,
-    /// Sequence number for sampled exemplar span ids. Monotonic across
-    /// all clones of the handle.
-    query_seq: AtomicU64,
 }
 
 /// Cloneable handle to the in-process prediction service.
@@ -246,7 +230,6 @@ impl ServeService {
                 ctxs: RwLock::new(BTreeMap::new()),
                 publishers: RwLock::new(BTreeMap::new()),
                 clock_day: AtomicI64::new(0),
-                query_seq: AtomicU64::new(0),
             }),
         }
     }
@@ -375,31 +358,6 @@ impl ServeService {
         Ok((ctx, snapshot))
     }
 
-    /// Records the wall-clock latency (every observation) and offers a
-    /// sampled exemplar (one in [`EXEMPLAR_SAMPLE_EVERY`] per thread).
-    fn observe_latency(&self, ctx: &RegionCtx, started: Instant) {
-        let latency = started.elapsed().as_secs_f64();
-        let sampled = EXEMPLAR_TICK.with(|tick| {
-            let n = tick.get();
-            tick.set(n.wrapping_add(1));
-            n % EXEMPLAR_SAMPLE_EVERY == 0
-        });
-        if sampled {
-            let span_id = self.inner.query_seq.fetch_add(1, Ordering::Relaxed);
-            let tick = self.clock_day().max(0) as u64;
-            ctx.latency.observe_exemplar(
-                latency,
-                Exemplar {
-                    value: latency,
-                    span_id,
-                    tick,
-                },
-            );
-        } else {
-            ctx.latency.observe(latency);
-        }
-    }
-
     fn finish<T>(
         &self,
         ctx: &RegionCtx,
@@ -411,7 +369,7 @@ impl ServeService {
         } else {
             ctx.err.inc();
         }
-        self.observe_latency(ctx, started);
+        ctx.latency.observe(started.elapsed().as_secs_f64());
         result
     }
 
@@ -600,7 +558,7 @@ impl ServeService {
         if errors > 0 {
             ctx.err.add(errors);
         }
-        self.observe_latency(&ctx, started);
+        ctx.latency.observe(started.elapsed().as_secs_f64());
         Ok(responses)
     }
 }
@@ -810,22 +768,21 @@ mod tests {
     }
 
     #[test]
-    fn query_exemplars_surface_in_full_export_only() {
+    fn every_query_is_timed_outside_the_stable_export() {
         let serve = service_with_one_server();
         for _ in 0..20 {
             serve.predict("west", 7, 4).unwrap();
         }
-        let full = serve.obs().full_export();
-        assert!(
-            full.contains("# EXEMPLAR seagull_serve_latency_seconds_bucket"),
-            "full export should carry latency exemplars:\n{full}"
+        let latency = serve.obs().registry().histogram_with(
+            "seagull_serve_latency_seconds",
+            &[("region", "west")],
+            Stability::Volatile,
         );
-        assert!(full.contains("span="));
-        // The latency histogram is volatile: neither it nor its exemplars
-        // may leak into the deterministic export.
+        assert_eq!(latency.count(), 20);
+        // The latency histogram is volatile: it may not leak into the
+        // deterministic export.
         let stable = serve.obs().stable_export();
         assert!(!stable.contains("seagull_serve_latency_seconds"));
-        assert!(!stable.contains("EXEMPLAR"));
     }
 
     /// Publish handles live apart from the query context: publishing

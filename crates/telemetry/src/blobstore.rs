@@ -3,8 +3,7 @@
 //! The Load Extraction module "stores this data in Azure Data Lake Store
 //! (ADLS). These files are input to the AML pipeline" (Section 2.2). Here the
 //! store is a trait with two backends: an in-memory map (tests, examples) and
-//! an on-disk directory tree (benchmarks that need realistic file-size-driven
-//! I/O behaviour for the Fig. 12 runtime experiments).
+//! a durable on-disk directory tree (`seagull-cli extract`).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -192,36 +191,18 @@ impl BlobStore for MemoryBlobStore {
 #[derive(Debug)]
 pub struct DiskBlobStore {
     root: PathBuf,
-    durable: bool,
 }
 
 impl DiskBlobStore {
     /// Opens (creating if needed) a store rooted at `root`. Writes are
-    /// atomic (temp file + rename) but not fsynced; see
-    /// [`DiskBlobStore::with_durability`].
+    /// atomic and durable: every `put` stages a temp file, calls `sync_all`
+    /// on it before the rename and fsyncs the parent directory after it, so
+    /// both the blob contents and the directory entry survive power loss —
+    /// not just process death.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<DiskBlobStore> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        Ok(DiskBlobStore {
-            root,
-            durable: false,
-        })
-    }
-
-    /// Toggles power-loss durability. When on, every `put` calls `sync_all`
-    /// on the temp file before the rename and fsyncs the parent directory
-    /// after it, so both the blob contents and the directory entry survive
-    /// power loss — not just process death. Off by default: tests and
-    /// benches that only need crash atomicity skip the two fsyncs, which
-    /// dominate small-blob write latency.
-    pub fn with_durability(mut self, durable: bool) -> DiskBlobStore {
-        self.durable = durable;
-        self
-    }
-
-    /// True when `put` fsyncs (see [`DiskBlobStore::with_durability`]).
-    pub fn durable(&self) -> bool {
-        self.durable
+        Ok(DiskBlobStore { root })
     }
 
     fn path_for(&self, key: &BlobKey) -> PathBuf {
@@ -241,12 +222,10 @@ impl BlobStore for DiskBlobStore {
         // `week-N.blob` a later pipeline run would read as its input.
         let tmp = path.with_extension(format!("{BLOB_EXTENSION}.tmp-{}", std::process::id()));
         std::fs::write(&tmp, &*data)?;
-        if self.durable {
-            // Flush the temp file's contents before the rename publishes it,
-            // so the rename can never expose an unflushed (torn) blob after
-            // power loss.
-            std::fs::File::open(&tmp)?.sync_all()?;
-        }
+        // Flush the temp file's contents before the rename publishes it, so
+        // the rename can never expose an unflushed (torn) blob after power
+        // loss.
+        std::fs::File::open(&tmp)?.sync_all()?;
         match std::fs::rename(&tmp, &path) {
             Ok(()) => {}
             Err(e) => {
@@ -254,13 +233,10 @@ impl BlobStore for DiskBlobStore {
                 return Err(e);
             }
         }
-        if self.durable {
-            // Persist the directory entry: without this the rename itself
-            // can be lost on power loss even though the file data was
-            // synced.
-            if let Some(parent) = path.parent() {
-                std::fs::File::open(parent)?.sync_all()?;
-            }
+        // Persist the directory entry: without this the rename itself can be
+        // lost on power loss even though the file data was synced.
+        if let Some(parent) = path.parent() {
+            std::fs::File::open(parent)?.sync_all()?;
         }
         Ok(())
     }
@@ -393,20 +369,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(store.list("extracted").unwrap(), vec![k]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn durable_disk_store_round_trips() {
-        let dir = std::env::temp_dir().join(format!(
-            "seagull-blob-durable-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DiskBlobStore::open(&dir).unwrap().with_durability(true);
-        assert!(store.durable());
-        exercise(&store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

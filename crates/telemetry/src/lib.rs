@@ -42,7 +42,6 @@ pub mod frame;
 pub mod record;
 pub mod server;
 pub mod shape;
-pub mod signals;
 
 pub use blobstore::{BlobKey, BlobStore, DiskBlobStore, MemoryBlobStore};
 pub use chaos::{
@@ -55,4 +54,3 @@ pub use frame::FrameError;
 pub use record::{csv_quantized, CsvError, LoadRecord, RecordBatch};
 pub use server::{BackupConfig, GeneratedClass, ServerId, ServerMeta};
 pub use shape::{LoadShape, ShapeParams};
-pub use signals::{SignalGenerator, SignalKind};
