@@ -252,22 +252,13 @@ pub fn capacity_histogram(
 mod tests {
     use super::*;
     use crate::fabric::FabricPropertyStore;
-    use crate::scheduler::{BackupScheduler, SchedulerConfig};
-    use seagull_forecast::PersistentForecast;
+    use crate::scheduler::tests::{fleet_of, scheduled_week, served};
     use seagull_telemetry::fleet::{FleetGenerator, FleetSpec};
 
     fn fleet_and_schedule() -> (Vec<ServerTelemetry>, Vec<ScheduledBackup>) {
-        let mut spec = FleetSpec::small_region(77);
-        spec.regions[0].servers = 200;
-        let start = spec.start_day;
-        let fleet = FleetGenerator::new(spec).generate_weeks(5);
-        let scheduler = BackupScheduler::new(SchedulerConfig {
-            threads: 4,
-            ..SchedulerConfig::default()
-        });
-        let model = PersistentForecast::previous_day();
-        let fabric = FabricPropertyStore::new();
-        let scheduled = scheduler.schedule_week(&fleet, start + 28, &model, &fabric);
+        let (fleet, start) = fleet_of(77, 200);
+        let serve = served(&fleet, start, 4);
+        let scheduled = scheduled_week(&fleet, start + 28, &serve, &FabricPropertyStore::new());
         (fleet, scheduled)
     }
 

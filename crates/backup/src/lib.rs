@@ -7,15 +7,18 @@
 //!   "stores the start time of this window as a service fabric property of
 //!   respective PostgreSQL and MySQL database instances. This property is
 //!   used by the backup service to schedule backups."
-//! * [`scheduler`] — the backup-scheduling algorithm: verify three weeks of
-//!   predictability, pick the predicted lowest-load window, write the fabric
-//!   property; unpredictable or young servers keep the default time.
+//! * [`scheduler`] — the backup-scheduling algorithm: read each due server's
+//!   three-week predictability gate and predicted lowest-load window from
+//!   the serving layer, write the fabric property; unpredictable or young
+//!   servers keep the default time.
 //! * [`runner`] — the Master Data Service runner substitute: "the backup
 //!   scheduler runs within Master Data Service (MDS) runner per day and
 //!   cluster."
 //! * [`impact`] — the Figure 13 impact analysis: moved/already-optimal/
 //!   incorrect windows per server class, busy-server collision avoidance,
 //!   hours of improved customer experience, and the capacity histogram.
+//! * [`serve_weeks`] — the weekly production path the scheduler reads from:
+//!   extraction, the pipeline, and the serving layer it deploys into.
 
 #![forbid(unsafe_code)]
 
@@ -30,3 +33,31 @@ pub use runner::{ClusterReport, RunnerReport, RunnerService};
 pub use scheduler::{
     BackupScheduler, DefaultReason, ScheduleDecision, ScheduledBackup, SchedulerConfig,
 };
+
+use seagull_core::pipeline::{AmlPipeline, PipelineConfig, PipelineRunReport};
+use seagull_serve::ServeService;
+use seagull_telemetry::blobstore::MemoryBlobStore;
+use seagull_telemetry::extract::LoadExtraction;
+use seagull_telemetry::fleet::ServerTelemetry;
+use std::sync::Arc;
+
+/// The production path over the weeks starting on `weeks` of `fleet`: their
+/// load extracted into a memory blob store, then one production pipeline run
+/// per region and week, each deploying into the returned serving layer,
+/// whose snapshots then answer for the week after the last. The pipeline
+/// and its run reports come back beside it.
+pub fn serve_weeks(
+    fleet: &[ServerTelemetry],
+    regions: &[String],
+    weeks: &[i64],
+) -> (ServeService, AmlPipeline, Vec<PipelineRunReport>) {
+    let store = Arc::new(MemoryBlobStore::new());
+    LoadExtraction::columnar(5)
+        .run(fleet, regions, weeks, store.as_ref())
+        .expect("a memory blob store accepts every put");
+    let serve = ServeService::with_defaults();
+    let pipeline = AmlPipeline::new(PipelineConfig::production(), store)
+        .with_deploy_sink(Arc::new(serve.clone()));
+    let reports = pipeline.run_schedule(regions, weeks);
+    (serve, pipeline, reports)
+}

@@ -7,20 +7,20 @@
 //! (Section 2.3).
 //!
 //! The fleet is hash-partitioned into clusters; each day the runner invokes
-//! the scheduler per cluster and probes that every due server ended up with a
-//! usable fabric property. Dropped fabric writes are repaired under
+//! the scheduler per cluster, against the region's deployed snapshot in the
+//! serving layer, and probes that every due server ended up with a usable
+//! fabric property. Dropped fabric writes are repaired under
 //! [`retry`], and a cluster whose scheduling pass fails gets
 //! one re-run before it is reported as errored — so one bad cluster degrades
 //! its own availability figure instead of poisoning the daily report.
 
 use crate::fabric::FabricPropertyStore;
-use crate::scheduler::{BackupScheduler, ScheduledBackup};
+use crate::scheduler::{BackupScheduler, ScheduleDecision, ScheduledBackup};
 use seagull_core::resilience::{retry, StageError};
-use seagull_forecast::Forecaster;
 use seagull_obs::Obs;
+use seagull_serve::ServeService;
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_telemetry::server::ServerId;
-use seagull_timeseries::DayOfWeek;
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -133,22 +133,14 @@ impl RunnerService {
         (z ^ (z >> 31)) as usize % self.clusters
     }
 
-    /// Servers in `members` due for backup on `day`.
-    fn due_count(members: &[ServerTelemetry], day: i64) -> usize {
-        let weekday = DayOfWeek::from_day_index(day).index();
-        members
-            .iter()
-            .filter(|s| s.meta.backup.backup_weekday as usize == weekday && s.meta.alive_on(day))
-            .count()
-    }
-
     /// One cluster's scheduling pass with the re-run and repair machinery.
     fn run_cluster(
         &self,
         cluster: usize,
         members: &[ServerTelemetry],
         day: i64,
-        forecaster: &dyn Forecaster,
+        serve: &ServeService,
+        region: &str,
         fabric: &FabricPropertyStore,
     ) -> (ClusterReport, Vec<ScheduledBackup>) {
         let mut retries = 0u32;
@@ -165,7 +157,7 @@ impl RunnerService {
             }
             let scheduled = self
                 .scheduler
-                .schedule_day(members, day, forecaster, fabric);
+                .schedule_day_served(members, day, serve, region, fabric);
             // Verify-and-repair: rewrite any due server whose fabric write
             // was dropped, retrying a repair write that is dropped too.
             for b in &scheduled {
@@ -184,12 +176,7 @@ impl RunnerService {
             let due = scheduled.len();
             let rescheduled = scheduled
                 .iter()
-                .filter(|b| {
-                    matches!(
-                        b.decision,
-                        crate::scheduler::ScheduleDecision::Rescheduled { .. }
-                    )
-                })
+                .filter(|b| matches!(b.decision, ScheduleDecision::Rescheduled { .. }))
                 .count();
             // Probe: every due server must expose a parseable window start
             // that lies on its backup day.
@@ -218,7 +205,7 @@ impl RunnerService {
         }
         // Both passes failed: the cluster is errored and its due servers
         // count as unavailable.
-        let due = RunnerService::due_count(members, day);
+        let due = crate::scheduler::due(members, day).count();
         (
             ClusterReport {
                 cluster,
@@ -233,13 +220,15 @@ impl RunnerService {
         )
     }
 
-    /// Runs one day: schedules every due server per cluster and probes the
-    /// fabric store afterwards.
+    /// Runs one day of `region`: schedules every due server per cluster from
+    /// the region's snapshot in `serve` and probes the fabric store
+    /// afterwards.
     pub fn run_day(
         &self,
         fleet: &[ServerTelemetry],
         day: i64,
-        forecaster: &dyn Forecaster,
+        serve: &ServeService,
+        region: &str,
         fabric: &FabricPropertyStore,
     ) -> RunnerReport {
         let vt = day.max(0) as u64;
@@ -260,7 +249,8 @@ impl RunnerService {
                 .filter(|s| self.cluster_of(s.meta.id) == cluster)
                 .cloned()
                 .collect();
-            let (report, scheduled) = self.run_cluster(cluster, &members, day, forecaster, fabric);
+            let (report, scheduled) =
+                self.run_cluster(cluster, &members, day, serve, region, fabric);
             self.obs.tracer().end(span, vt);
             let labels = [("cluster", cluster_label.as_str())];
             registry
@@ -296,30 +286,16 @@ impl RunnerService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::tests::{fleet_of as fleet, served, REGION};
     use crate::scheduler::SchedulerConfig;
-    use seagull_forecast::PersistentForecast;
-    use seagull_telemetry::fleet::{FleetGenerator, FleetSpec};
-
-    fn fleet(seed: u64, servers: usize) -> (Vec<ServerTelemetry>, i64) {
-        let mut spec = FleetSpec::small_region(seed);
-        spec.regions[0].servers = servers;
-        let start = spec.start_day;
-        (FleetGenerator::new(spec).generate_weeks(5), start)
-    }
 
     #[test]
     fn runner_schedules_and_probes() {
         let (fleet, start) = fleet(44, 120);
-        let runner = RunnerService::new(
-            BackupScheduler::new(SchedulerConfig {
-                threads: 2,
-                ..SchedulerConfig::default()
-            }),
-            4,
-        );
+        let runner = RunnerService::new(BackupScheduler::new(SchedulerConfig::default()), 4);
         let fabric = FabricPropertyStore::new();
-        let model = PersistentForecast::previous_day();
-        let report = runner.run_day(&fleet, start + 28, &model, &fabric);
+        let serve = served(&fleet, start, 4);
+        let report = runner.run_day(&fleet, start + 28, &serve, REGION, &fabric);
         assert_eq!(report.clusters.len(), 4);
         let total_due: usize = report.clusters.iter().map(|c| c.due_servers).sum();
         assert_eq!(total_due, report.backups.len());
@@ -327,6 +303,8 @@ mod tests {
         assert!((report.availability() - 1.0).abs() < 1e-9);
         assert_eq!(report.total_retries(), 0, "no faults, no retry work");
         assert!(report.clusters.iter().all(|c| !c.errored));
+        let rescheduled: usize = report.clusters.iter().map(|c| c.rescheduled).sum();
+        assert!(rescheduled > 0, "the runner consumes the deployed windows");
     }
 
     #[test]
@@ -346,8 +324,8 @@ mod tests {
     fn empty_day_is_fully_available() {
         let runner = RunnerService::new(BackupScheduler::new(SchedulerConfig::default()), 2);
         let fabric = FabricPropertyStore::new();
-        let model = PersistentForecast::previous_day();
-        let report = runner.run_day(&[], 100, &model, &fabric);
+        let serve = ServeService::with_defaults();
+        let report = runner.run_day(&[], 100, &serve, REGION, &fabric);
         assert_eq!(report.availability(), 1.0);
         assert!(report.backups.is_empty());
     }
@@ -358,8 +336,8 @@ mod tests {
         let runner = RunnerService::new(BackupScheduler::new(SchedulerConfig::default()), 4);
         let fabric = FabricPropertyStore::new();
         fabric.inject_write_faults(7, 0.3);
-        let model = PersistentForecast::previous_day();
-        let report = runner.run_day(&fleet, start + 28, &model, &fabric);
+        let serve = ServeService::with_defaults();
+        let report = runner.run_day(&fleet, start + 28, &serve, REGION, &fabric);
         assert!(
             fabric.injected_faults() > 0,
             "30% fault rate over a day of writes must fire"
@@ -387,8 +365,8 @@ mod tests {
                 (cluster == 1 && attempt == 1) || cluster == 2
             });
         let fabric = FabricPropertyStore::new();
-        let model = PersistentForecast::previous_day();
-        let report = runner.run_day(&fleet, day, &model, &fabric);
+        let serve = ServeService::with_defaults();
+        let report = runner.run_day(&fleet, day, &serve, REGION, &fabric);
 
         let c1 = &report.clusters[1];
         assert!(!c1.errored, "cluster 1 recovered on the re-run pass");
@@ -419,9 +397,9 @@ mod tests {
         let (fleet, start) = fleet(47, 80);
         let runner = RunnerService::new(BackupScheduler::new(SchedulerConfig::default()), 3);
         let fabric = FabricPropertyStore::new();
-        let model = PersistentForecast::previous_day();
+        let serve = ServeService::with_defaults();
         let day = start + 28;
-        let report = runner.run_day(&fleet, day, &model, &fabric);
+        let report = runner.run_day(&fleet, day, &serve, REGION, &fabric);
 
         let spans = runner.obs.tracer().spans();
         let root = spans
@@ -468,8 +446,8 @@ mod tests {
         let runner = RunnerService::new(BackupScheduler::new(SchedulerConfig::default()), 2)
             .with_cluster_fault(|_, _, _| true);
         let fabric = FabricPropertyStore::new();
-        let model = PersistentForecast::previous_day();
-        let report = runner.run_day(&[], 100, &model, &fabric);
+        let serve = ServeService::with_defaults();
+        let report = runner.run_day(&[], 100, &serve, REGION, &fabric);
         assert_eq!(
             report.availability(),
             0.0,

@@ -8,12 +8,13 @@
 //! stores the start time of this window as a service fabric property ...
 //! Servers that did not exist or were unpredictable for the last three weeks
 //! are scheduled for backup at default time."
+//!
+//! The scheduler fits nothing: one [`ServeService::gated_ll_window`] per due
+//! server reads the gate the pipeline moved on from its own weekly scores and
+//! the window of the prediction it deployed, from one snapshot.
 
 use crate::fabric::FabricPropertyStore;
-use seagull_core::evaluate::{predictability, EvaluationConfig};
-use seagull_core::metrics::{lowest_load_window, LowLoadWindow};
-use seagull_core::par::parallel_map;
-use seagull_forecast::Forecaster;
+use seagull_core::metrics::LowLoadWindow;
 use seagull_serve::{ServeError, ServeService};
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_telemetry::server::ServerId;
@@ -23,12 +24,13 @@ use serde::Serialize;
 /// Why a server kept its default backup window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DefaultReason {
-    /// The server has existed fewer than the required weeks ("servers that
-    /// did not exist ... for the last three weeks").
+    /// Fewer than the gate's weeks in a row were scored ("servers that did
+    /// not exist ... for the last three weeks"), read from the data.
     TooYoung,
-    /// The three-week predictability gate failed (Definition 9).
+    /// Scored, but not every one of the gate's weeks passed (Definition 9);
+    /// also a server the serving snapshot does not carry.
     NotPredictable,
-    /// The model produced no usable prediction for the backup day.
+    /// The serving layer produced no usable window for the backup day.
     PredictionFailed,
 }
 
@@ -52,21 +54,26 @@ pub struct ScheduledBackup {
     pub decision: ScheduleDecision,
 }
 
+/// The servers of `fleet` due for a backup on `day`: alive, on the weekday
+/// their backups are configured for.
+pub(crate) fn due(fleet: &[ServerTelemetry], day: i64) -> impl Iterator<Item = &ServerTelemetry> {
+    let weekday = DayOfWeek::from_day_index(day).index();
+    fleet
+        .iter()
+        .filter(move |s| s.meta.backup.backup_weekday as usize == weekday && s.meta.alive_on(day))
+}
+
 /// Scheduler parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SchedulerConfig {
-    /// The shared evaluation parameters (three-week gate, error bound, ...).
-    pub evaluation: EvaluationConfig,
-    /// Worker threads for fleet-wide scheduling.
+    /// Inert: scheduling runs on the calling thread, each due server one
+    /// read of an immutable snapshot. Kept while callers still set it.
     pub threads: usize,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
-        SchedulerConfig {
-            evaluation: EvaluationConfig::default(),
-            threads: 1,
-        }
+        SchedulerConfig { threads: 1 }
     }
 }
 
@@ -83,108 +90,12 @@ impl BackupScheduler {
     }
 
     /// Schedules one server's backup for `backup_day` (assumed to be the
-    /// server's due day). Applies the three-week predictability gate, then
-    /// selects the predicted LL window; on any failure the default window is
-    /// kept.
-    pub fn schedule_server(
-        &self,
-        server: &ServerTelemetry,
-        backup_day: i64,
-        forecaster: &dyn Forecaster,
-    ) -> ScheduledBackup {
-        let cfg = &self.config.evaluation;
-        let duration = server.meta.backup.duration_min;
-        let (default_start, _) = server.meta.backup.default_window_on(backup_day);
-        let default_backup = |reason| ScheduledBackup {
-            server_id: server.meta.id.0,
-            backup_day,
-            start: default_start,
-            duration_min: duration,
-            decision: ScheduleDecision::DefaultKept { reason },
-        };
-
-        // Gate 1: existence — "servers that did not exist ... for the last
-        // three weeks are scheduled for backup at default time". Telemetry
-        // truncation (the observation window starting after creation) is not
-        // youth; missing data simply fails the predictability evaluation in
-        // gate 2.
-        let needed_days = 7 * cfg.predictability_weeks as i64;
-        if server.series.is_empty() || backup_day - server.meta.created_day < needed_days {
-            return default_backup(DefaultReason::TooYoung);
-        }
-
-        // Gate 2: Definition 9 over the three prior weeks. Weeks are anchored
-        // so that the most recent inspected backup day is `backup_day - 7`.
-        let anchor_week_start = backup_day - 6; // window [backup_day-6, backup_day] contains only future days of this week
-        let verdict = predictability(server, anchor_week_start, forecaster, cfg);
-        if !verdict.predictable {
-            return default_backup(DefaultReason::NotPredictable);
-        }
-
-        // Predict the backup day from the preceding week and take the LL
-        // window of the prediction.
-        let day_start = Timestamp::from_days(backup_day);
-        let hist_start = Timestamp::from_days(backup_day - cfg.train_days);
-        let Ok(history) = server.series.slice(hist_start, day_start) else {
-            return default_backup(DefaultReason::PredictionFailed);
-        };
-        let points_per_day = history.points_per_day();
-        let Ok(predicted) = forecaster.fit_predict(&history, points_per_day) else {
-            return default_backup(DefaultReason::PredictionFailed);
-        };
-        let Some(window) = lowest_load_window(&predicted, duration) else {
-            return default_backup(DefaultReason::PredictionFailed);
-        };
-        ScheduledBackup {
-            server_id: server.meta.id.0,
-            backup_day,
-            start: window.start,
-            duration_min: duration,
-            decision: ScheduleDecision::Rescheduled { window },
-        }
-    }
-
-    /// Schedules every server due on `backup_day` (by its configured
-    /// weekday), writing chosen start times into the fabric store.
-    pub fn schedule_day(
-        &self,
-        fleet: &[ServerTelemetry],
-        backup_day: i64,
-        forecaster: &dyn Forecaster,
-        fabric: &FabricPropertyStore,
-    ) -> Vec<ScheduledBackup> {
-        let weekday = DayOfWeek::from_day_index(backup_day).index();
-        let due: Vec<&ServerTelemetry> = fleet
-            .iter()
-            .filter(|s| {
-                s.meta.backup.backup_weekday as usize == weekday && s.meta.alive_on(backup_day)
-            })
-            .collect();
-        let scheduled = parallel_map(&due, self.config.threads, |server| {
-            self.schedule_server(server, backup_day, forecaster)
-        });
-        for b in &scheduled {
-            // Fault-aware write: a dropped write is repaired by the runner's
-            // verify-and-retry pass, so scheduling itself never aborts.
-            let _ = fabric.try_set_backup_window_start(ServerId(b.server_id), b.start);
-        }
-        scheduled
-    }
-
-    /// Schedules one server's backup by querying the serving layer instead
-    /// of fitting a model inline.
-    ///
-    /// This is the production split the serving layer exists for: the
-    /// scheduler never trains a model on the request path. It applies
-    /// neither gate of [`BackupScheduler::schedule_server`]: the pipeline
-    /// predicts every server it has any history for, without the existence
-    /// or Definition 9 predictability check, so a server the snapshot covers
-    /// is rescheduled even where the inline path would keep the default as
-    /// [`DefaultReason::TooYoung`] or [`DefaultReason::NotPredictable`]. A
-    /// server *absent* from the snapshot maps to
-    /// [`DefaultReason::NotPredictable`]; a shed request, missing snapshot,
-    /// or uncovered day keeps the default window as
-    /// [`DefaultReason::PredictionFailed`].
+    /// server's due day) from the serving layer's snapshot of `region`: into
+    /// the served lowest-load window when the server's gate is open, else at
+    /// the default time — [`DefaultReason::TooYoung`] or
+    /// [`DefaultReason::NotPredictable`] by the gate (the latter also for a
+    /// server the snapshot does not carry), [`DefaultReason::PredictionFailed`]
+    /// for a shed request, a region with no snapshot or a day with no window.
     pub fn schedule_server_served(
         &self,
         serve: &ServeService,
@@ -192,31 +103,32 @@ impl BackupScheduler {
         server: &ServerTelemetry,
         backup_day: i64,
     ) -> ScheduledBackup {
-        let duration = server.meta.backup.duration_min;
-        let (default_start, _) = server.meta.backup.default_window_on(backup_day);
-        let default_backup = |reason| ScheduledBackup {
+        let kept = |reason| ScheduleDecision::DefaultKept { reason };
+        let decision = match serve.gated_ll_window(region, server.meta.id.0, backup_day) {
+            Ok((gate, _)) if gate.to_score > 0 => kept(DefaultReason::TooYoung),
+            Ok((gate, _)) if gate.to_pass > 0 => kept(DefaultReason::NotPredictable),
+            Ok((_, Ok(window))) => ScheduleDecision::Rescheduled { window },
+            Err(ServeError::UnknownServer { .. }) => kept(DefaultReason::NotPredictable),
+            Ok((_, Err(_))) | Err(_) => kept(DefaultReason::PredictionFailed),
+        };
+        let start = match decision {
+            ScheduleDecision::Rescheduled { window } => window.start,
+            ScheduleDecision::DefaultKept { .. } => {
+                server.meta.backup.default_window_on(backup_day).0
+            }
+        };
+        ScheduledBackup {
             server_id: server.meta.id.0,
             backup_day,
-            start: default_start,
-            duration_min: duration,
-            decision: ScheduleDecision::DefaultKept { reason },
-        };
-        match serve.ll_window(region, server.meta.id.0, backup_day) {
-            Ok(window) => ScheduledBackup {
-                server_id: server.meta.id.0,
-                backup_day,
-                start: window.start,
-                duration_min: duration,
-                decision: ScheduleDecision::Rescheduled { window },
-            },
-            Err(ServeError::UnknownServer { .. }) => default_backup(DefaultReason::NotPredictable),
-            Err(_) => default_backup(DefaultReason::PredictionFailed),
+            start,
+            duration_min: server.meta.backup.duration_min,
+            decision,
         }
     }
 
-    /// Schedules every server due on `backup_day` through the serving
-    /// layer, writing chosen start times into the fabric store. The served
-    /// counterpart of [`BackupScheduler::schedule_day`].
+    /// Schedules every server due on `backup_day` (by its configured
+    /// weekday) through the serving layer, writing chosen start times into
+    /// the fabric store.
     pub fn schedule_day_served(
         &self,
         fleet: &[ServerTelemetry],
@@ -225,61 +137,100 @@ impl BackupScheduler {
         region: &str,
         fabric: &FabricPropertyStore,
     ) -> Vec<ScheduledBackup> {
-        let weekday = DayOfWeek::from_day_index(backup_day).index();
         // On the calling thread: each item is a microsecond read of an
         // immutable snapshot, less than forking a helper for it costs.
-        let scheduled: Vec<ScheduledBackup> = fleet
-            .iter()
-            .filter(|s| {
-                s.meta.backup.backup_weekday as usize == weekday && s.meta.alive_on(backup_day)
-            })
+        let scheduled: Vec<ScheduledBackup> = due(fleet, backup_day)
             .map(|server| self.schedule_server_served(serve, region, server, backup_day))
             .collect();
         for b in &scheduled {
+            // Fault-aware write: a dropped write is repaired by the runner's
+            // verify-and-retry pass, so scheduling itself never aborts.
             let _ = fabric.try_set_backup_window_start(ServerId(b.server_id), b.start);
         }
         scheduled
     }
 
-    /// Schedules a whole week (the runner invokes this per day in practice).
-    pub fn schedule_week(
+    /// The seven days from `week_start_day`, one
+    /// [`BackupScheduler::schedule_day_served`] each.
+    pub fn schedule_week_served(
         &self,
         fleet: &[ServerTelemetry],
         week_start_day: i64,
-        forecaster: &dyn Forecaster,
+        serve: &ServeService,
+        region: &str,
         fabric: &FabricPropertyStore,
     ) -> Vec<ScheduledBackup> {
-        let mut all = Vec::new();
-        for offset in 0..7 {
-            all.extend(self.schedule_day(fleet, week_start_day + offset, forecaster, fabric));
-        }
-        all
+        (week_start_day..week_start_day + 7)
+            .flat_map(|day| self.schedule_day_served(fleet, day, serve, region, fabric))
+            .collect()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use seagull_forecast::PersistentForecast;
+    use seagull_core::metrics::lowest_load_window;
+    use seagull_core::pipeline::{GateState, PredictionDoc};
     use seagull_telemetry::fleet::{FleetGenerator, FleetSpec};
-    use seagull_telemetry::server::{GeneratedClass, ServerId};
+    use seagull_telemetry::server::GeneratedClass;
 
-    fn fleet() -> (Vec<ServerTelemetry>, i64) {
-        let mut spec = FleetSpec::small_region(123);
-        spec.regions[0].servers = 150;
+    /// The region every test fleet lives in.
+    pub(crate) const REGION: &str = "region-a";
+
+    /// Five weeks of a one-region fleet of `servers` and its first day.
+    pub(crate) fn fleet_of(seed: u64, servers: usize) -> (Vec<ServerTelemetry>, i64) {
+        let mut spec = FleetSpec::small_region(seed);
+        spec.regions[0].servers = servers;
         let start = spec.start_day;
         (FleetGenerator::new(spec).generate_weeks(5), start)
     }
 
-    #[test]
-    fn stable_predictable_servers_get_rescheduled() {
+    fn fleet() -> (Vec<ServerTelemetry>, i64) {
+        fleet_of(123, 150)
+    }
+
+    /// The serving layer after the pipeline ran the fleet's first `weeks`
+    /// weeks: its snapshot covers the week after the last.
+    pub(crate) fn served(fleet: &[ServerTelemetry], start: i64, weeks: i64) -> ServeService {
+        let week_days: Vec<i64> = (0..weeks).map(|w| start + 7 * w).collect();
+        crate::serve_weeks(fleet, &[REGION.into()], &week_days).0
+    }
+
+    /// Every backup due in the week from `week_start_day`.
+    pub(crate) fn scheduled_week(
+        fleet: &[ServerTelemetry],
+        week_start_day: i64,
+        serve: &ServeService,
+        fabric: &FabricPropertyStore,
+    ) -> Vec<ScheduledBackup> {
+        BackupScheduler::new(SchedulerConfig::default()).schedule_week_served(
+            fleet,
+            week_start_day,
+            serve,
+            REGION,
+            fabric,
+        )
+    }
+
+    /// Week 5 of [`fleet`], scheduled from the week-4 snapshot.
+    fn week_five() -> (Vec<ServerTelemetry>, Vec<ScheduledBackup>) {
         let (fleet, start) = fleet();
+        let serve = served(&fleet, start, 4);
+        let scheduled = scheduled_week(&fleet, start + 28, &serve, &FabricPropertyStore::new());
+        (fleet, scheduled)
+    }
+
+    fn server(fleet: &[ServerTelemetry], id: u64) -> &ServerTelemetry {
+        fleet.iter().find(|s| s.meta.id.0 == id).unwrap()
+    }
+
+    #[test]
+    fn predictable_servers_get_rescheduled() {
+        let (fleet, start) = fleet();
+        let serve = served(&fleet, start, 4);
         let scheduler = BackupScheduler::new(SchedulerConfig::default());
-        let model = PersistentForecast::previous_day();
         let fabric = FabricPropertyStore::new();
-        // Week 5: four prior weeks of history exist.
-        let day = start + 28;
-        let scheduled = scheduler.schedule_day(&fleet, day, &model, &fabric);
+        let scheduled = scheduler.schedule_day_served(&fleet, start + 28, &serve, REGION, &fabric);
         assert!(!scheduled.is_empty());
         let rescheduled = scheduled
             .iter()
@@ -289,89 +240,120 @@ mod tests {
             rescheduled > 0,
             "some due servers must pass the gate and move"
         );
-        // Every scheduled backup has its fabric property set.
         for b in &scheduled {
+            // Every scheduled backup has its fabric property set, on its day.
             assert_eq!(
                 fabric.backup_window_start(ServerId(b.server_id)),
                 Some(b.start)
             );
-            // Window lies within the backup day.
             assert!(b.start.day_index() == b.backup_day);
+            if let ScheduleDecision::DefaultKept { .. } = b.decision {
+                let (default_start, _) = server(&fleet, b.server_id)
+                    .meta
+                    .backup
+                    .default_window_on(b.backup_day);
+                assert_eq!(b.start, default_start);
+            }
         }
     }
 
-    /// The training history handed to the forecaster is a view into the
-    /// server's telemetry buffer, not a copy — the scheduler read path stays
-    /// zero-copy under the Arc-backed series representation.
+    /// Each gate the snapshot carries maps to its decision; the window is
+    /// not consulted for a closed gate.
     #[test]
-    fn training_history_is_a_zero_copy_view() {
+    fn closed_gates_keep_the_default_window() {
         let (fleet, start) = fleet();
-        let cfg = SchedulerConfig::default();
         let day = start + 28;
-        let day_start = Timestamp::from_days(day);
-        let hist_start = Timestamp::from_days(day - cfg.evaluation.train_days);
-        let server = fleet
+        let due: Vec<&ServerTelemetry> = fleet
             .iter()
-            .find(|s| s.series.slice(hist_start, day_start).is_ok())
-            .expect("some server has a full training window");
-        let history = server.series.slice(hist_start, day_start).unwrap();
-        assert!(
-            history.shares_storage(&server.series),
-            "slicing the training window must not allocate a new buffer"
-        );
+            .filter(|s| s.series.day_values(day).is_some())
+            .take(3)
+            .collect();
+        let gates = [
+            GateState::closed(3),
+            GateState {
+                to_score: 0,
+                to_pass: 1,
+            },
+            GateState::OPEN,
+        ];
+        let docs: Vec<PredictionDoc> = due
+            .iter()
+            .zip(gates)
+            .map(|(s, gate)| PredictionDoc {
+                gate,
+                ..truth_doc(s, day)
+            })
+            .collect();
+        let serve = ServeService::with_defaults();
+        serve.publish(seagull_serve::ModelSnapshot::from_predictions(
+            REGION,
+            1,
+            day - 7,
+            "persistent-prev-day",
+            &docs,
+        ));
+        let scheduler = BackupScheduler::new(SchedulerConfig::default());
+        let decisions: Vec<ScheduleDecision> = due
+            .iter()
+            .map(|s| {
+                scheduler
+                    .schedule_server_served(&serve, REGION, s, day)
+                    .decision
+            })
+            .collect();
+        let kept = |reason| ScheduleDecision::DefaultKept { reason };
+        assert_eq!(decisions[0], kept(DefaultReason::TooYoung));
+        assert_eq!(decisions[1], kept(DefaultReason::NotPredictable));
+        assert!(matches!(decisions[2], ScheduleDecision::Rescheduled { .. }));
+        // Closed gates win over a day the snapshot cannot answer.
+        let later = scheduler.schedule_server_served(&serve, REGION, due[0], day + 7);
+        assert_eq!(later.decision, kept(DefaultReason::TooYoung));
+        let later = scheduler.schedule_server_served(&serve, REGION, due[2], day + 7);
+        assert_eq!(later.decision, kept(DefaultReason::PredictionFailed));
     }
 
     #[test]
     fn short_lived_servers_keep_default() {
-        let (fleet, start) = fleet();
-        let scheduler = BackupScheduler::new(SchedulerConfig::default());
-        let model = PersistentForecast::previous_day();
-        let _fabric = FabricPropertyStore::new();
-        let day = start + 28;
-        let weekday = DayOfWeek::from_day_index(day).index();
-        let short: Vec<&ServerTelemetry> = fleet
+        let (fleet, scheduled) = week_five();
+        let short: Vec<&ScheduledBackup> = scheduled
             .iter()
-            .filter(|s| {
-                s.meta.deleted_day.is_some()
-                    && s.meta.alive_on(day)
-                    && s.meta.backup.backup_weekday as usize == weekday
-            })
+            .filter(|b| server(&fleet, b.server_id).meta.deleted_day.is_some())
             .collect();
-        for s in short {
-            let b = scheduler.schedule_server(s, day, &model);
+        assert!(!short.is_empty());
+        for b in short {
             assert!(
                 matches!(
                     b.decision,
                     ScheduleDecision::DefaultKept {
-                        reason: DefaultReason::TooYoung
-                    } | ScheduleDecision::DefaultKept {
-                        reason: DefaultReason::NotPredictable
+                        reason: DefaultReason::TooYoung | DefaultReason::NotPredictable
                     }
                 ),
                 "short-lived server must keep default: {:?}",
                 b.decision
             );
-            let (default_start, _) = s.meta.backup.default_window_on(day);
+            let (default_start, _) = server(&fleet, b.server_id)
+                .meta
+                .backup
+                .default_window_on(b.backup_day);
             assert_eq!(b.start, default_start);
         }
     }
 
     #[test]
     fn unstable_servers_mostly_keep_default() {
-        let (fleet, start) = fleet();
-        let scheduler = BackupScheduler::new(SchedulerConfig::default());
-        let model = PersistentForecast::previous_day();
-        let day = start + 28;
-        let unstable: Vec<&ServerTelemetry> = fleet
+        let (fleet, scheduled) = week_five();
+        let unstable: Vec<&ScheduledBackup> = scheduled
             .iter()
-            .filter(|s| s.meta.class == GeneratedClass::Unstable && s.meta.deleted_day.is_none())
+            .filter(|b| {
+                let meta = &server(&fleet, b.server_id).meta;
+                meta.class == GeneratedClass::Unstable && meta.deleted_day.is_none()
+            })
             .collect();
         if unstable.is_empty() {
             return;
         }
         let kept = unstable
             .iter()
-            .map(|s| scheduler.schedule_server(s, day, &model))
             .filter(|b| matches!(b.decision, ScheduleDecision::DefaultKept { .. }))
             .count();
         assert!(
@@ -383,18 +365,15 @@ mod tests {
 
     #[test]
     fn rescheduled_window_is_low_load() {
-        let (fleet, start) = fleet();
-        let scheduler = BackupScheduler::new(SchedulerConfig::default());
-        let model = PersistentForecast::previous_day();
-        let fabric = FabricPropertyStore::new();
-        let day = start + 28;
-        let scheduled = scheduler.schedule_day(&fleet, day, &model, &fabric);
+        let (fleet, scheduled) = week_five();
         for b in scheduled {
             if let ScheduleDecision::Rescheduled { window } = b.decision {
-                let server = fleet.iter().find(|s| s.meta.id.0 == b.server_id).unwrap();
                 // The chosen window's true load should be near the true
-                // minimum for predictable (stable/patterned) servers.
-                let truth = server.series.day(day).unwrap();
+                // minimum for servers that passed the gate.
+                let truth = server(&fleet, b.server_id)
+                    .series
+                    .day(b.backup_day)
+                    .unwrap();
                 let true_ll = lowest_load_window(&truth, b.duration_min).unwrap();
                 let chosen_true = truth
                     .slice_values(window.start, window.end())
@@ -409,6 +388,20 @@ mod tests {
         }
     }
 
+    /// A prediction document whose values are the server's true load on
+    /// `day`, behind an open gate.
+    fn truth_doc(s: &ServerTelemetry, day: i64) -> PredictionDoc {
+        PredictionDoc {
+            region: REGION.into(),
+            server_id: s.meta.id.0,
+            day,
+            step_min: s.series.step_min(),
+            values: s.series.day_values(day).unwrap().to_vec(),
+            duration_min: s.meta.backup.duration_min as i64,
+            gate: GateState::OPEN,
+        }
+    }
+
     /// Builds a serving snapshot whose per-server "prediction" is the true
     /// series for `day` — the served scheduler should then pick the true
     /// lowest-load window for every covered server.
@@ -417,23 +410,13 @@ mod tests {
         day: i64,
         version: u64,
     ) -> seagull_serve::ModelSnapshot {
-        let docs: Vec<seagull_core::pipeline::PredictionDoc> = fleet
+        let docs: Vec<PredictionDoc> = fleet
             .iter()
-            .filter_map(|s| {
-                s.series
-                    .day_values(day)
-                    .map(|values| seagull_core::pipeline::PredictionDoc {
-                        region: "west".into(),
-                        server_id: s.meta.id.0,
-                        day,
-                        step_min: s.series.step_min(),
-                        values: values.to_vec(),
-                        duration_min: s.meta.backup.duration_min as i64,
-                    })
-            })
+            .filter(|s| s.series.day_values(day).is_some())
+            .map(|s| truth_doc(s, day))
             .collect();
         seagull_serve::ModelSnapshot::from_predictions(
-            "west",
+            REGION,
             version,
             day - 7,
             "persistent-prev-day",
@@ -445,11 +428,11 @@ mod tests {
     fn served_scheduling_uses_snapshot_windows() {
         let (fleet, start) = fleet();
         let scheduler = BackupScheduler::new(SchedulerConfig::default());
-        let serve = seagull_serve::ServeService::with_defaults();
+        let serve = ServeService::with_defaults();
         let day = start + 28;
         serve.publish(snapshot_of_truth(&fleet, day, 1));
         let fabric = FabricPropertyStore::new();
-        let scheduled = scheduler.schedule_day_served(&fleet, day, &serve, "west", &fabric);
+        let scheduled = scheduler.schedule_day_served(&fleet, day, &serve, REGION, &fabric);
         assert!(!scheduled.is_empty());
         for b in &scheduled {
             // Fabric write happened for every decision.
@@ -460,8 +443,7 @@ mod tests {
             if let ScheduleDecision::Rescheduled { window } = b.decision {
                 // The snapshot holds the true series, so the served window
                 // must be the true lowest-load window exactly.
-                let server = fleet.iter().find(|s| s.meta.id.0 == b.server_id).unwrap();
-                let truth = server.series.day(day).unwrap();
+                let truth = server(&fleet, b.server_id).series.day(day).unwrap();
                 let true_ll = lowest_load_window(&truth, b.duration_min).unwrap();
                 assert_eq!(window.start, true_ll.start);
                 assert!((window.mean_load - true_ll.mean_load).abs() < 1e-12);
@@ -473,16 +455,18 @@ mod tests {
     fn served_scheduling_defaults_when_not_covered() {
         let (fleet, start) = fleet();
         let scheduler = BackupScheduler::new(SchedulerConfig::default());
-        let serve = seagull_serve::ServeService::with_defaults();
+        let serve = ServeService::with_defaults();
         let day = start + 28;
         // Empty snapshot: every due server is unknown to the serving layer.
         serve.publish(snapshot_of_truth(&[], day, 1));
         let fabric = FabricPropertyStore::new();
-        let scheduled = scheduler.schedule_day_served(&fleet, day, &serve, "west", &fabric);
+        let scheduled = scheduler.schedule_day_served(&fleet, day, &serve, REGION, &fabric);
         assert!(!scheduled.is_empty());
         for b in &scheduled {
-            let server = fleet.iter().find(|s| s.meta.id.0 == b.server_id).unwrap();
-            let (default_start, _) = server.meta.backup.default_window_on(day);
+            let (default_start, _) = server(&fleet, b.server_id)
+                .meta
+                .backup
+                .default_window_on(day);
             assert_eq!(b.start, default_start);
             assert!(matches!(
                 b.decision,
@@ -503,15 +487,10 @@ mod tests {
     }
 
     #[test]
-    fn schedule_week_covers_all_weekdays() {
+    fn a_week_of_days_covers_all_weekdays() {
         let (fleet, start) = fleet();
-        let scheduler = BackupScheduler::new(SchedulerConfig {
-            threads: 4,
-            ..SchedulerConfig::default()
-        });
-        let model = PersistentForecast::previous_day();
-        let fabric = FabricPropertyStore::new();
-        let scheduled = scheduler.schedule_week(&fleet, start + 28, &model, &fabric);
+        let serve = ServeService::with_defaults();
+        let scheduled = scheduled_week(&fleet, start + 28, &serve, &FabricPropertyStore::new());
         // Every alive server due that week is scheduled exactly once.
         let alive_due: usize = fleet
             .iter()

@@ -20,7 +20,7 @@ use seagull_core::docstore::DocStore;
 use seagull_core::features::extract_server_features;
 use seagull_core::metrics::{bucket_ratio, evaluate_low_load, AccuracyConfig, ErrorBound};
 use seagull_core::par::parallel_map;
-use seagull_core::pipeline::{DeployEvent, PredictionDoc};
+use seagull_core::pipeline::{DeployEvent, GateState, PredictionDoc};
 use seagull_core::validation::{validate_columnar, DataProfile};
 use seagull_forecast::{Forecaster, PersistentForecast, SsaForecaster};
 use seagull_linalg::{hankel_gram, kernel};
@@ -185,6 +185,7 @@ fn bench_serve_ll_window(c: &mut Criterion) {
             step_min: 5,
             values: day_series(id * 20).values().to_vec(),
             duration_min: 120,
+            gate: GateState::OPEN,
         })
         .collect();
     let serve = ServeService::with_defaults();
@@ -383,6 +384,7 @@ fn bench_persist(c: &mut Criterion) {
             step_min: 5,
             values: day_series(id * 20).into_values(),
             duration_min: 120,
+            gate: GateState::OPEN,
         })
         .collect();
     let event = DeployEvent {
@@ -489,6 +491,7 @@ fn bench_docstore(c: &mut Criterion) {
         step_min: 5,
         values: day_series(0).into_values(),
         duration_min: 120,
+        gate: GateState::OPEN,
     };
     c.bench_function("docstore/upsert_get", |b| {
         let store = DocStore::new();

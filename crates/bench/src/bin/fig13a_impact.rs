@@ -13,32 +13,38 @@
 //! percentages at reproduction scale).
 
 use seagull_backup::impact::ImpactCounts;
-use seagull_backup::{analyze_impact, BackupScheduler, FabricPropertyStore, SchedulerConfig};
+use seagull_backup::{
+    analyze_impact, serve_weeks, BackupScheduler, FabricPropertyStore, SchedulerConfig,
+};
 use seagull_bench::{emit_json, scale, Table};
 use seagull_core::metrics::ErrorBound;
-use seagull_core::par::default_threads;
-use seagull_forecast::PersistentForecast;
-use seagull_telemetry::fleet::{ClassMix, FleetGenerator, FleetSpec, RegionSpec};
+use seagull_telemetry::fleet::{ClassMix, FleetGenerator, FleetSpec, RegionSpec, ServerTelemetry};
 use seagull_telemetry::server::GeneratedClass;
 use serde_json::json;
 
-fn schedule(
-    spec: FleetSpec,
-) -> (
-    Vec<seagull_telemetry::fleet::ServerTelemetry>,
-    Vec<seagull_backup::ScheduledBackup>,
-) {
+/// The production path over five weeks of `spec`'s fleet: four weekly
+/// pipeline runs per region deploy into the serving layer, and the fifth
+/// week's backups are scheduled from the fourth week's snapshots. Week 5 is
+/// the first a server can be moved in: its gate needs three scored weeks.
+fn schedule(spec: FleetSpec) -> (Vec<ServerTelemetry>, Vec<seagull_backup::ScheduledBackup>) {
     let start = spec.start_day;
-    // Five weeks: the scheduled week (the fifth) has a full three-week gate
-    // plus training history behind every backup day.
-    let fleet = FleetGenerator::new(spec).generate_weeks(5);
-    let scheduler = BackupScheduler::new(SchedulerConfig {
-        threads: default_threads(),
-        ..SchedulerConfig::default()
-    });
-    let model = PersistentForecast::previous_day();
+    let regions: Vec<String> = spec.regions.iter().map(|r| r.name.clone()).collect();
+    let generator = FleetGenerator::new(spec);
+    let by_region: Vec<_> = (0..regions.len())
+        .map(|r| generator.generate_region(r, 5))
+        .collect();
+    let fleet = by_region.concat();
+    let weeks: Vec<i64> = (0..4).map(|w| start + 7 * w).collect();
+    let (serve, ..) = serve_weeks(&fleet, &regions, &weeks);
+    let scheduler = BackupScheduler::new(SchedulerConfig::default());
     let fabric = FabricPropertyStore::new();
-    let scheduled = scheduler.schedule_week(&fleet, start + 28, &model, &fabric);
+    let scheduled = regions
+        .iter()
+        .zip(&by_region)
+        .flat_map(|(region, servers)| {
+            scheduler.schedule_week_served(servers, start + 28, &serve, region, &fabric)
+        })
+        .collect();
     (fleet, scheduled)
 }
 

@@ -31,9 +31,9 @@ const STAGE_ORDER: [&str; 7] = [
     "validation",
     "features",
     "train-infer",
+    "accuracy-eval",
     "docstore-write",
     "deployment",
-    "accuracy-eval",
 ];
 
 fn stage_rank(stage: &str) -> usize {
@@ -324,8 +324,8 @@ mod tests {
                 "validation",
                 "features",
                 "train-infer",
-                "deployment",
                 "accuracy-eval",
+                "deployment",
                 "custom-export",
             ]
         );

@@ -56,8 +56,8 @@ mod report;
 mod sinks;
 
 pub use report::{
-    collections, AccuracyDoc, DeadLetterDoc, DegradedRun, PipelineRunReport, PredictionDoc,
-    StageTiming,
+    collections, AccuracyDoc, DeadLetterDoc, DegradedRun, GateState, PipelineRunReport,
+    PredictionDoc, StageTiming,
 };
 pub use sinks::{DeployEvent, DeploySink};
 
@@ -286,8 +286,10 @@ impl AmlPipeline {
     }
 
     /// Runs the weekly pipeline for one region: ingestion → validation →
-    /// feature extraction → training & inference → deployment → accuracy
-    /// evaluation (of the previous run's predictions) → result storage.
+    /// feature extraction → training & inference → accuracy evaluation (of
+    /// the previous run's predictions, which moves each server's
+    /// [`GateState`] one week on) → deployment (this run's predictions,
+    /// stamped with the gate, are stored and published).
     ///
     /// Never returns an error: transient faults are retried, and exhausted
     /// retries degrade the run (quarantine, fallback, skip) with the
@@ -420,7 +422,7 @@ impl AmlPipeline {
             &batch,
             &mut servers,
         );
-        let Some(predictions) = mid else {
+        let Some(mut predictions) = mid else {
             // Validation blocked the run: nothing downstream executes.
             self.obs
                 .registry()
@@ -433,9 +435,124 @@ impl AmlPipeline {
             return report;
         };
 
+        // ---- Accuracy Evaluation ------------------------------------------------
+        // Score the predictions stored by the previous run against the true
+        // load that arrived in this week's data, and move each server's
+        // Definition 9 gate one week on, before this week's predictions are
+        // stamped with it, written and deployed.
+        self.chaos.kill_point("accuracy-eval", region, tick);
+        let span = self.stage_span(run_span, "accuracy-eval", region, vt);
+        let weeks = self.config.evaluation.predictability_weeks;
+        // A server with no stored prediction is skipped (`Ok(None)`); one
+        // whose prediction cannot be scored — a value that is not finite, or
+        // a document under its id that was written as another type — is
+        // skipped and counted (`Err`). On the calling thread: an item is a
+        // microsecond or two of document read and window search, less than
+        // forking a helper costs.
+        type Scored = Result<Option<(AccuracyDoc, GateState)>, ()>;
+        let (eval_rows, eval_profile): (Vec<Scored>, _) = parallel_map_profiled(&servers, 1, |s| {
+            let day = backup_day_for_extracted(s, week_start_day);
+            let id = PredictionDoc::doc_id(region, s.id.0, day);
+            let doc = match self
+                .docs
+                .get::<PredictionDoc>(collections::PREDICTIONS, &id)
+            {
+                Ok(doc) if doc.values.iter().all(|v| v.is_finite()) => doc,
+                Ok(_non_finite) => return Err(()),
+                Err(DocStoreError::NotFound { .. }) => return Ok(None),
+                // `Codec` comes only from rendering a `Value` read.
+                Err(DocStoreError::WrongType { .. } | DocStoreError::Codec(_)) => return Err(()),
+            };
+            let Some(truth) = s.series.day(day) else {
+                return Ok(None);
+            };
+            let duration_min = doc.duration_min.max(self.config.profile.grid_min as i64) as u32;
+            let gate = doc.gate;
+            let eval = evaluate_low_load(
+                &truth,
+                &doc.into_series(),
+                duration_min,
+                &self.config.evaluation.accuracy,
+            );
+            Ok(eval.map(|eval| {
+                let gate = gate.next(Some(eval.window_correct && eval.load_accurate), weeks);
+                let scored = AccuracyDoc {
+                    region: region.to_string(),
+                    server_id: s.id.0,
+                    day,
+                    window_correct: eval.window_correct,
+                    load_accurate: eval.load_accurate,
+                    window_bucket_ratio: eval.window_bucket_ratio,
+                };
+                (scored, gate)
+            }))
+        });
+        eval_profile.record(self.obs.registry(), "accuracy-eval");
+        let unscorable = eval_rows.iter().filter(|row| row.is_err()).count() as u64;
+        if unscorable > 0 {
+            self.obs
+                .registry()
+                .counter("seagull_accuracy_unscorable_total", &[("region", region)])
+                .add(unscorable);
+        }
+        // Stamp each prediction with its server's gate after this week (a
+        // week with nothing scored restarts it). The predictions are a
+        // subsequence of `servers`, in order.
+        let (mut evals, mut open) = (Vec::new(), 0);
+        let mut unstamped = predictions.iter_mut().peekable();
+        for (s, row) in servers.iter().zip(eval_rows) {
+            let (eval, gate) = row.ok().flatten().unzip();
+            evals.extend(eval);
+            open += usize::from(gate == Some(GateState::OPEN));
+            if let Some(doc) = unstamped.next_if(|doc| doc.server_id == s.id.0) {
+                doc.gate = gate.unwrap_or(GateState::closed(weeks));
+            }
+        }
+        report.evaluations = evals.len();
+        if !evals.is_empty() {
+            let n = evals.len() as f64;
+            let wc = 100.0 * evals.iter().filter(|e| e.window_correct).count() as f64 / n;
+            let la = 100.0 * evals.iter().filter(|e| e.load_accurate).count() as f64 / n;
+            report.accuracy = Some(AccuracySummary {
+                servers: report.servers,
+                evaluated: evals.len(),
+                window_correct_pct: wc,
+                load_accurate_pct: la,
+            });
+            for e in &evals {
+                let id = format!("{region}/{}/{}", e.server_id, e.day);
+                self.docs.upsert(collections::ACCURACY, &id, e);
+            }
+            // Feed the registry: the scores measure the version the previous
+            // week's run deployed, whose predictions they scored; a week
+            // whose deploy failed (or that never ran) has no version to
+            // score. The fallback rule compares it against the last known
+            // good version and raises an incident on regression.
+            let scored = (self.registry.history(region).into_iter().rev())
+                .find(|v| v.trained_week == week_start_day - 7);
+            if let Some(scored) = scored {
+                self.registry.record_accuracy(
+                    region,
+                    scored.version,
+                    ModelAccuracy {
+                        window_correct_pct: wc,
+                        load_accurate_pct: la,
+                        predictable_pct: 100.0 * open as f64 / n,
+                    },
+                );
+                self.registry
+                    .maybe_fallback(region, FALLBACK_TOLERANCE, &self.incidents);
+            }
+        }
+        self.finish_stage(&mut report, span, "accuracy-eval", region, vt);
+
         // ---- Model Deployment --------------------------------------------------
+        // Persist the stamped predictions (the docstore-write sub-step), then
+        // publish the version they belong to.
         self.chaos.kill_point("deployment", region, tick);
         let span = self.stage_span(run_span, "deployment", region, vt);
+        report.predictions_written =
+            self.write_predictions(region, tick, &mut degraded, &predictions);
         // The registry mutation itself is infallible; the retried
         // gate models the external AML deployment call, which the
         // stage-fault hook can fail. Mutation happens only after the gate
@@ -484,98 +601,6 @@ impl AmlPipeline {
         }
         self.finish_stage(&mut report, span, "deployment", region, vt);
 
-        // ---- Accuracy Evaluation ------------------------------------------------
-        // Score the predictions stored by previous runs against the true load
-        // that arrived in this week's data.
-        self.chaos.kill_point("accuracy-eval", region, tick);
-        let span = self.stage_span(run_span, "accuracy-eval", region, vt);
-        // A server with no stored prediction is skipped (`Ok(None)`); one
-        // whose prediction cannot be scored — a value that is not finite, or
-        // a document under its id that was written as another type — is
-        // skipped and counted (`Err`). On the calling thread: an item is a
-        // microsecond or two of document read and window search, less than
-        // forking a helper costs.
-        let (eval_rows, eval_profile): (Vec<Result<Option<AccuracyDoc>, ()>>, _) =
-            parallel_map_profiled(&servers, 1, |s| {
-                let day = backup_day_for_extracted(s, week_start_day);
-                let id = PredictionDoc::doc_id(region, s.id.0, day);
-                let doc = match self
-                    .docs
-                    .get::<PredictionDoc>(collections::PREDICTIONS, &id)
-                {
-                    Ok(doc) if doc.values.iter().all(|v| v.is_finite()) => doc,
-                    Ok(_non_finite) => return Err(()),
-                    Err(DocStoreError::NotFound { .. }) => return Ok(None),
-                    // `Codec` comes only from rendering a `Value` read.
-                    Err(DocStoreError::WrongType { .. } | DocStoreError::Codec(_)) => {
-                        return Err(())
-                    }
-                };
-                let Some(truth) = s.series.day(day) else {
-                    return Ok(None);
-                };
-                let duration_min = doc.duration_min.max(self.config.profile.grid_min as i64) as u32;
-                let eval = evaluate_low_load(
-                    &truth,
-                    &doc.into_series(),
-                    duration_min,
-                    &self.config.evaluation.accuracy,
-                );
-                Ok(eval.map(|eval| AccuracyDoc {
-                    region: region.to_string(),
-                    server_id: s.id.0,
-                    day,
-                    window_correct: eval.window_correct,
-                    load_accurate: eval.load_accurate,
-                    window_bucket_ratio: eval.window_bucket_ratio,
-                }))
-            });
-        eval_profile.record(self.obs.registry(), "accuracy-eval");
-        let unscorable = eval_rows.iter().filter(|row| row.is_err()).count() as u64;
-        if unscorable > 0 {
-            self.obs
-                .registry()
-                .counter("seagull_accuracy_unscorable_total", &[("region", region)])
-                .add(unscorable);
-        }
-        let evals: Vec<AccuracyDoc> = eval_rows
-            .into_iter()
-            .filter_map(|row| row.ok().flatten())
-            .collect();
-        report.evaluations = evals.len();
-        if !evals.is_empty() {
-            let n = evals.len() as f64;
-            let wc = 100.0 * evals.iter().filter(|e| e.window_correct).count() as f64 / n;
-            let la = 100.0 * evals.iter().filter(|e| e.load_accurate).count() as f64 / n;
-            report.accuracy = Some(AccuracySummary {
-                servers: report.servers,
-                evaluated: evals.len(),
-                window_correct_pct: wc,
-                load_accurate_pct: la,
-            });
-            for e in &evals {
-                let id = format!("{region}/{}/{}", e.server_id, e.day);
-                self.docs.upsert(collections::ACCURACY, &id, e);
-            }
-            // Feed the registry; the fallback rule compares against the last
-            // known good version and raises an incident on regression. A run
-            // that kept the last-known-good model has no new version to score.
-            if let Some(version) = report.deployed_version {
-                self.registry.record_accuracy(
-                    region,
-                    version,
-                    ModelAccuracy {
-                        window_correct_pct: wc,
-                        load_accurate_pct: la,
-                        predictable_pct: 0.0,
-                    },
-                );
-                self.registry
-                    .maybe_fallback(region, FALLBACK_TOLERANCE, &self.incidents);
-            }
-        }
-        self.finish_stage(&mut report, span, "accuracy-eval", region, vt);
-
         // Run-level outcome counters (all deterministic, hence stable).
         let registry = self.obs.registry();
         let region_label = [("region", region)];
@@ -593,6 +618,43 @@ impl AmlPipeline {
         report.degraded = degraded.into_option();
         self.store_run(&report);
         report
+    }
+
+    /// Persists predictions (the docstore-write sub-step), retried as a
+    /// unit: upserts are idempotent, so a mid-write fault just replays the
+    /// batch. Returns the number written (zero when retries exhausted).
+    fn write_predictions(
+        &self,
+        region: &str,
+        tick: i64,
+        degraded: &mut DegradedRun,
+        predictions: &[PredictionDoc],
+    ) -> usize {
+        let written = self.retry_stage("docstore-write", region, tick, || {
+            for doc in predictions {
+                let id = PredictionDoc::doc_id(region, doc.server_id, doc.day);
+                self.docs.upsert(collections::PREDICTIONS, &id, doc);
+            }
+            Ok(predictions.len())
+        });
+        degraded.note("docstore-write", &written);
+        match written.outcome {
+            Ok(n) => n,
+            Err(e) => {
+                degraded.exhausted_stages.push("docstore-write".into());
+                self.incidents.raise_keyed(
+                    Severity::Warning,
+                    "docstore-write",
+                    region,
+                    "predictions-dropped",
+                    format!(
+                        "failed to persist predictions after {} attempt(s): {}",
+                        written.attempts, e.message
+                    ),
+                );
+                0
+            }
+        }
     }
 
     fn store_run(&self, report: &PipelineRunReport) {
@@ -646,8 +708,8 @@ mod tests {
                 "validation",
                 "features",
                 "train-infer",
-                "deployment",
-                "accuracy-eval"
+                "accuracy-eval",
+                "deployment"
             ]
         );
         assert!(report.predictions_written > 0);
@@ -679,6 +741,88 @@ mod tests {
         assert!(acc.window_correct_pct > 80.0, "{}", acc.window_correct_pct);
         assert!(pipeline.docs.count(collections::ACCURACY) > 0);
         assert_eq!(pipeline.registry.deployed("region-a").unwrap().version, 2);
+    }
+
+    /// A week's scores land on the version that made the predictions they
+    /// score: the one the previous week deployed, none in a region's first
+    /// run (`failed_deploy_week_is_scored_on_no_version` covers a week
+    /// whose deployment failed).
+    #[test]
+    fn accuracy_is_recorded_on_the_version_it_scores() {
+        let (pipeline, start) = setup(40, 2);
+        pipeline.run_region_week("region-a", start);
+        pipeline.run_region_week("region-a", start + 7);
+        let history = pipeline.registry.history("region-a");
+        assert_eq!(history.len(), 2);
+        let scored = history[0].accuracy.expect("week 2 scores version 1");
+        assert!(
+            history[1].accuracy.is_none(),
+            "nothing scored version 2 yet"
+        );
+        // One scored week opens no three-week gate.
+        assert_eq!(scored.predictable_pct, 0.0);
+    }
+
+    /// Each week moves every stamped gate one step: after four runs a
+    /// server scored and passing three weeks running has an open gate, one
+    /// with a failed week among them does not, and every stored prediction
+    /// carries the gate its server left the run with.
+    #[test]
+    fn predictions_carry_the_gate_of_their_scored_weeks() {
+        let (pipeline, start) = setup(40, 4);
+        let weeks = pipeline.config.evaluation.predictability_weeks;
+        for w in 0..4 {
+            pipeline.run_region_week("region-a", start + 7 * w);
+        }
+        let scores: Vec<AccuracyDoc> = pipeline.docs.scan(collections::ACCURACY).unwrap();
+        let predictions: Vec<PredictionDoc> = pipeline.docs.scan(collections::PREDICTIONS).unwrap();
+        let mut open = 0;
+        for doc in predictions.iter().filter(|d| d.day >= start + 28) {
+            // The gate replayed from the server's scores, oldest first.
+            let gate = (1..=3).fold(GateState::closed(weeks), |gate, k| {
+                let day = doc.day - 7 * (4 - k);
+                let score = scores
+                    .iter()
+                    .find(|e| e.server_id == doc.server_id && e.day == day)
+                    .map(|e| e.window_correct && e.load_accurate);
+                gate.next(score, weeks)
+            });
+            assert_eq!(doc.gate, gate, "server {}", doc.server_id);
+            open += usize::from(gate == GateState::OPEN);
+        }
+        assert!(open > 0, "a mostly stable fleet opens gates in week 4");
+        let newest = pipeline.registry.history("region-a")[2]
+            .accuracy
+            .expect("week 4 scores version 3");
+        assert!(newest.predictable_pct > 0.0);
+    }
+
+    #[test]
+    fn gate_counts_down_and_restarts() {
+        let gate = GateState::closed(3);
+        assert_ne!(gate, GateState::OPEN);
+        let two = gate.next(Some(true), 3).next(Some(true), 3);
+        assert_eq!(
+            two,
+            GateState {
+                to_score: 1,
+                to_pass: 1
+            }
+        );
+        assert_eq!(two.next(Some(true), 3), GateState::OPEN);
+        // A failed week keeps the scored count and restarts the passing one.
+        let failed = two.next(Some(false), 3);
+        assert_eq!(
+            failed,
+            GateState {
+                to_score: 0,
+                to_pass: 3
+            }
+        );
+        assert_eq!(GateState::OPEN.next(Some(false), 3), failed);
+        // A week with nothing to score restarts both.
+        assert_eq!(GateState::OPEN.next(None, 3), GateState::closed(3));
+        assert_eq!(GateState::OPEN.next(Some(true), 3), GateState::OPEN);
     }
 
     /// A stored prediction holding a NaN is not scored and is counted in

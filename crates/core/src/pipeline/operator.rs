@@ -11,8 +11,8 @@
 //! panic-isolation boundary, the per-item one of [`parallel_map_tasks`].
 
 use super::{
-    collections, AmlPipeline, DeadLetterDoc, DegradedRun, PipelineRunReport, PredictionDoc,
-    MAX_ANOMALY_REPORTS,
+    collections, AmlPipeline, DeadLetterDoc, DegradedRun, GateState, PipelineRunReport,
+    PredictionDoc, MAX_ANOMALY_REPORTS,
 };
 use crate::features::{extract_server_features, ServerFeatures};
 use crate::incident::Severity;
@@ -156,6 +156,8 @@ impl AmlPipeline {
                 step_min: grid,
                 values: day.into_values(),
                 duration_min: s.default_backup_end - s.default_backup_start,
+                // Stamped after accuracy evaluation moves the gate on.
+                gate: GateState::closed(self.config.evaluation.predictability_weeks),
             })
         };
         if let FitPath::Hit(hit, key) = path {
@@ -320,8 +322,9 @@ impl AmlPipeline {
     /// byte-identical at every thread count. Retries, exhaustion and panics
     /// are per-server: a poison server dead-letters only itself and can
     /// never fail the whole stage. Returns the prediction documents
-    /// materialized this run, in server input order, or `None` when
-    /// validation blocks the run.
+    /// materialized this run, in server input order and not yet stored
+    /// (the run stamps their gate first), or `None` when validation blocks
+    /// the run.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn mid_dataflow(
         &self,
@@ -513,7 +516,6 @@ impl AmlPipeline {
             featurize_wall,
         );
 
-        report.predictions_written = self.write_predictions(region, tick, degraded, &predictions);
         self.finish_stage(report, fused_span, "train-infer", region, vt);
 
         Some(predictions)
@@ -560,43 +562,6 @@ impl AmlPipeline {
                 degraded.quarantined_servers.len()
             ),
         );
-    }
-
-    /// Persists predictions (the docstore-write sub-step), retried as a
-    /// unit: upserts are idempotent, so a mid-write fault just replays the
-    /// batch. Returns the number written (zero when retries exhausted).
-    fn write_predictions(
-        &self,
-        region: &str,
-        tick: i64,
-        degraded: &mut DegradedRun,
-        predictions: &[PredictionDoc],
-    ) -> usize {
-        let written = self.retry_stage("docstore-write", region, tick, || {
-            for doc in predictions {
-                let id = PredictionDoc::doc_id(region, doc.server_id, doc.day);
-                self.docs.upsert(collections::PREDICTIONS, &id, doc);
-            }
-            Ok(predictions.len())
-        });
-        degraded.note("docstore-write", &written);
-        match written.outcome {
-            Ok(n) => n,
-            Err(e) => {
-                degraded.exhausted_stages.push("docstore-write".into());
-                self.incidents.raise_keyed(
-                    Severity::Warning,
-                    "docstore-write",
-                    region,
-                    "predictions-dropped",
-                    format!(
-                        "failed to persist predictions after {} attempt(s): {}",
-                        written.attempts, e.message
-                    ),
-                );
-                0
-            }
-        }
     }
 }
 

@@ -138,6 +138,58 @@ pub struct PredictionDoc {
     pub values: Vec<f64>,
     /// Backup duration the window search should use, minutes.
     pub duration_min: i64,
+    /// The server's Definition 9 gate as of the run that wrote the document.
+    pub gate: GateState,
+}
+
+/// Definition 9's gate for one server, moved on each week by the pipeline's
+/// own score of its backup day: the consecutive scored weeks, and the
+/// consecutive passing weeks (a correct window with accurately predicted
+/// load), still missing before the backup scheduler may move its backup.
+/// Counting down, it reads the same whatever gate length the pipeline ran
+/// with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub struct GateState {
+    /// Above zero, the server is too young ("servers that did not exist ...
+    /// for the last three weeks").
+    pub to_score: u8,
+    /// Above zero with every week scored, the server is not predictable.
+    pub to_pass: u8,
+}
+
+impl GateState {
+    /// The gate of a server the scheduler may move.
+    pub const OPEN: GateState = GateState {
+        to_score: 0,
+        to_pass: 0,
+    };
+
+    /// The gate of a server with no scored week, for a gate of `weeks`.
+    pub fn closed(weeks: usize) -> GateState {
+        let weeks = weeks.min(u8::MAX.into()) as u8;
+        GateState {
+            to_score: weeks,
+            to_pass: weeks,
+        }
+    }
+
+    /// The gate one week on. `passed` is the week's score: a failed week
+    /// restarts `to_pass`, and a week with nothing to score (`None`: no
+    /// prediction, no truth, or an unscorable one) restarts both.
+    pub fn next(self, passed: Option<bool>, weeks: usize) -> GateState {
+        let restart = GateState::closed(weeks);
+        match passed {
+            None => restart,
+            Some(passed) => GateState {
+                to_score: self.to_score.saturating_sub(1),
+                to_pass: if passed {
+                    self.to_pass.saturating_sub(1)
+                } else {
+                    restart.to_pass
+                },
+            },
+        }
+    }
 }
 
 impl PredictionDoc {

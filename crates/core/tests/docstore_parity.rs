@@ -10,8 +10,8 @@ use seagull_core::docstore::{DocStore, DocStoreError};
 use seagull_core::evaluate::AccuracySummary;
 use seagull_core::features::{extract_server_features, ServerFeatures};
 use seagull_core::pipeline::{
-    collections, AccuracyDoc, DeadLetterDoc, DegradedRun, PipelineRunReport, PredictionDoc,
-    StageTiming,
+    collections, AccuracyDoc, DeadLetterDoc, DegradedRun, GateState, PipelineRunReport,
+    PredictionDoc, StageTiming,
 };
 use seagull_telemetry::extract::ExtractedServer;
 use seagull_telemetry::server::ServerId;
@@ -36,6 +36,10 @@ fn prediction() -> PredictionDoc {
             })
             .collect(),
         duration_min: 75,
+        gate: GateState {
+            to_score: 0,
+            to_pass: 2,
+        },
     }
 }
 

@@ -44,7 +44,7 @@
 
 use crate::service::ServeService;
 use crate::snapshot::{ModelSnapshot, ServedServer};
-use seagull_core::pipeline::{DeployEvent, DeploySink};
+use seagull_core::pipeline::{DeployEvent, DeploySink, GateState};
 use seagull_telemetry::blobstore::{Blob, BlobKey, BlobStore};
 use seagull_telemetry::frame::{self, Cursor, FrameError, Overrun, JOURNAL_MAGIC, JOURNAL_VERSION};
 use std::collections::{BTreeMap, VecDeque};
@@ -56,8 +56,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SGSS";
 
 /// Current snapshot-codec format version (1 was sealed with the single-chain
-/// checksum).
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// checksum; 2 carried no gate, and a server read from it would be served
+/// with none).
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Blob kind under which serialized snapshots are stored (the key's week
 /// slot carries the per-region deploy sequence number).
@@ -138,20 +139,23 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 // Snapshot codec (SGSS)
 // ---------------------------------------------------------------------------
 
+/// Bytes of one server's block besides its values.
+const SERVER_BLOCK: usize = 34;
+
 /// Serializes a snapshot's durable half as the body of an `SGSS` [`frame`]:
 /// registry version, week, region, model name, the server count, then one
 /// block per server in ascending id order (id, materialized day, backup
-/// duration, grid step, value count, values).
+/// duration, grid step, value count, the gate's two counts, values).
 ///
 /// Attached fitted models are *not* serialized — after recovery, servers
 /// answer from their materialized prediction only, exactly like a deploy
 /// of the production persistent forecast, which attaches none.
 pub fn encode_snapshot(snapshot: &ModelSnapshot) -> Blob {
-    // The exact size (44 fixed bytes with the footer, 32 per server besides
+    // The exact size (44 fixed bytes with the footer, 34 per server besides
     // its values), so a deploy never regrows and recopies the buffer.
     let points: usize = snapshot.servers().map(|(_, s)| s.prediction().len()).sum();
     let strings = snapshot.region().len() + snapshot.model_name().len();
-    let wire_len = 44 + strings + 32 * snapshot.len() + 8 * points;
+    let wire_len = 44 + strings + SERVER_BLOCK * snapshot.len() + 8 * points;
     let mut out = Vec::with_capacity(wire_len);
     out.extend_from_slice(&frame::header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION));
     out.extend_from_slice(&snapshot.version().to_le_bytes());
@@ -166,6 +170,8 @@ pub fn encode_snapshot(snapshot: &ModelSnapshot) -> Blob {
         out.extend_from_slice(&server.duration_min().to_le_bytes());
         out.extend_from_slice(&prediction.step_min().to_le_bytes());
         out.extend_from_slice(&(prediction.len() as u32).to_le_bytes());
+        let gate = server.gate();
+        out.extend_from_slice(&[gate.to_score, gate.to_pass]);
         // Inside the reservation: grows the length, never the buffer.
         let at = out.len();
         out.resize(at + 8 * prediction.len(), 0);
@@ -193,10 +199,10 @@ pub fn decode_snapshot(blob: &[u8]) -> Result<ModelSnapshot, PersistError> {
     let model_name = take_string(&mut r)?;
     // The checksum is no MAC, so both counts below are outside input and
     // must not size an allocation on their own word: a server is at least
-    // 32 bytes, and a server's values are taken from the blob before any
-    // are stored.
+    // `SERVER_BLOCK` bytes, and a server's values are taken from the blob
+    // before any are stored.
     let servers = r.u32()? as usize;
-    if servers > r.rest().len() / 32 {
+    if servers > r.rest().len() / SERVER_BLOCK {
         return Err(PersistError::Malformed(format!(
             "{servers} servers cannot fit in {} bytes",
             r.rest().len()
@@ -219,13 +225,18 @@ pub fn decode_snapshot(blob: &[u8]) -> Result<ModelSnapshot, PersistError> {
         let duration_min = r.i64()?;
         let step_min = r.u32()?;
         let len = r.u32()? as usize;
+        let gate = r.take(2)?;
+        let gate = GateState {
+            to_score: gate[0],
+            to_pass: gate[1],
+        };
         let values: Arc<[f64]> = r
             .take(len.saturating_mul(8))?
             .chunks_exact(8)
             .map(|v| f64::from_le_bytes(v.try_into().expect("8 bytes")))
             .collect();
-        let server =
-            ServedServer::materialized(day, step_min, values, duration_min).ok_or_else(|| {
+        let server = ServedServer::materialized(day, step_min, values, duration_min, gate)
+            .ok_or_else(|| {
                 PersistError::Malformed(format!("server {server_id} forms no day-aligned series"))
             })?;
         table.push((server_id, server));
@@ -597,7 +608,7 @@ impl DeploySink for DurableServeSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seagull_core::pipeline::PredictionDoc;
+    use seagull_core::pipeline::{GateState, PredictionDoc};
     use seagull_telemetry::blobstore::MemoryBlobStore;
 
     fn doc(server_id: u64, day: i64, values: Vec<f64>) -> PredictionDoc {
@@ -608,6 +619,7 @@ mod tests {
             step_min: 30,
             values,
             duration_min: 60,
+            gate: GateState::OPEN,
         }
     }
 
@@ -619,7 +631,13 @@ mod tests {
             "persistent-prev-day",
             &[
                 doc(7, 14, (0..48).map(|i| i as f64).collect()),
-                doc(9, 15, vec![2.5; 48]),
+                PredictionDoc {
+                    gate: GateState {
+                        to_score: 0,
+                        to_pass: 2,
+                    },
+                    ..doc(9, 15, vec![2.5; 48])
+                },
             ],
         )
     }
@@ -648,10 +666,10 @@ mod tests {
     fn snapshot_codec_round_trips() {
         let original = snap(3);
         let blob = encode_snapshot(&original);
-        // The body earlier builds wrote for it, hashed with the single-chain
-        // reference: only a moved body byte fails the pin.
+        // The body, hashed with the single-chain reference: only a moved
+        // body byte fails the pin.
         let body = &blob[frame::HEADER_LEN..blob.len() - frame::FOOTER_LEN];
-        assert_eq!(single_lane(body), 0x02fb_9cc1_6e6b_bec7, "wire bytes moved");
+        assert_eq!(single_lane(body), 0x275e_4f74_7d45_d1c7, "wire bytes moved");
         let decoded = decode_snapshot(&blob).unwrap();
         assert_eq!(decoded.region(), "west");
         assert_eq!(decoded.version(), 3);
@@ -664,7 +682,9 @@ mod tests {
             assert_eq!(a.prediction().values(), b.prediction().values());
             assert_eq!(a.materialized_day(), b.materialized_day());
             assert_eq!(a.duration_min(), b.duration_min());
+            assert_eq!(a.gate(), b.gate());
         }
+        assert_eq!(decoded.server(9).unwrap().gate().to_pass, 2);
     }
 
     #[test]
@@ -855,8 +875,8 @@ mod tests {
 
     /// A blob no torn write leaves: every checksum holds, but `bytes`
     /// overwrite the first server's record `at` bytes in (its id is at 0,
-    /// day at 8, duration at 16, step at 24, value count at 28; the server
-    /// count sits just before it, at -4).
+    /// day at 8, duration at 16, step at 24, value count at 28, gate at 32;
+    /// the server count sits just before it, at -4).
     fn forged_blob(snapshot: &ModelSnapshot, at: isize, bytes: &[u8]) -> Blob {
         let mut blob = encode_snapshot(snapshot).to_vec();
         let strings = 4 + snapshot.region().len() + 4 + snapshot.model_name().len();
@@ -914,7 +934,7 @@ mod tests {
     #[test]
     fn server_ids_out_of_order_are_malformed() {
         let blob = encode_snapshot(&snap(2)).to_vec();
-        let block = 32 + 8 * 48;
+        let block = SERVER_BLOCK + 8 * 48;
         let first = blob.len() - frame::FOOTER_LEN - 2 * block;
         let second = first + block;
         assert_eq!(blob[first..first + 8], 7u64.to_le_bytes());
@@ -931,6 +951,53 @@ mod tests {
             let err = decode_snapshot(&resealed(ids)).unwrap_err();
             assert!(matches!(err, PersistError::Malformed(_)), "{ids:?}: {err}");
         }
+    }
+
+    /// A version-2 blob, whole and sealed under its footer, carries no gate:
+    /// it is refused as a version this build does not read, and recovery
+    /// counts it as a fallback to the epoch before instead of serving its
+    /// servers with no gate.
+    #[test]
+    fn version_2_snapshot_is_refused_and_recovery_falls_back() {
+        // The version-2 body of `snap(2)`: each server block without the
+        // two gate bytes that close its fixed part.
+        let v3 = encode_snapshot(&snap(2));
+        let mut body = v3[frame::HEADER_LEN..v3.len() - frame::FOOTER_LEN].to_vec();
+        let block = SERVER_BLOCK + 8 * 48;
+        let second = body.len() - block;
+        let first = second - block;
+        for at in [second, first] {
+            body.drain(at + SERVER_BLOCK - 2..at + SERVER_BLOCK);
+        }
+        let mut framed = frame::header(SNAPSHOT_MAGIC, 2).to_vec();
+        framed.extend_from_slice(&body);
+        let v2 = frame::seal(framed);
+        assert_eq!(v2.len(), v3.len() - 4);
+        assert_eq!(
+            decode_snapshot(&v2).unwrap_err(),
+            PersistError::Frame(FrameError::UnsupportedVersion { version: 2 })
+        );
+
+        let store: Arc<dyn BlobStore> = Arc::new(MemoryBlobStore::new());
+        let sink = DurableServeSink::new(ServeService::with_defaults(), Arc::clone(&store));
+        deploy(&sink, 1, &[doc(7, 14, vec![1.0; 48])]);
+        let record = DeployRecord {
+            region: "west".into(),
+            seq: 2,
+            version: 2,
+            week_start_day: 7,
+            model_name: "persistent-prev-day".into(),
+            snapshot_checksum: frame::footer(&v2).unwrap(),
+            servers: 2,
+        };
+        store.put(&snapshot_key("west", 2), v2).unwrap();
+        store.put(&journal_segment_key(1), record.encode()).unwrap();
+        let (recovered, report) =
+            DurableServeSink::recover(ServeService::with_defaults(), store).unwrap();
+        assert_eq!(report.journal_records, 2);
+        assert_eq!(report.snapshot_fallbacks, 1);
+        assert_eq!(report.snapshots_restored, 1);
+        assert_eq!(recovered.serve().snapshot("west").unwrap().version(), 1);
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //! A publish resolves its six series once per region too, on the region's
 //! first publish, into a `PublishCtx` kept apart from the `RegionCtx`.
 
-use crate::snapshot::ModelSnapshot;
+use crate::snapshot::{ModelSnapshot, ServedServer};
 use crate::store::{RegionSlot, SnapshotStore};
 use seagull_core::metrics::{lowest_load_window, LowLoadWindow};
-use seagull_core::pipeline::{DeployEvent, DeploySink};
+use seagull_core::pipeline::{DeployEvent, DeploySink, GateState};
 use seagull_core::resilience::{BreakerProbe, CircuitBreaker};
 use seagull_obs::{Counter, Gauge, Histogram, Obs, Stability};
 use seagull_timeseries::{TimeSeries, Timestamp};
@@ -53,8 +53,8 @@ pub enum ServeError {
         /// Region that has no published snapshot.
         region: String,
     },
-    /// The snapshot has no prediction for this server (it was dead,
-    /// too young, or unpredictable when the pipeline ran).
+    /// The snapshot has no prediction for this server (it had no load in
+    /// the deployed week, or too little to fit).
     UnknownServer {
         /// Region that was queried.
         region: String,
@@ -192,7 +192,7 @@ struct ServeInner {
 /// # Example
 ///
 /// ```
-/// use seagull_core::pipeline::PredictionDoc;
+/// use seagull_core::pipeline::{GateState, PredictionDoc};
 /// use seagull_serve::{ModelSnapshot, ServeService};
 ///
 /// let serve = ServeService::with_defaults();
@@ -203,6 +203,7 @@ struct ServeInner {
 ///     step_min: 30,
 ///     values: vec![1.0; 48],
 ///     duration_min: 60,
+///     gate: GateState::OPEN,
 /// };
 /// let snap = ModelSnapshot::from_predictions("west", 1, 7, "persistent-prev-day", &[doc]);
 /// serve.publish(snap);
@@ -358,19 +359,14 @@ impl ServeService {
         Ok((ctx, snapshot))
     }
 
-    fn finish<T>(
-        &self,
-        ctx: &RegionCtx,
-        started: Instant,
-        result: Result<T, ServeError>,
-    ) -> Result<T, ServeError> {
-        if result.is_ok() {
+    /// Counts one answered (`ok`) or failed request and times it.
+    fn finish(ctx: &RegionCtx, started: Instant, ok: bool) {
+        if ok {
             ctx.ok.inc();
         } else {
             ctx.err.inc();
         }
         ctx.latency.observe(started.elapsed().as_secs_f64());
-        result
     }
 
     /// Predicts the next `horizon` steps for one server, anchored at the
@@ -390,7 +386,8 @@ impl ServeService {
         let started = Instant::now();
         let (ctx, snapshot) = self.admit(region)?;
         let result = self.predict_on(&snapshot, region, server_id, horizon);
-        self.finish(&ctx, started, result)
+        Self::finish(&ctx, started, result.is_ok());
+        result
     }
 
     fn predict_on(
@@ -403,12 +400,7 @@ impl ServeService {
         if horizon == 0 {
             return Err(ServeError::BadRequest("horizon must be positive".into()));
         }
-        let server = snapshot
-            .server(server_id)
-            .ok_or_else(|| ServeError::UnknownServer {
-                region: region.to_string(),
-                server_id,
-            })?;
+        let server = Self::served(snapshot, region, server_id)?;
         let materialized = server.prediction();
         if horizon <= materialized.len() {
             let from = materialized.start();
@@ -442,23 +434,28 @@ impl ServeService {
     ) -> Result<TimeSeries, ServeError> {
         let started = Instant::now();
         let (ctx, snapshot) = self.admit(region)?;
-        let result = self.predict_day_on(&snapshot, region, server_id, day);
-        self.finish(&ctx, started, result)
+        let result = Self::served(&snapshot, region, server_id).and_then(|s| Self::day_of(s, day));
+        Self::finish(&ctx, started, result.is_ok());
+        result
     }
 
-    fn predict_day_on(
-        &self,
-        snapshot: &ModelSnapshot,
+    /// The snapshot's state for one server.
+    fn served<'a>(
+        snapshot: &'a ModelSnapshot,
         region: &str,
         server_id: u64,
-        day: i64,
-    ) -> Result<TimeSeries, ServeError> {
-        let server = snapshot
+    ) -> Result<&'a ServedServer, ServeError> {
+        snapshot
             .server(server_id)
             .ok_or_else(|| ServeError::UnknownServer {
                 region: region.to_string(),
                 server_id,
-            })?;
+            })
+    }
+
+    /// One server's prediction for `day`: the materialized day zero-copy,
+    /// another through the cached model when it covers it.
+    fn day_of(server: &ServedServer, day: i64) -> Result<TimeSeries, ServeError> {
         if let Some(view) = server.prediction().day(day) {
             return Ok(view);
         }
@@ -494,27 +491,44 @@ impl ServeService {
     }
 
     /// Finds the lowest-load window of the server's configured backup
-    /// duration on the given day — the query the backup scheduler asks.
+    /// duration on the given day, gate or no gate (see [`Self::gated_ll_window`]).
     pub fn ll_window(
         &self,
         region: &str,
         server_id: u64,
         day: i64,
     ) -> Result<LowLoadWindow, ServeError> {
+        self.gated_ll_window(region, server_id, day)
+            .and_then(|(_, window)| window)
+    }
+
+    /// The backup scheduler's query: the server's Definition 9 gate as the
+    /// pipeline stamped it and the lowest-load window of its backup duration
+    /// on `day`, from one admitted snapshot, so the two share an epoch. The
+    /// outer error is a shed request, a region with no snapshot or a server
+    /// it does not carry; the inner one a day with no window (counted as a
+    /// failed request, as `ll_window` counts it).
+    pub fn gated_ll_window(
+        &self,
+        region: &str,
+        server_id: u64,
+        day: i64,
+    ) -> Result<(GateState, Result<LowLoadWindow, ServeError>), ServeError> {
         let started = Instant::now();
         let (ctx, snapshot) = self.admit(region)?;
-        let result = (|| {
-            let series = self.predict_day_on(&snapshot, region, server_id, day)?;
-            // An inverted default backup window (validation reports it but
-            // does not block) arrives as a negative duration: that, and one
-            // past `u32`, is 0, the duration no window fits.
-            let duration_min = snapshot
-                .server(server_id)
-                .and_then(|s| u32::try_from(s.duration_min()).ok())
-                .unwrap_or(0);
-            lowest_load_window(&series, duration_min).ok_or(ServeError::NoWindow { duration_min })
-        })();
-        self.finish(&ctx, started, result)
+        let answer = Self::served(&snapshot, region, server_id)
+            .map(|server| (server.gate(), Self::window_of(server, day)));
+        Self::finish(&ctx, started, matches!(answer, Ok((_, Ok(_)))));
+        answer
+    }
+
+    fn window_of(server: &ServedServer, day: i64) -> Result<LowLoadWindow, ServeError> {
+        let series = Self::day_of(server, day)?;
+        // An inverted default backup window (validation reports it but
+        // does not block) arrives as a negative duration: that, and one
+        // past `u32`, is 0, the duration no window fits.
+        let duration_min = u32::try_from(server.duration_min()).unwrap_or(0);
+        lowest_load_window(&series, duration_min).ok_or(ServeError::NoWindow { duration_min })
     }
 
     /// Answers a batch of `(server_id, horizon)` queries against a single
@@ -598,6 +612,7 @@ mod tests {
             step_min: 30,
             values,
             duration_min: 60,
+            gate: GateState::OPEN,
         }
     }
 
@@ -672,6 +687,47 @@ mod tests {
         assert_eq!(w.duration_min, 60);
         assert_eq!(w.start.day_index(), 14);
         assert!((w.mean_load - 0.5).abs() < 1e-12);
+    }
+
+    /// The gated query answers the window `ll_window` answers, beside the
+    /// gate the snapshot carries, and counts like it: a request without a
+    /// window is an error.
+    #[test]
+    fn gated_ll_window_pairs_the_gate_with_the_window() {
+        let serve = ServeService::with_defaults();
+        let young = GateState::closed(3);
+        let docs = [
+            doc(7, 14, (0..48).map(f64::from).collect()),
+            PredictionDoc {
+                gate: young,
+                ..doc(8, 14, (0..48).rev().map(f64::from).collect())
+            },
+        ];
+        serve.publish(ModelSnapshot::from_predictions("west", 1, 7, "m", &docs));
+        for (server, gate) in [(7, GateState::OPEN), (8, young)] {
+            assert_eq!(
+                serve.gated_ll_window("west", server, 14),
+                Ok((gate, serve.ll_window("west", server, 14)))
+            );
+        }
+        let (gate, window) = serve.gated_ll_window("west", 8, 15).unwrap();
+        assert_eq!(gate, young);
+        assert_eq!(window, Err(ServeError::DayUnavailable { day: 15 }));
+        assert!(matches!(
+            serve.gated_ll_window("west", 9, 14),
+            Err(ServeError::UnknownServer { server_id: 9, .. })
+        ));
+        let requests = |outcome| {
+            serve
+                .obs()
+                .registry()
+                .counter(
+                    "seagull_serve_requests_total",
+                    &[("region", "west"), ("outcome", outcome)],
+                )
+                .get()
+        };
+        assert_eq!((requests("ok"), requests("error")), (4, 2));
     }
 
     /// An inverted default backup window reaches the snapshot as a negative

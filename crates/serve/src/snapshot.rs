@@ -2,14 +2,15 @@
 //!
 //! A [`ModelSnapshot`] is everything the read path needs to answer queries
 //! for one region: the materialized backup-day prediction per server, the
-//! backup duration the window search should use, and (when available) the
+//! backup duration the window search should use, the server's Definition 9
+//! gate as the pipeline stamped it, and (when available) the
 //! fitted model extracted from the warm cache for horizons the materialized
 //! prediction does not cover. Snapshots are built once at deploy time and
 //! never mutated afterwards — readers share them through `Arc`, so a reader
 //! holding an old epoch keeps a fully coherent prediction set no matter how
 //! many deploys happen after it.
 
-use seagull_core::pipeline::{DeployEvent, PredictionDoc};
+use seagull_core::pipeline::{DeployEvent, GateState, PredictionDoc};
 use seagull_forecast::{FittedModel, ModelCache};
 use seagull_timeseries::{TimeSeries, Timestamp, MINUTES_PER_DAY};
 use std::collections::BTreeMap;
@@ -55,6 +56,7 @@ impl ServerTable {
 pub struct ServedServer {
     prediction: TimeSeries,
     duration_min: i64,
+    gate: GateState,
     model: Option<Arc<dyn FittedModel>>,
 }
 
@@ -65,16 +67,17 @@ impl fmt::Debug for ServedServer {
         f.debug_struct("ServedServer")
             .field("prediction", &self.prediction)
             .field("duration_min", &self.duration_min)
+            .field("gate", &self.gate)
             .field("has_model", &self.model.is_some())
             .finish()
     }
 }
 
 impl ServedServer {
-    /// A server serving `values` as its prediction for `day`, with no model
-    /// attached; `None` when they form no day-aligned series: `step_min`
-    /// does not divide a day, or `day` is so far out that the day's or the
-    /// values' end is no `i64` minute. The one check a deploy and
+    /// A server serving `values` as its prediction for `day` behind `gate`,
+    /// with no model attached; `None` when they form no day-aligned series:
+    /// `step_min` does not divide a day, or `day` is so far out that the
+    /// day's or the values' end is no `i64` minute. The one check a deploy and
     /// `decode_snapshot` share (the pipeline only writes predictions that
     /// pass it). The series views `values` without copying them.
     pub(crate) fn materialized(
@@ -82,6 +85,7 @@ impl ServedServer {
         step_min: u32,
         values: Arc<[f64]>,
         duration_min: i64,
+        gate: GateState,
     ) -> Option<ServedServer> {
         let start = day.checked_mul(MINUTES_PER_DAY)?;
         let span = (values.len() as i64).checked_mul(i64::from(step_min))?;
@@ -93,6 +97,7 @@ impl ServedServer {
         Some(ServedServer {
             prediction,
             duration_min,
+            gate,
             model: None,
         })
     }
@@ -111,6 +116,11 @@ impl ServedServer {
     /// Backup duration the low-load window search should use, minutes.
     pub fn duration_min(&self) -> i64 {
         self.duration_min
+    }
+
+    /// The server's Definition 9 gate as of the run that deployed it.
+    pub fn gate(&self) -> GateState {
+        self.gate
     }
 
     /// The fitted model extracted from the warm cache, if one was attached.
@@ -171,8 +181,13 @@ impl ModelSnapshot {
             .iter()
             .filter_map(|doc| {
                 let values = Arc::from(doc.values.as_slice());
-                let server =
-                    ServedServer::materialized(doc.day, doc.step_min, values, doc.duration_min)?;
+                let server = ServedServer::materialized(
+                    doc.day,
+                    doc.step_min,
+                    values,
+                    doc.duration_min,
+                    doc.gate,
+                )?;
                 Some((doc.server_id, server))
             })
             .collect();
@@ -321,6 +336,7 @@ mod tests {
             step_min: 30,
             values: vec![value; 48],
             duration_min: 60,
+            gate: GateState::OPEN,
         }
     }
 

@@ -179,7 +179,7 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seagull_core::pipeline::PredictionDoc;
+    use seagull_core::pipeline::{GateState, PredictionDoc};
 
     fn snap(region: &str, version: u64) -> ModelSnapshot {
         let doc = PredictionDoc {
@@ -189,6 +189,7 @@ mod tests {
             step_min: 30,
             values: vec![version as f64; 48],
             duration_min: 60,
+            gate: GateState::OPEN,
         };
         ModelSnapshot::from_predictions(region, version, 7, "m", &[doc])
     }

@@ -7,12 +7,13 @@
 //! to the oracle's bytes, and a blob, as written or with a field forged
 //! behind a good checksum, must decode to the snapshot the oracle decodes it
 //! to or be refused by both. The one difference allowed is made on purpose:
-//! the oracle accepted server ids out of order.
+//! the oracle accepted server ids out of order. Both read version 3, whose
+//! server blocks carry the two bytes of the server's gate.
 //!
 //! CI runs this optimized at `PROPTEST_CASES=5000`.
 
 use proptest::prelude::*;
-use seagull_core::pipeline::PredictionDoc;
+use seagull_core::pipeline::{GateState, PredictionDoc};
 use seagull_serve::persist::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use seagull_serve::{decode_snapshot, encode_snapshot, ModelSnapshot, PersistError};
 use seagull_telemetry::frame::{self, checksum64, Cursor, FOOTER_LEN, HEADER_LEN};
@@ -89,6 +90,8 @@ fn oracle_encode(table: &Table) -> Vec<u8> {
         out.extend_from_slice(&doc.duration_min.to_le_bytes());
         out.extend_from_slice(&doc.step_min.to_le_bytes());
         out.extend_from_slice(&(doc.values.len() as u32).to_le_bytes());
+        out.push(doc.gate.to_score);
+        out.push(doc.gate.to_pass);
         for &v in &doc.values {
             out.extend_from_slice(&v.to_le_bytes());
         }
@@ -111,7 +114,7 @@ fn oracle_decode(blob: &[u8]) -> Result<(Table, bool), PersistError> {
     let region = take_string(&mut r)?;
     let model_name = take_string(&mut r)?;
     let servers = r.u32()? as usize;
-    if servers > r.rest().len() / 32 {
+    if servers > r.rest().len() / 34 {
         return Err(PersistError::Malformed("server count".into()));
     }
     let mut docs = Vec::with_capacity(servers);
@@ -121,6 +124,11 @@ fn oracle_decode(blob: &[u8]) -> Result<(Table, bool), PersistError> {
         let duration_min = r.i64()?;
         let step_min = r.u32()?;
         let len = r.u32()? as usize;
+        let gate = r.take(2)?;
+        let gate = GateState {
+            to_score: gate[0],
+            to_pass: gate[1],
+        };
         let values = r
             .take(len.saturating_mul(8))?
             .chunks_exact(8)
@@ -133,6 +141,7 @@ fn oracle_decode(blob: &[u8]) -> Result<(Table, bool), PersistError> {
             step_min,
             values,
             duration_min,
+            gate,
         });
     }
     if !r.rest().is_empty() {
@@ -158,6 +167,7 @@ fn doc(server_id: u64, day: i64, values: Vec<f64>) -> PredictionDoc {
         step_min: 30,
         values,
         duration_min: 60,
+        gate: GateState::OPEN,
     }
 }
 
@@ -170,7 +180,13 @@ fn fixture() -> ModelSnapshot {
         "persistent-prev-day",
         &[
             doc(7, 14, (0..48).map(f64::from).collect()),
-            doc(9, 15, vec![2.5; 48]),
+            PredictionDoc {
+                gate: GateState {
+                    to_score: 0,
+                    to_pass: 2,
+                },
+                ..doc(9, 15, vec![2.5; 48])
+            },
         ],
     )
 }
@@ -210,14 +226,16 @@ fn prediction() -> impl Strategy<Value = PredictionDoc> {
     let id = prop_oneof![5 => 0u64..6, 1 => any::<u64>()];
     let duration = prop_oneof![4 => -60i64..600, 1 => Just(i64::MIN), 1 => Just(i64::MAX)];
     let values = proptest::collection::vec(value(), 0..=300);
-    (id, day(), step(), values, duration).prop_map(
-        |(server_id, day, step_min, values, duration_min)| PredictionDoc {
+    let gate = (0u8..4, 0u8..4).prop_map(|(to_score, to_pass)| GateState { to_score, to_pass });
+    (id, day(), step(), values, duration, gate).prop_map(
+        |(server_id, day, step_min, values, duration_min, gate)| PredictionDoc {
             region: "west".into(),
             server_id,
             day,
             step_min,
             values,
             duration_min,
+            gate,
         },
     )
 }
@@ -263,7 +281,7 @@ fn mutation() -> impl Strategy<Value = (u8, u64, u64)> {
         0u64..400,
         any::<u64>(),
     ];
-    (0u8..10, any::<u64>(), word)
+    (0u8..11, any::<u64>(), word)
 }
 
 /// `blob` with `edit` applied to its body and the checksum made good again.
@@ -275,7 +293,7 @@ fn resealed(blob: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
 
 /// `snapshot`'s blob after `mutation`. Server blocks sit where the encoder
 /// puts them: after the header, the strings and the count, one per server
-/// in id order, 32 bytes each and the values.
+/// in id order, 34 bytes each and the values.
 fn mutated(snapshot: &ModelSnapshot, (kind, at, word): (u8, u64, u64)) -> Vec<u8> {
     let blob = encode_snapshot(snapshot).to_vec();
     let count = HEADER_LEN + 16 + 8 + snapshot.region().len() + snapshot.model_name().len();
@@ -283,7 +301,7 @@ fn mutated(snapshot: &ModelSnapshot, (kind, at, word): (u8, u64, u64)) -> Vec<u8
     let mut offset = count + 4;
     for (_, server) in snapshot.servers() {
         blocks.push(offset);
-        offset += 32 + 8 * server.prediction().len();
+        offset += 34 + 8 * server.prediction().len();
     }
     let block = |n: u64| blocks[(n % blocks.len() as u64) as usize];
     let write = |at: usize, bytes: &[u8]| {
@@ -304,6 +322,7 @@ fn mutated(snapshot: &ModelSnapshot, (kind, at, word): (u8, u64, u64)) -> Vec<u8
         4 if !blocks.is_empty() => write(block(at) + 8, &word.to_le_bytes()),
         5 if !blocks.is_empty() => write(block(at) + 24, &(word as u32).to_le_bytes()),
         6 if !blocks.is_empty() => write(block(at) + 28, &(word as u32).to_le_bytes()),
+        10 if !blocks.is_empty() => write(block(at) + 32, &(word as u16).to_le_bytes()),
         7 => write(count, &(word as u32).to_le_bytes()),
         8 => resealed(&blob, |body| {
             body.truncate(HEADER_LEN + (at % (body.len() - HEADER_LEN) as u64) as usize)
@@ -363,8 +382,8 @@ proptest! {
 #[test]
 fn fixture_bytes_are_pinned() {
     let blob = encode_snapshot(&fixture());
-    assert_eq!(blob.len(), 899);
-    assert_eq!(checksum64(&blob), 0x08c2_6b85_02a7_3fd8, "SGSS bytes moved");
+    assert_eq!(blob.len(), 903);
+    assert_eq!(checksum64(&blob), 0xcbc6_dd3f_018c_b4d6, "SGSS bytes moved");
     let (table, ascending) = oracle_decode(&blob).unwrap();
     assert!(ascending);
     assert_eq!(oracle_encode(&table), blob.to_vec());

@@ -1,19 +1,15 @@
 //! End-to-end backup scheduling: telemetry → load extraction → AML pipeline
-//! → backup scheduler → runner service → impact analysis.
+//! → serving layer → backup scheduler → runner service → impact analysis.
 //!
 //! This is the paper's production deployment in miniature (Sections 2, 2.3,
 //! 6.2). Run with `cargo run --release --example backup_scheduling`.
 
 use seagull::backup::{
-    analyze_impact, BackupScheduler, FabricPropertyStore, RunnerService, SchedulerConfig,
+    analyze_impact, serve_weeks, BackupScheduler, FabricPropertyStore, RunnerService,
+    SchedulerConfig,
 };
 use seagull::core::metrics::ErrorBound;
-use seagull::core::pipeline::{AmlPipeline, PipelineConfig};
-use seagull::forecast::PersistentForecast;
-use seagull::telemetry::blobstore::MemoryBlobStore;
-use seagull::telemetry::extract::LoadExtraction;
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec};
-use std::sync::Arc;
 
 fn main() {
     // --- Telemetry: five weeks for one region -----------------------------
@@ -24,22 +20,11 @@ fn main() {
     let fleet = FleetGenerator::new(spec).generate_weeks(5);
     println!("fleet: {} servers in {region}", fleet.len());
 
-    // --- Load extraction: the recurring query into the blob store ----------
-    let store = Arc::new(MemoryBlobStore::new());
-    let weeks: Vec<i64> = (0..5).map(|w| start + 7 * w).collect();
-    let keys = LoadExtraction::columnar(5)
-        .run(
-            &fleet,
-            std::slice::from_ref(&region),
-            &weeks,
-            store.as_ref(),
-        )
-        .expect("extraction succeeds");
-    println!("extracted {} weekly blobs", keys.len());
-
-    // --- The weekly AML pipeline -------------------------------------------
-    let pipeline = AmlPipeline::new(PipelineConfig::production(), store);
-    let reports = pipeline.run_schedule(std::slice::from_ref(&region), &weeks);
+    // --- Load extraction and the weekly AML pipeline -----------------------
+    // Four weeks of load into the blob store, each week's run deploying into
+    // the serving layer; the fifth week is the one scheduled.
+    let weeks: Vec<i64> = (0..4).map(|w| start + 7 * w).collect();
+    let (serve, pipeline, reports) = serve_weeks(&fleet, std::slice::from_ref(&region), &weeks);
     for r in &reports {
         println!(
             "pipeline week {}: {} servers, {} predictions, {} evaluations{}",
@@ -66,15 +51,16 @@ fn main() {
     );
 
     // --- The runner service schedules the next week's backups --------------
+    // From the last deployed snapshot: a server moves only once three
+    // scored weeks in a row passed (Definition 9).
     let runner = RunnerService::new(
         BackupScheduler::new(SchedulerConfig::default()),
         4, // clusters
     );
     let fabric = FabricPropertyStore::new();
-    let model = PersistentForecast::previous_day();
     let mut all_backups = Vec::new();
     for offset in 0..7 {
-        let report = runner.run_day(&fleet, start + 28 + offset, &model, &fabric);
+        let report = runner.run_day(&fleet, start + 28 + offset, &serve, &region, &fabric);
         println!(
             "runner day {}: {} due, availability {:.1}%",
             report.day,

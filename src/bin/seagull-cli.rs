@@ -7,18 +7,19 @@
 //! * `classify`  — classify a fleet and print the Figure-3 breakdown.
 //! * `pipeline`  — run the weekly AML pipeline end-to-end and print the
 //!   dashboard.
-//! * `schedule`  — run the backup scheduler for one week and summarize
-//!   decisions.
+//! * `schedule`  — run the pipeline for four weeks into the serving layer,
+//!   schedule the fifth week's backups from it and summarize decisions.
 //! * `forecast`  — fit a deployable model (persistent or SSA) on one
 //!   synthetic server and print its predicted lowest-load window. The
 //!   Figure 11 bins of `seagull-bench` run the other three models.
 //!
 //! Run `seagull-cli help` (or any subcommand with `--help`) for flags.
 
-use seagull::backup::{BackupScheduler, FabricPropertyStore, ScheduleDecision, SchedulerConfig};
+use seagull::backup::{
+    serve_weeks, BackupScheduler, FabricPropertyStore, ScheduleDecision, SchedulerConfig,
+};
 use seagull::core::classify::{classify_fleet_with, ClassifyConfig, ServerClass};
 use seagull::core::metrics::lowest_load_window;
-use seagull::core::pipeline::{AmlPipeline, PipelineConfig};
 use seagull::core::Dashboard;
 use seagull::forecast::{Forecaster, PersistentForecast, PersistentVariant, SsaForecaster};
 use seagull::telemetry::blobstore::DiskBlobStore;
@@ -28,7 +29,6 @@ use seagull::telemetry::server::GeneratedClass;
 use seagull::timeseries::Timestamp;
 use std::collections::HashMap;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 /// Minimal `--flag value` parser.
 struct Args {
@@ -151,22 +151,12 @@ fn cmd_classify(args: &Args) -> Result<(), String> {
 fn cmd_pipeline(args: &Args) -> Result<(), String> {
     let spec = fleet_spec(args)?;
     let weeks: usize = args.get("weeks", 3)?;
-    let start = spec.start_day;
-    let region = spec.regions[0].name.clone();
+    let regions = [spec.regions[0].name.clone()];
+    let week_days: Vec<i64> = (0..weeks as i64).map(|w| spec.start_day + 7 * w).collect();
     let fleet = FleetGenerator::new(spec).generate_weeks(weeks);
-    let store = Arc::new(seagull::telemetry::blobstore::MemoryBlobStore::new());
-    let week_days: Vec<i64> = (0..weeks as i64).map(|w| start + 7 * w).collect();
-    LoadExtraction::columnar(5)
-        .run(
-            &fleet,
-            std::slice::from_ref(&region),
-            &week_days,
-            store.as_ref(),
-        )
-        .map_err(|e| e.to_string())?;
-    let pipeline = AmlPipeline::new(PipelineConfig::production(), store);
+    let (_, pipeline, reports) = serve_weeks(&fleet, &regions, &week_days);
     let dashboard = Dashboard::new();
-    for report in pipeline.run_schedule(&[region], &week_days) {
+    for report in reports {
         dashboard.record(report);
     }
     print!("{}", dashboard.render(&pipeline.incidents));
@@ -175,12 +165,16 @@ fn cmd_pipeline(args: &Args) -> Result<(), String> {
 
 fn cmd_schedule(args: &Args) -> Result<(), String> {
     let spec = fleet_spec(args)?;
-    let start = spec.start_day;
+    let next_week = spec.start_day + 28;
+    let regions = [spec.regions[0].name.clone()];
+    // Four weekly pipeline runs deploy into the serving layer; the fifth
+    // week is scheduled from the fourth week's snapshot.
+    let week_days: Vec<i64> = (0..4).map(|w| spec.start_day + 7 * w).collect();
     let fleet = FleetGenerator::new(spec).generate_weeks(5);
+    let (serve, ..) = serve_weeks(&fleet, &regions, &week_days);
     let scheduler = BackupScheduler::new(SchedulerConfig::default());
     let fabric = FabricPropertyStore::new();
-    let model = PersistentForecast::previous_day();
-    let scheduled = scheduler.schedule_week(&fleet, start + 28, &model, &fabric);
+    let scheduled = scheduler.schedule_week_served(&fleet, next_week, &serve, &regions[0], &fabric);
     let rescheduled = scheduled
         .iter()
         .filter(|b| matches!(b.decision, ScheduleDecision::Rescheduled { .. }))
@@ -188,7 +182,7 @@ fn cmd_schedule(args: &Args) -> Result<(), String> {
     println!(
         "scheduled {} backups for week starting day {}:",
         scheduled.len(),
-        start + 28
+        next_week
     );
     println!("  moved into predicted lowest-load windows: {rescheduled}");
     println!("  kept at default time: {}", scheduled.len() - rescheduled);

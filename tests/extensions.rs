@@ -6,6 +6,7 @@
 use seagull::backup::{BackupScheduler, FabricPropertyStore, RunnerService, SchedulerConfig};
 use seagull::core::pipeline::{AmlPipeline, PipelineConfig};
 use seagull::forecast::{Forecaster, PersistentForecast, SsaForecaster};
+use seagull::serve::ServeService;
 use seagull::telemetry::blobstore::MemoryBlobStore;
 use seagull::telemetry::extract::LoadExtraction;
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec};
@@ -18,12 +19,15 @@ use std::sync::Arc;
 
 #[test]
 fn clock_driven_month_of_operations() {
-    // A month of operations on a day-granular clock: the weekly pipeline
-    // runs on every seventh day and the daily backup runner on every day.
-    // The runner fits its own persistent forecast per cluster and reads no
-    // pipeline output; the test checks that the pipeline completes all five
-    // runs and that all 35 runner days keep every cluster available and
-    // schedule backups.
+    // A month of operations on a day-granular clock: the daily backup
+    // runner schedules every day from the snapshot deployed last, and the
+    // weekly pipeline runs once a week's load is in, at the end of its last
+    // day, deploying the next week's predictions into the serving layer.
+    // The runner consumes those predictions: the test checks that the
+    // pipeline completes all five runs, that all 35 runner days keep every
+    // cluster available and schedule backups, and that no backup moves
+    // before a gate has three scored weeks behind it (the fourth run, the
+    // first to deploy open gates, predicts week 5) and some move after.
     let mut spec = FleetSpec::small_region(61);
     spec.regions[0].servers = 50;
     let region = spec.regions[0].name.clone();
@@ -41,27 +45,33 @@ fn clock_driven_month_of_operations() {
         )
         .unwrap();
 
-    let pipeline = AmlPipeline::new(PipelineConfig::production(), store);
+    let serve = ServeService::with_defaults();
+    let pipeline = AmlPipeline::new(PipelineConfig::production(), store)
+        .with_deploy_sink(Arc::new(serve.clone()));
     let runner = RunnerService::new(BackupScheduler::new(SchedulerConfig::default()), 2);
     let fabric = FabricPropertyStore::new();
-    let model = PersistentForecast::previous_day();
 
     let (mut pipeline_runs, mut runner_days, mut backups) = (0, 0, 0);
+    let mut rescheduled = [0usize; 5];
     for day in start..start + 35 {
-        if (day - start) % 7 == 0 {
-            pipeline.run_region_week(&region, day);
-            pipeline_runs += 1;
-        }
-        let report = runner.run_day(&fleet, day, &model, &fabric);
+        let report = runner.run_day(&fleet, day, &serve, &region, &fabric);
         runner_days += 1;
         backups += report.backups.len();
+        rescheduled[((day - start) / 7) as usize] +=
+            report.clusters.iter().map(|c| c.rescheduled).sum::<usize>();
         assert!((report.availability() - 1.0).abs() < 1e-9);
+        if (day - start) % 7 == 6 {
+            pipeline.run_region_week(&region, day - 6);
+            pipeline_runs += 1;
+        }
     }
 
     assert_eq!(pipeline_runs, 5);
     assert_eq!(runner_days, 35);
     assert!(backups > 0);
     assert_eq!(pipeline.docs.count("runs"), 5);
+    assert_eq!(rescheduled[..4], [0; 4]);
+    assert!(rescheduled[4] > 0, "week 5 moves predictable servers");
 }
 
 #[test]

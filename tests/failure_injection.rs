@@ -3,7 +3,9 @@
 //! fallback to previously known good models and triggers alerts as
 //! appropriate") exercised under adversarial input.
 
-use seagull::core::pipeline::{collections, AmlPipeline, DeadLetterDoc, PipelineConfig};
+use seagull::core::pipeline::{
+    collections, AmlPipeline, DeadLetterDoc, GateState, PipelineConfig, PredictionDoc,
+};
 use seagull::core::resilience::{BreakerState, StageChaos};
 use seagull::core::Severity;
 use seagull::forecast::{FittedModel, ForecastError, Forecaster, PersistentForecast};
@@ -698,14 +700,72 @@ fn deploy_failure_mid_schedule_keeps_serving_last_known_good() {
     assert_eq!(snap.week_start_day(), start + 14);
 }
 
+/// A week whose deploy failed has no version: the next week scores its
+/// predictions (an `AccuracyDoc` each) but records the score on no version,
+/// so the kept v1 keeps the score its own predictions earned.
+#[test]
+fn failed_deploy_week_is_scored_on_no_version() {
+    let (_, store, region, start) = fleet_and_store(80, 3, 15);
+    let bad_week = start + 7;
+    let pipeline = AmlPipeline::new(PipelineConfig::production(), store).with_chaos(
+        StageChaos::from_fn(move |stage, _, tick, _| stage == "deployment" && tick == bad_week),
+    );
+    let reports = pipeline.run_schedule(std::slice::from_ref(&region), &[start, bad_week]);
+    assert_eq!(reports[1].deployed_version, None);
+    let v1 = pipeline.registry.history(&region)[0].accuracy;
+    assert!(v1.is_some(), "week 2 scored v1's predictions");
+    let week3 = pipeline.run_region_week(&region, start + 14);
+    assert_eq!(week3.deployed_version, Some(2));
+    let (week2, week3) = (reports[1].accuracy.unwrap(), week3.accuracy.unwrap());
+    assert_ne!(
+        (week2.window_correct_pct, week2.load_accurate_pct),
+        (week3.window_correct_pct, week3.load_accurate_pct),
+        "the two weeks score differently"
+    );
+    let history = pipeline.registry.history(&region);
+    assert_eq!(history[0].accuracy, v1);
+    assert_eq!(history[1].accuracy, None);
+}
+
+/// Predictions the docstore-write step dropped leave the next week nothing
+/// to score, so every gate of the region restarts: three more scored weeks
+/// pass before any of its backups may move.
+#[test]
+fn dropped_predictions_close_every_gate_for_three_weeks() {
+    let run = |faulty: bool| {
+        let (_, store, region, start) = fleet_and_store(60, 4, 17);
+        let bad_week = start + 7;
+        let pipeline =
+            AmlPipeline::new(PipelineConfig::production(), store).with_chaos(StageChaos::from_fn(
+                move |stage, _, tick, _| faulty && stage == "docstore-write" && tick == bad_week,
+            ));
+        let weeks: Vec<i64> = (0..4).map(|w| start + 7 * w).collect();
+        let reports = pipeline.run_schedule(std::slice::from_ref(&region), &weeks);
+        let docs: Vec<PredictionDoc> = pipeline.docs.scan(collections::PREDICTIONS).unwrap();
+        let week_five = docs.into_iter().filter(|d| d.day >= start + 28);
+        (reports, week_five.map(|d| d.gate).collect::<Vec<_>>())
+    };
+    let (_, gates) = run(false);
+    assert!(
+        gates.contains(&GateState::OPEN),
+        "a clean month opens gates"
+    );
+    let (reports, gates) = run(true);
+    assert_eq!(reports[1].predictions_written, 0);
+    assert_eq!(reports[2].evaluations, 0, "nothing stored to score");
+    assert!(!gates.is_empty());
+    assert!(gates.iter().all(|g| g.to_score >= 2), "{gates:?}");
+}
+
 #[test]
 fn accuracy_regression_triggers_fallback_and_alert() {
     let (_, store, region, start) = fleet_and_store(40, 3, 13);
     let pipeline = AmlPipeline::new(PipelineConfig::production(), store);
-    // Two healthy weeks establish a last-known-good version with accuracy.
+    // Two healthy weeks establish a last-known-good version with accuracy:
+    // week 2 scores the predictions of version 1.
     pipeline.run_region_week(&region, start);
     pipeline.run_region_week(&region, start + 7);
-    let good = pipeline.registry.deployed(&region).unwrap();
+    let good = pipeline.registry.history(&region)[0].clone();
     assert!(good.accuracy.is_some());
 
     // Deploy an "experimental" version and record terrible accuracy.

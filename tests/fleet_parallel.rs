@@ -7,8 +7,9 @@
 //! stall its siblings.
 
 use seagull::core::fleet::FleetRunner;
+use seagull::core::metrics::evaluate_low_load;
 use seagull::core::pipeline::{
-    collections, AmlPipeline, PipelineConfig, PipelineRunReport, PredictionDoc,
+    collections, AmlPipeline, GateState, PipelineConfig, PipelineRunReport, PredictionDoc,
 };
 use seagull::core::{extract_features, validate_servers};
 use seagull::forecast::{
@@ -211,7 +212,7 @@ fn fleet_week_outputs_are_byte_identical_across_thread_counts() {
 /// "Same bits", pinned: the seed-4242 three-week schedule on the
 /// production configuration renders the same canonical outputs at one
 /// thread and at eight, and those outputs are pinned by length and checksum
-/// (the text's sha256 is `c81a8721…ab8b1d35`). A change that moves any stored
+/// (the text's sha256 is `5da26ac8…658cf2a6`). A change that moves any stored
 /// document, report, incident or stable-export line has to edit these
 /// literals.
 #[test]
@@ -223,8 +224,8 @@ fn seed_4242_canonical_outputs_are_pinned() {
         canonical_outputs(runner.pipeline(), &reports)
     });
     assert_eq!(one, eight, "threads=1 and threads=8 diverged");
-    assert_eq!(one.len(), 75_456);
-    assert_eq!(checksum64(one.as_bytes()), 0x95b9_d5aa_c744_f843);
+    assert_eq!(one.len(), 76_408);
+    assert_eq!(checksum64(one.as_bytes()), 0x8613_0093_efcf_31ca);
 }
 
 /// Documents as `(id, JSON value)` pairs, sorted by id.
@@ -246,8 +247,9 @@ fn canonical_collection(pipeline: &AmlPipeline, collection: &str) -> Docs {
 /// the public batch functions in stage order over each region-week's blob:
 /// `validate_servers` → `extract_features` (on the week as ingested; it
 /// repairs a copy of its own) → `fill_gaps` → `fit` → `predict` →
-/// backup-day slice. Returns the expected `FEATURES` and
-/// `PREDICTIONS` collections, sorted by id.
+/// backup-day slice, stamped with the gate that `evaluate_low_load` of the
+/// previous week's prediction against the repaired week moves on. Returns
+/// the expected `FEATURES` and `PREDICTIONS` collections, sorted by id.
 fn staged_oracle(
     store: &MemoryBlobStore,
     config: &PipelineConfig,
@@ -256,8 +258,10 @@ fn staged_oracle(
 ) -> (Docs, Docs) {
     let grid_min = config.profile.grid_min;
     let points_per_day = (MINUTES_PER_DAY / grid_min as i64) as usize;
+    let weeks = config.evaluation.predictability_weeks;
     let mut features = Vec::new();
     let mut predictions = Vec::new();
+    let mut written: Vec<PredictionDoc> = Vec::new();
     for &week in week_days {
         for region in regions {
             let blob = store.get(&BlobKey::extracted(region, week)).unwrap();
@@ -284,6 +288,24 @@ fn staged_oracle(
                 let Some(day) = prediction.day(backup_day) else {
                     continue;
                 };
+                let scored_day = backup_day - 7;
+                let score = written
+                    .iter()
+                    .find(|d| &d.region == region && d.server_id == s.id.0 && d.day == scored_day)
+                    .and_then(|previous| {
+                        let duration = previous.duration_min.max(i64::from(grid_min)) as u32;
+                        let eval = evaluate_low_load(
+                            &s.series.day(scored_day)?,
+                            &previous.clone().into_series(),
+                            duration,
+                            &config.evaluation.accuracy,
+                        )?;
+                        Some((previous.gate, eval.window_correct && eval.load_accurate))
+                    });
+                let gate = match score {
+                    Some((gate, passed)) => gate.next(Some(passed), weeks),
+                    None => GateState::closed(weeks),
+                };
                 let doc = PredictionDoc {
                     region: region.clone(),
                     server_id: s.id.0,
@@ -291,7 +313,9 @@ fn staged_oracle(
                     step_min: grid_min,
                     values: day.into_values(),
                     duration_min: s.default_backup_end - s.default_backup_start,
+                    gate,
                 };
+                written.push(doc.clone());
                 predictions.push((
                     PredictionDoc::doc_id(region, s.id.0, backup_day),
                     serde_json::to_value(&doc).unwrap(),

@@ -17,7 +17,7 @@
 //! counting allocator below, a test-only shim over `System`.
 
 use seagull::core::fleet::{checkpoint_key, FleetRunner};
-use seagull::core::pipeline::{AmlPipeline, PipelineConfig, PredictionDoc};
+use seagull::core::pipeline::{AmlPipeline, GateState, PipelineConfig, PredictionDoc};
 use seagull::serve::{
     decode_snapshot, encode_snapshot, journal_segment_key, DeployRecord, DurableServeSink,
     ModelSnapshot, PersistError, ServeService,
@@ -172,6 +172,7 @@ fn sgss() -> Format {
         step_min: 30,
         values,
         duration_min: 60,
+        gate: GateState::OPEN,
     };
     let snapshot = ModelSnapshot::from_predictions(
         "west",
@@ -185,7 +186,7 @@ fn sgss() -> Format {
     );
     // Version u64, week i64, region (u32 + 4), model name (u32 + 19), server
     // count u32; per server id u64, day i64, duration i64, step u32, value
-    // count u32, 48 values.
+    // count u32, the gate's two u8 counts, 48 values.
     let week = HEADER_LEN + 8;
     let region_len = week + 8;
     let name_len = region_len + 4 + 4;
@@ -197,9 +198,10 @@ fn sgss() -> Format {
         Field::U32(servers),
     ];
     for server in 0..2 {
-        let at = servers + 4 + server * (32 + 48 * 8);
+        let at = servers + 4 + server * (34 + 48 * 8);
         fields.extend([Field::U64(at), Field::I64(at + 8), Field::I64(at + 16)]);
         fields.extend([Field::U32(at + 24), Field::U32(at + 28)]);
+        fields.extend([Field::U8(at + 32), Field::U8(at + 33)]);
     }
     Format {
         name: "SGSS",
@@ -464,6 +466,18 @@ fn forged_fields_land_where_the_layouts_say() {
     assert_eq!(renamed.server_ids().collect::<Vec<_>>(), [8, 9]);
     let longer = decode_snapshot(&forged(&sgss.blob, duration, &90i64.to_le_bytes())).unwrap();
     assert_eq!(longer.server(7).unwrap().duration_min(), 90);
+    let [Field::U8(to_score), Field::U8(to_pass)] = sgss.fields[9..11] else {
+        panic!("the gate closes a server's fixed part");
+    };
+    assert_eq!(to_pass, to_score + 1);
+    let closed = decode_snapshot(&forged(&sgss.blob, to_score, &[1, 2])).unwrap();
+    assert_eq!(
+        closed.server(7).unwrap().gate(),
+        GateState {
+            to_score: 1,
+            to_pass: 2
+        }
+    );
 
     let sgjl = sgjl();
     let Field::U32(servers) = sgjl.fields[4] else {

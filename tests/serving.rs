@@ -4,7 +4,7 @@
 
 use seagull::backup::{BackupScheduler, FabricPropertyStore, ScheduleDecision, SchedulerConfig};
 use seagull::core::metrics::{lowest_load_window, LowLoadWindow};
-use seagull::core::pipeline::{AmlPipeline, DeploySink, PipelineConfig, PredictionDoc};
+use seagull::core::pipeline::{AmlPipeline, DeploySink, GateState, PipelineConfig, PredictionDoc};
 use seagull::core::resilience::{BreakerState, COOLDOWN_TICKS, TRIP_THRESHOLD};
 use seagull::core::IncidentManager;
 use seagull::forecast::{FittedModel, Forecaster, PersistentForecast};
@@ -27,6 +27,7 @@ fn doc(region: &str, server_id: u64, values: Vec<f64>, duration_min: i64) -> Pre
         step_min: 30,
         values,
         duration_min,
+        gate: GateState::OPEN,
     }
 }
 
