@@ -269,7 +269,7 @@ pub(crate) mod tests {
             .take(3)
             .collect();
         let gates = [
-            GateState::closed(3),
+            GateState::CLOSED,
             GateState {
                 to_score: 0,
                 to_pass: 1,

@@ -6,7 +6,6 @@
 //! training / inference / accuracy-evaluation runtimes (Figure 17). "GluonTS
 //! and ARIMA are trained on one week of historical load per database."
 
-use seagull_core::metrics::{mase, mean_nrmse};
 use seagull_core::par::parallel_map;
 use seagull_forecast::Forecaster;
 use seagull_telemetry::fleet::{ClassMix, FleetSpec, RegionSpec, ServerTelemetry};
@@ -112,6 +111,44 @@ pub fn evaluate_models(
         .collect()
 }
 
+/// Appendix A, Equation 2: `sqrt(mean(error²)) / mean(true)`.
+///
+/// Returns `None` for empty input or a zero true mean.
+pub fn mean_nrmse(predicted: &[f64], truth: &[f64]) -> Option<f64> {
+    if predicted.len() != truth.len() || truth.is_empty() {
+        return None;
+    }
+    let mse = predicted
+        .iter()
+        .zip(truth)
+        .map(|(p, t)| (p - t) * (p - t))
+        .sum::<f64>()
+        / truth.len() as f64;
+    let mean_true = seagull_timeseries::mean(truth);
+    (mean_true.abs() > 1e-12).then(|| mse.sqrt() / mean_true)
+}
+
+/// Appendix A, Equation 3: mean absolute error scaled by the in-sample
+/// one-step-ahead naive error ("the error produced by a one step ahead true
+/// forecast").
+///
+/// Returns `None` for empty/mismatched input or a constant true series
+/// (zero normalizing factor).
+pub fn mase(predicted: &[f64], truth: &[f64]) -> Option<f64> {
+    if predicted.len() != truth.len() || truth.len() < 2 {
+        return None;
+    }
+    let mae = predicted
+        .iter()
+        .zip(truth)
+        .map(|(p, t)| (p - t).abs())
+        .sum::<f64>()
+        / truth.len() as f64;
+    let naive =
+        truth.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (truth.len() - 1) as f64;
+    (naive > 1e-12).then(|| mae / naive)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,5 +228,35 @@ mod tests {
     #[test]
     fn spec_mix_is_valid() {
         sql_fleet_spec(1, 10).mix.validate().unwrap();
+    }
+
+    #[test]
+    fn nrmse_of_mean_prediction_is_one_ish() {
+        // Predicting the mean gives NRMSE = std/mean by this definition.
+        let truth = [10.0, 20.0, 30.0, 40.0];
+        let mean = 25.0;
+        let pred = [mean; 4];
+        let n = mean_nrmse(&pred, &truth).unwrap();
+        let expect = seagull_timeseries::stddev(&truth) / mean;
+        assert!((n - expect).abs() < 1e-12);
+        assert!(mean_nrmse(&[], &[]).is_none());
+        assert!(mean_nrmse(&[1.0], &[0.0]).is_none());
+    }
+
+    #[test]
+    fn perfect_prediction_scores_zero() {
+        let truth = [5.0, 6.0, 7.0];
+        assert_eq!(mean_nrmse(&truth, &truth), Some(0.0));
+        assert_eq!(mase(&truth, &truth), Some(0.0));
+    }
+
+    #[test]
+    fn mase_scales_by_naive_error() {
+        let truth = [0.0, 1.0, 0.0, 1.0]; // naive error = 1
+        let pred = [0.5, 0.5, 0.5, 0.5]; // mae = 0.5
+        assert!((mase(&pred, &truth).unwrap() - 0.5).abs() < 1e-12);
+        // Constant series: undefined.
+        assert!(mase(&[1.0, 1.0], &[2.0, 2.0]).is_none());
+        assert!(mase(&[1.0], &[1.0]).is_none());
     }
 }

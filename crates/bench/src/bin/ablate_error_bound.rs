@@ -5,10 +5,10 @@
 //! underestimation". This ablation sweeps symmetric and asymmetric bounds
 //! and reports how the fleet-wide metrics and the predictability gate react.
 
-use seagull_bench::{emit_json, fleets, Table};
-use seagull_core::evaluate::{
-    evaluate_fleet_week, predictability_fleet, predictable_pct, AccuracySummary, EvaluationConfig,
+use seagull_bench::refit::{
+    evaluate_fleet_week, predictability_fleet, predictable_pct, summarize, EvaluationConfig,
 };
+use seagull_bench::{emit_json, fleets, Table};
 use seagull_core::metrics::{AccuracyConfig, ErrorBound};
 use seagull_core::par::default_threads;
 use seagull_forecast::PersistentForecast;
@@ -65,7 +65,7 @@ fn main() -> std::io::Result<()> {
             ..EvaluationConfig::default()
         };
         let evals = evaluate_fleet_week(&long_lived, start + 21, &model, &cfg, threads);
-        let summary = AccuracySummary::from_evaluations(&evals);
+        let summary = summarize(&evals);
         let preds = predictability_fleet(&long_lived, start + 28, &model, &cfg, threads);
         let ppct = predictable_pct(&preds);
         t.row([

@@ -7,8 +7,8 @@
 //! often servers that pass then get a wrong window — the confidence/coverage
 //! trade-off.
 
+use seagull_bench::refit::{evaluate_backup_day, predictability_fleet, EvaluationConfig};
 use seagull_bench::{emit_json, fleets, Table};
-use seagull_core::evaluate::{evaluate_backup_day, predictability_fleet, EvaluationConfig};
 use seagull_core::par::default_threads;
 use seagull_forecast::PersistentForecast;
 use serde_json::json;
@@ -52,7 +52,7 @@ fn main() -> std::io::Result<()> {
         let mut inaccurate = 0usize;
         let mut evaluated = 0usize;
         for server in fleet.iter().filter(|s| passing.contains(&s.meta.id.0)) {
-            let day = seagull_core::evaluate::backup_day_in_week(server, final_week);
+            let day = seagull_bench::refit::backup_day_in_week(server, final_week);
             if let Some(e) = evaluate_backup_day(server, day, &model, &cfg) {
                 evaluated += 1;
                 if !e.window_correct {

@@ -6,12 +6,12 @@
 //! configuration: the two low-load metrics plus total fit time — the
 //! accuracy/scalability trade-off Section 2.1 says governs model choice.
 
+use seagull_bench::refit::{evaluate_fleet_week, summarize, EvaluationConfig};
 use seagull_bench::zoo::additive::FitMethod;
 use seagull_bench::zoo::{
     AdditiveConfig, AdditiveForecaster, FeedForwardConfig, FeedForwardForecaster,
 };
 use seagull_bench::{emit_json, fleets, Table};
-use seagull_core::evaluate::{evaluate_fleet_week, AccuracySummary, EvaluationConfig};
 use seagull_forecast::{Forecaster, SsaConfig, SsaForecaster};
 use serde_json::json;
 use std::time::Instant;
@@ -33,7 +33,7 @@ fn main() -> std::io::Result<()> {
         let t = Instant::now();
         let evals = evaluate_fleet_week(&fleet, week, model, &cfg, 1);
         let secs = t.elapsed().as_secs_f64();
-        let s = AccuracySummary::from_evaluations(&evals);
+        let s = summarize(&evals);
         table.row([
             family.to_string(),
             config.clone(),

@@ -5,8 +5,8 @@
 //! (53.5 %). This ablation evaluates all three variants per ground-truth
 //! class so the coverage argument is visible in the metrics.
 
+use seagull_bench::refit::{evaluate_fleet_week, summarize, EvaluationConfig};
 use seagull_bench::{emit_json, fleets, Table};
-use seagull_core::evaluate::{evaluate_fleet_week, AccuracySummary, EvaluationConfig};
 use seagull_core::par::default_threads;
 use seagull_forecast::{PersistentForecast, PersistentVariant};
 use seagull_telemetry::server::GeneratedClass;
@@ -50,7 +50,7 @@ fn main() -> std::io::Result<()> {
         for variant in PersistentVariant::ALL {
             let model = PersistentForecast::new(variant);
             let evals = evaluate_fleet_week(&pool, start + 21, &model, &cfg, threads);
-            let summary = AccuracySummary::from_evaluations(&evals);
+            let summary = summarize(&evals);
             t.row([
                 class.label().to_string(),
                 format!("{variant:?}"),

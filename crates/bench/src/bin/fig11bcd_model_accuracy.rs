@@ -7,12 +7,12 @@
 //! deploys on: "the accuracy of ML models is not significantly higher than
 //! the accuracy of persistent forecast."
 
+use seagull_bench::refit::{
+    evaluate_fleet_week, predictability_fleet, predictable_pct, summarize, EvaluationConfig,
+};
 use seagull_bench::zoo::additive::FitMethod;
 use seagull_bench::zoo::{AdditiveConfig, AdditiveForecaster, FeedForwardForecaster};
 use seagull_bench::{emit_json, fleets, scale, Scale, Table};
-use seagull_core::evaluate::{
-    evaluate_fleet_week, predictability_fleet, predictable_pct, AccuracySummary, EvaluationConfig,
-};
 use seagull_core::par::default_threads;
 use seagull_forecast::{Forecaster, PersistentForecast, SsaForecaster};
 use serde_json::json;
@@ -57,7 +57,7 @@ fn main() -> std::io::Result<()> {
         let (fleet, start) = fleets::unstable_pool(1000 + ri as u64, per_region, 4);
         for (name, model) in &models {
             let evals = evaluate_fleet_week(&fleet, start + 21, *model, &cfg, threads);
-            let summary = AccuracySummary::from_evaluations(&evals);
+            let summary = summarize(&evals);
             let preds = predictability_fleet(&fleet, start + 28, *model, &cfg, threads);
             let ppct = predictable_pct(&preds);
             table.row([

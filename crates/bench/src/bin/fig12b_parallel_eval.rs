@@ -7,8 +7,8 @@
 //! parallel version is consistently 3–4.6× faster. The crossover and the
 //! speedup band are the reproduction targets.
 
+use seagull_bench::refit::{evaluate_fleet_week, evaluate_fleet_week_all_days, EvaluationConfig};
 use seagull_bench::{emit_json, fleets, scale, Scale, Table};
-use seagull_core::evaluate::{evaluate_fleet_week, evaluate_fleet_week_all_days, EvaluationConfig};
 use seagull_core::par::default_threads;
 use seagull_forecast::PersistentForecast;
 use serde_json::json;

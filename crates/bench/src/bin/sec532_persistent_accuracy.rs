@@ -5,11 +5,11 @@
 //! accurately predicted the load during 99.06 % of all windows, and
 //! classified 96.92 % of servers as predictable."
 
+use seagull_bench::refit::{
+    evaluate_fleet_week, predictability_fleet, predictable_pct, summarize, EvaluationConfig,
+};
 use seagull_bench::{emit_json, fleets, Table};
 use seagull_core::classify::{classify_fleet_with, ClassifyConfig, ServerClass};
-use seagull_core::evaluate::{
-    evaluate_fleet_week, predictability_fleet, predictable_pct, AccuracySummary, EvaluationConfig,
-};
 use seagull_forecast::PersistentForecast;
 use serde_json::json;
 
@@ -41,7 +41,7 @@ fn main() -> std::io::Result<()> {
 
     // Backup-day evaluation in the last full week of the window.
     let evals = evaluate_fleet_week(&predictable_pool, start + 21, &model, &cfg, 4);
-    let summary = AccuracySummary::from_evaluations(&evals);
+    let summary = summarize(&evals);
     let preds = predictability_fleet(&predictable_pool, start + 28, &model, &cfg, 4);
     let pred_pct = predictable_pct(&preds);
 

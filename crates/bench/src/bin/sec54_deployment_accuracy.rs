@@ -1,64 +1,43 @@
-//! Section 5.4 — The deployed model, fleet-wide.
-//!
-//! Paper: persistent forecast (previous day) deployed for *all* long-lived
-//! servers "correctly selected 99 % of low load windows, accurately predicted
-//! the load during 96 % of all windows, and classified 75 % of long-lived
-//! servers as predictable."
+//! Section 5.4 — The deployed model, fleet-wide: prints
+//! [`seagull_bench::deployed::deployment_accuracy`] beside the paper's
+//! numbers.
 
-use seagull_bench::{emit_json, fleets, Table};
-use seagull_core::evaluate::{
-    evaluate_fleet_week, predictability_fleet, predictable_pct, AccuracySummary, EvaluationConfig,
-};
-use seagull_forecast::PersistentForecast;
+use seagull_bench::deployed::deployment_accuracy;
+use seagull_bench::{emit_json, Table};
 use serde_json::json;
 
 fn main() -> std::io::Result<()> {
-    let (fleet, spec) = fleets::classification_fleet(42);
-    let start = spec.start_day;
-    let cfg = EvaluationConfig::default();
-    let model = PersistentForecast::previous_day();
-
-    // The whole long-lived fleet (Definition 3), including unstable servers.
-    let long_lived: Vec<_> = fleet
-        .iter()
-        .filter(|s| s.meta.is_long_lived(start + 28))
-        .cloned()
-        .collect();
-
-    let evals = evaluate_fleet_week(&long_lived, start + 21, &model, &cfg, 4);
-    let summary = AccuracySummary::from_evaluations(&evals);
-    let preds = predictability_fleet(&long_lived, start + 28, &model, &cfg, 4);
-    let pred_pct = predictable_pct(&preds);
-
+    let (acc, predictable_pct) = deployment_accuracy(42);
     println!(
         "Section 5.4: deployed persistent forecast on all {} long-lived servers\n",
-        long_lived.len()
+        acc.servers
     );
+    let rows = [
+        ("LL windows chosen correctly", acc.window_correct_pct, 99.0),
+        (
+            "LL-window load predicted accurately",
+            acc.load_accurate_pct,
+            96.0,
+        ),
+        ("long-lived servers predictable", predictable_pct, 75.0),
+    ];
     let mut t = Table::new(["metric", "measured", "paper"]);
-    t.row([
-        "LL windows chosen correctly".to_string(),
-        format!("{:.2}%", summary.window_correct_pct),
-        "99%".to_string(),
-    ]);
-    t.row([
-        "LL-window load predicted accurately".to_string(),
-        format!("{:.2}%", summary.load_accurate_pct),
-        "96%".to_string(),
-    ]);
-    t.row([
-        "long-lived servers predictable".to_string(),
-        format!("{pred_pct:.2}%"),
-        "75%".to_string(),
-    ]);
+    for (metric, measured, paper) in rows {
+        t.row([
+            metric.to_string(),
+            format!("{measured:.2}%"),
+            format!("{paper}%"),
+        ]);
+    }
     t.print();
 
     emit_json(
         "sec54_deployment_accuracy",
         &json!({
-            "servers": long_lived.len(),
-            "window_correct_pct": summary.window_correct_pct,
-            "load_accurate_pct": summary.load_accurate_pct,
-            "predictable_pct": pred_pct,
+            "servers": acc.servers,
+            "window_correct_pct": acc.window_correct_pct,
+            "load_accurate_pct": acc.load_accurate_pct,
+            "predictable_pct": predictable_pct,
             "paper": { "window_correct_pct": 99.0, "load_accurate_pct": 96.0,
                        "predictable_pct": 75.0 },
         }),

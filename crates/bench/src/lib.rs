@@ -7,7 +7,9 @@
 //! * [`zoo`] — the Figure 11 baselines (ARIMA, feed-forward network,
 //!   additive model) and the Section 5.2 per-class router.
 //! * [`autoscale`] — the Appendix A use case: preemptive auto-scale of SQL
-//!   databases.
+//!   databases, with its NRMSE/MASE metrics.
+//! * [`refit`] — the Section 5.3.1 harness: fit on the week before a backup
+//!   day, score the day. [`deployed`] reads Section 5.4 from the pipeline.
 //! * [`spans`] — reads `seagull-obs` span dumps back, for `obs_dump` and
 //!   the observability tests.
 //!
@@ -23,8 +25,10 @@
 #![forbid(unsafe_code)]
 
 pub mod autoscale;
+pub mod deployed;
 pub mod fleets;
 pub mod output;
+pub mod refit;
 pub mod spans;
 pub mod zoo;
 

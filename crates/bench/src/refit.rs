@@ -1,17 +1,17 @@
-//! The Accuracy Evaluation module.
-//!
-//! For every server due for backup, Seagull predicts the backup day from the
-//! preceding week of load and evaluates the two low-load metrics (Definitions
-//! 2 and 8). A server is *predictable* (Definition 9) "if for the last three
-//! weeks its LL windows were chosen correctly and the load during these
-//! windows was predicted accurately".
+//! The Section 5.3.1 refit harness: "ML models are trained on one week of
+//! data prior to backup day", and the backup day's prediction is scored with
+//! the two low-load metrics (Definitions 2 and 8). A server is *predictable*
+//! (Definition 9) "if for the last three weeks its LL windows were chosen
+//! correctly and the load during these windows was predicted accurately".
+//! Every call fits afresh, so any model can be compared on any week.
 //!
 //! The per-server evaluation is embarrassingly parallel; the paper runs it
 //! single-threaded or on Dask (Figure 12(b)) — here, serially or on the
-//! [`crate::par`] executor, selected by the `threads` argument.
+//! [`seagull_core::par`] executor, selected by the `threads` argument.
 
-use crate::metrics::{evaluate_low_load, AccuracyConfig, LowLoadEvaluation};
-use crate::par::parallel_map;
+use seagull_core::metrics::{evaluate_low_load, AccuracyConfig, LowLoadEvaluation};
+use seagull_core::par::parallel_map;
+use seagull_core::pipeline::{AccuracySummary, PREDICTABILITY_WEEKS};
 use seagull_forecast::Forecaster;
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_timeseries::{DayOfWeek, Timestamp};
@@ -38,7 +38,7 @@ impl Default for EvaluationConfig {
         EvaluationConfig {
             accuracy: AccuracyConfig::default(),
             train_days: 7,
-            predictability_weeks: 3,
+            predictability_weeks: PREDICTABILITY_WEEKS.into(),
             min_history_days: 3,
         }
     }
@@ -198,39 +198,11 @@ pub fn predictability_fleet(
     })
 }
 
-/// Aggregate accuracy over a set of evaluations (the Figure 11(b)–(d) rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct AccuracySummary {
-    /// Servers submitted.
-    pub servers: usize,
-    /// Server-days that produced an evaluation.
-    pub evaluated: usize,
-    /// Percentage of evaluated days with a correctly chosen LL window.
-    pub window_correct_pct: f64,
-    /// Percentage of evaluated days with accurately predicted in-window load.
-    pub load_accurate_pct: f64,
-}
-
-impl AccuracySummary {
-    /// Summarizes a batch of backup-day evaluations.
-    pub fn from_evaluations(evals: &[BackupDayEvaluation]) -> AccuracySummary {
-        let evaluated: Vec<&LowLoadEvaluation> =
-            evals.iter().filter_map(|e| e.result.as_ref()).collect();
-        let n = evaluated.len();
-        let pct = |count: usize| {
-            if n == 0 {
-                0.0
-            } else {
-                100.0 * count as f64 / n as f64
-            }
-        };
-        AccuracySummary {
-            servers: evals.len(),
-            evaluated: n,
-            window_correct_pct: pct(evaluated.iter().filter(|e| e.window_correct).count()),
-            load_accurate_pct: pct(evaluated.iter().filter(|e| e.load_accurate).count()),
-        }
-    }
+/// Summarizes a batch of backup-day evaluations.
+pub fn summarize(evals: &[BackupDayEvaluation]) -> AccuracySummary {
+    let verdicts = (evals.iter().filter_map(|e| e.result.as_ref()))
+        .map(|r| (r.window_correct, r.load_accurate));
+    AccuracySummary::from_verdicts(evals.len(), verdicts)
 }
 
 /// Percentage of predictable servers in a predictability batch.
@@ -281,7 +253,7 @@ mod tests {
         let model = PersistentForecast::previous_day();
         // Second week so a full week of history exists.
         let evals = evaluate_fleet_week(&stable, start + 7, &model, &cfg, 1);
-        let summary = AccuracySummary::from_evaluations(&evals);
+        let summary = summarize(&evals);
         assert_eq!(summary.servers, stable.len());
         assert!(summary.evaluated > 0);
         assert!(
@@ -382,7 +354,7 @@ mod tests {
 
     #[test]
     fn empty_summary() {
-        let s = AccuracySummary::from_evaluations(&[]);
+        let s = summarize(&[]);
         assert_eq!(s.servers, 0);
         assert_eq!(s.window_correct_pct, 0.0);
         assert_eq!(predictable_pct(&[]), 0.0);

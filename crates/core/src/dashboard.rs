@@ -222,8 +222,7 @@ impl Dashboard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::AccuracySummary;
-    use crate::pipeline::StageTiming;
+    use crate::pipeline::{AccuracySummary, StageTiming};
 
     fn run(region: &str, week: i64, blocked: bool, acc: Option<(f64, f64)>) -> PipelineRunReport {
         PipelineRunReport {

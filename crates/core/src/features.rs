@@ -121,27 +121,6 @@ mod tests {
         assert_eq!(feats[0].stats.count, 288);
     }
 
-    /// What a `FEATURES` document holds: these six keys and no others.
-    #[test]
-    fn rendered_document_has_exactly_six_keys() {
-        let feats = extract_features(&[server(5, vec![10.0; 288])], &ClassifyConfig::default());
-        let serde_json::Value::Object(doc) = serde_json::to_value(&feats[0]).unwrap() else {
-            panic!("a features document renders as a JSON object");
-        };
-        let keys: Vec<&str> = doc.keys().map(String::as_str).collect();
-        assert_eq!(
-            keys,
-            [
-                "backup_duration_min",
-                "missing_fraction",
-                "observed_days",
-                "pattern",
-                "server_id",
-                "stats"
-            ]
-        );
-    }
-
     #[test]
     fn empty_series_is_fully_missing() {
         let feats = extract_features(&[server(3, vec![])], &ClassifyConfig::default());

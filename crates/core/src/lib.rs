@@ -6,17 +6,16 @@
 //! performs inference, evaluates low-load prediction accuracy, stores
 //! results, and monitors itself.
 //!
-//! * [`metrics`] — Definitions 1–9: the asymmetric error bound, bucket
-//!   ratio, lowest-load windows, and the combined evaluation; plus the
-//!   Appendix A NRMSE/MASE metrics.
+//! * [`metrics`] — Definitions 1–8: the asymmetric error bound, bucket
+//!   ratio, lowest-load windows, and the combined evaluation the pipeline
+//!   scores its stored predictions with.
 //! * [`classify`] — Definitions 3–6 server classification (Figure 3).
 //! * [`validation`] — the Data Validation module (schema/bound anomalies).
 //! * [`features`] — the Feature Extraction module.
-//! * [`evaluate`] — the Accuracy Evaluation module: backup-day evaluation
-//!   and the three-week predictability gate (Definition 9), serial or
-//!   parallel.
 //! * [`pipeline`] — the AML-pipeline substitute orchestrating all stages,
-//!   with per-stage timing (Figure 12(a)).
+//!   with per-stage timing (Figure 12(a)); its accuracy-eval stage scores
+//!   last week's predictions and moves each server's three-week
+//!   predictability gate (Definition 9).
 //! * [`registry`] — model version tracking and the last-known-good
 //!   fallback rule.
 //! * [`docstore`] — the Cosmos DB substitute where results land.
@@ -36,7 +35,6 @@
 pub mod classify;
 pub mod dashboard;
 pub mod docstore;
-pub mod evaluate;
 pub mod features;
 pub mod fleet;
 pub mod incident;
@@ -50,10 +48,6 @@ pub mod validation;
 pub use classify::{classify_fleet, classify_fleet_with, ClassificationReport, ServerClass};
 pub use dashboard::{Dashboard, DashboardSummary};
 pub use docstore::{DocStore, DocStoreError};
-pub use evaluate::{
-    evaluate_backup_day, evaluate_fleet_week, predictability, predictability_fleet,
-    AccuracySummary, EvaluationConfig,
-};
 pub use features::{extract_features, ServerFeatures};
 pub use fleet::{checkpoint_key, FleetRunner, CHECKPOINT_KIND};
 pub use incident::{Incident, IncidentManager, Severity};
@@ -62,7 +56,7 @@ pub use metrics::{
     LowLoadEvaluation, LowLoadWindow,
 };
 pub use par::{configured_threads, default_threads, parallel_map};
-pub use pipeline::{AmlPipeline, DegradedRun, PipelineConfig, PipelineRunReport};
+pub use pipeline::{AccuracySummary, AmlPipeline, DegradedRun, PipelineConfig, PipelineRunReport};
 pub use registry::{ModelAccuracy, ModelRegistry};
 pub use resilience::{BreakerState, CircuitBreaker, InjectedCrash, StageChaos, StageError};
 pub use validation::{validate_columnar, validate_servers, Anomaly, DataProfile, ValidationReport};

@@ -1,5 +1,4 @@
-//! Low-load prediction accuracy metrics — Definitions 1–9 of the paper,
-//! plus the Appendix A error metrics (Mean NRMSE, MASE).
+//! Low-load prediction accuracy metrics — Definitions 1–8 of the paper.
 //!
 //! The paper's central methodological contribution is that classical error
 //! metrics "give no insights into whether the lowest load window was chosen
@@ -224,44 +223,6 @@ pub fn evaluate_low_load(
     })
 }
 
-/// Appendix A, Equation 2: `sqrt(mean(error²)) / mean(true)`.
-///
-/// Returns `None` for empty input or a zero true mean.
-pub fn mean_nrmse(predicted: &[f64], truth: &[f64]) -> Option<f64> {
-    if predicted.len() != truth.len() || truth.is_empty() {
-        return None;
-    }
-    let mse = predicted
-        .iter()
-        .zip(truth)
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum::<f64>()
-        / truth.len() as f64;
-    let mean_true = seagull_timeseries::mean(truth);
-    (mean_true.abs() > 1e-12).then(|| mse.sqrt() / mean_true)
-}
-
-/// Appendix A, Equation 3: mean absolute error scaled by the in-sample
-/// one-step-ahead naive error ("the error produced by a one step ahead true
-/// forecast").
-///
-/// Returns `None` for empty/mismatched input or a constant true series
-/// (zero normalizing factor).
-pub fn mase(predicted: &[f64], truth: &[f64]) -> Option<f64> {
-    if predicted.len() != truth.len() || truth.len() < 2 {
-        return None;
-    }
-    let mae = predicted
-        .iter()
-        .zip(truth)
-        .map(|(p, t)| (p - t).abs())
-        .sum::<f64>()
-        / truth.len() as f64;
-    let naive =
-        truth.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (truth.len() - 1) as f64;
-    (naive > 1e-12).then(|| mae / naive)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,36 +341,6 @@ mod tests {
         assert!(evaluate_low_load(&truth, &other, 10, &AccuracyConfig::default()).is_none());
         let short = ts(&[1.0, 2.0]);
         assert!(evaluate_low_load(&truth, &short, 10, &AccuracyConfig::default()).is_none());
-    }
-
-    #[test]
-    fn nrmse_of_mean_prediction_is_one_ish() {
-        // Predicting the mean gives NRMSE = std/mean by this definition.
-        let truth = [10.0, 20.0, 30.0, 40.0];
-        let mean = 25.0;
-        let pred = [mean; 4];
-        let n = mean_nrmse(&pred, &truth).unwrap();
-        let expect = seagull_timeseries::stddev(&truth) / mean;
-        assert!((n - expect).abs() < 1e-12);
-        assert!(mean_nrmse(&[], &[]).is_none());
-        assert!(mean_nrmse(&[1.0], &[0.0]).is_none());
-    }
-
-    #[test]
-    fn perfect_prediction_scores_zero() {
-        let truth = [5.0, 6.0, 7.0];
-        assert_eq!(mean_nrmse(&truth, &truth), Some(0.0));
-        assert_eq!(mase(&truth, &truth), Some(0.0));
-    }
-
-    #[test]
-    fn mase_scales_by_naive_error() {
-        let truth = [0.0, 1.0, 0.0, 1.0]; // naive error = 1
-        let pred = [0.5, 0.5, 0.5, 0.5]; // mae = 0.5
-        assert!((mase(&pred, &truth).unwrap() - 0.5).abs() < 1e-12);
-        // Constant series: undefined.
-        assert!(mase(&[1.0, 1.0], &[2.0, 2.0]).is_none());
-        assert!(mase(&[1.0], &[1.0]).is_none());
     }
 
     #[test]

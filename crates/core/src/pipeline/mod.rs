@@ -56,16 +56,15 @@ mod report;
 mod sinks;
 
 pub use report::{
-    collections, AccuracyDoc, DeadLetterDoc, DegradedRun, GateState, PipelineRunReport,
-    PredictionDoc, StageTiming,
+    collections, AccuracyDoc, AccuracySummary, DeadLetterDoc, DegradedRun, GateState,
+    PipelineRunReport, PredictionDoc, StageTiming, PREDICTABILITY_WEEKS,
 };
 pub use sinks::{DeployEvent, DeploySink};
 
 use crate::classify::ClassifyConfig;
 use crate::docstore::{DocStore, DocStoreError};
-use crate::evaluate::{AccuracySummary, EvaluationConfig};
 use crate::incident::{IncidentManager, Severity};
-use crate::metrics::evaluate_low_load;
+use crate::metrics::{evaluate_low_load, AccuracyConfig};
 use crate::par::{configured_threads, parallel_map_profiled};
 use crate::registry::{ModelAccuracy, ModelRegistry};
 use crate::resilience::{retry_observed, CircuitBreaker, RetryResult, StageChaos, StageError};
@@ -92,8 +91,6 @@ pub struct PipelineConfig {
     pub profile: DataProfile,
     /// Classification thresholds for feature extraction.
     pub classify: ClassifyConfig,
-    /// Accuracy-evaluation parameters.
-    pub evaluation: EvaluationConfig,
     /// The model trained/deployed each run.
     pub forecaster: Arc<dyn Forecaster>,
     /// Worker threads for the per-server stages and cross-region fan-out
@@ -112,7 +109,6 @@ impl PipelineConfig {
         PipelineConfig {
             profile: DataProfile::standard(5),
             classify: ClassifyConfig::default(),
-            evaluation: EvaluationConfig::default(),
             forecaster: Arc::new(seagull_forecast::PersistentForecast::previous_day()),
             threads: configured_threads(),
         }
@@ -442,7 +438,6 @@ impl AmlPipeline {
         // stamped with it, written and deployed.
         self.chaos.kill_point("accuracy-eval", region, tick);
         let span = self.stage_span(run_span, "accuracy-eval", region, vt);
-        let weeks = self.config.evaluation.predictability_weeks;
         // A server with no stored prediction is skipped (`Ok(None)`); one
         // whose prediction cannot be scored — a value that is not finite, or
         // a document under its id that was written as another type — is
@@ -472,10 +467,10 @@ impl AmlPipeline {
                 &truth,
                 &doc.into_series(),
                 duration_min,
-                &self.config.evaluation.accuracy,
+                &AccuracyConfig::default(),
             );
             Ok(eval.map(|eval| {
-                let gate = gate.next(Some(eval.window_correct && eval.load_accurate), weeks);
+                let gate = gate.next(Some(eval.window_correct && eval.load_accurate));
                 let scored = AccuracyDoc {
                     region: region.to_string(),
                     server_id: s.id.0,
@@ -505,20 +500,14 @@ impl AmlPipeline {
             evals.extend(eval);
             open += usize::from(gate == Some(GateState::OPEN));
             if let Some(doc) = unstamped.next_if(|doc| doc.server_id == s.id.0) {
-                doc.gate = gate.unwrap_or(GateState::closed(weeks));
+                doc.gate = gate.unwrap_or(GateState::CLOSED);
             }
         }
         report.evaluations = evals.len();
         if !evals.is_empty() {
-            let n = evals.len() as f64;
-            let wc = 100.0 * evals.iter().filter(|e| e.window_correct).count() as f64 / n;
-            let la = 100.0 * evals.iter().filter(|e| e.load_accurate).count() as f64 / n;
-            report.accuracy = Some(AccuracySummary {
-                servers: report.servers,
-                evaluated: evals.len(),
-                window_correct_pct: wc,
-                load_accurate_pct: la,
-            });
+            let verdicts = evals.iter().map(|e| (e.window_correct, e.load_accurate));
+            let summary = AccuracySummary::from_verdicts(report.servers, verdicts);
+            report.accuracy = Some(summary);
             for e in &evals {
                 let id = format!("{region}/{}/{}", e.server_id, e.day);
                 self.docs.upsert(collections::ACCURACY, &id, e);
@@ -535,9 +524,9 @@ impl AmlPipeline {
                     region,
                     scored.version,
                     ModelAccuracy {
-                        window_correct_pct: wc,
-                        load_accurate_pct: la,
-                        predictable_pct: 100.0 * open as f64 / n,
+                        window_correct_pct: summary.window_correct_pct,
+                        load_accurate_pct: summary.load_accurate_pct,
+                        predictable_pct: 100.0 * open as f64 / evals.len() as f64,
                     },
                 );
                 self.registry
@@ -770,7 +759,6 @@ mod tests {
     #[test]
     fn predictions_carry_the_gate_of_their_scored_weeks() {
         let (pipeline, start) = setup(40, 4);
-        let weeks = pipeline.config.evaluation.predictability_weeks;
         for w in 0..4 {
             pipeline.run_region_week("region-a", start + 7 * w);
         }
@@ -779,13 +767,13 @@ mod tests {
         let mut open = 0;
         for doc in predictions.iter().filter(|d| d.day >= start + 28) {
             // The gate replayed from the server's scores, oldest first.
-            let gate = (1..=3).fold(GateState::closed(weeks), |gate, k| {
+            let gate = (1..=3).fold(GateState::CLOSED, |gate, k| {
                 let day = doc.day - 7 * (4 - k);
                 let score = scores
                     .iter()
                     .find(|e| e.server_id == doc.server_id && e.day == day)
                     .map(|e| e.window_correct && e.load_accurate);
-                gate.next(score, weeks)
+                gate.next(score)
             });
             assert_eq!(doc.gate, gate, "server {}", doc.server_id);
             open += usize::from(gate == GateState::OPEN);
@@ -799,9 +787,9 @@ mod tests {
 
     #[test]
     fn gate_counts_down_and_restarts() {
-        let gate = GateState::closed(3);
+        let gate = GateState::CLOSED;
         assert_ne!(gate, GateState::OPEN);
-        let two = gate.next(Some(true), 3).next(Some(true), 3);
+        let two = gate.next(Some(true)).next(Some(true));
         assert_eq!(
             two,
             GateState {
@@ -809,9 +797,9 @@ mod tests {
                 to_pass: 1
             }
         );
-        assert_eq!(two.next(Some(true), 3), GateState::OPEN);
+        assert_eq!(two.next(Some(true)), GateState::OPEN);
         // A failed week keeps the scored count and restarts the passing one.
-        let failed = two.next(Some(false), 3);
+        let failed = two.next(Some(false));
         assert_eq!(
             failed,
             GateState {
@@ -819,10 +807,10 @@ mod tests {
                 to_pass: 3
             }
         );
-        assert_eq!(GateState::OPEN.next(Some(false), 3), failed);
+        assert_eq!(GateState::OPEN.next(Some(false)), failed);
         // A week with nothing to score restarts both.
-        assert_eq!(GateState::OPEN.next(None, 3), GateState::closed(3));
-        assert_eq!(GateState::OPEN.next(Some(true), 3), GateState::OPEN);
+        assert_eq!(GateState::OPEN.next(None), GateState::CLOSED);
+        assert_eq!(GateState::OPEN.next(Some(true)), GateState::OPEN);
     }
 
     /// A stored prediction holding a NaN is not scored and is counted in

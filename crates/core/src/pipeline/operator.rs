@@ -157,7 +157,7 @@ impl AmlPipeline {
                 values: day.into_values(),
                 duration_min: s.default_backup_end - s.default_backup_start,
                 // Stamped after accuracy evaluation moves the gate on.
-                gate: GateState::closed(self.config.evaluation.predictability_weeks),
+                gate: GateState::CLOSED,
             })
         };
         if let FitPath::Hit(hit, key) = path {

@@ -3,7 +3,6 @@
 //! [`DocStore`](crate::docstore::DocStore), and the names of the collections
 //! they land in.
 
-use crate::evaluate::AccuracySummary;
 use crate::resilience::RetryResult;
 use seagull_timeseries::{TimeSeries, Timestamp};
 use serde::Serialize;
@@ -17,6 +16,42 @@ pub struct StageTiming {
     pub stage: String,
     /// Wall-clock time spent in the stage.
     pub duration: Duration,
+}
+
+/// Aggregate accuracy over a set of scored server-days (the Figure 11(b)–(d)
+/// and Section 5.4 rows, and a run's [`PipelineRunReport::accuracy`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct AccuracySummary {
+    /// Servers submitted.
+    pub servers: usize,
+    /// Server-days that produced an evaluation.
+    pub evaluated: usize,
+    /// Percentage of evaluated days with a correctly chosen LL window.
+    pub window_correct_pct: f64,
+    /// Percentage of evaluated days with accurately predicted in-window load.
+    pub load_accurate_pct: f64,
+}
+
+impl AccuracySummary {
+    /// Summarizes `servers` submitted servers from the (window correct, load
+    /// accurate) verdict of each evaluated server-day; both percentages are
+    /// 0 when nothing was evaluated.
+    pub fn from_verdicts(
+        servers: usize,
+        verdicts: impl IntoIterator<Item = (bool, bool)>,
+    ) -> AccuracySummary {
+        let verdicts: Vec<(bool, bool)> = verdicts.into_iter().collect();
+        let pct = |count: usize| match verdicts.len() {
+            0 => 0.0,
+            n => 100.0 * count as f64 / n as f64,
+        };
+        AccuracySummary {
+            servers,
+            evaluated: verdicts.len(),
+            window_correct_pct: pct(verdicts.iter().filter(|v| v.0).count()),
+            load_accurate_pct: pct(verdicts.iter().filter(|v| v.1).count()),
+        }
+    }
 }
 
 /// Degradation summary of one run: what was retried, quarantined, skipped,
@@ -142,12 +177,15 @@ pub struct PredictionDoc {
     pub gate: GateState,
 }
 
+/// Weeks of backup days Definition 9 inspects: a server is predictable "if
+/// for the last three weeks its LL windows were chosen correctly and the load
+/// during these windows was predicted accurately".
+pub const PREDICTABILITY_WEEKS: u8 = 3;
+
 /// Definition 9's gate for one server, moved on each week by the pipeline's
 /// own score of its backup day: the consecutive scored weeks, and the
 /// consecutive passing weeks (a correct window with accurately predicted
 /// load), still missing before the backup scheduler may move its backup.
-/// Counting down, it reads the same whatever gate length the pipeline ran
-/// with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct GateState {
     /// Above zero, the server is too young ("servers that did not exist ...
@@ -164,28 +202,24 @@ impl GateState {
         to_pass: 0,
     };
 
-    /// The gate of a server with no scored week, for a gate of `weeks`.
-    pub fn closed(weeks: usize) -> GateState {
-        let weeks = weeks.min(u8::MAX.into()) as u8;
-        GateState {
-            to_score: weeks,
-            to_pass: weeks,
-        }
-    }
+    /// The gate of a server with no scored week.
+    pub const CLOSED: GateState = GateState {
+        to_score: PREDICTABILITY_WEEKS,
+        to_pass: PREDICTABILITY_WEEKS,
+    };
 
     /// The gate one week on. `passed` is the week's score: a failed week
     /// restarts `to_pass`, and a week with nothing to score (`None`: no
     /// prediction, no truth, or an unscorable one) restarts both.
-    pub fn next(self, passed: Option<bool>, weeks: usize) -> GateState {
-        let restart = GateState::closed(weeks);
+    pub fn next(self, passed: Option<bool>) -> GateState {
         match passed {
-            None => restart,
+            None => GateState::CLOSED,
             Some(passed) => GateState {
                 to_score: self.to_score.saturating_sub(1),
                 to_pass: if passed {
                     self.to_pass.saturating_sub(1)
                 } else {
-                    restart.to_pass
+                    PREDICTABILITY_WEEKS
                 },
             },
         }

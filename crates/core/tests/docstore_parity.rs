@@ -7,11 +7,10 @@
 
 use seagull_core::classify::ClassifyConfig;
 use seagull_core::docstore::{DocStore, DocStoreError};
-use seagull_core::evaluate::AccuracySummary;
 use seagull_core::features::{extract_server_features, ServerFeatures};
 use seagull_core::pipeline::{
-    collections, AccuracyDoc, DeadLetterDoc, DegradedRun, GateState, PipelineRunReport,
-    PredictionDoc, StageTiming,
+    collections, AccuracyDoc, AccuracySummary, DeadLetterDoc, DegradedRun, GateState,
+    PipelineRunReport, PredictionDoc, StageTiming,
 };
 use seagull_telemetry::extract::ExtractedServer;
 use seagull_telemetry::server::ServerId;
@@ -162,5 +161,25 @@ fn every_stored_type_reads_as_its_json() {
         collections::DEAD_LETTER,
         "region-a/41/18998",
         &dead_letter(),
+    );
+}
+
+/// What a `FEATURES` document holds: these six keys and no others.
+#[test]
+fn rendered_document_has_exactly_six_keys() {
+    let Value::Object(doc) = serde_json::to_value(&empty_series_features()).unwrap() else {
+        panic!("a features document renders as a JSON object");
+    };
+    let keys: Vec<&str> = doc.keys().map(String::as_str).collect();
+    assert_eq!(
+        keys,
+        [
+            "backup_duration_min",
+            "missing_fraction",
+            "observed_days",
+            "pattern",
+            "server_id",
+            "stats"
+        ]
     );
 }

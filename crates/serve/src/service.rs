@@ -695,7 +695,7 @@ mod tests {
     #[test]
     fn gated_ll_window_pairs_the_gate_with_the_window() {
         let serve = ServeService::with_defaults();
-        let young = GateState::closed(3);
+        let young = GateState::CLOSED;
         let docs = [
             doc(7, 14, (0..48).map(f64::from).collect()),
             PredictionDoc {

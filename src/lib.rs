@@ -17,8 +17,8 @@
 //!   with the warm-model cache. The Figure 11 baselines and the Appendix A
 //!   SQL auto-scale use case are experiment code in `seagull-bench`.
 //! * [`core`] — the paper's contribution: low-load accuracy metrics, server
-//!   classification, the AML-style pipeline, model registry, parallel
-//!   accuracy evaluation, document store, incidents and dashboard.
+//!   classification, the AML-style pipeline (which scores its own stored
+//!   predictions), model registry, document store, incidents and dashboard.
 //! * [`serve`] — the prediction-serving layer: epoch-swapped model
 //!   snapshots published at deploy time, low-latency per-server queries.
 //! * [`backup`] — the backup-scheduling use case (Sections 2.3, 4, 6).

@@ -7,7 +7,7 @@
 //! stall its siblings.
 
 use seagull::core::fleet::FleetRunner;
-use seagull::core::metrics::evaluate_low_load;
+use seagull::core::metrics::{evaluate_low_load, AccuracyConfig};
 use seagull::core::pipeline::{
     collections, AmlPipeline, GateState, PipelineConfig, PipelineRunReport, PredictionDoc,
 };
@@ -258,7 +258,6 @@ fn staged_oracle(
 ) -> (Docs, Docs) {
     let grid_min = config.profile.grid_min;
     let points_per_day = (MINUTES_PER_DAY / grid_min as i64) as usize;
-    let weeks = config.evaluation.predictability_weeks;
     let mut features = Vec::new();
     let mut predictions = Vec::new();
     let mut written: Vec<PredictionDoc> = Vec::new();
@@ -298,13 +297,13 @@ fn staged_oracle(
                             &s.series.day(scored_day)?,
                             &previous.clone().into_series(),
                             duration,
-                            &config.evaluation.accuracy,
+                            &AccuracyConfig::default(),
                         )?;
                         Some((previous.gate, eval.window_correct && eval.load_accurate))
                     });
                 let gate = match score {
-                    Some((gate, passed)) => gate.next(Some(passed), weeks),
-                    None => GateState::closed(weeks),
+                    Some((gate, passed)) => gate.next(Some(passed)),
+                    None => GateState::CLOSED,
                 };
                 let doc = PredictionDoc {
                     region: region.clone(),
