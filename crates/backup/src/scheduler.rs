@@ -18,7 +18,7 @@ use seagull_core::metrics::LowLoadWindow;
 use seagull_serve::{ServeError, ServeService};
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_telemetry::server::ServerId;
-use seagull_timeseries::{DayOfWeek, Timestamp};
+use seagull_timeseries::Timestamp;
 use serde::Serialize;
 
 /// Why a server kept its default backup window.
@@ -57,10 +57,9 @@ pub struct ScheduledBackup {
 /// The servers of `fleet` due for a backup on `day`: alive, on the weekday
 /// their backups are configured for.
 pub(crate) fn due(fleet: &[ServerTelemetry], day: i64) -> impl Iterator<Item = &ServerTelemetry> {
-    let weekday = DayOfWeek::from_day_index(day).index();
     fleet
         .iter()
-        .filter(move |s| s.meta.backup.backup_weekday as usize == weekday && s.meta.alive_on(day))
+        .filter(move |s| s.meta.backup.due_on(day) && s.meta.alive_on(day))
 }
 
 /// Scheduler parameters.
@@ -495,12 +494,8 @@ pub(crate) mod tests {
         let alive_due: usize = fleet
             .iter()
             .filter(|s| {
-                (0..7).any(|o| {
-                    let d = start + 28 + o;
-                    s.meta.alive_on(d)
-                        && s.meta.backup.backup_weekday as usize
-                            == DayOfWeek::from_day_index(d).index()
-                })
+                let d = s.meta.backup.day_in_week(start + 28);
+                s.meta.alive_on(d)
             })
             .count();
         assert_eq!(scheduled.len(), alive_due);

@@ -15,13 +15,13 @@ use seagull_bench::zoo::additive::FitMethod;
 use seagull_bench::zoo::{
     AdditiveConfig, AdditiveForecaster, FeedForwardConfig, FeedForwardForecaster,
 };
-use seagull_core::classify::{classify_series, ClassifyConfig};
+use seagull_core::classify::classify_series;
 use seagull_core::docstore::DocStore;
 use seagull_core::features::extract_server_features;
 use seagull_core::metrics::{bucket_ratio, evaluate_low_load, AccuracyConfig, ErrorBound};
 use seagull_core::par::parallel_map;
-use seagull_core::pipeline::{DeployEvent, GateState, PredictionDoc};
-use seagull_core::validation::{validate_columnar, DataProfile};
+use seagull_core::pipeline::{DeployEvent, GateState, PredictionDoc, PROFILE};
+use seagull_core::validation::validate_columnar;
 use seagull_forecast::{Forecaster, PersistentForecast, SsaForecaster};
 use seagull_linalg::{hankel_gram, kernel};
 use seagull_serve::{decode_snapshot, encode_snapshot, ModelSnapshot, ServeService};
@@ -362,9 +362,8 @@ fn bench_sgcb(c: &mut Criterion) {
         b.iter(|| checksum64(black_box(&blob)))
     });
     let batch = ColumnarBatch::decode(&blob).unwrap();
-    let profile = DataProfile::standard(5);
     c.bench_function("validate_columnar/fig3_week", |b| {
-        b.iter(|| validate_columnar(black_box(&batch), &profile, 20))
+        b.iter(|| validate_columnar(black_box(&batch), &PROFILE, 20))
     });
 }
 
@@ -431,17 +430,12 @@ fn bench_persist(c: &mut Criterion) {
 fn bench_extract_server_features(c: &mut Criterion) {
     let servers = fig3_week_servers();
     let filled = fig3_week_filled();
-    let cfg = ClassifyConfig::default();
     c.bench_function("extract_server_features/fig3_week_80srv", |b| {
         b.iter(|| {
             servers
                 .iter()
                 .zip(&filled)
-                .map(|(s, f)| {
-                    extract_server_features(black_box(s), &f.series, &cfg)
-                        .stats
-                        .p95
-                })
+                .map(|(s, f)| extract_server_features(black_box(s), &f.series).stats.p95)
                 .sum::<f64>()
         })
     });
@@ -452,7 +446,6 @@ fn bench_extract_server_features(c: &mut Criterion) {
 /// cache fingerprint: the persistent forecast never consults the cache).
 fn bench_run_server_shape(c: &mut Criterion) {
     let servers = fig3_week_servers();
-    let cfg = ClassifyConfig::default();
     c.bench_function("run_server_shape/fig3_week_80srv", |b| {
         b.iter(|| {
             servers
@@ -461,10 +454,7 @@ fn bench_run_server_shape(c: &mut Criterion) {
                     let s = black_box(s);
                     let mut series = s.series.clone();
                     fill_gaps(&mut series, GapFill::Linear);
-                    extract_server_features(s, &series, &cfg)
-                        .stats
-                        .p95
-                        .to_bits()
+                    extract_server_features(s, &series).stats.p95.to_bits()
                 })
                 .fold(0, |acc, x| acc ^ x)
         })
@@ -473,9 +463,8 @@ fn bench_run_server_shape(c: &mut Criterion) {
 
 fn bench_classification(c: &mut Criterion) {
     let week = week_series(0);
-    let cfg = ClassifyConfig::default();
     c.bench_function("classify_series/week", |b| {
-        b.iter(|| classify_series(black_box(&week), &cfg))
+        b.iter(|| classify_series(black_box(&week)))
     });
 }
 
@@ -505,11 +494,7 @@ fn bench_docstore(c: &mut Criterion) {
         })
     });
     let server = &fig3_week_servers()[0];
-    let features = extract_server_features(
-        server,
-        &fig3_week_filled()[0].series,
-        &ClassifyConfig::default(),
-    );
+    let features = extract_server_features(server, &fig3_week_filled()[0].series);
     c.bench_function("docstore/upsert_features", |b| {
         let store = DocStore::new();
         let mut i = 0u64;

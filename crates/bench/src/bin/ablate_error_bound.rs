@@ -14,6 +14,14 @@ use seagull_core::par::default_threads;
 use seagull_forecast::PersistentForecast;
 use serde_json::json;
 
+/// A bound as wide over as under.
+fn symmetric(width: f64) -> ErrorBound {
+    ErrorBound {
+        over: width,
+        under: width,
+    }
+}
+
 fn main() -> std::io::Result<()> {
     let (fleet, spec) = fleets::classification_fleet(42);
     let start = spec.start_day;
@@ -33,9 +41,9 @@ fn main() -> std::io::Result<()> {
                 under: 5.0,
             },
         ),
-        ("symmetric ±5", ErrorBound::symmetric(5.0)),
-        ("symmetric ±7.5", ErrorBound::symmetric(7.5)),
-        ("symmetric ±10", ErrorBound::symmetric(10.0)),
+        ("symmetric ±5", symmetric(5.0)),
+        ("symmetric ±7.5", symmetric(7.5)),
+        ("symmetric ±10", symmetric(10.0)),
         (
             "inverted +5/-10",
             ErrorBound {
@@ -91,4 +99,17 @@ fn main() -> std::io::Result<()> {
     emit_json("ablate_error_bound", &json!({ "rows": records }))?;
 
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn symmetric_bound_helper() {
+        let b = symmetric(5.0);
+        assert!(b.contains(25.0, 20.0));
+        assert!(b.contains(15.0, 20.0));
+        assert!(!b.contains(26.0, 20.0));
+    }
 }

@@ -52,7 +52,7 @@ fn main() -> std::io::Result<()> {
         let mut inaccurate = 0usize;
         let mut evaluated = 0usize;
         for server in fleet.iter().filter(|s| passing.contains(&s.meta.id.0)) {
-            let day = seagull_bench::refit::backup_day_in_week(server, final_week);
+            let day = server.meta.backup.day_in_week(final_week);
             if let Some(e) = evaluate_backup_day(server, day, &model, &cfg) {
                 evaluated += 1;
                 if !e.window_correct {

@@ -6,13 +6,14 @@
 //! pattern.
 
 use seagull_bench::{emit_json, fleets, Table};
-use seagull_core::classify::{classify_fleet_with, ClassifyConfig, ServerClass};
+use seagull_core::classify::{classify_fleet, ServerClass};
 use serde_json::json;
 
 fn main() -> std::io::Result<()> {
     let (fleet, spec) = fleets::classification_fleet(42);
     let as_of = spec.start_day + 28;
-    let report = classify_fleet_with(&fleet, as_of, &ClassifyConfig::default());
+    let report = classify_fleet(&fleet, as_of);
+    let long_lived_pct = 100.0 - report.percentage(ServerClass::ShortLived);
 
     println!(
         "Figure 3: classification of {} servers (4 regions, 1 month)\n",
@@ -35,7 +36,7 @@ fn main() -> std::io::Result<()> {
     }
     table.row([
         "long-lived (total)".to_string(),
-        format!("{:.2}", report.long_lived_percentage()),
+        format!("{long_lived_pct:.2}"),
         "58.0".to_string(),
     ]);
     table.print();
@@ -48,7 +49,7 @@ fn main() -> std::io::Result<()> {
                 .iter()
                 .map(|(c, _)| (c.label(), report.percentage(*c)))
                 .collect::<Vec<_>>(),
-            "long_lived_pct": report.long_lived_percentage(),
+            "long_lived_pct": long_lived_pct,
             "paper": {
                 "short_lived": 42.1, "stable": 53.5,
                 "daily_or_weekly": 0.3, "no_pattern": 4.2, "long_lived": 58.0

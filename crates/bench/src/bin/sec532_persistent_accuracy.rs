@@ -9,7 +9,7 @@ use seagull_bench::refit::{
     evaluate_fleet_week, predictability_fleet, predictable_pct, summarize, EvaluationConfig,
 };
 use seagull_bench::{emit_json, fleets, Table};
-use seagull_core::classify::{classify_fleet_with, ClassifyConfig, ServerClass};
+use seagull_core::classify::{classify_fleet, ServerClass};
 use seagull_forecast::PersistentForecast;
 use serde_json::json;
 
@@ -21,7 +21,7 @@ fn main() -> std::io::Result<()> {
 
     // The Section 5.3.2 population: long-lived servers that are stable or
     // follow a daily/weekly pattern.
-    let report = classify_fleet_with(&fleet, start + 28, &ClassifyConfig::default());
+    let report = classify_fleet(&fleet, start + 28);
     let keep: std::collections::HashSet<u64> = report
         .assignments
         .iter()

@@ -14,7 +14,7 @@ use seagull_core::par::parallel_map;
 use seagull_core::pipeline::{AccuracySummary, PREDICTABILITY_WEEKS};
 use seagull_forecast::Forecaster;
 use seagull_telemetry::fleet::ServerTelemetry;
-use seagull_timeseries::{DayOfWeek, Timestamp};
+use seagull_timeseries::Timestamp;
 use serde::Serialize;
 
 /// Evaluation parameters.
@@ -42,17 +42,6 @@ impl Default for EvaluationConfig {
             min_history_days: 3,
         }
     }
-}
-
-/// The backup day (day index) for a server within the week starting at
-/// `week_start_day`.
-pub fn backup_day_in_week(server: &ServerTelemetry, week_start_day: i64) -> i64 {
-    (0..7)
-        .map(|o| week_start_day + o)
-        .find(|&d| {
-            DayOfWeek::from_day_index(d).index() == server.meta.backup.backup_weekday as usize
-        })
-        .expect("every weekday occurs within a week")
 }
 
 /// One server-day evaluation outcome.
@@ -108,7 +97,7 @@ pub fn evaluate_fleet_week(
     threads: usize,
 ) -> Vec<BackupDayEvaluation> {
     parallel_map(fleet, threads, |server| {
-        let backup_day = backup_day_in_week(server, week_start_day);
+        let backup_day = server.meta.backup.day_in_week(week_start_day);
         BackupDayEvaluation {
             server_id: server.meta.id.0,
             backup_day,
@@ -165,7 +154,7 @@ pub fn predictability(
     let mut weeks = Vec::with_capacity(config.predictability_weeks);
     for k in (1..=config.predictability_weeks).rev() {
         let week_start = as_of_week_start - 7 * k as i64;
-        let backup_day = backup_day_in_week(server, week_start);
+        let backup_day = server.meta.backup.day_in_week(week_start);
         weeks.push(BackupDayEvaluation {
             server_id: server.meta.id.0,
             backup_day,
@@ -227,16 +216,15 @@ mod tests {
         (FleetGenerator::new(spec).generate_weeks(4), start)
     }
 
+    /// Each server is evaluated on the one day of the week it is due.
     #[test]
     fn backup_day_lands_on_weekday() {
         let (fleet, start) = fleet();
-        for s in &fleet {
-            let d = backup_day_in_week(s, start);
-            assert!(d >= start && d < start + 7);
-            assert_eq!(
-                DayOfWeek::from_day_index(d).index(),
-                s.meta.backup.backup_weekday as usize
-            );
+        let model = PersistentForecast::previous_day();
+        let evals = evaluate_fleet_week(&fleet, start + 7, &model, &EvaluationConfig::default(), 1);
+        for (s, e) in fleet.iter().zip(&evals) {
+            assert!((start + 7..start + 14).contains(&e.backup_day));
+            assert!(s.meta.backup.due_on(e.backup_day));
         }
     }
 

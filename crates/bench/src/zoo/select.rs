@@ -11,7 +11,7 @@
 //! Classification happens on the *training history* at fit time, by the
 //! pipeline's own classifier ([`classify_series`], Definitions 4–6).
 
-use seagull_core::classify::{classify_series, ClassifyConfig, ServerClass};
+use seagull_core::classify::{classify_series, ServerClass};
 use seagull_forecast::{
     FittedModel, ForecastError, Forecaster, PersistentForecast, PersistentVariant,
 };
@@ -57,11 +57,11 @@ impl ClassAwareForecaster {
         )
     }
 
-    /// Which model a history routes to, by its class under the default
-    /// [`ClassifyConfig`]. `ShortLived` is a lifespan verdict that
+    /// Which model a history routes to, by its class under the paper's
+    /// Definitions 4–6. `ShortLived` is a lifespan verdict that
     /// [`classify_series`] never returns; it would route as unstable.
     pub fn route(&self, history: &TimeSeries) -> (&'static str, &Arc<dyn Forecaster>) {
-        match classify_series(history, &ClassifyConfig::default()) {
+        match classify_series(history) {
             ServerClass::Stable => ("stable", &self.stable),
             ServerClass::DailyPattern => ("daily", &self.daily),
             ServerClass::WeeklyPattern => ("weekly", &self.weekly),

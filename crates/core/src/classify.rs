@@ -4,7 +4,7 @@
 //! customer activity patterns. ... The classification provides us valuable
 //! insights about load predictability per class of servers" (Section 3.2).
 
-use crate::metrics::{bucket_ratio, AccuracyConfig};
+use crate::metrics::{is_accurate, AccuracyConfig};
 use seagull_telemetry::fleet::ServerTelemetry;
 use seagull_telemetry::server::ServerId;
 use seagull_timeseries::TimeSeries;
@@ -40,28 +40,9 @@ impl ServerClass {
     }
 }
 
-/// Classification parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct ClassifyConfig {
-    /// Accuracy thresholds shared with the low-load metrics.
-    pub accuracy: AccuracyConfig,
-    /// Lifespan above which a server counts as long-lived, in days
-    /// (Definition 3: "more than three weeks").
-    pub long_lived_days: i64,
-}
-
-impl Default for ClassifyConfig {
-    fn default() -> Self {
-        ClassifyConfig {
-            accuracy: AccuracyConfig::default(),
-            long_lived_days: 21,
-        }
-    }
-}
-
 /// Definition 4: is the load over the series accurately predicted by the
 /// series' own average?
-pub fn is_stable(series: &TimeSeries, config: &ClassifyConfig) -> bool {
+pub fn is_stable(series: &TimeSeries) -> bool {
     // The bucket ratio of a constant prediction, without building one: every
     // present point is a comparable pair, and a hit when the average is
     // within the bound of it.
@@ -76,34 +57,35 @@ pub fn is_stable(series: &TimeSeries, config: &ClassifyConfig) -> bool {
         return false;
     }
     let avg = sum / present as f64;
-    let bound = &config.accuracy.bound;
+    let accuracy = AccuracyConfig::default();
     let hits = series
         .values()
         .iter()
-        .filter(|&&t| !t.is_nan() && bound.contains(avg, t))
+        .filter(|&&t| !t.is_nan() && accuracy.bound.contains(avg, t))
         .count();
-    100.0 * hits as f64 / present as f64 >= config.accuracy.bucket_ratio_threshold
+    100.0 * hits as f64 / present as f64 >= accuracy.bucket_ratio_threshold
 }
 
 /// Definition 5: does every day in the series conform to a daily pattern
 /// (day `d` accurately predicted by day `d−1`)? Requires at least two full
 /// days; returns `false` otherwise.
-pub fn has_daily_pattern(series: &TimeSeries, config: &ClassifyConfig) -> bool {
-    conforms_with_lag(series, 1, config)
+pub fn has_daily_pattern(series: &TimeSeries) -> bool {
+    conforms_with_lag(series, 1)
 }
 
 /// Definition 6 (pattern part): does every day conform to a weekly pattern
 /// (day `d` accurately predicted by day `d−7`)? Requires at least eight full
 /// days; returns `false` otherwise. Note Definition 6 additionally requires
 /// *not* having a daily pattern — [`classify_series`] applies that ordering.
-pub fn has_weekly_pattern(series: &TimeSeries, config: &ClassifyConfig) -> bool {
-    conforms_with_lag(series, 7, config)
+pub fn has_weekly_pattern(series: &TimeSeries) -> bool {
+    conforms_with_lag(series, 7)
 }
 
 /// True if every full day `d` with a full day `d − lag_days` available is
-/// accurately predicted by that earlier day, and at least one such pair
-/// exists.
-fn conforms_with_lag(series: &TimeSeries, lag_days: i64, config: &ClassifyConfig) -> bool {
+/// accurately predicted by that earlier day (Definition 2), and at least one
+/// such pair exists.
+fn conforms_with_lag(series: &TimeSeries, lag_days: i64) -> bool {
+    let accuracy = AccuracyConfig::default();
     let mut pairs = 0usize;
     let Some(first) = series.first_full_day() else {
         return false;
@@ -117,8 +99,7 @@ fn conforms_with_lag(series: &TimeSeries, lag_days: i64, config: &ClassifyConfig
             continue;
         };
         pairs += 1;
-        let ratio = bucket_ratio(earlier, today, &config.accuracy.bound);
-        if !ratio.is_some_and(|r| r >= config.accuracy.bucket_ratio_threshold) {
+        if !is_accurate(earlier, today, &accuracy) {
             return false;
         }
     }
@@ -127,12 +108,12 @@ fn conforms_with_lag(series: &TimeSeries, lag_days: i64, config: &ClassifyConfig
 
 /// Classifies one long-lived load series (lifespan is checked by the caller,
 /// which knows the metadata).
-pub fn classify_series(series: &TimeSeries, config: &ClassifyConfig) -> ServerClass {
-    if is_stable(series, config) {
+pub fn classify_series(series: &TimeSeries) -> ServerClass {
+    if is_stable(series) {
         ServerClass::Stable
-    } else if has_daily_pattern(series, config) {
+    } else if has_daily_pattern(series) {
         ServerClass::DailyPattern
-    } else if has_weekly_pattern(series, config) {
+    } else if has_weekly_pattern(series) {
         ServerClass::WeeklyPattern
     } else {
         ServerClass::NoPattern
@@ -142,15 +123,11 @@ pub fn classify_series(series: &TimeSeries, config: &ClassifyConfig) -> ServerCl
 /// Classifies a server: lifespan first (Definition 3), then the pattern
 /// hierarchy. `as_of_day` is "today" for the lifespan rule (usually the end
 /// of the observation window).
-pub fn classify_server(
-    server: &ServerTelemetry,
-    as_of_day: i64,
-    config: &ClassifyConfig,
-) -> ServerClass {
-    if server.meta.lifespan_days(as_of_day) <= config.long_lived_days {
+pub fn classify_server(server: &ServerTelemetry, as_of_day: i64) -> ServerClass {
+    if !server.meta.is_long_lived(as_of_day) {
         return ServerClass::ShortLived;
     }
-    classify_series(&server.series, config)
+    classify_series(&server.series)
 }
 
 /// The Figure 3 breakdown of a fleet.
@@ -184,19 +161,11 @@ impl ClassificationReport {
         }
         100.0 * self.count(class) as f64 / total as f64
     }
-
-    /// Long-lived percentage (everything except short-lived).
-    pub fn long_lived_percentage(&self) -> f64 {
-        100.0 - self.percentage(ServerClass::ShortLived)
-    }
 }
 
-/// Classifies a whole fleet as of the end of its observation window.
-pub fn classify_fleet_with(
-    fleet: &[ServerTelemetry],
-    as_of_day: i64,
-    config: &ClassifyConfig,
-) -> ClassificationReport {
+/// Classifies a whole fleet as of `as_of_day` ("today" for the lifespan
+/// rule; usually the end of the observation window).
+pub fn classify_fleet(fleet: &[ServerTelemetry], as_of_day: i64) -> ClassificationReport {
     let mut assignments = Vec::with_capacity(fleet.len());
     let mut counts: Vec<(ServerClass, usize)> = [
         ServerClass::ShortLived,
@@ -209,7 +178,7 @@ pub fn classify_fleet_with(
     .map(|c| (*c, 0usize))
     .collect();
     for server in fleet {
-        let class = classify_server(server, as_of_day, config);
+        let class = classify_server(server, as_of_day);
         assignments.push((server.meta.id, class));
         if let Some(entry) = counts.iter_mut().find(|(c, _)| *c == class) {
             entry.1 += 1;
@@ -221,36 +190,11 @@ pub fn classify_fleet_with(
     }
 }
 
-/// Convenience: classify with default config, inferring `as_of_day` from the
-/// latest series end in the fleet.
-pub fn classify_fleet(
-    fleet: &[ServerTelemetry],
-    bound: &crate::metrics::ErrorBound,
-) -> ClassificationReport {
-    let as_of_day = fleet
-        .iter()
-        .map(|s| s.series.end().day_index())
-        .max()
-        .unwrap_or(0);
-    let config = ClassifyConfig {
-        accuracy: AccuracyConfig {
-            bound: *bound,
-            ..AccuracyConfig::default()
-        },
-        ..ClassifyConfig::default()
-    };
-    classify_fleet_with(fleet, as_of_day, &config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use seagull_timeseries::{TimeSeries, Timestamp};
-
-    fn cfg() -> ClassifyConfig {
-        ClassifyConfig::default()
-    }
 
     fn series_of_days(days: usize, f: impl Fn(Timestamp) -> f64) -> TimeSeries {
         TimeSeries::from_fn(Timestamp::from_days(1000), 5, days * 288, f).unwrap()
@@ -259,8 +203,8 @@ mod tests {
     #[test]
     fn constant_series_is_stable() {
         let s = series_of_days(7, |_| 25.0);
-        assert!(is_stable(&s, &cfg()));
-        assert_eq!(classify_series(&s, &cfg()), ServerClass::Stable);
+        assert!(is_stable(&s));
+        assert_eq!(classify_series(&s), ServerClass::Stable);
     }
 
     #[test]
@@ -268,9 +212,9 @@ mod tests {
         let s = series_of_days(7, |t| {
             30.0 + 30.0 * (2.0 * std::f64::consts::PI * t.minute_of_day() as f64 / 1440.0).sin()
         });
-        assert!(!is_stable(&s, &cfg()));
-        assert!(has_daily_pattern(&s, &cfg()));
-        assert_eq!(classify_series(&s, &cfg()), ServerClass::DailyPattern);
+        assert!(!is_stable(&s));
+        assert!(has_daily_pattern(&s));
+        assert_eq!(classify_series(&s), ServerClass::DailyPattern);
     }
 
     #[test]
@@ -292,13 +236,10 @@ mod tests {
                     1.0
                 }
         });
-        assert!(!is_stable(&s, &cfg()));
-        assert!(
-            !has_daily_pattern(&s, &cfg()),
-            "weekend boundary breaks daily"
-        );
-        assert!(has_weekly_pattern(&s, &cfg()));
-        assert_eq!(classify_series(&s, &cfg()), ServerClass::WeeklyPattern);
+        assert!(!is_stable(&s));
+        assert!(!has_daily_pattern(&s), "weekend boundary breaks daily");
+        assert!(has_weekly_pattern(&s));
+        assert_eq!(classify_series(&s), ServerClass::WeeklyPattern);
     }
 
     #[test]
@@ -309,7 +250,7 @@ mod tests {
             let block = t.minutes() / 180;
             ((block.wrapping_mul(2654435761) % 97) as f64).abs()
         });
-        assert_eq!(classify_series(&s, &cfg()), ServerClass::NoPattern);
+        assert_eq!(classify_series(&s), ServerClass::NoPattern);
     }
 
     #[test]
@@ -323,16 +264,16 @@ mod tests {
             (t.minute_of_day() % 100) as f64
         })
         .unwrap();
-        assert!(!has_daily_pattern(&swingy, &cfg()));
-        assert!(!has_weekly_pattern(&swingy, &cfg()));
-        assert!(is_stable(&one_day, &cfg()));
+        assert!(!has_daily_pattern(&swingy));
+        assert!(!has_weekly_pattern(&swingy));
+        assert!(is_stable(&one_day));
     }
 
     #[test]
     fn empty_series_is_nothing() {
         let empty = TimeSeries::empty(Timestamp::EPOCH, 5).unwrap();
-        assert!(!is_stable(&empty, &cfg()));
-        assert_eq!(classify_series(&empty, &cfg()), ServerClass::NoPattern);
+        assert!(!is_stable(&empty));
+        assert_eq!(classify_series(&empty), ServerClass::NoPattern);
     }
 
     #[test]
@@ -342,7 +283,7 @@ mod tests {
         spec.regions[0].servers = 400;
         let start = spec.start_day;
         let fleet = FleetGenerator::new(spec).generate_weeks(4);
-        let report = classify_fleet_with(&fleet, start + 28, &cfg());
+        let report = classify_fleet(&fleet, start + 28);
         assert_eq!(report.total(), 400);
         // The generated mix should be recovered approximately (Figure 3).
         let short = report.percentage(ServerClass::ShortLived);
@@ -360,7 +301,6 @@ mod tests {
         .map(|c| report.percentage(*c))
         .sum();
         assert!((total_pct - 100.0).abs() < 1e-9, "partition sums to 100");
-        assert!((report.long_lived_percentage() - (100.0 - short)).abs() < 1e-9);
     }
 
     #[test]
@@ -371,7 +311,7 @@ mod tests {
 
     /// `is_stable` as it was: the present values collected for their mean,
     /// and a constant prediction built for `bucket_ratio` to score.
-    fn is_stable_reference(series: &TimeSeries, config: &ClassifyConfig) -> bool {
+    fn is_stable_reference(series: &TimeSeries) -> bool {
         if series.is_empty() {
             return false;
         }
@@ -386,8 +326,9 @@ mod tests {
         }
         let avg = seagull_timeseries::mean(&present);
         let constant = vec![avg; series.len()];
-        bucket_ratio(&constant, series.values(), &config.accuracy.bound)
-            .is_some_and(|r| r >= config.accuracy.bucket_ratio_threshold)
+        let accuracy = AccuracyConfig::default();
+        crate::metrics::bucket_ratio(&constant, series.values(), &accuracy.bound)
+            .is_some_and(|r| r >= accuracy.bucket_ratio_threshold)
     }
 
     proptest! {
@@ -415,7 +356,7 @@ mod tests {
                 .map(|p| if absolute || p.abs() >= 1e308 { p } else { base + p })
                 .collect();
             let s = TimeSeries::new(Timestamp::from_days(1000), 5, values).unwrap();
-            prop_assert_eq!(is_stable(&s, &cfg()), is_stable_reference(&s, &cfg()));
+            prop_assert_eq!(is_stable(&s), is_stable_reference(&s));
         }
     }
 }

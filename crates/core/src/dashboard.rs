@@ -26,13 +26,12 @@ use std::time::Duration;
 
 /// Canonical pipeline stage order for summary rendering; stages not listed
 /// here sort after these, alphabetically.
-const STAGE_ORDER: [&str; 7] = [
+const STAGE_ORDER: [&str; 6] = [
     "ingestion",
     "validation",
     "features",
     "train-infer",
     "accuracy-eval",
-    "docstore-write",
     "deployment",
 ];
 

@@ -7,11 +7,11 @@
 //!
 //! Lifespan is judged from fleet metadata, so the one feature recovered from
 //! the load itself is the pattern class. It is also the only field the
-//! pipeline reads back: it keys the model cache and labels the accuracy
-//! sink's records. The other fields are stored in the `FEATURES` document
-//! and read by nothing in the pipeline.
+//! pipeline reads back: it keys the model cache, for a forecaster that
+//! consults one. The other fields are stored in the `FEATURES` document and
+//! read by nothing in the pipeline.
 
-use crate::classify::{classify_series, ClassifyConfig, ServerClass};
+use crate::classify::{classify_series, ServerClass};
 use seagull_telemetry::extract::ExtractedServer;
 use seagull_timeseries::{fill_gaps, GapFill, SummaryStats, TimeSeries};
 use serde::Serialize;
@@ -42,11 +42,7 @@ pub struct ServerFeatures {
 /// (`repaired`): the per-server body of [`extract_features`], called
 /// directly by the dataflow pipeline's fused operators, which repair the
 /// series for the fit anyway.
-pub fn extract_server_features(
-    s: &ExtractedServer,
-    repaired: &TimeSeries,
-    config: &ClassifyConfig,
-) -> ServerFeatures {
+pub fn extract_server_features(s: &ExtractedServer, repaired: &TimeSeries) -> ServerFeatures {
     let len = s.series.len();
     ServerFeatures {
         server_id: s.id.0,
@@ -57,23 +53,20 @@ pub fn extract_server_features(
         } else {
             s.series.missing_count() as f64 / len as f64
         },
-        pattern: classify_series(repaired, config),
+        pattern: classify_series(repaired),
         backup_duration_min: s.default_backup_end - s.default_backup_start,
     }
 }
 
 /// Extracts features for every server in a region-week as ingested,
 /// repairing each series as the pipeline does (`GapFill::Linear`).
-pub fn extract_features(
-    servers: &[ExtractedServer],
-    config: &ClassifyConfig,
-) -> Vec<ServerFeatures> {
+pub fn extract_features(servers: &[ExtractedServer]) -> Vec<ServerFeatures> {
     servers
         .iter()
         .map(|s| {
             let mut repaired = s.series.clone();
             fill_gaps(&mut repaired, GapFill::Linear);
-            extract_server_features(s, &repaired, config)
+            extract_server_features(s, &repaired)
         })
         .collect()
 }
@@ -96,7 +89,7 @@ mod tests {
     #[test]
     fn features_capture_basics() {
         let servers = vec![server(1, vec![10.0; 2 * 288])];
-        let feats = extract_features(&servers, &ClassifyConfig::default());
+        let feats = extract_features(&servers);
         assert_eq!(feats.len(), 1);
         let f = &feats[0];
         assert_eq!(f.server_id, 1);
@@ -115,7 +108,7 @@ mod tests {
         for v in values.iter_mut().take(72) {
             *v = f64::NAN;
         }
-        let feats = extract_features(&[server(2, values)], &ClassifyConfig::default());
+        let feats = extract_features(&[server(2, values)]);
         assert!((feats[0].missing_fraction - 0.25).abs() < 1e-9);
         assert_eq!(feats[0].stats.missing, 0);
         assert_eq!(feats[0].stats.count, 288);
@@ -123,7 +116,7 @@ mod tests {
 
     #[test]
     fn empty_series_is_fully_missing() {
-        let feats = extract_features(&[server(3, vec![])], &ClassifyConfig::default());
+        let feats = extract_features(&[server(3, vec![])]);
         assert_eq!(feats[0].missing_fraction, 1.0);
         assert_eq!(feats[0].observed_days, 0.0);
     }
@@ -136,7 +129,7 @@ mod tests {
                 30.0 + 30.0 * (2.0 * std::f64::consts::PI * m / 1440.0).sin()
             })
             .collect();
-        let feats = extract_features(&[server(4, wavy)], &ClassifyConfig::default());
+        let feats = extract_features(&[server(4, wavy)]);
         assert_eq!(feats[0].pattern, ServerClass::DailyPattern);
     }
 }

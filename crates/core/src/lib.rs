@@ -45,7 +45,7 @@ pub mod registry;
 pub mod resilience;
 pub mod validation;
 
-pub use classify::{classify_fleet, classify_fleet_with, ClassificationReport, ServerClass};
+pub use classify::{classify_fleet, ClassificationReport, ServerClass};
 pub use dashboard::{Dashboard, DashboardSummary};
 pub use docstore::{DocStore, DocStoreError};
 pub use features::{extract_features, ServerFeatures};
@@ -59,4 +59,4 @@ pub use par::{configured_threads, default_threads, parallel_map};
 pub use pipeline::{AccuracySummary, AmlPipeline, DegradedRun, PipelineConfig, PipelineRunReport};
 pub use registry::{ModelAccuracy, ModelRegistry};
 pub use resilience::{BreakerState, CircuitBreaker, InjectedCrash, StageChaos, StageError};
-pub use validation::{validate_columnar, validate_servers, Anomaly, DataProfile, ValidationReport};
+pub use validation::{validate_columnar, Anomaly, DataProfile, ValidationReport};

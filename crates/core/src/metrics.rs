@@ -33,14 +33,6 @@ impl Default for ErrorBound {
 }
 
 impl ErrorBound {
-    /// A symmetric bound (used by the ablation study).
-    pub fn symmetric(width: f64) -> ErrorBound {
-        ErrorBound {
-            over: width,
-            under: width,
-        }
-    }
-
     /// True if `predicted` is within the bound of `truth`.
     #[inline]
     pub fn contains(&self, predicted: f64, truth: f64) -> bool {
@@ -341,13 +333,5 @@ mod tests {
         assert!(evaluate_low_load(&truth, &other, 10, &AccuracyConfig::default()).is_none());
         let short = ts(&[1.0, 2.0]);
         assert!(evaluate_low_load(&truth, &short, 10, &AccuracyConfig::default()).is_none());
-    }
-
-    #[test]
-    fn symmetric_bound_helper() {
-        let b = ErrorBound::symmetric(5.0);
-        assert!(b.contains(25.0, 20.0));
-        assert!(b.contains(15.0, 20.0));
-        assert!(!b.contains(26.0, 20.0));
     }
 }

@@ -25,8 +25,10 @@
 //!
 //! Every run is observed through the pipeline's [`Obs`] handle: each stage
 //! runs inside a span (virtual tick = the scheduler's day index; wall time
-//! captured by the tracer — the only raw `Instant` timing is the per-fit
-//! cost the warm cache credits to its saved-wall counter), retries feed
+//! captured by the tracer — the raw `Instant` timings are the fused
+//! operator's, which no open span covers: each server's featurize and model
+//! walls, and the per-fit cost the warm cache credits to its saved-wall
+//! counter), retries feed
 //! `(region, stage)`-labelled counters, stage walls feed histograms, the
 //! circuit breaker publishes a per-region state gauge, and the parallel
 //! stages record per-worker profiles. `StageTiming`/`stage_duration` are
@@ -61,7 +63,6 @@ pub use report::{
 };
 pub use sinks::{DeployEvent, DeploySink};
 
-use crate::classify::ClassifyConfig;
 use crate::docstore::{DocStore, DocStoreError};
 use crate::incident::{IncidentManager, Severity};
 use crate::metrics::{evaluate_low_load, AccuracyConfig};
@@ -83,14 +84,16 @@ const FALLBACK_TOLERANCE: f64 = 10.0;
 /// Cap on anomaly reports per kind per run.
 const MAX_ANOMALY_REPORTS: usize = 20;
 
-/// Pipeline configuration (the use-case-specific parameters of Section 2.4).
+/// The expert-verified data profile every run validates against; its grid
+/// is the one the run ingests, featurizes and predicts on.
+pub const PROFILE: DataProfile = DataProfile::standard(5);
+
+/// Pipeline configuration: the model and the threads. Everything else a run
+/// applies is the paper's and fixed: [`PROFILE`], the classifier's
+/// Definitions 2–6, the scorer's [`AccuracyConfig::default`] and the
+/// [`PREDICTABILITY_WEEKS`] gate.
 #[derive(Clone)]
 pub struct PipelineConfig {
-    /// Expert-verified data profile for validation; its grid is the one the
-    /// run ingests, featurizes and predicts on.
-    pub profile: DataProfile,
-    /// Classification thresholds for feature extraction.
-    pub classify: ClassifyConfig,
     /// The model trained/deployed each run.
     pub forecaster: Arc<dyn Forecaster>,
     /// Worker threads for the per-server stages and cross-region fan-out
@@ -100,15 +103,13 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// The production configuration: persistent forecast (previous day),
-    /// 5-minute grid, threads from [`configured_threads`] (the machine's
+    /// threads from [`configured_threads`] (the machine's
     /// available parallelism, overridable via `SEAGULL_THREADS`). Every
     /// server is predicted from yesterday's load, as Section 5.4 deploys
     /// it; the warm-model cache stays out of the run (see
     /// [`AmlPipeline::cache`]).
     pub fn production() -> PipelineConfig {
         PipelineConfig {
-            profile: DataProfile::standard(5),
-            classify: ClassifyConfig::default(),
             forecaster: Arc::new(seagull_forecast::PersistentForecast::previous_day()),
             threads: configured_threads(),
         }
@@ -399,7 +400,7 @@ impl AmlPipeline {
         self.breaker.publish_region(self.obs.registry(), region);
         // Zero-copy views into the shared decode buffer; a block on another
         // grid is left out (validation reports it).
-        let mut servers: Vec<ExtractedServer> = batch.extract(self.config.profile.grid_min);
+        let mut servers: Vec<ExtractedServer> = batch.extract(PROFILE.grid_min);
         report.servers = servers.len();
         self.finish_stage(&mut report, span, "ingestion", region, vt);
 
@@ -446,7 +447,7 @@ impl AmlPipeline {
         // forking a helper costs.
         type Scored = Result<Option<(AccuracyDoc, GateState)>, ()>;
         let (eval_rows, eval_profile): (Vec<Scored>, _) = parallel_map_profiled(&servers, 1, |s| {
-            let day = backup_day_for_extracted(s, week_start_day);
+            let day = s.backup_day(week_start_day);
             let id = PredictionDoc::doc_id(region, s.id.0, day);
             let doc = match self
                 .docs
@@ -461,7 +462,7 @@ impl AmlPipeline {
             let Some(truth) = s.series.day(day) else {
                 return Ok(None);
             };
-            let duration_min = doc.duration_min.max(self.config.profile.grid_min as i64) as u32;
+            let duration_min = doc.duration_min.max(PROFILE.grid_min as i64) as u32;
             let gate = doc.gate;
             let eval = evaluate_low_load(
                 &truth,
@@ -650,13 +651,6 @@ impl AmlPipeline {
         let id = format!("{}/{}", report.region, report.week_start_day);
         self.docs.upsert(collections::RUNS, &id, report);
     }
-}
-
-/// The backup day encoded in a server's extracted default window, normalized
-/// into the given week.
-fn backup_day_for_extracted(s: &ExtractedServer, week_start_day: i64) -> i64 {
-    let d = s.default_backup_start.day_index();
-    week_start_day + (d - week_start_day).rem_euclid(7)
 }
 
 #[cfg(test)]

@@ -12,13 +12,13 @@
 
 use super::{
     collections, AmlPipeline, DeadLetterDoc, DegradedRun, GateState, PipelineRunReport,
-    PredictionDoc, MAX_ANOMALY_REPORTS,
+    PredictionDoc, MAX_ANOMALY_REPORTS, PROFILE,
 };
 use crate::features::{extract_server_features, ServerFeatures};
 use crate::incident::Severity;
 use crate::par::parallel_map_tasks;
 use crate::resilience::{retry, StageError};
-use crate::validation::{validate_columnar, validate_server, validate_servers, Anomaly};
+use crate::validation::{validate_columnar, validate_server, Anomaly};
 use seagull_forecast::{CacheUpdate, FittedModel, ForecastError, Lookup};
 use seagull_obs::SpanId;
 use seagull_telemetry::columnar::ColumnarBatch;
@@ -142,11 +142,11 @@ impl AmlPipeline {
         next_week: i64,
         path: &FitPath,
     ) -> FitOutcome {
-        let grid = self.config.profile.grid_min;
+        let grid = PROFILE.grid_min;
         let points_per_day = (seagull_timeseries::MINUTES_PER_DAY / grid as i64) as usize;
-        // The server's backup day next week.
-        let backup_day = s.default_backup_start.day_index() + 7;
-        let horizon_days = (backup_day + 1 - next_week).max(1) as usize;
+        // Next week's backup day, 1..=7 days ahead: the day its run scores.
+        let backup_day = s.backup_day(next_week);
+        let horizon_days = (backup_day + 1 - next_week) as usize;
         let horizon = horizon_days * points_per_day;
         let doc_of = |pred: TimeSeries| {
             pred.day(backup_day).map(|day| PredictionDoc {
@@ -227,7 +227,7 @@ impl AmlPipeline {
     ) -> FusedServerOutcome {
         let feat_start = Instant::now();
         let anomaly = if server_validation {
-            validate_server(s, &self.config.profile)
+            validate_server(s, &PROFILE)
         } else {
             None
         };
@@ -238,7 +238,7 @@ impl AmlPipeline {
         seagull_timeseries::fill_gaps(&mut series, GapFill::Linear);
         // Featurized from both: the gaps are counted on the series as
         // ingested, everything else on the repaired one.
-        let features = extract_server_features(s, &series, &self.config.classify);
+        let features = extract_server_features(s, &series);
         let filled = ExtractedServer {
             id: s.id,
             series,
@@ -341,16 +341,12 @@ impl AmlPipeline {
         // ---- Data Validation (batch-level) -------------------------------------
         // Per-server missing-data checks run inside the fused operators; the
         // blocking decision must precede the fan-out, and only batch-level
-        // anomalies (plus the empty-fleet guard) can block, so this part
-        // stays a whole-batch step.
+        // anomalies can block (a week with no server on the grid), so this
+        // part stays a whole-batch step.
         self.chaos.kill_point("validation", region, tick);
         let span = self.stage_span(run_span, "validation", region, vt);
         let validated = self.retry_stage("validation", region, tick, || {
-            Ok(validate_columnar(
-                batch,
-                &self.config.profile,
-                MAX_ANOMALY_REPORTS,
-            ))
+            Ok(validate_columnar(batch, &PROFILE, MAX_ANOMALY_REPORTS))
         });
         degraded.note("validation", &validated);
         let mut blocked = false;
@@ -363,16 +359,6 @@ impl AmlPipeline {
                     self.raise_validation_anomaly(region, a);
                 }
                 blocked = batch_report.is_blocked();
-                if servers.is_empty() {
-                    // An empty fleet can never reach the fused operators;
-                    // the whole-fleet check raises its blocking EmptyInput.
-                    let server_report = validate_servers(servers, &self.config.profile);
-                    report.anomalies += server_report.anomalies.len();
-                    for a in &server_report.anomalies {
-                        self.raise_validation_anomaly(region, a);
-                    }
-                    blocked = blocked || server_report.is_blocked();
-                }
             }
             Err(e) => {
                 // Degraded mode: run unvalidated rather than drop the week

@@ -62,7 +62,7 @@ impl DataProfile {
 
     /// The expert-verified profile used in production: loads are CPU
     /// percentages.
-    pub fn standard(grid_min: u32) -> DataProfile {
+    pub const fn standard(grid_min: u32) -> DataProfile {
         DataProfile {
             min_load: 0.0,
             max_load: 100.0,
@@ -84,7 +84,8 @@ impl DataProfile {
 /// One detected anomaly.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Anomaly {
-    /// The region-week holds no server at all.
+    /// The region-week holds no server the run can read: no block at all,
+    /// or none on the profile's grid.
     EmptyInput,
     /// A load value outside the (slack-widened) deduced bounds.
     BoundViolation {
@@ -161,23 +162,21 @@ impl ValidationReport {
 /// incident store.
 ///
 /// Every present (non-NaN) sample is one row and gets the bound and
-/// finiteness checks; NaN buckets are *missing* — counted by
-/// [`validate_servers`] downstream — not anomalies. An invalid default
+/// finiteness checks; NaN buckets are *missing* — counted per server by
+/// [`validate_server`] downstream — not anomalies. An invalid default
 /// backup window is reported once per server block, where the window is
 /// stored. A block whose step is not the profile's grid is reported once, at
 /// its first point, and not scanned: [`ColumnarBatch::extract`] leaves it
-/// out of the run. Alignment within a block and duplicate buckets cannot be
-/// written in the format at all.
+/// out of the run. A region-week with no block on the grid (none at all, or
+/// every one off it) leaves the run no server and reports the one blocking
+/// anomaly, [`Anomaly::EmptyInput`], last. Alignment within a block and
+/// duplicate buckets cannot be written in the format at all.
 pub fn validate_columnar(
     batch: &ColumnarBatch,
     profile: &DataProfile,
     max_reports: usize,
 ) -> ValidationReport {
     let mut report = ValidationReport::default();
-    if batch.blocks().is_empty() {
-        report.anomalies.push(Anomaly::EmptyInput);
-        return report;
-    }
     let mut bound_hits = 0usize;
     let mut grid_hits = 0usize;
     let mut window_hits = 0usize;
@@ -241,15 +240,16 @@ pub fn validate_columnar(
             }
         }
     }
+    if grid_hits == batch.blocks().len() {
+        report.anomalies.push(Anomaly::EmptyInput);
+    }
     report.servers = servers.len();
     report
 }
 
-/// Validates one reassembled server series for missing-data density: the
-/// per-server half of [`validate_servers`], called directly by the dataflow
-/// pipeline's fused operators (the batch-level `EmptyInput` check stays a
-/// serial pre-fan-out concern because blocking must be decided before any
-/// server starts flowing).
+/// Validates one reassembled server series for missing-data density, called
+/// by the pipeline's fused per-server operators (whether the run may start
+/// at all is [`validate_columnar`]'s to decide, before any server flows).
 pub fn validate_server(s: &ExtractedServer, profile: &DataProfile) -> Option<Anomaly> {
     if s.series.is_empty() {
         return None;
@@ -259,23 +259,6 @@ pub fn validate_server(s: &ExtractedServer, profile: &DataProfile) -> Option<Ano
         server_id: s.id.0,
         fraction,
     })
-}
-
-/// Validates reassembled per-server series for missing-data density.
-pub fn validate_servers(servers: &[ExtractedServer], profile: &DataProfile) -> ValidationReport {
-    let mut report = ValidationReport {
-        servers: servers.len(),
-        ..ValidationReport::default()
-    };
-    if servers.is_empty() {
-        report.anomalies.push(Anomaly::EmptyInput);
-        return report;
-    }
-    for s in servers {
-        report.rows += s.series.len();
-        report.anomalies.extend(validate_server(s, profile));
-    }
-    report
 }
 
 #[cfg(test)]
@@ -359,8 +342,11 @@ mod tests {
                     timestamp_min: 0
                 },
                 Anomaly::InvalidBackupWindow { server_id: 3 },
+                // No block is on the grid: the run has no server to read.
+                Anomaly::EmptyInput,
             ]
         );
+        assert!(report.is_blocked());
         assert_eq!((report.rows, report.servers), (0, 3));
         let on_grid = validate_columnar(&batch, &DataProfile::standard(10), 2);
         assert_eq!(on_grid.anomalies.len(), 2, "{:?}", on_grid.anomalies);
@@ -611,13 +597,11 @@ mod tests {
             default_backup_start: Timestamp::EPOCH,
             default_backup_end: Timestamp::EPOCH + 60,
         };
-        let report = validate_servers(&[dense, sparse], &DataProfile::standard(5));
-        assert_eq!(report.anomalies.len(), 1);
+        let profile = DataProfile::standard(5);
+        assert_eq!(validate_server(&dense, &profile), None);
         assert!(matches!(
-            report.anomalies[0],
-            Anomaly::ExcessiveMissingData { server_id: 2, .. }
+            validate_server(&sparse, &profile),
+            Some(Anomaly::ExcessiveMissingData { server_id: 2, .. })
         ));
-        let empty = validate_servers(&[], &DataProfile::standard(5));
-        assert!(empty.is_blocked());
     }
 }

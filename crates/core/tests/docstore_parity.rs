@@ -5,7 +5,6 @@
 //! read is the document, the snapshot prints the same bytes, and a read as
 //! any other type is `WrongType`.
 
-use seagull_core::classify::ClassifyConfig;
 use seagull_core::docstore::{DocStore, DocStoreError};
 use seagull_core::features::{extract_server_features, ServerFeatures};
 use seagull_core::pipeline::{
@@ -62,7 +61,7 @@ fn empty_series_features() -> ServerFeatures {
         default_backup_start: Timestamp::from_days(19_001),
         default_backup_end: Timestamp::from_days(19_001),
     };
-    let features = extract_server_features(&server, &server.series, &ClassifyConfig::default());
+    let features = extract_server_features(&server, &server.series);
     assert!(features.stats.mean.is_nan(), "{features:?}");
     features
 }

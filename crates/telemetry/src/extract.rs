@@ -17,8 +17,8 @@ use crate::blobstore::{BlobKey, BlobStore};
 use crate::columnar::{self, ColumnarBatch, SampleRun};
 use crate::fleet::ServerTelemetry;
 use crate::record::{LoadRecord, RecordBatch};
-use crate::server::ServerId;
-use seagull_timeseries::{DayOfWeek, TimeSeries, Timestamp};
+use crate::server::{weekday_in_week, ServerId};
+use seagull_timeseries::{TimeSeries, Timestamp};
 use std::io;
 
 /// Extraction configuration.
@@ -46,6 +46,16 @@ pub struct ExtractedServer {
     pub default_backup_end: Timestamp,
 }
 
+impl ExtractedServer {
+    /// The server's backup day in the week starting on `week_start_day`.
+    /// The blob carries only the default window of one backup day, and the
+    /// backup recurs on that day's weekday every week.
+    pub fn backup_day(&self, week_start_day: i64) -> i64 {
+        let weekday = self.default_backup_start.day_of_week().index();
+        weekday_in_week(weekday, week_start_day)
+    }
+}
+
 /// The samples each server of `region` has inside the week starting on
 /// `week_start_day`, in fleet order: what both the blob and the CSV rows are
 /// built from.
@@ -60,15 +70,8 @@ fn week_runs<'a>(
         .iter()
         .filter(move |s| s.meta.region == region)
         .filter_map(move |server| {
-            // Default backup window on the server's next backup day in/after
-            // this week.
-            let backup_day = (0..7)
-                .map(|o| week_start_day + o)
-                .find(|&d| {
-                    DayOfWeek::from_day_index(d).index()
-                        == server.meta.backup.backup_weekday as usize
-                })
-                .expect("every weekday occurs within a week");
+            // Default backup window on the server's backup day this week.
+            let backup_day = server.meta.backup.day_in_week(week_start_day);
             let (bstart, bend) = server.meta.backup.default_window_on(backup_day);
 
             let lo = server.series.start().max(from);
@@ -196,21 +199,23 @@ mod tests {
         }
     }
 
+    /// The blob's default window lies on the server's backup day of the
+    /// week, and the extracted server reads the same day back for that week
+    /// and every other.
     #[test]
     fn backup_window_lands_on_configured_weekday() {
         let (fleet, start) = small_fleet();
         for e in &extracted_week(&fleet, start) {
             let meta = &fleet.iter().find(|s| s.meta.id == e.id).unwrap().meta;
             let day = e.default_backup_start.day_index();
-            assert_eq!(
-                DayOfWeek::from_day_index(day).index(),
-                meta.backup.backup_weekday as usize
-            );
-            assert!(day >= start && day < start + 7);
+            assert_eq!(day, meta.backup.day_in_week(start));
             assert_eq!(
                 e.default_backup_end - e.default_backup_start,
                 meta.backup.duration_min as i64
             );
+            for week in start - 9..start + 9 {
+                assert_eq!(e.backup_day(week), meta.backup.day_in_week(week));
+            }
         }
     }
 

@@ -15,13 +15,13 @@
 //! | magic  | version | body                                  | written by                                   |
 //! |--------|---------|---------------------------------------|----------------------------------------------|
 //! | `SGCB` | 3       | block table, value column             | [`crate::columnar`] (`LoadExtraction`)       |
-//! | `SGSS` | 2       | snapshot header, one block per server | `seagull_serve::persist::encode_snapshot`    |
+//! | `SGSS` | 3       | snapshot header, one block per server | `seagull_serve::persist::encode_snapshot`    |
 //! | `SGJL` | 3       | one record                            | `DeployRecord::encode`, the fleet checkpoint |
 //!
 //! Every version above is sealed with the four-lane [`checksum64`] (`SGCB` 2
-//! was the first, 3 added narrow blocks); a blob an earlier build sealed with
-//! the single-chain sum fails the checksum, which [`open`] checks before the
-//! version, and reads as torn.
+//! was the first, 3 added narrow blocks; `SGSS` 3 added each server's gate);
+//! a blob an earlier build sealed with the single-chain sum fails the
+//! checksum, which [`open`] checks before the version, and reads as torn.
 //!
 //! A failure to open is one of two kinds ([`FrameError::is_torn`]): the blob
 //! is *torn* — a write or read that stopped early, or bytes that rotted; a

@@ -1,6 +1,6 @@
 //! Server identity, lifecycle, and backup configuration.
 
-use seagull_timeseries::Timestamp;
+use seagull_timeseries::{DayOfWeek, Timestamp};
 use serde::Serialize;
 use std::fmt;
 
@@ -58,7 +58,9 @@ pub struct BackupConfig {
     pub duration_min: u32,
     /// Day of the week the server is due for its full backup, as a
     /// Monday-based index 0..7. Servers are due "at least once a week".
-    pub backup_weekday: u8,
+    /// Other crates read it only through the backup calendar,
+    /// [`BackupConfig::day_in_week`] and [`BackupConfig::due_on`].
+    pub(crate) backup_weekday: u8,
 }
 
 impl BackupConfig {
@@ -67,6 +69,27 @@ impl BackupConfig {
         let start = Timestamp::from_days(day_index) + self.default_start_minute as i64;
         (start, start + self.duration_min as i64)
     }
+
+    /// The day of the week starting on `week_start_day` the server is due
+    /// for its full backup on.
+    pub fn day_in_week(&self, week_start_day: i64) -> i64 {
+        weekday_in_week(self.backup_weekday.into(), week_start_day)
+    }
+
+    /// True if the server is due for its full backup on `day`.
+    pub fn due_on(&self, day: i64) -> bool {
+        self.day_in_week(day) == day
+    }
+}
+
+/// The backup calendar: the day of the week starting on `week_start_day`
+/// that falls on `weekday` (Monday-based, 0..7). A full backup recurs on one
+/// weekday every week; [`BackupConfig::day_in_week`] applies this to a
+/// server's configuration, and `ExtractedServer::backup_day` to the weekday
+/// of the default window an extracted blob carries.
+pub(crate) fn weekday_in_week(weekday: usize, week_start_day: i64) -> i64 {
+    let first = DayOfWeek::from_day_index(week_start_day).index();
+    week_start_day + (weekday as i64 - first as i64).rem_euclid(7)
 }
 
 /// Static metadata for one server.
@@ -152,6 +175,26 @@ mod tests {
         let (s, e) = m.backup.default_window_on(4);
         assert_eq!(s, Timestamp::from_days(4) + 600);
         assert_eq!(e - s, 60);
+    }
+
+    /// Every weekday, from every weekday a week may start on: the backup day
+    /// lies inside the week, on the configured weekday, and is the one day
+    /// of the week the server is due.
+    #[test]
+    fn backup_day_lands_on_the_weekday_inside_the_week() {
+        for weekday in 0..7u8 {
+            let backup = BackupConfig {
+                backup_weekday: weekday,
+                ..meta(0, None).backup
+            };
+            for week in -10..10 {
+                let day = backup.day_in_week(week);
+                assert!((week..week + 7).contains(&day), "week {week}");
+                assert_eq!(DayOfWeek::from_day_index(day).index(), weekday as usize);
+                let due: Vec<i64> = (week..week + 7).filter(|&d| backup.due_on(d)).collect();
+                assert_eq!(due, vec![day]);
+            }
+        }
     }
 
     #[test]

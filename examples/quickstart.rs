@@ -1,24 +1,24 @@
-//! Quickstart: generate a fleet, classify it, forecast a server's backup
-//! day, and find its lowest-load window.
+//! Quickstart: generate a fleet, classify it, run the weekly pipeline into
+//! the serving layer, and read one server's next backup window from it.
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use seagull::core::classify::{classify_fleet_with, ClassifyConfig, ServerClass};
-use seagull::core::metrics::{evaluate_low_load, lowest_load_window, AccuracyConfig};
-use seagull::forecast::{Forecaster, PersistentForecast};
+use seagull::backup::serve_weeks;
+use seagull::core::classify::{classify_fleet, ServerClass};
+use seagull::core::pipeline::{collections, AccuracyDoc, GateState};
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec};
-use seagull::timeseries::Timestamp;
 
 fn main() {
     // 1. A month of 5-minute telemetry for a small region. Everything is
     //    seeded: rerunning reproduces the same fleet bit-for-bit.
     let spec = FleetSpec::small_region(7);
+    let region = spec.regions[0].name.clone();
     let start = spec.start_day;
     let fleet = FleetGenerator::new(spec).generate_weeks(4);
     println!("generated {} servers over 4 weeks", fleet.len());
 
     // 2. Classify the fleet per the paper's Definitions 3-6 (Figure 3).
-    let report = classify_fleet_with(&fleet, start + 28, &ClassifyConfig::default());
+    let report = classify_fleet(&fleet, start + 28);
     println!("\nclassification:");
     for class in [
         ServerClass::ShortLived,
@@ -30,41 +30,49 @@ fn main() {
         println!("  {:<14} {:>6.2}%", class.label(), report.percentage(class));
     }
 
-    // 3. Pick a long-lived server and predict its next day with the
-    //    production model (persistent forecast, previous day).
+    // 3. Four weekly pipeline runs with the production model (persistent
+    //    forecast, previous day): each scores the last week's predictions
+    //    and deploys this week's into the serving layer.
+    let weeks: Vec<i64> = (0..4).map(|w| start + 7 * w).collect();
+    let (serve, pipeline, _) = serve_weeks(&fleet, std::slice::from_ref(&region), &weeks);
+
+    // 4. A server that lived through the month, on its backup day next
+    //    week: the gate the pipeline moved on from its own scores
+    //    (Definition 9) and the served lowest-load window.
     let server = fleet
         .iter()
-        .find(|s| s.meta.deleted_day.is_none())
+        .find(|s| s.meta.alive_on(start) && s.meta.deleted_day.is_none())
         .expect("a long-lived server exists");
-    let backup_day = start + 21;
-    let history = server
-        .series
-        .slice(
-            Timestamp::from_days(backup_day - 7),
-            Timestamp::from_days(backup_day),
-        )
-        .expect("one week of history");
-    let model = PersistentForecast::previous_day();
-    let predicted = model
-        .fit_predict(&history, history.points_per_day())
-        .expect("forecast succeeds");
-
-    // 4. Find the predicted lowest-load window for this server's backup.
-    let duration = server.meta.backup.duration_min;
-    let window = lowest_load_window(&predicted, duration).expect("window fits in a day");
+    let backup_day = server.meta.backup.day_in_week(start + 28);
+    let (gate, window) = serve
+        .gated_ll_window(&region, server.meta.id.0, backup_day)
+        .expect("the server is served");
+    let window = window.expect("a window fits the predicted day");
     println!(
-        "\nserver {}: predicted lowest-load window on day {backup_day} \
-         starts at {} ({} min, predicted mean load {:.1}%)",
-        server.meta.id, window.start, duration, window.mean_load
+        "\nserver {}: predicted lowest-load window on day {backup_day} starts at {} \
+         ({} min, predicted mean load {:.1}%); gate {}",
+        server.meta.id,
+        window.start,
+        window.duration_min,
+        window.mean_load,
+        if gate == GateState::OPEN {
+            "open: the scheduler moves the backup there"
+        } else {
+            "closed: the backup keeps its default time"
+        }
     );
 
-    // 5. Score the prediction against the true load (Definitions 2 and 8).
-    let truth = server.series.day(backup_day).expect("truth available");
-    let eval = evaluate_low_load(&truth, &predicted, duration, &AccuracyConfig::default())
-        .expect("evaluable");
+    // 5. The pipeline's own score of the server's last backup day
+    //    (Definitions 2 and 8).
+    let scores: Vec<AccuracyDoc> = pipeline.docs.scan(collections::ACCURACY).expect("typed");
+    let last = scores
+        .iter()
+        .filter(|d| d.server_id == server.meta.id.0)
+        .max_by_key(|d| d.day)
+        .expect("the server's backup days were scored");
     println!(
-        "window chosen correctly: {} | in-window load accurate: {} \
+        "day {}: window chosen correctly: {} | in-window load accurate: {} \
          (bucket ratio {:.1}%)",
-        eval.window_correct, eval.load_accurate, eval.window_bucket_ratio
+        last.day, last.window_correct, last.load_accurate, last.window_bucket_ratio
     );
 }

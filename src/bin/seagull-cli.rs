@@ -9,24 +9,24 @@
 //!   dashboard.
 //! * `schedule`  — run the pipeline for four weeks into the serving layer,
 //!   schedule the fifth week's backups from it and summarize decisions.
-//! * `forecast`  — fit a deployable model (persistent or SSA) on one
-//!   synthetic server and print its predicted lowest-load window. The
-//!   Figure 11 bins of `seagull-bench` run the other three models.
+//! * `forecast`  — run the weekly pipeline for four weeks on one synthetic
+//!   server of a class and print what the serving layer answers for its
+//!   next backup day (gate and lowest-load window) and the pipeline's own
+//!   score of its last one. The Figure 11 bins of `seagull-bench` compare
+//!   models.
 //!
 //! Run `seagull-cli help` (or any subcommand with `--help`) for flags.
 
 use seagull::backup::{
     serve_weeks, BackupScheduler, FabricPropertyStore, ScheduleDecision, SchedulerConfig,
 };
-use seagull::core::classify::{classify_fleet_with, ClassifyConfig, ServerClass};
-use seagull::core::metrics::lowest_load_window;
+use seagull::core::classify::{classify_fleet, ServerClass};
+use seagull::core::pipeline::{collections, AccuracyDoc};
 use seagull::core::Dashboard;
-use seagull::forecast::{Forecaster, PersistentForecast, PersistentVariant, SsaForecaster};
 use seagull::telemetry::blobstore::DiskBlobStore;
 use seagull::telemetry::extract::LoadExtraction;
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec};
 use seagull::telemetry::server::GeneratedClass;
-use seagull::timeseries::Timestamp;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -88,8 +88,7 @@ fn usage() -> &'static str {
        classify   --servers N --weeks W --seed S\n\
        pipeline   --servers N --weeks W --seed S\n\
        schedule   --servers N --seed S\n\
-       forecast   --model persistent|ssa\n\
-                  --class stable|daily|weekly|unstable --seed S\n\
+       forecast   --class stable|daily|weekly|unstable --seed S\n\
        help\n"
 }
 
@@ -129,7 +128,7 @@ fn cmd_classify(args: &Args) -> Result<(), String> {
     let weeks: usize = args.get("weeks", 4)?;
     let as_of = spec.start_day + (weeks * 7) as i64;
     let fleet = FleetGenerator::new(spec).generate_weeks(weeks);
-    let report = classify_fleet_with(&fleet, as_of, &ClassifyConfig::default());
+    let report = classify_fleet(&fleet, as_of);
     println!("classified {} servers:", report.total());
     for class in [
         ServerClass::ShortLived,
@@ -208,28 +207,13 @@ fn cmd_forecast(args: &Args) -> Result<(), String> {
         other => return Err(format!("unknown class {other:?}")),
     };
     // A one-server fleet of the requested class.
+    let share = |c| if class == c { 1.0 } else { 0.0 };
     let mix = seagull::telemetry::fleet::ClassMix {
         short_lived: 0.0,
-        stable: if class == GeneratedClass::Stable {
-            1.0
-        } else {
-            0.0
-        },
-        daily: if class == GeneratedClass::DailyPattern {
-            1.0
-        } else {
-            0.0
-        },
-        weekly: if class == GeneratedClass::WeeklyPattern {
-            1.0
-        } else {
-            0.0
-        },
-        unstable: if class == GeneratedClass::Unstable {
-            1.0
-        } else {
-            0.0
-        },
+        stable: share(GeneratedClass::Stable),
+        daily: share(GeneratedClass::DailyPattern),
+        weekly: share(GeneratedClass::WeeklyPattern),
+        unstable: share(GeneratedClass::Unstable),
     };
     let spec = FleetSpec {
         seed,
@@ -243,50 +227,53 @@ fn cmd_forecast(args: &Args) -> Result<(), String> {
         capacity_reaching: 0.0,
     };
     let start = spec.start_day;
-    let server = FleetGenerator::new(spec).generate_weeks(2).remove(0);
-
-    let model_name = args.get_str("model", "persistent");
-    let persistent = PersistentForecast::new(PersistentVariant::PreviousDay);
-    let ssa = SsaForecaster::default();
-    let model: &dyn Forecaster = match model_name.as_str() {
-        "persistent" => &persistent,
-        "ssa" => &ssa,
-        other => return Err(format!("unknown model {other:?}")),
-    };
-
-    let backup_day = start + 8;
-    let history = server
-        .series
-        .slice(
-            Timestamp::from_days(backup_day - 7),
-            Timestamp::from_days(backup_day),
-        )
-        .map_err(|e| e.to_string())?;
-    let predicted = model
-        .fit_predict(&history, history.points_per_day())
-        .map_err(|e| e.to_string())?;
-    let duration = server.meta.backup.duration_min;
-    let window =
-        lowest_load_window(&predicted, duration).ok_or("no window fits the predicted day")?;
-    println!(
-        "model {model_name} on a {} server: predicted LL window for day {backup_day} \
-         starts at {} ({duration} min, predicted mean load {:.1}%)",
-        class.label(),
-        window.start,
-        window.mean_load
+    let regions = [spec.regions[0].name.clone()];
+    // Four weekly pipeline runs deploy into the serving layer, which then
+    // answers for the fifth week.
+    let week_days: Vec<i64> = (0..4).map(|w| start + 7 * w).collect();
+    let fleet = FleetGenerator::new(spec).generate_weeks(4);
+    let (serve, pipeline, _) = serve_weeks(&fleet, &regions, &week_days);
+    let server = &fleet[0];
+    let backup_day = server.meta.backup.day_in_week(start + 28);
+    let model = pipeline.registry.deployed(&regions[0]).map_or_else(
+        || "no deployed model".to_string(),
+        |v| format!("model {} v{}", v.model_name, v.version),
     );
-    if let Some(truth) = server.series.day(backup_day) {
-        let eval = seagull::core::metrics::evaluate_low_load(
-            &truth,
-            &predicted,
-            duration,
-            &seagull::core::metrics::AccuracyConfig::default(),
-        )
-        .ok_or("evaluation failed")?;
-        println!(
-            "against the true load: window correct = {}, in-window bucket ratio = {:.1}%",
-            eval.window_correct, eval.window_bucket_ratio
-        );
+    println!(
+        "{model} on one {} server: backup day {backup_day}",
+        class.label()
+    );
+    match serve.gated_ll_window(&regions[0], server.meta.id.0, backup_day) {
+        Ok((gate, window)) => {
+            println!(
+                "  gate: {} week(s) left to score, {} to pass",
+                gate.to_score, gate.to_pass
+            );
+            match window {
+                Ok(w) => println!(
+                    "  served LL window starts at {} ({} min, predicted mean load {:.1}%)",
+                    w.start, w.duration_min, w.mean_load
+                ),
+                Err(e) => println!("  no served window: {e}"),
+            }
+        }
+        Err(e) => println!("  not served: {e}"),
+    }
+    let scores: Vec<AccuracyDoc> = pipeline
+        .docs
+        .scan(collections::ACCURACY)
+        .map_err(|e| e.to_string())?;
+    let last = scores
+        .iter()
+        .filter(|d| d.server_id == server.meta.id.0)
+        .max_by_key(|d| d.day);
+    match last {
+        Some(d) => println!(
+            "  pipeline's score of backup day {}: window correct = {}, load accurate = {}, \
+             in-window bucket ratio = {:.1}%",
+            d.day, d.window_correct, d.load_accurate, d.window_bucket_ratio
+        ),
+        None => println!("  no backup day scored"),
     }
     Ok(())
 }

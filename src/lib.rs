@@ -30,13 +30,14 @@
 //! ```
 //! use seagull::prelude::*;
 //!
-//! // Generate one week of 5-minute telemetry for a small fleet.
+//! // Generate four weeks of 5-minute telemetry for a small fleet.
 //! let spec = FleetSpec::small_region(42);
+//! let end = spec.start_day + 28;
 //! let fleet = FleetGenerator::new(spec).generate_weeks(4);
 //!
-//! // Classify the servers per the paper's Definitions 3-6.
-//! let bound = ErrorBound::default();
-//! let report = classify_fleet(&fleet, &bound);
+//! // Classify the servers per the paper's Definitions 3-6, as of the end
+//! // of the four weeks.
+//! let report = classify_fleet(&fleet, end);
 //! assert!(report.total() > 0);
 //! ```
 

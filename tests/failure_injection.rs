@@ -4,7 +4,7 @@
 //! appropriate") exercised under adversarial input.
 
 use seagull::core::pipeline::{
-    collections, AmlPipeline, DeadLetterDoc, GateState, PipelineConfig, PredictionDoc,
+    collections, AccuracyDoc, AmlPipeline, DeadLetterDoc, GateState, PipelineConfig, PredictionDoc,
 };
 use seagull::core::resilience::{BreakerState, StageChaos};
 use seagull::core::Severity;
@@ -181,6 +181,74 @@ fn off_grid_and_invalid_window_blocks_are_flagged() {
     assert!(report.anomalies >= 2, "anomalies {}", report.anomalies);
     assert_eq!(validation_incidents(&pipeline, "InvalidBackupWindow"), 1);
     assert_eq!(validation_incidents(&pipeline, "OffGridTimestamp"), 1);
+}
+
+/// A region-week whose every block is on another grid than the pipeline's
+/// leaves the run no server: each block raises its off-grid warning, then
+/// one critical `EmptyInput` blocks the run.
+#[test]
+fn week_with_no_block_on_the_grid_is_blocked() {
+    let store = Arc::new(MemoryBlobStore::new());
+    let region = "off-grid";
+    let start = 18_004i64;
+    let base = start * 1440;
+    let rows = [1, 2].map(|id| server_rows(id, base, 10, 3, (base, base + 60)).records);
+    let blob = ColumnarBatch::from_records(&RecordBatch::new(rows.concat()), 10).encode();
+    store.put(&BlobKey::extracted(region, start), blob).unwrap();
+    let pipeline = AmlPipeline::new(PipelineConfig::production(), store);
+    let report = pipeline.run_region_week(region, start);
+    assert!(report.blocked);
+    assert_eq!((report.servers, report.anomalies), (0, 3));
+    assert_eq!(report.predictions_written, 0);
+    let raised: Vec<(Severity, String)> = pipeline
+        .incidents
+        .all()
+        .into_iter()
+        .filter(|i| i.source == "validation")
+        .map(|i| (i.severity, i.message))
+        .collect();
+    let off_grid = |id| format!("OffGridTimestamp {{ server_id: {id}, timestamp_min: {base} }}");
+    assert_eq!(
+        raised,
+        vec![
+            (Severity::Warning, off_grid(1)),
+            (Severity::Warning, off_grid(2)),
+            (Severity::Critical, "EmptyInput".to_string()),
+        ]
+    );
+}
+
+/// A blob's default backup window may lie outside its week: the server's
+/// backup day is that window's weekday inside the week. A window two days
+/// before the week still has the run predict next week's backup day, next
+/// week's run score that prediction, and the server's gate count down.
+#[test]
+fn default_window_before_its_week_is_predicted_and_scored() {
+    let store = Arc::new(MemoryBlobStore::new());
+    let region = "calendar";
+    let start = 18_004i64;
+    for week in [start, start + 7] {
+        let window = (week - 2) * 1440 + 600;
+        let rows = server_rows(1, week * 1440, 5, 7 * 288, (window, window + 60));
+        let blob = ColumnarBatch::from_records(&rows, 5).encode();
+        store.put(&BlobKey::extracted(region, week), blob).unwrap();
+    }
+    let pipeline = AmlPipeline::new(PipelineConfig::production(), store);
+    let first = pipeline.run_region_week(region, start);
+    assert_eq!(
+        first.predictions_written,
+        1,
+        "the run predicts day {}",
+        start + 12
+    );
+    let second = pipeline.run_region_week(region, start + 7);
+    assert_eq!(second.evaluations, 1, "next week's run scores it");
+    let id = format!("{region}/1/{}", start + 12);
+    let scored: AccuracyDoc = pipeline.docs.get(collections::ACCURACY, &id).unwrap();
+    assert!(scored.window_correct && scored.load_accurate);
+    let id = PredictionDoc::doc_id(region, 1, start + 19);
+    let next: PredictionDoc = pipeline.docs.get(collections::PREDICTIONS, &id).unwrap();
+    assert_eq!(next.gate, GateState::CLOSED.next(Some(true)));
 }
 
 /// A checksum-valid block on another grid than the pipeline's is reported

@@ -9,9 +9,9 @@
 use seagull::core::fleet::FleetRunner;
 use seagull::core::metrics::{evaluate_low_load, AccuracyConfig};
 use seagull::core::pipeline::{
-    collections, AmlPipeline, GateState, PipelineConfig, PipelineRunReport, PredictionDoc,
+    collections, AmlPipeline, GateState, PipelineConfig, PipelineRunReport, PredictionDoc, PROFILE,
 };
-use seagull::core::{extract_features, validate_servers};
+use seagull::core::{extract_features, validate_columnar};
 use seagull::forecast::{
     FittedModel, ForecastError, Forecaster, PersistentForecast, SsaForecaster,
 };
@@ -183,7 +183,6 @@ fn fleet_week_outputs_are_byte_identical_across_thread_counts() {
         let config = PipelineConfig {
             threads,
             forecaster: Arc::new(SsaForecaster::default()),
-            ..PipelineConfig::production()
         };
         let pipeline = AmlPipeline::new(config, Arc::clone(&store) as Arc<dyn BlobStore>);
         let runner = FleetRunner::new(pipeline, regions.clone());
@@ -245,7 +244,7 @@ fn canonical_collection(pipeline: &AmlPipeline, collection: &str) -> Docs {
 
 /// What the fused per-server operators must write, recomputed by composing
 /// the public batch functions in stage order over each region-week's blob:
-/// `validate_servers` → `extract_features` (on the week as ingested; it
+/// `validate_columnar` → `extract_features` (on the week as ingested; it
 /// repairs a copy of its own) → `fill_gaps` → `fit` → `predict` →
 /// backup-day slice, stamped with the gate that `evaluate_low_load` of the
 /// previous week's prediction against the repaired week moves on. Returns
@@ -256,7 +255,7 @@ fn staged_oracle(
     regions: &[String],
     week_days: &[i64],
 ) -> (Docs, Docs) {
-    let grid_min = config.profile.grid_min;
+    let grid_min = PROFILE.grid_min;
     let points_per_day = (MINUTES_PER_DAY / grid_min as i64) as usize;
     let mut features = Vec::new();
     let mut predictions = Vec::new();
@@ -264,9 +263,10 @@ fn staged_oracle(
     for &week in week_days {
         for region in regions {
             let blob = store.get(&BlobKey::extracted(region, week)).unwrap();
-            let mut servers = ColumnarBatch::decode(&blob).unwrap().extract(grid_min);
-            assert!(!validate_servers(&servers, &config.profile).is_blocked());
-            let week_features = extract_features(&servers, &config.classify);
+            let batch = ColumnarBatch::decode(&blob).unwrap();
+            assert!(!validate_columnar(&batch, &PROFILE, usize::MAX).is_blocked());
+            let mut servers = batch.extract(grid_min);
+            let week_features = extract_features(&servers);
             for s in &mut servers {
                 fill_gaps(&mut s.series, GapFill::Linear);
             }
@@ -281,13 +281,13 @@ fn staged_oracle(
                     Err(ForecastError::InsufficientHistory { .. }) => continue,
                     Err(e) => panic!("server {} failed to fit: {e}", s.id.0),
                 };
-                let backup_day = s.default_backup_start.day_index() + 7;
-                let horizon_days = (backup_day + 1 - (week + 7)).max(1) as usize;
+                let backup_day = s.backup_day(week + 7);
+                let horizon_days = (backup_day + 1 - (week + 7)) as usize;
                 let prediction = fitted.predict(horizon_days * points_per_day).unwrap();
                 let Some(day) = prediction.day(backup_day) else {
                     continue;
                 };
-                let scored_day = backup_day - 7;
+                let scored_day = s.backup_day(week);
                 let score = written
                     .iter()
                     .find(|d| &d.region == region && d.server_id == s.id.0 && d.day == scored_day)
@@ -408,7 +408,6 @@ fn straggler_server_does_not_stall_siblings() {
     let config = PipelineConfig {
         threads: 4,
         forecaster: Arc::clone(&slow) as Arc<dyn Forecaster>,
-        ..PipelineConfig::production()
     };
     let pipeline = AmlPipeline::new(config, store);
     let report = pipeline.run_region_week("region-a", start);
@@ -513,7 +512,6 @@ fn warm_cache_changes_cost_not_schedule() {
     let config = PipelineConfig {
         threads: 2,
         forecaster: Arc::new(SsaForecaster::default()),
-        ..PipelineConfig::production()
     };
     let (_, cold_docs) = staged_oracle(&store, &config, &regions, &week_days);
     let pipeline = AmlPipeline::new(config, Arc::clone(&store) as Arc<dyn BlobStore>);
@@ -619,7 +617,6 @@ fn panicking_server_quarantines_alone() {
         let clean_config = PipelineConfig {
             threads,
             forecaster: Arc::new(PersistentForecast::previous_day()),
-            ..PipelineConfig::production()
         };
         let clean = AmlPipeline::new(clean_config, store());
         let clean_report = clean.run_region_week("region-a", week_days[0]);
@@ -633,7 +630,6 @@ fn panicking_server_quarantines_alone() {
         let config = PipelineConfig {
             threads,
             forecaster: Arc::clone(&poison) as Arc<dyn Forecaster>,
-            ..PipelineConfig::production()
         };
         let pipeline = AmlPipeline::new(config, store());
         let report = pipeline.run_region_week("region-a", week_days[0]);
