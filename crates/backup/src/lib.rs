@@ -18,7 +18,8 @@
 //!   incorrect windows per server class, busy-server collision avoidance,
 //!   hours of improved customer experience, and the capacity histogram.
 //! * [`serve_weeks`] — the weekly production path the scheduler reads from:
-//!   extraction, the pipeline, and the serving layer it deploys into.
+//!   extraction, the pipeline, and the serving layer it deploys into;
+//!   [`served_backup_day`] reads back what it serves for one server.
 
 #![forbid(unsafe_code)]
 
@@ -34,8 +35,11 @@ pub use scheduler::{
     BackupScheduler, DefaultReason, ScheduleDecision, ScheduledBackup, SchedulerConfig,
 };
 
-use seagull_core::pipeline::{AmlPipeline, PipelineConfig, PipelineRunReport};
-use seagull_serve::ServeService;
+use seagull_core::metrics::LowLoadWindow;
+use seagull_core::pipeline::{
+    collections, AccuracyDoc, AmlPipeline, GateState, PipelineConfig, PipelineRunReport,
+};
+use seagull_serve::{ServeError, ServeService};
 use seagull_telemetry::blobstore::MemoryBlobStore;
 use seagull_telemetry::extract::LoadExtraction;
 use seagull_telemetry::fleet::ServerTelemetry;
@@ -60,4 +64,32 @@ pub fn serve_weeks(
         .with_deploy_sink(Arc::new(serve.clone()));
     let reports = pipeline.run_schedule(regions, weeks);
     (serve, pipeline, reports)
+}
+
+/// A server's gate, and the served lowest-load window for one day, as
+/// `ServeService::gated_ll_window` answers them.
+type GatedWindow = Result<(GateState, Result<LowLoadWindow, ServeError>), ServeError>;
+
+/// What [`serve_weeks`] serves for `server` on its backup day in the week
+/// starting `week_start_day`: the day, the server's Definition 9 gate with
+/// the served lowest-load window for that day (`gated_ll_window`), and the
+/// pipeline's latest score of one of its backup days (`None` before any
+/// was scored).
+pub fn served_backup_day(
+    serve: &ServeService,
+    pipeline: &AmlPipeline,
+    region: &str,
+    server: &ServerTelemetry,
+    week_start_day: i64,
+) -> (i64, GatedWindow, Option<AccuracyDoc>) {
+    let id = server.meta.id.0;
+    let day = server.meta.backup.day_in_week(week_start_day);
+    let served = serve.gated_ll_window(region, id, day);
+    let scores: Vec<AccuracyDoc> = (pipeline.docs)
+        .scan(collections::ACCURACY)
+        .expect("the pipeline stores only accuracy documents under ACCURACY");
+    let last = (scores.into_iter())
+        .filter(|d| d.region == region && d.server_id == id)
+        .max_by_key(|d| d.day);
+    (day, served, last)
 }

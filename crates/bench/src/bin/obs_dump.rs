@@ -8,7 +8,7 @@
 
 use seagull_bench::spans::parse_span_json_lines;
 use seagull_bench::{emit_json, fleets};
-use seagull_core::dashboard::Dashboard;
+use seagull_core::dashboard;
 use seagull_core::pipeline::{AmlPipeline, PipelineConfig};
 use seagull_obs::{export, Obs, TimeMode};
 use seagull_telemetry::blobstore::MemoryBlobStore;
@@ -17,9 +17,9 @@ use seagull_telemetry::extract::LoadExtraction;
 use serde_json::json;
 use std::sync::Arc;
 
-/// One deterministic two-week simulation: flaky storage, two pipeline runs,
-/// dashboard fed from the shared registry.
-fn simulate(seed: u64) -> (Obs, AmlPipeline, Dashboard, String) {
+/// One deterministic two-week simulation: flaky storage, two pipeline runs
+/// into one shared observability handle.
+fn simulate(seed: u64) -> (Obs, AmlPipeline, String) {
     let (fleet, spec) = fleets::region_fleet(seed, 60, 2);
     let region = spec.regions[0].name.clone();
     let start = spec.start_day;
@@ -43,15 +43,14 @@ fn simulate(seed: u64) -> (Obs, AmlPipeline, Dashboard, String) {
     let obs = Obs::new();
     let pipeline = AmlPipeline::new(PipelineConfig::production(), Arc::clone(&chaos) as Arc<_>)
         .with_obs(obs.clone());
-    let dashboard = Dashboard::with_obs(obs.clone());
-    dashboard.record(pipeline.run_region_week(&region, start));
-    dashboard.record(pipeline.run_region_week(&region, start + 7));
+    pipeline.run_region_week(&region, start);
+    pipeline.run_region_week(&region, start + 7);
     chaos.export_metrics(obs.registry());
-    (obs, pipeline, dashboard, region)
+    (obs, pipeline, region)
 }
 
 fn main() -> std::io::Result<()> {
-    let (obs, pipeline, dashboard, region) = simulate(42);
+    let (obs, pipeline, region) = simulate(42);
 
     let prom = export::to_prometheus(&obs.registry().snapshot());
     let spans = obs.tracer().spans();
@@ -63,7 +62,7 @@ fn main() -> std::io::Result<()> {
     println!("\n=== Span JSON-lines ===");
     print!("{span_lines}");
     println!("\n=== Dashboard ===");
-    print!("{}", dashboard.render(&pipeline.incidents));
+    print!("{}", dashboard::render(&pipeline.docs, &pipeline.incidents));
 
     // Smoke checks: both text exports must survive their own parsers, and
     // the stable export must be byte-identical for a same-seed rerun.
@@ -81,7 +80,7 @@ fn main() -> std::io::Result<()> {
         spans.iter().any(|s| s.name == "run-week"),
         "run spans recorded"
     );
-    let (obs2, _, _, _) = simulate(42);
+    let (obs2, _, _) = simulate(42);
     assert_eq!(
         obs.stable_export(),
         obs2.stable_export(),

@@ -16,11 +16,11 @@
 //!   with per-stage timing (Figure 12(a)); its accuracy-eval stage scores
 //!   last week's predictions and moves each server's three-week
 //!   predictability gate (Definition 9).
-//! * [`registry`] — model version tracking and the last-known-good
-//!   fallback rule.
+//! * [`registry`] — model version tracking: each region's last successful
+//!   deploy, the version its served snapshot carries.
 //! * [`docstore`] — the Cosmos DB substitute where results land.
 //! * [`incident`] / [`dashboard`] — alerting and the Application Insights
-//!   substitute.
+//!   substitute, a summary read from the stored run reports.
 //! * [`resilience`] — retry of transient faults and per-region circuit breaking,
 //!   threaded through every pipeline stage so transient faults degrade runs
 //!   instead of aborting them.
@@ -46,7 +46,7 @@ pub mod resilience;
 pub mod validation;
 
 pub use classify::{classify_fleet, ClassificationReport, ServerClass};
-pub use dashboard::{Dashboard, DashboardSummary};
+pub use dashboard::DashboardSummary;
 pub use docstore::{DocStore, DocStoreError};
 pub use features::{extract_features, ServerFeatures};
 pub use fleet::{checkpoint_key, FleetRunner, CHECKPOINT_KIND};
@@ -57,6 +57,6 @@ pub use metrics::{
 };
 pub use par::{configured_threads, default_threads, parallel_map};
 pub use pipeline::{AccuracySummary, AmlPipeline, DegradedRun, PipelineConfig, PipelineRunReport};
-pub use registry::{ModelAccuracy, ModelRegistry};
+pub use registry::ModelRegistry;
 pub use resilience::{BreakerState, CircuitBreaker, InjectedCrash, StageChaos, StageError};
 pub use validation::{validate_columnar, Anomaly, DataProfile, ValidationReport};

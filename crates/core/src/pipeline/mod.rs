@@ -9,16 +9,17 @@
 //!
 //! [`AmlPipeline::run_region_week`] is one such run. Every stage is timed
 //! (the Figure 12(a) measurement); predictions and accuracy rows land in the
-//! [`DocStore`]; validation anomalies and deployment regressions raise
-//! incidents; each run deploys a fresh model version whose accuracy, once
-//! measured a week later, feeds the last-known-good fallback rule.
+//! [`DocStore`]; validation anomalies and failed deploys raise incidents;
+//! each run deploys a fresh model version, whose predictions the next run
+//! scores.
 //!
 //! Every stage runs under [`retry`](crate::resilience::retry): transient
 //! faults (storage timeouts, torn reads, outages) are retried at once, up to
 //! a fixed attempt count, and exhausted retries degrade the run instead of
 //! aborting it —
 //! poison server batches are quarantined to a dead-letter list, a failed
-//! deploy keeps the registry's last-known-good model serving, and the
+//! deploy keeps the region's last published snapshot serving (the one
+//! last-known-good; the registry still names its version), and the
 //! run report carries a [`DegradedRun`] summary instead of an `Err`. A
 //! per-region [`CircuitBreaker`] guards run entry so a region whose blob
 //! slice is hard-down stops burning retries until a cooldown elapses.
@@ -67,7 +68,7 @@ use crate::docstore::{DocStore, DocStoreError};
 use crate::incident::{IncidentManager, Severity};
 use crate::metrics::{evaluate_low_load, AccuracyConfig};
 use crate::par::{configured_threads, parallel_map_profiled};
-use crate::registry::{ModelAccuracy, ModelRegistry};
+use crate::registry::ModelRegistry;
 use crate::resilience::{retry_observed, CircuitBreaker, RetryResult, StageChaos, StageError};
 use crate::validation::DataProfile;
 use seagull_forecast::{Forecaster, ModelCache, PersistentVariant};
@@ -77,9 +78,6 @@ use seagull_telemetry::columnar::ColumnarBatch;
 use seagull_telemetry::extract::ExtractedServer;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Accuracy drop (percentage points) that triggers model fallback.
-const FALLBACK_TOLERANCE: f64 = 10.0;
 
 /// Cap on anomaly reports per kind per run.
 const MAX_ANOMALY_REPORTS: usize = 20;
@@ -127,7 +125,8 @@ pub struct AmlPipeline {
     pub docs: DocStore,
     /// Shared incident log.
     pub incidents: IncidentManager,
-    /// Model version registry fed by the deployment stage.
+    /// Each region's last successful deploy, numbered by the deployment
+    /// stage.
     pub registry: ModelRegistry,
     /// Stage-fault and kill hooks (tests and chaos drills; none in
     /// production).
@@ -494,12 +493,11 @@ impl AmlPipeline {
         // Stamp each prediction with its server's gate after this week (a
         // week with nothing scored restarts it). The predictions are a
         // subsequence of `servers`, in order.
-        let (mut evals, mut open) = (Vec::new(), 0);
+        let mut evals = Vec::new();
         let mut unstamped = predictions.iter_mut().peekable();
         for (s, row) in servers.iter().zip(eval_rows) {
             let (eval, gate) = row.ok().flatten().unzip();
             evals.extend(eval);
-            open += usize::from(gate == Some(GateState::OPEN));
             if let Some(doc) = unstamped.next_if(|doc| doc.server_id == s.id.0) {
                 doc.gate = gate.unwrap_or(GateState::CLOSED);
             }
@@ -507,31 +505,10 @@ impl AmlPipeline {
         report.evaluations = evals.len();
         if !evals.is_empty() {
             let verdicts = evals.iter().map(|e| (e.window_correct, e.load_accurate));
-            let summary = AccuracySummary::from_verdicts(report.servers, verdicts);
-            report.accuracy = Some(summary);
+            report.accuracy = Some(AccuracySummary::from_verdicts(report.servers, verdicts));
             for e in &evals {
                 let id = format!("{region}/{}/{}", e.server_id, e.day);
                 self.docs.upsert(collections::ACCURACY, &id, e);
-            }
-            // Feed the registry: the scores measure the version the previous
-            // week's run deployed, whose predictions they scored; a week
-            // whose deploy failed (or that never ran) has no version to
-            // score. The fallback rule compares it against the last known
-            // good version and raises an incident on regression.
-            let scored = (self.registry.history(region).into_iter().rev())
-                .find(|v| v.trained_week == week_start_day - 7);
-            if let Some(scored) = scored {
-                self.registry.record_accuracy(
-                    region,
-                    scored.version,
-                    ModelAccuracy {
-                        window_correct_pct: summary.window_correct_pct,
-                        load_accurate_pct: summary.load_accurate_pct,
-                        predictable_pct: 100.0 * open as f64 / evals.len() as f64,
-                    },
-                );
-                self.registry
-                    .maybe_fallback(region, FALLBACK_TOLERANCE, &self.incidents);
             }
         }
         self.finish_stage(&mut report, span, "accuracy-eval", region, vt);
@@ -550,8 +527,8 @@ impl AmlPipeline {
         let deploy_gate = self.retry_stage("deployment", region, tick, || Ok(()));
         degraded.note("deployment", &deploy_gate);
         if deploy_gate.outcome.is_err() {
-            // Keep serving the registry's last-known-good model: no new
-            // version is published.
+            // Keep serving the last published snapshot: no new version is
+            // registered or published, so the registry still names it.
             degraded.exhausted_stages.push("deployment".into());
             degraded.fallback_deployed = true;
             let serving = self
@@ -726,26 +703,6 @@ mod tests {
         assert_eq!(pipeline.registry.deployed("region-a").unwrap().version, 2);
     }
 
-    /// A week's scores land on the version that made the predictions they
-    /// score: the one the previous week deployed, none in a region's first
-    /// run (`failed_deploy_week_is_scored_on_no_version` covers a week
-    /// whose deployment failed).
-    #[test]
-    fn accuracy_is_recorded_on_the_version_it_scores() {
-        let (pipeline, start) = setup(40, 2);
-        pipeline.run_region_week("region-a", start);
-        pipeline.run_region_week("region-a", start + 7);
-        let history = pipeline.registry.history("region-a");
-        assert_eq!(history.len(), 2);
-        let scored = history[0].accuracy.expect("week 2 scores version 1");
-        assert!(
-            history[1].accuracy.is_none(),
-            "nothing scored version 2 yet"
-        );
-        // One scored week opens no three-week gate.
-        assert_eq!(scored.predictable_pct, 0.0);
-    }
-
     /// Each week moves every stamped gate one step: after four runs a
     /// server scored and passing three weeks running has an open gate, one
     /// with a failed week among them does not, and every stored prediction
@@ -773,10 +730,6 @@ mod tests {
             open += usize::from(gate == GateState::OPEN);
         }
         assert!(open > 0, "a mostly stable fleet opens gates in week 4");
-        let newest = pipeline.registry.history("region-a")[2]
-            .accuracy
-            .expect("week 4 scores version 3");
-        assert!(newest.predictable_pct > 0.0);
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub struct DegradedRun {
     pub retries: BTreeMap<String, u32>,
     /// Servers quarantined to the dead-letter list this run.
     pub quarantined_servers: Vec<u64>,
-    /// True when train/deploy failed and the registry's last-known-good
-    /// model was kept serving instead of a new version.
+    /// True when the deploy failed and the region's last published
+    /// snapshot kept serving: no new version was registered.
     pub fallback_deployed: bool,
     /// True when the region's circuit breaker rejected the run outright.
     pub skipped_by_breaker: bool,

@@ -35,7 +35,8 @@ pub struct DeployEvent<'a> {
 /// deployment through this trait so an out-of-pipeline service can publish
 /// the new snapshot atomically. A failed deployment announces
 /// [`DeploySink::on_fallback`] instead — the sink must keep serving its
-/// last-known-good snapshot, mirroring the registry's fallback rule.
+/// last published snapshot, the one last-known-good (the registry, which
+/// registered no new version, still names it).
 ///
 /// Implementations are called from inside pipeline runs (possibly from
 /// several regions concurrently under [`AmlPipeline::run_fleet_week`]) and

@@ -3,8 +3,9 @@
 //!
 //! The paper's robustness claim (Section 1) is that Seagull "continually
 //! re-evaluates accuracy of predictions, fallback to previously known good
-//! models and triggers alerts as appropriate". The registry implements the
-//! model-fallback half; this module supplies the infrastructure half that
+//! models and triggers alerts as appropriate". A failed deploy keeping the
+//! served snapshot is the model-fallback half; this module supplies the
+//! infrastructure half that
 //! production incidents (Section 2.2) actually exercise:
 //!
 //! * [`retry`] — re-runs an op on transient errors, at most
@@ -438,28 +439,16 @@ impl CircuitBreaker {
         }
     }
 
-    /// Publishes every key's state into `registry` as gauges:
+    /// Publishes one key's state into `registry` as gauges:
     /// `seagull_breaker_state` (see [`BreakerState::gauge_value`]),
     /// `seagull_breaker_consecutive_failures`, and `seagull_breaker_trips`.
-    /// Idempotent — callers re-publish after each breaker interaction.
-    pub fn publish_state(&self, registry: &Registry) {
-        let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        for (key, ks) in map.iter() {
-            Self::publish_key(registry, key, ks);
-        }
-    }
-
-    /// Publishes one key's state (same gauges as
-    /// [`CircuitBreaker::publish_state`]). Concurrent region runs use this
-    /// so a run never exports a mid-flight snapshot of *another* region's
-    /// breaker, which would make the merged registry depend on scheduling.
+    /// Idempotent — callers re-publish after each breaker interaction. One
+    /// key at a time, so a run never exports a mid-flight snapshot of
+    /// *another* region's breaker, which would make the merged registry
+    /// depend on scheduling.
     pub fn publish_region(&self, registry: &Registry, key: &str) {
         let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         let ks = map.get(key).copied().unwrap_or_else(KeyState::closed);
-        Self::publish_key(registry, key, &ks);
-    }
-
-    fn publish_key(registry: &Registry, key: &str, ks: &KeyState) {
         let labels = [("region", key)];
         registry
             .gauge("seagull_breaker_state", &labels)
@@ -811,7 +800,8 @@ mod tests {
         let breaker = CircuitBreaker::new();
         trip(&breaker, "west", 0, &incidents);
         breaker.record_success("east", 0, &incidents);
-        breaker.publish_state(&registry);
+        breaker.publish_region(&registry, "west");
+        breaker.publish_region(&registry, "east");
         let gauge = |key: &str| {
             registry
                 .gauge("seagull_breaker_state", &[("region", key)])
@@ -827,7 +817,7 @@ mod tests {
         );
         // Half-open shows up after the cooldown probe is admitted.
         assert!(breaker.allow("west", COOLDOWN_TICKS));
-        breaker.publish_state(&registry);
+        breaker.publish_region(&registry, "west");
         assert_eq!(gauge("west"), BreakerState::HalfOpen.gauge_value());
     }
 

@@ -8,19 +8,19 @@
 //! file has been verified by a domain expert, it is used to detect schema and
 //! bound anomalies."
 //!
-//! [`DataProfile::deduce`] is that deduction step; [`validate_columnar`]
-//! applies a (verified) profile to a decoded region-week and reports
-//! anomalies, which the pipeline converts into incidents.
+//! [`DataProfile::standard`] is the verified profile (loads are CPU
+//! percentages, so nothing is left to deduce); [`validate_columnar`]
+//! applies it to a decoded region-week and reports anomalies, which the
+//! pipeline converts into incidents.
 
 use seagull_telemetry::columnar::ColumnarBatch;
 use seagull_telemetry::extract::ExtractedServer;
 use serde::Serialize;
 
-/// Deduced (and expert-verified) data properties.
+/// Expert-verified data properties (Section 2.4).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DataProfile {
-    /// Inclusive load bounds; CPU percentages are `[0, 100]` but the profile
-    /// is deduced, not assumed.
+    /// Lower inclusive load bound.
     pub min_load: f64,
     /// Upper inclusive load bound.
     pub max_load: f64,
@@ -29,37 +29,9 @@ pub struct DataProfile {
     /// Maximum tolerated fraction of missing buckets per server before an
     /// anomaly fires.
     pub max_missing_fraction: f64,
-    /// Slack added to deduced bounds when validating fresh data, as a
-    /// fraction of the deduced range (new weeks legitimately exceed old
-    /// extremes slightly).
-    pub bound_slack: f64,
 }
 
 impl DataProfile {
-    /// Deduces a profile from a reference region-week (Section 2.4's
-    /// "automatically deduce ... from the input data"). The result is meant
-    /// to be reviewed before use; [`DataProfile::standard`] is the reviewed
-    /// production profile.
-    pub fn deduce(batch: &ColumnarBatch, grid_min: u32) -> DataProfile {
-        let mut min_load = f64::INFINITY;
-        let mut max_load = f64::NEG_INFINITY;
-        for &v in batch.values().iter().filter(|v| v.is_finite()) {
-            min_load = min_load.min(v);
-            max_load = max_load.max(v);
-        }
-        if !min_load.is_finite() {
-            min_load = 0.0;
-            max_load = 100.0;
-        }
-        DataProfile {
-            min_load,
-            max_load,
-            grid_min,
-            max_missing_fraction: 0.25,
-            bound_slack: 0.05,
-        }
-    }
-
     /// The expert-verified profile used in production: loads are CPU
     /// percentages.
     pub const fn standard(grid_min: u32) -> DataProfile {
@@ -68,16 +40,7 @@ impl DataProfile {
             max_load: 100.0,
             grid_min,
             max_missing_fraction: 0.25,
-            bound_slack: 0.0,
         }
-    }
-
-    fn lower(&self) -> f64 {
-        self.min_load - self.bound_slack * (self.max_load - self.min_load)
-    }
-
-    fn upper(&self) -> f64 {
-        self.max_load + self.bound_slack * (self.max_load - self.min_load)
     }
 }
 
@@ -87,7 +50,7 @@ pub enum Anomaly {
     /// The region-week holds no server the run can read: no block at all,
     /// or none on the profile's grid.
     EmptyInput,
-    /// A load value outside the (slack-widened) deduced bounds.
+    /// A load value outside the profile's bounds.
     BoundViolation {
         /// Offending server.
         server_id: u64,
@@ -182,7 +145,7 @@ pub fn validate_columnar(
     let mut window_hits = 0usize;
     let mut nonfinite_hits = 0usize;
     let mut servers: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let (lo, hi) = (profile.lower(), profile.upper());
+    let (lo, hi) = (profile.min_load, profile.max_load);
     for block in batch.blocks() {
         servers.insert(block.server_id.0);
         if block.default_backup_end <= block.default_backup_start {
@@ -361,24 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn deduced_profile_brackets_data() {
-        let p = DataProfile::deduce(&week(vec![rec(1, 0, 5.0), rec(1, 10, 95.0)], 5), 5);
-        assert_eq!(p.min_load, 5.0);
-        assert_eq!(p.max_load, 95.0);
-        // Slack admits slightly-out-of-range fresh data.
-        let fresh = week(vec![rec(1, 0, 97.0)], 5);
-        assert!(validate_columnar(&fresh, &p, 10).is_clean());
-        let way_out = week(vec![rec(1, 0, 120.0)], 5);
-        assert!(!validate_columnar(&way_out, &p, 10).is_clean());
-    }
-
-    #[test]
-    fn deduce_from_empty_defaults() {
-        let p = DataProfile::deduce(&week(vec![], 5), 5);
-        assert_eq!((p.min_load, p.max_load), (0.0, 100.0));
-    }
-
-    #[test]
     fn columnar_bound_violations_detected() {
         let batch = RecordBatch::new(vec![rec(1, 0, 120.0), rec(1, 5, 50.0), rec(1, 10, -3.0)]);
         let report = validate_columnar(
@@ -446,7 +391,7 @@ mod tests {
         let mut window_hits = 0usize;
         let mut nonfinite_hits = 0usize;
         let mut servers: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let (lo, hi) = (profile.lower(), profile.upper());
+        let (lo, hi) = (profile.min_load, profile.max_load);
         for block in batch.blocks() {
             servers.insert(block.server_id.0);
             if block.default_backup_end <= block.default_backup_start {
@@ -551,11 +496,10 @@ mod tests {
                 ),
                 1..6,
             ),
-            slack in prop_oneof![Just(0.0), Just(0.05)],
             max_reports in prop_oneof![Just(0usize), Just(1), Just(20)],
         ) {
-            let profile = DataProfile { bound_slack: slack, ..DataProfile::standard(5) };
-            let (lo, hi) = (profile.lower(), profile.upper());
+            let profile = DataProfile::standard(5);
+            let (lo, hi) = (profile.min_load, profile.max_load);
             let blocks: Vec<((i64, i64), Vec<f64>)> = blocks
                 .into_iter()
                 .map(|(clean, inverted, samples)| {

@@ -47,13 +47,6 @@ pub struct SpanRecord {
     pub volatile: bool,
 }
 
-impl SpanRecord {
-    /// Duration on the virtual clock, `None` while in flight.
-    pub fn tick_duration(&self) -> Option<u64> {
-        self.end_tick.map(|e| e.saturating_sub(self.start_tick))
-    }
-}
-
 struct ActiveSpan {
     record: SpanRecord,
     started: Instant,
@@ -80,7 +73,7 @@ struct TracerInner {
 ///
 /// let spans = tracer.spans();
 /// assert_eq!(spans[1].parent, Some(spans[0].id));
-/// assert_eq!(spans[1].tick_duration(), Some(3));
+/// assert_eq!((spans[1].start_tick, spans[1].end_tick), (2, Some(5)));
 /// ```
 #[derive(Default)]
 pub struct Tracer {
@@ -286,8 +279,8 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "run-week");
         assert_eq!(spans[1].parent, Some(spans[0].id));
-        assert_eq!(spans[1].tick_duration(), Some(3));
-        assert_eq!(spans[0].tick_duration(), Some(7));
+        assert_eq!((spans[1].start_tick, spans[1].end_tick), (0, Some(3)));
+        assert_eq!((spans[0].start_tick, spans[0].end_tick), (0, Some(7)));
         assert!(spans.iter().all(|s| s.wall.is_some()));
     }
 
@@ -328,7 +321,7 @@ mod tests {
         assert_eq!(spans[2].id, 3);
         assert_eq!(spans[2].parent, Some(2));
         assert!(spans.iter().enumerate().all(|(i, s)| s.seq == i as u64));
-        assert_eq!(spans[2].tick_duration(), Some(1));
+        assert_eq!((spans[2].start_tick, spans[2].end_tick), (1, Some(2)));
         assert!(spans[2].wall.is_some());
     }
 }

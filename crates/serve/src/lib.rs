@@ -24,8 +24,9 @@
 //!    one assignment, and drops the old `Arc` after releasing it. A reader
 //!    that cloned the old `Arc` keeps it alive; the last owner frees it.
 //! 3. When deployment *fails*, the sink's fallback hook leaves the store
-//!    untouched: the **last-known-good** snapshot keeps serving, mirroring
-//!    the model registry's fallback rule.
+//!    untouched: the **last-known-good** snapshot keeps serving. It is the
+//!    system's only last-known-good; the model registry, which registers
+//!    no version for a failed deploy, names the same version.
 //!
 //! ## Read path
 //!

@@ -271,7 +271,8 @@ pub struct DeployRecord {
     pub region: String,
     /// Per-region deploy sequence number (the snapshot blob's key slot).
     pub seq: u64,
-    /// Model-registry version that started serving.
+    /// Version that started serving: the model registry's number for the
+    /// deploy, which `ModelRegistry::deployed` reports until the next one.
     pub version: u64,
     /// First day of the training week.
     pub week_start_day: i64,

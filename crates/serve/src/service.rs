@@ -586,8 +586,8 @@ impl DeploySink for ServeService {
     }
 
     /// Failed deployment: the store is deliberately *not* touched — the
-    /// last-known-good snapshot keeps serving, mirroring the registry's
-    /// fallback rule. Only a counter records that it happened.
+    /// last-known-good snapshot keeps serving, and its version is the one
+    /// the registry still names. Only a counter records that it happened.
     fn on_fallback(&self, region: &str, _week_start_day: i64) {
         self.inner
             .obs

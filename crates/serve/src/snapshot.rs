@@ -266,7 +266,8 @@ impl ModelSnapshot {
         &self.region
     }
 
-    /// The model-registry version this snapshot corresponds to.
+    /// The model-registry version of the deploy that built this snapshot;
+    /// while it serves, `ModelRegistry::deployed` names the same version.
     pub fn version(&self) -> u64 {
         self.version
     }

@@ -236,15 +236,6 @@ impl ChaosBlobStore {
             .remove(&(kind.to_string(), region.to_string()))
     }
 
-    /// True while `(kind, region)` is under a sustained outage.
-    pub fn outage_active(&self, kind: &str, region: &str) -> bool {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .outages
-            .contains(&(kind.to_string(), region.to_string()))
-    }
-
     /// Arms a kill-point. At most one is armed at a time; arming replaces
     /// any previous point and resets the `OnKey` match counter.
     pub fn arm_crash(&self, point: CrashPoint) {
@@ -524,7 +515,6 @@ mod tests {
         store.put(&east, Blob::from(&b"e"[..])).unwrap();
 
         store.set_outage("extracted", "west");
-        assert!(store.outage_active("extracted", "west"));
         let err = store.get(&west).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
         assert!(store.put(&west, Blob::from(&b"x"[..])).is_err());

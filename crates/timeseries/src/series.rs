@@ -77,7 +77,8 @@ impl std::error::Error for TimeSeriesError {}
 ///     t.minute_of_day() as f64
 /// }).unwrap();
 /// assert_eq!(s.len(), 24);
-/// assert_eq!(s.value_at(Timestamp::from_days(100) + 60), Some(60.0));
+/// assert_eq!(s.index_of(Timestamp::from_days(100) + 60), Some(12));
+/// assert_eq!(s.values()[12], 60.0);
 /// assert_eq!(s.end() - s.start(), 120);
 /// ```
 ///
@@ -320,11 +321,6 @@ impl TimeSeries {
         (idx < self.len).then_some(idx)
     }
 
-    /// Value at timestamp `ts`, if covered.
-    pub fn value_at(&self, ts: Timestamp) -> Option<f64> {
-        self.index_of(ts).map(|i| self.values()[i])
-    }
-
     /// Iterates over `(timestamp, value)` pairs.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (Timestamp, f64)> + '_ {
         self.values()
@@ -528,7 +524,6 @@ mod tests {
         for i in 0..s.len() {
             assert_eq!(s.index_of(s.timestamp_at(i)), Some(i));
         }
-        assert_eq!(s.value_at(s.timestamp_at(2)), Some(3.0));
         assert_eq!(s.index_of(s.start() - 5), None);
         assert_eq!(s.index_of(s.end()), None);
         assert_eq!(s.index_of(s.start() + 1), None);

@@ -1,14 +1,17 @@
 //! Monitoring and self-healing: the dashboard, incident management, and the
-//! last-known-good model fallback — including injected failures.
+//! last-known-good fallback — under injected failures.
 //!
 //! Demonstrates Section 1's "SEAGULL continually re-evaluates accuracy of
 //! predictions, fallback to previously known good models and triggers alerts
-//! as appropriate". Run with `cargo run --release --example fleet_monitoring`.
+//! as appropriate": a failed deploy keeps the region's served snapshot, and
+//! the failure raises a Critical. Run with
+//! `cargo run --release --example fleet_monitoring`.
 
-use seagull::core::dashboard::Dashboard;
+use seagull::core::dashboard;
 use seagull::core::pipeline::{AmlPipeline, PipelineConfig};
-use seagull::core::registry::ModelAccuracy;
+use seagull::core::resilience::StageChaos;
 use seagull::core::Severity;
+use seagull::serve::ServeService;
 use seagull::telemetry::blobstore::{Blob, BlobKey, BlobStore, MemoryBlobStore};
 use seagull::telemetry::extract::LoadExtraction;
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec};
@@ -41,8 +44,14 @@ fn main() {
         )
         .expect("store accepts the bad blob");
 
-    let pipeline = AmlPipeline::new(PipelineConfig::production(), store);
-    let dashboard = Dashboard::new();
+    // Week 2's model deployment fails on every attempt.
+    let bad_week = weeks[1];
+    let serve = ServeService::with_defaults();
+    let pipeline = AmlPipeline::new(PipelineConfig::production(), store)
+        .with_chaos(StageChaos::from_fn(move |stage, _, tick, _| {
+            stage == "deployment" && tick == bad_week
+        }))
+        .with_deploy_sink(Arc::new(serve.clone()));
 
     for &week in &weeks {
         let report = pipeline.run_region_week(&region, week);
@@ -50,34 +59,29 @@ fn main() {
             "week {week}: blocked={} servers={} anomalies={} predictions={}",
             report.blocked, report.servers, report.anomalies, report.predictions_written
         );
-        dashboard.record(report);
     }
     // A pipeline run over a region with no data at all.
-    dashboard.record(pipeline.run_region_week("ghost-region", weeks[0]));
+    pipeline.run_region_week("ghost-region", weeks[0]);
 
-    // Inject an accuracy regression to exercise the fallback rule: pretend a
-    // freshly deployed model scored far below the last known good one.
-    let v_bad = pipeline
+    // The fallback: the failed deploy published nothing, so the region
+    // still serves week 1's snapshot, the version the registry names.
+    let snapshot = serve.snapshot(&region).expect("week 1 deployed");
+    let registered = pipeline
         .registry
-        .deploy(&region, "experimental-model", weeks[2]);
-    pipeline.registry.record_accuracy(
-        &region,
-        v_bad,
-        ModelAccuracy {
-            window_correct_pct: 41.0,
-            load_accurate_pct: 38.0,
-            predictable_pct: 12.0,
-        },
+        .deployed(&region)
+        .expect("week 1 deployed");
+    println!(
+        "\nserving v{} (trained on week {}); registry: v{}",
+        snapshot.version(),
+        snapshot.week_start_day(),
+        registered.version
     );
-    if let Some(v) = pipeline
-        .registry
-        .maybe_fallback(&region, 10.0, &pipeline.incidents)
-    {
-        println!("\nfallback fired: rolled back to version {v}");
-    }
 
     // The operator view.
-    println!("\n{}", dashboard.render(&pipeline.incidents));
+    println!(
+        "\n{}",
+        dashboard::render(&pipeline.docs, &pipeline.incidents)
+    );
     println!("open critical incidents:");
     for i in pipeline.incidents.open() {
         if i.severity == Severity::Critical {

@@ -3,9 +3,9 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use seagull::backup::serve_weeks;
+use seagull::backup::{serve_weeks, served_backup_day};
 use seagull::core::classify::{classify_fleet, ServerClass};
-use seagull::core::pipeline::{collections, AccuracyDoc, GateState};
+use seagull::core::pipeline::GateState;
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec};
 
 fn main() {
@@ -38,15 +38,15 @@ fn main() {
 
     // 4. A server that lived through the month, on its backup day next
     //    week: the gate the pipeline moved on from its own scores
-    //    (Definition 9) and the served lowest-load window.
+    //    (Definition 9), the served lowest-load window, and the pipeline's
+    //    own score of the server's last backup day (Definitions 2 and 8).
     let server = fleet
         .iter()
         .find(|s| s.meta.alive_on(start) && s.meta.deleted_day.is_none())
         .expect("a long-lived server exists");
-    let backup_day = server.meta.backup.day_in_week(start + 28);
-    let (gate, window) = serve
-        .gated_ll_window(&region, server.meta.id.0, backup_day)
-        .expect("the server is served");
+    let (backup_day, served, last) =
+        served_backup_day(&serve, &pipeline, &region, server, start + 28);
+    let (gate, window) = served.expect("the server is served");
     let window = window.expect("a window fits the predicted day");
     println!(
         "\nserver {}: predicted lowest-load window on day {backup_day} starts at {} \
@@ -61,15 +61,7 @@ fn main() {
             "closed: the backup keeps its default time"
         }
     );
-
-    // 5. The pipeline's own score of the server's last backup day
-    //    (Definitions 2 and 8).
-    let scores: Vec<AccuracyDoc> = pipeline.docs.scan(collections::ACCURACY).expect("typed");
-    let last = scores
-        .iter()
-        .filter(|d| d.server_id == server.meta.id.0)
-        .max_by_key(|d| d.day)
-        .expect("the server's backup days were scored");
+    let last = last.expect("the server's backup days were scored");
     println!(
         "day {}: window chosen correctly: {} | in-window load accurate: {} \
          (bucket ratio {:.1}%)",

@@ -18,11 +18,11 @@
 //! Run `seagull-cli help` (or any subcommand with `--help`) for flags.
 
 use seagull::backup::{
-    serve_weeks, BackupScheduler, FabricPropertyStore, ScheduleDecision, SchedulerConfig,
+    serve_weeks, served_backup_day, BackupScheduler, FabricPropertyStore, ScheduleDecision,
+    SchedulerConfig,
 };
 use seagull::core::classify::{classify_fleet, ServerClass};
-use seagull::core::pipeline::{collections, AccuracyDoc};
-use seagull::core::Dashboard;
+use seagull::core::dashboard;
 use seagull::telemetry::blobstore::DiskBlobStore;
 use seagull::telemetry::extract::LoadExtraction;
 use seagull::telemetry::fleet::{FleetGenerator, FleetSpec};
@@ -153,12 +153,8 @@ fn cmd_pipeline(args: &Args) -> Result<(), String> {
     let regions = [spec.regions[0].name.clone()];
     let week_days: Vec<i64> = (0..weeks as i64).map(|w| spec.start_day + 7 * w).collect();
     let fleet = FleetGenerator::new(spec).generate_weeks(weeks);
-    let (_, pipeline, reports) = serve_weeks(&fleet, &regions, &week_days);
-    let dashboard = Dashboard::new();
-    for report in reports {
-        dashboard.record(report);
-    }
-    print!("{}", dashboard.render(&pipeline.incidents));
+    let (_, pipeline, _) = serve_weeks(&fleet, &regions, &week_days);
+    print!("{}", dashboard::render(&pipeline.docs, &pipeline.incidents));
     Ok(())
 }
 
@@ -233,17 +229,17 @@ fn cmd_forecast(args: &Args) -> Result<(), String> {
     let week_days: Vec<i64> = (0..4).map(|w| start + 7 * w).collect();
     let fleet = FleetGenerator::new(spec).generate_weeks(4);
     let (serve, pipeline, _) = serve_weeks(&fleet, &regions, &week_days);
-    let server = &fleet[0];
-    let backup_day = server.meta.backup.day_in_week(start + 28);
-    let model = pipeline.registry.deployed(&regions[0]).map_or_else(
+    let (backup_day, served, last) =
+        served_backup_day(&serve, &pipeline, &regions[0], &fleet[0], start + 28);
+    let model = serve.snapshot(&regions[0]).map_or_else(
         || "no deployed model".to_string(),
-        |v| format!("model {} v{}", v.model_name, v.version),
+        |snap| format!("model {} v{}", snap.model_name(), snap.version()),
     );
     println!(
         "{model} on one {} server: backup day {backup_day}",
         class.label()
     );
-    match serve.gated_ll_window(&regions[0], server.meta.id.0, backup_day) {
+    match served {
         Ok((gate, window)) => {
             println!(
                 "  gate: {} week(s) left to score, {} to pass",
@@ -259,14 +255,6 @@ fn cmd_forecast(args: &Args) -> Result<(), String> {
         }
         Err(e) => println!("  not served: {e}"),
     }
-    let scores: Vec<AccuracyDoc> = pipeline
-        .docs
-        .scan(collections::ACCURACY)
-        .map_err(|e| e.to_string())?;
-    let last = scores
-        .iter()
-        .filter(|d| d.server_id == server.meta.id.0)
-        .max_by_key(|d| d.day);
     match last {
         Some(d) => println!(
             "  pipeline's score of backup day {}: window correct = {}, load accurate = {}, \

@@ -18,7 +18,8 @@
 //!   SQL auto-scale use case are experiment code in `seagull-bench`.
 //! * [`core`] — the paper's contribution: low-load accuracy metrics, server
 //!   classification, the AML-style pipeline (which scores its own stored
-//!   predictions), model registry, document store, incidents and dashboard.
+//!   predictions), model registry (each region's last deploy), document
+//!   store, incidents and a dashboard read from the stored run reports.
 //! * [`serve`] — the prediction-serving layer: epoch-swapped model
 //!   snapshots published at deploy time, low-latency per-server queries.
 //! * [`backup`] — the backup-scheduling use case (Sections 2.3, 4, 6).

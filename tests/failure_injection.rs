@@ -318,8 +318,8 @@ fn failing_model_degrades_gracefully() {
     let report = pipeline.run_region_week(&region, start);
     assert!(!report.blocked, "a broken model is not a blocked run");
     assert_eq!(report.predictions_written, 0);
-    // The run is still recorded and a version is still tracked (it will
-    // never accumulate accuracy and so can never displace a good model).
+    // The run is still recorded and its (empty) deploy still registers a
+    // version.
     assert_eq!(pipeline.docs.count(collections::RUNS), 1);
     assert!(pipeline.registry.deployed(&region).is_some());
 }
@@ -742,8 +742,12 @@ fn deploy_failure_mid_schedule_keeps_serving_last_known_good() {
         "deploy failure raises a Critical"
     );
 
-    // Week 3: the fault clears; week-2 predictions are evaluated and a new
-    // version deploys over the kept v1.
+    // Week 3: the fault clears; the predictions of the week whose deploy
+    // failed are still scored, and a new version deploys over the kept v1.
+    assert!(
+        reports[1].accuracy.is_some(),
+        "week 2 scored v1's predictions"
+    );
     assert!(reports[2].evaluations > 0);
     assert_eq!(reports[2].deployed_version, Some(2));
     assert_eq!(pipeline.registry.deployed(&region).unwrap().version, 2);
@@ -768,31 +772,44 @@ fn deploy_failure_mid_schedule_keeps_serving_last_known_good() {
     assert_eq!(snap.week_start_day(), start + 14);
 }
 
-/// A week whose deploy failed has no version: the next week scores its
-/// predictions (an `AccuracyDoc` each) but records the score on no version,
-/// so the kept v1 keeps the score its own predictions earned.
+/// The registry and the serving layer agree on what serves after a failed
+/// deploy: the deploy-failed incident names the version of the snapshot the
+/// region keeps, and no week's scores mark a version rolled back. On this
+/// fleet week 3 scores worse than week 2 (two of 16–17 servers), which is
+/// data noise under one deterministic forecaster, not a bad model.
 #[test]
-fn failed_deploy_week_is_scored_on_no_version() {
-    let (_, store, region, start) = fleet_and_store(80, 3, 15);
-    let bad_week = start + 7;
-    let pipeline = AmlPipeline::new(PipelineConfig::production(), store).with_chaos(
-        StageChaos::from_fn(move |stage, _, tick, _| stage == "deployment" && tick == bad_week),
+fn failed_deploy_names_the_snapshot_that_keeps_serving() {
+    let (_, store, region, start) = fleet_and_store(20, 3, 42);
+    let bad_week = start + 14;
+    let serve = ServeService::with_defaults();
+    let pipeline = AmlPipeline::new(PipelineConfig::production(), store)
+        .with_chaos(StageChaos::from_fn(move |stage, _, tick, _| {
+            stage == "deployment" && tick == bad_week
+        }))
+        .with_deploy_sink(Arc::new(serve.clone()));
+    let reports =
+        pipeline.run_schedule(std::slice::from_ref(&region), &[start, start + 7, bad_week]);
+    assert_eq!(reports[2].deployed_version, None);
+    let served = serve.snapshot(&region).expect("weeks 1 and 2 deployed");
+    assert_eq!(served.version(), 2);
+    assert_eq!(pipeline.registry.deployed(&region).unwrap().version, 2);
+    let incidents = pipeline.incidents.all();
+    let failed: Vec<_> = incidents
+        .iter()
+        .filter(|i| i.source == "deployment")
+        .collect();
+    assert_eq!(failed.len(), 1);
+    assert!(
+        failed[0]
+            .message
+            .ends_with("serving last-known-good: v2 (persistent-prev-day)"),
+        "{}",
+        failed[0].message
     );
-    let reports = pipeline.run_schedule(std::slice::from_ref(&region), &[start, bad_week]);
-    assert_eq!(reports[1].deployed_version, None);
-    let v1 = pipeline.registry.history(&region)[0].accuracy;
-    assert!(v1.is_some(), "week 2 scored v1's predictions");
-    let week3 = pipeline.run_region_week(&region, start + 14);
-    assert_eq!(week3.deployed_version, Some(2));
-    let (week2, week3) = (reports[1].accuracy.unwrap(), week3.accuracy.unwrap());
-    assert_ne!(
-        (week2.window_correct_pct, week2.load_accurate_pct),
-        (week3.window_correct_pct, week3.load_accurate_pct),
-        "the two weeks score differently"
+    assert!(
+        incidents.iter().all(|i| i.source != "model-registry"),
+        "{incidents:?}"
     );
-    let history = pipeline.registry.history(&region);
-    assert_eq!(history[0].accuracy, v1);
-    assert_eq!(history[1].accuracy, None);
 }
 
 /// Predictions the docstore-write step dropped leave the next week nothing
@@ -823,39 +840,4 @@ fn dropped_predictions_close_every_gate_for_three_weeks() {
     assert_eq!(reports[2].evaluations, 0, "nothing stored to score");
     assert!(!gates.is_empty());
     assert!(gates.iter().all(|g| g.to_score >= 2), "{gates:?}");
-}
-
-#[test]
-fn accuracy_regression_triggers_fallback_and_alert() {
-    let (_, store, region, start) = fleet_and_store(40, 3, 13);
-    let pipeline = AmlPipeline::new(PipelineConfig::production(), store);
-    // Two healthy weeks establish a last-known-good version with accuracy:
-    // week 2 scores the predictions of version 1.
-    pipeline.run_region_week(&region, start);
-    pipeline.run_region_week(&region, start + 7);
-    let good = pipeline.registry.history(&region)[0].clone();
-    assert!(good.accuracy.is_some());
-
-    // Deploy an "experimental" version and record terrible accuracy.
-    let bad = pipeline
-        .registry
-        .deploy(&region, "experimental", start + 14);
-    pipeline.registry.record_accuracy(
-        &region,
-        bad,
-        seagull::core::registry::ModelAccuracy {
-            window_correct_pct: 20.0,
-            load_accurate_pct: 15.0,
-            predictable_pct: 5.0,
-        },
-    );
-    let rolled = pipeline
-        .registry
-        .maybe_fallback(&region, 10.0, &pipeline.incidents);
-    assert_eq!(rolled, Some(good.version));
-    assert_eq!(
-        pipeline.registry.deployed(&region).unwrap().version,
-        good.version
-    );
-    assert!(pipeline.incidents.open_count(Severity::Critical) >= 1);
 }

@@ -3,7 +3,6 @@
 //! chaos stats), and the stable export must be byte-identical across
 //! same-seed runs — the property that makes obs output diffable in CI.
 
-use seagull::core::dashboard::Dashboard;
 use seagull::core::pipeline::{AmlPipeline, PipelineConfig};
 use seagull::core::resilience::BreakerState;
 use seagull::core::Severity;
@@ -188,9 +187,8 @@ fn seeded_run(seed: u64) -> Obs {
     let obs = Obs::new();
     let pipeline =
         AmlPipeline::new(PipelineConfig::production(), chaos.clone()).with_obs(obs.clone());
-    let dashboard = Dashboard::with_obs(obs.clone());
-    dashboard.record(pipeline.run_region_week(&region, start));
-    dashboard.record(pipeline.run_region_week(&region, start + 7));
+    pipeline.run_region_week(&region, start);
+    pipeline.run_region_week(&region, start + 7);
     chaos.export_metrics(obs.registry());
     obs
 }
