@@ -88,10 +88,15 @@ fn main() -> std::io::Result<()> {
     );
     println!("\n[smoke: exports parse; stable export reproducible]");
 
+    // The committed count is of the stable samples: the full exposition
+    // also holds volatile series whose count moves from run to run.
+    let stable = export::to_prometheus(&obs.registry().stable_snapshot());
+    let stable_samples = export::parse_prometheus(&stable).expect("stable export re-parses");
+
     let trace_path = emit_json(
         "obs_dump",
         &json!({
-            "metrics": parsed.len(),
+            "metrics": stable_samples.len(),
             "spans": spans.len(),
             "stable_export_bytes": obs.stable_export().len(),
         }),

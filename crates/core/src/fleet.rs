@@ -223,7 +223,7 @@ impl AmlPipeline {
     ///
     /// Every region executes against a scratch [`Obs`] handle and a
     /// recording [`IncidentManager`]; the other services (doc store, model
-    /// registry, breaker, warm cache) are shared, and every cross-region
+    /// registry, warm cache) are shared, and every cross-region
     /// touch point is region-keyed, so concurrent runs cannot observe each
     /// other. After the join the scratch handles are absorbed in region
     /// *input* order, which makes metrics, span ids, and the incident log —

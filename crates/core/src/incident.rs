@@ -57,21 +57,15 @@ pub struct Incident {
     pub state: IncidentState,
 }
 
-/// One logical mutation of the incident log, as recorded by a journaling
-/// manager (see [`IncidentManager::recording`]).
+/// One raise, as recorded by a journaling manager (see
+/// [`IncidentManager::recording`]).
 #[derive(Debug, Clone)]
-enum IncidentEvent {
-    Raise {
-        severity: Severity,
-        source: String,
-        region: String,
-        key: String,
-        message: String,
-    },
-    ResolveMatching {
-        source: String,
-        region: String,
-    },
+struct RaiseEvent {
+    severity: Severity,
+    source: String,
+    region: String,
+    key: String,
+    message: String,
 }
 
 #[derive(Default)]
@@ -80,7 +74,7 @@ struct Inner {
     next_id: u64,
     /// `Some` when this manager journals its mutations for later replay
     /// onto another manager via [`IncidentManager::absorb`].
-    journal: Option<Vec<IncidentEvent>>,
+    journal: Option<Vec<RaiseEvent>>,
 }
 
 /// Thread-safe incident log shared across pipeline components.
@@ -95,16 +89,15 @@ impl IncidentManager {
         IncidentManager::default()
     }
 
-    /// Creates an empty manager that journals every `raise*` and
-    /// [`IncidentManager::resolve_matching`] call, so the sequence can later
-    /// be replayed onto a shared manager with [`IncidentManager::absorb`].
+    /// Creates an empty manager that journals every `raise*` call, so the
+    /// sequence can later be replayed onto a shared manager with
+    /// [`IncidentManager::absorb`].
     ///
     /// The fleet orchestrator hands each concurrent region run a recording
     /// scratch manager and absorbs them in region input order: the merged
-    /// log (ids, dedup counts, resolutions of incidents open from earlier
-    /// weeks) is then identical to a sequential run. Note [`IncidentManager::resolve`]
-    /// by id is *not* journaled — ids are scratch-local; pipeline code uses
-    /// the keyed/matching API.
+    /// log (ids, and dedup counts against incidents open from earlier weeks)
+    /// is then identical to a sequential run. Note [`IncidentManager::resolve`]
+    /// by id is *not* journaled — ids are scratch-local.
     pub fn recording() -> IncidentManager {
         let m = IncidentManager::new();
         m.inner
@@ -115,8 +108,8 @@ impl IncidentManager {
     }
 
     /// Replays the journal of a [`IncidentManager::recording`] manager onto
-    /// this one, applying the same dedup/resolution semantics as if the
-    /// calls had been made here directly. Drains the other's journal.
+    /// this one, applying the same dedup as if the calls had been made here
+    /// directly. Drains the other's journal.
     pub fn absorb(&self, other: &IncidentManager) {
         let events = {
             let mut inner = other.inner.write().unwrap_or_else(PoisonError::into_inner);
@@ -126,21 +119,8 @@ impl IncidentManager {
                 .map(std::mem::take)
                 .unwrap_or_default()
         };
-        for event in events {
-            match event {
-                IncidentEvent::Raise {
-                    severity,
-                    source,
-                    region,
-                    key,
-                    message,
-                } => {
-                    self.raise_with_key(severity, &source, &region, key, message);
-                }
-                IncidentEvent::ResolveMatching { source, region } => {
-                    self.resolve_matching(&source, &region);
-                }
-            }
+        for e in events {
+            self.raise_with_key(e.severity, &e.source, &e.region, e.key, e.message);
         }
     }
 
@@ -182,7 +162,7 @@ impl IncidentManager {
     ) -> u64 {
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(journal) = inner.journal.as_mut() {
-            journal.push(IncidentEvent::Raise {
+            journal.push(RaiseEvent {
                 severity,
                 source: source.to_string(),
                 region: region.to_string(),
@@ -227,26 +207,6 @@ impl IncidentManager {
             }
             _ => false,
         }
-    }
-
-    /// Resolves every open incident from `source` in `region`; returns how
-    /// many were resolved. Used by the circuit breaker on recovery.
-    pub fn resolve_matching(&self, source: &str, region: &str) -> usize {
-        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(journal) = inner.journal.as_mut() {
-            journal.push(IncidentEvent::ResolveMatching {
-                source: source.to_string(),
-                region: region.to_string(),
-            });
-        }
-        let mut resolved = 0;
-        for i in inner.incidents.iter_mut() {
-            if i.state == IncidentState::Open && i.source == source && i.region == region {
-                i.state = IncidentState::Resolved;
-                resolved += 1;
-            }
-        }
-        resolved
     }
 
     /// All incidents (snapshot).
@@ -373,34 +333,22 @@ mod tests {
     }
 
     #[test]
-    fn resolve_matching_scopes_by_source_and_region() {
-        let m = IncidentManager::new();
-        m.raise(Severity::Critical, "breaker", "west", "tripped");
-        m.raise(Severity::Warning, "breaker", "west", "probe failed");
-        m.raise(Severity::Critical, "breaker", "east", "tripped");
-        m.raise(Severity::Critical, "ingestion", "west", "missing blob");
-        assert_eq!(m.resolve_matching("breaker", "west"), 2);
-        assert_eq!(m.resolve_matching("breaker", "west"), 0, "already resolved");
-        assert_eq!(m.open_total(), 2);
-    }
-
-    #[test]
-    fn absorb_replays_dedup_and_cross_manager_resolution() {
+    fn absorb_replays_dedup_across_managers() {
         let shared = IncidentManager::new();
         // Open incident from an "earlier week" on the shared manager.
-        shared.raise(Severity::Critical, "circuit-breaker", "west", "tripped");
+        shared.raise(Severity::Critical, "ingestion", "west", "blocked");
 
         let scratch = IncidentManager::recording();
         scratch.raise(Severity::Warning, "validation", "west", "gap");
         scratch.raise(Severity::Warning, "validation", "west", "gap");
-        // Recovery recorded in the scratch must resolve the shared
+        // A repeat recorded in the scratch must coalesce into the shared
         // manager's open incident on replay.
-        scratch.resolve_matching("circuit-breaker", "west");
+        scratch.raise(Severity::Critical, "ingestion", "west", "blocked");
 
         shared.absorb(&scratch);
         let all = shared.all();
         assert_eq!(all.len(), 2);
-        assert_eq!(all[0].state, IncidentState::Resolved, "breaker resolved");
+        assert_eq!(all[0].count, 2, "earlier week's incident counted again");
         assert_eq!(all[1].source, "validation");
         assert_eq!(all[1].count, 2, "dedup preserved through replay");
 

@@ -21,9 +21,9 @@
 //! * [`docstore`] — the Cosmos DB substitute where results land.
 //! * [`incident`] / [`dashboard`] — alerting and the Application Insights
 //!   substitute, a summary read from the stored run reports.
-//! * [`resilience`] — retry of transient faults and per-region circuit breaking,
-//!   threaded through every pipeline stage so transient faults degrade runs
-//!   instead of aborting them.
+//! * [`resilience`] — retry of transient faults, threaded through every
+//!   pipeline stage so transient faults degrade runs instead of aborting
+//!   them.
 //! * [`par`] — the Dask substitute: the fork-join parallel maps used by the
 //!   per-server stages (Figure 12(b)), scoped threads over one atomic cursor.
 //! * [`fleet`] — the cross-region orchestrator: concurrent region runs with
@@ -58,5 +58,5 @@ pub use metrics::{
 pub use par::{configured_threads, default_threads, parallel_map};
 pub use pipeline::{AccuracySummary, AmlPipeline, DegradedRun, PipelineConfig, PipelineRunReport};
 pub use registry::ModelRegistry;
-pub use resilience::{BreakerState, CircuitBreaker, InjectedCrash, StageChaos, StageError};
+pub use resilience::{InjectedCrash, StageChaos, StageError};
 pub use validation::{validate_columnar, Anomaly, DataProfile, ValidationReport};

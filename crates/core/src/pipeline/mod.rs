@@ -21,8 +21,8 @@
 //! deploy keeps the region's last published snapshot serving (the one
 //! last-known-good; the registry still names its version), and the
 //! run report carries a [`DegradedRun`] summary instead of an `Err`. A
-//! per-region [`CircuitBreaker`] guards run entry so a region whose blob
-//! slice is hard-down stops burning retries until a cooldown elapses.
+//! region whose blob slice is hard-down is blocked, with its incident, and
+//! each weekly run tries again until the slice heals.
 //!
 //! Every run is observed through the pipeline's [`Obs`] handle: each stage
 //! runs inside a span (virtual tick = the scheduler's day index; wall time
@@ -30,10 +30,9 @@
 //! operator's, which no open span covers: each server's featurize and model
 //! walls, and the per-fit cost the warm cache credits to its saved-wall
 //! counter), retries feed
-//! `(region, stage)`-labelled counters, stage walls feed histograms, the
-//! circuit breaker publishes a per-region state gauge, and the parallel
-//! stages record per-worker profiles. `StageTiming`/`stage_duration` are
-//! derived from the finished spans, so existing reports keep working.
+//! `(region, stage)`-labelled counters, stage walls feed histograms, and the
+//! parallel stages record per-worker profiles. `StageTiming`/`stage_duration`
+//! are derived from the finished spans, so existing reports keep working.
 //!
 //! The middle of the run — validation, feature extraction, training and
 //! inference — is one fused operator chain per server — validate →
@@ -69,7 +68,7 @@ use crate::incident::{IncidentManager, Severity};
 use crate::metrics::{evaluate_low_load, AccuracyConfig};
 use crate::par::{configured_threads, parallel_map_profiled};
 use crate::registry::ModelRegistry;
-use crate::resilience::{retry_observed, CircuitBreaker, RetryResult, StageChaos, StageError};
+use crate::resilience::{retry_observed, RetryResult, StageChaos, StageError};
 use crate::validation::DataProfile;
 use seagull_forecast::{Forecaster, ModelCache, PersistentVariant};
 use seagull_obs::{Obs, SpanId, Stability};
@@ -131,8 +130,6 @@ pub struct AmlPipeline {
     /// Stage-fault and kill hooks (tests and chaos drills; none in
     /// production).
     pub chaos: StageChaos,
-    /// Per-region breaker guarding run entry; ticks are day indices.
-    pub breaker: CircuitBreaker,
     /// Observability handle: metrics registry + span tracer for every run.
     pub obs: Obs,
     /// Warm-model cache shared across runs and regions (see [`ModelCache`]).
@@ -157,7 +154,6 @@ impl AmlPipeline {
             incidents: IncidentManager::new(),
             registry: ModelRegistry::new(),
             chaos: StageChaos::none(),
-            breaker: CircuitBreaker::new(),
             obs: Obs::new(),
             cache: Arc::new(ModelCache::new()),
             deploy_sink: None,
@@ -288,7 +284,7 @@ impl AmlPipeline {
     /// stamped with the gate, are stored and published).
     ///
     /// Never returns an error: transient faults are retried, and exhausted
-    /// retries degrade the run (quarantine, fallback, skip) with the
+    /// retries degrade the run (quarantine, fallback, block) with the
     /// details summarized in [`PipelineRunReport::degraded`].
     pub fn run_region_week(&self, region: &str, week_start_day: i64) -> PipelineRunReport {
         let mut report = PipelineRunReport {
@@ -317,24 +313,6 @@ impl AmlPipeline {
             .counter("seagull_pipeline_runs_total", &[("region", region)])
             .inc();
 
-        // ---- Circuit-breaker gate --------------------------------------------
-        // A region whose blob slice is hard-down stops burning retries: the
-        // open breaker rejects runs until the cooldown admits a probe.
-        if !self.breaker.allow(region, tick) {
-            self.breaker.publish_region(self.obs.registry(), region);
-            self.obs
-                .registry()
-                .counter("seagull_pipeline_blocked_total", &[("region", region)])
-                .inc();
-            degraded.skipped_by_breaker = true;
-            report.blocked = true;
-            report.degraded = degraded.into_option();
-            self.obs.tracer().end(run_span, vt);
-            self.store_run(&report);
-            return report;
-        }
-        self.breaker.publish_region(self.obs.registry(), region);
-
         // ---- Data Ingestion -------------------------------------------------
         // Each stage entry is a kill-point: the chaos kill hook can
         // terminate the process here, modelling a crash at a stage boundary.
@@ -360,8 +338,6 @@ impl AmlPipeline {
         let batch = match fetched.outcome {
             Ok((bytes, batch)) => {
                 report.input_bytes = bytes;
-                // The breaker tracks the health of the region's blob slice.
-                self.breaker.record_success(region, tick, &self.incidents);
                 batch
             }
             Err(e) => {
@@ -376,14 +352,11 @@ impl AmlPipeline {
                     ),
                 );
                 if e.transient {
-                    // Infrastructure failure (outage, flakiness, torn reads)
-                    // — feed the breaker so a sustained outage trips it.
-                    // Absent data (NotFound) and a foreign or malformed blob
-                    // are not infrastructure signals.
-                    self.breaker.record_failure(region, tick, &self.incidents);
+                    // Retries exhausted on an infrastructure failure (outage,
+                    // flakiness, torn reads). Absent data (NotFound) and a
+                    // foreign or malformed blob fail on the first attempt.
                     degraded.exhausted_stages.push("ingestion".into());
                 }
-                self.breaker.publish_region(self.obs.registry(), region);
                 self.obs
                     .registry()
                     .counter("seagull_pipeline_blocked_total", &[("region", region)])
@@ -396,7 +369,6 @@ impl AmlPipeline {
                 return report;
             }
         };
-        self.breaker.publish_region(self.obs.registry(), region);
         // Zero-copy views into the shared decode buffer; a block on another
         // grid is left out (validation reports it).
         let mut servers: Vec<ExtractedServer> = batch.extract(PROFILE.grid_min);
@@ -634,7 +606,7 @@ impl AmlPipeline {
 mod tests {
     use super::*;
     use crate::features::ServerFeatures;
-    use crate::resilience::{BreakerState, StageChaos};
+    use crate::resilience::StageChaos;
     use seagull_telemetry::blobstore::MemoryBlobStore;
     use seagull_telemetry::extract::LoadExtraction;
     use seagull_telemetry::fleet::{FleetGenerator, FleetSpec};
@@ -839,10 +811,8 @@ mod tests {
         let report = pipeline.run_region_week("ghost-region", start);
         assert!(report.blocked);
         assert_eq!(pipeline.incidents.open_count(Severity::Critical), 1);
-        // Absent data is permanent: no retries are burned on it, and the
-        // breaker (which tracks infrastructure health) stays closed.
+        // Absent data is permanent: no retries are burned on it.
         assert_eq!(report.total_retries(), 0);
-        assert_eq!(pipeline.breaker.state("ghost-region"), BreakerState::Closed);
         // The blocked run is still recorded for the dashboard.
         assert_eq!(pipeline.docs.count(collections::RUNS), 1);
     }

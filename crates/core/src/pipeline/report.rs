@@ -54,7 +54,7 @@ impl AccuracySummary {
     }
 }
 
-/// Degradation summary of one run: what was retried, quarantined, skipped,
+/// Degradation summary of one run: what was retried, quarantined, exhausted,
 /// or fallen back on while still producing a report instead of an error.
 #[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct DegradedRun {
@@ -65,8 +65,6 @@ pub struct DegradedRun {
     /// True when the deploy failed and the region's last published
     /// snapshot kept serving: no new version was registered.
     pub fallback_deployed: bool,
-    /// True when the region's circuit breaker rejected the run outright.
-    pub skipped_by_breaker: bool,
     /// Stages whose retries were exhausted (the run degraded around them).
     pub exhausted_stages: Vec<String>,
 }
@@ -89,7 +87,6 @@ impl DegradedRun {
         !self.retries.is_empty()
             || !self.quarantined_servers.is_empty()
             || self.fallback_deployed
-            || self.skipped_by_breaker
             || !self.exhausted_stages.is_empty()
     }
 
@@ -127,8 +124,8 @@ pub struct PipelineRunReport {
     pub accuracy: Option<AccuracySummary>,
     /// Model version the deployment stage registered, when it ran.
     pub deployed_version: Option<u64>,
-    /// Present when the run retried, quarantined, fell back, or was skipped
-    /// by the circuit breaker; `None` for a clean run.
+    /// Present when the run retried, quarantined, fell back, or exhausted a
+    /// stage's retries; `None` for a clean run.
     pub degraded: Option<DegradedRun>,
 }
 

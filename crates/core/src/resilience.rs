@@ -1,46 +1,28 @@
-//! Resilience primitives: immediate retry of transient faults, and a
-//! per-region circuit breaker.
+//! Resilience primitives: immediate retry of transient faults, and the
+//! stage-fault and kill hooks that chaos tests drive the pipeline with.
 //!
 //! The paper's robustness claim (Section 1) is that Seagull "continually
 //! re-evaluates accuracy of predictions, fallback to previously known good
 //! models and triggers alerts as appropriate". A failed deploy keeping the
-//! served snapshot is the model-fallback half; this module supplies the
-//! infrastructure half that
-//! production incidents (Section 2.2) actually exercise:
+//! served snapshot is the model-fallback half; [`retry`] is the
+//! infrastructure half that production incidents (Section 2.2) actually
+//! exercise. It re-runs an op on transient errors, at most [`MAX_ATTEMPTS`]
+//! times in all; a permanent error ends it at once. A run whose retries are
+//! exhausted ends blocked or degraded, with its incident, and the next week
+//! tries again. The pipeline runs on a simulated day-granular clock, so
+//! nothing waits between attempts.
 //!
-//! * [`retry`] — re-runs an op on transient errors, at most
-//!   [`MAX_ATTEMPTS`] times in all; a permanent error ends it at once. The
-//!   pipeline runs on a simulated day-granular clock, so nothing waits
-//!   between attempts.
-//! * [`CircuitBreaker`] — per-key (region) closed → open → half-open state
-//!   machine. [`TRIP_THRESHOLD`] consecutive failures trip it (raising a
-//!   `Critical` incident); after [`COOLDOWN_TICKS`] pipeline clock ticks one
-//!   probe run is let through half-open, and success closes the circuit
-//!   (resolving the trip incident and raising an `Info`).
-//!
-//! Both are deterministic: the same faults give the same attempts and the
-//! same transitions, which is what makes chaos runs replayable.
+//! Retries are deterministic: the same faults give the same attempts, which
+//! is what makes chaos runs replayable.
 
-use crate::incident::{IncidentManager, Severity};
 use seagull_obs::Registry;
-use serde::Serialize;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 pub use seagull_telemetry::chaos::InjectedCrash;
 
 /// Attempts [`retry`] makes at most, the first one included.
 pub const MAX_ATTEMPTS: u32 = 5;
-
-/// Consecutive failures that trip a closed [`CircuitBreaker`].
-pub const TRIP_THRESHOLD: u32 = 3;
-
-/// Pipeline clock ticks an open [`CircuitBreaker`] waits before it admits a
-/// half-open probe (the pipeline ticks in day indices, so 14 ≈ two weekly
-/// runs skipped).
-pub const COOLDOWN_TICKS: i64 = 14;
 
 /// An error from one stage attempt, classified for the retry loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,321 +141,6 @@ impl<T> RetryResult<T> {
     /// Retries made beyond the first attempt.
     pub fn retries(&self) -> u32 {
         self.attempts.saturating_sub(1)
-    }
-}
-
-/// Circuit-breaker states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum BreakerState {
-    /// Normal operation.
-    Closed,
-    /// Tripped: requests are rejected until the cooldown elapses.
-    Open,
-    /// Cooldown elapsed: one probe request is allowed through.
-    HalfOpen,
-}
-
-impl BreakerState {
-    /// Numeric encoding for the `seagull_breaker_state` gauge:
-    /// 0 = closed, 1 = half-open, 2 = open.
-    pub fn gauge_value(self) -> f64 {
-        match self {
-            BreakerState::Closed => 0.0,
-            BreakerState::HalfOpen => 1.0,
-            BreakerState::Open => 2.0,
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            BreakerState::Closed => 0,
-            BreakerState::HalfOpen => 1,
-            BreakerState::Open => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> BreakerState {
-        match v {
-            1 => BreakerState::HalfOpen,
-            2 => BreakerState::Open,
-            _ => BreakerState::Closed,
-        }
-    }
-}
-
-/// A lock-free, read-only view of one key's breaker state.
-///
-/// High-rate admission checks (the serving read path) cannot afford the
-/// breaker's `RwLock` on every request. A probe is a shared atomic cell the
-/// breaker updates on every state transition for its key; reading it is a
-/// single `Acquire` load. Obtain one per key up front (it is cheap to clone)
-/// and consult it per request.
-///
-/// A probe observes transitions made through *any* clone of the breaker it
-/// came from; it never mutates state and never consumes half-open probes.
-#[derive(Clone)]
-pub struct BreakerProbe {
-    cell: Arc<AtomicU8>,
-}
-
-impl BreakerProbe {
-    /// The key's current state (closed if the key has never transitioned).
-    pub fn state(&self) -> BreakerState {
-        BreakerState::from_u8(self.cell.load(Ordering::Acquire))
-    }
-
-    /// Whether requests for this key should be shed right now.
-    pub fn is_open(&self) -> bool {
-        self.state() == BreakerState::Open
-    }
-}
-
-impl fmt::Debug for BreakerProbe {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BreakerProbe")
-            .field("state", &self.state())
-            .finish()
-    }
-}
-
-/// Observable per-key breaker status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerSnapshot {
-    /// Current breaker state for the key.
-    pub state: BreakerState,
-    /// Failures since the last success.
-    pub consecutive_failures: u32,
-    /// Times this key has tripped open.
-    pub trips: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct KeyState {
-    state: BreakerState,
-    consecutive_failures: u32,
-    opened_at_tick: i64,
-    trips: u32,
-}
-
-impl KeyState {
-    fn closed() -> KeyState {
-        KeyState {
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            opened_at_tick: 0,
-            trips: 0,
-        }
-    }
-}
-
-/// Per-key (region) circuit breaker.
-///
-/// The only paths between states are closed → open (threshold reached),
-/// open → half-open (cooldown elapsed, checked in [`CircuitBreaker::allow`]),
-/// half-open → closed (probe succeeded) and half-open → open (probe failed);
-/// an open breaker can never close without passing half-open.
-#[derive(Clone, Default)]
-pub struct CircuitBreaker {
-    inner: Arc<RwLock<HashMap<String, KeyState>>>,
-    /// Per-key state mirrors for lock-free [`BreakerProbe`] reads. Written
-    /// under the `inner` write lock at every transition, so a probe can
-    /// never observe a state `inner` has moved past.
-    cells: Arc<RwLock<HashMap<String, Arc<AtomicU8>>>>,
-}
-
-impl CircuitBreaker {
-    /// Creates a breaker where every key starts closed.
-    pub fn new() -> CircuitBreaker {
-        CircuitBreaker::default()
-    }
-
-    /// A lock-free read-only probe for `key`'s state, for hot read paths
-    /// that cannot afford [`CircuitBreaker::state`]'s lock per request.
-    /// Does not create breaker state for the key (the key only enters the
-    /// state machine when failures or successes are recorded).
-    pub fn probe(&self, key: &str) -> BreakerProbe {
-        BreakerProbe {
-            cell: self.cell(key),
-        }
-    }
-
-    /// Lock order is `inner` before `cells`, everywhere: transitions hold
-    /// the `inner` write guard while mirroring into `cells`, and this
-    /// seeding path holds an `inner` read guard across the insert so a
-    /// concurrent transition (which would need the write guard) can neither
-    /// race the seed stale nor deadlock against it.
-    fn cell(&self, key: &str) -> Arc<AtomicU8> {
-        if let Some(cell) = self
-            .cells
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-        {
-            return Arc::clone(cell);
-        }
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        let state = inner.get(key).map_or(BreakerState::Closed, |ks| ks.state);
-        let mut cells = self.cells.write().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(
-            cells
-                .entry(key.to_string())
-                .or_insert_with(|| Arc::new(AtomicU8::new(state.to_u8()))),
-        )
-    }
-
-    /// Mirrors a transition into the key's probe cell (no-op when nobody
-    /// has requested a probe for the key yet — the cell is seeded from
-    /// `inner` on first request). Callers hold the `inner` write guard.
-    fn sync_cell(&self, key: &str, state: BreakerState) {
-        if let Some(cell) = self
-            .cells
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-        {
-            cell.store(state.to_u8(), Ordering::Release);
-        }
-    }
-
-    /// Whether a request for `key` may proceed at `tick`. An open breaker
-    /// whose cooldown has elapsed moves to half-open and admits the probe.
-    pub fn allow(&self, key: &str, tick: i64) -> bool {
-        let mut map = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let ks = map.entry(key.to_string()).or_insert_with(KeyState::closed);
-        match ks.state {
-            BreakerState::Closed | BreakerState::HalfOpen => true,
-            BreakerState::Open => {
-                if tick - ks.opened_at_tick >= COOLDOWN_TICKS {
-                    ks.state = BreakerState::HalfOpen;
-                    self.sync_cell(key, BreakerState::HalfOpen);
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Records a successful run. A half-open probe success closes the
-    /// circuit, resolves the breaker's open incidents for the key, and
-    /// raises an `Info` recovery incident.
-    pub fn record_success(&self, key: &str, tick: i64, incidents: &IncidentManager) {
-        let mut map = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let ks = map.entry(key.to_string()).or_insert_with(KeyState::closed);
-        if ks.state == BreakerState::HalfOpen {
-            ks.state = BreakerState::Closed;
-            self.sync_cell(key, BreakerState::Closed);
-            incidents.resolve_matching("circuit-breaker", key);
-            incidents.raise_keyed(
-                Severity::Info,
-                "circuit-breaker",
-                key,
-                "recovered",
-                format!("circuit for {key} closed at tick {tick}: half-open probe succeeded"),
-            );
-        }
-        ks.consecutive_failures = 0;
-    }
-
-    /// Records a failed run. Reaching the threshold trips a closed breaker
-    /// (raising a `Critical` incident); a failed half-open probe re-opens
-    /// (raising a `Warning`). Failures while open are not counted — the
-    /// breaker is already rejecting traffic.
-    pub fn record_failure(&self, key: &str, tick: i64, incidents: &IncidentManager) {
-        let mut map = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let ks = map.entry(key.to_string()).or_insert_with(KeyState::closed);
-        match ks.state {
-            BreakerState::Closed => {
-                ks.consecutive_failures += 1;
-                if ks.consecutive_failures >= TRIP_THRESHOLD {
-                    ks.state = BreakerState::Open;
-                    ks.opened_at_tick = tick;
-                    ks.trips += 1;
-                    self.sync_cell(key, BreakerState::Open);
-                    incidents.raise_keyed(
-                        Severity::Critical,
-                        "circuit-breaker",
-                        key,
-                        "tripped",
-                        format!(
-                            "circuit for {key} opened at tick {tick} after {} consecutive failures",
-                            ks.consecutive_failures
-                        ),
-                    );
-                }
-            }
-            BreakerState::HalfOpen => {
-                ks.state = BreakerState::Open;
-                ks.opened_at_tick = tick;
-                ks.trips += 1;
-                self.sync_cell(key, BreakerState::Open);
-                incidents.raise_keyed(
-                    Severity::Warning,
-                    "circuit-breaker",
-                    key,
-                    "probe-failed",
-                    format!("half-open probe for {key} failed at tick {tick}; circuit re-opened"),
-                );
-            }
-            BreakerState::Open => {}
-        }
-    }
-
-    /// Current state for a key (closed if never seen).
-    pub fn state(&self, key: &str) -> BreakerState {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .map_or(BreakerState::Closed, |ks| ks.state)
-    }
-
-    /// Observable status for a key.
-    pub fn snapshot(&self, key: &str) -> BreakerSnapshot {
-        let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        let ks = map.get(key).copied().unwrap_or_else(KeyState::closed);
-        BreakerSnapshot {
-            state: ks.state,
-            consecutive_failures: ks.consecutive_failures,
-            trips: ks.trips,
-        }
-    }
-
-    /// Publishes one key's state into `registry` as gauges:
-    /// `seagull_breaker_state` (see [`BreakerState::gauge_value`]),
-    /// `seagull_breaker_consecutive_failures`, and `seagull_breaker_trips`.
-    /// Idempotent — callers re-publish after each breaker interaction. One
-    /// key at a time, so a run never exports a mid-flight snapshot of
-    /// *another* region's breaker, which would make the merged registry
-    /// depend on scheduling.
-    pub fn publish_region(&self, registry: &Registry, key: &str) {
-        let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        let ks = map.get(key).copied().unwrap_or_else(KeyState::closed);
-        let labels = [("region", key)];
-        registry
-            .gauge("seagull_breaker_state", &labels)
-            .set(ks.state.gauge_value());
-        registry
-            .gauge("seagull_breaker_consecutive_failures", &labels)
-            .set(f64::from(ks.consecutive_failures));
-        registry
-            .gauge("seagull_breaker_trips", &labels)
-            .set(f64::from(ks.trips));
-    }
-}
-
-impl fmt::Debug for CircuitBreaker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CircuitBreaker")
-            .field(
-                "keys",
-                &self
-                    .inner
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .len(),
-            )
-            .finish()
     }
 }
 
@@ -643,118 +310,6 @@ mod tests {
         assert!(StageError::from_io(&refused).transient);
     }
 
-    /// Records the [`TRIP_THRESHOLD`] failures that trip a closed breaker.
-    fn trip(breaker: &CircuitBreaker, key: &str, tick: i64, incidents: &IncidentManager) {
-        for _ in 0..TRIP_THRESHOLD {
-            breaker.record_failure(key, tick, incidents);
-        }
-    }
-
-    #[test]
-    fn breaker_trips_after_threshold_and_raises_critical() {
-        let incidents = IncidentManager::new();
-        let breaker = CircuitBreaker::new();
-        for tick in 0..i64::from(TRIP_THRESHOLD) - 1 {
-            assert!(breaker.allow("west", tick));
-            breaker.record_failure("west", tick, &incidents);
-            assert_eq!(breaker.state("west"), BreakerState::Closed);
-        }
-        let tick = i64::from(TRIP_THRESHOLD) - 1;
-        assert!(breaker.allow("west", tick));
-        breaker.record_failure("west", tick, &incidents);
-        assert_eq!(breaker.state("west"), BreakerState::Open);
-        assert_eq!(incidents.open_count(Severity::Critical), 1);
-        assert_eq!(breaker.snapshot("west").trips, 1);
-        // Other keys are independent.
-        assert_eq!(breaker.state("east"), BreakerState::Closed);
-        assert!(breaker.allow("east", tick));
-    }
-
-    #[test]
-    fn breaker_recovers_through_half_open() {
-        let incidents = IncidentManager::new();
-        let breaker = CircuitBreaker::new();
-        trip(&breaker, "west", 100, &incidents);
-        assert_eq!(breaker.state("west"), BreakerState::Open);
-        assert!(
-            !breaker.allow("west", 100 + COOLDOWN_TICKS - 1),
-            "cooldown not elapsed"
-        );
-        assert!(
-            breaker.allow("west", 100 + COOLDOWN_TICKS),
-            "cooldown elapsed: probe admitted"
-        );
-        assert_eq!(breaker.state("west"), BreakerState::HalfOpen);
-        breaker.record_success("west", 100 + COOLDOWN_TICKS, &incidents);
-        assert_eq!(breaker.state("west"), BreakerState::Closed);
-        assert_eq!(
-            incidents.open_count(Severity::Critical),
-            0,
-            "trip incident resolved on recovery"
-        );
-        assert_eq!(incidents.open_count(Severity::Info), 1);
-    }
-
-    #[test]
-    fn lock_free_probe_tracks_every_transition() {
-        let incidents = IncidentManager::new();
-        let breaker = CircuitBreaker::new();
-        // A probe taken before any state exists reads closed, and taking it
-        // does not create breaker state for the key.
-        let probe = breaker.probe("west");
-        assert_eq!(probe.state(), BreakerState::Closed);
-        assert!(!probe.is_open());
-        assert_eq!(breaker.snapshot("west").trips, 0);
-
-        trip(&breaker, "west", 0, &incidents);
-        assert!(probe.is_open(), "trip visible through the probe");
-        assert!(breaker.allow("west", COOLDOWN_TICKS));
-        assert_eq!(probe.state(), BreakerState::HalfOpen);
-        breaker.record_success("west", COOLDOWN_TICKS, &incidents);
-        assert_eq!(probe.state(), BreakerState::Closed);
-
-        // A probe taken after transitions is seeded from existing state.
-        trip(&breaker, "east", 0, &incidents);
-        assert!(breaker.probe("east").is_open());
-        // Probes observe transitions made through breaker clones too.
-        breaker.clone().allow("east", COOLDOWN_TICKS);
-        assert_eq!(breaker.probe("east").state(), BreakerState::HalfOpen);
-    }
-
-    #[test]
-    fn failed_probe_reopens_the_breaker() {
-        let incidents = IncidentManager::new();
-        let breaker = CircuitBreaker::new();
-        trip(&breaker, "west", 0, &incidents);
-        let reopened = COOLDOWN_TICKS;
-        assert!(breaker.allow("west", reopened));
-        assert_eq!(breaker.state("west"), BreakerState::HalfOpen);
-        // One failed probe re-opens; no threshold applies half-open.
-        breaker.record_failure("west", reopened, &incidents);
-        assert_eq!(breaker.state("west"), BreakerState::Open);
-        assert!(
-            !breaker.allow("west", reopened + COOLDOWN_TICKS - 1),
-            "cooldown restarts from re-open"
-        );
-        assert!(breaker.allow("west", reopened + COOLDOWN_TICKS));
-        assert_eq!(breaker.snapshot("west").trips, 2);
-        assert_eq!(incidents.open_count(Severity::Warning), 1);
-    }
-
-    #[test]
-    fn successes_reset_the_failure_streak() {
-        let incidents = IncidentManager::new();
-        let breaker = CircuitBreaker::new();
-        for tick in 0..10 {
-            for _ in 1..TRIP_THRESHOLD {
-                breaker.record_failure("west", tick, &incidents);
-            }
-            breaker.record_success("west", tick, &incidents);
-        }
-        assert_eq!(breaker.state("west"), BreakerState::Closed);
-        assert_eq!(incidents.open_total(), 0);
-    }
-
     #[test]
     fn retry_observed_records_retry_metrics() {
         let registry = Registry::new();
@@ -791,34 +346,6 @@ mod tests {
                 .get(),
             1
         );
-    }
-
-    #[test]
-    fn breaker_publishes_state_gauges() {
-        let incidents = IncidentManager::new();
-        let registry = Registry::new();
-        let breaker = CircuitBreaker::new();
-        trip(&breaker, "west", 0, &incidents);
-        breaker.record_success("east", 0, &incidents);
-        breaker.publish_region(&registry, "west");
-        breaker.publish_region(&registry, "east");
-        let gauge = |key: &str| {
-            registry
-                .gauge("seagull_breaker_state", &[("region", key)])
-                .get()
-        };
-        assert_eq!(gauge("west"), BreakerState::Open.gauge_value());
-        assert_eq!(gauge("east"), BreakerState::Closed.gauge_value());
-        assert_eq!(
-            registry
-                .gauge("seagull_breaker_trips", &[("region", "west")])
-                .get(),
-            1.0
-        );
-        // Half-open shows up after the cooldown probe is admitted.
-        assert!(breaker.allow("west", COOLDOWN_TICKS));
-        breaker.publish_region(&registry, "west");
-        assert_eq!(gauge("west"), BreakerState::HalfOpen.gauge_value());
     }
 
     #[test]

@@ -95,7 +95,6 @@ fn run_report() -> PipelineRunReport {
             retries: BTreeMap::from([("ingestion".to_string(), 2), ("train-infer".to_string(), 5)]),
             quarantined_servers: vec![3, 41],
             fallback_deployed: false,
-            skipped_by_breaker: false,
             exhausted_stages: vec!["docstore-write".into()],
         }),
     }

@@ -346,7 +346,7 @@ mod tests {
             &[("region", "west"), ("stage", "ingestion")],
         )
         .add(7);
-        reg.gauge("seagull_breaker_state", &[("region", "west")])
+        reg.gauge("seagull_serve_epoch", &[("region", "west")])
             .set(2.0);
         let h = reg.histogram("seagull_stage_ticks", &[("region", "west")]);
         h.observe(1.0);
@@ -370,7 +370,7 @@ mod tests {
                 .map(String::as_str),
             Some("ingestion")
         );
-        assert_eq!(find("seagull_breaker_state").value, 2.0);
+        assert_eq!(find("seagull_serve_epoch").value, 2.0);
         assert_eq!(find("seagull_stage_ticks_count").value, 3.0);
         assert_eq!(find("seagull_stage_ticks_sum").value, 14.0);
         let inf_bucket = parsed

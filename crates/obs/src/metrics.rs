@@ -589,7 +589,7 @@ mod tests {
     #[test]
     fn gauge_holds_latest() {
         let reg = Registry::new();
-        let g = reg.gauge("breaker_state", &[("region", "east")]);
+        let g = reg.gauge("serve_epoch", &[("region", "east")]);
         g.set(2.0);
         g.set(1.0);
         assert_eq!(g.get(), 1.0);

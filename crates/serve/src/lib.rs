@@ -33,14 +33,9 @@
 //! A query takes two uncontended read locks — the service's region
 //! contexts, then the region's snapshot cell — clones the context and the
 //! snapshot `Arc` out of them, and releases both before it answers; no
-//! guard is held across a query. Admission is one atomic load on a
-//! [`BreakerProbe`](seagull_core::resilience::BreakerProbe) mirror of the
-//! shared per-region
-//! [`CircuitBreaker`](seagull_core::resilience::CircuitBreaker)
-//! (read-only — the service never consumes the pipeline's half-open
-//! probes). Horizons inside the materialized day are zero-copy slices;
-//! longer horizons and other days run the cached fitted model where one is
-//! attached, and are unavailable where none is. Batched
+//! guard is held across a query. Horizons inside the materialized day are
+//! zero-copy slices; longer horizons and other days run the cached fitted
+//! model where one is attached, and are unavailable where none is. Batched
 //! queries resolve the snapshot once, so every response in a batch comes
 //! from the same epoch.
 //!

@@ -1,8 +1,7 @@
-//! The serving front-end: admission control, query routing, and metrics.
+//! The serving front-end: query routing and metrics.
 //!
 //! [`ServeService`] is the handle callers clone and query. It owns the
-//! [`SnapshotStore`], shares the pipeline's [`CircuitBreaker`] for
-//! admission control, and records every request into a [`seagull_obs`]
+//! [`SnapshotStore`] and records every request into a [`seagull_obs`]
 //! registry. It also implements [`DeploySink`], so handing a clone to
 //! [`AmlPipeline::with_deploy_sink`](seagull_core::pipeline::AmlPipeline::with_deploy_sink)
 //! makes every successful deployment publish a fresh snapshot — and every
@@ -16,12 +15,11 @@
 //! is answered — answering can run a fitted model, and a writer waiting
 //! on either lock would queue every later reader behind it. The
 //! `RegionCtx` is built on a region's first query and holds what the hot
-//! path would otherwise look up per request: the snapshot slot, a
-//! [`BreakerProbe`] mirroring the shared breaker's state in one atomic,
-//! and the `Arc<Counter>`/`Arc<Histogram>` handles (resolving one through
-//! the registry takes its global mutex and allocates a label set; that,
-//! two or three times a query, plus the breaker's own `RwLock`, held the
-//! first serving path at ~65k QPS — DESIGN.md §11).
+//! path would otherwise look up per request: the snapshot slot and the
+//! `Arc<Counter>`/`Arc<Histogram>` handles (resolving one through the
+//! registry takes its global mutex and allocates a label set; that, two or
+//! three times a query, held the first serving path at ~65k QPS —
+//! DESIGN.md §11).
 //!
 //! A publish resolves its six series once per region too, on the region's
 //! first publish, into a `PublishCtx` kept apart from the `RegionCtx`.
@@ -30,7 +28,6 @@ use crate::snapshot::{ModelSnapshot, ServedServer};
 use crate::store::{RegionSlot, SnapshotStore};
 use seagull_core::metrics::{lowest_load_window, LowLoadWindow};
 use seagull_core::pipeline::{DeployEvent, DeploySink, GateState};
-use seagull_core::resilience::{BreakerProbe, CircuitBreaker};
 use seagull_obs::{Counter, Gauge, Histogram, Obs, Stability};
 use seagull_timeseries::{TimeSeries, Timestamp};
 use std::collections::BTreeMap;
@@ -42,12 +39,6 @@ use std::time::Instant;
 /// Why a serving request could not be answered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The region's circuit breaker is open; the request was shed before
-    /// touching any snapshot.
-    Rejected {
-        /// Region whose breaker rejected the request.
-        region: String,
-    },
     /// No snapshot has ever been published for this region.
     NoSnapshot {
         /// Region that has no published snapshot.
@@ -93,9 +84,6 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Rejected { region } => {
-                write!(f, "request shed: circuit breaker open for region {region}")
-            }
             ServeError::NoSnapshot { region } => {
                 write!(f, "no model snapshot published for region {region}")
             }
@@ -122,18 +110,14 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// One region's pre-resolved hot-path state: the snapshot slot, a
-/// one-atomic breaker mirror, and cached metric handles. Built on the
-/// region's first query and immutable afterwards — deploys swap the
-/// slot's snapshot, breaker transitions mirror into the probe's cell, and
-/// the handles point at live registry entries, so nothing here ever needs
-/// invalidation.
+/// One region's pre-resolved hot-path state: the snapshot slot and cached
+/// metric handles. Built on the region's first query and immutable
+/// afterwards — deploys swap the slot's snapshot and the handles point at
+/// live registry entries, so nothing here ever needs invalidation.
 struct RegionCtx {
     slot: Arc<RegionSlot>,
-    probe: BreakerProbe,
     ok: Arc<Counter>,
     err: Arc<Counter>,
-    rejected: Arc<Counter>,
     latency: Arc<Histogram>,
     batch_size: Arc<Histogram>,
 }
@@ -176,7 +160,6 @@ fn region_entry<T>(
 
 struct ServeInner {
     store: SnapshotStore,
-    breaker: CircuitBreaker,
     obs: Obs,
     ctxs: RwLock<BTreeMap<String, Arc<RegionCtx>>>,
     publishers: RwLock<BTreeMap<String, Arc<PublishCtx>>>,
@@ -186,7 +169,7 @@ struct ServeInner {
 /// Cloneable handle to the in-process prediction service.
 ///
 /// Cloning is cheap (one `Arc` bump) and every clone shares the same
-/// snapshot store, breaker, and metrics — hand clones to as many reader
+/// snapshot store and metrics — hand clones to as many reader
 /// threads as you like.
 ///
 /// # Example
@@ -218,15 +201,11 @@ pub struct ServeService {
 }
 
 impl ServeService {
-    /// Creates a service recording into `obs` and sharing `breaker` for
-    /// admission control. Share the pipeline's breaker so load shedding
-    /// follows the same region health the pipeline sees; the service only
-    /// ever *reads* breaker state — it never consumes half-open probes.
-    pub fn new(obs: Obs, breaker: CircuitBreaker) -> ServeService {
+    /// Creates a service recording into `obs`.
+    pub fn new(obs: Obs) -> ServeService {
         ServeService {
             inner: Arc::new(ServeInner {
                 store: SnapshotStore::new(),
-                breaker,
                 obs,
                 ctxs: RwLock::new(BTreeMap::new()),
                 publishers: RwLock::new(BTreeMap::new()),
@@ -235,20 +214,14 @@ impl ServeService {
         }
     }
 
-    /// Convenience constructor with a fresh registry and a default breaker
-    /// (nothing ever trips it unless failures are recorded into it).
+    /// Convenience constructor with a fresh registry.
     pub fn with_defaults() -> ServeService {
-        ServeService::new(Obs::new(), CircuitBreaker::new())
+        ServeService::new(Obs::new())
     }
 
     /// The observability handle requests are recorded into.
     pub fn obs(&self) -> &Obs {
         &self.inner.obs
-    }
-
-    /// The breaker consulted for admission control.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.inner.breaker
     }
 
     /// Sets the service's notion of "today" (a day index on the simulated
@@ -328,10 +301,8 @@ impl ServeService {
             };
             RegionCtx {
                 slot: self.inner.store.slot_or_insert(region),
-                probe: self.inner.breaker.probe(region),
                 ok: outcome("ok"),
                 err: outcome("error"),
-                rejected: outcome("rejected"),
                 latency: reg.histogram_with(
                     "seagull_serve_latency_seconds",
                     &labels,
@@ -342,17 +313,10 @@ impl ServeService {
         })
     }
 
-    /// Admission plus snapshot resolve, the opening of every query: sheds
-    /// if the region's breaker is open, otherwise clones the region's
-    /// current snapshot. No lock is held once this returns.
-    fn admit(&self, region: &str) -> Result<(Arc<RegionCtx>, Arc<ModelSnapshot>), ServeError> {
+    /// The opening of every query: clones the region's context and current
+    /// snapshot. No lock is held once this returns.
+    fn load(&self, region: &str) -> Result<(Arc<RegionCtx>, Arc<ModelSnapshot>), ServeError> {
         let ctx = self.ctx(region);
-        if ctx.probe.is_open() {
-            ctx.rejected.inc();
-            return Err(ServeError::Rejected {
-                region: region.to_string(),
-            });
-        }
         let snapshot = ctx.slot.load().ok_or_else(|| ServeError::NoSnapshot {
             region: region.to_string(),
         })?;
@@ -384,7 +348,7 @@ impl ServeService {
         horizon: usize,
     ) -> Result<TimeSeries, ServeError> {
         let started = Instant::now();
-        let (ctx, snapshot) = self.admit(region)?;
+        let (ctx, snapshot) = self.load(region)?;
         let result = self.predict_on(&snapshot, region, server_id, horizon);
         Self::finish(&ctx, started, result.is_ok());
         result
@@ -433,7 +397,7 @@ impl ServeService {
         day: i64,
     ) -> Result<TimeSeries, ServeError> {
         let started = Instant::now();
-        let (ctx, snapshot) = self.admit(region)?;
+        let (ctx, snapshot) = self.load(region)?;
         let result = Self::served(&snapshot, region, server_id).and_then(|s| Self::day_of(s, day));
         Self::finish(&ctx, started, result.is_ok());
         result
@@ -504,10 +468,10 @@ impl ServeService {
 
     /// The backup scheduler's query: the server's Definition 9 gate as the
     /// pipeline stamped it and the lowest-load window of its backup duration
-    /// on `day`, from one admitted snapshot, so the two share an epoch. The
-    /// outer error is a shed request, a region with no snapshot or a server
-    /// it does not carry; the inner one a day with no window (counted as a
-    /// failed request, as `ll_window` counts it).
+    /// on `day`, from one snapshot, so the two share an epoch. The outer
+    /// error is a region with no snapshot or a server it does not carry; the
+    /// inner one a day with no window (counted as a failed request, as
+    /// `ll_window` counts it).
     pub fn gated_ll_window(
         &self,
         region: &str,
@@ -515,7 +479,7 @@ impl ServeService {
         day: i64,
     ) -> Result<(GateState, Result<LowLoadWindow, ServeError>), ServeError> {
         let started = Instant::now();
-        let (ctx, snapshot) = self.admit(region)?;
+        let (ctx, snapshot) = self.load(region)?;
         let answer = Self::served(&snapshot, region, server_id)
             .map(|server| (server.gate(), Self::window_of(server, day)));
         Self::finish(&ctx, started, matches!(answer, Ok((_, Ok(_)))));
@@ -534,8 +498,8 @@ impl ServeService {
     /// Answers a batch of `(server_id, horizon)` queries against a single
     /// coherent snapshot acquisition — every answer in the batch comes from
     /// the same epoch, even if a deploy lands mid-batch. Responses are in
-    /// input order. Admission and snapshot lookup are batch-level: an open
-    /// breaker or missing snapshot fails the whole batch.
+    /// input order. The snapshot lookup is batch-level: a missing snapshot
+    /// fails the whole batch.
     ///
     /// The batch is vectorized over the snapshot: the snapshot is resolved
     /// once, duplicate `(server, horizon)` entries reuse the first answer
@@ -550,7 +514,7 @@ impl ServeService {
         if requests.is_empty() {
             return Err(ServeError::BadRequest("empty batch".into()));
         }
-        let (ctx, snapshot) = self.admit(region)?;
+        let (ctx, snapshot) = self.load(region)?;
         ctx.batch_size.observe(requests.len() as f64);
         let mut responses: Vec<Result<TimeSeries, ServeError>> = Vec::with_capacity(requests.len());
         let mut ok = 0u64;
@@ -601,7 +565,6 @@ impl DeploySink for ServeService {
 mod tests {
     use super::*;
     use seagull_core::pipeline::PredictionDoc;
-    use seagull_core::resilience::BreakerState;
     use seagull_forecast::{Forecaster, PersistentForecast};
 
     fn doc(server_id: u64, day: i64, values: Vec<f64>) -> PredictionDoc {
@@ -786,41 +749,6 @@ mod tests {
             assert!(dup.shares_storage(first), "dedup should reuse the view");
         }
         assert_eq!(out[3].as_ref().unwrap().values(), &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn open_breaker_sheds_requests() {
-        let serve = service_with_one_server();
-        // Trip the breaker: default threshold is 3 consecutive failures.
-        let incidents = seagull_core::incident::IncidentManager::new();
-        for _ in 0..3 {
-            serve.breaker().record_failure("west", 0, &incidents);
-        }
-        assert_eq!(serve.breaker().state("west"), BreakerState::Open);
-        assert!(matches!(
-            serve.predict("west", 7, 4),
-            Err(ServeError::Rejected { .. })
-        ));
-        assert!(matches!(
-            serve.predict_batch("west", &[(7, 1)]),
-            Err(ServeError::Rejected { .. })
-        ));
-    }
-
-    #[test]
-    fn breaker_trip_after_first_query_still_sheds() {
-        // The probe is created on the region's first query; later
-        // transitions must flow through its mirror cell.
-        let serve = service_with_one_server();
-        assert!(serve.predict("west", 7, 4).is_ok());
-        let incidents = seagull_core::incident::IncidentManager::new();
-        for _ in 0..3 {
-            serve.breaker().record_failure("west", 0, &incidents);
-        }
-        assert!(matches!(
-            serve.predict("west", 7, 4),
-            Err(ServeError::Rejected { .. })
-        ));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * **torn reads** — a `get` returns a truncated prefix of the blob (the
 //!   mid-write-crash case the pipeline must not parse as valid input),
 //! * **sustained outages** — every op against one `(kind, region)` key-space
-//!   slice fails until the slice is healed (the circuit-breaker case).
+//!   slice fails until the slice is healed (the blocked-run case).
 //!
 //! * **crashes** — at an armed [`CrashPoint`] the store simulates process
 //!   death: a `put` leaves only a strict prefix of the blob durable, the op

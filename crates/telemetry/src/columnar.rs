@@ -283,11 +283,6 @@ impl ColumnarBatch {
         &self.blocks
     }
 
-    /// The shared value column.
-    pub fn values(&self) -> &Arc<[f64]> {
-        &self.values
-    }
-
     /// One server's slice of the value column.
     pub fn block_values(&self, block: &ServerBlock) -> &[f64] {
         &self.values[block.offset..block.offset + block.len]
@@ -839,7 +834,7 @@ mod tests {
             out.extend_from_slice(&(b.len as u32).to_le_bytes());
             out.push(WIDE);
         }
-        for v in batch.values().iter() {
+        for v in batch.values.iter() {
             out.extend_from_slice(&v.to_le_bytes());
         }
         frame::seal(out).to_vec()
@@ -929,7 +924,7 @@ mod tests {
             let oracle = encode_all_wide(&batch);
             let end = oracle.len() - frame::FOOTER_LEN;
             let decoded = ColumnarBatch::decode(&blob).unwrap();
-            let widened: Vec<u8> = decoded.values().iter().flat_map(|v| v.to_le_bytes()).collect();
+            let widened: Vec<u8> = decoded.values.iter().flat_map(|v| v.to_le_bytes()).collect();
             assert_eq!(decoded, batch);
             assert_eq!(&oracle[end - widened.len()..end], &widened[..]);
             assert_eq!(decoded.encode(), blob);
@@ -990,7 +985,7 @@ mod tests {
         assert_eq!(blob[TABLE_AT + WIDTH_AT], WIDE);
         assert_eq!(blob[TABLE_AT + BLOCK_LEN + WIDTH_AT], NARROW);
         let back = ColumnarBatch::decode(&blob).unwrap();
-        let bits: Vec<u64> = back.values().iter().map(|v| v.to_bits()).collect();
+        let bits: Vec<u64> = back.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(
             bits,
             [
@@ -1122,7 +1117,7 @@ mod tests {
         assert_eq!(servers.len(), 2);
         for s in &servers {
             assert!(
-                Arc::ptr_eq(s.series.storage(), batch.values()),
+                Arc::ptr_eq(s.series.storage(), &batch.values),
                 "server {} series must view the shared decode buffer",
                 s.id
             );

@@ -320,8 +320,9 @@ mod tests {
         let decoded = ColumnarBatch::decode(&blob).unwrap();
         let servers = decoded.extract(5);
         assert!(servers.len() > 1);
+        let buffer = servers[0].series.storage();
         for s in &servers {
-            assert!(std::sync::Arc::ptr_eq(s.series.storage(), decoded.values()));
+            assert!(std::sync::Arc::ptr_eq(s.series.storage(), buffer));
         }
     }
 }

@@ -6,7 +6,7 @@
 use seagull::core::pipeline::{
     collections, AccuracyDoc, AmlPipeline, DeadLetterDoc, GateState, PipelineConfig, PredictionDoc,
 };
-use seagull::core::resilience::{BreakerState, StageChaos};
+use seagull::core::resilience::StageChaos;
 use seagull::core::Severity;
 use seagull::forecast::{FittedModel, ForecastError, Forecaster, PersistentForecast};
 use seagull::serve::ServeService;
@@ -361,12 +361,10 @@ fn truncated_blob_blocks_at_ingestion() {
 }
 
 /// An intact blob this build does not read — here an `SGCB` from a newer
-/// writer — blocks ingestion on its first attempt with a Critical and is no
-/// infrastructure signal: three weeks of it leave the region's breaker
-/// closed, where three unreadable weeks of a torn or unreachable slice trip
-/// it at the default threshold.
+/// writer — blocks ingestion on its first attempt with a Critical: a
+/// foreign blob reads the same on every attempt, so no retry is spent on it.
 #[test]
-fn foreign_blob_blocks_without_retry_and_spares_the_breaker() {
+fn foreign_blob_blocks_without_retry() {
     let (_, store, region, start) = fleet_and_store(10, 3, 17);
     let pipeline = AmlPipeline::new(
         PipelineConfig::production(),
@@ -387,8 +385,6 @@ fn foreign_blob_blocks_without_retry_and_spares_the_breaker() {
             "week {week}: foreign is not retried"
         );
     }
-    assert_eq!(pipeline.breaker.state(&region), BreakerState::Closed);
-    assert_eq!(pipeline.breaker.snapshot(&region).trips, 0);
     assert_eq!(pipeline.incidents.open_count(Severity::Critical), 3);
 }
 
@@ -473,11 +469,12 @@ fn same_seed_reproduces_schedule_and_incident_log() {
     assert!(!log_a.is_empty());
 }
 
-/// A sustained outage of one region's blob slice trips that region's
-/// breaker (Critical raised, state observable), leaves the other region
-/// unaffected, and recovers through half-open after the cooldown.
+/// A sustained outage of one region's blob slice blocks that region every
+/// week, each week after its retries and with its own ingestion Critical,
+/// leaves the other region unaffected, and heals on the first run after the
+/// slice is restored.
 #[test]
-fn sustained_outage_trips_breaker_and_recovers_through_half_open() {
+fn sustained_outage_blocks_every_week_and_heals_on_the_next_run() {
     let mut spec = FleetSpec::small_region(21);
     spec.regions[0].servers = 10;
     spec.regions.push(RegionSpec {
@@ -496,66 +493,46 @@ fn sustained_outage_trips_breaker_and_recovers_through_half_open() {
     let chaos = Arc::new(ChaosBlobStore::new(store, ChaosConfig::default()));
     let pipeline = AmlPipeline::new(PipelineConfig::production(), chaos.clone());
     chaos.set_outage("extracted", "region-a");
+    let ingestion_criticals = || {
+        pipeline
+            .incidents
+            .open()
+            .iter()
+            .filter(|i| {
+                i.source == "ingestion"
+                    && i.region == "region-a"
+                    && i.severity == Severity::Critical
+            })
+            .count()
+    };
 
-    // Three weekly failures (5 ingestion attempts each) trip the breaker at
-    // the default threshold of 3.
-    for week in 0..3i64 {
+    for week in 0..4i64 {
         let tick = start + 7 * week;
         let ra = pipeline.run_region_week("region-a", tick);
-        assert!(ra.blocked);
-        assert_eq!(ra.total_retries(), 4, "all 5 attempts hit the outage");
+        assert!(ra.blocked, "week {week}");
+        assert_eq!(
+            ra.total_retries(),
+            4,
+            "week {week}: all 5 attempts hit the outage"
+        );
+        assert_eq!(
+            ingestion_criticals(),
+            week as usize + 1,
+            "week {week} raises its own Critical"
+        );
         let rb = pipeline.run_region_week("region-b", tick);
         assert!(!rb.blocked, "the outage is sliced: region-b is unaffected");
         assert!(rb.predictions_written > 0);
         assert!(!rb.is_degraded());
     }
-    assert_eq!(pipeline.breaker.state("region-a"), BreakerState::Open);
-    assert_eq!(pipeline.breaker.snapshot("region-a").trips, 1);
-    assert_eq!(pipeline.breaker.state("region-b"), BreakerState::Closed);
-    assert_eq!(chaos.stats().outage_rejections, 15, "3 runs x 5 attempts");
-    let trip_criticals = pipeline
-        .incidents
-        .open()
-        .iter()
-        .filter(|i| {
-            i.source == "circuit-breaker"
-                && i.region == "region-a"
-                && i.severity == Severity::Critical
-        })
-        .count();
-    assert_eq!(trip_criticals, 1);
+    assert_eq!(chaos.stats().outage_rejections, 20, "4 runs x 5 attempts");
 
-    // Within the cooldown (14 ticks from the trip at start+14) the breaker
-    // rejects the run outright — no storage ops, no retries burned.
-    let r4 = pipeline.run_region_week("region-a", start + 21);
-    assert!(r4.blocked);
-    assert!(r4.degraded.expect("skip recorded").skipped_by_breaker);
-    assert_eq!(pipeline.breaker.state("region-a"), BreakerState::Open);
-    assert_eq!(
-        chaos.stats().outage_rejections,
-        15,
-        "an open breaker spends nothing on storage"
-    );
-
-    // Heal the slice; the cooldown elapses at start+28 and the half-open
-    // probe run succeeds, closing the circuit and resolving the trip.
-    chaos.clear_outage("extracted", "region-a");
-    let r5 = pipeline.run_region_week("region-a", start + 28);
-    assert!(!r5.blocked, "half-open probe run completes");
-    assert!(r5.predictions_written > 0);
-    assert_eq!(pipeline.breaker.state("region-a"), BreakerState::Closed);
-    let open = pipeline.incidents.open();
-    assert!(
-        open.iter()
-            .all(|i| !(i.source == "circuit-breaker" && i.severity == Severity::Critical)),
-        "the trip incident is resolved on recovery"
-    );
-    assert!(
-        open.iter().any(|i| i.source == "circuit-breaker"
-            && i.region == "region-a"
-            && i.severity == Severity::Info),
-        "recovery raises an Info incident"
-    );
+    // Heal the slice: the next run reads its blob and writes predictions.
+    assert!(chaos.clear_outage("extracted", "region-a"));
+    let healed = pipeline.run_region_week("region-a", start + 28);
+    assert!(!healed.blocked);
+    assert!(healed.predictions_written > 0);
+    assert_eq!(chaos.stats().outage_rejections, 20);
 }
 
 /// A forecaster whose fit fails (as a poison-input stand-in) for chosen

@@ -1,10 +1,9 @@
 //! Observability integration tests: the exported metrics must agree with
-//! the resilience layer's own accounting (incident log, breaker snapshots,
-//! chaos stats), and the stable export must be byte-identical across
-//! same-seed runs — the property that makes obs output diffable in CI.
+//! the resilience layer's own accounting (incident log, chaos stats), and
+//! the stable export must be byte-identical across same-seed runs — the
+//! property that makes obs output diffable in CI.
 
 use seagull::core::pipeline::{AmlPipeline, PipelineConfig};
-use seagull::core::resilience::BreakerState;
 use seagull::core::Severity;
 use seagull::obs::{export, Obs};
 use seagull::telemetry::blobstore::MemoryBlobStore;
@@ -32,8 +31,7 @@ fn sample(obs: &Obs, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
 
 /// A sustained outage on one region's blob slice, observed end to end: the
 /// exported retry counters match the chaos store's rejection count, and the
-/// breaker-state gauge transitions (Closed → Open → Closed) line up exactly
-/// with the trip/recovery incidents in the incident log.
+/// blocked-run counter matches the ingestion Criticals in the incident log.
 #[test]
 fn outage_metrics_match_incident_log() {
     let mut spec = FleetSpec::small_region(21);
@@ -57,24 +55,23 @@ fn outage_metrics_match_incident_log() {
         AmlPipeline::new(PipelineConfig::production(), chaos.clone()).with_obs(obs.clone());
     chaos.set_outage("extracted", "region-a");
 
-    // Three weekly failures trip region-a's breaker; region-b stays healthy.
-    for week in 0..3i64 {
+    // Four weekly runs of region-a are blocked; region-b stays healthy.
+    for week in 0..4i64 {
         let tick = start + 7 * week;
         assert!(pipeline.run_region_week("region-a", tick).blocked);
         assert!(!pipeline.run_region_week("region-b", tick).blocked);
     }
-    assert_eq!(pipeline.breaker.state("region-a"), BreakerState::Open);
 
     let labels_a = [("region", "region-a"), ("stage", "ingestion")];
-    // 3 runs x 5 ingestion attempts, all rejected by the outage.
+    // 4 runs x 5 ingestion attempts, all rejected by the outage.
     assert_eq!(
         sample(&obs, "seagull_retry_attempts_total", &labels_a),
-        Some(15.0)
+        Some(20.0)
     );
-    assert_eq!(sample(&obs, "seagull_retries_total", &labels_a), Some(12.0));
+    assert_eq!(sample(&obs, "seagull_retries_total", &labels_a), Some(16.0));
     assert_eq!(
         sample(&obs, "seagull_retry_exhausted_total", &labels_a),
-        Some(3.0)
+        Some(4.0)
     );
     // The counters agree with the chaos store's own accounting.
     assert_eq!(
@@ -88,7 +85,7 @@ fn outage_metrics_match_incident_log() {
             "seagull_retry_attempts_total",
             &[("region", "region-b"), ("stage", "ingestion")]
         ),
-        Some(3.0)
+        Some(4.0)
     );
     assert_eq!(
         sample(&obs, "seagull_retries_total", &[("region", "region-b")]),
@@ -96,65 +93,53 @@ fn outage_metrics_match_incident_log() {
         "no retries recorded for the healthy region"
     );
 
-    // Breaker gauges: region-a Open (2), one trip; region-b Closed (0).
-    let state_a = [("region", "region-a")];
-    let state_b = [("region", "region-b")];
-    assert_eq!(sample(&obs, "seagull_breaker_state", &state_a), Some(2.0));
-    assert_eq!(sample(&obs, "seagull_breaker_trips", &state_a), Some(1.0));
-    assert_eq!(sample(&obs, "seagull_breaker_state", &state_b), Some(0.0));
-
-    // ... and the gauge transitions match the incident log exactly: one trip
-    // gauge increment == one open Critical circuit-breaker incident.
+    // Four ingestion blocks: the blocked counter reads 4, and the incident
+    // log holds one open ingestion Critical per blocked week.
+    let region_a = [("region", "region-a")];
+    assert_eq!(
+        sample(&obs, "seagull_pipeline_blocked_total", &region_a),
+        Some(4.0),
+        "4 ingestion blocks"
+    );
     let open_criticals = pipeline
         .incidents
         .open()
         .iter()
         .filter(|i| {
-            i.source == "circuit-breaker"
-                && i.region == "region-a"
-                && i.severity == Severity::Critical
+            i.source == "ingestion" && i.region == "region-a" && i.severity == Severity::Critical
         })
         .count() as f64;
     assert_eq!(
-        sample(&obs, "seagull_breaker_trips", &state_a),
+        sample(&obs, "seagull_pipeline_blocked_total", &region_a),
         Some(open_criticals)
     );
-
-    // A run inside the cooldown is rejected by the gate, not by storage:
-    // the blocked counter moves, the retry counters do not.
-    pipeline.run_region_week("region-a", start + 21);
     assert_eq!(
-        sample(&obs, "seagull_pipeline_blocked_total", &state_a),
-        Some(4.0),
-        "3 ingestion blocks + 1 breaker-gate skip"
-    );
-    assert_eq!(
-        sample(&obs, "seagull_retry_attempts_total", &labels_a),
-        Some(15.0)
+        sample(
+            &obs,
+            "seagull_pipeline_blocked_total",
+            &[("region", "region-b")]
+        ),
+        None
     );
 
-    // Heal the slice; the half-open probe run closes the circuit. The gauge
-    // returns to Closed and the log swaps Critical for the Info recovery —
-    // again in lockstep.
+    // Heal the slice; the next run completes and no counter of the outage
+    // moves.
     chaos.clear_outage("extracted", "region-a");
     let recovered = pipeline.run_region_week("region-a", start + 28);
     assert!(!recovered.blocked);
-    assert_eq!(sample(&obs, "seagull_breaker_state", &state_a), Some(0.0));
-    assert_eq!(sample(&obs, "seagull_breaker_trips", &state_a), Some(1.0));
-    let open = pipeline.incidents.open();
-    assert!(
-        open.iter()
-            .all(|i| !(i.source == "circuit-breaker" && i.severity == Severity::Critical)),
-        "trip incident resolved when the gauge returns to Closed"
+    assert_eq!(
+        sample(&obs, "seagull_pipeline_blocked_total", &region_a),
+        Some(4.0)
     );
-    assert!(open.iter().any(|i| i.source == "circuit-breaker"
-        && i.region == "region-a"
-        && i.severity == Severity::Info));
+    assert_eq!(
+        sample(&obs, "seagull_retry_exhausted_total", &labels_a),
+        Some(4.0)
+    );
 
-    // Span trees cover every run, blocked or not: 8 region-a + 3 region-b.
+    // Span trees cover every run, blocked or not: 5 region-a + 4 region-b.
     let spans = obs.tracer().spans();
     let run_spans: Vec<_> = spans.iter().filter(|s| s.name == "run-week").collect();
-    assert_eq!(run_spans.len(), 8);
+    assert_eq!(run_spans.len(), 9);
     assert!(run_spans
         .iter()
         .all(|s| s.parent.is_none() && s.end_tick.is_some()));

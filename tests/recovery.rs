@@ -200,8 +200,8 @@ const STAGES: [&str; 6] = [
     "validation",
     "features",
     "train-infer",
-    "deployment",
     "accuracy-eval",
+    "deployment",
 ];
 
 /// The recovered (or, for a kill point past the op stream, uninterrupted)

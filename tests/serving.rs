@@ -1,12 +1,10 @@
 //! Serving-layer integration tests: pipeline → snapshot publication →
 //! queries, concurrent readers racing mid-flight deploys, old-epoch
-//! coherence, breaker admission, and the served scheduler path.
+//! coherence, and the served scheduler path.
 
 use seagull::backup::{BackupScheduler, FabricPropertyStore, ScheduleDecision, SchedulerConfig};
 use seagull::core::metrics::{lowest_load_window, LowLoadWindow};
 use seagull::core::pipeline::{AmlPipeline, DeploySink, GateState, PipelineConfig, PredictionDoc};
-use seagull::core::resilience::{BreakerState, COOLDOWN_TICKS, TRIP_THRESHOLD};
-use seagull::core::IncidentManager;
 use seagull::forecast::{FittedModel, Forecaster, PersistentForecast};
 use seagull::serve::{ModelSnapshot, ServeError, ServeService};
 use seagull::telemetry::blobstore::MemoryBlobStore;
@@ -283,7 +281,6 @@ fn first_queries_racing_on_one_region_share_one_context() {
     };
     assert_eq!(requests("error"), THREADS);
     assert_eq!(requests("ok"), THREADS);
-    assert_eq!(requests("rejected"), 0);
     assert_eq!(serve.epoch("fresh"), 1);
     assert_eq!(serve.regions(), vec!["fresh".to_string()]);
 }
@@ -364,56 +361,6 @@ fn pipeline_deploys_publish_snapshots_end_to_end() {
             Some(b.start)
         );
     }
-}
-
-#[test]
-fn open_breaker_sheds_serving_traffic_until_cooldown() {
-    let serve = ServeService::with_defaults();
-    serve.publish(uniform_snapshot(1, 4, 1.0));
-    // A healthy sibling: only the tripped region may shed.
-    serve.publish(region_snapshot("east", 1, 4, 2.0));
-    let east_serves = || {
-        (0..4).all(|id| {
-            serve
-                .predict("east", id, 4)
-                .is_ok_and(|p| p.values()[0] == 2.0)
-                && serve.ll_window("east", id, 14).is_ok()
-        })
-    };
-    assert!(serve.predict("west", 0, 4).is_ok());
-    assert!(east_serves());
-
-    // Trip the shared breaker the way the pipeline would.
-    let incidents = IncidentManager::new();
-    for _ in 0..TRIP_THRESHOLD {
-        serve.breaker().record_failure("west", 0, &incidents);
-    }
-    assert_eq!(serve.breaker().state("west"), BreakerState::Open);
-    for id in 0..4 {
-        assert!(matches!(
-            serve.predict("west", id, 4),
-            Err(ServeError::Rejected { .. })
-        ));
-        assert!(matches!(
-            serve.ll_window("west", id, 14),
-            Err(ServeError::Rejected { .. })
-        ));
-        assert!(east_serves(), "east answers while west sheds");
-    }
-
-    // Serving's admission check is read-only: it must not consume the
-    // breaker's half-open probe budget while the region is open.
-    assert_eq!(serve.breaker().state("west"), BreakerState::Open);
-    assert_eq!(serve.breaker().state("east"), BreakerState::Closed);
-
-    // After the cooldown the pipeline's probe succeeds and serving resumes.
-    assert!(serve.breaker().allow("west", COOLDOWN_TICKS));
-    serve
-        .breaker()
-        .record_success("west", COOLDOWN_TICKS, &incidents);
-    assert_eq!(serve.breaker().state("west"), BreakerState::Closed);
-    assert_eq!(serve.predict("west", 0, 4).unwrap().values()[0], 1.0);
-    assert!(east_serves(), "east answers after west closes");
 }
 
 #[test]
@@ -597,19 +544,6 @@ fn ll_window_matches_predict_day_then_search_on_every_path() {
         serve.ll_window("west", 4, 14),
         Err(ServeError::NoWindow { duration_min: 1500 })
     );
-
-    // An open breaker sheds before either side looks at the snapshot.
-    let incidents = IncidentManager::new();
-    for _ in 0..TRIP_THRESHOLD {
-        serve.breaker().record_failure("west", 0, &incidents);
-    }
-    assert_eq!(
-        serve.ll_window("west", 0, 14),
-        Err(ServeError::Rejected {
-            region: "west".into()
-        })
-    );
-    assert_eq!(serve.ll_window("west", 0, 14), composed(&serve, 0, 14, 60));
 }
 
 /// One request of the seeded mix the 1-against-8-threads test replays.
